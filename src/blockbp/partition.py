@@ -19,7 +19,8 @@ symmetry from the graph alone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,9 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Two-way vertex split as an int8 +-1 side array."""
+    """Two-way vertex split as an int8 +-1 side array.
+
+    ``iters`` and ``converged`` record how the spectral black box ended: its
+    power-iteration count and whether it stopped before the cap.  Other
+    partitions keep the defaults (0, True).
+    """
 
     side: np.ndarray
+    iters: int = 0
+    converged: bool = True
 
     def __post_init__(self):
         if self.side.size and not np.all(np.abs(self.side) == 1):
@@ -59,7 +67,7 @@ class Partition:
         return np.flatnonzero(self.side == -1)
 
     def flipped(self) -> "Partition":
-        return Partition(side=(-self.side).astype(np.int8))
+        return replace(self, side=(-self.side).astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -73,26 +81,34 @@ class OverlapReport:
 
 
 def _power_iteration_split(g: LabelledGraph, rng: np.random.Generator,
-                           iters: int, tol: float) -> np.ndarray:
+                           iters: int, tol: float) -> tuple[np.ndarray, int, bool]:
+    """Sign split of the leading eigenvector; returns (side, iterations, converged).
+
+    Converged means the loop stopped before the cap: the direction moved by
+    less than ``tol`` (up to sign) or the iterate vanished.
+    """
     a = sp.csr_matrix(
         (np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)
     )
     dbar = 2.0 * g.m / g.n
     x = rng.standard_normal(g.n)
     x /= np.linalg.norm(x)
-    for _ in range(iters):
+    used, converged = 0, False
+    for used in range(1, iters + 1):
         y = a @ x - (dbar / g.n) * x.sum()
         norm = np.linalg.norm(y)
         if norm == 0.0:
+            converged = True
             break
         y /= norm
         # direction convergence up to sign (the top eigenvalue may be negative)
         if abs(abs(float(y @ x)) - 1.0) < tol:
             x = y
+            converged = True
             break
         x = y
     side = np.where(x >= 0.0, 1, -1).astype(np.int8)
-    return side
+    return side, used, converged
 
 
 def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
@@ -102,13 +118,22 @@ def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
 
     "spectral" reads only the graph structure; "oracle-noise" reads the
     hidden labels and flips each with probability delta0 (harness use only).
-    Deterministic given the seed.
+    Deterministic given the seed.  A spectral run that reaches ``iters``
+    without converging warns (RuntimeWarning) and returns a partition with
+    ``converged`` false.
     """
     if g.n == 0:
         raise ValueError("cannot partition an empty graph")
     rng = as_generator(seed)
     if impl == "spectral":
-        return Partition(side=_power_iteration_split(g, rng, iters, tol))
+        side, used, converged = _power_iteration_split(g, rng, iters, tol)
+        if not converged:
+            warnings.warn(
+                f"spectral black box stopped at the {iters}-iteration cap without "
+                f"converging to tol={tol:g}",
+                RuntimeWarning, stacklevel=2,
+            )
+        return Partition(side=side, iters=used, converged=converged)
     if impl == "oracle-noise":
         if delta0 is None or not 0.0 <= delta0 < 0.5:
             raise ValueError("oracle-noise needs delta0 in [0, 1/2)")

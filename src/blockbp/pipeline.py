@@ -24,6 +24,19 @@ balls removed.  Held-out vertices in U are labelled by fair coins at the end.
 Neighborhoods are taken in the graph with U removed: U gets no inferred
 sides, takes no part in the boundary observations, and is coin-labelled
 anyway, so paths through it carry nothing the estimator could use.
+
+The per-vertex computations share one partition, so they run batched: the
+vertices are cut into chunks, ``randgraph.bfs_balls`` builds the balls of a
+whole chunk as flat per-level arrays tagged by the owning centre, and the
+conductance-up, current-down, hard-vote and BP-up passes each run once per
+level across the chunk.  A chunk holds about ``_BALL_BUDGET`` gathered
+neighbour slots, so tens of centres on balls of thousands of vertices and
+tens of thousands on balls of ten; the budget bounds the working set and is
+not a setting.  The output does not depend on the chunking: it is
+bit-identical to labelling one vertex at a time, the coin stream included
+(see ``_label_balls``).  The ``nontree`` count keeps its definition, every
+induced edge outside the BFS tree, sphere-sphere edges included; the BFS
+scans settle most balls and only the rest get a sphere scan.
 """
 
 from __future__ import annotations
@@ -31,7 +44,8 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +53,15 @@ from .bpcore import _combine_levels
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
 from .popdyn import _compose_through_edge, _terminal_conductance
-from .randgraph import LabelledGraph, _bfs_levels, remove_set
+from .randgraph import (
+    Balls,
+    LabelledGraph,
+    _owner_cut,
+    _run_sums,
+    bfs_balls,
+    max_ball_centres,
+    remove_set,
+)
 from .seeding import derived_rng
 
 __all__ = [
@@ -54,6 +76,14 @@ __all__ = [
     "recover",
     "save_vertex_csv",
 ]
+
+# Gathered neighbour slots one ball batch aims at: a few MiB of keys, so a
+# batch holds tens of centres on balls of thousands of vertices and tens of
+# thousands on balls of ten.
+_BALL_BUDGET = 1 << 17
+# Centres whose coins settle together: bounds the redraw work when exact-zero
+# roots are common (low signal, R >= 2, K >= 1) without slowing big batches.
+_COIN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -180,80 +210,146 @@ class LabelOutcome:
     watch_hit: bool = False  # watched vertex set intersected the inner ball
 
 
-def _two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, rng):
-    """Hard votes at level R-K from conductance weights, then BP to the root.
+class _BallLabels(NamedTuple):
+    """Per-centre outputs of ``_label_balls``, indexed like ``Balls.centres``."""
 
-    ``xi`` holds the +-1 observations on the deepest level (0 = missing; a
-    missing observation is an absent terminal, so it gets no weight).
-    Returns (root value, number of coin-resolved votes).
+    sign: np.ndarray           # int8 +-1
+    magnetization: np.ndarray  # float64, 0 where a coin decided
+    coin: np.ndarray
+    empty_sphere: np.ndarray
+    missing_obs: np.ndarray
+    watch_hit: np.ndarray
+
+
+def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
+                 weights_delta, clamp: float, rng, watch=None) -> _BallLabels:
+    """Two-stage root values of every ball in the batch, level by level.
+
+    ``xi_side`` gives each vertex's +-1 side (0 = none); it is read on the
+    sphere only.  Hard votes at level R-K come from the conductance weights
+    of their depth-K subtrees, then BP runs up to the centres (K = 0: BP
+    straight on the sphere observations).
+
+    Coins come from ``rng`` in centre order, exactly as labelling one centre
+    at a time would draw them: one uniform for an empty sphere or a sphere
+    without observations; otherwise the vote ties in level position order,
+    then one uniform if the root value is exactly 0.  The batch draws all
+    its coins in one call and hands them out by offset.  Whether a root is 0
+    can depend on its own tie coins, so a batch with zero roots is redrawn
+    from the saved stream state with the extra uniforms in place; each round
+    settles at least the first centre that disagreed, and the last round
+    leaves the stream where the per-centre order would.  A zero root moves
+    the offsets of every later centre, so a round costs the whole batch;
+    batches over ``_COIN_BLOCK`` centres go block by block to bound that.
     """
-    r = len(levels) - 1
-    coins = 0
+    r = balls.radius
+    c = len(balls.centres)
+    if c > _COIN_BLOCK:
+        blocks = [_label_balls(balls.select(lo, lo + _COIN_BLOCK), xi_side, big_k, theta,
+                               weights_delta, clamp, rng, watch)
+                  for lo in range(0, c, _COIN_BLOCK)]
+        return _BallLabels(*map(np.concatenate, zip(*blocks)))
+    level, owner, parent_pos = balls.vertex, balls.owner, balls.parent_pos
+    xi = xi_side[level[r]].astype(np.float64)
+    observed = xi != 0.0
+    cut = _owner_cut(owner[r], c)
+    on_sphere = np.diff(cut)
+    seen = _run_sums(observed, cut)
+    regular = seen > 0
+    watch_hit = np.zeros(c, dtype=bool)
+    if watch is not None:
+        for j in range(r):
+            watch_hit[owner[j][watch[level[j]]]] = True
+
     if big_k > 0:
         j0 = r - big_k
-        anc = np.arange(len(levels[j0]), dtype=np.int64)
-        for j in range(j0 + 1, r + 1):
-            anc = anc[parent_pos[j]]
-        z = [None] * (r + 1)
-        c = [None] * (r + 1)
-        z[r] = np.where(xi != 0.0, _terminal_conductance(weights_delta), 0.0)
+        # conductance up from the terminals, unit current down from level j0
+        z = np.where(observed, _terminal_conductance(weights_delta), 0.0)
+        cond = [None] * (r + 1)
+        zs = [None] * (r + 1)
         for j in range(r, j0, -1):
-            c[j] = _compose_through_edge(z[j], theta)
-            z[j - 1] = np.bincount(parent_pos[j], weights=c[j],
-                                   minlength=len(levels[j - 1]))
-        cur = np.ones(len(levels[j0]))
+            cond[j] = _compose_through_edge(z, theta)
+            # (an empty level would give bincount's integer zeros)
+            zs[j - 1] = z = np.bincount(parent_pos[j], weights=cond[j],
+                                        minlength=len(level[j - 1])).astype(float, copy=False)
+        cur = np.ones(len(level[j0]))
+        anc = np.arange(len(level[j0]), dtype=np.int64)
         for j in range(j0 + 1, r + 1):
             pp = parent_pos[j]
-            zpar = z[j - 1][pp]
+            zpar = zs[j - 1][pp]
             frac = np.zeros(len(pp))
-            np.divide(c[j], zpar, out=frac, where=zpar > 0)
+            np.divide(cond[j], zpar, out=frac, where=zpar > 0)
             cur = cur[pp] * frac
+            anc = anc[pp]
         w = cur * theta ** (-big_k)
-        sums = np.bincount(anc, weights=w * xi, minlength=len(levels[j0]))
-        ties = sums == 0.0
-        coins = int(ties.sum())
-        vals = np.sign(sums)
-        if coins:
-            vals[ties] = np.where(rng.random(coins) < 0.5, 1.0, -1.0)
-        start = j0
+        sums = np.bincount(anc, weights=w * xi, minlength=len(level[j0]))
+        votes = np.sign(sums)
+        ties = np.flatnonzero((sums == 0.0) & regular[owner[j0]])
     else:
-        vals = xi.astype(np.float64)
-        start = r
-    for j in range(start - 1, -1, -1):
-        vals = _combine_levels(vals, parent_pos[j + 1], len(levels[j]), theta, clamp)
-    return float(vals[0]), coins
+        j0 = r
+        votes = xi
+        ties = np.empty(0, dtype=np.int64)
+    tie_own = owner[j0][ties]
+    tie_cut = _owner_cut(tie_own, c)
+    n_ties = np.diff(tie_cut)
+    tie_rank = np.arange(len(ties), dtype=np.int64) - tie_cut[tie_own]
+    fixed = (~regular).astype(np.int64) + n_ties
+
+    state = rng.bit_generator.state
+    zero = np.zeros(c, dtype=bool)
+    while True:
+        draws = fixed + zero
+        first = np.cumsum(draws) - draws
+        u = rng.random(int(draws.sum()))
+        vals = votes.copy()
+        vals[ties] = np.where(u[first[tie_own] + tie_rank] < 0.5, 1.0, -1.0)
+        for j in range(j0 - 1, -1, -1):
+            vals = _combine_levels(vals, parent_pos[j + 1], len(level[j]), theta, clamp)
+        now = regular & (vals == 0.0)
+        if np.array_equal(now, zero):
+            break
+        zero = now
+        rng.bit_generator.state = state
+
+    coin = ~regular | zero
+    sign = np.where(vals > 0, 1, -1).astype(np.int8)
+    sign[coin] = np.where(u[(first + n_ties)[coin]] < 0.5, 1, -1)
+    return _BallLabels(sign=sign, magnetization=np.where(coin, 0.0, vals), coin=coin,
+                       empty_sphere=on_sphere == 0, missing_obs=on_sphere - seen,
+                       watch_hit=watch_hit)
 
 
-def _label_core(indptr, indices, v, radius, big_k, theta, weights_delta, clamp,
-                xi_of_node, visited, rng, watch_mask=None) -> LabelOutcome:
-    levels, parent_pos, induced = _bfs_levels(indptr, indices, v, radius, visited)
-    ball_size = sum(len(l) for l in levels)
-    nontree = induced != ball_size - 1
-    watch_hit = False
-    if watch_mask is not None:
-        watch_hit = any(bool(watch_mask[l].any()) for l in levels[:radius])
-    if len(levels) - 1 < radius:
-        sign = 1 if rng.random() < 0.5 else -1
-        return LabelOutcome(sign=sign, magnetization=0.0, coin=True,
-                            empty_sphere=True, nontree=nontree, missing_obs=0,
-                            watch_hit=watch_hit)
-    xi = xi_of_node(levels[radius])
-    missing = int((xi == 0).sum())
-    if not np.any(xi != 0):
-        sign = 1 if rng.random() < 0.5 else -1
-        return LabelOutcome(sign=sign, magnetization=0.0, coin=True,
-                            empty_sphere=False, nontree=nontree,
-                            missing_obs=missing, watch_hit=watch_hit)
-    value, _ = _two_stage_root(levels, parent_pos, xi, theta, big_k,
-                               weights_delta, clamp, rng)
-    if value == 0.0:
-        sign = 1 if rng.random() < 0.5 else -1
-        return LabelOutcome(sign=sign, magnetization=0.0, coin=True,
-                            empty_sphere=False, nontree=nontree,
-                            missing_obs=missing, watch_hit=watch_hit)
-    return LabelOutcome(sign=1 if value > 0 else -1, magnetization=value,
-                        coin=False, empty_sphere=False, nontree=nontree,
-                        missing_obs=missing, watch_hit=watch_hit)
+def _nontree(g: LabelledGraph, balls: Balls) -> np.ndarray:
+    """Per centre: does the ball hold an induced edge outside its BFS tree?
+
+    The BFS scans settle every ball with a repeated discovery or an edge
+    inside a scanned level; only balls still tree-like after them, with a
+    full sphere, need the scan for sphere-sphere edges, done in groups of
+    about ``_BALL_BUDGET`` gathered neighbours.
+    """
+    r = balls.radius
+    nontree = balls.scan_extra > 0
+    cut = _owner_cut(balls.owner[r], len(nontree))
+    open_ = ~nontree & (np.diff(cut) > 0)
+    if not open_.any():
+        return nontree
+    cost = _run_sums(g.degrees[balls.vertex[r]], cut)
+    group = np.cumsum(np.where(open_, cost, 0)) // _BALL_BUDGET
+    for k in np.unique(group[open_]):
+        select = open_ & (group == k)
+        nontree |= balls.sphere_edges(g, select) > 0
+    return nontree
+
+
+def _chunk_size(g: LabelledGraph, radius: int) -> int:
+    """Centres per ball batch: about ``_BALL_BUDGET`` gathered neighbours each.
+
+    With mean degree dbar, the scan of level R-1, the largest, gathers about
+    (1 + dbar)^R neighbour slots per centre.
+    """
+    dbar = len(g.indices) / max(g.n, 1)
+    size = int(_BALL_BUDGET // ((1.0 + dbar) ** radius))
+    return max(1, min(size, max_ball_centres(g.n)))
 
 
 def label_vertex(g: LabelledGraph, v: int, aligned: Partition, cfg: AlgoConfig,
@@ -268,19 +364,24 @@ def label_vertex(g: LabelledGraph, v: int, aligned: Partition, cfg: AlgoConfig,
         raise ValueError("aligned partition must cover the graph's vertex set")
     tp = derive_tree_params(params)
     r = resolve_radius(cfg, g.n, params.a, params.b) if radius is None else radius
-    rng = derived_rng(seed, "label-one", v)
-    visited = np.zeros(g.n, dtype=bool)
-    side = aligned.side
-
-    def xi_of_node(nodes):
-        return side[nodes].astype(np.float64)
-
-    return _label_core(g.indptr, g.indices, v, r, cfg.K, tp.theta,
-                       cfg.weights_delta, cfg.clamp, xi_of_node, visited, rng)
+    balls = bfs_balls(g, [v], r)
+    out = _label_balls(balls, aligned.side, cfg.K, tp.theta, cfg.weights_delta,
+                       cfg.clamp, derived_rng(seed, "label-one", v))
+    return LabelOutcome(sign=int(out.sign[0]), magnetization=float(out.magnetization[0]),
+                        coin=bool(out.coin[0]), empty_sphere=bool(out.empty_sphere[0]),
+                        nontree=bool(_nontree(g, balls)[0]),
+                        missing_obs=int(out.missing_obs[0]))
 
 
 @dataclass
 class RecoveryDiagnostics:
+    """Counts a recovery run keeps about itself.
+
+    ``blackbox_iters`` is the largest power-iteration count over the black-box
+    runs (0 for the oracle-noise black box) and ``blackbox_converged`` is
+    false if any run stopped at the iteration cap.
+    """
+
     r_used: int = 0
     u_star: int = -1
     u_star_fallback: bool = False
@@ -292,6 +393,15 @@ class RecoveryDiagnostics:
     missing_observations: int = 0
     u_star_ball_violations: int = 0
     blackbox_runs: int = 0
+    blackbox_iters: int = 0
+    blackbox_converged: bool = True
+
+
+STAGES = ("holdout", "blackbox", "align", "balls", "roots", "coins")
+"""Stages of ``recover`` timed in ``RecoveryResult.stage_seconds``: the
+hold-out set, anchor and subgraphs; the black-box runs; anchor alignment;
+ball construction with the non-tree check; the root passes with their vote
+coins; the hold-out coins and the overlap report."""
 
 
 @dataclass(frozen=True)
@@ -301,18 +411,22 @@ class RecoveryResult:
     report: OverlapReport
     diagnostics: RecoveryDiagnostics
     seconds: float
+    stage_seconds: dict = field(default_factory=dict)
 
     @property
     def accuracy(self) -> float:
         return self.report.accuracy
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, deterministic: bool = False) -> dict:
+        """JSON-ready summary; ``deterministic`` zeroes every wall time."""
         return {
             "accuracy": self.report.accuracy,
             "delta_frac": self.report.delta_frac,
             "aligned_sign": self.report.aligned_sign,
             "n": self.report.n,
-            "seconds": self.seconds,
+            "seconds": 0.0 if deterministic else self.seconds,
+            "stage_seconds": {k: 0.0 if deterministic else v
+                              for k, v in self.stage_seconds.items()},
             "diagnostics": asdict(self.diagnostics),
         }
 
@@ -330,6 +444,15 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
             delta0: float | None = None) -> RecoveryResult:
     """Run the full recovery: hold-out, anchor, black box, align, label, coins."""
     t0 = time.perf_counter()
+    stage = dict.fromkeys(STAGES, 0.0)
+    clock = t0
+
+    def lap(name: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        stage[name] += now - clock
+        clock = now
+
     if params.n != g.n:
         raise ValueError("params.n does not match the graph")
     if ks_signal(params) <= 1.0:
@@ -362,47 +485,59 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
 
     side_out = np.zeros(g.n, dtype=np.int8)
     mag_out = np.zeros(g.n, dtype=np.float64)
-    visited = np.zeros(h.n, dtype=bool)
+    lap("holdout")
 
     def run_blackbox(graph: LabelledGraph, tag: int) -> Partition:
-        diag.blackbox_runs += 1
-        return blackbox_partition(graph, impl=impl,
+        part = blackbox_partition(graph, impl=impl,
                                   seed=derived_rng(seed, "bb", tag), delta0=delta0)
+        diag.blackbox_runs += 1
+        diag.blackbox_iters = max(diag.blackbox_iters, part.iters)
+        diag.blackbox_converged &= part.converged
+        lap("blackbox")
+        return part
 
-    def label_chunk(xi_side_h: np.ndarray, vertices_h) -> None:
-        def xi_of_node(nodes):
-            return xi_side_h[nodes].astype(np.float64)
+    def align(part: Partition, old_to_new: np.ndarray) -> Partition:
+        aligned, info = align_partition(part, g, u_star, params.a, params.b,
+                                        old_to_new=old_to_new)
+        diag.align_ties += info.tie
+        diag.align_swaps += info.swapped
+        return aligned
 
-        for v in vertices_h:
-            out = _label_core(h.indptr, h.indices, int(v), r, cfg.K, tp.theta,
-                              cfg.weights_delta, cfg.clamp, xi_of_node, visited,
-                              rng_label, watch_mask=ustar_nbr_mask)
-            orig = sub.new_to_old[v]
+    def label(xi_side_h: np.ndarray, vertices_h: np.ndarray) -> None:
+        size = _chunk_size(h, r)
+        for start in range(0, len(vertices_h), size):
+            chunk = vertices_h[start : start + size]
+            balls = bfs_balls(h, chunk, r)
+            nontree = _nontree(h, balls)
+            lap("balls")
+            out = _label_balls(balls, xi_side_h, cfg.K, tp.theta, cfg.weights_delta,
+                               cfg.clamp, rng_label, watch=ustar_nbr_mask)
+            orig = sub.new_to_old[chunk]
             side_out[orig] = out.sign
             mag_out[orig] = out.magnetization
-            diag.coin_labels += out.coin
-            diag.empty_spheres += out.empty_sphere
-            diag.nontree_neighborhoods += out.nontree
-            diag.missing_observations += out.missing_obs
-            diag.u_star_ball_violations += out.watch_hit
+            diag.coin_labels += int(out.coin.sum())
+            diag.empty_spheres += int(out.empty_sphere.sum())
+            diag.nontree_neighborhoods += int(nontree.sum())
+            diag.missing_observations += int(out.missing_obs.sum())
+            diag.u_star_ball_violations += int(out.watch_hit.sum())
+            lap("roots")
 
     all_h = np.arange(h.n, dtype=np.int64)
     if cfg.batch is None:
-        part = run_blackbox(h, 0)
-        aligned, info = align_partition(part, g, u_star, params.a, params.b,
-                                        old_to_new=sub.old_to_new)
-        diag.align_ties += info.tie
-        diag.align_swaps += info.swapped
-        label_chunk(aligned.side, all_h)
+        aligned = align(run_blackbox(h, 0), sub.old_to_new)
+        lap("align")
+        label(aligned.side, all_h)
     else:
+        inner_size = _chunk_size(h, r - 1)
         for start in range(0, h.n, cfg.batch):
             chunk = all_h[start : start + cfg.batch]
             ball_mask = np.zeros(h.n, dtype=bool)
-            for v in chunk:
-                lv, _, _ = _bfs_levels(h.indptr, h.indices, int(v), r - 1, visited)
-                for ids in lv:
+            for s in range(0, len(chunk), inner_size):
+                for ids in bfs_balls(h, chunk[s : s + inner_size], r - 1).vertex:
                     ball_mask[ids] = True
+            lap("balls")
             inner = remove_set(h, np.flatnonzero(ball_mask))
+            lap("holdout")
             part = run_blackbox(inner.graph, int(chunk[0]) + 1)
             # g-ids -> inner ids, for anchor alignment
             comp = np.full(h.n, -1, dtype=np.int64)
@@ -410,25 +545,25 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
             old_to_inner = np.full(g.n, -1, dtype=np.int64)
             kept = np.flatnonzero(sub.old_to_new >= 0)
             old_to_inner[kept] = comp[sub.old_to_new[kept]]
-            aligned, info = align_partition(part, g, u_star, params.a, params.b,
-                                            old_to_new=old_to_inner)
-            diag.align_ties += info.tie
-            diag.align_swaps += info.swapped
+            aligned = align(part, old_to_inner)
             # sides on h-ids; vertices inside the removed balls have none
             xi_side_h = np.zeros(h.n, dtype=np.int8)
             ok = comp >= 0
             xi_side_h[ok] = aligned.side[comp[ok]]
-            label_chunk(xi_side_h, chunk)
+            lap("align")
+            label(xi_side_h, chunk)
 
     coins = derived_rng(seed, "hold-out-coins").random(len(hold_out))
     side_out[hold_out] = np.where(coins < 0.5, 1, -1)
     diag.coin_labels += len(hold_out)
 
     report = overlap(Partition(side=side_out), g.labels)
+    lap("coins")
     return RecoveryResult(
         side=side_out,
         magnetization=mag_out,
         report=report,
         diagnostics=diag,
         seconds=time.perf_counter() - t0,
+        stage_seconds=stage,
     )

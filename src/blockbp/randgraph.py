@@ -8,7 +8,9 @@ on a desktop.
 
 BFS neighborhoods use a deterministic tie-break: neighbor lists are scanned
 in ascending id order and the BFS parent of a newly discovered vertex is its
-smallest-id neighbor in the previous shell.
+smallest-id neighbor in the previous shell.  ``bfs_balls`` builds the balls
+of many centres at once, one sort per level over keys tagged by the owning
+centre; ``extract_neighborhood`` is its one-centre case.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from .params import ModelParams
 from .seeding import as_generator
 
 __all__ = [
+    "Balls",
     "LabelledGraph",
     "Neighborhood",
     "SubgraphMap",
     "sample_sbm",
     "graph_from_edges",
+    "bfs_balls",
     "extract_neighborhood",
+    "max_ball_centres",
     "remove_set",
     "save_edge_list",
     "load_edge_list",
@@ -80,6 +85,13 @@ def graph_from_edges(n: int, edges, labels) -> LabelledGraph:
         raise ValueError("labels must be n values in {-1, +1}")
     if edges:
         e = np.asarray(list(edges), dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"edge {i} ({e[i, 0]}, {e[i, 1]}) has a vertex id "
+                             f"outside [0, {n})")
         u, v = e[:, 0], e[:, 1]
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
@@ -217,50 +229,167 @@ class Neighborhood:
         return self.levels[j - 1][self.parent_pos[j]]
 
 
-def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, v: int, radius: int,
-                visited: np.ndarray):
-    """Shells and smallest-id-discoverer parents; ``visited`` is scratch.
+def _vertex_bits(n: int) -> int:
+    """Bits for one key field: vertex ids (< n) and scan tags (<= n) both fit."""
+    return max(1, int(n).bit_length())
 
-    Returns (levels, parent_pos, n_induced_edges).  The caller must hand in a
-    clean boolean scratch array of length n; it is cleaned up before return.
+
+def max_ball_centres(n: int) -> int:
+    """Most centres one ``bfs_balls`` call takes on an n-vertex graph.
+
+    A scan key packs (owner, vertex, tag) into one int64, so owners get the
+    bits that two vertex-sized fields leave free.
     """
-    levels = [np.array([v], dtype=np.int64)]
+    free = 63 - 2 * _vertex_bits(n)
+    return 1 << free if free > 0 else 0
+
+
+def _gather(indptr, indices, front):
+    """Neighbour slices of ``front`` in one flat array, and the front's degrees."""
+    degs = indptr[front + 1] - indptr[front]
+    flat = np.repeat(indptr[front] - (np.cumsum(degs) - degs), degs)
+    flat += np.arange(len(flat), dtype=np.int64)
+    return indices[flat], degs
+
+
+def _owner_cut(owner: np.ndarray, n_owners: int) -> np.ndarray:
+    """Bounds of each owner's run in an owner-sorted array: owner o spans
+    positions [cut[o], cut[o + 1])."""
+    return np.searchsorted(owner, np.arange(n_owners + 1))
+
+
+def _run_sums(values: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over the runs [cut[o], cut[o + 1]), from prefix sums."""
+    return np.diff(np.concatenate(([0], np.cumsum(values)))[cut])
+
+
+def _scan(indptr, indices, front_own, front, placed, vb: int, n_owners: int):
+    """Gather the neighbours of a front and sort them against placed vertices.
+
+    ``front`` (owned by ``front_own``) is sorted by (owner, vertex id);
+    ``placed`` holds the keys of vertices that may not be placed again.  A
+    neighbour's key is (owner, vertex, 1 + its discoverer's position within
+    the owner's front), a placed key has tag 0, so one sort puts every
+    (owner, vertex) group together with a placed entry first and then the
+    smallest-id discoverer.  Returns (keys of the newly found vertices, per
+    owner: neighbours that landed on a placed vertex, per owner: discoveries
+    of a new vertex beyond its first).
+    """
+    nbrs, degs = _gather(indptr, indices, front)
+    start = _owner_cut(front_own, n_owners)
+    local = np.arange(len(front), dtype=np.int64) - start[front_own]
+    tagged = np.repeat((front_own << (2 * vb)) | (local + 1), degs)
+    tagged |= np.left_shift(nbrs, vb, out=nbrs)
+    keys = np.concatenate((placed, tagged))
+    keys.sort()
+    group = keys >> vb
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(group[1:], group[:-1], out=head[1:])
+    head = np.flatnonzero(head)
+    size = np.diff(head, append=len(keys))
+    first = keys[head]
+    new = (first & ((1 << vb) - 1)) != 0  # no placed entry in the group
+    found = first[new]
+    cut = _owner_cut(found >> (2 * vb), n_owners)
+    members = _run_sums(size[new], cut)
+    return found, _run_sums(degs, start) - members, members - np.diff(cut)
+
+
+@dataclass(frozen=True)
+class Balls:
+    """BFS balls of one radius around a batch of centres, as flat level arrays.
+
+    Level j holds, for all centres at once, the vertices at distance exactly
+    j from their centre, sorted by (owner, vertex id): ``vertex[j]`` the ids,
+    ``owner[j]`` each entry's index into ``centres``, and ``parent_pos[j]``
+    (j >= 1) the position of its BFS parent within level j - 1.  This is the
+    ``popdyn.Forest`` layout with the centre as owner.  A ball that ends
+    before the radius has no entries at the deeper levels.
+
+    ``scan_extra`` counts, per owner, the induced edges outside the BFS tree
+    that the scans of levels 0..radius-1 saw: repeated discoveries and edges
+    inside a scanned level.  Edges inside the sphere need ``sphere_edges``.
+    """
+
+    centres: np.ndarray
+    radius: int
+    vertex: list
+    owner: list
+    parent_pos: list
+    scan_extra: np.ndarray
+
+    def select(self, lo: int, hi: int) -> "Balls":
+        """The balls of centres lo..hi-1 as a batch of their own."""
+        cut = [np.searchsorted(own, (lo, hi)) for own in self.owner]
+        return Balls(
+            centres=self.centres[lo:hi], radius=self.radius,
+            vertex=[v[a:b] for v, (a, b) in zip(self.vertex, cut)],
+            owner=[own[a:b] - lo for own, (a, b) in zip(self.owner, cut)],
+            parent_pos=[None] + [pp[a:b] - up for pp, (a, b), (up, _)
+                                 in zip(self.parent_pos[1:], cut[1:], cut)],
+            scan_extra=self.scan_extra[lo:hi],
+        )
+
+    def sphere_edges(self, g: LabelledGraph, select=None) -> np.ndarray:
+        """Per owner, the edges with both ends on the sphere S(centre, radius).
+
+        Only owners where ``select`` (a bool per owner) is set are scanned;
+        the others read 0.
+        """
+        r, c = self.radius, len(self.centres)
+        own, ver = self.owner[r], self.vertex[r]
+        if select is not None:
+            keep = select[own]
+            own, ver = own[keep], ver[keep]
+        vb = _vertex_bits(g.n)
+        nbrs, degs = _gather(g.indptr, g.indices, ver)
+        reach = np.repeat(own << vb, degs) | nbrs
+        reach.sort()
+        on_sphere = (own << vb) | ver
+        ends = (np.searchsorted(reach, on_sphere, "right")
+                - np.searchsorted(reach, on_sphere, "left"))
+        return _run_sums(ends, _owner_cut(own, c)) // 2
+
+
+def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
+    """BFS balls B(v, radius) of every centre, built level by level at once.
+
+    Each level is one vectorised step over the whole batch: gather the
+    front's neighbour slices, drop vertices the same owner placed at the
+    previous or the current level, and keep the smallest-id discoverer of
+    each new (owner, vertex).  Shells, parents and their order match a BFS
+    of each centre on its own that scans neighbours in ascending id order.
+    """
+    centres = np.asarray(centres, dtype=np.int64)
+    c = len(centres)
+    if c > max_ball_centres(g.n):
+        raise ValueError(f"at most {max_ball_centres(g.n)} centres per call at n={g.n}")
+    vb = _vertex_bits(g.n)
+    vmask = (1 << vb) - 1
+    owner = [np.arange(c, dtype=np.int64)]
+    vertex = [centres]
     parent_pos: list = [None]
-    visited[v] = True
-    for _ in range(radius):
-        front = levels[-1]
-        degs = indptr[front + 1] - indptr[front]
-        total = int(degs.sum())
-        if total == 0:
-            break
-        starts = indptr[front]
-        # flat gather of all neighbor slices of the frontier
-        offs = np.repeat(starts - np.concatenate(([0], np.cumsum(degs)[:-1])), degs)
-        flat = offs + np.arange(total, dtype=np.int64)
-        cand = indices[flat]
-        ppos = np.repeat(np.arange(len(front), dtype=np.int64), degs)
-        keep = ~visited[cand]
-        cand, ppos = cand[keep], ppos[keep]
-        if len(cand) == 0:
-            break
-        order = np.lexsort((front[ppos], cand))
-        cand, ppos = cand[order], ppos[order]
-        first = np.ones(len(cand), dtype=bool)
-        first[1:] = cand[1:] != cand[:-1]
-        nxt, npos = cand[first], ppos[first]
-        visited[nxt] = True
-        levels.append(nxt)
-        parent_pos.append(npos)
-    ball = np.concatenate(levels)
-    # count edges induced on the ball (each counted from both endpoints)
-    degs = indptr[ball + 1] - indptr[ball]
-    total = int(degs.sum())
-    starts = indptr[ball]
-    offs = np.repeat(starts - np.concatenate(([0], np.cumsum(degs)[:-1])), degs)
-    nbrs = indices[offs + np.arange(total, dtype=np.int64)]
-    induced = int(visited[nbrs].sum()) // 2
-    visited[ball] = False
-    return levels, parent_pos, induced
+    keys = [((owner[0] << vb) | centres) << vb]
+    scan_extra = np.zeros(c, dtype=np.int64)
+    repeats = np.zeros(c, dtype=np.int64)
+    for j in range(radius):
+        placed = keys[j] if j == 0 else np.concatenate((keys[j - 1], keys[j]))
+        new, hits, rep = _scan(g.indptr, g.indices, owner[j], vertex[j], placed, vb, c)
+        cut = _owner_cut(owner[j], c)
+        # hits on level j-1 are the tree edges up plus the previous level's
+        # repeated discoveries; the rest lie inside level j, seen from both ends
+        up = np.diff(cut) + repeats if j else 0
+        scan_extra += rep + (hits - up) // 2
+        repeats = rep
+        group = new >> vb
+        own = group >> vb
+        parent_pos.append(cut[own] + (new & vmask) - 1)
+        owner.append(own)
+        vertex.append(group & vmask)
+        keys.append(group << vb)
+    return Balls(centres=centres, radius=radius, vertex=vertex, owner=owner,
+                 parent_pos=parent_pos, scan_extra=scan_extra)
 
 
 def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Neighborhood:
@@ -269,12 +398,13 @@ def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Neighborhood:
         raise ValueError("center vertex out of range")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    visited = np.zeros(g.n, dtype=bool)
-    levels, parent_pos, induced = _bfs_levels(g.indptr, g.indices, v, radius, visited)
-    ball_size = sum(len(l) for l in levels)
+    balls = bfs_balls(g, [v], radius)
+    levels = [lvl for lvl in balls.vertex if len(lvl)]
+    extra = int(balls.scan_extra[0] + balls.sphere_edges(g)[0])
     return Neighborhood(
-        center=v, radius=radius, levels=levels, parent_pos=parent_pos,
-        is_tree=induced == ball_size - 1, n_extra_edges=induced - (ball_size - 1),
+        center=v, radius=radius, levels=levels,
+        parent_pos=balls.parent_pos[: len(levels)],
+        is_tree=extra == 0, n_extra_edges=extra,
     )
 
 

@@ -4,15 +4,31 @@ These deliberately share no code with the library paths they check: the
 resistor network is solved as a dense Laplacian system, estimator moments are
 computed by exhaustive enumeration over spin configurations, and rooted tree
 shapes are enumerated via level sequences.
+
+The recovery oracle is the per-vertex loop the batched ball engine replaced:
+one BFS with a shared ``visited`` scratch array and one two-stage root
+computation per vertex, drawing coins from the label stream as it goes.  It
+shares only the elementwise kernels (series composition, terminal
+conductance, the BP level combine) and the stages around labelling with the
+library, so bit-equality with ``pipeline.recover`` checks the ball
+construction, the level-synchronous passes and the coin stream.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from blockbp.bpcore import _combine_levels
 from blockbp.broadcast import BroadcastTree, tree_from_parents
+from blockbp.params import derive_tree_params
+from blockbp.partition import blackbox_partition
+from blockbp.pipeline import align_partition, choose_anchor, resolve_radius
+from blockbp.popdyn import _compose_through_edge, _terminal_conductance
+from blockbp.randgraph import remove_set
+from blockbp.seeding import derived_rng
 
 
 def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
@@ -168,3 +184,185 @@ def _parents_from_levels(levels):
 
 def tree_from_level_parents(parents) -> BroadcastTree:
     return tree_from_parents(parents)
+
+
+# --- per-vertex recovery loop ------------------------------------------------
+
+
+def bfs_levels(indptr, indices, v, radius, visited):
+    """Shells and smallest-id-discoverer parents; ``visited`` is clean scratch.
+
+    Returns (levels, parent_pos, n_induced_edges) and cleans ``visited``.
+    """
+    levels = [np.array([v], dtype=np.int64)]
+    parent_pos = [None]
+    visited[v] = True
+    for _ in range(radius):
+        front = levels[-1]
+        degs = indptr[front + 1] - indptr[front]
+        total = int(degs.sum())
+        if total == 0:
+            break
+        starts = indptr[front]
+        offs = np.repeat(starts - np.concatenate(([0], np.cumsum(degs)[:-1])), degs)
+        cand = indices[offs + np.arange(total, dtype=np.int64)]
+        ppos = np.repeat(np.arange(len(front), dtype=np.int64), degs)
+        keep = ~visited[cand]
+        cand, ppos = cand[keep], ppos[keep]
+        if len(cand) == 0:
+            break
+        order = np.lexsort((front[ppos], cand))
+        cand, ppos = cand[order], ppos[order]
+        first = np.ones(len(cand), dtype=bool)
+        first[1:] = cand[1:] != cand[:-1]
+        nxt = cand[first]
+        visited[nxt] = True
+        levels.append(nxt)
+        parent_pos.append(ppos[first])
+    ball = np.concatenate(levels)
+    degs = indptr[ball + 1] - indptr[ball]
+    offs = np.repeat(indptr[ball] - np.concatenate(([0], np.cumsum(degs)[:-1])), degs)
+    nbrs = indices[offs + np.arange(int(degs.sum()), dtype=np.int64)]
+    induced = int(visited[nbrs].sum()) // 2
+    visited[ball] = False
+    return levels, parent_pos, induced
+
+
+def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, rng):
+    """Hard votes at level R-K from conductance weights, then BP to the root."""
+    r = len(levels) - 1
+    if big_k > 0:
+        j0 = r - big_k
+        anc = np.arange(len(levels[j0]), dtype=np.int64)
+        for j in range(j0 + 1, r + 1):
+            anc = anc[parent_pos[j]]
+        z = [None] * (r + 1)
+        c = [None] * (r + 1)
+        z[r] = np.where(xi != 0.0, _terminal_conductance(weights_delta), 0.0)
+        for j in range(r, j0, -1):
+            c[j] = _compose_through_edge(z[j], theta)
+            z[j - 1] = np.bincount(parent_pos[j], weights=c[j],
+                                   minlength=len(levels[j - 1]))
+        cur = np.ones(len(levels[j0]))
+        for j in range(j0 + 1, r + 1):
+            pp = parent_pos[j]
+            zpar = z[j - 1][pp]
+            frac = np.zeros(len(pp))
+            np.divide(c[j], zpar, out=frac, where=zpar > 0)
+            cur = cur[pp] * frac
+        w = cur * theta ** (-big_k)
+        sums = np.bincount(anc, weights=w * xi, minlength=len(levels[j0]))
+        ties = sums == 0.0
+        coins = int(ties.sum())
+        vals = np.sign(sums)
+        if coins:
+            vals[ties] = np.where(rng.random(coins) < 0.5, 1.0, -1.0)
+        start = j0
+    else:
+        vals = xi.astype(np.float64)
+        start = r
+    for j in range(start - 1, -1, -1):
+        vals = _combine_levels(vals, parent_pos[j + 1], len(levels[j]), theta, clamp)
+    return float(vals[0])
+
+
+def label_one(indptr, indices, v, radius, big_k, theta, weights_delta, clamp,
+              xi_side, visited, rng, watch_mask=None) -> dict:
+    """One vertex's label and diagnostics, drawing its coins from ``rng``."""
+    levels, parent_pos, induced = bfs_levels(indptr, indices, v, radius, visited)
+    out = {"nontree": induced != sum(len(l) for l in levels) - 1,
+           "watch_hit": watch_mask is not None
+           and any(bool(watch_mask[l].any()) for l in levels[:radius]),
+           "empty_sphere": len(levels) - 1 < radius, "missing_obs": 0,
+           "coin": True, "magnetization": 0.0}
+    if not out["empty_sphere"]:
+        xi = xi_side[levels[radius]].astype(np.float64)
+        out["missing_obs"] = int((xi == 0).sum())
+        if np.any(xi != 0):
+            value = two_stage_root(levels, parent_pos, xi, theta, big_k,
+                                   weights_delta, clamp, rng)
+            if value != 0.0:
+                out.update(sign=1 if value > 0 else -1, magnetization=value, coin=False)
+                return out
+    out["sign"] = 1 if rng.random() < 0.5 else -1
+    return out
+
+
+def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
+    """``pipeline.recover`` as a per-vertex loop; returns (side, magnetization, counts).
+
+    ``counts`` holds the diagnostics the loop accumulates: coin_labels,
+    empty_spheres, nontree_neighborhoods, missing_observations and
+    u_star_ball_violations, plus blackbox_runs.
+    """
+    theta = derive_tree_params(params).theta
+    r = resolve_radius(cfg, g.n, params.a, params.b)
+    u_size = cfg.u_size if cfg.u_size is not None else int(math.isqrt(g.n))
+    u_size = max(1, min(u_size, g.n - 1))
+    hold_out = np.sort(
+        derived_rng(seed, "hold-out").choice(g.n, size=u_size, replace=False)
+    ).astype(np.int64)
+    u_star, _ = choose_anchor(g, hold_out, derived_rng(seed, "anchor"),
+                              min_degree=cfg.u_star_min_degree)
+    sub = remove_set(g, hold_out)
+    h = sub.graph
+    rng_label = derived_rng(seed, "labels")
+    watch = np.zeros(h.n, dtype=bool)
+    mapped = sub.old_to_new[g.neighbors(u_star)]
+    watch[mapped[mapped >= 0]] = True
+    side_out = np.zeros(g.n, dtype=np.int8)
+    mag_out = np.zeros(g.n, dtype=np.float64)
+    visited = np.zeros(h.n, dtype=bool)
+    counts = dict.fromkeys(("coin_labels", "empty_spheres", "nontree_neighborhoods",
+                            "missing_observations", "u_star_ball_violations",
+                            "blackbox_runs"), 0)
+
+    def run_blackbox(graph, tag):
+        counts["blackbox_runs"] += 1
+        return blackbox_partition(graph, impl=impl, seed=derived_rng(seed, "bb", tag),
+                                  delta0=delta0)
+
+    def label_chunk(xi_side_h, vertices_h):
+        for v in vertices_h:
+            out = label_one(h.indptr, h.indices, int(v), r, cfg.K, theta,
+                            cfg.weights_delta, cfg.clamp, xi_side_h, visited,
+                            rng_label, watch_mask=watch)
+            orig = sub.new_to_old[v]
+            side_out[orig] = out["sign"]
+            mag_out[orig] = out["magnetization"]
+            counts["coin_labels"] += out["coin"]
+            counts["empty_spheres"] += out["empty_sphere"]
+            counts["nontree_neighborhoods"] += out["nontree"]
+            counts["missing_observations"] += out["missing_obs"]
+            counts["u_star_ball_violations"] += out["watch_hit"]
+
+    all_h = np.arange(h.n, dtype=np.int64)
+    if cfg.batch is None:
+        aligned, _ = align_partition(run_blackbox(h, 0), g, u_star, params.a,
+                                     params.b, old_to_new=sub.old_to_new)
+        label_chunk(aligned.side, all_h)
+    else:
+        for start in range(0, h.n, cfg.batch):
+            chunk = all_h[start : start + cfg.batch]
+            ball_mask = np.zeros(h.n, dtype=bool)
+            for v in chunk:
+                for ids in bfs_levels(h.indptr, h.indices, int(v), r - 1, visited)[0]:
+                    ball_mask[ids] = True
+            inner = remove_set(h, np.flatnonzero(ball_mask))
+            part = run_blackbox(inner.graph, int(chunk[0]) + 1)
+            comp = np.full(h.n, -1, dtype=np.int64)
+            comp[inner.new_to_old] = np.arange(inner.graph.n, dtype=np.int64)
+            old_to_inner = np.full(g.n, -1, dtype=np.int64)
+            kept = np.flatnonzero(sub.old_to_new >= 0)
+            old_to_inner[kept] = comp[sub.old_to_new[kept]]
+            aligned, _ = align_partition(part, g, u_star, params.a, params.b,
+                                         old_to_new=old_to_inner)
+            xi_side_h = np.zeros(h.n, dtype=np.int8)
+            ok = comp >= 0
+            xi_side_h[ok] = aligned.side[comp[ok]]
+            label_chunk(xi_side_h, chunk)
+
+    coins = derived_rng(seed, "hold-out-coins").random(len(hold_out))
+    side_out[hold_out] = np.where(coins < 0.5, 1, -1)
+    counts["coin_labels"] += len(hold_out)
+    return side_out, mag_out, counts

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,3 +98,32 @@ def test_save_partition(tmp_path):
     path = tmp_path / "part.txt"
     save_partition(p, path)
     assert path.read_text().splitlines() == ["0 +1", "1 -1", "2 +1"]
+
+
+def test_spectral_non_convergence_warns():
+    # theta^2 d = 1.8 at n = 2000: the power iteration is still turning at the
+    # cap; the run says so and the partition records it
+    g = sample_sbm(ModelParams(n=2_000, a=8, b=2), seed=0)
+    with pytest.warns(RuntimeWarning, match="200-iteration cap"):
+        p = blackbox_partition(g, impl="spectral", seed=0)
+    assert p.iters == 200 and not p.converged
+    # the record survives relabelling, and the count follows the cap
+    assert p.flipped().iters == 200 and not p.flipped().converged
+    with pytest.warns(RuntimeWarning, match="5-iteration cap"):
+        short = blackbox_partition(g, impl="spectral", seed=0, iters=5)
+    assert short.iters == 5
+
+
+def test_spectral_converges_silently_in_wide_regime():
+    # the a = 12, b = 3 regime of the wide recovery benchmark converges well
+    # before the cap and warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(3):
+            g = sample_sbm(ModelParams(n=2_000, a=12, b=3), seed=s)
+            p = blackbox_partition(g, impl="spectral", seed=s)
+            assert p.converged and 0 < p.iters < 200
+            assert overlap(p, g.labels).accuracy > 0.85
+    # the oracle black box runs no iterations
+    q = blackbox_partition(g, impl="oracle-noise", seed=1, delta0=0.1)
+    assert q.iters == 0 and q.converged

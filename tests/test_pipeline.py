@@ -4,12 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from blockbp import popdyn
+from _oracles import label_one, recover_loop
+from blockbp import pipeline, popdyn
 from blockbp.bpcore import bp_combine
 from blockbp.params import ModelParams
 from blockbp.partition import Partition
 from blockbp.pipeline import (
+    STAGES,
     AlgoConfig,
+    _label_balls,
     align_partition,
     choose_anchor,
     label_vertex,
@@ -17,7 +20,13 @@ from blockbp.pipeline import (
     resolve_radius,
     save_vertex_csv,
 )
-from blockbp.randgraph import LabelledGraph, graph_from_edges, remove_set, sample_sbm
+from blockbp.randgraph import (
+    LabelledGraph,
+    bfs_balls,
+    graph_from_edges,
+    remove_set,
+    sample_sbm,
+)
 from blockbp.seeding import derived_rng
 
 
@@ -345,3 +354,156 @@ def test_recover_logs_anchor_ball_violations():
     cfg = AlgoConfig(R=2, R_mode="fixed", K=1)
     res = recover(g, cfg, m, impl="oracle-noise", seed=7, delta0=0.1)
     assert res.diagnostics.u_star_ball_violations > 0
+
+
+# --- batched engine against the per-vertex loop ------------------------------
+
+
+ORACLE_CASES = [
+    # (n, a, b, R, K, batch, impl, delta0, weights_delta)
+    (600, 8, 2, 2, 0, None, "oracle-noise", 0.2, None),     # K = 0
+    (600, 8, 2, 2, 1, None, "oracle-noise", 0.2, None),     # 0 < K < R
+    (600, 8, 2, 2, 2, None, "oracle-noise", 0.2, None),     # K = R
+    (600, 5, 1, 3, 1, None, "oracle-noise", 0.3, None),     # deeper, sparser balls
+    (600, 2, 8, 2, 1, None, "oracle-noise", 0.2, None),     # a < b
+    (400, 3, 1, 2, 1, None, "oracle-noise", 0.2, None),     # isolated centres
+    (600, 8, 2, 2, 1, None, "oracle-noise", 0.25, 0.3),     # terminal resistors
+    (600, 8, 2, 1, 1, None, "spectral", None, None),
+    (150, 8, 2, 2, 1, 1, "oracle-noise", 0.2, None),        # batch = 1
+    (300, 8, 2, 3, 2, 7, "oracle-noise", 0.2, None),        # batch = j > 1
+]
+
+
+@pytest.mark.parametrize("budget, block", [(None, None), (64, 3), (None, 7)])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_recover_matches_per_vertex_oracle(case, budget, block, monkeypatch):
+    # labels, magnetizations and diagnostic counts are bit-identical to the
+    # per-vertex loop: with one chunk per graph, with chunk boundaries falling
+    # mid-graph (a tiny gathered-neighbour budget), and with the coins of a
+    # chunk settled in small blocks
+    n, a, b, r, k, batch, impl, delta0, wd = case
+    if budget is not None:
+        monkeypatch.setattr(pipeline, "_BALL_BUDGET", budget)
+    if block is not None:
+        monkeypatch.setattr(pipeline, "_COIN_BLOCK", block)
+    m = ModelParams(n=n, a=a, b=b)
+    cfg = AlgoConfig(R=r, R_mode="fixed", K=k, batch=batch, weights_delta=wd)
+    for seed in range(2):
+        g = sample_sbm(m, seed=90 + seed)
+        h_n = g.n - int(math.isqrt(g.n))
+        chunks = math.ceil(h_n / pipeline._chunk_size(g, r))
+        assert (chunks > 2) == (budget is not None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = recover(g, cfg, m, impl=impl, seed=seed, delta0=delta0)
+            side, mag, counts = recover_loop(g, cfg, m, impl=impl, seed=seed,
+                                             delta0=delta0)
+        assert np.array_equal(res.side, side)
+        assert np.array_equal(res.magnetization, mag)
+        for name, value in counts.items():
+            assert getattr(res.diagnostics, name) == value, name
+        if (a, b) == (3, 1):
+            assert res.diagnostics.empty_spheres > 0
+
+
+def test_zero_root_redraw_keeps_coin_stream():
+    # R = 2, K = 1: a root whose two level-1 votes cancel is exactly 0 and
+    # takes one more uniform after its tie coins; the batch must redraw so
+    # that every later centre's coins shift by one, as in the per-vertex loop
+    # centre 0: children 1 (+ leaf 3) and 2 (- leaf 4): votes cancel -> root 0
+    # centre 5: children 6 (+ leaf 8) and 7 (unobserved leaf 9): one tie
+    # coin, and a - coin cancels the + vote, so its own coin decides whether
+    # the root is 0
+    edges = [(0, 1), (0, 2), (1, 3), (2, 4), (5, 6), (5, 7), (6, 8), (7, 9)]
+    g = graph_from_edges(10, edges, [1] * 10)
+    side = np.array([1, 1, 1, 1, -1, 1, 1, 1, 1, 0], dtype=np.int8)
+    theta = 0.6
+    for seed in range(20):
+        centres = [0, 5, 0, 5]
+        balls = bfs_balls(g, centres, 2)
+        got = _label_balls(balls, side, 1, theta, None, 1e-12, derived_rng(seed, "z"))
+        rng = derived_rng(seed, "z")
+        visited = np.zeros(g.n, dtype=bool)
+        for i, v in enumerate(centres):
+            want = label_one(g.indptr, g.indices, v, 2, 1, theta, None, 1e-12, side,
+                             visited, rng)
+            assert got.sign[i] == want["sign"]
+            assert got.magnetization[i] == want["magnetization"]
+            assert got.coin[i] == want["coin"]
+        assert got.coin[0] and got.coin[2]
+
+
+# --- terminal-resistor weights (weights_delta) -------------------------------
+
+
+def _hand_vote(theta, delta, leaf_groups):
+    """Conductance-weighted K = R = 2 vote at the root, by hand.
+
+    ``leaf_groups`` lists, per root child, the +-1 observations of its
+    leaves.  Conductances are in level-local units: a terminal resistor of
+    conductance (1-2 delta)^2 / (4 delta (1-delta)) (infinite when delta is
+    None), each tree edge of resistance (1 - theta^2) / theta^2.
+    """
+    t2 = theta * theta
+    g_term = math.inf if delta is None else (1 - 2 * delta) ** 2 / (4 * delta * (1 - delta))
+
+    def series(z):  # subtree conductance z behind one more tree edge
+        return t2 / ((1 - t2) + (0.0 if z == math.inf else 1.0 / z))
+
+    leaf_c = series(g_term)
+    child_c = [series(leaf_c * len(obs)) for obs in leaf_groups]
+    total = sum(child_c)
+    vote = 0.0
+    for c, obs in zip(child_c, leaf_groups):
+        for x in obs:  # the child's current splits evenly over equal leaves
+            vote += (c / total) * (1.0 / len(obs)) * theta ** -2 * x
+    return vote
+
+
+def test_weights_delta_hard_vote_star():
+    # root 0; child 1 with ten leaves (4 +, 6 -), child 2 with one + leaf.
+    # Without terminal resistors the big subtree's weight saturates and the
+    # lone + leaf wins; with heavy terminal noise each leaf counts about
+    # equally and the - majority wins.
+    leaves_1 = list(range(3, 13))
+    edges = [(0, 1), (0, 2), (2, 13)] + [(1, u) for u in leaves_1]
+    g = graph_from_edges(14, edges, [1] * 14)
+    side = np.ones(14, dtype=np.int8)
+    side[leaves_1[4:]] = -1
+    params = ModelParams(n=14, a=3, b=1)
+    theta = 0.5
+    groups = [[int(side[u]) for u in leaves_1], [1]]
+    signs = {}
+    for delta in (None, 0.45):
+        want = math.copysign(1.0, _hand_vote(theta, delta, groups))
+        cfg = AlgoConfig(R=2, R_mode="fixed", K=2, weights_delta=delta)
+        out = label_vertex(g, 0, Partition(side=side), cfg, params, seed=0)
+        assert out.magnetization == want and not out.coin
+        signs[delta] = want
+        # the batched engine over a multi-centre batch and the per-vertex loop agree
+        balls = bfs_balls(g, [1, 0, 2], 2)
+        got = _label_balls(balls, side, 2, theta, delta, 1e-12, derived_rng(0, "w"))
+        loop = label_one(g.indptr, g.indices, 0, 2, 2, theta, delta, 1e-12, side,
+                         np.zeros(g.n, dtype=bool), derived_rng(0, "w"))
+        assert got.magnetization[1] == loop["magnetization"] == want
+    assert signs[None] == 1.0 and signs[0.45] == -1.0
+
+
+# --- per-stage seconds -------------------------------------------------------
+
+
+def test_recover_stage_seconds():
+    m = ModelParams(n=600, a=20, b=4)
+    g = sample_sbm(m, seed=56)
+    cfg = AlgoConfig(R=2, R_mode="fixed", K=1)
+    res = recover(g, cfg, m, impl="oracle-noise", seed=5, delta0=0.2)
+    assert tuple(res.stage_seconds) == STAGES
+    assert all(v >= 0.0 for v in res.stage_seconds.values())
+    assert sum(res.stage_seconds.values()) <= res.seconds
+    d = res.to_json_dict()
+    assert d["stage_seconds"] == res.stage_seconds
+    det = res.to_json_dict(deterministic=True)
+    assert det["seconds"] == 0.0
+    assert det["stage_seconds"] == dict.fromkeys(STAGES, 0.0)
+    assert det["diagnostics"]["blackbox_iters"] == 0
+    assert det["diagnostics"]["blackbox_converged"] is True

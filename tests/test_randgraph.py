@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from _oracles import bfs_levels
 from blockbp.params import ModelParams
 from blockbp.randgraph import (
+    bfs_balls,
     extract_neighborhood,
     graph_from_edges,
     load_edge_list,
     load_labels,
+    max_ball_centres,
     remove_set,
     sample_sbm,
     save_edge_list,
@@ -175,3 +180,105 @@ def test_dump_round_trip(tmp_path):
     assert np.array_equal(g2.indptr, g.indptr)
     assert np.array_equal(g2.indices, g.indices)
     assert np.array_equal(g2.labels, g.labels)
+
+
+# --- batched balls against the per-vertex BFS --------------------------------
+
+
+def test_extract_neighborhood_matches_per_vertex_bfs():
+    # shells, parents and the exact extra-edge count of the one-centre engine
+    # call equal the per-vertex BFS with its second induced-edge scan
+    for m, radii in ((ModelParams(n=300, a=6, b=2), (0, 1, 2, 3)),
+                     (ModelParams(n=300, a=2, b=1), (1, 4)),
+                     (ModelParams(n=120, a=30, b=4), (1, 2))):
+        g = sample_sbm(m, seed=11)
+        visited = np.zeros(g.n, dtype=bool)
+        for v in range(0, g.n, 7):
+            for r in radii:
+                nb = extract_neighborhood(g, v, r)
+                levels, parent_pos, induced = bfs_levels(g.indptr, g.indices, v, r, visited)
+                assert len(nb.levels) == len(levels)
+                for j, lvl in enumerate(levels):
+                    assert np.array_equal(nb.levels[j], lvl)
+                    if j:
+                        assert np.array_equal(nb.parent_pos[j], parent_pos[j])
+                extra = induced - (sum(len(l) for l in levels) - 1)
+                assert nb.n_extra_edges == extra
+                assert nb.is_tree == (extra == 0)
+
+
+def test_bfs_balls_batch_equals_single_centres():
+    # one batch over repeated and isolated centres splits into the per-centre balls
+    g = sample_sbm(ModelParams(n=200, a=3, b=1), seed=12)
+    centres = np.array([5, 0, 5, 199, 17, 42, 0], dtype=np.int64)
+    r = 3
+    balls = bfs_balls(g, centres, r)
+    assert balls.parent_pos[0] is None
+    extra = balls.scan_extra + balls.sphere_edges(g)
+    for i, v in enumerate(centres):
+        nb = extract_neighborhood(g, int(v), r)
+        for j in range(r + 1):
+            mine = balls.owner[j] == i
+            want = nb.levels[j] if j < len(nb.levels) else np.empty(0, np.int64)
+            assert np.array_equal(balls.vertex[j][mine], want)
+            if j and len(want):
+                base = np.flatnonzero(balls.owner[j - 1] == i)[0]
+                assert np.array_equal(balls.parent_pos[j][mine] - base, nb.parent_pos[j])
+        assert extra[i] == nb.n_extra_edges
+    # a subset scan reads 0 outside the selection
+    select = np.zeros(len(centres), dtype=bool)
+    select[1] = True
+    assert not balls.sphere_edges(g, select)[~select].any()
+    # a slice of the batch is the batch of the sliced centres
+    part = balls.select(2, 5)
+    alone = bfs_balls(g, centres[2:5], r)
+    for j in range(r + 1):
+        assert np.array_equal(part.vertex[j], alone.vertex[j])
+        assert np.array_equal(part.owner[j], alone.owner[j])
+        if j:
+            assert np.array_equal(part.parent_pos[j], alone.parent_pos[j])
+    assert np.array_equal(part.scan_extra, alone.scan_extra)
+
+
+def test_bfs_balls_centre_limit():
+    assert max_ball_centres(2 ** 20) == 1 << 21
+    assert max_ball_centres(2 ** 40) == 0
+    g = graph_from_edges(3, [(0, 1)], [1, 1, 1])
+    assert bfs_balls(g, [], 2).vertex[2].size == 0
+
+
+# --- edge-list input ---------------------------------------------------------
+
+
+def test_graph_from_edges_rejects_out_of_range_ids():
+    with pytest.raises(ValueError, match=r"edge 0 \(-1, 1\)"):
+        graph_from_edges(3, [(-1, 1)], [1, 1, 1])
+    with pytest.raises(ValueError, match=r"edge 1 \(2, 3\).*\[0, 3\)"):
+        graph_from_edges(3, [(0, 1), (2, 3)], [1, 1, 1])
+    with pytest.raises(ValueError, match="pairs"):
+        graph_from_edges(3, [(0, 1, 2)], [1, 1, 1])
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(-3, n + 3), st.integers(-3, n + 3))
+    return n, draw(st.lists(pairs, max_size=20))
+
+
+@given(_edge_lists())
+def test_edge_list_range_property(tmp_path_factory, case):
+    n, edges = case
+    if any(not (0 <= x < n) for e in edges for x in e):
+        with pytest.raises(ValueError, match="outside"):
+            graph_from_edges(n, edges, [1] * n)
+        return
+    # keep one copy of each undirected edge and no self-loops
+    simple = sorted({(min(u, v), max(u, v)) for u, v in edges if u != v})
+    g = graph_from_edges(n, simple, [1] * n)
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    save_edge_list(g, path)
+    g2 = load_edge_list(path)
+    assert g2.n == g.n
+    assert np.array_equal(g2.indptr, g.indptr)
+    assert np.array_equal(g2.indices, g.indices)
