@@ -80,12 +80,15 @@ class OverlapReport:
     n: int
 
 
-def _power_iteration_split(g: LabelledGraph, rng: np.random.Generator,
-                           iters: int, tol: float) -> tuple[np.ndarray, int, bool]:
-    """Sign split of the leading eigenvector; returns (side, iterations, converged).
+def _power_iteration_split(g: LabelledGraph, rng: np.random.Generator, iters: int,
+                           tol: float) -> tuple[np.ndarray, int, bool, float]:
+    """Sign split of the leading eigenvector.
 
-    Converged means the loop stopped before the cap: the direction moved by
-    less than ``tol`` (up to sign) or the iterate vanished.
+    Returns (side, iterations, converged, unsettled).  Converged means the
+    loop stopped before the cap: the direction moved by less than ``tol`` (up
+    to sign) or the iterate vanished.  ``unsettled`` is the fraction of
+    vertices whose side the last iteration changed, up to a global flip (0
+    when converged).
     """
     a = sp.csr_matrix(
         (np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)
@@ -93,7 +96,7 @@ def _power_iteration_split(g: LabelledGraph, rng: np.random.Generator,
     dbar = 2.0 * g.m / g.n
     x = rng.standard_normal(g.n)
     x /= np.linalg.norm(x)
-    used, converged = 0, False
+    used, converged, prev = 0, False, x
     for used in range(1, iters + 1):
         y = a @ x - (dbar / g.n) * x.sum()
         norm = np.linalg.norm(y)
@@ -106,9 +109,20 @@ def _power_iteration_split(g: LabelledGraph, rng: np.random.Generator,
             x = y
             converged = True
             break
-        x = y
+        prev, x = x, y
     side = np.where(x >= 0.0, 1, -1).astype(np.int8)
-    return side, used, converged
+    unsettled = 0.0
+    if not converged:
+        changed = float(np.mean((x >= 0.0) != (prev >= 0.0)))
+        unsettled = min(changed, 1.0 - changed)
+    return side, used, converged, unsettled
+
+
+# A capped spectral run warns only if its last iteration still moved more than
+# this fraction of the vertices across the split.  At n = 2e5, a = 12, b = 3
+# capped runs move at most 1e-4 of them and split 0.90 accurately; at
+# a = 8, b = 2 the iterate swings between two eigenvectors and moves 0.43.
+_UNSETTLED = 0.01
 
 
 def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
@@ -119,18 +133,20 @@ def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
     "spectral" reads only the graph structure; "oracle-noise" reads the
     hidden labels and flips each with probability delta0 (harness use only).
     Deterministic given the seed.  A spectral run that reaches ``iters``
-    without converging warns (RuntimeWarning) and returns a partition with
-    ``converged`` false.
+    without converging returns a partition with ``converged`` false; it also
+    warns (RuntimeWarning) when the last iteration still moved more than 1 %
+    of the vertices across the split, since the returned sides then depend on
+    where the loop stopped.
     """
     if g.n == 0:
         raise ValueError("cannot partition an empty graph")
     rng = as_generator(seed)
     if impl == "spectral":
-        side, used, converged = _power_iteration_split(g, rng, iters, tol)
-        if not converged:
+        side, used, converged, unsettled = _power_iteration_split(g, rng, iters, tol)
+        if unsettled > _UNSETTLED:
             warnings.warn(
-                f"spectral black box stopped at the {iters}-iteration cap without "
-                f"converging to tol={tol:g}",
+                f"spectral black box stopped at the {iters}-iteration cap with "
+                f"{unsettled:.1%} of the vertices still changing side",
                 RuntimeWarning, stacklevel=2,
             )
         return Partition(side=side, iters=used, converged=converged)

@@ -56,10 +56,10 @@ from .popdyn import _compose_through_edge, _terminal_conductance
 from .randgraph import (
     Balls,
     LabelledGraph,
+    _max_ball_centres,
     _owner_cut,
     _run_sums,
     bfs_balls,
-    max_ball_centres,
     remove_set,
 )
 from .seeding import derived_rng
@@ -81,9 +81,6 @@ __all__ = [
 # batch holds tens of centres on balls of thousands of vertices and tens of
 # thousands on balls of ten.
 _BALL_BUDGET = 1 << 17
-# Centres whose coins settle together: bounds the redraw work when exact-zero
-# roots are common (low signal, R >= 2, K >= 1) without slowing big batches.
-_COIN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -238,17 +235,10 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
     can depend on its own tie coins, so a batch with zero roots is redrawn
     from the saved stream state with the extra uniforms in place; each round
     settles at least the first centre that disagreed, and the last round
-    leaves the stream where the per-centre order would.  A zero root moves
-    the offsets of every later centre, so a round costs the whole batch;
-    batches over ``_COIN_BLOCK`` centres go block by block to bound that.
+    leaves the stream where the per-centre order would.
     """
     r = balls.radius
     c = len(balls.centres)
-    if c > _COIN_BLOCK:
-        blocks = [_label_balls(balls.select(lo, lo + _COIN_BLOCK), xi_side, big_k, theta,
-                               weights_delta, clamp, rng, watch)
-                  for lo in range(0, c, _COIN_BLOCK)]
-        return _BallLabels(*map(np.concatenate, zip(*blocks)))
     level, owner, parent_pos = balls.vertex, balls.owner, balls.parent_pos
     xi = xi_side[level[r]].astype(np.float64)
     observed = xi != 0.0
@@ -349,7 +339,7 @@ def _chunk_size(g: LabelledGraph, radius: int) -> int:
     """
     dbar = len(g.indices) / max(g.n, 1)
     size = int(_BALL_BUDGET // ((1.0 + dbar) ** radius))
-    return max(1, min(size, max_ball_centres(g.n)))
+    return max(1, min(size, _max_ball_centres(g.n)))
 
 
 def label_vertex(g: LabelledGraph, v: int, aligned: Partition, cfg: AlgoConfig,
@@ -417,16 +407,14 @@ class RecoveryResult:
     def accuracy(self) -> float:
         return self.report.accuracy
 
-    def to_json_dict(self, deterministic: bool = False) -> dict:
-        """JSON-ready summary; ``deterministic`` zeroes every wall time."""
+    def to_json_dict(self) -> dict:
         return {
             "accuracy": self.report.accuracy,
             "delta_frac": self.report.delta_frac,
             "aligned_sign": self.report.aligned_sign,
             "n": self.report.n,
-            "seconds": 0.0 if deterministic else self.seconds,
-            "stage_seconds": {k: 0.0 if deterministic else v
-                              for k, v in self.stage_seconds.items()},
+            "seconds": self.seconds,
+            "stage_seconds": dict(self.stage_seconds),
             "diagnostics": asdict(self.diagnostics),
         }
 

@@ -31,7 +31,6 @@ __all__ = [
     "graph_from_edges",
     "bfs_balls",
     "extract_neighborhood",
-    "max_ball_centres",
     "remove_set",
     "save_edge_list",
     "load_edge_list",
@@ -234,7 +233,7 @@ def _vertex_bits(n: int) -> int:
     return max(1, int(n).bit_length())
 
 
-def max_ball_centres(n: int) -> int:
+def _max_ball_centres(n: int) -> int:
     """Most centres one ``bfs_balls`` call takes on an n-vertex graph.
 
     A scan key packs (owner, vertex, tag) into one int64, so owners get the
@@ -319,18 +318,6 @@ class Balls:
     parent_pos: list
     scan_extra: np.ndarray
 
-    def select(self, lo: int, hi: int) -> "Balls":
-        """The balls of centres lo..hi-1 as a batch of their own."""
-        cut = [np.searchsorted(own, (lo, hi)) for own in self.owner]
-        return Balls(
-            centres=self.centres[lo:hi], radius=self.radius,
-            vertex=[v[a:b] for v, (a, b) in zip(self.vertex, cut)],
-            owner=[own[a:b] - lo for own, (a, b) in zip(self.owner, cut)],
-            parent_pos=[None] + [pp[a:b] - up for pp, (a, b), (up, _)
-                                 in zip(self.parent_pos[1:], cut[1:], cut)],
-            scan_extra=self.scan_extra[lo:hi],
-        )
-
     def sphere_edges(self, g: LabelledGraph, select=None) -> np.ndarray:
         """Per owner, the edges with both ends on the sphere S(centre, radius).
 
@@ -363,8 +350,8 @@ def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
     """
     centres = np.asarray(centres, dtype=np.int64)
     c = len(centres)
-    if c > max_ball_centres(g.n):
-        raise ValueError(f"at most {max_ball_centres(g.n)} centres per call at n={g.n}")
+    if c > _max_ball_centres(g.n):
+        raise ValueError(f"at most {_max_ball_centres(g.n)} centres per call at n={g.n}")
     vb = _vertex_bits(g.n)
     vmask = (1 << vb) - 1
     owner = [np.arange(c, dtype=np.int64)]

@@ -374,18 +374,15 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("budget, block", [(None, None), (64, 3), (None, 7)])
+@pytest.mark.parametrize("budget", [None, 64])
 @pytest.mark.parametrize("case", ORACLE_CASES)
-def test_recover_matches_per_vertex_oracle(case, budget, block, monkeypatch):
+def test_recover_matches_per_vertex_oracle(case, budget, monkeypatch):
     # labels, magnetizations and diagnostic counts are bit-identical to the
-    # per-vertex loop: with one chunk per graph, with chunk boundaries falling
-    # mid-graph (a tiny gathered-neighbour budget), and with the coins of a
-    # chunk settled in small blocks
+    # per-vertex loop: with one chunk per graph, and with chunk boundaries
+    # falling mid-graph (a tiny gathered-neighbour budget)
     n, a, b, r, k, batch, impl, delta0, wd = case
     if budget is not None:
         monkeypatch.setattr(pipeline, "_BALL_BUDGET", budget)
-    if block is not None:
-        monkeypatch.setattr(pipeline, "_COIN_BLOCK", block)
     m = ModelParams(n=n, a=a, b=b)
     cfg = AlgoConfig(R=r, R_mode="fixed", K=k, batch=batch, weights_delta=wd)
     for seed in range(2):
@@ -502,8 +499,28 @@ def test_recover_stage_seconds():
     assert sum(res.stage_seconds.values()) <= res.seconds
     d = res.to_json_dict()
     assert d["stage_seconds"] == res.stage_seconds
-    det = res.to_json_dict(deterministic=True)
-    assert det["seconds"] == 0.0
-    assert det["stage_seconds"] == dict.fromkeys(STAGES, 0.0)
-    assert det["diagnostics"]["blackbox_iters"] == 0
-    assert det["diagnostics"]["blackbox_converged"] is True
+    assert d["diagnostics"]["blackbox_iters"] == 0
+    assert d["diagnostics"]["blackbox_converged"] is True
+
+
+# --- the spectral black box at the wide benchmark point ----------------------
+
+
+@pytest.mark.parametrize("bench_seed, converges", [(500, True), (503, False), (600, False)])
+def test_wide_benchmark_point_black_box_is_silent(bench_seed, converges):
+    # recover() at n = 2e5, a = 12, b = 3, R = 1, K = 1 with the spectral
+    # black box, on the graphs and recover seeds that the recover-wide
+    # benchmark derives from its --seed.  Some seeds stop at the 200-iteration
+    # cap just short of tol = 1e-8 (converged false) with a settled, good
+    # split: no warning either way.
+    m = ModelParams(n=200_000, a=12, b=3)
+    graph_ss, recover_ss, _ = np.random.SeedSequence(bench_seed).spawn(3)
+    g = sample_sbm(m, seed=np.random.default_rng(graph_ss))
+    seed = int(np.random.default_rng(recover_ss).integers(2 ** 62))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = recover(g, AlgoConfig(R=1, R_mode="fixed", K=1), m, seed=seed)
+    diag = res.diagnostics
+    assert diag.blackbox_converged == converges
+    assert (diag.blackbox_iters < 200) == converges
+    assert res.accuracy > 0.85
