@@ -8,8 +8,8 @@ harness with a CLI.
 """
 
 from .params import ModelParams, TreeParams, derive_tree_params, ks_signal, model_from_tree
-from .broadcast import BroadcastTree, sample_tree, run_broadcast, add_leaf_noise, tree_from_parents, level_view
-from .bpcore import BpConfig, MagnetizationStats, bp_combine, bp_root, exact_posterior, magnetization_stats
+from .broadcast import BroadcastTree, sample_tree, run_broadcast, add_leaf_noise, tree_from_parents
+from .bpcore import BpConfig, bp_combine, bp_root, exact_posterior
 from .estimators import (
     MajorityMoments,
     ConductanceNetwork,

@@ -25,28 +25,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broadcast import BroadcastTree
-from .seeding import as_generator
+from .levels import bp_up
 
 __all__ = [
     "BpConfig",
-    "MagnetizationStats",
     "bp_combine",
     "bp_levels",
     "bp_root",
     "exact_posterior",
-    "magnetization_stats",
 ]
 
-_MODES = ("leaf-exact", "leaf-noisy", "leaf-signs")
+_MODES = ("leaf-exact", "leaf-noisy")
 
 
 @dataclass(frozen=True)
 class BpConfig:
     """Recursion settings: channel strength, leaf initialization, clamp.
 
-    Modes: "leaf-exact" starts leaves at the observed +-1 spins, "leaf-noisy"
-    at +-(1 - 2*delta) (posterior of a spin seen through a delta-flip
-    channel), "leaf-signs" at +-1 signs supplied by an external estimator.
+    Modes: "leaf-exact" starts leaves at the observed +-1 spins (or +-1
+    signs from an external estimator), "leaf-noisy" at +-(1 - 2*delta)
+    (posterior of a spin seen through a delta-flip channel).
     """
 
     theta: float
@@ -72,20 +70,6 @@ class BpConfig:
         if self.mode == "leaf-noisy":
             return (1.0 - 2.0 * self.delta) * obs
         return obs.copy()
-
-
-def _combine_levels(msgs: np.ndarray, parent_pos: np.ndarray, n_parents: int,
-                    theta: float, clamp: float) -> np.ndarray:
-    """One recursion level over arrays: child values -> parent values.
-
-    msgs are child magnetizations, parent_pos[i] the index of child i's
-    parent within its level.  Parents with no children get 0 (no
-    information -> uniform posterior).
-    """
-    lim = 1.0 - clamp
-    r = np.arctanh(np.clip(theta * msgs, -lim, lim))
-    sums = np.bincount(parent_pos, weights=r, minlength=n_parents)
-    return np.clip(np.tanh(sums), -lim, lim)
 
 
 def bp_combine(children, theta: float, clamp: float = 1e-12):
@@ -117,13 +101,8 @@ def bp_levels(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = 
             f"observation vector has length {obs.size}, level {k} has "
             f"{tree.level_size(k)} nodes"
         )
-    vals = cfg.leaf_values(obs)
-    for j in range(k - 1, -1, -1):
-        lo, hi = int(tree.level_start[j]), int(tree.level_start[j + 1])
-        clo, chi = int(tree.level_start[j + 1]), int(tree.level_start[j + 2])
-        parent_pos = tree.parent[clo:chi] - lo
-        vals = _combine_levels(vals, parent_pos, hi - lo, cfg.theta, cfg.clamp)
-    return vals
+    return bp_up(cfg.leaf_values(obs), tree.parent_pos[: k + 1],
+                 np.diff(tree.level_start), cfg.theta, cfg.clamp)
 
 
 def bp_root(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = None) -> float:
@@ -183,54 +162,3 @@ def exact_posterior(tree: BroadcastTree, theta: float, observed,
     if total == 0.0:
         raise ValueError("all configurations have zero weight")
     return (w_plus - w_minus) / total
-
-
-@dataclass(frozen=True)
-class MagnetizationStats:
-    """Monte Carlo summary of the root magnetization at one depth."""
-
-    k: int
-    trials: int
-    x_mean: float       # E(X | sigma_root = +)
-    x_ci: float
-    abs_mean: float     # E|X|
-    abs_ci: float
-
-    @property
-    def p_hat(self) -> float:
-        """Estimated optimal success probability (1 + E|X|) / 2."""
-        return 0.5 * (1.0 + self.abs_mean)
-
-    @property
-    def p_ci(self) -> float:
-        return 0.5 * self.abs_ci
-
-
-def magnetization_stats(trials: int, kind: str, d: float, theta: float, k: int,
-                        mode: str = "leaf-exact", delta: float = 0.0, seed=0,
-                        clamp: float = 1e-12) -> MagnetizationStats:
-    """Monte Carlo estimate of E(X | sigma_root=+) and E|X| at depth k.
-
-    Sampling is done by the level-population engine (see ``popdyn``), which
-    draws from exactly the root-magnetization distribution of d-ary /
-    Poisson trees without materializing trees, so deep levels stay cheap.
-    """
-    from . import popdyn  # local import: popdyn builds on this module
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if mode not in ("leaf-exact", "leaf-noisy"):
-        raise ValueError("magnetization_stats supports leaf-exact and leaf-noisy")
-    rows, _ = popdyn.magnetization_chain(
-        kind, d, theta, k, trials, as_generator(seed), delta=delta, clamp=clamp,
-    )
-    row = rows[-1]
-    which = "y" if mode == "leaf-noisy" else "x"
-    return MagnetizationStats(
-        k=k,
-        trials=trials,
-        x_mean=row[f"{which}_mean"],
-        x_ci=row[f"{which}_ci"],
-        abs_mean=row[f"abs{which}_mean"],
-        abs_ci=row[f"abs{which}_ci"],
-    )

@@ -2,9 +2,9 @@
 
 Trees are stored as flat arenas in breadth-first order: node 0 is the root,
 each level occupies a contiguous id range, and the children of consecutive
-nodes are themselves consecutive.  That layout makes two things O(1)-ish:
-iterating a whole level, and locating the k-generation descendants of a node
-(they form a single contiguous id range).
+nodes are themselves consecutive.  A whole level is one slice, and the
+per-level parent positions the tree passes in ``levels`` run on are one
+subtraction away.
 
 The broadcast process assigns the root a uniform +-1 spin and copies each
 parent spin to each child independently, flipping with probability ``eta``.
@@ -26,7 +26,6 @@ __all__ = [
     "run_broadcast",
     "add_leaf_noise",
     "tree_from_parents",
-    "level_view",
 ]
 
 
@@ -34,17 +33,15 @@ __all__ = [
 class BroadcastTree:
     """Flat-arena rooted tree, optionally carrying spins and noisy observations.
 
-    parent[u] is the id of u's parent (-1 for the root).  child_start has
-    length n_nodes+1; the children of u are ids child_start[u]:child_start[u+1].
-    level_start has length depth+2; level j is ids level_start[j]:level_start[j+1]
-    (trailing levels may be empty if the tree went extinct early).
+    parent[u] is the id of u's parent (-1 for the root).  level_start has
+    length depth+2; level j is ids level_start[j]:level_start[j+1] (trailing
+    levels may be empty if the tree went extinct early).
     """
 
     kind: str  # "dary" | "gw" | "custom"
     d: float
     depth: int
     parent: np.ndarray
-    child_start: np.ndarray
     level_start: np.ndarray
     sigma: np.ndarray | None = None
     tau: np.ndarray | None = None
@@ -66,37 +63,22 @@ class BroadcastTree:
             return 0
         return int(self.level_start[j + 1] - self.level_start[j])
 
-    def children(self, u: int) -> np.ndarray:
-        return np.arange(self.child_start[u], self.child_start[u + 1], dtype=np.int64)
-
-    def n_children(self, u: int) -> int:
-        return int(self.child_start[u + 1] - self.child_start[u])
-
     def depth_of(self, u: int) -> int:
         return int(np.searchsorted(self.level_start, u, side="right")) - 1
 
-    def descendant_range(self, u: int, k: int) -> tuple[int, int]:
-        """Id range [lo, hi) of u's k-generation descendants.
+    @property
+    def parent_pos(self) -> list:
+        """Per level j >= 1, each node's parent position within level j - 1.
 
-        Works because children of consecutive nodes are consecutive: the
-        children of the id range [lo, hi) are [child_start[lo], child_start[hi]).
+        Entry 0 is None; this is the level-list layout of ``levels``.
         """
-        lo, hi = u, u + 1
-        for _ in range(k):
-            if hi <= lo:
-                return lo, lo
-            lo, hi = int(self.child_start[lo]), int(self.child_start[hi])
-        return lo, hi
-
-
-def level_view(tree: BroadcastTree, u: int, k: int) -> np.ndarray:
-    """Ids of the k-generation descendants of u (the set L_k(u))."""
-    lo, hi = tree.descendant_range(u, k)
-    return np.arange(lo, hi, dtype=np.int64)
+        ls = self.level_start
+        return [None] + [self.parent[ls[j] : ls[j + 1]] - ls[j - 1]
+                         for j in range(1, self.depth + 1)]
 
 
 def _build_arrays(level_counts: list[np.ndarray]):
-    """Assemble parent/child_start/level_start from per-node child counts.
+    """Assemble parent/level_start from per-node child counts.
 
     level_counts[j] holds the child count of every level-j node, in id order.
     """
@@ -104,13 +86,10 @@ def _build_arrays(level_counts: list[np.ndarray]):
     level_start = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     n = int(level_start[-1])
     parent = np.full(n, -1, dtype=np.int64)
-    all_counts = np.zeros(n, dtype=np.int64)
     for j, counts in enumerate(level_counts):
         ids = np.arange(level_start[j], level_start[j + 1], dtype=np.int64)
-        all_counts[ids] = counts
         parent[level_start[j + 1] : level_start[j + 2]] = np.repeat(ids, counts)
-    child_start = np.concatenate(([1], 1 + np.cumsum(all_counts))).astype(np.int64)
-    return parent, child_start, level_start
+    return parent, level_start
 
 
 def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
@@ -143,7 +122,7 @@ def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
             # extinct; remaining levels are empty
             level_counts.extend(np.zeros(0, dtype=np.int64) for _ in range(depth - len(level_counts)))
             break
-    parent, child_start, level_start = _build_arrays(level_counts)
+    parent, level_start = _build_arrays(level_counts)
     # pad level_start out to depth+2 entries when extinction cut it short
     if len(level_start) < depth + 2:
         pad = np.full(depth + 2 - len(level_start), level_start[-1], dtype=np.int64)
@@ -153,7 +132,6 @@ def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
         d=float(d),
         depth=depth,
         parent=parent,
-        child_start=child_start,
         level_start=level_start,
     )
 
@@ -201,7 +179,7 @@ def tree_from_parents(parents, depth: int | None = None) -> BroadcastTree:
         )
         level_counts.append(counts)
         start += size
-    parent, child_start, level_start = _build_arrays(level_counts)
+    parent, level_start = _build_arrays(level_counts)
     if len(level_start) < target + 2:
         pad = np.full(target + 2 - len(level_start), level_start[-1], dtype=np.int64)
         level_start = np.concatenate((level_start, pad))
@@ -210,7 +188,6 @@ def tree_from_parents(parents, depth: int | None = None) -> BroadcastTree:
         d=float("nan"),
         depth=target,
         parent=parent,
-        child_start=child_start,
         level_start=level_start,
     )
 

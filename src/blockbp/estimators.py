@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broadcast import BroadcastTree
-from .popdyn import _compose_through_edge, _terminal_conductance
+from .levels import _terminal_conductance, conductance_up, current_down
 from .seeding import as_generator
 
 __all__ = [
@@ -55,13 +55,9 @@ class MajorityMoments:
     noisy_var: float   # Var+ S~_k
 
 
-def majority_moments(d: int, theta: float, k: int, delta: float = 0.0,
-                     eta: float | None = None) -> MajorityMoments:
-    """Moment formulas above; ``eta`` may be passed but must equal (1-theta)/2."""
-    derived_eta = 0.5 * (1.0 - theta)
-    if eta is not None and abs(eta - derived_eta) > 1e-12:
-        raise ValueError("inconsistent eta: must equal (1 - theta) / 2")
-    eta = derived_eta
+def majority_moments(d: int, theta: float, k: int, delta: float = 0.0) -> MajorityMoments:
+    """Moment formulas above, with eta = (1 - theta) / 2."""
+    eta = 0.5 * (1.0 - theta)
     if not 0.0 <= delta < 0.5:
         raise ValueError("delta must lie in [0, 1/2)")
     s = theta * theta * d
@@ -136,22 +132,14 @@ def effective_conductance(tree: BroadcastTree, theta: float,
     """
     if not -1.0 < theta < 1.0 or theta == 0.0:
         raise ValueError("conductance needs 0 < |theta| < 1")
-    if delta is not None and not 0.0 <= delta < 0.5:
-        raise ValueError("delta must lie in [0, 1/2)")
     k = tree.depth if k is None else k
-    n = tree.n_nodes
-    z = np.zeros(n)
-    c = np.zeros(n)
-    lo, hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
-    z[lo:hi] = _terminal_conductance(delta)
-    for j in range(k, 0, -1):
-        clo, chi = int(tree.level_start[j]), int(tree.level_start[j + 1])
-        if chi <= clo:
-            continue
-        c[clo:chi] = _compose_through_edge(z[clo:chi], theta)
-        plo = int(tree.level_start[j - 1])
-        parent_pos = tree.parent[clo:chi] - plo
-        z[plo:clo] = np.bincount(parent_pos, weights=c[clo:chi], minlength=clo - plo)
+    zs, cs = conductance_up(np.full(tree.level_size(k), _terminal_conductance(delta)),
+                            tree.parent_pos[: k + 1], np.diff(tree.level_start), theta)
+    top = int(tree.level_start[k + 1])
+    z = np.zeros(tree.n_nodes)
+    c = np.zeros(tree.n_nodes)
+    z[:top] = np.concatenate(zs)
+    c[:top] = np.concatenate([[0.0], *cs[1:]])
     return ConductanceNetwork(
         theta=theta, delta=delta, k=k, ceff=float(z[0]),
         subtree_conductance=z, edge_conductance=c,
@@ -195,21 +183,11 @@ def current_weights(tree: BroadcastTree, theta: float,
     net = effective_conductance(tree, theta, delta=delta, k=k)
     if net.ceff == 0.0:
         raise ValueError("no estimator: tree is extinct before the observed level")
-    n = tree.n_nodes
-    cur = np.zeros(n)
-    cur[0] = 1.0
-    for j in range(1, k + 1):
-        clo, chi = int(tree.level_start[j]), int(tree.level_start[j + 1])
-        if chi <= clo:
-            break
-        par = tree.parent[clo:chi]
-        zpar = net.subtree_conductance[par]
-        frac = np.zeros(chi - clo)
-        np.divide(net.edge_conductance[clo:chi], zpar, out=frac, where=zpar > 0)
-        cur[clo:chi] = cur[par] * frac
-    lo, hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
-    leaf_ids = np.arange(lo, hi, dtype=np.int64)
-    weights = cur[lo:hi] * theta ** (-k)
+    cuts = tree.level_start[1 : k + 2]
+    cur, _ = current_down(np.split(net.subtree_conductance, cuts),
+                          np.split(net.edge_conductance, cuts), tree.parent_pos[: k + 1])
+    leaf_ids = tree.level(k)
+    weights = cur * theta ** (-k)
     prefactor = 1.0 if not delta else 1.0 / (1.0 - 2.0 * delta)
     return CurrentWeights(
         theta=theta, delta=delta, k=k, leaf_ids=leaf_ids,

@@ -1,0 +1,110 @@
+"""The three tree passes, written once over per-level parent positions.
+
+Every tree layout in the package reduces to the same level lists: level j
+holds ``sizes[j]`` nodes, and ``parent_pos[j]`` (j >= 1) gives, for each
+level-j node, the position of its parent within level j - 1 (entry 0 is
+ignored).  ``BroadcastTree.parent_pos`` derives them from its arena,
+``popdyn.Forest`` and ``randgraph.Balls`` store them directly, and the
+population chains build one level at a time.  A pass over a slice of the
+lists treats the slice's first level as its roots.
+
+- ``bp_up``: the magnetization recursion, last level to level 0;
+- ``conductance_up``: the series-parallel reduction of the resistor network
+  whose terminals sit on the last level;
+- ``current_down``: the unit current from each level-0 node, split at every
+  node in proportion to the branch conductances, down to the last level.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _combine_levels(msgs: np.ndarray, parent_pos: np.ndarray, n_parents: int,
+                    theta: float, clamp: float) -> np.ndarray:
+    """One recursion level over arrays: child values -> parent values.
+
+    msgs are child magnetizations, parent_pos[i] the index of child i's
+    parent within its level.  Parents with no children get 0 (no
+    information -> uniform posterior).
+    """
+    lim = 1.0 - clamp
+    r = np.arctanh(np.clip(theta * msgs, -lim, lim))
+    sums = np.bincount(parent_pos, weights=r, minlength=n_parents)
+    return np.clip(np.tanh(sums), -lim, lim)
+
+
+def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:
+    """Series composition of a subtree conductance with its parent edge.
+
+    In subtree-local units the parent edge has resistance (1-theta^2)/theta^2,
+    so the composed conductance is theta^2 * z / ((1-theta^2) z + 1), handled
+    in the reciprocal form to keep z = inf (a terminal) and z = 0 (extinct)
+    exact without special cases.
+    """
+    t2 = theta * theta
+    inv = np.full_like(z, np.inf)
+    np.divide(1.0, z, out=inv, where=z > 0)  # z=inf -> 0, z=0 -> stays inf
+    return t2 / ((1.0 - t2) + inv)
+
+
+def _terminal_conductance(delta: float | None) -> float:
+    """Level-local conductance of the noisy terminal resistor (inf if no noise).
+
+    The one check of the leaf noise level: delta must be None or lie in
+    [0, 1/2).
+    """
+    if delta is None or delta == 0.0:
+        return np.inf
+    if not 0.0 < delta < 0.5:
+        raise ValueError("delta must lie in [0, 1/2)")
+    return (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
+
+
+def bp_up(values: np.ndarray, parent_pos: list, sizes, theta: float,
+          clamp: float) -> np.ndarray:
+    """Magnetizations of level 0 from ``values`` on the last level."""
+    for j in range(len(parent_pos) - 1, 0, -1):
+        values = _combine_levels(values, parent_pos[j], sizes[j - 1], theta, clamp)
+    return values
+
+
+def conductance_up(z: np.ndarray, parent_pos: list, sizes, theta: float):
+    """Series-parallel reduction from terminal conductances ``z`` on the last level.
+
+    Returns (zs, cs): zs[j] is the subtree conductance of each level-j node
+    in its level's local units, so zs[0] holds the roots' effective
+    conductances; cs[j] (j >= 1) is zs[j] composed through the edge to the
+    parent, in the parent's units (cs[0] is None).  Siblings add, and a
+    node without children reads 0, an empty level included.
+    """
+    last = len(parent_pos) - 1
+    zs: list = [None] * (last + 1)
+    cs: list = [None] * (last + 1)
+    zs[last] = z
+    for j in range(last, 0, -1):
+        cs[j] = _compose_through_edge(zs[j], theta)
+        # an empty level would give bincount's integer zeros
+        zs[j - 1] = np.bincount(parent_pos[j], weights=cs[j],
+                                minlength=sizes[j - 1]).astype(float, copy=False)
+    return zs, cs
+
+
+def current_down(zs: list, cs: list, parent_pos: list):
+    """Unit current into each level-0 node, split down to the last level.
+
+    At every node the current divides in proportion to the children's
+    composed conductances from ``conductance_up``; a node of conductance 0
+    passes nothing on.  Returns (current, root) on the last level: each
+    node's current and the position of its level-0 ancestor.
+    """
+    cur = np.ones(len(zs[0]))
+    root = np.arange(len(zs[0]), dtype=np.int64)
+    for j in range(1, len(parent_pos)):
+        pp = parent_pos[j]
+        zpar = zs[j - 1][pp]
+        frac = np.zeros(len(pp))
+        np.divide(cs[j], zpar, out=frac, where=zpar > 0)
+        cur = cur[pp] * frac
+        root = root[pp]
+    return cur, root

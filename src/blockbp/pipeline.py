@@ -49,10 +49,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bpcore import _combine_levels
+from .levels import _terminal_conductance, bp_up, conductance_up, current_down
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
-from .popdyn import _compose_through_edge, _terminal_conductance
 from .randgraph import (
     Balls,
     LabelledGraph,
@@ -88,18 +87,18 @@ class AlgoConfig:
     """Knobs of the recovery algorithm.
 
     R_mode "auto" picks the largest R in [1, 6] with (mean degree)^R at most
-    n^(1/8), keeping balls small; "log-rule" uses floor(log(n) / (20(a+b))),
-    faithful to the theory but 0 for any desk-scale n (an error here);
-    "fixed" takes ``R`` as given.  K is the depth of the hard-vote stage,
-    0 <= K <= R.  ``batch`` None shares one black-box run across all
-    vertices; an integer j reruns it per chunk of j vertices with the chunk's
-    inner balls held out (j = 1 is the literal per-vertex variant).
+    n^(1/8), keeping balls small (the theory's floor(log n / (20(a+b))) is 0
+    for every n below e^(20(a+b))); "fixed" takes ``R`` as given.  K is the
+    depth of the hard-vote stage, 0 <= K <= R.  ``batch`` None shares one
+    black-box run across all vertices; an integer j reruns it per chunk of j
+    vertices with the chunk's inner balls held out (j = 1 is the literal
+    per-vertex variant).
     ``weights_delta`` sets terminal resistors for the hard-vote weights; the
     boundary noise level is normally unknown, so the default uses none.
     """
 
     R: int | None = None
-    R_mode: str = "auto"  # "auto" | "log-rule" | "fixed"
+    R_mode: str = "auto"  # "auto" | "fixed"
     K: int = 1
     u_size: int | None = None
     u_star_min_degree: int | None = None
@@ -108,26 +107,20 @@ class AlgoConfig:
     clamp: float = 1e-12
 
     def __post_init__(self):
-        if self.R_mode not in ("auto", "log-rule", "fixed"):
-            raise ValueError("R_mode must be auto, log-rule, or fixed")
+        if self.R_mode not in ("auto", "fixed"):
+            raise ValueError("R_mode must be auto or fixed")
         if self.R_mode == "fixed" and (self.R is None or self.R < 1):
             raise ValueError("fixed R_mode needs R >= 1")
         if self.K < 0:
             raise ValueError("K must be nonnegative")
         if self.batch is not None and self.batch < 1:
             raise ValueError("batch must be None or >= 1")
+        _terminal_conductance(self.weights_delta)  # rejects delta outside [0, 1/2)
 
 
 def resolve_radius(cfg: AlgoConfig, n: int, a: float, b: float) -> int:
     if cfg.R_mode == "fixed":
         r = int(cfg.R)
-    elif cfg.R_mode == "log-rule":
-        r = math.floor(math.log(n) / (20.0 * (a + b)))
-        if r < 1:
-            raise ValueError(
-                f"log-rule radius is {r} at n={n}, a+b={a + b:g}; "
-                "use R_mode='auto' or 'fixed'"
-            )
     else:
         d = (a + b) / 2.0
         bound = n ** 0.125
@@ -240,6 +233,7 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
     r = balls.radius
     c = len(balls.centres)
     level, owner, parent_pos = balls.vertex, balls.owner, balls.parent_pos
+    sizes = [len(ids) for ids in level]
     xi = xi_side[level[r]].astype(np.float64)
     observed = xi != 0.0
     cut = _owner_cut(owner[r], c)
@@ -255,24 +249,10 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
         j0 = r - big_k
         # conductance up from the terminals, unit current down from level j0
         z = np.where(observed, _terminal_conductance(weights_delta), 0.0)
-        cond = [None] * (r + 1)
-        zs = [None] * (r + 1)
-        for j in range(r, j0, -1):
-            cond[j] = _compose_through_edge(z, theta)
-            # (an empty level would give bincount's integer zeros)
-            zs[j - 1] = z = np.bincount(parent_pos[j], weights=cond[j],
-                                        minlength=len(level[j - 1])).astype(float, copy=False)
-        cur = np.ones(len(level[j0]))
-        anc = np.arange(len(level[j0]), dtype=np.int64)
-        for j in range(j0 + 1, r + 1):
-            pp = parent_pos[j]
-            zpar = zs[j - 1][pp]
-            frac = np.zeros(len(pp))
-            np.divide(cond[j], zpar, out=frac, where=zpar > 0)
-            cur = cur[pp] * frac
-            anc = anc[pp]
+        zs, cs = conductance_up(z, parent_pos[j0:], sizes[j0:], theta)
+        cur, anc = current_down(zs, cs, parent_pos[j0:])
         w = cur * theta ** (-big_k)
-        sums = np.bincount(anc, weights=w * xi, minlength=len(level[j0]))
+        sums = np.bincount(anc, weights=w * xi, minlength=sizes[j0])
         votes = np.sign(sums)
         ties = np.flatnonzero((sums == 0.0) & regular[owner[j0]])
     else:
@@ -293,8 +273,7 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
         u = rng.random(int(draws.sum()))
         vals = votes.copy()
         vals[ties] = np.where(u[first[tie_own] + tie_rank] < 0.5, 1.0, -1.0)
-        for j in range(j0 - 1, -1, -1):
-            vals = _combine_levels(vals, parent_pos[j + 1], len(level[j]), theta, clamp)
+        vals = bp_up(vals, parent_pos[: j0 + 1], sizes, theta, clamp)
         now = regular & (vals == 0.0)
         if np.array_equal(now, zero):
             break

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .levels import _combine_levels, _terminal_conductance, conductance_up, current_down
 from .seeding import as_generator
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "conductance_chain",
     "Forest",
     "sample_forest",
-    "forest_leaf_values",
     "forest_conductance",
     "forest_current_estimators",
 ]
@@ -63,6 +63,12 @@ def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.n
             raise ValueError("d-ary trees need integer d")
         return np.full(size, di, dtype=np.int64)
     raise ValueError(f"unknown tree kind {kind!r}")
+
+
+def _check_chain_inputs(trials: int, delta: float | None) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _terminal_conductance(delta)  # rejects delta outside [0, 1/2)
 
 
 def _stat(name: str, values: np.ndarray, n: int) -> dict:
@@ -96,8 +102,8 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     rng = as_generator(rng)
     if not -1.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [-1, 1]")
+    _check_chain_inputs(trials, delta)
     eta = 0.5 * (1.0 - theta)
-    lim = 1.0 - clamp
 
     tau = np.where(rng.random(trials) < delta, -1.0, 1.0)
     x = np.ones(trials)
@@ -126,10 +132,8 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
         idx = rng.integers(0, trials, m)
         sgn = np.where(rng.random(m) < eta, -1.0, 1.0)
         seg = np.repeat(idx_lvl, counts)
-        rx = np.arctanh(np.clip(theta * sgn * x[idx], -lim, lim))
-        ry = np.arctanh(np.clip(theta * sgn * y[idx], -lim, lim))
-        x = np.clip(np.tanh(np.bincount(seg, weights=rx, minlength=trials)), -lim, lim)
-        y = np.clip(np.tanh(np.bincount(seg, weights=ry, minlength=trials)), -lim, lim)
+        x = _combine_levels(sgn * x[idx], seg, trials, theta, clamp)
+        y = _combine_levels(sgn * y[idx], seg, trials, theta, clamp)
         rows.append(row(level))
     return rows, {"x": x, "y": y}
 
@@ -148,6 +152,7 @@ def sum_chain(kind: str, d: float, theta: float, k: int, trials: int, rng, *,
     moment checks, and this chain where trees are too big to materialize.
     """
     rng = as_generator(rng)
+    _check_chain_inputs(trials, delta)
     eta = 0.5 * (1.0 - theta)
     tau = np.where(rng.random(trials) < delta, -1.0, 1.0)
     s = np.ones(trials)
@@ -179,29 +184,6 @@ def sum_chain(kind: str, d: float, theta: float, k: int, trials: int, rng, *,
     return rows, {"s": s, "sn": sn}
 
 
-def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:
-    """Series composition of a subtree conductance with its parent edge.
-
-    In subtree-local units the parent edge has resistance (1-theta^2)/theta^2,
-    so the composed conductance is theta^2 * z / ((1-theta^2) z + 1), handled
-    in the reciprocal form to keep z = inf (a terminal) and z = 0 (extinct)
-    exact without special cases.
-    """
-    t2 = theta * theta
-    inv = np.full_like(z, np.inf)
-    np.divide(1.0, z, out=inv, where=z > 0)  # z=inf -> 0, z=0 -> stays inf
-    return t2 / ((1.0 - t2) + inv)
-
-
-def _terminal_conductance(delta: float | None) -> float:
-    """Level-local conductance of the noisy terminal resistor (inf if no noise)."""
-    if delta is None:
-        return np.inf
-    if delta == 0.0:
-        return np.inf
-    return (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
-
-
 def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
                       rng, *, delta: float | None = None, keep_levels=None):
     """Population chain for the root effective conductance of depth-k trees.
@@ -214,6 +196,7 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
     rng = as_generator(rng)
     if not -1.0 < theta < 1.0 or theta == 0.0:
         raise ValueError("conductance needs 0 < |theta| < 1")
+    _check_chain_inputs(trials, delta)
     keep = set(keep_levels) if keep_levels is not None else set()
     z = np.full(trials, _terminal_conductance(delta))
     rows = []
@@ -223,9 +206,8 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
         counts = _offspring(kind, d, trials, rng)
         m = int(counts.sum())
         idx = rng.integers(0, trials, m)
-        c = _compose_through_edge(z[idx], theta)
         seg = np.repeat(idx_lvl, counts)
-        z = np.bincount(seg, weights=c, minlength=trials)
+        z = conductance_up(z[idx], [None, seg], [trials], theta)[0][0]
         rows.append({
             "level": level,
             "n": trials,
@@ -248,6 +230,7 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
     experiment.  Returns (s, sn): arrays of shape (k+1, trials).
     """
     rng = as_generator(rng)
+    _check_chain_inputs(trials, delta)
     di = int(d)
     if di != d:
         raise ValueError("d-ary trees need integer d")
@@ -316,34 +299,16 @@ def sample_forest(kind: str, d: float, theta: float, depth: int, trials: int,
     return f
 
 
-def forest_leaf_values(forest: Forest, rng, delta: float = 0.0):
-    """(sigma, tau) at the deepest level; tau flips each spin w.p. delta."""
-    rng = as_generator(rng)
-    sig = forest.sigma[forest.depth]
-    flips = np.where(rng.random(len(sig)) < delta, -1.0, 1.0)
-    return sig, sig * flips
-
-
 def forest_conductance(forest: Forest, delta: float | None = None):
-    """Per-node series-parallel conductance pass, leaves to roots.
+    """``levels.conductance_up`` with terminals on the deepest level.
 
-    Returns (z_levels, c_levels): z_levels[j] is the subtree conductance of
-    each level-j node in subtree-local units (so z_levels[0] is the per-trial
-    root effective conductance), c_levels[j] (j >= 1) the composed
-    through-edge conductance of each level-j node as seen by its parent.
+    Returns its (z_levels, c_levels); z_levels[0] holds the per-trial root
+    effective conductances.
     """
-    theta = forest.theta
     k = forest.depth
-    z_levels: list = [None] * (k + 1)
-    c_levels: list = [None] * (k + 1)
-    z_levels[k] = np.full(forest.level_size(k), _terminal_conductance(delta))
-    for j in range(k, 0, -1):
-        c = _compose_through_edge(z_levels[j], theta)
-        c_levels[j] = c
-        z_levels[j - 1] = np.bincount(
-            forest.parent_pos[j], weights=c, minlength=forest.level_size(j - 1)
-        )
-    return z_levels, c_levels
+    sizes = [forest.level_size(j) for j in range(k + 1)]
+    return conductance_up(np.full(sizes[k], _terminal_conductance(delta)),
+                          forest.parent_pos, sizes, forest.theta)
 
 
 def forest_current_estimators(forest: Forest, rng, delta: float = 0.0):
@@ -356,39 +321,21 @@ def forest_current_estimators(forest: Forest, rng, delta: float = 0.0):
     delta == 0), alive mask.
     """
     rng = as_generator(rng)
-    theta = forest.theta
+    _terminal_conductance(delta)  # rejects delta outside [0, 1/2)
     k = forest.depth
-    sig, tau = forest_leaf_values(forest, rng, delta)
+    sig = forest.sigma[k]
+    tau = sig * np.where(rng.random(len(sig)) < delta, -1.0, 1.0)
 
-    def currents(z_levels, c_levels):
-        # current splits at each node proportionally to child branch conductance
-        cur = np.ones(forest.trials)
-        for j in range(1, k + 1):
-            pp = forest.parent_pos[j]
-            zpar = z_levels[j - 1][pp]
-            frac = np.zeros(len(pp))
-            np.divide(c_levels[j], zpar, out=frac, where=zpar > 0)
-            cur = cur[pp] * frac
-        return cur
+    def estimator(net_delta, obs):
+        zs, cs = forest_conductance(forest, delta=net_delta)
+        cur, _ = current_down(zs, cs, forest.parent_pos)
+        w = cur * forest.theta ** (-k)
+        return np.bincount(forest.node_trial[k], weights=w * obs,
+                           minlength=forest.trials), zs[0]
 
-    z0, c0 = forest_conductance(forest, delta=None)
-    cur0 = currents(z0, c0)
-    w0 = cur0 * theta ** (-k)
-    r = np.bincount(forest.node_trial[k], weights=w0 * sig, minlength=forest.trials)
-    ceff = z0[0]
-    out = {
-        "r": r,
-        "ceff": ceff,
-        "alive": ceff > 0,
-    }
+    r, ceff = estimator(None, sig)
+    out = {"r": r, "ceff": ceff, "alive": ceff > 0, "s": r.copy(), "ceff_noisy": None}
     if delta > 0:
-        zn, cn = forest_conductance(forest, delta=delta)
-        curn = currents(zn, cn)
-        wn = curn * theta ** (-k)
-        s = np.bincount(forest.node_trial[k], weights=wn * tau, minlength=forest.trials)
+        s, out["ceff_noisy"] = estimator(delta, tau)
         out["s"] = s / (1.0 - 2.0 * delta)
-        out["ceff_noisy"] = zn[0]
-    else:
-        out["s"] = r.copy()
-        out["ceff_noisy"] = None
     return out

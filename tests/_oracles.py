@@ -21,12 +21,11 @@ import math
 
 import numpy as np
 
-from blockbp.bpcore import _combine_levels
 from blockbp.broadcast import BroadcastTree, tree_from_parents
+from blockbp.levels import _combine_levels, _compose_through_edge, _terminal_conductance
 from blockbp.params import derive_tree_params
 from blockbp.partition import blackbox_partition
 from blockbp.pipeline import align_partition, choose_anchor, resolve_radius
-from blockbp.popdyn import _compose_through_edge, _terminal_conductance
 from blockbp.randgraph import remove_set
 from blockbp.seeding import derived_rng
 

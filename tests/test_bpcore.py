@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +11,6 @@ from blockbp.bpcore import (
     bp_combine,
     bp_root,
     exact_posterior,
-    magnetization_stats,
 )
 from blockbp.broadcast import sample_tree, tree_from_parents
 from blockbp import popdyn
@@ -124,16 +126,6 @@ def test_no_observation_is_uniform():
     assert bp_root(t, BpConfig(theta=0.8), []) == 0.0
 
 
-def test_leaf_signs_mode_matches_exact_on_hard_inputs():
-    # the two-stage pipeline hands BP hard +-1 votes; on +-1 observations the
-    # leaf-signs initialization is the same recursion as leaf-exact
-    t = sample_tree("dary", 2, 2, seed=3)
-    obs = [1, -1, 1, 1]
-    a = bp_root(t, BpConfig(theta=0.7, mode="leaf-signs"), obs)
-    b = bp_root(t, BpConfig(theta=0.7, mode="leaf-exact"), obs)
-    assert a == b
-
-
 def test_oracle_equivalence_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(60):
@@ -180,27 +172,65 @@ def test_config_validation():
         BpConfig(theta=0.5, mode="other")
 
 
+# --- the Kesten-Stigum bound, exactly ---------------------------------------
+
+
+def _leaf_likelihood_plus(d, k, theta, leaves):
+    """P(leaf spins | sigma_root = +) on the depth-k d-ary tree, by summing
+    over every assignment of the interior spins."""
+    eta = 0.5 * (1.0 - theta)
+    parent = [-1] + [(v - 1) // d for v in range(1, (d ** (k + 1) - 1) // (d - 1))]
+    n_inner = (d ** k - 1) // (d - 1)
+    total = 0.0
+    for inner in itertools.product((1, -1), repeat=n_inner - 1):
+        spin = (1, *inner, *leaves)
+        w = 1.0
+        for v in range(1, len(spin)):
+            w *= 1.0 - eta if spin[v] == spin[parent[v]] else eta
+        total += w
+    return total
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize("signal", [0.3, 0.7, 0.95])
+def test_kesten_stigum_bound_exact_on_bp_root(d, k, signal):
+    # E(X_k | +) summed over every leaf configuration: 0 < E <= (theta^2 d)^k
+    theta = math.sqrt(signal / d)
+    t = sample_tree("dary", d, k)
+    cfg = BpConfig(theta=theta)
+    mass = ex = 0.0
+    for leaves in itertools.product((1, -1), repeat=d ** k):
+        p = _leaf_likelihood_plus(d, k, theta, leaves)
+        mass += p
+        ex += p * bp_root(t, cfg, leaves)
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 < ex <= signal ** k + 1e-12
+
+
 # --- magnetization statistics ----------------------------------------------
 
 
 def test_stats_theta_zero_exact():
-    st_ = magnetization_stats(5_000, "gw", 3.0, 0.0, 4, seed=1)
-    assert st_.abs_mean == 0.0
-    assert st_.p_hat == 0.5
+    rows, _ = popdyn.magnetization_chain("gw", 3.0, 0.0, 4, 5_000,
+                                         np.random.default_rng(1))
+    assert rows[-1]["absx_mean"] == 0.0
+    assert 0.5 * (1.0 + rows[-1]["absx_mean"]) == 0.5
 
 
 def test_stats_below_threshold_dary():
     # theta^2 d = 0.32 < 1: at depth 12 the root signal is tiny
-    st_ = magnetization_stats(100_000, "dary", 2, 0.4, 12, seed=2)
-    assert st_.p_hat - 0.5 < 0.02
+    rows, _ = popdyn.magnetization_chain("dary", 2, 0.4, 12, 100_000,
+                                         np.random.default_rng(2))
+    assert 0.5 * (1.0 + rows[-1]["absx_mean"]) - 0.5 < 0.02
 
 
 def test_stats_high_snr_mean_bound():
     # x_k >= 1 - 10 eta (1-eta) / (theta^2 d) at d=16, theta=0.8
     eta = 0.1
     bound = 1 - 10 * eta * (1 - eta) / (0.8 ** 2 * 16)
-    st_ = magnetization_stats(100_000, "dary", 16, 0.8, 8, seed=3)
-    assert st_.x_mean >= bound - st_.x_ci
+    rows, _ = popdyn.magnetization_chain("dary", 16, 0.8, 8, 100_000,
+                                         np.random.default_rng(3))
+    assert rows[-1]["x_mean"] >= bound - rows[-1]["x_ci"]
 
 
 def test_abs_magnetization_nonincreasing_in_depth():
@@ -225,6 +255,4 @@ def test_clamp_truncation_contract():
 
 def test_stats_mode_validation():
     with pytest.raises(ValueError):
-        magnetization_stats(10, "gw", 2.0, 0.5, 2, mode="leaf-signs")
-    with pytest.raises(ValueError):
-        magnetization_stats(0, "gw", 2.0, 0.5, 2)
+        popdyn.magnetization_chain("gw", 2.0, 0.5, 2, 0, np.random.default_rng(0))

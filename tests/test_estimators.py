@@ -47,12 +47,6 @@ def test_noisy_moments():
     assert m.noisy_var == pytest.approx(4 * 8 * 0.2 * 0.8 + 0.36 * m.var)
 
 
-def test_eta_consistency_check():
-    majority_moments(2, 0.5, 3, eta=0.25)  # consistent: fine
-    with pytest.raises(ValueError, match="eta"):
-        majority_moments(2, 0.5, 3, eta=0.3)
-
-
 # --- sign of the level sum ---------------------------------------------------
 
 

@@ -48,10 +48,6 @@ def test_resolve_radius_modes():
     assert resolve_radius(cfg_auto, 20_000, 1.4, 1.0) == 6  # tiny d hits the cap
     cfg_fixed = AlgoConfig(R=3, R_mode="fixed", K=1)
     assert resolve_radius(cfg_fixed, 1000, 30, 4) == 3
-    cfg_log = AlgoConfig(R_mode="log-rule", K=0)
-    assert resolve_radius(cfg_log, 30_000, 0.3, 0.2) == 1
-    with pytest.raises(ValueError, match="log-rule"):
-        resolve_radius(cfg_log, 10_000, 5, 2)
     with pytest.raises(ValueError, match="exceeds"):
         resolve_radius(AlgoConfig(R=1, R_mode="fixed", K=2), 1000, 30, 4)
 
@@ -65,6 +61,8 @@ def test_config_validation():
         AlgoConfig(batch=0)
     with pytest.raises(ValueError):
         AlgoConfig(K=-1)
+    with pytest.raises(ValueError, match="delta"):
+        AlgoConfig(weights_delta=0.7)
 
 
 # --- anchor choice -----------------------------------------------------------

@@ -160,3 +160,74 @@ def test_offspring_validation():
         popdyn.magnetization_chain("weird", 2, 0.5, 2, 100, np.random.default_rng(0))
     with pytest.raises(ValueError):
         popdyn.conductance_chain("gw", 2.0, 0.0, 2, 100, np.random.default_rng(0))
+
+
+# --- an empty level: the tree dies out after the roots ------------------------
+
+
+def _dying_forest():
+    forest = popdyn.sample_forest("gw", 0.2, 0.6, 6, 5, np.random.default_rng(0))
+    assert [forest.level_size(j) for j in range(7)] == [5, 0, 0, 0, 0, 0, 0]
+    return forest
+
+
+def test_forest_conductance_on_empty_level():
+    z_levels, _ = popdyn.forest_conductance(_dying_forest(), delta=0.2)
+    assert z_levels[0].dtype == np.float64
+    assert np.array_equal(z_levels[0], np.zeros(5))
+
+
+def test_forest_current_estimators_on_empty_level():
+    out = popdyn.forest_current_estimators(_dying_forest(), np.random.default_rng(1),
+                                           delta=0.2)
+    assert np.array_equal(out["ceff"], np.zeros(5))
+    assert not out["alive"].any()
+    assert np.array_equal(out["r"], np.zeros(5))
+
+
+def test_conductance_chain_on_empty_level():
+    rows, pools = popdyn.conductance_chain("gw", 0.2, 0.6, 6, 5, np.random.default_rng(0))
+    assert np.array_equal(pools[6], np.zeros(5))
+    assert all(r["alive_frac"] == 0.0 for r in rows)
+
+
+# --- out-of-range inputs are rejected, not answered ---------------------------
+
+
+def _chains(trials, delta):
+    rng = np.random.default_rng(0)
+    return [
+        lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, 2, trials, rng, delta=delta),
+        lambda: popdyn.sum_chain("gw", 2.0, 0.5, 2, trials, rng, delta=delta),
+        lambda: popdyn.conductance_chain("gw", 2.0, 0.5, 2, trials, rng, delta=delta),
+        lambda: popdyn.dary_sum_trials(2, 0.5, 2, trials, rng, delta=delta),
+    ]
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.7, 1.0, -0.1])
+def test_chains_reject_delta_out_of_range(delta):
+    for run in _chains(100, delta):
+        with pytest.raises(ValueError, match="delta"):
+            run()
+    forest = popdyn.sample_forest("gw", 2.0, 0.5, 2, 100, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="delta"):
+        popdyn.forest_current_estimators(forest, np.random.default_rng(1), delta=delta)
+
+
+def test_chains_reject_no_trials():
+    for run in _chains(0, 0.2):
+        with pytest.raises(ValueError, match="trials"):
+            run()
+
+
+def test_harness_rejects_delta_out_of_range():
+    from blockbp.harness import ExperimentSpec, run_experiment
+
+    robust = ExperimentSpec(kind="robust-accuracy", params={"d": 3.0, "theta": 0.5},
+                            grid={"k": [3], "delta": [0.3, 0.7]}, trials=2_000, seed=1)
+    conductance = ExperimentSpec(kind="conductance-check",
+                                 params={"a": 30.0, "b": 4.0, "delta": 0.7},
+                                 grid={"k": [2]}, trials=2_000, seed=1)
+    for spec in (robust, conductance):
+        with pytest.raises(ValueError, match="delta"):
+            run_experiment(spec)
