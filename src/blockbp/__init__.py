@@ -22,7 +22,6 @@ from .estimators import (
 )
 from .randgraph import (
     LabelledGraph,
-    Neighborhood,
     SubgraphMap,
     sample_sbm,
     graph_from_edges,
@@ -30,7 +29,7 @@ from .randgraph import (
     remove_set,
 )
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
-from .pipeline import AlgoConfig, RecoveryResult, recover, label_vertex, choose_anchor, align_partition
+from .pipeline import AlgoConfig, RecoveryResult, recover, choose_anchor, align_partition
 from .harness import ExperimentSpec, ResultRow, run_experiment, write_results, default_spec
 
 __version__ = "0.1.0"

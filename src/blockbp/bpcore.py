@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broadcast import BroadcastTree
-from .levels import bp_up
+from .levels import _combine_levels, bp_up
 
 __all__ = [
     "BpConfig",
@@ -77,14 +77,11 @@ def bp_combine(children, theta: float, clamp: float = 1e-12):
 
     Accepts a sequence of values in [-1, 1]; an empty sequence yields 0.
     """
-    vals = np.asarray(children, dtype=np.float64)
-    if vals.size == 0:
-        return 0.0
+    vals = np.asarray(children, dtype=np.float64).ravel()
     if np.any(np.abs(vals) > 1.0):
         raise ValueError("child magnetizations must lie in [-1, 1]")
-    lim = 1.0 - clamp
-    s = float(np.sum(np.arctanh(np.clip(theta * vals, -lim, lim))))
-    return float(np.clip(np.tanh(s), -lim, lim))
+    one_parent = np.zeros(vals.size, dtype=np.int64)
+    return float(_combine_levels(vals, one_parent, 1, theta, clamp)[0])
 
 
 def bp_levels(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = None) -> np.ndarray:

@@ -77,12 +77,15 @@ class BroadcastTree:
                          for j in range(1, self.depth + 1)]
 
 
-def _build_arrays(level_counts: list[np.ndarray]):
+def _build_arrays(level_counts: list[np.ndarray], depth: int):
     """Assemble parent/level_start from per-node child counts.
 
-    level_counts[j] holds the child count of every level-j node, in id order.
+    level_counts[j] holds the child count of every level-j node, in id order;
+    levels past the last entry are empty, and level_start is padded out to
+    depth + 2 entries.
     """
     sizes = [1] + [int(c.sum()) for c in level_counts]
+    sizes += [0] * (depth + 1 - len(sizes))
     level_start = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     n = int(level_start[-1])
     parent = np.full(n, -1, dtype=np.int64)
@@ -119,14 +122,8 @@ def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
         level_counts.append(counts)
         size = int(counts.sum())
         if size == 0:
-            # extinct; remaining levels are empty
-            level_counts.extend(np.zeros(0, dtype=np.int64) for _ in range(depth - len(level_counts)))
-            break
-    parent, level_start = _build_arrays(level_counts)
-    # pad level_start out to depth+2 entries when extinction cut it short
-    if len(level_start) < depth + 2:
-        pad = np.full(depth + 2 - len(level_start), level_start[-1], dtype=np.int64)
-        level_start = np.concatenate((level_start, pad))
+            break  # extinct; the remaining levels are empty
+    parent, level_start = _build_arrays(level_counts, depth)
     return BroadcastTree(
         kind=kind,
         d=float(d),
@@ -179,10 +176,7 @@ def tree_from_parents(parents, depth: int | None = None) -> BroadcastTree:
         )
         level_counts.append(counts)
         start += size
-    parent, level_start = _build_arrays(level_counts)
-    if len(level_start) < target + 2:
-        pad = np.full(target + 2 - len(level_start), level_start[-1], dtype=np.int64)
-        level_start = np.concatenate((level_start, pad))
+    parent, level_start = _build_arrays(level_counts, target)
     return BroadcastTree(
         kind="custom",
         d=float("nan"),

@@ -58,14 +58,6 @@ class Partition:
     def n(self) -> int:
         return len(self.side)
 
-    @property
-    def wplus(self) -> np.ndarray:
-        return np.flatnonzero(self.side == 1)
-
-    @property
-    def wminus(self) -> np.ndarray:
-        return np.flatnonzero(self.side == -1)
-
     def flipped(self) -> "Partition":
         return replace(self, side=(-self.side).astype(np.int8))
 

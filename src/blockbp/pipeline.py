@@ -25,18 +25,16 @@ Neighborhoods are taken in the graph with U removed: U gets no inferred
 sides, takes no part in the boundary observations, and is coin-labelled
 anyway, so paths through it carry nothing the estimator could use.
 
-The per-vertex computations share one partition, so they run batched: the
-vertices are cut into chunks, ``randgraph.bfs_balls`` builds the balls of a
-whole chunk as flat per-level arrays tagged by the owning centre, and the
-conductance-up, current-down, hard-vote and BP-up passes each run once per
-level across the chunk.  A chunk holds about ``_BALL_BUDGET`` gathered
-neighbour slots, so tens of centres on balls of thousands of vertices and
-tens of thousands on balls of ten; the budget bounds the working set and is
-not a setting.  The output does not depend on the chunking: it is
-bit-identical to labelling one vertex at a time, the coin stream included
-(see ``_label_balls``).  The ``nontree`` count keeps its definition, every
-induced edge outside the BFS tree, sphere-sphere edges included; the BFS
-scans settle most balls and only the rest get a sphere scan.
+The per-vertex computations share one partition, so they run batched:
+``randgraph.ball_batches`` cuts the vertices into chunks that fit its fixed
+budget of gathered neighbour slots and builds the balls of a whole chunk as
+flat per-level arrays tagged by the owning centre, and the conductance-up,
+current-down, hard-vote and BP-up passes each run once per level across the
+chunk.  The output does not depend on the chunking: it is bit-identical to
+labelling one vertex at a time, the coin stream included (see
+``_label_balls``).  The ``nontree`` count (``Balls.nontree``) counts the
+balls with an induced edge outside the BFS tree, sphere-sphere edges
+included.
 """
 
 from __future__ import annotations
@@ -52,34 +50,22 @@ import numpy as np
 from .levels import _terminal_conductance, bp_up, conductance_up, current_down
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
-from .randgraph import (
-    Balls,
-    LabelledGraph,
-    _max_ball_centres,
-    _owner_cut,
-    _run_sums,
-    bfs_balls,
-    remove_set,
-)
+from .randgraph import Balls, LabelledGraph, _owner_cut, _run_sums, ball_batches, remove_set
 from .seeding import derived_rng
 
 __all__ = [
     "AlgoConfig",
-    "LabelOutcome",
     "RecoveryDiagnostics",
     "RecoveryResult",
     "resolve_radius",
     "choose_anchor",
     "align_partition",
-    "label_vertex",
     "recover",
     "save_vertex_csv",
 ]
 
-# Gathered neighbour slots one ball batch aims at: a few MiB of keys, so a
-# batch holds tens of centres on balls of thousands of vertices and tens of
-# thousands on balls of ten.
-_BALL_BUDGET = 1 << 17
+# Clamp of the BP level combine in the root passes: |x| <= 1 - _CLAMP.
+_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,10 +87,8 @@ class AlgoConfig:
     R_mode: str = "auto"  # "auto" | "fixed"
     K: int = 1
     u_size: int | None = None
-    u_star_min_degree: int | None = None
     batch: int | None = None
     weights_delta: float | None = None
-    clamp: float = 1e-12
 
     def __post_init__(self):
         if self.R_mode not in ("auto", "fixed"):
@@ -187,17 +171,6 @@ def align_partition(p: Partition, g: LabelledGraph, u_star: int, a: float,
     return (p.flipped() if swapped else p), AlignInfo(
         swapped=swapped, tie=False, n_plus=n_plus, n_minus=n_minus
     )
-
-
-@dataclass(frozen=True)
-class LabelOutcome:
-    sign: int
-    magnetization: float
-    coin: bool            # label decided by fair coin (tie / nothing observed)
-    empty_sphere: bool    # BFS never reached radius R
-    nontree: bool         # ball contained edges the BFS tree ignores
-    missing_obs: int      # sphere vertices with no inferred side
-    watch_hit: bool = False  # watched vertex set intersected the inner ball
 
 
 class _BallLabels(NamedTuple):
@@ -286,60 +259,6 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
     return _BallLabels(sign=sign, magnetization=np.where(coin, 0.0, vals), coin=coin,
                        empty_sphere=on_sphere == 0, missing_obs=on_sphere - seen,
                        watch_hit=watch_hit)
-
-
-def _nontree(g: LabelledGraph, balls: Balls) -> np.ndarray:
-    """Per centre: does the ball hold an induced edge outside its BFS tree?
-
-    The BFS scans settle every ball with a repeated discovery or an edge
-    inside a scanned level; only balls still tree-like after them, with a
-    full sphere, need the scan for sphere-sphere edges, done in groups of
-    about ``_BALL_BUDGET`` gathered neighbours.
-    """
-    r = balls.radius
-    nontree = balls.scan_extra > 0
-    cut = _owner_cut(balls.owner[r], len(nontree))
-    open_ = ~nontree & (np.diff(cut) > 0)
-    if not open_.any():
-        return nontree
-    cost = _run_sums(g.degrees[balls.vertex[r]], cut)
-    group = np.cumsum(np.where(open_, cost, 0)) // _BALL_BUDGET
-    for k in np.unique(group[open_]):
-        select = open_ & (group == k)
-        nontree |= balls.sphere_edges(g, select) > 0
-    return nontree
-
-
-def _chunk_size(g: LabelledGraph, radius: int) -> int:
-    """Centres per ball batch: about ``_BALL_BUDGET`` gathered neighbours each.
-
-    With mean degree dbar, the scan of level R-1, the largest, gathers about
-    (1 + dbar)^R neighbour slots per centre.
-    """
-    dbar = len(g.indices) / max(g.n, 1)
-    size = int(_BALL_BUDGET // ((1.0 + dbar) ** radius))
-    return max(1, min(size, _max_ball_centres(g.n)))
-
-
-def label_vertex(g: LabelledGraph, v: int, aligned: Partition, cfg: AlgoConfig,
-                 params: ModelParams, seed: int = 0,
-                 radius: int | None = None) -> LabelOutcome:
-    """Label one vertex of g from an aligned partition of g's vertices.
-
-    Partition sides are read only on the sphere S(v, R); inferred sides
-    inside the ball are never used.
-    """
-    if aligned.n != g.n:
-        raise ValueError("aligned partition must cover the graph's vertex set")
-    tp = derive_tree_params(params)
-    r = resolve_radius(cfg, g.n, params.a, params.b) if radius is None else radius
-    balls = bfs_balls(g, [v], r)
-    out = _label_balls(balls, aligned.side, cfg.K, tp.theta, cfg.weights_delta,
-                       cfg.clamp, derived_rng(seed, "label-one", v))
-    return LabelOutcome(sign=int(out.sign[0]), magnetization=float(out.magnetization[0]),
-                        coin=bool(out.coin[0]), empty_sphere=bool(out.empty_sphere[0]),
-                        nontree=bool(_nontree(g, balls)[0]),
-                        missing_obs=int(out.missing_obs[0]))
 
 
 @dataclass
@@ -437,8 +356,7 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
         derived_rng(seed, "hold-out").choice(g.n, size=u_size, replace=False)
     ).astype(np.int64)
 
-    u_star, fallback = choose_anchor(g, hold_out, derived_rng(seed, "anchor"),
-                                     min_degree=cfg.u_star_min_degree)
+    u_star, fallback = choose_anchor(g, hold_out, derived_rng(seed, "anchor"))
     diag.u_star = u_star
     diag.u_star_fallback = fallback
 
@@ -471,15 +389,12 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
         return aligned
 
     def label(xi_side_h: np.ndarray, vertices_h: np.ndarray) -> None:
-        size = _chunk_size(h, r)
-        for start in range(0, len(vertices_h), size):
-            chunk = vertices_h[start : start + size]
-            balls = bfs_balls(h, chunk, r)
-            nontree = _nontree(h, balls)
+        for balls in ball_batches(h, vertices_h, r):
+            nontree = balls.nontree(h)
             lap("balls")
             out = _label_balls(balls, xi_side_h, cfg.K, tp.theta, cfg.weights_delta,
-                               cfg.clamp, rng_label, watch=ustar_nbr_mask)
-            orig = sub.new_to_old[chunk]
+                               _CLAMP, rng_label, watch=ustar_nbr_mask)
+            orig = sub.new_to_old[balls.centres]
             side_out[orig] = out.sign
             mag_out[orig] = out.magnetization
             diag.coin_labels += int(out.coin.sum())
@@ -495,13 +410,11 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
         lap("align")
         label(aligned.side, all_h)
     else:
-        inner_size = _chunk_size(h, r - 1)
         for start in range(0, h.n, cfg.batch):
             chunk = all_h[start : start + cfg.batch]
             ball_mask = np.zeros(h.n, dtype=bool)
-            for s in range(0, len(chunk), inner_size):
-                for ids in bfs_balls(h, chunk[s : s + inner_size], r - 1).vertex:
-                    ball_mask[ids] = True
+            for balls in ball_batches(h, chunk, r - 1):
+                ball_mask[balls.ball] = True
             lap("balls")
             inner = remove_set(h, np.flatnonzero(ball_mask))
             lap("holdout")

@@ -330,8 +330,9 @@ def forest_current_estimators(forest: Forest, rng, delta: float = 0.0):
         zs, cs = forest_conductance(forest, delta=net_delta)
         cur, _ = current_down(zs, cs, forest.parent_pos)
         w = cur * forest.theta ** (-k)
+        # an empty level would give bincount's integer zeros
         return np.bincount(forest.node_trial[k], weights=w * obs,
-                           minlength=forest.trials), zs[0]
+                           minlength=forest.trials).astype(float, copy=False), zs[0]
 
     r, ceff = estimator(None, sig)
     out = {"r": r, "ceff": ceff, "alive": ceff > 0, "s": r.copy(), "ceff_noisy": None}

@@ -10,7 +10,10 @@ BFS neighborhoods use a deterministic tie-break: neighbor lists are scanned
 in ascending id order and the BFS parent of a newly discovered vertex is its
 smallest-id neighbor in the previous shell.  ``bfs_balls`` builds the balls
 of many centres at once, one sort per level over keys tagged by the owning
-centre; ``extract_neighborhood`` is its one-centre case.
+centre, into one ``Balls``; ``extract_neighborhood`` is its one-centre case.
+``ball_batches`` cuts a long list of centres into batches of about
+``_BALL_BUDGET`` gathered neighbour slots, which bounds the working set and
+is not a setting, and ``Balls.nontree`` flags the balls that are not trees.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from .seeding import as_generator
 __all__ = [
     "Balls",
     "LabelledGraph",
-    "Neighborhood",
     "SubgraphMap",
     "sample_sbm",
     "graph_from_edges",
     "bfs_balls",
+    "ball_batches",
     "extract_neighborhood",
     "remove_set",
     "save_edge_list",
@@ -198,39 +201,15 @@ def sample_sbm(m: ModelParams, mode: str = "uniform-random", seed=0,
     return _csr_from_edges(n, u, v, lab)
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """BFS ball around a center: shells, BFS-tree parents, tree-ness flag.
-
-    levels[j] holds the ids at distance exactly j (ascending); parent_pos[j]
-    (j >= 1) the index, within levels[j-1], of each node's BFS parent.
-    """
-
-    center: int
-    radius: int
-    levels: list
-    parent_pos: list
-    is_tree: bool
-    n_extra_edges: int
-
-    @property
-    def ball(self) -> np.ndarray:
-        return np.concatenate(self.levels) if self.levels else np.empty(0, np.int64)
-
-    @property
-    def sphere(self) -> np.ndarray:
-        if len(self.levels) == self.radius + 1:
-            return self.levels[self.radius]
-        return np.empty(0, dtype=np.int64)
-
-    def bfs_parent(self, j: int) -> np.ndarray:
-        """Parent ids of the level-j nodes."""
-        return self.levels[j - 1][self.parent_pos[j]]
-
-
 def _vertex_bits(n: int) -> int:
     """Bits for one key field: vertex ids (< n) and scan tags (<= n) both fit."""
     return max(1, int(n).bit_length())
+
+
+# Gathered neighbour slots one ball batch aims at: a few MiB of keys, so a
+# batch holds tens of centres on balls of thousands of vertices and tens of
+# thousands on balls of ten.
+_BALL_BUDGET = 1 << 17
 
 
 def _max_ball_centres(n: int) -> int:
@@ -318,6 +297,11 @@ class Balls:
     parent_pos: list
     scan_extra: np.ndarray
 
+    @property
+    def ball(self) -> np.ndarray:
+        """The vertices of the balls, level by level: B(centre, radius) for one centre."""
+        return np.concatenate(self.vertex)
+
     def sphere_edges(self, g: LabelledGraph, select=None) -> np.ndarray:
         """Per owner, the edges with both ends on the sphere S(centre, radius).
 
@@ -337,6 +321,27 @@ class Balls:
         ends = (np.searchsorted(reach, on_sphere, "right")
                 - np.searchsorted(reach, on_sphere, "left"))
         return _run_sums(ends, _owner_cut(own, c)) // 2
+
+    def nontree(self, g: LabelledGraph) -> np.ndarray:
+        """Per owner: does the ball hold an induced edge outside its BFS tree?
+
+        The BFS scans settle every ball with a repeated discovery or an edge
+        inside a scanned level; only balls still tree-like after them, with a
+        full sphere, need the scan for sphere-sphere edges, done in groups of
+        about ``_BALL_BUDGET`` gathered neighbours.
+        """
+        r = self.radius
+        nontree = self.scan_extra > 0
+        cut = _owner_cut(self.owner[r], len(nontree))
+        open_ = ~nontree & (np.diff(cut) > 0)
+        if not open_.any():
+            return nontree
+        cost = _run_sums(g.degrees[self.vertex[r]], cut)
+        group = np.cumsum(np.where(open_, cost, 0)) // _BALL_BUDGET
+        for k in np.unique(group[open_]):
+            select = open_ & (group == k)
+            nontree |= self.sphere_edges(g, select) > 0
+        return nontree
 
 
 def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
@@ -379,20 +384,33 @@ def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
                  parent_pos=parent_pos, scan_extra=scan_extra)
 
 
-def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Neighborhood:
-    """BFS ball/sphere/tree of the given radius around v."""
+def _chunk_size(g: LabelledGraph, radius: int) -> int:
+    """Centres per ball batch: about ``_BALL_BUDGET`` gathered neighbours each.
+
+    With mean degree dbar, the scan of level R-1, the largest, gathers about
+    (1 + dbar)^R neighbour slots per centre.
+    """
+    dbar = len(g.indices) / max(g.n, 1)
+    size = int(_BALL_BUDGET // ((1.0 + dbar) ** radius))
+    return max(1, min(size, _max_ball_centres(g.n)))
+
+
+def ball_batches(g: LabelledGraph, centres, radius: int):
+    """``bfs_balls`` over consecutive batches of ``centres``, in order, each
+    batch sized by ``_chunk_size``."""
+    centres = np.asarray(centres, dtype=np.int64)
+    size = _chunk_size(g, radius)
+    for start in range(0, len(centres), size):
+        yield bfs_balls(g, centres[start : start + size], radius)
+
+
+def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Balls:
+    """BFS ball B(v, radius) of the one centre v."""
     if not 0 <= v < g.n:
         raise ValueError("center vertex out of range")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    balls = bfs_balls(g, [v], radius)
-    levels = [lvl for lvl in balls.vertex if len(lvl)]
-    extra = int(balls.scan_extra[0] + balls.sphere_edges(g)[0])
-    return Neighborhood(
-        center=v, radius=radius, levels=levels,
-        parent_pos=balls.parent_pos[: len(levels)],
-        is_tree=extra == 0, n_extra_edges=extra,
-    )
+    return bfs_balls(g, [v], radius)
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,7 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
         derived_rng(seed, "hold-out").choice(g.n, size=u_size, replace=False)
     ).astype(np.int64)
     u_star, _ = choose_anchor(g, hold_out, derived_rng(seed, "anchor"),
-                              min_degree=cfg.u_star_min_degree)
+                              min_degree=math.ceil(math.sqrt(math.log(g.n))))
     sub = remove_set(g, hold_out)
     h = sub.graph
     rng_label = derived_rng(seed, "labels")
@@ -324,7 +324,7 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
     def label_chunk(xi_side_h, vertices_h):
         for v in vertices_h:
             out = label_one(h.indptr, h.indices, int(v), r, cfg.K, theta,
-                            cfg.weights_delta, cfg.clamp, xi_side_h, visited,
+                            cfg.weights_delta, 1e-12, xi_side_h, visited,
                             rng_label, watch_mask=watch)
             orig = sub.new_to_old[v]
             side_out[orig] = out["sign"]

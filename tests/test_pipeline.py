@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import label_one, recover_loop
-from blockbp import pipeline, popdyn
+from blockbp import popdyn, randgraph
 from blockbp.bpcore import bp_combine
 from blockbp.params import ModelParams
 from blockbp.partition import Partition
@@ -15,7 +15,6 @@ from blockbp.pipeline import (
     _label_balls,
     align_partition,
     choose_anchor,
-    label_vertex,
     recover,
     resolve_radius,
     save_vertex_csv,
@@ -132,49 +131,44 @@ def test_align_tie_flagged():
 # --- single-vertex labelling ------------------------------------------------
 
 
+def _label_one(g, v, side, radius, big_k, theta, seed=0, weights_delta=None):
+    """The batched engine on the one-centre ball of v; outputs of centre 0."""
+    out = _label_balls(bfs_balls(g, [v], radius), np.asarray(side, dtype=np.int8),
+                       big_k, theta, weights_delta, 1e-12, derived_rng(seed, "label-one", v))
+    return {name: value[0] for name, value in out._asdict().items()}
+
+
 def test_label_vertex_composition_example():
     # v with sphere observations (+, +, -) at R=1, K=0: BP on the signs
     g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)], [1, 1, 1, -1])
-    params = ModelParams(n=4, a=2, b=1)
     theta = (2 - 1) / (2 + 1)
-    aligned = Partition(side=np.array([1, 1, 1, -1], dtype=np.int8))
-    cfg = AlgoConfig(R=1, R_mode="fixed", K=0)
-    out = label_vertex(g, 0, aligned, cfg, params, seed=0)
+    out = _label_one(g, 0, [1, 1, 1, -1], 1, 0, theta)
     want = bp_combine([1, 1, -1], theta)
-    assert out.magnetization == pytest.approx(want, abs=1e-12)
-    assert out.sign == 1 and not out.coin
+    assert out["magnetization"] == pytest.approx(want, abs=1e-12)
+    assert out["sign"] == 1 and not out["coin"]
 
 
 def test_label_vertex_k1_equals_weighted_vote_sign():
     g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [1] * 5)
-    params = ModelParams(n=5, a=3, b=1)
-    aligned = Partition(side=np.array([1, -1, 1, 1, 1], dtype=np.int8))
-    cfg = AlgoConfig(R=1, R_mode="fixed", K=1)
-    out = label_vertex(g, 0, aligned, cfg, params, seed=0)
-    assert out.sign == 1  # 3 of 4 sphere votes are +
-    assert out.magnetization == pytest.approx(1.0)  # hard vote at the root
+    out = _label_one(g, 0, [1, -1, 1, 1, 1], 1, 1, 0.5)
+    assert out["sign"] == 1  # 3 of 4 sphere votes are +
+    assert out["magnetization"] == pytest.approx(1.0)  # hard vote at the root
 
 
 def test_label_vertex_empty_sphere_is_coin():
     g = graph_from_edges(3, [(1, 2)], [1, 1, 1])  # vertex 0 isolated
-    params = ModelParams(n=3, a=2, b=1)
-    aligned = Partition(side=np.ones(3, dtype=np.int8))
-    cfg = AlgoConfig(R=1, R_mode="fixed", K=0)
     signs = set()
     for s in range(30):
-        out = label_vertex(g, 0, aligned, cfg, params, seed=s)
-        assert out.coin and out.empty_sphere and out.magnetization == 0.0
-        signs.add(out.sign)
+        out = _label_one(g, 0, np.ones(3), 1, 0, 1 / 3, seed=s)
+        assert out["coin"] and out["empty_sphere"] and out["magnetization"] == 0.0
+        signs.add(out["sign"])
     assert signs == {1, -1}
 
 
 def test_label_vertex_nontree_flag():
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], [1, 1, 1, 1])
-    params = ModelParams(n=4, a=2, b=1)
-    aligned = Partition(side=np.ones(4, dtype=np.int8))
-    out = label_vertex(g, 0, aligned, AlgoConfig(R=1, R_mode="fixed", K=0),
-                       params, seed=1)
-    assert out.nontree
+    assert bfs_balls(g, [0], 1).nontree(g)[0]
+    assert not bfs_balls(g, [3], 1).nontree(g)[0]
 
 
 # --- full recovery -----------------------------------------------------------
@@ -380,13 +374,13 @@ def test_recover_matches_per_vertex_oracle(case, budget, monkeypatch):
     # falling mid-graph (a tiny gathered-neighbour budget)
     n, a, b, r, k, batch, impl, delta0, wd = case
     if budget is not None:
-        monkeypatch.setattr(pipeline, "_BALL_BUDGET", budget)
+        monkeypatch.setattr(randgraph, "_BALL_BUDGET", budget)
     m = ModelParams(n=n, a=a, b=b)
     cfg = AlgoConfig(R=r, R_mode="fixed", K=k, batch=batch, weights_delta=wd)
     for seed in range(2):
         g = sample_sbm(m, seed=90 + seed)
         h_n = g.n - int(math.isqrt(g.n))
-        chunks = math.ceil(h_n / pipeline._chunk_size(g, r))
+        chunks = math.ceil(h_n / randgraph._chunk_size(g, r))
         assert (chunks > 2) == (budget is not None)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -465,15 +459,13 @@ def test_weights_delta_hard_vote_star():
     g = graph_from_edges(14, edges, [1] * 14)
     side = np.ones(14, dtype=np.int8)
     side[leaves_1[4:]] = -1
-    params = ModelParams(n=14, a=3, b=1)
-    theta = 0.5
+    theta = 0.5  # a = 3, b = 1
     groups = [[int(side[u]) for u in leaves_1], [1]]
     signs = {}
     for delta in (None, 0.45):
         want = math.copysign(1.0, _hand_vote(theta, delta, groups))
-        cfg = AlgoConfig(R=2, R_mode="fixed", K=2, weights_delta=delta)
-        out = label_vertex(g, 0, Partition(side=side), cfg, params, seed=0)
-        assert out.magnetization == want and not out.coin
+        out = _label_one(g, 0, side, 2, 2, theta, weights_delta=delta)
+        assert out["magnetization"] == want and not out["coin"]
         signs[delta] = want
         # the batched engine over a multi-centre batch and the per-vertex loop agree
         balls = bfs_balls(g, [1, 0, 2], 2)

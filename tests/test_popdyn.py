@@ -178,11 +178,13 @@ def test_forest_conductance_on_empty_level():
 
 
 def test_forest_current_estimators_on_empty_level():
-    out = popdyn.forest_current_estimators(_dying_forest(), np.random.default_rng(1),
-                                           delta=0.2)
-    assert np.array_equal(out["ceff"], np.zeros(5))
-    assert not out["alive"].any()
-    assert np.array_equal(out["r"], np.zeros(5))
+    for delta in (0.0, 0.2):
+        out = popdyn.forest_current_estimators(_dying_forest(), np.random.default_rng(1),
+                                               delta=delta)
+        assert np.array_equal(out["ceff"], np.zeros(5))
+        assert not out["alive"].any()
+        assert np.array_equal(out["r"], np.zeros(5))
+        assert out["r"].dtype == out["s"].dtype == np.float64
 
 
 def test_conductance_chain_on_empty_level():

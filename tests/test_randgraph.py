@@ -83,37 +83,51 @@ def test_reproducible_and_mode_fixed_sets():
         sample_sbm(m, mode="elsewise", seed=9)
 
 
+def _levels(nb):
+    """The non-empty levels of a ball."""
+    return [lvl for lvl in nb.vertex if len(lvl)]
+
+
+def _extra_edges(g, nb):
+    """Induced edges of a one-centre ball outside its BFS tree."""
+    return int(nb.scan_extra[0] + nb.sphere_edges(g)[0])
+
+
 def test_neighborhood_radius_zero():
     g = sample_sbm(ModelParams(n=50, a=4, b=1), seed=2)
     nb = extract_neighborhood(g, 7, 0)
     assert list(nb.ball) == [7]
-    assert list(nb.sphere) == [7]
-    assert nb.is_tree
+    assert list(nb.vertex[0]) == [7]
+    assert not nb.nontree(g)[0]
+    with pytest.raises(ValueError, match="out of range"):
+        extract_neighborhood(g, 50, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        extract_neighborhood(g, 7, -1)
 
 
 def test_neighborhood_path():
     g = graph_from_edges(3, [(0, 1), (1, 2)], [1, 1, 1])
     nb = extract_neighborhood(g, 0, 2)
-    assert [list(l) for l in nb.levels] == [[0], [1], [2]]
-    assert list(nb.sphere) == [2]
-    assert nb.is_tree
+    assert [list(l) for l in _levels(nb)] == [[0], [1], [2]]
+    assert list(nb.vertex[2]) == [2]
+    assert not nb.nontree(g)[0]
 
 
 def test_neighborhood_triangle():
     g = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)], [1, 1, -1])
     nb = extract_neighborhood(g, 0, 1)
     assert sorted(nb.ball) == [0, 1, 2]
-    assert sorted(nb.sphere) == [1, 2]
-    assert not nb.is_tree
-    assert nb.n_extra_edges == 1
+    assert sorted(nb.vertex[1]) == [1, 2]
+    assert nb.nontree(g)[0]
+    assert _extra_edges(g, nb) == 1
 
 
 def test_bfs_parent_is_smallest_id_discoverer():
     #    0 - 1, 0 - 2, 1 - 3, 2 - 3: node 3 discovered from both 1 and 2
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [1, 1, 1, 1])
     nb = extract_neighborhood(g, 0, 2)
-    assert list(nb.levels[2]) == [3]
-    assert nb.bfs_parent(2)[0] == 1  # smaller-id discoverer wins
+    assert list(nb.vertex[2]) == [3]
+    assert nb.vertex[1][nb.parent_pos[2]][0] == 1  # smaller-id discoverer wins
 
 
 def test_ball_monotone_in_radius():
@@ -124,21 +138,22 @@ def test_ball_monotone_in_radius():
             nb = extract_neighborhood(g, v, r)
             ball = set(nb.ball.tolist())
             assert prev <= ball
-            assert set(nb.sphere.tolist()) <= ball
+            assert set(nb.vertex[r].tolist()) <= ball
             prev = ball
 
 
 def test_bfs_tree_spans_ball():
     g = sample_sbm(ModelParams(n=400, a=5, b=1), seed=4)
     nb = extract_neighborhood(g, 3, 3)
+    levels = _levels(nb)
     # every non-center ball vertex has exactly one parent, one level up
-    spanned = {int(nb.levels[0][0])}
-    for j in range(1, len(nb.levels)):
-        parents = nb.bfs_parent(j)
-        for u, p in zip(nb.levels[j], parents):
-            assert int(p) in spanned or int(p) in set(nb.levels[j - 1].tolist())
+    spanned = {int(levels[0][0])}
+    for j in range(1, len(levels)):
+        parents = levels[j - 1][nb.parent_pos[j]]
+        for u, p in zip(levels[j], parents):
+            assert int(p) in spanned or int(p) in set(levels[j - 1].tolist())
             assert u in g.neighbors(int(p))
-        spanned.update(int(x) for x in nb.levels[j])
+        spanned.update(int(x) for x in levels[j])
     assert spanned == set(nb.ball.tolist())
 
 
@@ -148,7 +163,7 @@ def test_local_tree_likeness():
     r = int(math.log(m.n) / (4 * math.log((m.a + m.b) / 2 + 1)))
     rng = np.random.default_rng(6)
     centers = rng.choice(m.n, 400, replace=False)
-    non_tree = sum(not extract_neighborhood(g, int(v), r).is_tree for v in centers)
+    non_tree = sum(extract_neighborhood(g, int(v), r).nontree(g)[0] for v in centers)
     assert non_tree / len(centers) < 0.05
 
 
@@ -197,14 +212,14 @@ def test_extract_neighborhood_matches_per_vertex_bfs():
             for r in radii:
                 nb = extract_neighborhood(g, v, r)
                 levels, parent_pos, induced = bfs_levels(g.indptr, g.indices, v, r, visited)
-                assert len(nb.levels) == len(levels)
+                assert len(_levels(nb)) == len(levels)
                 for j, lvl in enumerate(levels):
-                    assert np.array_equal(nb.levels[j], lvl)
+                    assert np.array_equal(nb.vertex[j], lvl)
                     if j:
                         assert np.array_equal(nb.parent_pos[j], parent_pos[j])
                 extra = induced - (sum(len(l) for l in levels) - 1)
-                assert nb.n_extra_edges == extra
-                assert nb.is_tree == (extra == 0)
+                assert _extra_edges(g, nb) == extra
+                assert nb.nontree(g)[0] == (extra != 0)
 
 
 def test_bfs_balls_batch_equals_single_centres():
@@ -215,16 +230,17 @@ def test_bfs_balls_batch_equals_single_centres():
     balls = bfs_balls(g, centres, r)
     assert balls.parent_pos[0] is None
     extra = balls.scan_extra + balls.sphere_edges(g)
+    assert np.array_equal(balls.nontree(g), extra > 0)
     for i, v in enumerate(centres):
         nb = extract_neighborhood(g, int(v), r)
         for j in range(r + 1):
             mine = balls.owner[j] == i
-            want = nb.levels[j] if j < len(nb.levels) else np.empty(0, np.int64)
+            want = nb.vertex[j]
             assert np.array_equal(balls.vertex[j][mine], want)
             if j and len(want):
                 base = np.flatnonzero(balls.owner[j - 1] == i)[0]
                 assert np.array_equal(balls.parent_pos[j][mine] - base, nb.parent_pos[j])
-        assert extra[i] == nb.n_extra_edges
+        assert extra[i] == _extra_edges(g, nb)
     # a subset scan reads 0 outside the selection
     select = np.zeros(len(centres), dtype=bool)
     select[1] = True
