@@ -265,9 +265,8 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
 class RecoveryDiagnostics:
     """Counts a recovery run keeps about itself.
 
-    ``blackbox_iters`` is the largest power-iteration count over the black-box
-    runs (0 for the oracle-noise black box) and ``blackbox_converged`` is
-    false if any run stopped at the iteration cap.
+    ``blackbox_informative`` is false if any black-box run found no
+    community eigenvalue and returned a coin-flip split.
     """
 
     r_used: int = 0
@@ -281,8 +280,7 @@ class RecoveryDiagnostics:
     missing_observations: int = 0
     u_star_ball_violations: int = 0
     blackbox_runs: int = 0
-    blackbox_iters: int = 0
-    blackbox_converged: bool = True
+    blackbox_informative: bool = True
 
 
 STAGES = ("holdout", "blackbox", "align", "balls", "roots", "coins")
@@ -376,8 +374,7 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
         part = blackbox_partition(graph, impl=impl,
                                   seed=derived_rng(seed, "bb", tag), delta0=delta0)
         diag.blackbox_runs += 1
-        diag.blackbox_iters = max(diag.blackbox_iters, part.iters)
-        diag.blackbox_converged &= part.converged
+        diag.blackbox_informative &= part.informative
         lap("blackbox")
         return part
 

@@ -472,15 +472,20 @@ def save_labels(g: LabelledGraph, path) -> None:
 
 
 def load_labels(path, n: int) -> np.ndarray:
+    """Inverse of save_labels: exactly one "v +-1" line per vertex id in [0, n)."""
     out = np.zeros(n, dtype=np.int8)
-    seen = np.zeros(n, dtype=bool)
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            v, s = line.split()
-            out[int(v)] = int(s)
-            seen[int(v)] = True
-    if not seen.all():
+            try:
+                v, s = map(int, line.split())
+                if not (0 <= v < n and s in (1, -1) and out[v] == 0):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: line {i} {line.strip()!r} is not a new vertex "
+                                 f"id in [0, {n}) and a label +1 or -1") from None
+            out[v] = s
+    if not out.all():
         raise ValueError(f"{path}: labels missing for some vertices")
     return out

@@ -314,7 +314,7 @@ def test_c8_end_to_end_recovery():
     # below-threshold arm: a real (spectral) black box, nothing recoverable
     m_low = ModelParams(n=10_000, a=3, b=2)
     cfg_low = AlgoConfig(R_mode="auto", K=1)
-    low = []
+    low, low_informative = [], []
     import warnings
     for s in range(10):
         g = sample_sbm(m_low, seed=derived_rng(808, "low-graph", s))
@@ -323,17 +323,22 @@ def test_c8_end_to_end_recovery():
             res = recover(g, cfg_low, m_low, impl="spectral",
                           seed=int(derived_rng(808, "low-rec", s).integers(2 ** 62)))
         low.append(res.accuracy)
+        # the black box reports that it found no signal, as the theorem says
+        low_informative.append(res.diagnostics.blackbox_informative)
     low_mean = float(np.mean(low))
     low_ok = abs(low_mean - 0.5) <= 0.02
+    no_signal_ok = not any(low_informative)
 
     elapsed = time.time() - t0
-    ok = sandwich_ok and beats_bb_ok and low_ok and elapsed < 1800.0
+    ok = sandwich_ok and beats_bb_ok and low_ok and no_signal_ok and elapsed < 1800.0
     report("C8", ok,
            f"mean acc = {mean_acc:.4f} vs tree p = {p_tree:.4f} (gap {gap:.4f}); "
-           f"below-threshold acc = {low_mean:.4f}", elapsed)
+           f"below-threshold acc = {low_mean:.4f}, black box informative on "
+           f"{sum(low_informative)}/{len(low_informative)} runs", elapsed)
     assert sandwich_ok
     assert beats_bb_ok
     assert low_ok
+    assert no_signal_ok
     assert elapsed < 1800.0
 
 

@@ -1,8 +1,12 @@
-"""Every exported or re-exported name of the package resolves."""
+"""Every exported or re-exported name of the package resolves, and importing
+the package stays free of the eigensolver."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,15 @@ def test_package_imports_exist():
                if not hasattr(importlib.import_module(f"blockbp.{mod}"), sym)
                or not hasattr(blockbp, sym)]
     assert not missing, f"blockbp/__init__.py imports {missing}"
+
+
+def test_import_does_not_load_eigensolver():
+    # scipy.sparse.linalg costs about 0.1 s; only a spectral black-box run
+    # imports it, so a plain `import blockbp` must not
+    env = dict(os.environ)
+    src = str(Path(blockbp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import blockbp, sys; assert 'scipy.sparse.linalg' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

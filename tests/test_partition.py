@@ -100,36 +100,55 @@ def test_save_partition(tmp_path):
     assert path.read_text().splitlines() == ["0 +1", "1 -1", "2 +1"]
 
 
-def test_spectral_non_convergence_warns():
-    # theta^2 d = 1.8 at n = 20 000: at the cap the iterate still swings
-    # between two eigenvectors, moving about half the vertices each step; the
-    # run says so and the partition records it
-    g = sample_sbm(ModelParams(n=20_000, a=8, b=2), seed=0)
-    with pytest.warns(RuntimeWarning, match="200-iteration cap"):
-        p = blackbox_partition(g, impl="spectral", seed=0)
-    assert p.iters == 200 and not p.converged
-    # the record survives relabelling, and the count follows the cap
-    assert p.flipped().iters == 200 and not p.flipped().converged
-    with pytest.warns(RuntimeWarning, match="5-iteration cap"):
-        short = blackbox_partition(g, impl="spectral", seed=0, iters=5)
-    assert short.iters == 5
+@pytest.mark.parametrize("a, b", [(8, 2), (2, 8)])
+def test_spectral_beats_chance_in_sparse_regime(a, b):
+    # theta^2 d = 1.8 at n = 20 000, assortative and disassortative: the
+    # adjacency matrix's top eigenvectors localise on high-degree vertices
+    # here (a power iteration split 0.53-0.71 and 0.63-0.77 over these seeds),
+    # the Bethe Hessian's negative eigenvalue does not
+    g = sample_sbm(ModelParams(n=20_000, a=a, b=b), seed=0)
+    for seed in range(4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = blackbox_partition(g, impl="spectral", seed=seed)
+        assert p.informative and p.flipped().informative
+        assert overlap(p, g.labels).accuracy > 0.75
+        assert np.array_equal(p.side, blackbox_partition(g, impl="spectral", seed=seed).side)
 
 
-def test_spectral_cap_with_settled_sides_is_silent():
-    # a = 12, b = 3 at n = 20 000, seed 1 stops at the cap just short of
-    # tol = 1e-8, but its last step moves 1 vertex in 20 000 across the split:
-    # converged stays false, no warning, and the split is good
+def test_spectral_good_split_is_silent():
     g = sample_sbm(ModelParams(n=20_000, a=12, b=3), seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = blackbox_partition(g, impl="spectral", seed=1)
-    assert p.iters == 200 and not p.converged
+    assert p.informative
     assert overlap(p, g.labels).accuracy > 0.85
-    # a converging run stops early; the oracle black box runs no iterations
-    g = sample_sbm(ModelParams(n=2_000, a=12, b=3), seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        p = blackbox_partition(g, impl="spectral", seed=0)
-    assert p.converged and 0 < p.iters < 200
     q = blackbox_partition(g, impl="oracle-noise", seed=1, delta0=0.1)
-    assert q.iters == 0 and q.converged
+    assert q.informative
+
+
+def test_spectral_below_threshold_says_so():
+    # (a - b)^2 / (2(a + b)) = 0.1: H(+r)'s second eigenvalue is +0.006 and
+    # H(-r)'s smallest +0.015, so the split is the start vector's signs
+    g = sample_sbm(ModelParams(n=10_000, a=3, b=2), seed=0)
+    with pytest.warns(RuntimeWarning, match="no negative Bethe-Hessian eigenvalue"):
+        p = blackbox_partition(g, impl="spectral", seed=0)
+    assert not p.informative and not p.flipped().informative
+    v0 = np.random.default_rng(0).standard_normal(g.n)
+    assert np.array_equal(p.side, np.where(v0 >= 0.0, 1, -1))
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, []),                   # r is not defined
+    (4, [(0, 1), (2, 3)]),     # r^2 = 0
+    (3, [(0, 1), (1, 2)]),     # r^2 = 1/2
+    (3, [(0, 1), (1, 2), (0, 2)]),  # r^2 = 1
+    (1, []),
+], ids=["edgeless", "perfect-matching", "path-of-three", "triangle", "one-vertex"])
+def test_spectral_degenerate_graphs_warn(n, edges):
+    g = graph_from_edges(n, edges, [1] * n)
+    with pytest.warns(RuntimeWarning, match="no negative Bethe-Hessian eigenvalue"):
+        p = blackbox_partition(g, impl="spectral", seed=3)
+    assert not p.informative and p.n == n
+    v0 = np.random.default_rng(3).standard_normal(n)
+    assert np.array_equal(p.side, np.where(v0 >= 0.0, 1, -1))

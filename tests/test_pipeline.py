@@ -489,20 +489,18 @@ def test_recover_stage_seconds():
     assert sum(res.stage_seconds.values()) <= res.seconds
     d = res.to_json_dict()
     assert d["stage_seconds"] == res.stage_seconds
-    assert d["diagnostics"]["blackbox_iters"] == 0
-    assert d["diagnostics"]["blackbox_converged"] is True
+    assert d["diagnostics"]["blackbox_informative"] is True
 
 
 # --- the spectral black box at the wide benchmark point ----------------------
 
 
-@pytest.mark.parametrize("bench_seed, converges", [(500, True), (503, False), (600, False)])
-def test_wide_benchmark_point_black_box_is_silent(bench_seed, converges):
+@pytest.mark.parametrize("bench_seed", [500, 503, 600])
+def test_wide_benchmark_point_black_box_is_silent(bench_seed):
     # recover() at n = 2e5, a = 12, b = 3, R = 1, K = 1 with the spectral
     # black box, on the graphs and recover seeds that the recover-wide
-    # benchmark derives from its --seed.  Some seeds stop at the 200-iteration
-    # cap just short of tol = 1e-8 (converged false) with a settled, good
-    # split: no warning either way.
+    # benchmark derives from its --seed: every black-box run finds its
+    # community eigenvalue, with no warning
     m = ModelParams(n=200_000, a=12, b=3)
     graph_ss, recover_ss, _ = np.random.SeedSequence(bench_seed).spawn(3)
     g = sample_sbm(m, seed=np.random.default_rng(graph_ss))
@@ -510,7 +508,5 @@ def test_wide_benchmark_point_black_box_is_silent(bench_seed, converges):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = recover(g, AlgoConfig(R=1, R_mode="fixed", K=1), m, seed=seed)
-    diag = res.diagnostics
-    assert diag.blackbox_converged == converges
-    assert (diag.blackbox_iters < 200) == converges
+    assert res.diagnostics.blackbox_informative
     assert res.accuracy > 0.85

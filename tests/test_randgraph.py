@@ -197,6 +197,33 @@ def test_dump_round_trip(tmp_path):
     assert np.array_equal(g2.labels, g.labels)
 
 
+@pytest.mark.parametrize("lines, match", [
+    (["0 +1", "1 -1", "-1 +1"], r"line 3 '-1 \+1' is not a new vertex id in \[0, 3\)"),
+    (["0 +1", "1 -1", "3 +1"], r"line 3 '3 \+1' is not"),
+    (["0 +1", "1 -1", "2 5"], r"line 3 '2 5' is not"),
+    (["0 +1", "1 0", "2 -1"], r"line 2 '1 0' is not"),
+    (["0 +1", "0 -1", "2 +1"], r"line 2 '0 -1' is not a new vertex id"),
+    (["0 +1", "1", "2 +1"], r"line 2 '1' is not"),
+    (["0 +1", "1 -1 7", "2 +1"], r"line 2 '1 -1 7' is not"),
+    (["0 +1", "x -1", "2 +1"], r"line 2 'x -1' is not"),
+    (["0 +1", "2 -1"], "labels missing"),
+], ids=["negative-id", "id-too-large", "label-5", "label-0", "duplicate-id", "one-field",
+        "three-fields", "not-an-int", "missing-vertex"])
+def test_load_labels_rejects_bad_lines(tmp_path, lines, match):
+    # each of these used to load (or crash) without naming the line; a
+    # negative id wrapped round to the last vertex
+    path = tmp_path / "labels.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_labels(path, 3)
+
+
+def test_load_labels_skips_blank_lines(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("2 -1\n\n0 +1\n1 -1\n")
+    assert load_labels(path, 3).tolist() == [1, -1, -1]
+
+
 # --- batched balls against the per-vertex BFS --------------------------------
 
 
