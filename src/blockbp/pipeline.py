@@ -31,10 +31,13 @@ budget of gathered neighbour slots and builds the balls of a whole chunk as
 flat per-level arrays tagged by the owning centre, and the conductance-up,
 current-down, hard-vote and BP-up passes each run once per level across the
 chunk.  The output does not depend on the chunking: it is bit-identical to
-labelling one vertex at a time, the coin stream included (see
-``_label_balls``).  The ``nontree`` count (``Balls.nontree``) counts the
-balls with an induced edge outside the BFS tree, sphere-sphere edges
-included.
+labelling one vertex at a time.  Coins come from two streams.  The
+``"labels"`` stream holds the coins whose number is known before BP (empty
+or unobserved spheres, vote ties), drawn in centre order; a root that comes
+out exactly 0 reads its vertex's entry of one array of uniforms from the
+``"zero-roots"`` stream, drawn once per run (see ``_label_balls``).  The
+``nontree`` count (``Balls.nontree``) counts the balls with an induced edge
+outside the BFS tree, sphere-sphere edges included.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class AlgoConfig:
 
     R_mode "auto" picks the largest R in [1, 6] with (mean degree)^R at most
     n^(1/8), keeping balls small (the theory's floor(log n / (20(a+b))) is 0
-    for every n below e^(20(a+b))); "fixed" takes ``R`` as given.  K is the
+    for every n below e^(20(a+b))) and takes no ``R``; "fixed" takes ``R`` as
+    given.  K is the
     depth of the hard-vote stage, 0 <= K <= R.  ``batch`` None shares one
     black-box run across all vertices; an integer j reruns it per chunk of j
     vertices with the chunk's inner balls held out (j = 1 is the literal
@@ -95,6 +99,8 @@ class AlgoConfig:
             raise ValueError("R_mode must be auto or fixed")
         if self.R_mode == "fixed" and (self.R is None or self.R < 1):
             raise ValueError("fixed R_mode needs R >= 1")
+        if self.R_mode == "auto" and self.R is not None:
+            raise ValueError("R is ignored under R_mode auto; pass R_mode='fixed'")
         if self.K < 0:
             raise ValueError("K must be nonnegative")
         if self.batch is not None and self.batch < 1:
@@ -179,13 +185,15 @@ class _BallLabels(NamedTuple):
     sign: np.ndarray           # int8 +-1
     magnetization: np.ndarray  # float64, 0 where a coin decided
     coin: np.ndarray
+    zero_root: np.ndarray      # the coin decided because the root came out exactly 0
     empty_sphere: np.ndarray
     missing_obs: np.ndarray
     watch_hit: np.ndarray
 
 
 def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
-                 weights_delta, clamp: float, rng, watch=None) -> _BallLabels:
+                 weights_delta, clamp: float, rng, zero_u: np.ndarray,
+                 watch=None) -> _BallLabels:
     """Two-stage root values of every ball in the batch, level by level.
 
     ``xi_side`` gives each vertex's +-1 side (0 = none); it is read on the
@@ -195,13 +203,11 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
 
     Coins come from ``rng`` in centre order, exactly as labelling one centre
     at a time would draw them: one uniform for an empty sphere or a sphere
-    without observations; otherwise the vote ties in level position order,
-    then one uniform if the root value is exactly 0.  The batch draws all
-    its coins in one call and hands them out by offset.  Whether a root is 0
-    can depend on its own tie coins, so a batch with zero roots is redrawn
-    from the saved stream state with the extra uniforms in place; each round
-    settles at least the first centre that disagreed, and the last round
-    leaves the stream where the per-centre order would.
+    without observations, otherwise one per vote tie in level position order.
+    Their number is known before BP, so the batch draws them in one call and
+    hands them out by offset.  A root that comes out exactly 0 takes its coin
+    from ``zero_u``, one uniform per vertex id, so it depends only on the
+    centre and not on the batch.
     """
     r = balls.radius
     c = len(balls.centres)
@@ -238,33 +244,26 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
     tie_rank = np.arange(len(ties), dtype=np.int64) - tie_cut[tie_own]
     fixed = (~regular).astype(np.int64) + n_ties
 
-    state = rng.bit_generator.state
-    zero = np.zeros(c, dtype=bool)
-    while True:
-        draws = fixed + zero
-        first = np.cumsum(draws) - draws
-        u = rng.random(int(draws.sum()))
-        vals = votes.copy()
-        vals[ties] = np.where(u[first[tie_own] + tie_rank] < 0.5, 1.0, -1.0)
-        vals = bp_up(vals, parent_pos[: j0 + 1], sizes, theta, clamp)
-        now = regular & (vals == 0.0)
-        if np.array_equal(now, zero):
-            break
-        zero = now
-        rng.bit_generator.state = state
-
+    first = np.cumsum(fixed) - fixed
+    u = rng.random(int(fixed.sum()))
+    votes[ties] = np.where(u[first[tie_own] + tie_rank] < 0.5, 1.0, -1.0)
+    vals = bp_up(votes, parent_pos[: j0 + 1], sizes, theta, clamp)
+    zero = regular & (vals == 0.0)
     coin = ~regular | zero
     sign = np.where(vals > 0, 1, -1).astype(np.int8)
-    sign[coin] = np.where(u[(first + n_ties)[coin]] < 0.5, 1, -1)
+    sign[~regular] = np.where(u[first[~regular]] < 0.5, 1, -1)
+    sign[zero] = np.where(zero_u[balls.centres[zero]] < 0.5, 1, -1)
     return _BallLabels(sign=sign, magnetization=np.where(coin, 0.0, vals), coin=coin,
-                       empty_sphere=on_sphere == 0, missing_obs=on_sphere - seen,
-                       watch_hit=watch_hit)
+                       zero_root=zero, empty_sphere=on_sphere == 0,
+                       missing_obs=on_sphere - seen, watch_hit=watch_hit)
 
 
 @dataclass
 class RecoveryDiagnostics:
     """Counts a recovery run keeps about itself.
 
+    ``coin_labels`` counts every coin-decided label; ``zero_roots`` is the
+    part of it decided because the root value came out exactly 0.
     ``blackbox_informative`` is false if any black-box run found no
     community eigenvalue and returned a coin-flip split.
     """
@@ -275,6 +274,7 @@ class RecoveryDiagnostics:
     align_ties: int = 0
     align_swaps: int = 0
     coin_labels: int = 0
+    zero_roots: int = 0
     empty_spheres: int = 0
     nontree_neighborhoods: int = 0
     missing_observations: int = 0
@@ -361,6 +361,8 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     sub = remove_set(g, hold_out)
     h = sub.graph
     rng_label = derived_rng(seed, "labels")
+    # the coin of an exact-0 root, keyed by vertex; read on h's ids
+    zero_u = derived_rng(seed, "zero-roots").random(g.n)[sub.new_to_old]
 
     ustar_nbr_mask = np.zeros(h.n, dtype=bool)
     mapped = sub.old_to_new[g.neighbors(u_star)]
@@ -390,11 +392,12 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
             nontree = balls.nontree(h)
             lap("balls")
             out = _label_balls(balls, xi_side_h, cfg.K, tp.theta, cfg.weights_delta,
-                               _CLAMP, rng_label, watch=ustar_nbr_mask)
+                               _CLAMP, rng_label, zero_u, watch=ustar_nbr_mask)
             orig = sub.new_to_old[balls.centres]
             side_out[orig] = out.sign
             mag_out[orig] = out.magnetization
             diag.coin_labels += int(out.coin.sum())
+            diag.zero_roots += int(out.zero_root.sum())
             diag.empty_spheres += int(out.empty_sphere.sum())
             diag.nontree_neighborhoods += int(nontree.sum())
             diag.missing_observations += int(out.missing_obs.sum())

@@ -454,10 +454,27 @@ def save_edge_list(g: LabelledGraph, path) -> None:
 
 
 def load_edge_list(path, labels=None) -> LabelledGraph:
-    """Inverse of save_edge_list; labels default to all +1 if no file given."""
+    """Inverse of save_edge_list; labels default to all +1 if no file given.
+
+    The header "n m" (two nonnegative counts) and every non-blank line after
+    it must be two integers; any other line raises a ValueError that names
+    the file, line and text.
+    """
+
+    def pair(i: int, line: str) -> tuple[int, int]:
+        try:
+            x, y = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}: line {i} {line.strip()!r} is not two "
+                             "integers") from None
+        return x, y
+
     with open(path) as fh:
-        n, m = map(int, fh.readline().split())
-        edges = [tuple(map(int, line.split())) for line in fh if line.strip()]
+        n, m = pair(1, fh.readline())
+        if n < 0 or m < 0:
+            raise ValueError(f"{path}: line 1 header 'n m' is {n} {m}; counts "
+                             "must be nonnegative")
+        edges = [pair(i, line) for i, line in enumerate(fh, 2) if line.strip()]
     if len(edges) != m:
         raise ValueError(f"{path}: header claims {m} edges, found {len(edges)}")
     lab = labels if labels is not None else np.ones(n, dtype=np.int8)

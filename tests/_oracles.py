@@ -7,11 +7,13 @@ shapes are enumerated via level sequences.
 
 The recovery oracle is the per-vertex loop the batched ball engine replaced:
 one BFS with a shared ``visited`` scratch array and one two-stage root
-computation per vertex, drawing coins from the label stream as it goes.  It
-shares only the elementwise kernels (series composition, terminal
-conductance, the BP level combine) and the stages around labelling with the
-library, so bit-equality with ``pipeline.recover`` checks the ball
-construction, the level-synchronous passes and the coin stream.
+computation per vertex, drawing its sphere and tie coins from the label
+stream as it goes and reading an exact-0 root's coin from the vertex's entry
+of the zero-root array.  It shares only the elementwise kernels (series
+composition, terminal conductance, the BP level combine) and the stages
+around labelling with the library, so bit-equality with ``pipeline.recover``
+checks the ball construction, the level-synchronous passes and both coin
+streams.
 """
 
 from __future__ import annotations
@@ -266,14 +268,18 @@ def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, r
 
 
 def label_one(indptr, indices, v, radius, big_k, theta, weights_delta, clamp,
-              xi_side, visited, rng, watch_mask=None) -> dict:
-    """One vertex's label and diagnostics, drawing its coins from ``rng``."""
+              xi_side, visited, rng, zero_coin, watch_mask=None) -> dict:
+    """One vertex's label and diagnostics.
+
+    Sphere and tie coins come from ``rng``; the uniform ``zero_coin`` decides
+    the sign when the root value is exactly 0.
+    """
     levels, parent_pos, induced = bfs_levels(indptr, indices, v, radius, visited)
     out = {"nontree": induced != sum(len(l) for l in levels) - 1,
            "watch_hit": watch_mask is not None
            and any(bool(watch_mask[l].any()) for l in levels[:radius]),
            "empty_sphere": len(levels) - 1 < radius, "missing_obs": 0,
-           "coin": True, "magnetization": 0.0}
+           "coin": True, "zero_root": False, "magnetization": 0.0}
     if not out["empty_sphere"]:
         xi = xi_side[levels[radius]].astype(np.float64)
         out["missing_obs"] = int((xi == 0).sum())
@@ -282,7 +288,9 @@ def label_one(indptr, indices, v, radius, big_k, theta, weights_delta, clamp,
                                    weights_delta, clamp, rng)
             if value != 0.0:
                 out.update(sign=1 if value > 0 else -1, magnetization=value, coin=False)
-                return out
+            else:
+                out.update(sign=1 if zero_coin < 0.5 else -1, zero_root=True)
+            return out
     out["sign"] = 1 if rng.random() < 0.5 else -1
     return out
 
@@ -291,7 +299,7 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
     """``pipeline.recover`` as a per-vertex loop; returns (side, magnetization, counts).
 
     ``counts`` holds the diagnostics the loop accumulates: coin_labels,
-    empty_spheres, nontree_neighborhoods, missing_observations and
+    zero_roots, empty_spheres, nontree_neighborhoods, missing_observations and
     u_star_ball_violations, plus blackbox_runs.
     """
     theta = derive_tree_params(params).theta
@@ -306,15 +314,16 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
     sub = remove_set(g, hold_out)
     h = sub.graph
     rng_label = derived_rng(seed, "labels")
+    zero_u = derived_rng(seed, "zero-roots").random(g.n)  # indexed by g's ids
     watch = np.zeros(h.n, dtype=bool)
     mapped = sub.old_to_new[g.neighbors(u_star)]
     watch[mapped[mapped >= 0]] = True
     side_out = np.zeros(g.n, dtype=np.int8)
     mag_out = np.zeros(g.n, dtype=np.float64)
     visited = np.zeros(h.n, dtype=bool)
-    counts = dict.fromkeys(("coin_labels", "empty_spheres", "nontree_neighborhoods",
-                            "missing_observations", "u_star_ball_violations",
-                            "blackbox_runs"), 0)
+    counts = dict.fromkeys(("coin_labels", "zero_roots", "empty_spheres",
+                            "nontree_neighborhoods", "missing_observations",
+                            "u_star_ball_violations", "blackbox_runs"), 0)
 
     def run_blackbox(graph, tag):
         counts["blackbox_runs"] += 1
@@ -323,13 +332,14 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
 
     def label_chunk(xi_side_h, vertices_h):
         for v in vertices_h:
+            orig = sub.new_to_old[v]
             out = label_one(h.indptr, h.indices, int(v), r, cfg.K, theta,
                             cfg.weights_delta, 1e-12, xi_side_h, visited,
-                            rng_label, watch_mask=watch)
-            orig = sub.new_to_old[v]
+                            rng_label, zero_u[orig], watch_mask=watch)
             side_out[orig] = out["sign"]
             mag_out[orig] = out["magnetization"]
             counts["coin_labels"] += out["coin"]
+            counts["zero_roots"] += out["zero_root"]
             counts["empty_spheres"] += out["empty_sphere"]
             counts["nontree_neighborhoods"] += out["nontree"]
             counts["missing_observations"] += out["missing_obs"]

@@ -56,6 +56,8 @@ def test_config_validation():
         AlgoConfig(R_mode="fixed")
     with pytest.raises(ValueError):
         AlgoConfig(R_mode="strange")
+    with pytest.raises(ValueError, match="R_mode"):
+        AlgoConfig(R=3)  # auto would ignore R and pick its own radius
     with pytest.raises(ValueError):
         AlgoConfig(batch=0)
     with pytest.raises(ValueError):
@@ -134,7 +136,8 @@ def test_align_tie_flagged():
 def _label_one(g, v, side, radius, big_k, theta, seed=0, weights_delta=None):
     """The batched engine on the one-centre ball of v; outputs of centre 0."""
     out = _label_balls(bfs_balls(g, [v], radius), np.asarray(side, dtype=np.int8),
-                       big_k, theta, weights_delta, 1e-12, derived_rng(seed, "label-one", v))
+                       big_k, theta, weights_delta, 1e-12, derived_rng(seed, "label-one", v),
+                       derived_rng(seed, "zero-roots").random(g.n))
     return {name: value[0] for name, value in out._asdict().items()}
 
 
@@ -393,33 +396,51 @@ def test_recover_matches_per_vertex_oracle(case, budget, monkeypatch):
             assert getattr(res.diagnostics, name) == value, name
         if (a, b) == (3, 1):
             assert res.diagnostics.empty_spheres > 0
+            assert res.diagnostics.zero_roots > 0
 
 
-def test_zero_root_redraw_keeps_coin_stream():
-    # R = 2, K = 1: a root whose two level-1 votes cancel is exactly 0 and
-    # takes one more uniform after its tie coins; the batch must redraw so
-    # that every later centre's coins shift by one, as in the per-vertex loop
-    # centre 0: children 1 (+ leaf 3) and 2 (- leaf 4): votes cancel -> root 0
-    # centre 5: children 6 (+ leaf 8) and 7 (unobserved leaf 9): one tie
-    # coin, and a - coin cancels the + vote, so its own coin decides whether
-    # the root is 0
+def test_zero_root_coin_is_keyed_by_vertex():
+    # R = 2, K = 1.  Centre 0: children 1 (+ leaf 3) and 2 (- leaf 4), whose
+    # votes cancel, so its root is exactly 0 with no tie coin.  Centre 5:
+    # children 6 (+ leaf 8) and 7 (unobserved leaf 9) take one tie coin, and
+    # a - coin cancels the + vote, so that root is 0 only on some seeds.
     edges = [(0, 1), (0, 2), (1, 3), (2, 4), (5, 6), (5, 7), (6, 8), (7, 9)]
     g = graph_from_edges(10, edges, [1] * 10)
     side = np.array([1, 1, 1, 1, -1, 1, 1, 1, 1, 0], dtype=np.int8)
+    dark = side.copy()
+    dark[8] = 0  # centre 5's sphere {8, 9} is now unobserved: one coin, no tie
     theta = 0.6
+    signs0, zero5 = set(), set()
     for seed in range(20):
+        zero_u = derived_rng(seed, "zero-roots").random(g.n)
+        sign0 = 1 if zero_u[0] < 0.5 else -1
+        signs0.add(sign0)
+        # a chunk draws exactly its tie and unobserved-sphere coins from the
+        # label stream, and centre 0's coin depends only on (seed, vertex)
+        for xi, centres, draws in ((side, [0, 5, 0, 5], 2), (side, [5, 0], 1),
+                                   (dark, [5, 0, 5], 2)):
+            rng = derived_rng(seed, "z")
+            got = _label_balls(bfs_balls(g, centres, 2), xi, 1, theta, None, 1e-12,
+                               rng, zero_u)
+            after = derived_rng(seed, "z")
+            after.random(draws)
+            assert rng.random() == after.random()
+            for i, v in enumerate(centres):
+                if v == 0:
+                    assert got.zero_root[i] and got.coin[i] and got.sign[i] == sign0
+        # the batch against the per-vertex oracle
         centres = [0, 5, 0, 5]
-        balls = bfs_balls(g, centres, 2)
-        got = _label_balls(balls, side, 1, theta, None, 1e-12, derived_rng(seed, "z"))
+        got = _label_balls(bfs_balls(g, centres, 2), side, 1, theta, None, 1e-12,
+                           derived_rng(seed, "z"), zero_u)
         rng = derived_rng(seed, "z")
         visited = np.zeros(g.n, dtype=bool)
         for i, v in enumerate(centres):
             want = label_one(g.indptr, g.indices, v, 2, 1, theta, None, 1e-12, side,
-                             visited, rng)
-            assert got.sign[i] == want["sign"]
-            assert got.magnetization[i] == want["magnetization"]
-            assert got.coin[i] == want["coin"]
-        assert got.coin[0] and got.coin[2]
+                             visited, rng, zero_u[v])
+            for name in ("sign", "magnetization", "coin", "zero_root"):
+                assert getattr(got, name)[i] == want[name], name
+        zero5.add(bool(got.zero_root[1]))
+    assert signs0 == {1, -1} and zero5 == {True, False}
 
 
 # --- terminal-resistor weights (weights_delta) -------------------------------
@@ -469,9 +490,10 @@ def test_weights_delta_hard_vote_star():
         signs[delta] = want
         # the batched engine over a multi-centre batch and the per-vertex loop agree
         balls = bfs_balls(g, [1, 0, 2], 2)
-        got = _label_balls(balls, side, 2, theta, delta, 1e-12, derived_rng(0, "w"))
+        zero_u = derived_rng(0, "zero-roots").random(g.n)
+        got = _label_balls(balls, side, 2, theta, delta, 1e-12, derived_rng(0, "w"), zero_u)
         loop = label_one(g.indptr, g.indices, 0, 2, 2, theta, delta, 1e-12, side,
-                         np.zeros(g.n, dtype=bool), derived_rng(0, "w"))
+                         np.zeros(g.n, dtype=bool), derived_rng(0, "w"), zero_u[0])
         assert got.magnetization[1] == loop["magnetization"] == want
     assert signs[None] == 1.0 and signs[0.45] == -1.0
 

@@ -224,6 +224,30 @@ def test_load_labels_skips_blank_lines(tmp_path):
     assert load_labels(path, 3).tolist() == [1, -1, -1]
 
 
+@pytest.mark.parametrize("lines, match", [
+    (["3 2", "0 1", "x 2"], r"line 3 'x 2' is not two integers"),
+    (["3 2", "0 1 2", "1 2"], r"line 2 '0 1 2' is not two integers"),
+    (["3", "0 1", "1 2"], r"line 1 '3' is not two integers"),
+    (["-1 0"], r"line 1 header 'n m' is -1 0"),
+], ids=["not-an-int", "three-fields", "one-field-header", "negative-n"])
+def test_load_edge_list_rejects_bad_lines(tmp_path, lines, match):
+    # these used to raise int()'s, numpy's or tuple unpacking's own message,
+    # which named neither the file nor the line
+    path = tmp_path / "g.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match) as err:
+        load_edge_list(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_edge_list_skips_blank_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n0 1\n\n1 2\n")
+    g = load_edge_list(path)
+    assert g.n == 3 and g.m == 2
+    assert g.neighbors(1).tolist() == [0, 2]
+
+
 # --- batched balls against the per-vertex BFS --------------------------------
 
 
