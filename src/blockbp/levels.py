@@ -20,18 +20,22 @@ from __future__ import annotations
 import numpy as np
 
 
+def _edge_llr(msgs: np.ndarray, theta: float, clamp: float) -> np.ndarray:
+    """Child magnetizations as parent LLR terms; odd in msgs (symmetric clip)."""
+    lim = 1.0 - clamp
+    return np.arctanh(np.clip(theta * msgs, -lim, lim))
+
+
+def _sum_llrs(llrs: np.ndarray, parent_pos: np.ndarray, n_parents: int, clamp: float):
+    """Parent magnetizations from child LLR terms; 0 for a parent without children."""
+    lim = 1.0 - clamp
+    return np.clip(np.tanh(np.bincount(parent_pos, weights=llrs, minlength=n_parents)), -lim, lim)
+
+
 def _combine_levels(msgs: np.ndarray, parent_pos: np.ndarray, n_parents: int,
                     theta: float, clamp: float) -> np.ndarray:
-    """One recursion level over arrays: child values -> parent values.
-
-    msgs are child magnetizations, parent_pos[i] the index of child i's
-    parent within its level.  Parents with no children get 0 (no
-    information -> uniform posterior).
-    """
-    lim = 1.0 - clamp
-    r = np.arctanh(np.clip(theta * msgs, -lim, lim))
-    sums = np.bincount(parent_pos, weights=r, minlength=n_parents)
-    return np.clip(np.tanh(sums), -lim, lim)
+    """One BP level: child magnetizations -> parents (parent_pos[i] is child i's)."""
+    return _sum_llrs(_edge_llr(msgs, theta, clamp), parent_pos, n_parents, clamp)
 
 
 def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:

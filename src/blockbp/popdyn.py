@@ -16,10 +16,10 @@ per-level arrays tagged by trial id; it is used where per-tree quantities are
 needed (current-weighted estimators, per-tree conductance) and as an
 independent cross-check of the population chain.
 
-All chains consume randomness in a delta-independent pattern, so runs with
-the same seed and different noise levels share tree structure and spins
-(coupled comparisons), and a run with delta=0 reproduces the noiseless chain
-exactly.
+All chains draw the tree structure and spins in a delta-independent pattern
+(``dary_sum_trials`` draws its noise after every spin), so runs with the same
+seed and different noise levels share them (coupled comparisons), and a run
+with delta=0 reproduces the noiseless chain exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levels import _combine_levels, _terminal_conductance, conductance_up, current_down
+from .levels import _edge_llr, _sum_llrs, _terminal_conductance, conductance_up, current_down
 from .seeding import as_generator
 
 __all__ = [
@@ -65,7 +65,18 @@ def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.n
     raise ValueError(f"unknown tree kind {kind!r}")
 
 
-def _check_chain_inputs(trials: int, delta: float | None) -> None:
+def _generation(kind: str, d: float, trials: int, rng: np.random.Generator):
+    """One generation: children drawn from the pool (idx) and their new member (seg)."""
+    counts = _offspring(kind, d, trials, rng)
+    idx = rng.integers(0, trials, int(counts.sum()))
+    return idx, np.repeat(np.arange(trials), counts)
+
+
+def _check_chain_inputs(theta: float, k: int, trials: int, delta: float | None, k_min=0) -> None:
+    if not -1.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [-1, 1]")
+    if k < k_min:
+        raise ValueError(f"k must be >= {k_min}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _terminal_conductance(delta)  # rejects delta outside [0, 1/2)
@@ -86,7 +97,9 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     the noisy observation: tau scaled by (1 - 2*delta) for y_init="noisy", or
     the bare sign tau for y_init="signs".  Both then follow the same
     recursion through the same sampled offspring and flips, so (X - Y) is the
-    effect of leaf initialization alone.
+    effect of leaf initialization alone.  The edge transform arctanh(theta v)
+    is odd, so it runs once per pool member and each child slot multiplies
+    its gathered value by its flip sign: the bits of a per-slot transform.
 
     Returns (rows, pools): one dict per level 0..k with mean/std/ci of X, |X|,
     Y, |Y|, (X-Y)^2 and sqrt|X-Y|, plus the final pools {"x": ..., "y": ...}.
@@ -100,9 +113,7 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     to a tight tolerance.
     """
     rng = as_generator(rng)
-    if not -1.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [-1, 1]")
-    _check_chain_inputs(trials, delta)
+    _check_chain_inputs(theta, k, trials, delta)
     eta = 0.5 * (1.0 - theta)
 
     tau = np.where(rng.random(trials) < delta, -1.0, 1.0)
@@ -125,15 +136,11 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
         return out
 
     rows = [row(0)]
-    idx_lvl = np.arange(trials)
     for level in range(1, k + 1):
-        counts = _offspring(kind, d, trials, rng)
-        m = int(counts.sum())
-        idx = rng.integers(0, trials, m)
-        sgn = np.where(rng.random(m) < eta, -1.0, 1.0)
-        seg = np.repeat(idx_lvl, counts)
-        x = _combine_levels(sgn * x[idx], seg, trials, theta, clamp)
-        y = _combine_levels(sgn * y[idx], seg, trials, theta, clamp)
+        idx, seg = _generation(kind, d, trials, rng)
+        sgn = np.where(rng.random(len(idx)) < eta, -1.0, 1.0)
+        x = _sum_llrs(_edge_llr(x, theta, clamp).take(idx) * sgn, seg, trials, clamp)
+        y = _sum_llrs(_edge_llr(y, theta, clamp).take(idx) * sgn, seg, trials, clamp)
         rows.append(row(level))
     return rows, {"x": x, "y": y}
 
@@ -152,7 +159,7 @@ def sum_chain(kind: str, d: float, theta: float, k: int, trials: int, rng, *,
     moment checks, and this chain where trees are too big to materialize.
     """
     rng = as_generator(rng)
-    _check_chain_inputs(trials, delta)
+    _check_chain_inputs(theta, k, trials, delta)
     eta = 0.5 * (1.0 - theta)
     tau = np.where(rng.random(trials) < delta, -1.0, 1.0)
     s = np.ones(trials)
@@ -171,13 +178,9 @@ def sum_chain(kind: str, d: float, theta: float, k: int, trials: int, rng, *,
         return out
 
     rows = [row(0)]
-    idx_lvl = np.arange(trials)
     for level in range(1, k + 1):
-        counts = _offspring(kind, d, trials, rng)
-        m = int(counts.sum())
-        idx = rng.integers(0, trials, m)
-        sgn = np.where(rng.random(m) < eta, -1.0, 1.0)
-        seg = np.repeat(idx_lvl, counts)
+        idx, seg = _generation(kind, d, trials, rng)
+        sgn = np.where(rng.random(len(idx)) < eta, -1.0, 1.0)
         s = np.bincount(seg, weights=sgn * s[idx], minlength=trials)
         sn = np.bincount(seg, weights=sgn * sn[idx], minlength=trials)
         rows.append(row(level))
@@ -196,17 +199,15 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
     rng = as_generator(rng)
     if not -1.0 < theta < 1.0 or theta == 0.0:
         raise ValueError("conductance needs 0 < |theta| < 1")
-    _check_chain_inputs(trials, delta)
+    _check_chain_inputs(theta, k, trials, delta, k_min=1)
     keep = set(keep_levels) if keep_levels is not None else set()
+    if not keep <= set(range(1, k + 1)):
+        raise ValueError("keep_levels must lie in 1..k")
     z = np.full(trials, _terminal_conductance(delta))
     rows = []
     pools: dict[int, np.ndarray] = {}
-    idx_lvl = np.arange(trials)
     for level in range(1, k + 1):
-        counts = _offspring(kind, d, trials, rng)
-        m = int(counts.sum())
-        idx = rng.integers(0, trials, m)
-        seg = np.repeat(idx_lvl, counts)
+        idx, seg = _generation(kind, d, trials, rng)
         z = conductance_up(z[idx], [None, seg], [trials], theta)[0][0]
         rows.append({
             "level": level,
@@ -220,36 +221,31 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
 
 
 def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
-                    delta: float = 0.0, batch: int = 10_000):
+                    delta: float = 0.0):
     """Independent-trial level sums on the d-ary tree, all depths 0..k.
 
-    Simulates whole broadcast trees (in trial batches to bound memory) and
-    records S_j and S~_j per trial for every level j; unlike ``sum_chain``
-    the trials are fully independent, so plain CIs are exact.  Noise is drawn
-    fresh per level, which matches each level being its own observation
-    experiment.  Returns (s, sn): arrays of shape (k+1, trials).
+    Records S_j and S~_j per trial for every level j; unlike ``sum_chain``
+    the trials are fully independent, so plain CIs are exact.  Only counts are
+    drawn: level j has N_j ~ Bin(d (d^{j-1} - N_{j-1}), eta) + Bin(d N_{j-1},
+    1 - eta) minus spins, S_j = d^j - 2 N_j, and fresh per-level delta noise
+    is two binomials likewise, drawn after all spins so that S does not
+    depend on delta.  Returns (s, sn): arrays of shape (k+1, trials).
     """
     rng = as_generator(rng)
-    _check_chain_inputs(trials, delta)
+    _check_chain_inputs(theta, k, trials, delta)
     di = int(d)
     if di != d:
         raise ValueError("d-ary trees need integer d")
+    if di ** k >= 2 ** 53:  # float64 level sums stop being exact
+        raise ValueError("d**k must stay below 2**53")
     eta = 0.5 * (1.0 - theta)
-    s = np.empty((k + 1, trials))
-    sn = np.empty((k + 1, trials))
-    for lo in range(0, trials, batch):
-        b = min(batch, trials - lo)
-        sig = np.ones(b)
-        s[0, lo:lo + b] = 1.0
-        sn[0, lo:lo + b] = np.where(rng.random(b) < delta, -1.0, 1.0)
-        for j in range(1, k + 1):
-            m = b * di ** j
-            sig = np.repeat(sig, di) * np.where(rng.random(m) < eta, -1.0, 1.0)
-            tau = sig * np.where(rng.random(m) < delta, -1.0, 1.0)
-            view = sig.reshape(b, -1)
-            s[j, lo:lo + b] = view.sum(axis=1)
-            sn[j, lo:lo + b] = tau.reshape(b, -1).sum(axis=1)
-    return s, sn
+    width = np.array([di ** j for j in range(k + 1)], dtype=np.int64)[:, None]
+    minus = np.zeros((k + 1, trials), dtype=np.int64)
+    for j in range(1, k + 1):
+        minus[j] = (rng.binomial(di * (width[j - 1] - minus[j - 1]), eta)
+                    + rng.binomial(di * minus[j - 1], 1.0 - eta))
+    seen = rng.binomial(width - minus, delta) + rng.binomial(minus, 1.0 - delta)
+    return (width - 2 * minus).astype(float), (width - 2 * seen).astype(float)
 
 
 # ---------------------------------------------------------------------------

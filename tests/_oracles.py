@@ -1,9 +1,15 @@
 """Independent oracles used by the test suite.
 
 These deliberately share no code with the library paths they check: the
-resistor network is solved as a dense Laplacian system, estimator moments are
-computed by exhaustive enumeration over spin configurations, and rooted tree
-shapes are enumerated via level sequences.
+resistor network is solved as a dense Laplacian system, estimator moments and
+the law of the d-ary level sums are computed by exhaustive enumeration over
+edge flips and leaf noise, and rooted tree shapes are enumerated via level
+sequences.
+
+The per-slot magnetization chain runs every child slot, its flip sign times
+its pool member, through the BP level combine.  It shares the offspring draw, the level combine and
+the row statistics with the library, so bit-equality with
+``popdyn.magnetization_chain`` checks its pool-side edge transform.
 
 The recovery oracle is the per-vertex loop the batched ball engine replaced:
 one BFS with a shared ``visited`` scratch array and one two-stage root
@@ -28,6 +34,7 @@ from blockbp.levels import _combine_levels, _compose_through_edge, _terminal_con
 from blockbp.params import derive_tree_params
 from blockbp.partition import blackbox_partition
 from blockbp.pipeline import align_partition, choose_anchor, resolve_radius
+from blockbp.popdyn import _offspring, _stat
 from blockbp.randgraph import remove_set
 from blockbp.seeding import derived_rng
 
@@ -149,6 +156,70 @@ def enumerate_estimator_moments(tree: BroadcastTree, theta: float, weights,
     mean /= total_p
     second /= total_p
     return mean, second - mean * mean
+
+
+def dary_level_sum_pmf(d: int, k: int, theta: float, delta: float) -> dict:
+    """Exact joint law of (S_k, S~_k) on the depth-k d-ary tree, sigma_root = +.
+
+    Enumerates every pattern of edge flips (each with probability eta) and,
+    for each, every pattern of leaf noise (each leaf flipped with probability
+    delta).  Nodes are numbered breadth first, root 0, so node i >= 1 has
+    parent (i - 1) // d and the last d^k nodes are the leaves.  Returns
+    {(s, s_noisy): probability}.
+    """
+    eta = 0.5 * (1.0 - theta)
+    n_leaves = d ** k
+    n_edges = sum(d ** j for j in range(1, k + 1))
+    edge_bits = (np.arange(2 ** n_edges)[:, None] >> np.arange(n_edges)) & 1
+    spins = np.ones((2 ** n_edges, n_edges + 1), dtype=np.int64)
+    for i in range(1, n_edges + 1):
+        spins[:, i] = spins[:, (i - 1) // d] * (1 - 2 * edge_bits[:, i - 1])
+    leaves = spins[:, -n_leaves:]
+    n_flips = edge_bits.sum(axis=1)
+    p_edges = eta ** n_flips * (1.0 - eta) ** (n_edges - n_flips)
+    noise_bits = (np.arange(2 ** n_leaves)[:, None] >> np.arange(n_leaves)) & 1
+    n_noisy = noise_bits.sum(axis=1)
+    p_noise = delta ** n_noisy * (1.0 - delta) ** (n_leaves - n_noisy)
+    s = np.repeat(leaves.sum(axis=1), 2 ** n_leaves)
+    s_noisy = (leaves @ (1 - 2 * noise_bits).T).ravel()  # edge-major, like s
+    # the sums are even or odd with n_leaves; code each pair as one integer
+    side = n_leaves + 1
+    code = (s + n_leaves) // 2 * side + (s_noisy + n_leaves) // 2
+    mass = np.bincount(code, weights=np.outer(p_edges, p_noise).ravel(),
+                       minlength=side * side)
+    return {(2 * (c // side) - n_leaves, 2 * (c % side) - n_leaves): float(mass[c])
+            for c in np.flatnonzero(mass)}
+
+
+def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,
+                                 trials: int, rng, *, delta: float = 0.0,
+                                 clamp: float = 1e-12, y_init: str = "noisy"):
+    """``popdyn.magnetization_chain`` with the edge transform on every child slot.
+
+    Draws the same random numbers in the same order; returns (rows, pools).
+    """
+    eta = 0.5 * (1.0 - theta)
+    tau = np.where(rng.random(trials) < delta, -1.0, 1.0)
+    x = np.ones(trials)
+    y = (1.0 - 2.0 * delta) * tau if y_init == "noisy" else tau.copy()
+
+    def row(level: int) -> dict:
+        out = {"level": level, "n": trials}
+        for name, v in (("x", x), ("absx", np.abs(x)), ("y", y), ("absy", np.abs(y)),
+                        ("diff2", (x - y) ** 2), ("sqrtdiff", np.sqrt(np.abs(x - y)))):
+            out.update(_stat(name, v, trials))
+        return out
+
+    rows = [row(0)]
+    for level in range(1, k + 1):
+        counts = _offspring(kind, d, trials, rng)
+        idx = rng.integers(0, trials, int(counts.sum()))
+        sgn = np.where(rng.random(len(idx)) < eta, -1.0, 1.0)
+        seg = np.repeat(np.arange(trials), counts)
+        x = _combine_levels(sgn * x[idx], seg, trials, theta, clamp)
+        y = _combine_levels(sgn * y[idx], seg, trials, theta, clamp)
+        rows.append(row(level))
+    return rows, {"x": x, "y": y}
 
 
 def rooted_tree_parent_lists(max_nodes: int):

@@ -5,8 +5,10 @@ different code paths; agreement within Monte Carlo error on small depths is
 what licenses using the chains at depths where explicit trees are impossible.
 """
 
+import _oracles
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from blockbp import popdyn
 from blockbp.bpcore import BpConfig, bp_root
@@ -137,6 +139,55 @@ def test_forest_weights_match_object_api():
         assert out["r"][i] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, d, theta, k, delta, y_init", [
+    ("gw", 3.0, 0.5, 6, 0.0, "noisy"),
+    ("gw", 64.0, 0.3, 3, 0.4, "noisy"),
+    ("gw", 2.5, -0.6, 8, 0.2, "signs"),
+    ("dary", 2, 0.75, 8, 0.0, "signs"),
+    ("dary", 40, 0.9, 3, 0.4, "noisy"),
+])
+def test_pool_side_edge_transform_is_exact(kind, d, theta, k, delta, y_init):
+    # transforming each pool member once and negating flipped slots gives
+    # the bits of transforming every slot (arctanh must be exactly odd)
+    args = (kind, d, theta, k, 20_000)
+    kw = {"delta": delta, "y_init": y_init}
+    want_rows, want = _oracles.magnetization_chain_per_slot(
+        *args, np.random.default_rng(13), **kw)
+    rows, pools = popdyn.magnetization_chain(*args, np.random.default_rng(13), **kw)
+    assert rows == want_rows
+    assert np.array_equal(pools["x"], want["x"])
+    assert np.array_equal(pools["y"], want["y"])
+
+
+def test_dary_sum_trials_law_matches_enumeration():
+    # chi-square of the joint (S_3, S~_3) frequencies against the exact law
+    # from all 2^14 edge-flip and 2^8 leaf-noise patterns of the binary tree
+    d, theta, delta, k, trials = 2, 0.5, 0.2, 3, 100_000
+    pmf = _oracles.dary_level_sum_pmf(d, k, theta, delta)
+    s, sn = popdyn.dary_sum_trials(d, theta, k, trials, np.random.default_rng(14),
+                                   delta=delta)
+    cells = sorted(pmf)
+    got = {c: 0 for c in cells}
+    for pair in zip(s[k].astype(int).tolist(), sn[k].astype(int).tolist()):
+        got[pair] += 1  # a pair outside the support raises KeyError
+    expect = np.array([trials * pmf[c] for c in cells])
+    count = np.array([got[c] for c in cells], dtype=float)
+    small = expect < 5.0  # pool the sparse cells into one
+    expect = np.append(expect[~small], expect[small].sum())
+    count = np.append(count[~small], count[small].sum())
+    stat = float(((count - expect) ** 2 / expect).sum())
+    assert chi2.sf(stat, len(expect) - 1) > 1e-3
+
+
+def test_dary_sum_trials_spins_do_not_depend_on_delta():
+    s0, sn0 = popdyn.dary_sum_trials(3, 0.6, 4, 5_000, np.random.default_rng(15))
+    s1, sn1 = popdyn.dary_sum_trials(3, 0.6, 4, 5_000, np.random.default_rng(15),
+                                     delta=0.2)
+    assert np.array_equal(s0, s1)
+    assert np.array_equal(sn0, s0)
+    assert not np.array_equal(sn1, s1)
+
+
 def test_chain_determinism():
     a, _ = popdyn.magnetization_chain("gw", 3.0, 0.5, 4, 5_000,
                                       np.random.default_rng(11), delta=0.2)
@@ -233,3 +284,35 @@ def test_harness_rejects_delta_out_of_range():
     for spec in (robust, conductance):
         with pytest.raises(ValueError, match="delta"):
             run_experiment(spec)
+
+
+@pytest.mark.parametrize("theta", [3.0, -1.5, float("nan")])
+def test_chains_reject_theta_out_of_range(theta):
+    rng = np.random.default_rng(0)
+    for run in (lambda: popdyn.magnetization_chain("gw", 2.0, theta, 2, 100, rng),
+                lambda: popdyn.sum_chain("gw", 2.0, theta, 2, 100, rng),
+                lambda: popdyn.dary_sum_trials(2, theta, 2, 100, rng)):
+        with pytest.raises(ValueError, match="theta"):
+            run()
+
+
+def test_chains_reject_depth_out_of_range():
+    rng = np.random.default_rng(0)
+    for run in (lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, -2, 100, rng),
+                lambda: popdyn.sum_chain("gw", 2.0, 0.5, -1, 100, rng),
+                lambda: popdyn.dary_sum_trials(2, 0.5, -1, 100, rng),
+                lambda: popdyn.conductance_chain("gw", 2.0, 0.5, 0, 100, rng)):
+        with pytest.raises(ValueError, match="k must be"):
+            run()
+    # float64 level sums are exact only below 2^53
+    with pytest.raises(ValueError, match=r"d\*\*k"):
+        popdyn.dary_sum_trials(2, 0.5, 53, 1, rng)
+
+
+def test_harness_rejects_conductance_depth_zero():
+    from blockbp.harness import ExperimentSpec, run_experiment
+
+    spec = ExperimentSpec(kind="conductance-check", params={"a": 30.0, "b": 4.0},
+                          grid={"k": [0, 2]}, trials=2_000, seed=1)
+    with pytest.raises(ValueError, match="keep_levels"):
+        run_experiment(spec)

@@ -1,0 +1,124 @@
+"""Summarise benchmark runs into BENCH_<label>.json at the repository root.
+
+Each side is a checkout whose ``benchmarks/out/*-trace0.json`` files (written
+by ``benchmarks/run.py --trace 0``) are read:
+
+    python3 tools/bench_summary.py LABEL [NAME=CHECKOUT ...]
+
+With no NAME=CHECKOUT the one side is ``change``, this repository.  For
+every side and workload the summary gives the run count, the seeds, whether
+every run passed its output checks, and per end-to-end metric the median,
+the quartiles and the values; each side also keeps the distinct environment
+blocks its runs recorded.  With two sides, the first is the base, and runs of
+one workload with the same seed on both sides are paired: per metric, the
+pairs the second side wins (by the direction BENCHMARK.json gives, ties
+counting for neither), the change of the median, and the base's quartile
+spread that a claimed gain must exceed.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values):
+    """(q1, median, q3), inclusive method; one value is its own quartiles."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def read_side(checkout: Path, metrics) -> dict:
+    paths = sorted((checkout / "benchmarks" / "out").glob("*-trace0.json"))
+    if not paths:
+        sys.exit(f"no *-trace0.json runs under {checkout / 'benchmarks' / 'out'}")
+    runs: dict = {}
+    environments = []
+    for path in paths:
+        run = json.loads(path.read_text())
+        runs.setdefault(run["workload"], []).append(run)
+        if run["environment"] not in environments:
+            environments.append(run["environment"])
+    workloads = {}
+    for name, group in sorted(runs.items()):
+        group.sort(key=lambda r: r["seed"])
+        summary = {}
+        for metric in metrics:
+            values = [r["result"]["metrics"][metric]["value"] for r in group
+                      if metric in r["result"]["metrics"]]
+            if not values:
+                continue
+            q1, med, q3 = quartiles(values)
+            summary[metric] = {"unit": group[0]["result"]["metrics"][metric]["unit"],
+                               "median": med, "q1": q1, "q3": q3, "values": values}
+        workloads[name] = {
+            "runs": len(group),
+            "seeds": [r["seed"] for r in group],
+            "run_seconds": sorted({r["seconds"] for r in group}),
+            "all_correct": all(r["result"]["correct"] for r in group),
+            "metrics": summary,
+        }
+    return {"environments": environments, "workloads": workloads}
+
+
+def pair_sides(base: dict, change: dict, better: dict) -> dict:
+    out = {}
+    for name, b in base["workloads"].items():
+        c = change["workloads"].get(name)
+        if c is None:
+            continue
+        seeds = sorted(set(b["seeds"]) & set(c["seeds"]))
+        per_metric = {}
+        for metric, direction in better.items():
+            if metric not in b["metrics"] or metric not in c["metrics"]:
+                continue
+            bv = dict(zip(b["seeds"], b["metrics"][metric]["values"]))
+            cv = dict(zip(c["seeds"], c["metrics"][metric]["values"]))
+            sign = -1.0 if direction == "lower" else 1.0
+            wins = sum(sign * (cv[s] - bv[s]) > 0 for s in seeds)
+            losses = sum(sign * (cv[s] - bv[s]) < 0 for s in seeds)
+            bm, cm = b["metrics"][metric], c["metrics"][metric]
+            per_metric[metric] = {
+                "better": direction, "pairs": len(seeds), "wins": wins, "losses": losses,
+                "median_change": cm["median"] - bm["median"],
+                "median_change_frac": ((cm["median"] - bm["median"]) / bm["median"]
+                                       if bm["median"] else None),
+                "base_quartile_spread": bm["q3"] - bm["q1"],
+            }
+        out[name] = {"seeds": seeds, "metrics": per_metric}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("label")
+    parser.add_argument("sides", nargs="*", metavar="NAME=CHECKOUT")
+    args = parser.parse_args(argv)
+    sides = [s.split("=", 1) for s in args.sides] or [["change", str(ROOT)]]
+    if any(len(s) != 2 or not s[0] for s in sides):
+        parser.error("each side is NAME=CHECKOUT")
+    if len({name for name, _ in sides}) != len(sides):
+        parser.error("side names must differ")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    summary = {"label": args.label, "command": bench["command"],
+               "sides": {name: read_side(Path(path).resolve(), better)
+                         for name, path in sides}}
+    if len(sides) == 2:
+        (base, _), (change, _) = sides
+        summary["base"], summary["change"] = base, change
+        summary["pairs"] = pair_sides(summary["sides"][base], summary["sides"][change],
+                                      better)
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(summary, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
