@@ -373,6 +373,8 @@ def _recover_rep(spec_dict: dict, rep: int) -> dict:
         "accuracy": res.accuracy,
         "delta_frac": res.report.delta_frac,
         "r_used": res.diagnostics.r_used,
+        "coin_frac": res.diagnostics.coin_labels / g.n,
+        "nontree_frac": res.diagnostics.nontree_neighborhoods / g.n,
         "seconds": time.perf_counter() - t0,
     }
 
@@ -390,12 +392,15 @@ def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]
         "R": r_used, "K": int(p.get("K", 1)),
     }
     out = []
+    # per rep: accuracy, then the fractions of all n vertices that were
+    # labelled by a coin (hold-out included) and whose ball is not a tree
     for res in results:
-        out.append(ResultRow(
-            experiment=spec.kind,
-            coords={**base, "rep": res["rep"], "metric": "accuracy"},
-            estimate=res["accuracy"], ci=0.0, trials=1, seconds=res["seconds"],
-        ))
+        for metric in ("accuracy", "coin_frac", "nontree_frac"):
+            out.append(ResultRow(
+                experiment=spec.kind, coords={**base, "rep": res["rep"], "metric": metric},
+                estimate=res[metric], ci=0.0, trials=1,
+                seconds=res["seconds"] if metric == "accuracy" else 0.0,
+            ))
     accs = np.array([res["accuracy"] for res in results])
     out.append(ResultRow(
         experiment=spec.kind, coords={**base, "rep": -1, "metric": "mean_accuracy"},

@@ -44,12 +44,13 @@ def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:
     In subtree-local units the parent edge has resistance (1-theta^2)/theta^2,
     so the composed conductance is theta^2 * z / ((1-theta^2) z + 1), handled
     in the reciprocal form to keep z = inf (a terminal) and z = 0 (extinct)
-    exact without special cases.
+    exact without special cases: 1/z is 0 and inf there.
     """
     t2 = theta * theta
-    inv = np.full_like(z, np.inf)
-    np.divide(1.0, z, out=inv, where=z > 0)  # z=inf -> 0, z=0 -> stays inf
-    return t2 / ((1.0 - t2) + inv)
+    with np.errstate(divide="ignore"):
+        inv = np.divide(1.0, z)
+    inv += 1.0 - t2
+    return np.divide(t2, inv, out=inv)
 
 
 def _terminal_conductance(delta: float | None) -> float:
@@ -100,7 +101,8 @@ def current_down(zs: list, cs: list, parent_pos: list):
     At every node the current divides in proportion to the children's
     composed conductances from ``conductance_up``; a node of conductance 0
     passes nothing on.  Returns (current, root) on the last level: each
-    node's current and the position of its level-0 ancestor.
+    node's current and the position of its level-0 ancestor (for a two-level
+    slice, ``root`` is ``parent_pos[1]`` itself).
     """
     cur = np.ones(len(zs[0]))
     root = np.arange(len(zs[0]), dtype=np.int64)
@@ -109,6 +111,8 @@ def current_down(zs: list, cs: list, parent_pos: list):
         zpar = zs[j - 1][pp]
         frac = np.zeros(len(pp))
         np.divide(cs[j], zpar, out=frac, where=zpar > 0)
-        cur = cur[pp] * frac
-        root = root[pp]
+        if j == 1:  # level 0 carries unit currents and is its own root
+            cur, root = frac, pp
+        else:
+            cur, root = np.multiply(cur[pp], frac, out=frac), root[pp]
     return cur, root

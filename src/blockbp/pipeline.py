@@ -53,7 +53,7 @@ import numpy as np
 from .levels import _terminal_conductance, bp_up, conductance_up, current_down
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
-from .randgraph import Balls, LabelledGraph, _owner_cut, _run_sums, ball_batches, remove_set
+from .randgraph import Balls, LabelledGraph, _owner_cut, ball_batches, remove_set
 from .seeding import derived_rng
 
 __all__ = [
@@ -217,7 +217,7 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
     observed = xi != 0.0
     cut = _owner_cut(owner[r], c)
     on_sphere = np.diff(cut)
-    seen = _run_sums(observed, cut)
+    seen = np.diff(np.searchsorted(np.flatnonzero(observed), cut))
     regular = seen > 0
     watch_hit = np.zeros(c, dtype=bool)
     if watch is not None:
@@ -230,8 +230,9 @@ def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
         z = np.where(observed, _terminal_conductance(weights_delta), 0.0)
         zs, cs = conductance_up(z, parent_pos[j0:], sizes[j0:], theta)
         cur, anc = current_down(zs, cs, parent_pos[j0:])
-        w = cur * theta ** (-big_k)
-        sums = np.bincount(anc, weights=w * xi, minlength=sizes[j0])
+        cur *= theta ** (-big_k)
+        cur *= xi
+        sums = np.bincount(anc, weights=cur, minlength=sizes[j0])
         votes = np.sign(sums)
         ties = np.flatnonzero((sums == 0.0) & regular[owner[j0]])
     else:

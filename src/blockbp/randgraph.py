@@ -11,6 +11,10 @@ in ascending id order and the BFS parent of a newly discovered vertex is its
 smallest-id neighbor in the previous shell.  ``bfs_balls`` builds the balls
 of many centres at once, one sort per level over keys tagged by the owning
 centre, into one ``Balls``; ``extract_neighborhood`` is its one-centre case.
+A key packs (owner, vertex, discoverer tag) into fields of
+bit_length(c - 1), bit_length(n - 1) and bit_length(largest per-owner front)
+bits for c centres on n vertices, and a level sorts its keys as uint32 when
+the three fields fit in 32 bits, as int64 otherwise.
 ``ball_batches`` cuts a long list of centres into batches of about
 ``_BALL_BUDGET`` gathered neighbour slots, which bounds the working set and
 is not a setting, and ``Balls.nontree`` flags the balls that are not trees.
@@ -241,39 +245,6 @@ def _run_sums(values: np.ndarray, cut: np.ndarray) -> np.ndarray:
     return np.diff(np.concatenate(([0], np.cumsum(values)))[cut])
 
 
-def _scan(indptr, indices, front_own, front, placed, vb: int, n_owners: int):
-    """Gather the neighbours of a front and sort them against placed vertices.
-
-    ``front`` (owned by ``front_own``) is sorted by (owner, vertex id);
-    ``placed`` holds the keys of vertices that may not be placed again.  A
-    neighbour's key is (owner, vertex, 1 + its discoverer's position within
-    the owner's front), a placed key has tag 0, so one sort puts every
-    (owner, vertex) group together with a placed entry first and then the
-    smallest-id discoverer.  Returns (keys of the newly found vertices, per
-    owner: neighbours that landed on a placed vertex, per owner: discoveries
-    of a new vertex beyond its first).
-    """
-    nbrs, degs = _gather(indptr, indices, front)
-    start = _owner_cut(front_own, n_owners)
-    local = np.arange(len(front), dtype=np.int64) - start[front_own]
-    tagged = np.repeat((front_own << (2 * vb)) | (local + 1), degs)
-    tagged |= np.left_shift(nbrs, vb, out=nbrs)
-    keys = np.concatenate((placed, tagged))
-    keys.sort()
-    group = keys >> vb
-    head = np.empty(len(keys), dtype=bool)
-    head[:1] = True
-    np.not_equal(group[1:], group[:-1], out=head[1:])
-    head = np.flatnonzero(head)
-    size = np.diff(head, append=len(keys))
-    first = keys[head]
-    new = (first & ((1 << vb) - 1)) != 0  # no placed entry in the group
-    found = first[new]
-    cut = _owner_cut(found >> (2 * vb), n_owners)
-    members = _run_sums(size[new], cut)
-    return found, _run_sums(degs, start) - members, members - np.diff(cut)
-
-
 @dataclass(frozen=True)
 class Balls:
     """BFS balls of one radius around a batch of centres, as flat level arrays.
@@ -352,34 +323,75 @@ def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
     previous or the current level, and keep the smallest-id discoverer of
     each new (owner, vertex).  Shells, parents and their order match a BFS
     of each centre on its own that scans neighbours in ascending id order.
+
+    The step sorts keys (owner, vertex, tag), packed as the module docstring
+    says.  A neighbour's tag is 1 + its discoverer's position within the
+    owner's front and a placed vertex's tag is 0, so a placed entry sorts
+    first in its (owner, vertex) group and the smallest-id discoverer next.
+    ``centres`` must be integer vertex ids in [0, n) and ``radius`` >= 0.
     """
-    centres = np.asarray(centres, dtype=np.int64)
+    centres = np.asarray(centres)
+    if centres.ndim != 1 or (centres.size and centres.dtype.kind not in "iu"):
+        raise ValueError("centres must be a 1-d array of integer vertex ids")
+    centres = centres.astype(np.int64, copy=False)
+    if centres.size and not (0 <= centres.min() and centres.max() < g.n):
+        raise ValueError(f"centres hold a vertex id out of range [0, {g.n})")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     c = len(centres)
     if c > _max_ball_centres(g.n):
         raise ValueError(f"at most {_max_ball_centres(g.n)} centres per call at n={g.n}")
-    vb = _vertex_bits(g.n)
-    vmask = (1 << vb) - 1
-    owner = [np.arange(c, dtype=np.int64)]
+    ob, vb = max(c - 1, 0).bit_length(), max(g.n - 1, 0).bit_length()
+    cut = np.arange(c + 1)  # owner o's entries of a level span [cut[o], cut[o + 1])
+    owner = [cut[:-1]]
     vertex = [centres]
     parent_pos: list = [None]
-    keys = [((owner[0] << vb) | centres) << vb]
+    # (owner, vertex) groups of the two levels a scan may not place again
+    placed = [np.empty(0, dtype=np.int64), (owner[0] << vb) | centres]
     scan_extra = np.zeros(c, dtype=np.int64)
-    repeats = np.zeros(c, dtype=np.int64)
+    up = 0
     for j in range(radius):
-        placed = keys[j] if j == 0 else np.concatenate((keys[j - 1], keys[j]))
-        new, hits, rep = _scan(g.indptr, g.indices, owner[j], vertex[j], placed, vb, c)
-        cut = _owner_cut(owner[j], c)
+        front, fown = vertex[j], owner[j]
+        tb = int(np.diff(cut).max(initial=0)).bit_length()
+        shift, tmask = vb + tb, (1 << tb) - 1
+        nbrs, degs = _gather(g.indptr, g.indices, front)
+        old_groups = np.concatenate(placed)
+        keys = np.empty(len(old_groups) + len(nbrs),
+                        dtype=np.uint32 if ob + shift <= 32 else np.int64)
+        np.left_shift(old_groups, tb, out=keys[: len(old_groups)], casting="unsafe")
+        tagged = keys[len(old_groups) :]
+        np.left_shift(nbrs, tb, out=tagged, casting="unsafe")
+        head = (fown << shift) | (np.arange(1, len(front) + 1) - cut[fown])
+        tagged |= np.repeat(head.astype(keys.dtype), degs)
+        keys.sort()
+        group = keys >> tb
+        bound = np.ones(len(keys) + 1, dtype=bool)
+        np.not_equal(group[1:], group[:-1], out=bound[1:-1])
+        bound = np.flatnonzero(bound)
+        first = keys[bound[:-1]]
+        new = (first & tmask) != 0
+        # neighbours that landed on a placed vertex, from the placed groups
+        old = np.flatnonzero(~new)
+        hits = np.bincount(first[old] >> shift, weights=bound[old + 1] - bound[old] - 1,
+                           minlength=c).astype(np.int64)
+        first = first[new]
+        found = (first >> tb).astype(np.int64, copy=False)
+        own = found >> vb
+        new_cut = _owner_cut(own, c)
+        found_per_owner = np.diff(new_cut)
+        # neighbours that discovered a vertex found at this level once more
+        rep = _run_sums(degs, cut) - hits - found_per_owner
         # hits on level j-1 are the tree edges up plus the previous level's
         # repeated discoveries; the rest lie inside level j, seen from both ends
-        up = np.diff(cut) + repeats if j else 0
         scan_extra += rep + (hits - up) // 2
-        repeats = rep
-        group = new >> vb
-        own = group >> vb
-        parent_pos.append(cut[own] + (new & vmask) - 1)
+        up = found_per_owner + rep
+        pos = np.repeat(cut[:-1] - 1, found_per_owner)
+        pos += first & tmask
+        parent_pos.append(pos)
         owner.append(own)
-        vertex.append(group & vmask)
-        keys.append(group << vb)
+        vertex.append(found & ((1 << vb) - 1))
+        placed = [placed[1], found]
+        cut = new_cut
     return Balls(centres=centres, radius=radius, vertex=vertex, owner=owner,
                  parent_pos=parent_pos, scan_extra=scan_extra)
 
@@ -406,10 +418,6 @@ def ball_batches(g: LabelledGraph, centres, radius: int):
 
 def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Balls:
     """BFS ball B(v, radius) of the one centre v."""
-    if not 0 <= v < g.n:
-        raise ValueError("center vertex out of range")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     return bfs_balls(g, [v], radius)
 
 

@@ -15,11 +15,15 @@ The recovery oracle is the per-vertex loop the batched ball engine replaced:
 one BFS with a shared ``visited`` scratch array and one two-stage root
 computation per vertex, drawing its sphere and tie coins from the label
 stream as it goes and reading an exact-0 root's coin from the vertex's entry
-of the zero-root array.  It shares only the elementwise kernels (series
-composition, terminal conductance, the BP level combine) and the stages
-around labelling with the library, so bit-equality with ``pipeline.recover``
-checks the ball construction, the level-synchronous passes and both coin
-streams.
+of the zero-root array.  It shares only the terminal conductance, the BP
+level combine and the stages around labelling with the library, so
+bit-equality with ``pipeline.recover`` checks the ball construction, the
+level-synchronous passes and both coin streams.
+
+The conductance and current passes are kept here as frozen references
+(``compose_through_edge``, ``conductance_up``, ``current_down``), written
+with a masked reciprocal and an explicit unit current at level 0, so that a
+rewrite of ``blockbp.levels`` must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 import numpy as np
 
 from blockbp.broadcast import BroadcastTree, tree_from_parents
-from blockbp.levels import _combine_levels, _compose_through_edge, _terminal_conductance
+from blockbp.levels import _combine_levels, _terminal_conductance
 from blockbp.params import derive_tree_params
 from blockbp.partition import blackbox_partition
 from blockbp.pipeline import align_partition, choose_anchor, resolve_radius
@@ -258,6 +262,43 @@ def tree_from_level_parents(parents) -> BroadcastTree:
     return tree_from_parents(parents)
 
 
+# --- frozen conductance and current passes ----------------------------------
+
+
+def compose_through_edge(z, theta):
+    """Subtree conductance z in series with its parent edge, parent's units."""
+    t2 = theta * theta
+    inv = np.full_like(z, np.inf)
+    np.divide(1.0, z, out=inv, where=z > 0)  # z=inf -> 0, z=0 -> stays inf
+    return t2 / ((1.0 - t2) + inv)
+
+
+def conductance_up(z, parent_pos, sizes, theta):
+    """(zs, cs) of the series-parallel reduction from terminals on the last level."""
+    last = len(parent_pos) - 1
+    zs, cs = [None] * (last + 1), [None] * (last + 1)
+    zs[last] = z
+    for j in range(last, 0, -1):
+        cs[j] = compose_through_edge(zs[j], theta)
+        zs[j - 1] = np.bincount(parent_pos[j], weights=cs[j],
+                                minlength=sizes[j - 1]).astype(float)
+    return zs, cs
+
+
+def current_down(zs, cs, parent_pos):
+    """(current, level-0 ancestor) on the last level from unit root currents."""
+    cur = np.ones(len(zs[0]))
+    root = np.arange(len(zs[0]), dtype=np.int64)
+    for j in range(1, len(parent_pos)):
+        pp = parent_pos[j]
+        zpar = zs[j - 1][pp]
+        frac = np.zeros(len(pp))
+        np.divide(cs[j], zpar, out=frac, where=zpar > 0)
+        cur = cur[pp] * frac
+        root = root[pp]
+    return cur, root
+
+
 # --- per-vertex recovery loop ------------------------------------------------
 
 
@@ -305,23 +346,9 @@ def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, r
     r = len(levels) - 1
     if big_k > 0:
         j0 = r - big_k
-        anc = np.arange(len(levels[j0]), dtype=np.int64)
-        for j in range(j0 + 1, r + 1):
-            anc = anc[parent_pos[j]]
-        z = [None] * (r + 1)
-        c = [None] * (r + 1)
-        z[r] = np.where(xi != 0.0, _terminal_conductance(weights_delta), 0.0)
-        for j in range(r, j0, -1):
-            c[j] = _compose_through_edge(z[j], theta)
-            z[j - 1] = np.bincount(parent_pos[j], weights=c[j],
-                                   minlength=len(levels[j - 1]))
-        cur = np.ones(len(levels[j0]))
-        for j in range(j0 + 1, r + 1):
-            pp = parent_pos[j]
-            zpar = z[j - 1][pp]
-            frac = np.zeros(len(pp))
-            np.divide(c[j], zpar, out=frac, where=zpar > 0)
-            cur = cur[pp] * frac
+        z = np.where(xi != 0.0, _terminal_conductance(weights_delta), 0.0)
+        zs, cs = conductance_up(z, parent_pos[j0:], [len(l) for l in levels[j0:]], theta)
+        cur, anc = current_down(zs, cs, parent_pos[j0:])
         w = cur * theta ** (-big_k)
         sums = np.bincount(anc, weights=w * xi, minlength=len(levels[j0]))
         ties = sums == 0.0

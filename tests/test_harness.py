@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ def test_graph_recover_rows():
     assert "mean_accuracy" in metrics and "tree_p_hat" in metrics and "gap" in metrics
     mean_row = next(r for r in rows if r.coords["metric"] == "mean_accuracy")
     assert mean_row.estimate > 0.8
+    # per rep, as fractions of n: the coin labels include the sqrt(n) hold-out
+    # coins; hold-out vertices get no ball, and at a = 30, R = 2 nearly every
+    # other ball holds a cycle
+    n = spec.params["n"]
+    held = math.isqrt(n) / n
+    for metric, lo, hi in (("coin_frac", held, 0.2), ("nontree_frac", 0.5, 1.0 - held)):
+        got = [r for r in rows if r.coords["metric"] == metric]
+        assert [r.coords["rep"] for r in got] == [0, 1]
+        for r in got:
+            assert lo <= r.estimate <= hi
+            assert (r.estimate * n).is_integer()
 
 
 # --- persistence and determinism ----------------------------------------------

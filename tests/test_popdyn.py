@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from blockbp import popdyn
+from blockbp import levels, popdyn
 from blockbp.bpcore import BpConfig, bp_root
 from blockbp.broadcast import add_leaf_noise, run_broadcast, sample_tree, tree_from_parents
 from blockbp.estimators import current_weights, effective_conductance
+from blockbp.levels import _terminal_conductance
 
 
 def _joint_se(a_std, a_n, b_std, b_n):
@@ -242,6 +243,35 @@ def test_conductance_chain_on_empty_level():
     rows, pools = popdyn.conductance_chain("gw", 0.2, 0.6, 6, 5, np.random.default_rng(0))
     assert np.array_equal(pools[6], np.zeros(5))
     assert all(r["alive_frac"] == 0.0 for r in rows)
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("forest", [
+    popdyn.sample_forest("gw", 3.0, 0.6, 4, 6, np.random.default_rng(4)),
+    popdyn.sample_forest("dary", 3, 0.6, 4, 2, np.random.default_rng(5)),
+    _dying_forest(),
+], ids=["gw", "dary", "empty-level"])
+def test_tree_passes_match_frozen_references(forest):
+    # conductance_up and current_down reproduce the frozen reference passes
+    # bit for bit, on terminals of conductance inf, finite and 0 (a 0 subtree
+    # passes no current on) and on every slice from one level to the forest
+    k, theta = forest.depth, forest.theta
+    sizes = [forest.level_size(j) for j in range(k + 1)]
+    observed = np.random.default_rng(6).random(sizes[k]) < 0.7
+    for tc in (np.inf, _terminal_conductance(0.2), 0.0):
+        z = np.where(observed, tc, 0.0)
+        for j0 in range(k + 1):
+            pp, sz = forest.parent_pos[j0:], sizes[j0:]
+            zs, cs = levels.conductance_up(z, pp, sz, theta)
+            zs_ref, cs_ref = _oracles.conductance_up(z, pp, sz, theta)
+            assert all(_same(a, b) for a, b in zip(zs, zs_ref))
+            assert cs[0] is None and all(_same(a, b) for a, b in zip(cs[1:], cs_ref[1:]))
+            cur, root = levels.current_down(zs, cs, pp)
+            cur_ref, root_ref = _oracles.current_down(zs_ref, cs_ref, pp)
+            assert _same(cur, cur_ref) and _same(root, root_ref)
 
 
 # --- out-of-range inputs are rejected, not answered ---------------------------

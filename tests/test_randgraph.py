@@ -251,6 +251,44 @@ def test_load_edge_list_skips_blank_lines(tmp_path):
 # --- batched balls against the per-vertex BFS --------------------------------
 
 
+def _assert_matches_bfs(g, nb, v, r, visited):
+    """A one-centre ball equals the per-vertex BFS: shells, parents, extra edges."""
+    levels, parent_pos, induced = bfs_levels(g.indptr, g.indices, v, r, visited)
+    assert len(_levels(nb)) == len(levels)
+    for j, lvl in enumerate(levels):
+        assert np.array_equal(nb.vertex[j], lvl)
+        if j:
+            assert np.array_equal(nb.parent_pos[j], parent_pos[j])
+    extra = induced - (sum(len(l) for l in levels) - 1)
+    assert _extra_edges(g, nb) == extra
+    assert nb.nontree(g)[0] == (extra != 0)
+
+
+def _assert_batch_equals_single_centres(g, centres, r):
+    """One batch is the concatenation of its centres' one-centre balls, in
+    owner order, and each one-centre ball matches the per-vertex BFS."""
+    balls = bfs_balls(g, centres, r)
+    one = {v: extract_neighborhood(g, v, r) for v in set(centres.tolist())}
+    visited = np.zeros(g.n, dtype=bool)
+    for v, nb in one.items():
+        _assert_matches_bfs(g, nb, v, r, visited)
+    each = [one[v] for v in centres.tolist()]
+    for j in range(r + 1):
+        sizes = [len(nb.vertex[j]) for nb in each]
+        assert np.array_equal(balls.vertex[j], np.concatenate([nb.vertex[j] for nb in each]))
+        assert np.array_equal(balls.owner[j], np.repeat(np.arange(len(centres)), sizes))
+        if j:
+            base = np.cumsum([0] + [len(nb.vertex[j - 1]) for nb in each])
+            want = [b + nb.parent_pos[j] for b, nb in zip(base, each)]
+            assert np.array_equal(balls.parent_pos[j], np.concatenate(want))
+    assert np.array_equal(balls.scan_extra, [nb.scan_extra[0] for nb in each])
+    extra = {v: (_extra_edges(g, nb), nb.nontree(g)[0]) for v, nb in one.items()}
+    want = np.array([extra[v] for v in centres.tolist()]).reshape(-1, 2)
+    assert np.array_equal(balls.scan_extra + balls.sphere_edges(g), want[:, 0])
+    assert np.array_equal(balls.nontree(g), want[:, 1])
+    return balls
+
+
 def test_extract_neighborhood_matches_per_vertex_bfs():
     # shells, parents and the exact extra-edge count of the one-centre engine
     # call equal the per-vertex BFS with its second induced-edge scan
@@ -261,41 +299,34 @@ def test_extract_neighborhood_matches_per_vertex_bfs():
         visited = np.zeros(g.n, dtype=bool)
         for v in range(0, g.n, 7):
             for r in radii:
-                nb = extract_neighborhood(g, v, r)
-                levels, parent_pos, induced = bfs_levels(g.indptr, g.indices, v, r, visited)
-                assert len(_levels(nb)) == len(levels)
-                for j, lvl in enumerate(levels):
-                    assert np.array_equal(nb.vertex[j], lvl)
-                    if j:
-                        assert np.array_equal(nb.parent_pos[j], parent_pos[j])
-                extra = induced - (sum(len(l) for l in levels) - 1)
-                assert _extra_edges(g, nb) == extra
-                assert nb.nontree(g)[0] == (extra != 0)
+                _assert_matches_bfs(g, extract_neighborhood(g, v, r), v, r, visited)
 
 
 def test_bfs_balls_batch_equals_single_centres():
     # one batch over repeated and isolated centres splits into the per-centre balls
     g = sample_sbm(ModelParams(n=200, a=3, b=1), seed=12)
     centres = np.array([5, 0, 5, 199, 17, 42, 0], dtype=np.int64)
-    r = 3
-    balls = bfs_balls(g, centres, r)
+    balls = _assert_batch_equals_single_centres(g, centres, 3)
     assert balls.parent_pos[0] is None
     extra = balls.scan_extra + balls.sphere_edges(g)
     assert np.array_equal(balls.nontree(g), extra > 0)
-    for i, v in enumerate(centres):
-        nb = extract_neighborhood(g, int(v), r)
-        for j in range(r + 1):
-            mine = balls.owner[j] == i
-            want = nb.vertex[j]
-            assert np.array_equal(balls.vertex[j][mine], want)
-            if j and len(want):
-                base = np.flatnonzero(balls.owner[j - 1] == i)[0]
-                assert np.array_equal(balls.parent_pos[j][mine] - base, nb.parent_pos[j])
-        assert extra[i] == _extra_edges(g, nb)
     # a subset scan reads 0 outside the selection
     select = np.zeros(len(centres), dtype=bool)
     select[1] = True
     assert not balls.sphere_edges(g, select)[~select].any()
+
+
+@pytest.mark.parametrize("n_centres", [2 ** 14, 2 ** 14 + 1])
+def test_bfs_balls_both_key_widths(n_centres):
+    # at n = 2^16 + 1 the level-0 scan key has 17 vertex bits and 1 tag bit,
+    # plus 14 owner bits for 2^14 centres (32 in all) or 15 for one centre
+    # more (33): either batch splits into its per-centre balls
+    g = sample_sbm(ModelParams(n=2 ** 16 + 1, a=3, b=1), seed=13)
+    rng = np.random.default_rng(14)
+    pool = np.concatenate(([0, g.n - 1], rng.choice(g.n, 100, replace=False)))
+    centres = pool[rng.integers(len(pool), size=n_centres)]
+    centres[-1] = g.n - 1  # the largest owner and vertex ids in one key
+    _assert_batch_equals_single_centres(g, centres, 1)
 
 
 def test_bfs_balls_centre_limit():
@@ -303,6 +334,19 @@ def test_bfs_balls_centre_limit():
     assert _max_ball_centres(2 ** 40) == 0
     g = graph_from_edges(3, [(0, 1)], [1, 1, 1])
     assert bfs_balls(g, [], 2).vertex[2].size == 0
+
+
+@pytest.mark.parametrize("centres, radius, match", [
+    ([5], 1, "centres hold a vertex id out of range"),
+    ([-1], 1, "centres hold a vertex id out of range"),
+    ([1.7], 1, "centres must be a 1-d array of integer"),
+    ([[0, 1]], 1, "centres must be a 1-d array of integer"),
+    ([0], -1, "radius must be nonnegative"),
+])
+def test_bfs_balls_rejects_bad_input(centres, radius, match):
+    g = graph_from_edges(4, [(0, 1), (1, 2)], [1, 1, 1, 1])
+    with pytest.raises(ValueError, match=match):
+        bfs_balls(g, centres, radius)
 
 
 # --- edge-list input ---------------------------------------------------------
