@@ -37,7 +37,7 @@ print("  the busier branch carries more current, so its leaves weigh more per vo
 
 # the defining identities, Monte Carlo over random trees
 forest = sample_forest("gw", 3.0, theta, 4, 50_000, np.random.default_rng(0))
-out = forest_current_estimators(forest, np.random.default_rng(1), delta=0.2)
+out = forest_current_estimators(forest, theta, np.random.default_rng(1), delta=0.2)
 alive = out["alive"]
 r, s = out["r"][alive], out["s"][alive]
 reff = 1.0 / out["ceff"][alive]
@@ -50,9 +50,9 @@ print(f"  Var[S] = {s.var():.3f}  vs  E[R'_eff] = {reffn.mean():.3f}")
 
 # majority vs weighted majority as root estimators on one sampled tree
 tree = run_broadcast(sample_tree("gw", 3.0, 4, seed=5), (1 - theta) / 2, seed=6)
-obs = tree.sigma[tree.level(4)]
+obs = tree.sigma[4]
 from blockbp import majority_estimate, weighted_majority_sign
 
-print(f"\none sampled tree, true root {tree.sigma[0]:+d}: "
+print(f"\none sampled tree, true root {tree.sigma[0][0]:+d}: "
       f"plain majority votes {majority_estimate(tree):+d}, "
       f"weighted majority votes {weighted_majority_sign(tree, obs, theta, rng=7):+d}")

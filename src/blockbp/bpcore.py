@@ -87,25 +87,24 @@ def bp_combine(children, theta: float, clamp: float = 1e-12):
 def bp_levels(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = None) -> np.ndarray:
     """Run the recursion from ``level`` up to the root; returns root-level values.
 
-    ``observed`` must cover exactly the nodes of ``tree.level(level)`` in id
-    order; under Galton-Watson extinction interior nodes without children
+    ``observed`` holds one value per node of that level, in level order;
+    under Galton-Watson extinction interior nodes without children
     contribute magnetization 0.
     """
-    k = tree.depth if level is None else level
+    k = tree.check_level(level)
     obs = np.asarray(observed, dtype=np.float64)
-    if obs.shape != (tree.level_size(k),):
+    if obs.shape != (tree.sizes[k],):
         raise ValueError(
             f"observation vector has length {obs.size}, level {k} has "
-            f"{tree.level_size(k)} nodes"
+            f"{tree.sizes[k]} nodes"
         )
     return bp_up(cfg.leaf_values(obs), tree.parent_pos[: k + 1],
-                 np.diff(tree.level_start), cfg.theta, cfg.clamp)
+                 tree.sizes, cfg.theta, cfg.clamp)
 
 
 def bp_root(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = None) -> float:
     """Root magnetization given +-1 observations on one descendant level."""
-    vals = bp_levels(tree, cfg, observed, level=level)
-    return float(vals[0]) if vals.size else 0.0
+    return float(bp_levels(tree, cfg, observed, level=level)[0])
 
 
 def exact_posterior(tree: BroadcastTree, theta: float, observed,
@@ -119,7 +118,7 @@ def exact_posterior(tree: BroadcastTree, theta: float, observed,
     With ``delta`` None the leaf spins are pinned to the observations.
     Refuses trees whose latent configuration count exceeds ``guard``.
     """
-    k = tree.depth if level is None else level
+    k = tree.check_level(level)
     leaf_lo, leaf_hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
     obs = np.asarray(observed, dtype=np.float64)
     if obs.shape != (leaf_hi - leaf_lo,):
@@ -146,8 +145,9 @@ def exact_posterior(tree: BroadcastTree, theta: float, observed,
         return np.full(configs, obs[u - leaf_lo])
 
     w = np.ones(configs)
+    parent = tree.parent
     for v in range(1, leaf_hi):
-        w *= 0.5 * (1.0 + theta * spin(v) * spin(tree.parent[v]))
+        w *= 0.5 * (1.0 + theta * spin(v) * spin(parent[v]))
     if delta is not None:
         for v in range(leaf_lo, leaf_hi):
             w *= 0.5 * (1.0 + (1.0 - 2.0 * delta) * spin(v) * obs[v - leaf_lo])

@@ -1,10 +1,12 @@
-"""Rooted trees (d-ary and Poisson Galton-Watson) and the spin broadcast on them.
+"""Rooted trees and forests (d-ary and Poisson Galton-Watson) and the spin broadcast.
 
-Trees are stored as flat arenas in breadth-first order: node 0 is the root,
-each level occupies a contiguous id range, and the children of consecutive
-nodes are themselves consecutive.  A whole level is one slice, and the
-per-level parent positions the tree passes in ``levels`` run on are one
-subtraction away.
+A tree is stored by levels, the layout the tree passes in ``levels`` run on:
+``parent_pos[j]`` (j >= 1) gives, for each level-j node, the position of its
+parent within level j - 1, and ``parent_pos[0]`` holds one -1 per root, so
+several roots make a forest.  Children of consecutive nodes are consecutive,
+so every ``parent_pos[j]`` is nondecreasing.  Numbering the levels one after
+another gives the breadth-first ids of the derived ``parent`` and
+``level_start`` views.
 
 The broadcast process assigns the root a uniform +-1 spin and copies each
 parent spin to each child independently, flipping with probability ``eta``.
@@ -31,68 +33,73 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BroadcastTree:
-    """Flat-arena rooted tree, optionally carrying spins and noisy observations.
+    """Rooted tree (or forest) by levels, optionally carrying spins and observations.
 
-    parent[u] is the id of u's parent (-1 for the root).  level_start has
-    length depth+2; level j is ids level_start[j]:level_start[j+1] (trailing
-    levels may be empty if the tree went extinct early).
+    ``sigma[j]`` holds the spins of level j; ``tau`` holds the noisy
+    observations of level ``tau_level`` only.  Levels past extinction are
+    empty.
     """
 
     kind: str  # "dary" | "gw" | "custom"
     d: float
-    depth: int
-    parent: np.ndarray
-    level_start: np.ndarray
-    sigma: np.ndarray | None = None
+    parent_pos: list
+    sigma: list | None = None
     tau: np.ndarray | None = None
     tau_level: int | None = None
     tau_delta: float | None = None
 
     @property
+    def depth(self) -> int:
+        return len(self.parent_pos) - 1
+
+    @property
+    def sizes(self) -> list[int]:
+        return [len(pp) for pp in self.parent_pos]
+
+    def check_level(self, level: int | None) -> int:
+        """``level`` (the depth for None), which must lie in [0, depth]."""
+        k = self.depth if level is None else level
+        if not 0 <= k <= self.depth:
+            raise ValueError(f"level {k} is out of range for a tree of depth {self.depth}")
+        return k
+
+    # Arena views: levels numbered one after another, breadth-first.
+
+    @property
+    def level_start(self) -> np.ndarray:
+        """Level j is ids level_start[j]:level_start[j + 1] (depth + 2 entries)."""
+        return np.concatenate(([0], np.cumsum(self.sizes))).astype(np.int64)
+
+    @property
     def n_nodes(self) -> int:
-        return len(self.parent)
+        return sum(self.sizes)
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Each node's parent id, -1 for a root."""
+        ls = self.level_start
+        return np.concatenate([self.parent_pos[0]] + [
+            pp + ls[j] for j, pp in enumerate(self.parent_pos[1:])])
 
     def level(self, j: int) -> np.ndarray:
-        """Node ids at depth j (empty array past extinction)."""
-        if j < 0 or j > self.depth:
-            return np.empty(0, dtype=np.int64)
-        return np.arange(self.level_start[j], self.level_start[j + 1], dtype=np.int64)
-
-    def level_size(self, j: int) -> int:
-        if j < 0 or j > self.depth:
-            return 0
-        return int(self.level_start[j + 1] - self.level_start[j])
+        """Node ids at depth j."""
+        ls = self.level_start
+        return np.arange(ls[j], ls[j + 1], dtype=np.int64)
 
     def depth_of(self, u: int) -> int:
         return int(np.searchsorted(self.level_start, u, side="right")) - 1
 
-    @property
-    def parent_pos(self) -> list:
-        """Per level j >= 1, each node's parent position within level j - 1.
 
-        Entry 0 is None; this is the level-list layout of ``levels``.
-        """
-        ls = self.level_start
-        return [None] + [self.parent[ls[j] : ls[j + 1]] - ls[j - 1]
-                         for j in range(1, self.depth + 1)]
-
-
-def _build_arrays(level_counts: list[np.ndarray], depth: int):
-    """Assemble parent/level_start from per-node child counts.
-
-    level_counts[j] holds the child count of every level-j node, in id order;
-    levels past the last entry are empty, and level_start is padded out to
-    depth + 2 entries.
-    """
-    sizes = [1] + [int(c.sum()) for c in level_counts]
-    sizes += [0] * (depth + 1 - len(sizes))
-    level_start = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    n = int(level_start[-1])
-    parent = np.full(n, -1, dtype=np.int64)
-    for j, counts in enumerate(level_counts):
-        ids = np.arange(level_start[j], level_start[j + 1], dtype=np.int64)
-        parent[level_start[j + 1] : level_start[j + 2]] = np.repeat(ids, counts)
-    return parent, level_start
+def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Child counts of ``size`` nodes: d each ("dary") or i.i.d. Poisson(d) ("gw")."""
+    if kind == "gw":
+        return rng.poisson(d, size).astype(np.int64)
+    if kind == "dary":
+        di = int(d)
+        if di != d:
+            raise ValueError("d-ary trees need integer d")
+        return np.full(size, di, dtype=np.int64)
+    raise ValueError(f"unknown tree kind {kind!r}")
 
 
 def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
@@ -107,38 +114,19 @@ def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
     if d <= 0:
         raise ValueError("offspring mean d must be positive")
     rng = as_generator(seed)
-    level_counts = []
-    size = 1
+    parent_pos = [np.full(1, -1, dtype=np.int64)]
     for _ in range(depth):
-        if kind == "dary":
-            di = int(d)
-            if di != d:
-                raise ValueError("d-ary trees need integer d")
-            counts = np.full(size, di, dtype=np.int64)
-        elif kind == "gw":
-            counts = rng.poisson(d, size).astype(np.int64)
-        else:
-            raise ValueError(f"unknown tree kind {kind!r}")
-        level_counts.append(counts)
-        size = int(counts.sum())
-        if size == 0:
-            break  # extinct; the remaining levels are empty
-    parent, level_start = _build_arrays(level_counts, depth)
-    return BroadcastTree(
-        kind=kind,
-        d=float(d),
-        depth=depth,
-        parent=parent,
-        level_start=level_start,
-    )
+        counts = _offspring(kind, d, len(parent_pos[-1]), rng)
+        parent_pos.append(np.repeat(np.arange(len(counts), dtype=np.int64), counts))
+    return BroadcastTree(kind=kind, d=float(d), parent_pos=parent_pos)
 
 
 def tree_from_parents(parents, depth: int | None = None) -> BroadcastTree:
     """Build a tree from an explicit parent list (parents[0] must be -1).
 
-    Nodes are renumbered into breadth-first arena order, so any topologically
-    valid parent list is accepted.  Mainly used to hand-craft small trees in
-    tests and oracles.
+    Any topologically valid parent list is accepted; each level lists its
+    nodes in breadth-first order, children in the order of their ids.
+    Mainly used to hand-craft small trees in tests and oracles.
     """
     parents = list(parents)
     n = len(parents)
@@ -150,44 +138,26 @@ def tree_from_parents(parents, depth: int | None = None) -> BroadcastTree:
         if not 0 <= p < n:
             raise ValueError(f"bad parent {p} for node {v}")
         kids[p].append(v)
-    # BFS renumber
-    order = [0]
-    head = 0
-    while head < len(order):
-        order.extend(kids[order[head]])
-        head += 1
-    if len(order) != n:
+    parent_pos = [np.full(1, -1, dtype=np.int64)]
+    front, placed = [0], 1
+    while True:
+        pos = [i for i, u in enumerate(front) for _ in kids[u]]
+        front = [c for u in front for c in kids[u]]
+        if not front:
+            break
+        parent_pos.append(np.array(pos, dtype=np.int64))
+        placed += len(front)
+    if placed != n:
         raise ValueError("parent list does not describe a single rooted tree")
-    new_id = {old: new for new, old in enumerate(order)}
-    depth_of = np.zeros(n, dtype=np.int64)
-    for new, old in enumerate(order):
-        if old != 0:
-            depth_of[new] = depth_of[new_id[parents[old]]] + 1
-    max_depth = int(depth_of.max())
-    target = max_depth if depth is None else depth
-    if target < max_depth:
+    target = len(parent_pos) - 1 if depth is None else depth
+    if target < len(parent_pos) - 1:
         raise ValueError("declared depth smaller than the deepest node")
-    level_counts = []
-    start = 0
-    for j in range(target):
-        size = int(np.count_nonzero(depth_of == j))
-        counts = np.array(
-            [len(kids[order[start + i]]) for i in range(size)], dtype=np.int64
-        )
-        level_counts.append(counts)
-        start += size
-    parent, level_start = _build_arrays(level_counts, target)
-    return BroadcastTree(
-        kind="custom",
-        d=float("nan"),
-        depth=target,
-        parent=parent,
-        level_start=level_start,
-    )
+    parent_pos += [np.empty(0, dtype=np.int64)] * (target + 1 - len(parent_pos))
+    return BroadcastTree(kind="custom", d=float("nan"), parent_pos=parent_pos)
 
 
 def run_broadcast(tree: BroadcastTree, eta: float, seed=0, root_sign: int | None = None) -> BroadcastTree:
-    """Attach spins: root uniform +-1 (or forced), each edge flips w.p. eta.
+    """Attach spins: each root uniform +-1 (or forced), each edge flips w.p. eta.
 
     Returns a new tree sharing the structure arrays.  ``root_sign`` exists for
     conditional Monte Carlo (statistics given sigma_root = +); by the +-
@@ -196,39 +166,31 @@ def run_broadcast(tree: BroadcastTree, eta: float, seed=0, root_sign: int | None
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     rng = as_generator(seed)
-    n = tree.n_nodes
-    sigma = np.empty(n, dtype=np.int8)
+    roots = tree.sizes[0]
     if root_sign is None:
-        sigma[0] = 1 if rng.random() < 0.5 else -1
+        sigma = [np.where(rng.random(roots) < 0.5, 1, -1).astype(np.int8)]
     else:
         if root_sign not in (-1, 1):
             raise ValueError("root_sign must be +-1")
-        sigma[0] = root_sign
-    for j in range(1, tree.depth + 1):
-        lo, hi = tree.level_start[j], tree.level_start[j + 1]
-        if hi <= lo:
-            break
-        flips = rng.random(hi - lo) < eta
-        par = tree.parent[lo:hi]
-        sigma[lo:hi] = np.where(flips, -sigma[par], sigma[par])
+        sigma = [np.full(roots, root_sign, dtype=np.int8)]
+    for pp in tree.parent_pos[1:]:
+        flips = rng.random(len(pp)) < eta
+        par = sigma[-1][pp]
+        sigma.append(np.where(flips, -par, par))
     return replace(tree, sigma=sigma)
 
 
 def add_leaf_noise(tree: BroadcastTree, delta: float, seed=0, level: int | None = None) -> BroadcastTree:
     """Observe level-k spins through an extra flip channel of strength delta.
 
-    tau is defined only on the chosen level (0 elsewhere); an empty level
-    (extinct tree) is a no-op apart from bookkeeping.
+    tau holds the observations of the chosen level only; an empty level
+    (extinct tree) gives an empty tau.
     """
     if not 0.0 <= delta < 0.5:
         raise ValueError("delta must lie in [0, 1/2)")
     if tree.sigma is None:
         raise ValueError("run_broadcast before adding leaf noise")
-    k = tree.depth if level is None else level
-    rng = as_generator(seed)
-    tau = np.zeros(tree.n_nodes, dtype=np.int8)
-    lo, hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
-    if hi > lo:
-        flips = rng.random(hi - lo) < delta
-        tau[lo:hi] = np.where(flips, -tree.sigma[lo:hi], tree.sigma[lo:hi])
-    return replace(tree, tau=tau, tau_level=k, tau_delta=delta)
+    k = tree.check_level(level)
+    sig = tree.sigma[k]
+    flips = as_generator(seed).random(len(sig)) < delta
+    return replace(tree, tau=np.where(flips, -sig, sig), tau_level=k, tau_delta=delta)

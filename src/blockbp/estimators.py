@@ -74,18 +74,17 @@ def majority_moments(d: int, theta: float, k: int, delta: float = 0.0) -> Majori
 
 def majority_estimate(tree: BroadcastTree, use_noisy: bool = False, level: int | None = None) -> int:
     """Sign of the level sum: +-1, or 0 on a tie or an empty (extinct) level."""
-    k = tree.depth if level is None else level
-    lo, hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
-    if hi <= lo:
+    k = tree.check_level(level)
+    if tree.sizes[k] == 0:
         return 0
     if use_noisy:
         if tree.tau is None or tree.tau_level != k:
             raise ValueError("tree carries no noisy observations at this level")
-        total = int(tree.tau[lo:hi].sum())
+        total = int(tree.tau.sum())
     else:
         if tree.sigma is None:
             raise ValueError("tree carries no spins")
-        total = int(tree.sigma[lo:hi].sum())
+        total = int(tree.sigma[k].sum())
     return (total > 0) - (total < 0)
 
 
@@ -93,19 +92,19 @@ def majority_estimate(tree: BroadcastTree, use_noisy: bool = False, level: int |
 class ConductanceNetwork:
     """Resistor view of a depth-k tree and its root effective conductance.
 
-    ``subtree_conductance[u]`` is the conductance between u and the terminal
-    set in units local to u's generation; entry 0 is the root effective
-    conductance ``ceff``.  ``edge_conductance[u]`` (u >= 1) is u's subtree
-    conductance composed through the edge to its parent, again in the
-    parent's local units.
+    ``zs`` and ``cs`` are ``levels.conductance_up``'s per-level lists:
+    ``zs[j][i]`` is the conductance between level-j node i and the terminal
+    set in units local to generation j, so ``zs[0][0]`` is ``ceff``;
+    ``cs[j][i]`` (j >= 1) is that subtree conductance composed through the
+    edge to the parent, in the parent's local units.
     """
 
     theta: float
     delta: float | None
     k: int
     ceff: float
-    subtree_conductance: np.ndarray
-    edge_conductance: np.ndarray
+    zs: list
+    cs: list
 
     def edge_resistance(self, generation: int) -> float:
         """Resistance of an edge whose child is at ``generation`` (root = 0)."""
@@ -132,18 +131,11 @@ def effective_conductance(tree: BroadcastTree, theta: float,
     """
     if not -1.0 < theta < 1.0 or theta == 0.0:
         raise ValueError("conductance needs 0 < |theta| < 1")
-    k = tree.depth if k is None else k
-    zs, cs = conductance_up(np.full(tree.level_size(k), _terminal_conductance(delta)),
-                            tree.parent_pos[: k + 1], np.diff(tree.level_start), theta)
-    top = int(tree.level_start[k + 1])
-    z = np.zeros(tree.n_nodes)
-    c = np.zeros(tree.n_nodes)
-    z[:top] = np.concatenate(zs)
-    c[:top] = np.concatenate([[0.0], *cs[1:]])
-    return ConductanceNetwork(
-        theta=theta, delta=delta, k=k, ceff=float(z[0]),
-        subtree_conductance=z, edge_conductance=c,
-    )
+    k = tree.check_level(k)
+    zs, cs = conductance_up(np.full(tree.sizes[k], _terminal_conductance(delta)),
+                            tree.parent_pos[: k + 1], tree.sizes, theta)
+    return ConductanceNetwork(theta=theta, delta=delta, k=k, ceff=float(zs[0][0]),
+                              zs=zs, cs=cs)
 
 
 @dataclass(frozen=True)
@@ -179,13 +171,11 @@ def current_weights(tree: BroadcastTree, theta: float,
     branch conductances from ``effective_conductance``; leaf v gets weight
     theta^(-k) * current(v).  Raises on an extinct tree (no estimator).
     """
-    k = tree.depth if k is None else k
+    k = tree.check_level(k)
     net = effective_conductance(tree, theta, delta=delta, k=k)
     if net.ceff == 0.0:
         raise ValueError("no estimator: tree is extinct before the observed level")
-    cuts = tree.level_start[1 : k + 2]
-    cur, _ = current_down(np.split(net.subtree_conductance, cuts),
-                          np.split(net.edge_conductance, cuts), tree.parent_pos[: k + 1])
+    cur, _ = current_down(net.zs, net.cs, tree.parent_pos[: k + 1])
     leaf_ids = tree.level(k)
     weights = cur * theta ** (-k)
     prefactor = 1.0 if not delta else 1.0 / (1.0 - 2.0 * delta)
@@ -205,7 +195,7 @@ def weighted_majority_sign(tree: BroadcastTree, observations, theta: float,
     downstream.
     """
     rng = as_generator(rng)
-    k = tree.depth if k is None else k
+    k = tree.check_level(k)
     try:
         cw = current_weights(tree, theta, delta=delta, k=k)
     except ValueError:

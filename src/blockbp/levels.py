@@ -1,12 +1,12 @@
 """The three tree passes, written once over per-level parent positions.
 
-Every tree layout in the package reduces to the same level lists: level j
-holds ``sizes[j]`` nodes, and ``parent_pos[j]`` (j >= 1) gives, for each
-level-j node, the position of its parent within level j - 1 (entry 0 is
-ignored).  ``BroadcastTree.parent_pos`` derives them from its arena,
-``popdyn.Forest`` and ``randgraph.Balls`` store them directly, and the
-population chains build one level at a time.  A pass over a slice of the
-lists treats the slice's first level as its roots.
+Every tree in the package is stored as the same level lists: level j holds
+``sizes[j]`` nodes, and ``parent_pos[j]`` (j >= 1) gives, for each level-j
+node, the position of its parent within level j - 1 (entry 0 is ignored).
+``broadcast.BroadcastTree`` (one tree, or a forest of ``popdyn`` trials) and
+``randgraph.Balls`` store them, and the population chains build one level at
+a time.  A pass over a slice of the lists treats the slice's first level as
+its roots.
 
 - ``bp_up``: the magnetization recursion, last level to level 0;
 - ``conductance_up``: the series-parallel reduction of the resistor network

@@ -11,10 +11,10 @@ offspring) regardless of tree size, which is what makes depth-12 experiments
 with 1e5 trials feasible (an explicit mean-17 tree of depth 8 has ~1e10
 nodes).
 
-A second engine ("forest") materializes many explicit trees at once as flat
-per-level arrays tagged by trial id; it is used where per-tree quantities are
-needed (current-weighted estimators, per-tree conductance) and as an
-independent cross-check of the population chain.
+A second engine ("forest") materializes many explicit trees at once, as one
+``BroadcastTree`` with a root per trial; it is used where per-tree
+quantities are needed (current-weighted estimators, per-tree conductance)
+and as an independent cross-check of the population chain.
 
 All chains draw the tree structure and spins in a delta-independent pattern
 (``dary_sum_trials`` draws its noise after every spin), so runs with the same
@@ -24,10 +24,9 @@ with delta=0 reproduces the noiseless chain exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .broadcast import BroadcastTree, _offspring
 from .levels import _edge_llr, _sum_llrs, _terminal_conductance, conductance_up, current_down
 from .seeding import as_generator
 
@@ -38,7 +37,6 @@ __all__ = [
     "sum_chain",
     "dary_sum_trials",
     "conductance_chain",
-    "Forest",
     "sample_forest",
     "forest_conductance",
     "forest_current_estimators",
@@ -52,17 +50,6 @@ def ci_half_width(std: float, n: int, z: float = Z99) -> float:
     if n <= 0:
         return float("inf")
     return z * std / np.sqrt(n)
-
-
-def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    if kind == "gw":
-        return rng.poisson(d, size).astype(np.int64)
-    if kind == "dary":
-        di = int(d)
-        if di != d:
-            raise ValueError("d-ary trees need integer d")
-        return np.full(size, di, dtype=np.int64)
-    raise ValueError(f"unknown tree kind {kind!r}")
 
 
 def _generation(kind: str, d: float, trials: int, rng: np.random.Generator):
@@ -249,65 +236,41 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
 
 
 # ---------------------------------------------------------------------------
-# Explicit forests: many trees at once as flat per-level arrays.
-
-
-@dataclass
-class Forest:
-    """``trials`` independent trees, level-synchronous layout.
-
-    Per level j: node_trial[j] maps each node to its trial, parent_pos[j]
-    (j >= 1) to its parent's index within level j-1, sigma[j] to its spin
-    (conditioned sigma_root = +).
-    """
-
-    kind: str
-    d: float
-    theta: float
-    depth: int
-    trials: int
-    node_trial: list = field(default_factory=list)
-    parent_pos: list = field(default_factory=list)
-    sigma: list = field(default_factory=list)
-
-    def level_size(self, j: int) -> int:
-        return len(self.node_trial[j])
+# Explicit forests: many trees at once, one root per trial.
 
 
 def sample_forest(kind: str, d: float, theta: float, depth: int, trials: int,
-                  rng) -> Forest:
-    """Sample ``trials`` trees with spins, conditioned on sigma_root = +."""
+                  rng) -> BroadcastTree:
+    """Sample ``trials`` trees with spins, conditioned on sigma_root = +.
+
+    Draws each level's child counts, then its flips, level by level; the
+    spins are float +-1.
+    """
     rng = as_generator(rng)
     eta = 0.5 * (1.0 - theta)
-    f = Forest(kind=kind, d=d, theta=theta, depth=depth, trials=trials)
-    f.node_trial.append(np.arange(trials, dtype=np.int64))
-    f.parent_pos.append(None)
-    f.sigma.append(np.ones(trials))
+    parent_pos = [np.full(trials, -1, dtype=np.int64)]
+    sigma = [np.ones(trials)]
     for _ in range(depth):
-        cur_trial = f.node_trial[-1]
-        cur_sigma = f.sigma[-1]
-        counts = _offspring(kind, d, len(cur_trial), rng)
-        pp = np.repeat(np.arange(len(cur_trial), dtype=np.int64), counts)
+        counts = _offspring(kind, d, len(sigma[-1]), rng)
+        pp = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         flips = np.where(rng.random(len(pp)) < eta, -1.0, 1.0)
-        f.node_trial.append(cur_trial[pp])
-        f.parent_pos.append(pp)
-        f.sigma.append(cur_sigma[pp] * flips)
-    return f
+        parent_pos.append(pp)
+        sigma.append(sigma[-1][pp] * flips)
+    return BroadcastTree(kind=kind, d=d, parent_pos=parent_pos, sigma=sigma)
 
 
-def forest_conductance(forest: Forest, delta: float | None = None):
+def forest_conductance(forest: BroadcastTree, theta: float, delta: float | None = None):
     """``levels.conductance_up`` with terminals on the deepest level.
 
     Returns its (z_levels, c_levels); z_levels[0] holds the per-trial root
     effective conductances.
     """
-    k = forest.depth
-    sizes = [forest.level_size(j) for j in range(k + 1)]
-    return conductance_up(np.full(sizes[k], _terminal_conductance(delta)),
-                          forest.parent_pos, sizes, forest.theta)
+    sizes = forest.sizes
+    return conductance_up(np.full(sizes[-1], _terminal_conductance(delta)),
+                          forest.parent_pos, sizes, theta)
 
 
-def forest_current_estimators(forest: Forest, rng, delta: float = 0.0):
+def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: float = 0.0):
     """Unit-current weighted estimators R (noiseless) and S (noisy) per trial.
 
     Weights are theta^-k times the unit current flow into each leaf; for the
@@ -318,17 +281,16 @@ def forest_current_estimators(forest: Forest, rng, delta: float = 0.0):
     """
     rng = as_generator(rng)
     _terminal_conductance(delta)  # rejects delta outside [0, 1/2)
-    k = forest.depth
-    sig = forest.sigma[k]
+    sig = forest.sigma[-1]
     tau = sig * np.where(rng.random(len(sig)) < delta, -1.0, 1.0)
 
     def estimator(net_delta, obs):
-        zs, cs = forest_conductance(forest, delta=net_delta)
-        cur, _ = current_down(zs, cs, forest.parent_pos)
-        w = cur * forest.theta ** (-k)
+        zs, cs = forest_conductance(forest, theta, delta=net_delta)
+        cur, root = current_down(zs, cs, forest.parent_pos)
+        w = cur * theta ** (-forest.depth)
         # an empty level would give bincount's integer zeros
-        return np.bincount(forest.node_trial[k], weights=w * obs,
-                           minlength=forest.trials).astype(float, copy=False), zs[0]
+        return np.bincount(root, weights=w * obs,
+                           minlength=len(zs[0])).astype(float, copy=False), zs[0]
 
     r, ceff = estimator(None, sig)
     out = {"r": r, "ceff": ceff, "alive": ceff > 0, "s": r.copy(), "ceff_noisy": None}

@@ -252,9 +252,10 @@ class Balls:
     Level j holds, for all centres at once, the vertices at distance exactly
     j from their centre, sorted by (owner, vertex id): ``vertex[j]`` the ids,
     ``owner[j]`` each entry's index into ``centres``, and ``parent_pos[j]``
-    (j >= 1) the position of its BFS parent within level j - 1.  This is the
-    ``popdyn.Forest`` layout with the centre as owner.  A ball that ends
-    before the radius has no entries at the deeper levels.
+    (j >= 1) the position of its BFS parent within level j - 1.  These are
+    the level lists of a ``BroadcastTree`` forest with one root per centre,
+    plus each entry's owner.  A ball that ends before the radius has no
+    entries at the deeper levels.
 
     ``scan_extra`` counts, per owner, the induced edges outside the BFS tree
     that the scans of levels 0..radius-1 saw: repeated discoveries and edges
@@ -315,6 +316,17 @@ class Balls:
         return nontree
 
 
+def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
+    """``ids`` as int64, which must be a 1-d array of integer vertex ids in [0, n)."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a 1-d array of integer vertex ids")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"{name} hold a vertex id out of range [0, {n})")
+    return ids
+
+
 def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
     """BFS balls B(v, radius) of every centre, built level by level at once.
 
@@ -330,12 +342,7 @@ def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
     first in its (owner, vertex) group and the smallest-id discoverer next.
     ``centres`` must be integer vertex ids in [0, n) and ``radius`` >= 0.
     """
-    centres = np.asarray(centres)
-    if centres.ndim != 1 or (centres.size and centres.dtype.kind not in "iu"):
-        raise ValueError("centres must be a 1-d array of integer vertex ids")
-    centres = centres.astype(np.int64, copy=False)
-    if centres.size and not (0 <= centres.min() and centres.max() < g.n):
-        raise ValueError(f"centres hold a vertex id out of range [0, {g.n})")
+    centres = _vertex_ids(centres, g.n, "centres")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     c = len(centres)
@@ -431,23 +438,22 @@ class SubgraphMap:
 
 
 def remove_set(g: LabelledGraph, victims) -> SubgraphMap:
-    """Induced subgraph on V minus victims."""
-    victims = np.asarray(list(victims) if not isinstance(victims, np.ndarray) else victims,
-                         dtype=np.int64)
+    """Induced subgraph on V minus victims (integer vertex ids, repeats allowed).
+
+    Filters the CSR rather than rebuilding it: the kept slots of kept rows
+    stay sorted, and a prefix count of kept slots gives the new row bounds.
+    """
     keep = np.ones(g.n, dtype=bool)
-    if len(victims):
-        if victims.min() < 0 or victims.max() >= g.n:
-            raise ValueError("victims must be vertices of the graph")
-        keep[victims] = False
-    new_to_old = np.flatnonzero(keep).astype(np.int64)
+    keep[_vertex_ids(victims, g.n, "victims")] = False
+    new_to_old = np.flatnonzero(keep)
     old_to_new = np.full(g.n, -1, dtype=np.int64)
-    old_to_new[new_to_old] = np.arange(len(new_to_old), dtype=np.int64)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    dst = g.indices
-    emask = keep[src] & keep[dst] & (src < dst)
-    u = old_to_new[src[emask]]
-    v = old_to_new[dst[emask]]
-    sub = _csr_from_edges(len(new_to_old), u, v, g.labels[new_to_old])
+    old_to_new[new_to_old] = np.arange(len(new_to_old))
+    slot = keep[g.indices] & np.repeat(keep, g.degrees)
+    kept_before = np.concatenate(([0], np.cumsum(slot)))
+    sub = LabelledGraph(n=len(new_to_old),
+                        indptr=kept_before[g.indptr[np.append(new_to_old, g.n)]],
+                        indices=old_to_new[g.indices[slot]],
+                        labels=g.labels[new_to_old])
     return SubgraphMap(graph=sub, new_to_old=new_to_old, old_to_new=old_to_new)
 
 

@@ -33,12 +33,12 @@ import math
 
 import numpy as np
 
-from blockbp.broadcast import BroadcastTree, tree_from_parents
+from blockbp.broadcast import BroadcastTree, _offspring
 from blockbp.levels import _combine_levels, _terminal_conductance
 from blockbp.params import derive_tree_params
 from blockbp.partition import blackbox_partition
 from blockbp.pipeline import align_partition, choose_anchor, resolve_radius
-from blockbp.popdyn import _offspring, _stat
+from blockbp.popdyn import _stat
 from blockbp.randgraph import remove_set
 from blockbp.seeding import derived_rng
 
@@ -89,10 +89,11 @@ def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
         lap[i, j] -= g
         lap[j, i] -= g
 
+    parent = tree.parent
     for u in nodes[1:]:
         j_gen = tree.depth_of(u)
         g = t2 ** j_gen / (1.0 - t2)
-        add_conductance(node_index(u), node_index(int(tree.parent[u])), g)
+        add_conductance(node_index(u), node_index(int(parent[u])), g)
     if delta is not None:
         g_term = t2 ** k * (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
         for v in leaves:
@@ -114,7 +115,7 @@ def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
         if delta is None:
             j_gen = tree.depth_of(v)
             g = t2 ** j_gen / (1.0 - t2)
-            currents[v] = g * x[node_index(int(tree.parent[v]))]
+            currents[v] = g * x[node_index(int(parent[v]))]
         else:
             g_term = t2 ** k * (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
             currents[v] = g_term * x[node_index(v)]
@@ -137,11 +138,12 @@ def enumerate_estimator_moments(tree: BroadcastTree, theta: float, weights,
     mean = 0.0
     second = 0.0
     flip_choices = [1, -1] if delta else [1]
+    parent = tree.parent
     for spins in itertools.product([1, -1], repeat=n - 1):
         s = (1,) + spins  # condition on sigma_root = +
         p = 1.0
         for v in range(1, n):
-            p *= 0.5 * (1.0 + theta * s[v] * s[int(tree.parent[v])])
+            p *= 0.5 * (1.0 + theta * s[v] * s[int(parent[v])])
         for flips in itertools.product(flip_choices, repeat=len(leaves) if delta else 0):
             pf = p
             val = 0.0
@@ -256,10 +258,6 @@ def _parents_from_levels(levels):
                 parents[i] = j
                 break
     return parents
-
-
-def tree_from_level_parents(parents) -> BroadcastTree:
-    return tree_from_parents(parents)
 
 
 # --- frozen conductance and current passes ----------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from blockbp import popdyn
 from blockbp.bpcore import BpConfig, bp_root, exact_posterior
-from blockbp.broadcast import sample_tree
+from blockbp.broadcast import sample_tree, tree_from_parents
 from blockbp.estimators import effective_conductance, majority_moments
 from blockbp.harness import ExperimentSpec, run_experiment, write_results
 from blockbp.params import ModelParams, derive_tree_params
@@ -32,7 +32,7 @@ from blockbp.pipeline import AlgoConfig, recover
 from blockbp.randgraph import sample_sbm
 from blockbp.seeding import derived_rng
 
-from _oracles import laplacian_network, rooted_tree_parent_lists, tree_from_level_parents
+from _oracles import laplacian_network, rooted_tree_parent_lists
 
 RESULTS = Path(__file__).resolve().parent.parent / "results" / "acceptance"
 Z = 2.576
@@ -52,10 +52,10 @@ def test_c1_bp_exactness_oracle_equivalence():
         d = rng.uniform(0.7, 1.8)
         depth = int(rng.integers(1, 5))
         t = sample_tree("gw", d, depth, seed=int(rng.integers(2 ** 32)))
-        if not 2 <= t.n_nodes <= 15 or t.level_size(depth) == 0:
+        if not 2 <= t.n_nodes <= 15 or t.sizes[depth] == 0:
             continue
         n_trees += 1
-        obs = np.where(rng.random(t.level_size(depth)) < 0.5, 1, -1)
+        obs = np.where(rng.random(t.sizes[depth]) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
             for delta in (None, 0.3):
                 mode = "leaf-exact" if delta is None else "leaf-noisy"
@@ -204,7 +204,7 @@ def test_c5_weighted_majority_identities():
         forest = popdyn.sample_forest("gw", d, theta, k, 100_000,
                                       derived_rng(505, "c5", int(delta * 10)))
         out = popdyn.forest_current_estimators(
-            forest, derived_rng(505, "c5-noise", int(delta * 10)), delta=delta)
+            forest, theta, derived_rng(505, "c5-noise", int(delta * 10)), delta=delta)
         alive = out["alive"]
         n = int(alive.sum())
         for name, vals, ceff in (("R", out["r"][alive], out["ceff"][alive]),
@@ -223,7 +223,7 @@ def test_c5_weighted_majority_identities():
     worst = 0.0
     n_shapes = 0
     for parents in rooted_tree_parent_lists(12):
-        t = tree_from_level_parents(parents)
+        t = tree_from_parents(parents)
         if t.depth == 0:
             continue
         n_shapes += 1

@@ -22,7 +22,7 @@ def random_small_tree(rng, max_nodes=15):
         d = rng.uniform(0.8, 2.5)
         depth = int(rng.integers(1, 5))
         t = sample_tree("gw", d, depth, seed=int(rng.integers(2 ** 32)))
-        if 2 <= t.n_nodes <= max_nodes and t.level_size(depth) > 0:
+        if 2 <= t.n_nodes <= max_nodes and t.sizes[depth] > 0:
             return t
 
 
@@ -130,7 +130,7 @@ def test_oracle_equivalence_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(60):
         t = random_small_tree(rng, max_nodes=12)
-        n_leaves = t.level_size(t.depth)
+        n_leaves = t.sizes[t.depth]
         obs = np.where(rng.random(n_leaves) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
             for delta in (None, 0.3):

@@ -1,26 +1,59 @@
 import numpy as np
 import pytest
+from test_popdyn import _dying_forest
 
+from blockbp import popdyn
+from blockbp.bpcore import BpConfig, bp_levels, bp_root, exact_posterior
 from blockbp.broadcast import (
     add_leaf_noise,
     run_broadcast,
     sample_tree,
     tree_from_parents,
 )
+from blockbp.estimators import (
+    current_weights,
+    effective_conductance,
+    majority_estimate,
+    weighted_majority_sign,
+)
 
 
 def test_dary_node_count():
     t = sample_tree("dary", 2, 3, seed=0)
     assert t.n_nodes == 15  # 2^4 - 1
-    assert [t.level_size(j) for j in range(4)] == [1, 2, 4, 8]
+    assert t.sizes == [1, 2, 4, 8]
 
 
 def test_children_contiguous_and_parents_consistent():
-    t = sample_tree("gw", 3.0, 4, seed=11)
-    # children of consecutive nodes are consecutive: parents never decrease
-    assert np.all(np.diff(t.parent[1:]) >= 0)
-    for c in range(1, t.n_nodes):
-        assert t.depth_of(c) == t.depth_of(int(t.parent[c])) + 1
+    trees = [
+        sample_tree("gw", 3.0, 4, seed=11),
+        sample_tree("dary", 3, 3, seed=0),
+        sample_tree("gw", 0.4, 8, seed=3),  # extinct before depth 8
+        tree_from_parents([-1, 0, 0, 1, 1, 2, 4, 4, 5], depth=5),
+        popdyn.sample_forest("gw", 3.0, 0.6, 4, 6, np.random.default_rng(4)),
+        _dying_forest(),
+    ]
+    assert trees[2].sizes[-1] == 0
+    for t in trees:
+        pp, sizes = t.parent_pos, t.sizes
+        assert t.depth == len(pp) - 1 and sizes == [len(p) for p in pp]
+        assert pp[0].dtype == np.int64 and np.all(pp[0] == -1)
+        for j in range(1, t.depth + 1):
+            # children of consecutive nodes are consecutive: positions never decrease
+            assert pp[j].dtype == np.int64 and np.all(np.diff(pp[j]) >= 0)
+            assert np.all((0 <= pp[j]) & (pp[j] < sizes[j - 1]))
+        # the arena views number the levels one after another
+        ls, parent = t.level_start, t.parent
+        assert np.array_equal(ls, np.concatenate(([0], np.cumsum(sizes))))
+        assert t.n_nodes == len(parent) == ls[-1]
+        for j in range(t.depth + 1):
+            assert np.array_equal(t.level(j), np.arange(ls[j], ls[j + 1]))
+            want = pp[0] if j == 0 else pp[j] + ls[j - 1]
+            assert np.array_equal(parent[ls[j] : ls[j + 1]], want)
+        # parents never decrease
+        assert np.all(np.diff(parent[sizes[0]:]) >= 0)
+        for c in range(sizes[0], t.n_nodes):
+            assert t.depth_of(c) == t.depth_of(int(parent[c])) + 1
 
 
 def test_gw_mean_node_count():
@@ -36,18 +69,17 @@ def test_gw_mean_node_count():
 def test_subcritical_extinction():
     for s in range(500):
         t = sample_tree("gw", 0.5, 20, seed=s)
-        assert t.level_size(20) == 0
+        assert t.sizes[20] == 0
 
 
 def test_broadcast_eta_zero_and_one():
     t = sample_tree("dary", 2, 3, seed=1)
     t0 = run_broadcast(t, 0.0, seed=2)
-    assert np.all(t0.sigma == t0.sigma[0])
+    assert np.all(np.concatenate(t0.sigma) == t0.sigma[0][0])
     t1 = run_broadcast(t, 1.0, seed=2)
     for j in range(4):
-        lvl = t1.level(j)
-        expected = t1.sigma[0] * (-1) ** j
-        assert np.all(t1.sigma[lvl] == expected)
+        expected = t1.sigma[0][0] * (-1) ** j
+        assert np.all(t1.sigma[j] == expected)
 
 
 def test_single_step_flip_rate():
@@ -58,8 +90,8 @@ def test_single_step_flip_rate():
     t = sample_tree("dary", 3, 1, seed=0)
     for s in range(20_000):
         tb = run_broadcast(t, eta, seed=s)
-        kids = tb.level(1)
-        agree += int((tb.sigma[kids] == tb.sigma[0]).sum())
+        kids = tb.sigma[1]
+        agree += int((kids == tb.sigma[0][0]).sum())
         n += len(kids)
     p_hat = agree / n
     se = np.sqrt(p_hat * (1 - p_hat) / n)
@@ -75,8 +107,8 @@ def test_two_step_flip_rate():
     n = 0
     for s in range(20_000):
         tb = run_broadcast(t, eta, seed=s)
-        g = tb.level(2)
-        agree += int((tb.sigma[g] == tb.sigma[0]).sum())
+        g = tb.sigma[2]
+        agree += int((g == tb.sigma[0][0]).sum())
         n += len(g)
     p_hat = agree / n
     want = (1 + theta ** 2) / 2
@@ -86,7 +118,7 @@ def test_two_step_flip_rate():
 
 def test_root_symmetry():
     t = sample_tree("dary", 2, 1, seed=0)
-    roots = [run_broadcast(t, 0.2, seed=s).sigma[0] for s in range(20_000)]
+    roots = [run_broadcast(t, 0.2, seed=s).sigma[0][0] for s in range(20_000)]
     p_plus = np.mean(np.asarray(roots) == 1)
     assert abs(p_plus - 0.5) < 4 * np.sqrt(0.25 / 20_000)
 
@@ -94,25 +126,24 @@ def test_root_symmetry():
 def test_leaf_noise_zero_is_identity():
     t = run_broadcast(sample_tree("gw", 3, 3, seed=5), 0.2, seed=6)
     tn = add_leaf_noise(t, 0.0, seed=7)
-    lvl = tn.level(3)
-    assert np.array_equal(tn.tau[lvl], tn.sigma[lvl])
+    assert np.array_equal(tn.tau, tn.sigma[3])
 
 
 def test_leaf_noise_flip_fraction():
     # one wide tree gives 1e5 leaves in a single draw
     t = run_broadcast(sample_tree("dary", 100_000, 1, seed=0), 0.3, seed=1)
     tn = add_leaf_noise(t, 0.3, seed=2)
-    lvl = tn.level(1)
-    frac = float((tn.tau[lvl] != tn.sigma[lvl]).mean())
-    se = np.sqrt(0.3 * 0.7 / len(lvl))
+    frac = float((tn.tau != tn.sigma[1]).mean())
+    se = np.sqrt(0.3 * 0.7 / len(tn.tau))
     assert abs(frac - 0.3) < 4 * se
 
 
 def test_leaf_noise_on_extinct_level_is_noop():
     t = run_broadcast(sample_tree("gw", 0.4, 8, seed=3), 0.2, seed=4)
-    assert t.level_size(8) == 0
+    assert t.sizes[8] == 0
     tn = add_leaf_noise(t, 0.3, seed=5)
     assert tn.tau_level == 8
+    assert tn.tau.shape == (0,)
     assert np.all(tn.tau == 0)
 
 
@@ -122,14 +153,14 @@ def test_determinism():
     assert np.array_equal(a.parent, b.parent)
     ba = run_broadcast(a, 0.3, seed=9)
     bb = run_broadcast(b, 0.3, seed=9)
-    assert np.array_equal(ba.sigma, bb.sigma)
+    assert np.array_equal(np.concatenate(ba.sigma), np.concatenate(bb.sigma))
 
 
 def test_tree_from_parents_roundtrip():
     t = tree_from_parents([-1, 0, 0, 1, 1, 2])
     assert t.n_nodes == 6
     assert t.depth == 2
-    assert [t.level_size(j) for j in range(3)] == [1, 2, 3]
+    assert t.sizes == [1, 2, 3]
     with pytest.raises(ValueError):
         tree_from_parents([0, -1])
     with pytest.raises(ValueError):
@@ -146,3 +177,27 @@ def test_bad_inputs():
     t = sample_tree("dary", 2, 1)
     with pytest.raises(ValueError):
         add_leaf_noise(t, 0.1)  # no spins yet
+
+
+# every function that takes a level of a tree rejects one outside [0, depth]
+_LEVEL_CALLS = {
+    "bp_levels": lambda t, k: bp_levels(t, BpConfig(theta=0.5), [1, -1], level=k),
+    "bp_root": lambda t, k: bp_root(t, BpConfig(theta=0.5), [1, -1], level=k),
+    "exact_posterior": lambda t, k: exact_posterior(t, 0.5, [1, -1], level=k),
+    "add_leaf_noise": lambda t, k: add_leaf_noise(t, 0.1, level=k),
+    "majority_estimate": lambda t, k: majority_estimate(t, level=k),
+    "effective_conductance": lambda t, k: effective_conductance(t, 0.5, k=k),
+    "current_weights": lambda t, k: current_weights(t, 0.5, k=k),
+    # checked before the coin fallback for a tree without an estimator
+    "weighted_majority_sign": lambda t, k: weighted_majority_sign(t, [1, -1], 0.5,
+                                                                  rng=0, k=k),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_LEVEL_CALLS))
+@pytest.mark.parametrize("offset", [-1, 1], ids=["minus-one", "depth-plus-one"])
+def test_level_out_of_range_is_rejected(call, offset):
+    t = run_broadcast(tree_from_parents([-1, 0, 0]), 0.2, seed=0)
+    k = -1 if offset < 0 else t.depth + 1
+    with pytest.raises(ValueError, match=rf"level {k} is out of range for a tree of depth 1"):
+        _LEVEL_CALLS[call](t, k)

@@ -21,7 +21,7 @@ def gw_tree(d, depth, seed, min_nodes=2, max_nodes=10 ** 9):
     rng = np.random.default_rng(seed)
     while True:
         t = sample_tree("gw", d, depth, seed=int(rng.integers(2 ** 32)))
-        if min_nodes <= t.n_nodes <= max_nodes and t.level_size(depth) > 0:
+        if min_nodes <= t.n_nodes <= max_nodes and t.sizes[depth] > 0:
             return t
 
 
@@ -53,26 +53,26 @@ def test_noisy_moments():
 def test_majority_estimate_cases():
     t = tree_from_parents([-1, 0, 0, 0])
     t = run_broadcast(t, 0.0, seed=0, root_sign=1)
-    t.sigma[1:] = [1, 1, -1]
+    t.sigma[1][:] = [1, 1, -1]
     assert majority_estimate(t) == 1
-    t.sigma[1:] = [1, -1, 1]
+    t.sigma[1][:] = [1, -1, 1]
     assert majority_estimate(t) == 1
     t2 = tree_from_parents([-1, 0, 0])
     t2 = run_broadcast(t2, 0.0, seed=0, root_sign=1)
-    t2.sigma[1:] = [1, -1]
+    t2.sigma[1][:] = [1, -1]
     assert majority_estimate(t2) == 0  # tie
 
 
 def test_majority_estimate_extinct_level():
     t = run_broadcast(sample_tree("gw", 0.3, 6, seed=11), 0.1, seed=0)
-    assert t.level_size(6) == 0
+    assert t.sizes[6] == 0
     assert majority_estimate(t) == 0
 
 
 def test_majority_estimate_noisy():
     t = run_broadcast(sample_tree("dary", 3, 2, seed=1), 0.2, seed=2)
     tn = add_leaf_noise(t, 0.1, seed=3)
-    s = int(tn.tau[tn.level(2)].sum())
+    s = int(tn.tau.sum())
     assert majority_estimate(tn, use_noisy=True) == np.sign(s)
     with pytest.raises(ValueError):
         majority_estimate(t, use_noisy=True)  # no tau attached
@@ -209,7 +209,7 @@ def test_weighted_sign_extinct_is_coin():
 
 def test_weighted_sign_matches_majority_on_dary():
     t = run_broadcast(sample_tree("dary", 3, 2, seed=2), 0.2, seed=3)
-    obs = t.sigma[t.level(2)]
+    obs = t.sigma[2]
     assert weighted_majority_sign(t, obs, 0.5, rng=0) == majority_estimate(t)
 
 

@@ -36,10 +36,9 @@ def test_magnetization_chain_matches_explicit_trees():
         t = sample_tree(kind, d, k, seed=int(rng.integers(2 ** 32)))
         t = run_broadcast(t, eta, seed=int(rng.integers(2 ** 32)), root_sign=1)
         t = add_leaf_noise(t, delta, seed=int(rng.integers(2 ** 32)))
-        lvl = t.level(k)
-        xs.append(bp_root(t, BpConfig(theta=theta), t.sigma[lvl]))
+        xs.append(bp_root(t, BpConfig(theta=theta), t.sigma[k]))
         ys.append(bp_root(t, BpConfig(theta=theta, mode="leaf-noisy", delta=delta),
-                          t.tau[lvl]))
+                          t.tau))
     xs, ys = np.abs(xs), np.abs(ys)
     se = _joint_se(row["absx_std"], trials, xs.std(), n_exp)
     assert abs(row["absx_mean"] - xs.mean()) < 4 * se
@@ -70,7 +69,7 @@ def test_conductance_chain_matches_forest():
                                         np.random.default_rng(4))
     pool = pools[k]
     forest = popdyn.sample_forest("gw", d, theta, k, 20_000, np.random.default_rng(5))
-    z_levels, _ = popdyn.forest_conductance(forest)
+    z_levels, _ = popdyn.forest_conductance(forest, theta)
     z0 = z_levels[0]
     se = _joint_se(pool.std(), len(pool), z0.std(), len(z0))
     assert abs(pool.mean() - z0.mean()) < 4 * se
@@ -80,7 +79,10 @@ def test_conductance_chain_matches_forest():
 
 def _forest_trial_tree(forest, i):
     """Rebuild trial i of a forest as an explicit BroadcastTree (plus spins)."""
-    sel = [np.flatnonzero(forest.node_trial[j] == i) for j in range(forest.depth + 1)]
+    root = [np.arange(forest.sizes[0])]
+    for pp in forest.parent_pos[1:]:
+        root.append(root[-1][pp])
+    sel = [np.flatnonzero(r == i) for r in root]
     local = {}
     parents = []
     sigma = []
@@ -100,8 +102,8 @@ def _forest_trial_tree(forest, i):
 def test_forest_matches_object_api_exactly():
     theta = 0.6
     forest = popdyn.sample_forest("gw", 2.0, theta, 3, 50, np.random.default_rng(6))
-    z_levels, _ = popdyn.forest_conductance(forest, delta=0.2)
-    for i in range(forest.trials):
+    z_levels, _ = popdyn.forest_conductance(forest, theta, delta=0.2)
+    for i in range(forest.sizes[0]):
         t, _ = _forest_trial_tree(forest, i)
         net = effective_conductance(t, theta, delta=0.2)
         assert net.ceff == pytest.approx(float(z_levels[0][i]), abs=1e-12, rel=1e-12)
@@ -111,7 +113,7 @@ def test_forest_estimators_identities():
     # E(R | sigma_root = +) = 1; Var(R) = E[1/Ceff] over surviving trees
     d, theta, k = 3.0, 0.6, 3
     forest = popdyn.sample_forest("gw", d, theta, k, 60_000, np.random.default_rng(7))
-    out = popdyn.forest_current_estimators(forest, np.random.default_rng(8), delta=0.2)
+    out = popdyn.forest_current_estimators(forest, theta, np.random.default_rng(8), delta=0.2)
     alive = out["alive"]
     r = out["r"][alive]
     s = out["s"][alive]
@@ -129,10 +131,10 @@ def test_forest_estimators_identities():
 def test_forest_weights_match_object_api():
     theta = 0.7
     forest = popdyn.sample_forest("gw", 2.0, theta, 2, 40, np.random.default_rng(9))
-    out = popdyn.forest_current_estimators(forest, np.random.default_rng(10), delta=0.0)
-    for i in range(forest.trials):
+    out = popdyn.forest_current_estimators(forest, theta, np.random.default_rng(10), delta=0.0)
+    for i in range(forest.sizes[0]):
         t, sigma = _forest_trial_tree(forest, i)
-        if t.level_size(t.depth) == 0:
+        if t.sizes[t.depth] == 0:
             continue
         cw = current_weights(t, theta)
         lvl = t.level(t.depth)
@@ -219,19 +221,19 @@ def test_offspring_validation():
 
 def _dying_forest():
     forest = popdyn.sample_forest("gw", 0.2, 0.6, 6, 5, np.random.default_rng(0))
-    assert [forest.level_size(j) for j in range(7)] == [5, 0, 0, 0, 0, 0, 0]
+    assert forest.sizes == [5, 0, 0, 0, 0, 0, 0]
     return forest
 
 
 def test_forest_conductance_on_empty_level():
-    z_levels, _ = popdyn.forest_conductance(_dying_forest(), delta=0.2)
+    z_levels, _ = popdyn.forest_conductance(_dying_forest(), 0.6, delta=0.2)
     assert z_levels[0].dtype == np.float64
     assert np.array_equal(z_levels[0], np.zeros(5))
 
 
 def test_forest_current_estimators_on_empty_level():
     for delta in (0.0, 0.2):
-        out = popdyn.forest_current_estimators(_dying_forest(), np.random.default_rng(1),
+        out = popdyn.forest_current_estimators(_dying_forest(), 0.6, np.random.default_rng(1),
                                                delta=delta)
         assert np.array_equal(out["ceff"], np.zeros(5))
         assert not out["alive"].any()
@@ -258,8 +260,8 @@ def test_tree_passes_match_frozen_references(forest):
     # conductance_up and current_down reproduce the frozen reference passes
     # bit for bit, on terminals of conductance inf, finite and 0 (a 0 subtree
     # passes no current on) and on every slice from one level to the forest
-    k, theta = forest.depth, forest.theta
-    sizes = [forest.level_size(j) for j in range(k + 1)]
+    k, theta = forest.depth, 0.6  # the theta every forest above was sampled at
+    sizes = forest.sizes
     observed = np.random.default_rng(6).random(sizes[k]) < 0.7
     for tc in (np.inf, _terminal_conductance(0.2), 0.0):
         z = np.where(observed, tc, 0.0)
@@ -294,7 +296,7 @@ def test_chains_reject_delta_out_of_range(delta):
             run()
     forest = popdyn.sample_forest("gw", 2.0, 0.5, 2, 100, np.random.default_rng(0))
     with pytest.raises(ValueError, match="delta"):
-        popdyn.forest_current_estimators(forest, np.random.default_rng(1), delta=delta)
+        popdyn.forest_current_estimators(forest, 0.5, np.random.default_rng(1), delta=delta)
 
 
 def test_chains_reject_no_trials():

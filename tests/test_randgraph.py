@@ -181,6 +181,45 @@ def test_remove_set_cases():
     assert one.graph.labels.tolist() == [1, -1]
     with pytest.raises(ValueError):
         remove_set(g, [5])
+    for bad in ([1.7], [[2]], [-1]):
+        with pytest.raises(ValueError, match="victims"):
+            remove_set(g, bad)
+
+
+def _induced_by_edge_list(g, victims):
+    """The induced subgraph built from scratch through ``graph_from_edges``."""
+    keep = np.ones(g.n, dtype=bool)
+    keep[victims] = False
+    new_id = np.cumsum(keep) - 1
+    src = np.repeat(np.arange(g.n), g.degrees)
+    edges = [(int(new_id[u]), int(new_id[v])) for u, v in zip(src, g.indices)
+             if u < v and keep[u] and keep[v]]
+    return graph_from_edges(int(keep.sum()), edges, g.labels[keep]), keep
+
+
+def test_remove_set_matches_induced_edge_list():
+    rng = np.random.default_rng(21)
+    star = graph_from_edges(6, [(0, 1), (1, 2), (1, 3)], [1, -1, 1, 1, -1, -1])
+    cases = [(star, [1]), (star, [4, 4, 5]), (star, [])]
+    for seed in range(4):
+        g = sample_sbm(ModelParams(n=300, a=4.0, b=1.0), seed=seed)
+        assert np.any(g.degrees == 0)  # isolated vertices
+        cases += [
+            (g, rng.choice(g.n, size=int(rng.integers(1, 60)), replace=False)),
+            (g, rng.integers(0, g.n, size=80)),  # repeats
+            (g, []),
+            (g, rng.permutation(np.repeat(np.arange(g.n), 2))),  # every vertex
+        ]
+    for g, victims in cases:
+        got = remove_set(g, victims)
+        want, keep = _induced_by_edge_list(g, np.asarray(victims, dtype=np.int64))
+        assert got.graph.n == want.n
+        for name in ("indptr", "indices", "labels"):
+            a, b = getattr(got.graph, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(got.new_to_old, np.flatnonzero(keep))
+        assert np.array_equal(got.old_to_new[keep], np.arange(want.n))
+        assert np.all(got.old_to_new[~keep] == -1)
 
 
 def test_dump_round_trip(tmp_path):
