@@ -1,8 +1,9 @@
 """Full graph recovery: rough partition in, near-optimal labelling out.
 
 Samples a sparse two-class graph, runs a deliberately poor initial
-partitioner (25% of labels flipped), and lets the per-vertex boundary-BP
-pipeline clean it up.  The final accuracy lands next to the tree-model
+partitioner (25% of labels flipped), and lets the boundary-BP pipeline
+clean it up: every vertex is labelled by BP on its depth-R walk tree, all of
+them at once by messages on the graph's directed edges.  The final accuracy lands next to the tree-model
 benchmark - the accuracy of optimal root reconstruction on the matching
 broadcast tree - which no algorithm can beat asymptotically.
 """
@@ -40,7 +41,8 @@ d = res.diagnostics
 print(f"\npipeline with a 25%-error black box, R={d.r_used}, K={cfg.K}:")
 print(f"  accuracy {res.accuracy:.4f} (error fraction {res.report.delta_frac:.4f})")
 print(f"  anchor u* = {d.u_star} (fallback: {d.u_star_fallback}), "
-      f"{d.coin_labels} coin labels, {d.nontree_neighborhoods} non-tree balls")
+      f"{d.coin_labels} coin labels, about {d.nontree_neighborhoods} vertices whose "
+      "walk tree revisits a vertex (from a sample)")
 
 # the tree-side ceiling at the same depth
 tp = derive_tree_params(m)

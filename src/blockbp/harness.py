@@ -66,7 +66,7 @@ _ALLOWED = {
     "threshold-sweep": ({"base_d", "k"}, {"ksig"}),
     "conductance-check": (_TREE_PARAM_KEYS | {"delta", "threshold"}, {"k"}),
     "graph-recover": (
-        {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K", "batch",
+        {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K",
          "u_size", "weights_delta", "tree_k"},
         {"rep"},
     ),
@@ -360,7 +360,6 @@ def _recover_rep(spec_dict: dict, rep: int) -> dict:
         R_mode=p.get("R_mode", "fixed" if p.get("R") is not None else "auto"),
         K=int(p.get("K", 1)),
         u_size=p.get("u_size"),
-        batch=p.get("batch"),
         weights_delta=p.get("weights_delta"),
     )
     g = sample_sbm(params, seed=derived_rng(spec.seed, "graph", rep))
@@ -393,7 +392,8 @@ def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]
     }
     out = []
     # per rep: accuracy, then the fractions of all n vertices that were
-    # labelled by a coin (hold-out included) and whose ball is not a tree
+    # labelled by a coin (hold-out included) and whose walk tree revisits a
+    # vertex (a sample estimate)
     for res in results:
         for metric in ("accuracy", "coin_frac", "nontree_frac"):
             out.append(ResultRow(

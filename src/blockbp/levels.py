@@ -4,9 +4,10 @@ Every tree in the package is stored as the same level lists: level j holds
 ``sizes[j]`` nodes, and ``parent_pos[j]`` (j >= 1) gives, for each level-j
 node, the position of its parent within level j - 1 (entry 0 is ignored).
 ``broadcast.BroadcastTree`` (one tree, or a forest of ``popdyn`` trials) and
-``randgraph.Balls`` store them, and the population chains build one level at
+``randgraph.Ball`` store them, and the population chains build one level at
 a time.  A pass over a slice of the lists treats the slice's first level as
-its roots.
+its roots.  ``pipeline._label_edges`` runs the BP combine on directed edges
+instead, with ``_edge_llr``.
 
 - ``bp_up``: the magnetization recursion, last level to level 0;
 - ``conductance_up``: the series-parallel reduction of the resistor network
@@ -23,7 +24,9 @@ import numpy as np
 def _edge_llr(msgs: np.ndarray, theta: float, clamp: float) -> np.ndarray:
     """Child magnetizations as parent LLR terms; odd in msgs (symmetric clip)."""
     lim = 1.0 - clamp
-    return np.arctanh(np.clip(theta * msgs, -lim, lim))
+    x = theta * msgs
+    np.clip(x, -lim, lim, out=x)
+    return np.arctanh(x, out=x)
 
 
 def _sum_llrs(llrs: np.ndarray, parent_pos: np.ndarray, n_parents: int, clamp: float):

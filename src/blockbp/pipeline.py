@@ -1,43 +1,31 @@
-"""Graph recovery by per-vertex neighborhood hold-out and boundary BP.
+"""Graph recovery by neighborhood hold-out and boundary BP.
 
 For each vertex v, the idea is: hide v's neighborhood, run a rough black-box
 partitioner on the rest of the graph, read the inferred sides on the sphere
 S(v, R) as noisy leaf observations, and recover v's label by robust tree
-reconstruction on the BFS tree of B(v, R).  Because the black box is only
-defined up to a global label flip, all runs are aligned through one held-out
+reconstruction on the depth-R tree around v.  Because the black box is only
+defined up to a global label flip, the run is aligned through one held-out
 high-degree anchor vertex u*: with a > b the anchor should see most of its
 neighbors on its own side (rule reversed when a < b).
 
+The black box runs once, on the graph H = G minus the hold-out set U, and
+every vertex of H is labelled from that one aligned partition.  Vertices in
+U get no inferred sides, take no part in the observations and are labelled
+by fair coins at the end.
+
 Label computation is two-stage, mirroring the fact that the boundary noise
-level is unknown: first, every u in S(v, R-K) gets a hard +-1 vote, the sign
-of the conductance-weighted sum of the observations in its depth-K subtree;
-then exact BP runs on those signs from level R-K up to v.  K = 0 degenerates
-to BP straight on the sphere observations.
+level is unknown: first, every node at depth R-K gets a hard +-1 vote, the
+sign of the conductance-weighted sum of the observations in its depth-K
+subtree; then exact BP runs on those signs from depth R-K up to v.  K = 0
+degenerates to BP straight on the observations.
 
-The default "batch" variant runs the black box once on G minus the hold-out
-set U and shares the partition across all vertices (inner balls are excluded
-only from the observation read-off).  batch=1 reruns the black box per
-vertex on G \\ B(v, R-1) \\ U, the literal per-vertex hold-out; batch=j > 1
-shares one run per chunk of j vertices, with the union of the chunk's inner
-balls removed.  Held-out vertices in U are labelled by fair coins at the end.
-
-Neighborhoods are taken in the graph with U removed: U gets no inferred
-sides, takes no part in the boundary observations, and is coin-labelled
-anyway, so paths through it carry nothing the estimator could use.
-
-The per-vertex computations share one partition, so they run batched:
-``randgraph.ball_batches`` cuts the vertices into chunks that fit its fixed
-budget of gathered neighbour slots and builds the balls of a whole chunk as
-flat per-level arrays tagged by the owning centre, and the conductance-up,
-current-down, hard-vote and BP-up passes each run once per level across the
-chunk.  The output does not depend on the chunking: it is bit-identical to
-labelling one vertex at a time.  Coins come from two streams.  The
-``"labels"`` stream holds the coins whose number is known before BP (empty
-or unobserved spheres, vote ties), drawn in centre order; a root that comes
-out exactly 0 reads its vertex's entry of one array of uniforms from the
-``"zero-roots"`` stream, drawn once per run (see ``_label_balls``).  The
-``nontree`` count (``Balls.nontree``) counts the balls with an induced edge
-outside the BFS tree, sphere-sphere edges included.
+The tree is v's depth-R non-backtracking walk tree, which is the BFS tree of
+B(v, R) whenever that ball is a tree, the regime of the theory (R of order
+log n).  On a ball with cycles the walk tree also reads sides inside
+B(v, R - 1) that a cycle leads back to, where BP on the BFS tree would read
+the sphere only.  Walk trees share their subtrees, so ``_label_edges``
+labels every vertex at once by messages on the directed edges of H, with
+coins keyed by directed edge and by vertex rather than drawn in order.
 """
 
 from __future__ import annotations
@@ -50,10 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .levels import _terminal_conductance, bp_up, conductance_up, current_down
+from .levels import _compose_through_edge, _edge_llr, _terminal_conductance
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
-from .randgraph import Balls, LabelledGraph, _owner_cut, ball_batches, remove_set
+from .randgraph import LabelledGraph, extract_neighborhood, remove_set
 from .seeding import derived_rng
 
 __all__ = [
@@ -70,6 +58,12 @@ __all__ = [
 # Clamp of the BP level combine in the root passes: |x| <= 1 - _CLAMP.
 _CLAMP = 1e-12
 
+# A sum of the edge passes is 0 when |sum| <= _TIE_ULPS * eps * (sum of |terms|).
+_TIE_ULPS = 4096
+
+# Centres of the sample that ``nontree_neighborhoods`` is estimated from.
+_NONTREE_SAMPLE = 500
+
 
 @dataclass(frozen=True)
 class AlgoConfig:
@@ -79,10 +73,7 @@ class AlgoConfig:
     n^(1/8), keeping balls small (the theory's floor(log n / (20(a+b))) is 0
     for every n below e^(20(a+b))) and takes no ``R``; "fixed" takes ``R`` as
     given.  K is the
-    depth of the hard-vote stage, 0 <= K <= R.  ``batch`` None shares one
-    black-box run across all vertices; an integer j reruns it per chunk of j
-    vertices with the chunk's inner balls held out (j = 1 is the literal
-    per-vertex variant).
+    depth of the hard-vote stage, 0 <= K <= R.
     ``weights_delta`` sets terminal resistors for the hard-vote weights; the
     boundary noise level is normally unknown, so the default uses none.
     """
@@ -91,7 +82,6 @@ class AlgoConfig:
     R_mode: str = "auto"  # "auto" | "fixed"
     K: int = 1
     u_size: int | None = None
-    batch: int | None = None
     weights_delta: float | None = None
 
     def __post_init__(self):
@@ -103,8 +93,6 @@ class AlgoConfig:
             raise ValueError("R is ignored under R_mode auto; pass R_mode='fixed'")
         if self.K < 0:
             raise ValueError("K must be nonnegative")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError("batch must be None or >= 1")
         _terminal_conductance(self.weights_delta)  # rejects delta outside [0, 1/2)
 
 
@@ -179,94 +167,174 @@ def align_partition(p: Partition, g: LabelledGraph, u_star: int, a: float,
     )
 
 
-class _BallLabels(NamedTuple):
-    """Per-centre outputs of ``_label_balls``, indexed like ``Balls.centres``."""
+class _Labels(NamedTuple):
+    """Per-vertex outputs of ``_label_edges``, indexed by H's vertex ids."""
 
     sign: np.ndarray           # int8 +-1
     magnetization: np.ndarray  # float64, 0 where a coin decided
     coin: np.ndarray
-    zero_root: np.ndarray      # the coin decided because the root came out exactly 0
-    empty_sphere: np.ndarray
-    missing_obs: np.ndarray
-    watch_hit: np.ndarray
+    zero_root: np.ndarray      # the coin decided because the root value is 0
+    no_walk: np.ndarray        # no non-backtracking walk of length R
 
 
-def _label_balls(balls: Balls, xi_side: np.ndarray, big_k: int, theta: float,
-                 weights_delta, clamp: float, rng, zero_u: np.ndarray,
-                 watch=None) -> _BallLabels:
-    """Two-stage root values of every ball in the batch, level by level.
+def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
+                 theta: float, weights_delta, clamp: float, rng,
+                 root_u: np.ndarray) -> _Labels:
+    """Two-stage root values of every vertex of H on its depth-R walk tree.
 
-    ``xi_side`` gives each vertex's +-1 side (0 = none); it is read on the
-    sphere only.  Hard votes at level R-K come from the conductance weights
-    of their depth-K subtrees, then BP runs up to the centres (K = 0: BP
-    straight on the sphere observations).
+    The walk tree of v hangs, below each child y reached from x, the subtree
+    of y's walks that do not step straight back to x, and the same subtree
+    hangs below every node that enters y from x.  So a value at height j
+    above the leaves is a message y -> x, carried by the CSR slot of row x
+    holding neighbour y, and a round computes height j + 1 from height j for
+    all slots at once: the row sum of y's incoming messages minus the one
+    from x (the cavity step; the reverse slot holds it, found by one
+    ``searchsorted`` and stored as int32 while 2m < 2^31).  Height 0 is y's
+    own side, the same towards every neighbour, so heights up to 1 need no
+    reverse slots and they are built only at R >= 3.  The root is a plain
+    row sum.
 
-    Coins come from ``rng`` in centre order, exactly as labelling one centre
-    at a time would draw them: one uniform for an empty sphere or a sphere
-    without observations, otherwise one per vote tie in level position order.
-    Their number is known before BP, so the batch draws them in one call and
-    hands them out by offset.  A root that comes out exactly 0 takes its coin
-    from ``zero_u``, one uniform per vertex id, so it depends only on the
-    centre and not on the batch.
+    ``side`` is every vertex's +-1 side.  Heights up to K carry the vote:
+    at K = 1 the vote is the sign of the integer sum of the children's sides,
+    a tie when that sum is 0.  At K >= 2 a message carries the branch
+    conductance c and the current-weighted average U of the sides below
+    (U = side at the leaves, U = sum c_i U_i / sum c_i over the children),
+    and sign(sum c_i U_i) is the conductance-weighted vote.  K = 0 passes
+    the sides as they are.  Then R - K - 1 rounds of the BP level combine
+    and one root sum.
+
+    An exact cancellation in floating point often leaves a residue whose
+    sign would decide the label.  So every float sum here (the K >= 2 votes,
+    each BP cavity sum and the root sum) counts as 0 when its magnitude is
+    at most c * eps * S, with c = ``_TIE_ULPS`` = 4096, eps the float64
+    machine epsilon and S the sum of the magnitudes of the terms of the whole
+    row; for a cavity sum that includes the parent's own term, which bounds
+    the rounding of the subtraction.  A vote of sum 0 is a tie, and a BP sum
+    of 0 gives the message 0.
+
+    A vote tie below the root (R > K >= 1) takes the coin of its slot from
+    one uniform per slot drawn from ``rng``; a root-level coin takes the
+    vertex's entry of ``root_u``.
     """
-    r = balls.radius
-    c = len(balls.centres)
-    level, owner, parent_pos = balls.vertex, balls.owner, balls.parent_pos
-    sizes = [len(ids) for ids in level]
-    xi = xi_side[level[r]].astype(np.float64)
-    observed = xi != 0.0
-    cut = _owner_cut(owner[r], c)
-    on_sphere = np.diff(cut)
-    seen = np.diff(np.searchsorted(np.flatnonzero(observed), cut))
-    regular = seen > 0
-    watch_hit = np.zeros(c, dtype=bool)
-    if watch is not None:
-        for j in range(r):
-            watch_hit[owner[j][watch[level[j]]]] = True
+    n, nbr = h.n, h.indices
+    row = np.repeat(np.arange(n, dtype=np.int64), h.degrees)
+    rev = None  # per slot (x, y), the slot (y, x): slots sort by the key x*n + y
+    if r >= 3:
+        rev = np.searchsorted(row * n + nbr, nbr * n + row)
+        rev = rev.astype(np.int32) if len(rev) < 2 ** 31 else rev
+    xi = side.astype(np.float64)
+    lim = 1.0 - clamp
+    tol = _TIE_ULPS * np.finfo(np.float64).eps
 
-    if big_k > 0:
-        j0 = r - big_k
-        # conductance up from the terminals, unit current down from level j0
-        z = np.where(observed, _terminal_conductance(weights_delta), 0.0)
-        zs, cs = conductance_up(z, parent_pos[j0:], sizes[j0:], theta)
-        cur, anc = current_down(zs, cs, parent_pos[j0:])
-        cur *= theta ** (-big_k)
-        cur *= xi
-        sums = np.bincount(anc, weights=cur, minlength=sizes[j0])
-        votes = np.sign(sums)
-        ties = np.flatnonzero((sums == 0.0) & regular[owner[j0]])
+    def row_sums(w):
+        return np.bincount(row, weights=w, minlength=n)
+
+    def zero_ties(s, scale):
+        """``s`` with the sums within rounding of 0 set to 0."""
+        s[np.abs(s) <= tol * scale] = 0.0
+        return s
+
+    def cavity(w, w_side=None):
+        """Per slot (x, y): the sum of ``w`` over y's row less x's own term,
+        ``w[rev]`` or, at height 1, ``w_side[x]``; 0 within rounding."""
+        buf = np.abs(w)
+        scale = row_sums(buf)
+        s = row_sums(w)[nbr]
+        if w_side is None:
+            np.take(w, rev, out=buf)
+        else:
+            np.take(w_side, row, out=buf)
+        s -= buf
+        np.abs(s, out=buf)
+        s[buf <= tol * scale[nbr]] = 0.0
+        return s
+
+    # walks of the remaining length that leave y without stepping back to x
+    if r == 1:
+        reach = h.degrees > 0
     else:
-        j0 = r
-        votes = xi
-        ties = np.empty(0, dtype=np.int64)
-    tie_own = owner[j0][ties]
-    tie_cut = _owner_cut(tie_own, c)
-    n_ties = np.diff(tie_cut)
-    tie_rank = np.arange(len(ties), dtype=np.int64) - tie_cut[tie_own]
-    fixed = (~regular).astype(np.int64) + n_ties
+        alive = h.degrees[nbr] > 1
+        for _ in range(r - 2):
+            alive = row_sums(alive)[nbr] > alive[rev]
+        reach = row_sums(alive) > 0
 
-    first = np.cumsum(fixed) - fixed
-    u = rng.random(int(fixed.sum()))
-    votes[ties] = np.where(u[first[tie_own] + tie_rank] < 0.5, 1.0, -1.0)
-    vals = bp_up(votes, parent_pos[: j0 + 1], sizes, theta, clamp)
-    zero = regular & (vals == 0.0)
-    coin = ~regular | zero
-    sign = np.where(vals > 0, 1, -1).astype(np.int8)
-    sign[~regular] = np.where(u[first[~regular]] < 0.5, 1, -1)
-    sign[zero] = np.where(zero_u[balls.centres[zero]] < 0.5, 1, -1)
-    return _BallLabels(sign=sign, magnetization=np.where(coin, 0.0, vals), coin=coin,
-                       zero_root=zero, empty_sphere=on_sphere == 0,
-                       missing_obs=on_sphere - seen, watch_hit=watch_hit)
+    def vote_sums():
+        """The votes' sums: per slot below the root, per vertex at K = R."""
+        if big_k == 1:
+            a = row_sums(xi[nbr])
+            return a if big_k == r else a[nbr] - xi[row]
+        leaf_c = _compose_through_edge(np.full(n, _terminal_conductance(weights_delta)), theta)
+        c_side, cu_side = leaf_c, leaf_c * xi
+        c, cu = c_side[nbr], cu_side[nbr]
+        for _ in range(1, big_k):
+            z, a = cavity(c, c_side), cavity(cu, cu_side)
+            c = _compose_through_edge(z, theta)
+            cu = c * np.divide(a, z, out=np.zeros_like(a), where=z > 0)
+            c_side = cu_side = None  # above height 1 the own terms come from rev
+        if big_k == r:
+            return zero_ties(row_sums(cu), row_sums(np.abs(cu)))
+        return cavity(cu, cu_side)
+
+    def decided(a):
+        """Per-slot votes from their sums; a tie takes its slot's coin."""
+        tie = a == 0.0
+        np.sign(a, out=a)
+        a[tie] = np.where(rng.random(len(nbr))[tie] < 0.5, 1.0, -1.0)
+        return a
+
+    if big_k == r:
+        val = np.sign(vote_sums())
+    else:
+        if big_k == 0:
+            t_side = _edge_llr(xi, theta, clamp)
+            t = t_side[nbr]
+        else:
+            t = _edge_llr(decided(vote_sums()), theta, clamp)
+        for height in range(big_k + 1, r):
+            m = cavity(t, t_side if height == 1 else None)
+            t = _edge_llr(np.clip(np.tanh(m, out=m), -lim, lim, out=m), theta, clamp)
+        val = np.clip(np.tanh(zero_ties(row_sums(t), row_sums(np.abs(t)))), -lim, lim)
+
+    zero = reach & (val == 0.0)
+    coin = ~reach | zero
+    sign = np.where(val > 0, 1, -1).astype(np.int8)
+    sign[coin] = np.where(root_u[coin] < 0.5, 1, -1)
+    return _Labels(sign=sign, magnetization=np.where(coin, 0.0, val), coin=coin,
+                   zero_root=zero, no_walk=~reach)
+
+
+def _nontree_estimate(h: LabelledGraph, r: int, rng) -> int:
+    """Vertices of H whose depth-r walk tree visits a vertex twice, from a sample.
+
+    That is the BFS ``scan_extra > 0`` of B(v, r), and it is where the walk
+    tree differs from the BFS tree of the ball.  The count is taken on
+    min(H.n, ``_NONTREE_SAMPLE``) centres drawn from ``rng`` and scaled to
+    H.n (rounded), so it is exact when H.n <= ``_NONTREE_SAMPLE``.  It is 0
+    at r = 1, where no sample is drawn.
+    """
+    size = min(h.n, _NONTREE_SAMPLE)
+    if r == 1 or size == 0:
+        return 0
+    centres = np.arange(h.n) if size == h.n else rng.choice(h.n, size, replace=False)
+    hits = sum(extract_neighborhood(h, int(v), r).scan_extra > 0 for v in centres)
+    return int(hits * h.n + size // 2) // size
 
 
 @dataclass
 class RecoveryDiagnostics:
     """Counts a recovery run keeps about itself.
 
-    ``coin_labels`` counts every coin-decided label; ``zero_roots`` is the
-    part of it decided because the root value came out exactly 0.
-    ``blackbox_informative`` is false if any black-box run found no
-    community eigenvalue and returned a coin-flip split.
+    ``coin_labels`` counts every coin-decided label, hold-out vertices
+    included; ``zero_roots`` is the part of it decided because the root
+    value is 0 (a root BP value of exactly 0, or a tied root vote at K = R),
+    and ``empty_spheres`` the part with no non-backtracking walk of length R.
+    ``nontree_neighborhoods`` estimates, from a sample of centres (see
+    ``_nontree_estimate``), the vertices whose depth-R walk tree visits a
+    vertex twice.  ``u_star_ball_violations`` counts the vertices within
+    distance R - 1 of one of the anchor's neighbours in H, whose walk trees
+    see the anchor alignment from inside.  ``blackbox_informative`` is false
+    if the black box found no community eigenvalue and returned a coin-flip
+    split.
     """
 
     r_used: int = 0
@@ -278,7 +346,6 @@ class RecoveryDiagnostics:
     zero_roots: int = 0
     empty_spheres: int = 0
     nontree_neighborhoods: int = 0
-    missing_observations: int = 0
     u_star_ball_violations: int = 0
     blackbox_runs: int = 0
     blackbox_informative: bool = True
@@ -286,9 +353,9 @@ class RecoveryDiagnostics:
 
 STAGES = ("holdout", "blackbox", "align", "balls", "roots", "coins")
 """Stages of ``recover`` timed in ``RecoveryResult.stage_seconds``: the
-hold-out set, anchor and subgraphs; the black-box runs; anchor alignment;
-ball construction with the non-tree check; the root passes with their vote
-coins; the hold-out coins and the overlap report."""
+hold-out set, anchor and subgraph; the black-box run; anchor alignment; the
+BFS balls of the non-tree sample; the edge passes with their coins and the
+anchor-distance count; the hold-out coins and the overlap report."""
 
 
 @dataclass(frozen=True)
@@ -361,78 +428,40 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
 
     sub = remove_set(g, hold_out)
     h = sub.graph
-    rng_label = derived_rng(seed, "labels")
-    # the coin of an exact-0 root, keyed by vertex; read on h's ids
-    zero_u = derived_rng(seed, "zero-roots").random(g.n)[sub.new_to_old]
-
-    ustar_nbr_mask = np.zeros(h.n, dtype=bool)
-    mapped = sub.old_to_new[g.neighbors(u_star)]
-    ustar_nbr_mask[mapped[mapped >= 0]] = True
-
+    # root-level coins, keyed by vertex; read on h's ids
+    root_u = derived_rng(seed, "zero-roots").random(g.n)[sub.new_to_old]
     side_out = np.zeros(g.n, dtype=np.int8)
     mag_out = np.zeros(g.n, dtype=np.float64)
     lap("holdout")
 
-    def run_blackbox(graph: LabelledGraph, tag: int) -> Partition:
-        part = blackbox_partition(graph, impl=impl,
-                                  seed=derived_rng(seed, "bb", tag), delta0=delta0)
-        diag.blackbox_runs += 1
-        diag.blackbox_informative &= part.informative
-        lap("blackbox")
-        return part
+    part = blackbox_partition(h, impl=impl, seed=derived_rng(seed, "bb", 0), delta0=delta0)
+    diag.blackbox_runs = 1
+    diag.blackbox_informative = part.informative
+    lap("blackbox")
+    aligned, info = align_partition(part, g, u_star, params.a, params.b,
+                                    old_to_new=sub.old_to_new)
+    diag.align_ties = int(info.tie)
+    diag.align_swaps = int(info.swapped)
+    lap("align")
 
-    def align(part: Partition, old_to_new: np.ndarray) -> Partition:
-        aligned, info = align_partition(part, g, u_star, params.a, params.b,
-                                        old_to_new=old_to_new)
-        diag.align_ties += info.tie
-        diag.align_swaps += info.swapped
-        return aligned
+    diag.nontree_neighborhoods = _nontree_estimate(h, r, derived_rng(seed, "nontree-sample"))
+    lap("balls")
 
-    def label(xi_side_h: np.ndarray, vertices_h: np.ndarray) -> None:
-        for balls in ball_batches(h, vertices_h, r):
-            nontree = balls.nontree(h)
-            lap("balls")
-            out = _label_balls(balls, xi_side_h, cfg.K, tp.theta, cfg.weights_delta,
-                               _CLAMP, rng_label, zero_u, watch=ustar_nbr_mask)
-            orig = sub.new_to_old[balls.centres]
-            side_out[orig] = out.sign
-            mag_out[orig] = out.magnetization
-            diag.coin_labels += int(out.coin.sum())
-            diag.zero_roots += int(out.zero_root.sum())
-            diag.empty_spheres += int(out.empty_sphere.sum())
-            diag.nontree_neighborhoods += int(nontree.sum())
-            diag.missing_observations += int(out.missing_obs.sum())
-            diag.u_star_ball_violations += int(out.watch_hit.sum())
-            lap("roots")
-
-    all_h = np.arange(h.n, dtype=np.int64)
-    if cfg.batch is None:
-        aligned = align(run_blackbox(h, 0), sub.old_to_new)
-        lap("align")
-        label(aligned.side, all_h)
-    else:
-        for start in range(0, h.n, cfg.batch):
-            chunk = all_h[start : start + cfg.batch]
-            ball_mask = np.zeros(h.n, dtype=bool)
-            for balls in ball_batches(h, chunk, r - 1):
-                ball_mask[balls.ball] = True
-            lap("balls")
-            inner = remove_set(h, np.flatnonzero(ball_mask))
-            lap("holdout")
-            part = run_blackbox(inner.graph, int(chunk[0]) + 1)
-            # g-ids -> inner ids, for anchor alignment
-            comp = np.full(h.n, -1, dtype=np.int64)
-            comp[inner.new_to_old] = np.arange(inner.graph.n, dtype=np.int64)
-            old_to_inner = np.full(g.n, -1, dtype=np.int64)
-            kept = np.flatnonzero(sub.old_to_new >= 0)
-            old_to_inner[kept] = comp[sub.old_to_new[kept]]
-            aligned = align(part, old_to_inner)
-            # sides on h-ids; vertices inside the removed balls have none
-            xi_side_h = np.zeros(h.n, dtype=np.int8)
-            ok = comp >= 0
-            xi_side_h[ok] = aligned.side[comp[ok]]
-            lap("align")
-            label(xi_side_h, chunk)
+    out = _label_edges(h, aligned.side, r, cfg.K, tp.theta, cfg.weights_delta, _CLAMP,
+                       derived_rng(seed, "labels"), root_u)
+    side_out[sub.new_to_old] = out.sign
+    mag_out[sub.new_to_old] = out.magnetization
+    diag.coin_labels = int(out.coin.sum())
+    diag.zero_roots = int(out.zero_root.sum())
+    diag.empty_spheres = int(out.no_walk.sum())
+    # vertices within distance R - 1 of the anchor's neighbours in h
+    near = np.zeros(h.n, dtype=bool)
+    mapped = sub.old_to_new[g.neighbors(u_star)]
+    near[mapped[mapped >= 0]] = True
+    for _ in range(r - 1):
+        near[h.indices[np.repeat(near, h.degrees)]] = True
+    diag.u_star_ball_violations = int(near.sum())
+    lap("roots")
 
     coins = derived_rng(seed, "hold-out-coins").random(len(hold_out))
     side_out[hold_out] = np.where(coins < 0.5, 1, -1)

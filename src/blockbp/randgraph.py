@@ -4,20 +4,12 @@ Graphs live in CSR-style arrays (indptr/indices) with sorted, deduplicated
 neighbor lists and an int8 +-1 label per vertex.  Edge sampling walks the
 lexicographic stream of candidate pairs with geometric jumps, so generating a
 graph costs O(edges) rather than O(n^2) Bernoulli trials; n up to 1e6 is fine
-on a desktop.
+on a desktop.  The CSR comes from one sort of the int64 keys x*n + y of both
+directions of every edge, so n must satisfy n^2 < 2^63.
 
-BFS neighborhoods use a deterministic tie-break: neighbor lists are scanned
-in ascending id order and the BFS parent of a newly discovered vertex is its
-smallest-id neighbor in the previous shell.  ``bfs_balls`` builds the balls
-of many centres at once, one sort per level over keys tagged by the owning
-centre, into one ``Balls``; ``extract_neighborhood`` is its one-centre case.
-A key packs (owner, vertex, discoverer tag) into fields of
-bit_length(c - 1), bit_length(n - 1) and bit_length(largest per-owner front)
-bits for c centres on n vertices, and a level sorts its keys as uint32 when
-the three fields fit in 32 bits, as int64 otherwise.
-``ball_batches`` cuts a long list of centres into batches of about
-``_BALL_BUDGET`` gathered neighbour slots, which bounds the working set and
-is not a setting, and ``Balls.nontree`` flags the balls that are not trees.
+``extract_neighborhood`` is a one-centre BFS with a deterministic tie-break:
+neighbor lists are scanned in ascending id order and the BFS parent of a
+newly discovered vertex is its smallest-id neighbor in the previous shell.
 """
 
 from __future__ import annotations
@@ -30,13 +22,11 @@ from .params import ModelParams
 from .seeding import as_generator
 
 __all__ = [
-    "Balls",
+    "Ball",
     "LabelledGraph",
     "SubgraphMap",
     "sample_sbm",
     "graph_from_edges",
-    "bfs_balls",
-    "ball_batches",
     "extract_neighborhood",
     "remove_set",
     "save_edge_list",
@@ -71,24 +61,36 @@ class LabelledGraph:
         return np.diff(self.indptr)
 
 
+def _check_key_room(n: int) -> None:
+    """Edge keys x*n + y are int64, so n^2 must stay below 2^63."""
+    if n * n >= 2 ** 63:
+        raise ValueError(f"n = {n} is too large: edge keys need n^2 < 2^63")
+
+
 def _csr_from_edges(n: int, u: np.ndarray, v: np.ndarray, labels: np.ndarray) -> LabelledGraph:
-    """Build CSR from one copy of each undirected edge (arrays u, v)."""
-    src = np.concatenate((u, v))
-    dst = np.concatenate((v, u))
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    """Build CSR from one copy of each undirected edge (arrays u, v).
+
+    One sort of the int64 keys x*n + y of both directions (x, y) of every
+    edge gives the rows (key // n) and the sorted neighbours (key % n); a
+    repeated key is a duplicate edge.
+    """
+    key = np.concatenate((u * n + v, v * n + u))
+    key.sort()
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("duplicate edges")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return LabelledGraph(n=n, indptr=indptr, indices=dst.astype(np.int64),
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return LabelledGraph(n=n, indptr=indptr, indices=key % n,
                          labels=labels.astype(np.int8))
 
 
 def graph_from_edges(n: int, edges, labels) -> LabelledGraph:
     """Small-graph constructor from an iterable of (u, v) pairs."""
+    _check_key_room(n)
     labels = np.asarray(labels, dtype=np.int8)
     if labels.shape != (n,) or not np.all(np.abs(labels) == 1):
         raise ValueError("labels must be n values in {-1, +1}")
+    u = v = np.empty(0, dtype=np.int64)
     if edges:
         e = np.asarray(list(edges), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -101,13 +103,6 @@ def graph_from_edges(n: int, edges, labels) -> LabelledGraph:
         u, v = e[:, 0], e[:, 1]
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        key = lo * n + hi
-        if len(np.unique(key)) != len(key):
-            raise ValueError("duplicate edges")
-        u, v = lo, hi
-    else:
-        u = v = np.empty(0, dtype=np.int64)
     return _csr_from_edges(n, u, v, labels)
 
 
@@ -169,6 +164,7 @@ def sample_sbm(m: ModelParams, mode: str = "uniform-random", seed=0,
     """
     rng = as_generator(seed)
     n = m.n
+    _check_key_room(n)
     if mode == "uniform-random":
         if labels is not None:
             raise ValueError("labels are drawn internally in uniform-random mode")
@@ -184,7 +180,7 @@ def sample_sbm(m: ModelParams, mode: str = "uniform-random", seed=0,
 
     plus = np.flatnonzero(lab == 1).astype(np.int64)
     minus = np.flatnonzero(lab == -1).astype(np.int64)
-    us, vs = [], []
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for ids in (plus, minus):
         cnt = len(ids) * (len(ids) - 1) // 2
         t = _bernoulli_positions(rng, cnt, m.p_within)
@@ -197,33 +193,7 @@ def sample_sbm(m: ModelParams, mode: str = "uniform-random", seed=0,
     if len(t) and len(minus):
         us.append(plus[t // len(minus)])
         vs.append(minus[t % len(minus)])
-    if us:
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-    else:
-        u = v = np.empty(0, dtype=np.int64)
-    return _csr_from_edges(n, u, v, lab)
-
-
-def _vertex_bits(n: int) -> int:
-    """Bits for one key field: vertex ids (< n) and scan tags (<= n) both fit."""
-    return max(1, int(n).bit_length())
-
-
-# Gathered neighbour slots one ball batch aims at: a few MiB of keys, so a
-# batch holds tens of centres on balls of thousands of vertices and tens of
-# thousands on balls of ten.
-_BALL_BUDGET = 1 << 17
-
-
-def _max_ball_centres(n: int) -> int:
-    """Most centres one ``bfs_balls`` call takes on an n-vertex graph.
-
-    A scan key packs (owner, vertex, tag) into one int64, so owners get the
-    bits that two vertex-sized fields leave free.
-    """
-    free = 63 - 2 * _vertex_bits(n)
-    return 1 << free if free > 0 else 0
+    return _csr_from_edges(n, np.concatenate(us), np.concatenate(vs), lab)
 
 
 def _gather(indptr, indices, front):
@@ -234,86 +204,32 @@ def _gather(indptr, indices, front):
     return indices[flat], degs
 
 
-def _owner_cut(owner: np.ndarray, n_owners: int) -> np.ndarray:
-    """Bounds of each owner's run in an owner-sorted array: owner o spans
-    positions [cut[o], cut[o + 1])."""
-    return np.searchsorted(owner, np.arange(n_owners + 1))
-
-
-def _run_sums(values: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Sums of ``values`` over the runs [cut[o], cut[o + 1]), from prefix sums."""
-    return np.diff(np.concatenate(([0], np.cumsum(values)))[cut])
-
-
 @dataclass(frozen=True)
-class Balls:
-    """BFS balls of one radius around a batch of centres, as flat level arrays.
+class Ball:
+    """BFS ball B(centre, radius) as the level lists of a one-root tree.
 
-    Level j holds, for all centres at once, the vertices at distance exactly
-    j from their centre, sorted by (owner, vertex id): ``vertex[j]`` the ids,
-    ``owner[j]`` each entry's index into ``centres``, and ``parent_pos[j]``
-    (j >= 1) the position of its BFS parent within level j - 1.  These are
-    the level lists of a ``BroadcastTree`` forest with one root per centre,
-    plus each entry's owner.  A ball that ends before the radius has no
-    entries at the deeper levels.
+    ``vertex[j]`` holds the vertices at distance j from the centre in
+    ascending id order, ``parent_pos[j]`` (j >= 1) the position of each one's
+    BFS parent, its smallest-id neighbour, within level j - 1.  A ball that
+    ends before the radius has empty deeper levels.
 
-    ``scan_extra`` counts, per owner, the induced edges outside the BFS tree
-    that the scans of levels 0..radius-1 saw: repeated discoveries and edges
-    inside a scanned level.  Edges inside the sphere need ``sphere_edges``.
+    ``scan_extra`` counts the induced edges outside the BFS tree that the
+    scans of levels 0..radius-1 saw: repeated discoveries and edges inside a
+    scanned level.  Edges inside the sphere S(centre, radius) are not
+    counted, so ``scan_extra`` is 0 exactly when the depth-radius
+    non-backtracking walk tree from the centre visits no vertex twice.
     """
 
-    centres: np.ndarray
+    centre: int
     radius: int
     vertex: list
-    owner: list
     parent_pos: list
-    scan_extra: np.ndarray
+    scan_extra: int
 
     @property
     def ball(self) -> np.ndarray:
-        """The vertices of the balls, level by level: B(centre, radius) for one centre."""
+        """The vertices of B(centre, radius), level by level."""
         return np.concatenate(self.vertex)
-
-    def sphere_edges(self, g: LabelledGraph, select=None) -> np.ndarray:
-        """Per owner, the edges with both ends on the sphere S(centre, radius).
-
-        Only owners where ``select`` (a bool per owner) is set are scanned;
-        the others read 0.
-        """
-        r, c = self.radius, len(self.centres)
-        own, ver = self.owner[r], self.vertex[r]
-        if select is not None:
-            keep = select[own]
-            own, ver = own[keep], ver[keep]
-        vb = _vertex_bits(g.n)
-        nbrs, degs = _gather(g.indptr, g.indices, ver)
-        reach = np.repeat(own << vb, degs) | nbrs
-        reach.sort()
-        on_sphere = (own << vb) | ver
-        ends = (np.searchsorted(reach, on_sphere, "right")
-                - np.searchsorted(reach, on_sphere, "left"))
-        return _run_sums(ends, _owner_cut(own, c)) // 2
-
-    def nontree(self, g: LabelledGraph) -> np.ndarray:
-        """Per owner: does the ball hold an induced edge outside its BFS tree?
-
-        The BFS scans settle every ball with a repeated discovery or an edge
-        inside a scanned level; only balls still tree-like after them, with a
-        full sphere, need the scan for sphere-sphere edges, done in groups of
-        about ``_BALL_BUDGET`` gathered neighbours.
-        """
-        r = self.radius
-        nontree = self.scan_extra > 0
-        cut = _owner_cut(self.owner[r], len(nontree))
-        open_ = ~nontree & (np.diff(cut) > 0)
-        if not open_.any():
-            return nontree
-        cost = _run_sums(g.degrees[self.vertex[r]], cut)
-        group = np.cumsum(np.where(open_, cost, 0)) // _BALL_BUDGET
-        for k in np.unique(group[open_]):
-            select = open_ & (group == k)
-            nontree |= self.sphere_edges(g, select) > 0
-        return nontree
 
 
 def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
@@ -327,105 +243,33 @@ def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
     return ids
 
 
-def bfs_balls(g: LabelledGraph, centres, radius: int) -> Balls:
-    """BFS balls B(v, radius) of every centre, built level by level at once.
+def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Ball:
+    """BFS ball B(v, radius), scanning neighbours in ascending id order.
 
-    Each level is one vectorised step over the whole batch: gather the
-    front's neighbour slices, drop vertices the same owner placed at the
-    previous or the current level, and keep the smallest-id discoverer of
-    each new (owner, vertex).  Shells, parents and their order match a BFS
-    of each centre on its own that scans neighbours in ascending id order.
-
-    The step sorts keys (owner, vertex, tag), packed as the module docstring
-    says.  A neighbour's tag is 1 + its discoverer's position within the
-    owner's front and a placed vertex's tag is 0, so a placed entry sorts
-    first in its (owner, vertex) group and the smallest-id discoverer next.
-    ``centres`` must be integer vertex ids in [0, n) and ``radius`` >= 0.
+    ``v`` must be an integer vertex id in [0, n) and ``radius`` >= 0.
     """
-    centres = _vertex_ids(centres, g.n, "centres")
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"centre must be an integer vertex id, got {v!r}")
+    if not 0 <= v < g.n:
+        raise ValueError(f"centre {v} is out of range [0, {g.n})")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    c = len(centres)
-    if c > _max_ball_centres(g.n):
-        raise ValueError(f"at most {_max_ball_centres(g.n)} centres per call at n={g.n}")
-    ob, vb = max(c - 1, 0).bit_length(), max(g.n - 1, 0).bit_length()
-    cut = np.arange(c + 1)  # owner o's entries of a level span [cut[o], cut[o + 1])
-    owner = [cut[:-1]]
-    vertex = [centres]
+    vertex = [np.array([v], dtype=np.int64)]
     parent_pos: list = [None]
-    # (owner, vertex) groups of the two levels a scan may not place again
-    placed = [np.empty(0, dtype=np.int64), (owner[0] << vb) | centres]
-    scan_extra = np.zeros(c, dtype=np.int64)
-    up = 0
+    extra = 0
     for j in range(radius):
-        front, fown = vertex[j], owner[j]
-        tb = int(np.diff(cut).max(initial=0)).bit_length()
-        shift, tmask = vb + tb, (1 << tb) - 1
+        front = vertex[j]
         nbrs, degs = _gather(g.indptr, g.indices, front)
-        old_groups = np.concatenate(placed)
-        keys = np.empty(len(old_groups) + len(nbrs),
-                        dtype=np.uint32 if ob + shift <= 32 else np.int64)
-        np.left_shift(old_groups, tb, out=keys[: len(old_groups)], casting="unsafe")
-        tagged = keys[len(old_groups) :]
-        np.left_shift(nbrs, tb, out=tagged, casting="unsafe")
-        head = (fown << shift) | (np.arange(1, len(front) + 1) - cut[fown])
-        tagged |= np.repeat(head.astype(keys.dtype), degs)
-        keys.sort()
-        group = keys >> tb
-        bound = np.ones(len(keys) + 1, dtype=bool)
-        np.not_equal(group[1:], group[:-1], out=bound[1:-1])
-        bound = np.flatnonzero(bound)
-        first = keys[bound[:-1]]
-        new = (first & tmask) != 0
-        # neighbours that landed on a placed vertex, from the placed groups
-        old = np.flatnonzero(~new)
-        hits = np.bincount(first[old] >> shift, weights=bound[old + 1] - bound[old] - 1,
-                           minlength=c).astype(np.int64)
-        first = first[new]
-        found = (first >> tb).astype(np.int64, copy=False)
-        own = found >> vb
-        new_cut = _owner_cut(own, c)
-        found_per_owner = np.diff(new_cut)
-        # neighbours that discovered a vertex found at this level once more
-        rep = _run_sums(degs, cut) - hits - found_per_owner
-        # hits on level j-1 are the tree edges up plus the previous level's
-        # repeated discoveries; the rest lie inside level j, seen from both ends
-        scan_extra += rep + (hits - up) // 2
-        up = found_per_owner + rep
-        pos = np.repeat(cut[:-1] - 1, found_per_owner)
-        pos += first & tmask
-        parent_pos.append(pos)
-        owner.append(own)
-        vertex.append(found & ((1 << vb) - 1))
-        placed = [placed[1], found]
-        cut = new_cut
-    return Balls(centres=centres, radius=radius, vertex=vertex, owner=owner,
-                 parent_pos=parent_pos, scan_extra=scan_extra)
-
-
-def _chunk_size(g: LabelledGraph, radius: int) -> int:
-    """Centres per ball batch: about ``_BALL_BUDGET`` gathered neighbours each.
-
-    With mean degree dbar, the scan of level R-1, the largest, gathers about
-    (1 + dbar)^R neighbour slots per centre.
-    """
-    dbar = len(g.indices) / max(g.n, 1)
-    size = int(_BALL_BUDGET // ((1.0 + dbar) ** radius))
-    return max(1, min(size, _max_ball_centres(g.n)))
-
-
-def ball_batches(g: LabelledGraph, centres, radius: int):
-    """``bfs_balls`` over consecutive batches of ``centres``, in order, each
-    batch sized by ``_chunk_size``."""
-    centres = np.asarray(centres, dtype=np.int64)
-    size = _chunk_size(g, radius)
-    for start in range(0, len(centres), size):
-        yield bfs_balls(g, centres[start : start + size], radius)
-
-
-def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Balls:
-    """BFS ball B(v, radius) of the one centre v."""
-    return bfs_balls(g, [v], radius)
+        on_front = np.isin(nbrs, front)
+        fresh = ~(on_front | np.isin(nbrs, vertex[j - 1] if j else front[:0]))
+        # the front is sorted, so a vertex's first occurrence is its
+        # smallest-id discoverer; each later one is a repeated discovery
+        found, first = np.unique(nbrs[fresh], return_index=True)
+        extra += int(on_front.sum()) // 2 + int(fresh.sum()) - len(found)
+        vertex.append(found)
+        parent_pos.append(np.repeat(np.arange(len(front)), degs)[fresh][first])
+    return Ball(centre=int(v), radius=radius, vertex=vertex, parent_pos=parent_pos,
+                scan_extra=extra)
 
 
 @dataclass(frozen=True)

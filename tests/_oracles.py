@@ -11,14 +11,17 @@ its pool member, through the BP level combine.  It shares the offspring draw, th
 the row statistics with the library, so bit-equality with
 ``popdyn.magnetization_chain`` checks its pool-side edge transform.
 
-The recovery oracle is the per-vertex loop the batched ball engine replaced:
-one BFS with a shared ``visited`` scratch array and one two-stage root
-computation per vertex, drawing its sphere and tie coins from the label
-stream as it goes and reading an exact-0 root's coin from the vertex's entry
-of the zero-root array.  It shares only the terminal conductance, the BP
-level combine and the stages around labelling with the library, so
-bit-equality with ``pipeline.recover`` checks the ball construction, the
-level-synchronous passes and both coin streams.
+The recovery oracle is a per-vertex loop over explicit trees: for every
+vertex it builds the depth-R non-backtracking walk tree node by node (or,
+as a reference, the BFS tree of the ball), with each node's vertex image and
+the directed CSR slot it came through, and runs one two-stage root
+computation on it: an exact integer vote at K = 1, the current-split vote of
+the resistor network with a relative tie test at K >= 2.  Vote ties below
+the root read their slot's coin and root-level coins the vertex's uniform,
+as the library keys them.  It shares only the terminal conductance and the
+stages around labelling with the library, so agreement with
+``pipeline.recover`` checks the message passing on directed edges, the
+reverse slots, the walk-length and anchor-distance rounds and the coin keys.
 
 The conductance and current passes are kept here as frozen references
 (``compose_through_edge``, ``conductance_up``, ``current_down``), written
@@ -339,64 +342,145 @@ def bfs_levels(indptr, indices, v, radius, visited):
     return levels, parent_pos, induced
 
 
-def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, rng):
-    """Hard votes at level R-K from conductance weights, then BP to the root."""
+def bfs_slots(indptr, indices, levels, parent_pos):
+    """Per level, the CSR slot (row parent, neighbour node) each BFS node came through."""
+    slots = [np.array([-1])]
+    for j in range(1, len(levels)):
+        parents = levels[j - 1][parent_pos[j]]
+        slots.append(np.array([
+            int(indptr[x]) + int(np.searchsorted(indices[indptr[x]:indptr[x + 1]], y))
+            for x, y in zip(parents, levels[j])], dtype=np.int64))
+    return slots
+
+
+def walk_tree(indptr, indices, v, radius):
+    """The depth-``radius`` non-backtracking walk tree from v, node by node.
+
+    Level j lists one node per walk of length j that never steps straight
+    back: its vertex image, the position of its parent within level j - 1
+    and the CSR slot (row parent image, neighbour image) it came through.
+    Children follow their parent's row in slot order.  Returns (levels,
+    parent_pos, slots); every level is present, empty past a dead end.
+    """
+    levels, parent_pos = [np.array([v], dtype=np.int64)], [None]
+    slots = [np.array([-1], dtype=np.int64)]
+    came_from = [-1]
+    for _ in range(radius):
+        img, pos, through, back = [], [], [], []
+        for i, x in enumerate(levels[-1].tolist()):
+            for s in range(int(indptr[x]), int(indptr[x + 1])):
+                y = int(indices[s])
+                if y != came_from[i]:
+                    img.append(y), pos.append(i), through.append(s), back.append(x)
+        levels.append(np.array(img, dtype=np.int64))
+        parent_pos.append(np.array(pos, dtype=np.int64))
+        slots.append(np.array(through, dtype=np.int64))
+        came_from = back
+    return levels, parent_pos, slots
+
+
+def revisits(levels) -> bool:
+    """Does a tree given by its per-level vertex images visit a vertex twice?"""
+    images = np.concatenate(levels)
+    return len(np.unique(images)) < len(images)
+
+
+# a float sum is 0 when |sum| <= TIE_ULPS * eps * (sum of the magnitudes)
+TIE_ULPS = 4096
+
+
+def _zero_ties(sums, magnitudes):
+    sums[np.abs(sums) <= TIE_ULPS * np.finfo(np.float64).eps * magnitudes] = 0.0
+    return sums
+
+
+def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, coins):
+    """Hard votes at level R-K, then BP to the root; R = len(levels) - 1.
+
+    At K = 1 the vote is the sign of the integer sum of the children's
+    sides; at K >= 2 the sign of the current-split sum of the resistor
+    network.  Every float sum (those votes and each node's BP sum of child
+    LLRs) is 0 when it is within TIE_ULPS ulps of the sum of its terms'
+    magnitudes.  A vote tie below the root takes the node's entry of
+    ``coins`` (+-1 per level-(R-K) node); a tie at the root (K = R) leaves
+    the root 0.
+    """
     r = len(levels) - 1
     if big_k > 0:
         j0 = r - big_k
-        z = np.where(xi != 0.0, _terminal_conductance(weights_delta), 0.0)
-        zs, cs = conductance_up(z, parent_pos[j0:], [len(l) for l in levels[j0:]], theta)
-        cur, anc = current_down(zs, cs, parent_pos[j0:])
-        w = cur * theta ** (-big_k)
-        sums = np.bincount(anc, weights=w * xi, minlength=len(levels[j0]))
-        ties = sums == 0.0
-        coins = int(ties.sum())
-        vals = np.sign(sums)
-        if coins:
-            vals[ties] = np.where(rng.random(coins) < 0.5, 1.0, -1.0)
+        n0 = len(levels[j0])
+        if big_k == 1:
+            sums = np.zeros(n0, dtype=np.int64)
+            np.add.at(sums, parent_pos[r], xi.astype(np.int64))
+        else:
+            z = np.where(xi != 0.0, _terminal_conductance(weights_delta), 0.0)
+            zs, cs = conductance_up(z, parent_pos[j0:], [len(l) for l in levels[j0:]], theta)
+            cur, anc = current_down(zs, cs, parent_pos[j0:])
+            w = cur * theta ** (-big_k) * xi
+            sums = _zero_ties(np.bincount(anc, weights=w, minlength=n0),
+                              np.bincount(anc, weights=np.abs(w), minlength=n0))
+        ties = sums == 0
+        vals = np.sign(sums).astype(np.float64)
+        vals[ties] = 0.0 if j0 == 0 else coins[ties]
         start = j0
     else:
         vals = xi.astype(np.float64)
         start = r
+    lim = 1.0 - clamp
     for j in range(start - 1, -1, -1):
-        vals = _combine_levels(vals, parent_pos[j + 1], len(levels[j]), theta, clamp)
+        llr = np.arctanh(np.clip(theta * vals, -lim, lim))
+        n_j = len(levels[j])
+        sums = _zero_ties(np.bincount(parent_pos[j + 1], weights=llr, minlength=n_j),
+                          np.bincount(parent_pos[j + 1], weights=np.abs(llr), minlength=n_j))
+        vals = np.clip(np.tanh(sums), -lim, lim)
     return float(vals[0])
 
 
-def label_one(indptr, indices, v, radius, big_k, theta, weights_delta, clamp,
-              xi_side, visited, rng, zero_coin, watch_mask=None) -> dict:
-    """One vertex's label and diagnostics.
+def label_tree(levels, parent_pos, slots, radius, big_k, theta, weights_delta, clamp,
+               xi_side, slot_u, root_coin) -> dict:
+    """One vertex's label from its tree (per-level images, parents and slots).
 
-    Sphere and tie coins come from ``rng``; the uniform ``zero_coin`` decides
-    the sign when the root value is exactly 0.
+    A vote tie below the root reads ``slot_u`` at the node's slot; a tree
+    without a level-``radius`` node or a root value of 0 takes the uniform
+    ``root_coin``.
     """
-    levels, parent_pos, induced = bfs_levels(indptr, indices, v, radius, visited)
-    out = {"nontree": induced != sum(len(l) for l in levels) - 1,
-           "watch_hit": watch_mask is not None
-           and any(bool(watch_mask[l].any()) for l in levels[:radius]),
-           "empty_sphere": len(levels) - 1 < radius, "missing_obs": 0,
+    out = {"empty": len(levels) <= radius or len(levels[radius]) == 0,
            "coin": True, "zero_root": False, "magnetization": 0.0}
-    if not out["empty_sphere"]:
-        xi = xi_side[levels[radius]].astype(np.float64)
-        out["missing_obs"] = int((xi == 0).sum())
-        if np.any(xi != 0):
-            value = two_stage_root(levels, parent_pos, xi, theta, big_k,
-                                   weights_delta, clamp, rng)
-            if value != 0.0:
-                out.update(sign=1 if value > 0 else -1, magnetization=value, coin=False)
-            else:
-                out.update(sign=1 if zero_coin < 0.5 else -1, zero_root=True)
+    if not out["empty"]:
+        j0 = radius - big_k
+        coins = (np.where(slot_u[slots[j0]] < 0.5, 1.0, -1.0)
+                 if 0 < big_k < radius else None)
+        value = two_stage_root(levels[: radius + 1], parent_pos[: radius + 1],
+                               xi_side[levels[radius]].astype(np.float64), theta, big_k,
+                               weights_delta, clamp, coins)
+        if value != 0.0:
+            out.update(sign=1 if value > 0 else -1, magnetization=value, coin=False)
             return out
-    out["sign"] = 1 if rng.random() < 0.5 else -1
+        out["zero_root"] = True
+    out["sign"] = 1 if root_coin < 0.5 else -1
     return out
 
 
-def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
-    """``pipeline.recover`` as a per-vertex loop; returns (side, magnetization, counts).
+def label_one(indptr, indices, v, radius, big_k, theta, weights_delta, clamp,
+              xi_side, visited, slot_u, root_coin) -> dict:
+    """One vertex's label on the BFS tree of its ball (``visited``: all-False work array)."""
+    levels, parent_pos, _ = bfs_levels(indptr, indices, v, radius, visited)
+    return label_tree(levels, parent_pos, bfs_slots(indptr, indices, levels, parent_pos),
+                      radius, big_k, theta, weights_delta, clamp, xi_side, slot_u,
+                      root_coin)
 
-    ``counts`` holds the diagnostics the loop accumulates: coin_labels,
-    zero_roots, empty_spheres, nontree_neighborhoods, missing_observations and
-    u_star_ball_violations, plus blackbox_runs.
+
+def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None, tree="walk",
+                 nontree_sample=500):
+    """``pipeline.recover`` as a per-vertex loop on explicit trees.
+
+    ``tree`` "walk" labels every vertex on its non-backtracking walk tree,
+    "bfs" on the BFS tree of its ball.  Returns (side, magnetization,
+    counts, revisit): ``counts`` holds coin_labels, zero_roots,
+    empty_spheres, nontree_neighborhoods (from walk trees on the pinned
+    sample of ``nontree_sample`` centres, scaled to H's size),
+    u_star_ball_violations and blackbox_runs; ``revisit`` flags, per vertex
+    of g, a walk tree that visits a vertex twice (False on the hold-out).
     """
     theta = derive_tree_params(params).theta
     r = resolve_radius(cfg, g.n, params.a, params.b)
@@ -409,65 +493,46 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None):
                               min_degree=math.ceil(math.sqrt(math.log(g.n))))
     sub = remove_set(g, hold_out)
     h = sub.graph
-    rng_label = derived_rng(seed, "labels")
-    zero_u = derived_rng(seed, "zero-roots").random(g.n)  # indexed by g's ids
+    root_u = derived_rng(seed, "zero-roots").random(g.n)  # indexed by g's ids
+    slot_u = (derived_rng(seed, "labels").random(len(h.indices))
+              if 0 < cfg.K < r else None)
     watch = np.zeros(h.n, dtype=bool)
     mapped = sub.old_to_new[g.neighbors(u_star)]
     watch[mapped[mapped >= 0]] = True
     side_out = np.zeros(g.n, dtype=np.int8)
     mag_out = np.zeros(g.n, dtype=np.float64)
+    revisit = np.zeros(g.n, dtype=bool)
     visited = np.zeros(h.n, dtype=bool)
     counts = dict.fromkeys(("coin_labels", "zero_roots", "empty_spheres",
-                            "nontree_neighborhoods", "missing_observations",
-                            "u_star_ball_violations", "blackbox_runs"), 0)
+                            "nontree_neighborhoods", "u_star_ball_violations"), 0)
+    counts["blackbox_runs"] = 1
+    part = blackbox_partition(h, impl=impl, seed=derived_rng(seed, "bb", 0), delta0=delta0)
+    aligned, _ = align_partition(part, g, u_star, params.a, params.b,
+                                 old_to_new=sub.old_to_new)
 
-    def run_blackbox(graph, tag):
-        counts["blackbox_runs"] += 1
-        return blackbox_partition(graph, impl=impl, seed=derived_rng(seed, "bb", tag),
-                                  delta0=delta0)
+    for v in range(h.n):
+        orig = sub.new_to_old[v]
+        levels, parent_pos, slots = walk_tree(h.indptr, h.indices, v, r)
+        revisit[orig] = revisits(levels)
+        if tree == "bfs":
+            levels, parent_pos, _ = bfs_levels(h.indptr, h.indices, v, r, visited)
+            slots = bfs_slots(h.indptr, h.indices, levels, parent_pos)
+        out = label_tree(levels, parent_pos, slots, r, cfg.K, theta, cfg.weights_delta,
+                         1e-12, aligned.side, slot_u, root_u[orig])
+        side_out[orig] = out["sign"]
+        mag_out[orig] = out["magnetization"]
+        counts["coin_labels"] += out["coin"]
+        counts["zero_roots"] += out["zero_root"]
+        counts["empty_spheres"] += out["empty"]
+        counts["u_star_ball_violations"] += any(bool(watch[l].any()) for l in levels[:r])
 
-    def label_chunk(xi_side_h, vertices_h):
-        for v in vertices_h:
-            orig = sub.new_to_old[v]
-            out = label_one(h.indptr, h.indices, int(v), r, cfg.K, theta,
-                            cfg.weights_delta, 1e-12, xi_side_h, visited,
-                            rng_label, zero_u[orig], watch_mask=watch)
-            side_out[orig] = out["sign"]
-            mag_out[orig] = out["magnetization"]
-            counts["coin_labels"] += out["coin"]
-            counts["zero_roots"] += out["zero_root"]
-            counts["empty_spheres"] += out["empty_sphere"]
-            counts["nontree_neighborhoods"] += out["nontree"]
-            counts["missing_observations"] += out["missing_obs"]
-            counts["u_star_ball_violations"] += out["watch_hit"]
-
-    all_h = np.arange(h.n, dtype=np.int64)
-    if cfg.batch is None:
-        aligned, _ = align_partition(run_blackbox(h, 0), g, u_star, params.a,
-                                     params.b, old_to_new=sub.old_to_new)
-        label_chunk(aligned.side, all_h)
-    else:
-        for start in range(0, h.n, cfg.batch):
-            chunk = all_h[start : start + cfg.batch]
-            ball_mask = np.zeros(h.n, dtype=bool)
-            for v in chunk:
-                for ids in bfs_levels(h.indptr, h.indices, int(v), r - 1, visited)[0]:
-                    ball_mask[ids] = True
-            inner = remove_set(h, np.flatnonzero(ball_mask))
-            part = run_blackbox(inner.graph, int(chunk[0]) + 1)
-            comp = np.full(h.n, -1, dtype=np.int64)
-            comp[inner.new_to_old] = np.arange(inner.graph.n, dtype=np.int64)
-            old_to_inner = np.full(g.n, -1, dtype=np.int64)
-            kept = np.flatnonzero(sub.old_to_new >= 0)
-            old_to_inner[kept] = comp[sub.old_to_new[kept]]
-            aligned, _ = align_partition(part, g, u_star, params.a, params.b,
-                                         old_to_new=old_to_inner)
-            xi_side_h = np.zeros(h.n, dtype=np.int8)
-            ok = comp >= 0
-            xi_side_h[ok] = aligned.side[comp[ok]]
-            label_chunk(xi_side_h, chunk)
+    size = min(h.n, nontree_sample)
+    sample = (np.arange(h.n) if size == h.n else
+              derived_rng(seed, "nontree-sample").choice(h.n, size, replace=False))
+    hits = int(revisit[sub.new_to_old[sample]].sum())
+    counts["nontree_neighborhoods"] = math.floor(hits * h.n / size + 0.5)
 
     coins = derived_rng(seed, "hold-out-coins").random(len(hold_out))
     side_out[hold_out] = np.where(coins < 0.5, 1, -1)
     counts["coin_labels"] += len(hold_out)
-    return side_out, mag_out, counts
+    return side_out, mag_out, counts, revisit

@@ -205,8 +205,8 @@ def test_graph_recover_rows():
     mean_row = next(r for r in rows if r.coords["metric"] == "mean_accuracy")
     assert mean_row.estimate > 0.8
     # per rep, as fractions of n: the coin labels include the sqrt(n) hold-out
-    # coins; hold-out vertices get no ball, and at a = 30, R = 2 nearly every
-    # other ball holds a cycle
+    # coins; hold-out vertices get no walk tree, and at a = 30, R = 2 nearly
+    # every other walk tree revisits a vertex
     n = spec.params["n"]
     held = math.isqrt(n) / n
     for metric, lo, hi in (("coin_frac", held, 0.2), ("nontree_frac", 0.5, 1.0 - held)):

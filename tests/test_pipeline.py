@@ -4,15 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import label_one, recover_loop
-from blockbp import popdyn, randgraph
+from _oracles import (
+    conductance_up,
+    current_down,
+    label_one,
+    recover_loop,
+    revisits,
+    walk_tree,
+)
+from blockbp import pipeline, popdyn
 from blockbp.bpcore import bp_combine
 from blockbp.params import ModelParams
 from blockbp.partition import Partition
 from blockbp.pipeline import (
     STAGES,
     AlgoConfig,
-    _label_balls,
+    _label_edges,
     align_partition,
     choose_anchor,
     recover,
@@ -21,7 +28,7 @@ from blockbp.pipeline import (
 )
 from blockbp.randgraph import (
     LabelledGraph,
-    bfs_balls,
+    extract_neighborhood,
     graph_from_edges,
     remove_set,
     sample_sbm,
@@ -58,8 +65,6 @@ def test_config_validation():
         AlgoConfig(R_mode="strange")
     with pytest.raises(ValueError, match="R_mode"):
         AlgoConfig(R=3)  # auto would ignore R and pick its own radius
-    with pytest.raises(ValueError):
-        AlgoConfig(batch=0)
     with pytest.raises(ValueError):
         AlgoConfig(K=-1)
     with pytest.raises(ValueError, match="delta"):
@@ -133,12 +138,26 @@ def test_align_tie_flagged():
 # --- single-vertex labelling ------------------------------------------------
 
 
+def _label_all(g, side, radius, big_k, theta, seed=0, weights_delta=None):
+    """The edge engine on all of g, with the coin streams ``recover`` derives."""
+    return _label_edges(g, np.asarray(side, dtype=np.int8), radius, big_k, theta,
+                        weights_delta, 1e-12, derived_rng(seed, "labels"),
+                        derived_rng(seed, "zero-roots").random(g.n))
+
+
 def _label_one(g, v, side, radius, big_k, theta, seed=0, weights_delta=None):
-    """The batched engine on the one-centre ball of v; outputs of centre 0."""
-    out = _label_balls(bfs_balls(g, [v], radius), np.asarray(side, dtype=np.int8),
-                       big_k, theta, weights_delta, 1e-12, derived_rng(seed, "label-one", v),
-                       derived_rng(seed, "zero-roots").random(g.n))
-    return {name: value[0] for name, value in out._asdict().items()}
+    """Vertex v's outputs of the edge engine."""
+    out = _label_all(g, side, radius, big_k, theta, seed, weights_delta)
+    return {name: value[v] for name, value in out._asdict().items()}
+
+
+def _oracle_one(g, v, side, radius, big_k, theta, seed=0, weights_delta=None):
+    """Vertex v's label by the per-vertex BFS oracle, with the same coin keys."""
+    slot_u = derived_rng(seed, "labels").random(len(g.indices))
+    root_u = derived_rng(seed, "zero-roots").random(g.n)
+    return label_one(g.indptr, g.indices, v, radius, big_k, theta, weights_delta, 1e-12,
+                     np.asarray(side, dtype=np.int8), np.zeros(g.n, dtype=bool), slot_u,
+                     root_u[v])
 
 
 def test_label_vertex_composition_example():
@@ -163,15 +182,27 @@ def test_label_vertex_empty_sphere_is_coin():
     signs = set()
     for s in range(30):
         out = _label_one(g, 0, np.ones(3), 1, 0, 1 / 3, seed=s)
-        assert out["coin"] and out["empty_sphere"] and out["magnetization"] == 0.0
+        assert out["coin"] and out["no_walk"] and out["magnetization"] == 0.0
+        assert not out["zero_root"]
         signs.add(out["sign"])
     assert signs == {1, -1}
+    # a path 0 - 1 - 2 has a walk of length 2 from 0 but none of length 3;
+    # around a triangle every walk goes on
+    g = graph_from_edges(4, [(0, 1), (1, 2)], [1] * 4)
+    assert _label_all(g, np.ones(4), 3, 1, 0.5).no_walk.tolist() == [True, True, True, True]
+    assert _label_all(g, np.ones(4), 2, 1, 0.5).no_walk.tolist() == [False, True, False, True]
+    g = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)], [1] * 3)
+    assert not _label_all(g, np.ones(3), 4, 1, 0.5).no_walk.any()
 
 
 def test_label_vertex_nontree_flag():
+    # a triangle 0-1-2 with a pendant 3 on 2: the walk tree of 0 at depth 2
+    # comes back to 1 and 2, the BFS sees the edge 1-2 inside a scanned
+    # level; at depth 1 that edge lies on the sphere and counts for nothing
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], [1, 1, 1, 1])
-    assert bfs_balls(g, [0], 1).nontree(g)[0]
-    assert not bfs_balls(g, [3], 1).nontree(g)[0]
+    for v, r, nontree in ((0, 2, True), (0, 1, False), (3, 2, False), (3, 3, True)):
+        assert (extract_neighborhood(g, v, r).scan_extra > 0) == nontree
+        assert revisits(walk_tree(g.indptr, g.indices, v, r)[0]) == nontree
 
 
 # --- full recovery -----------------------------------------------------------
@@ -247,38 +278,6 @@ def test_recover_below_threshold_warns():
         recover(g, cfg, m, impl="oracle-noise", seed=0, delta0=0.25)
 
 
-def test_recover_batch_one_removal_independence():
-    # the literal per-vertex variant: the black-box input graph must contain
-    # no vertex (hence no edge) of the inner ball B(v, R-1)
-    m = ModelParams(n=400, a=8, b=2)
-    g = sample_sbm(m, seed=54)
-    sub = remove_set(g, [0, 1, 2])
-    h = sub.graph
-    from blockbp.randgraph import extract_neighborhood
-
-    r = 2
-    for v in (0, 5, 11):
-        nb = extract_neighborhood(h, v, r - 1)
-        inner = remove_set(h, nb.ball)
-        for u in nb.ball:
-            assert inner.old_to_new[u] == -1
-        # every surviving edge avoids the ball entirely
-        src = np.repeat(np.arange(inner.graph.n), inner.graph.degrees)
-        mapped_back = inner.new_to_old[src]
-        ball_set = set(nb.ball.tolist())
-        assert not any(int(x) in ball_set for x in mapped_back)
-
-
-def test_recover_batch_one_runs_blackbox_per_vertex():
-    m = ModelParams(n=120, a=10, b=2)
-    g = sample_sbm(m, seed=55)
-    cfg = AlgoConfig(R=1, R_mode="fixed", K=0, batch=1)
-    res = recover(g, cfg, m, impl="oracle-noise", seed=4, delta0=0.1)
-    n_labelled = g.n - int(math.isqrt(g.n))
-    assert res.diagnostics.blackbox_runs == n_labelled
-    assert res.accuracy > 0.8
-
-
 def test_recover_coupling_with_tree_process():
     # K=0 boundary BP on the graph vs the identical estimator on simulated
     # noisy trees at matched parameters; agreement within combined MC error
@@ -351,96 +350,194 @@ def test_recover_logs_anchor_ball_violations():
     assert res.diagnostics.u_star_ball_violations > 0
 
 
-# --- batched engine against the per-vertex loop ------------------------------
+# --- the edge engine against the per-vertex loop ------------------------------
 
 
 ORACLE_CASES = [
-    # (n, a, b, R, K, batch, impl, delta0, weights_delta)
-    (600, 8, 2, 2, 0, None, "oracle-noise", 0.2, None),     # K = 0
-    (600, 8, 2, 2, 1, None, "oracle-noise", 0.2, None),     # 0 < K < R
-    (600, 8, 2, 2, 2, None, "oracle-noise", 0.2, None),     # K = R
-    (600, 5, 1, 3, 1, None, "oracle-noise", 0.3, None),     # deeper, sparser balls
-    (600, 2, 8, 2, 1, None, "oracle-noise", 0.2, None),     # a < b
-    (400, 3, 1, 2, 1, None, "oracle-noise", 0.2, None),     # isolated centres
-    (600, 8, 2, 2, 1, None, "oracle-noise", 0.25, 0.3),     # terminal resistors
-    (600, 8, 2, 1, 1, None, "spectral", None, None),
-    (150, 8, 2, 2, 1, 1, "oracle-noise", 0.2, None),        # batch = 1
-    (300, 8, 2, 3, 2, 7, "oracle-noise", 0.2, None),        # batch = j > 1
+    # (n, a, b, R, K, impl, delta0, weights_delta)
+    (600, 8, 2, 2, 0, "oracle-noise", 0.2, None),     # K = 0
+    (600, 8, 2, 2, 1, "oracle-noise", 0.2, None),     # 0 < K < R
+    (600, 8, 2, 2, 2, "oracle-noise", 0.2, None),     # K = R
+    (600, 5, 1, 3, 1, "oracle-noise", 0.3, None),     # deeper, sparser balls
+    (600, 2, 8, 2, 1, "oracle-noise", 0.2, None),     # a < b
+    (400, 3, 1, 2, 1, "oracle-noise", 0.2, None),     # isolated centres
+    (600, 8, 2, 2, 1, "oracle-noise", 0.25, 0.3),     # terminal resistors
+    (600, 8, 2, 1, 1, "spectral", None, None),
+    (150, 8, 2, 3, 3, "oracle-noise", 0.2, 0.3),      # K = R = 3, resistors
+    (300, 8, 2, 3, 2, "oracle-noise", 0.2, None),     # K >= 2 votes below the root
 ]
 
 
-@pytest.mark.parametrize("budget", [None, 64])
-@pytest.mark.parametrize("case", ORACLE_CASES)
-def test_recover_matches_per_vertex_oracle(case, budget, monkeypatch):
-    # labels, magnetizations and diagnostic counts are bit-identical to the
-    # per-vertex loop: with one chunk per graph, and with chunk boundaries
-    # falling mid-graph (a tiny gathered-neighbour budget)
-    n, a, b, r, k, batch, impl, delta0, wd = case
-    if budget is not None:
-        monkeypatch.setattr(randgraph, "_BALL_BUDGET", budget)
+def _run_both(case, seed, **loop_kw):
+    n, a, b, r, k, impl, delta0, wd = case
     m = ModelParams(n=n, a=a, b=b)
-    cfg = AlgoConfig(R=r, R_mode="fixed", K=k, batch=batch, weights_delta=wd)
+    cfg = AlgoConfig(R=r, R_mode="fixed", K=k, weights_delta=wd)
+    g = sample_sbm(m, seed=90 + seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = recover(g, cfg, m, impl=impl, seed=seed, delta0=delta0)
+        loop = recover_loop(g, cfg, m, impl=impl, seed=seed, delta0=delta0, **loop_kw)
+    return g, res, loop
+
+
+@pytest.mark.parametrize("sample", [None, 64])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_recover_matches_per_vertex_oracle(case, sample, monkeypatch):
+    # signs and diagnostic counts equal the per-vertex loop on explicit walk
+    # trees, and magnetizations agree to rtol 1e-12 (the cavity step sums in
+    # another order); the non-tree count comes from the default sample, or
+    # from a 64-centre one
+    if sample is not None:
+        monkeypatch.setattr(pipeline, "_NONTREE_SAMPLE", sample)
     for seed in range(2):
-        g = sample_sbm(m, seed=90 + seed)
-        h_n = g.n - int(math.isqrt(g.n))
-        chunks = math.ceil(h_n / randgraph._chunk_size(g, r))
-        assert (chunks > 2) == (budget is not None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = recover(g, cfg, m, impl=impl, seed=seed, delta0=delta0)
-            side, mag, counts = recover_loop(g, cfg, m, impl=impl, seed=seed,
-                                             delta0=delta0)
+        g, res, (side, mag, counts, _) = _run_both(
+            case, seed, nontree_sample=pipeline._NONTREE_SAMPLE)
         assert np.array_equal(res.side, side)
-        assert np.array_equal(res.magnetization, mag)
+        np.testing.assert_allclose(res.magnetization, mag, rtol=1e-12, atol=0)
         for name, value in counts.items():
             assert getattr(res.diagnostics, name) == value, name
-        if (a, b) == (3, 1):
+        if case[1:3] == (3, 1):
             assert res.diagnostics.empty_spheres > 0
             assert res.diagnostics.zero_roots > 0
+        if case[3] > 1 and case[0] > 500:
+            assert 0 < res.diagnostics.nontree_neighborhoods < g.n
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_walk_tree_oracle_equals_bfs_oracle_on_tree_balls(case):
+    # where the BFS of B(v, R) sees no extra edge the walk tree is the BFS
+    # tree: labels and magnetizations are equal bit for bit, and the walk
+    # tree revisits a vertex exactly where the BFS sees an extra edge
+    for seed in range(2):
+        g, res, (side, mag, _, revisit) = _run_both(case, seed)
+        _, _, (side_bfs, mag_bfs, _, _) = _run_both(case, seed, tree="bfs")
+        h_ids = np.flatnonzero(~held_out_mask(seed, g.n))
+        h = remove_set(g, np.flatnonzero(held_out_mask(seed, g.n))).graph
+        extra = np.array([extract_neighborhood(h, v, case[3]).scan_extra
+                          for v in range(h.n)])
+        assert np.array_equal(revisit[h_ids], extra > 0)
+        tree = h_ids[extra == 0]
+        assert len(tree) > 0
+        assert np.array_equal(side[tree], side_bfs[tree])
+        assert np.array_equal(mag[tree], mag_bfs[tree])
 
 
 def test_zero_root_coin_is_keyed_by_vertex():
     # R = 2, K = 1.  Centre 0: children 1 (+ leaf 3) and 2 (- leaf 4), whose
     # votes cancel, so its root is exactly 0 with no tie coin.  Centre 5:
-    # children 6 (+ leaf 8) and 7 (unobserved leaf 9) take one tie coin, and
-    # a - coin cancels the + vote, so that root is 0 only on some seeds.
-    edges = [(0, 1), (0, 2), (1, 3), (2, 4), (5, 6), (5, 7), (6, 8), (7, 9)]
-    g = graph_from_edges(10, edges, [1] * 10)
-    side = np.array([1, 1, 1, 1, -1, 1, 1, 1, 1, 0], dtype=np.int8)
-    dark = side.copy()
-    dark[8] = 0  # centre 5's sphere {8, 9} is now unobserved: one coin, no tie
+    # children 6 (+ leaf 8) and 7, whose leaves 9 (+) and 10 (-) tie, so 7's
+    # vote is the coin of its slot (row 5, neighbour 7): a - coin cancels
+    # the + vote and that root is 0 only on some seeds.
+    edges = [(0, 1), (0, 2), (1, 3), (2, 4), (5, 6), (5, 7), (6, 8), (7, 9), (7, 10)]
+    g = graph_from_edges(11, edges, [1] * 11)
+    side = np.array([1, 1, 1, 1, -1, 1, 1, 1, 1, 1, -1], dtype=np.int8)
     theta = 0.6
+    slot_57 = int(g.indptr[5]) + 1
+    assert g.indices[slot_57] == 7
     signs0, zero5 = set(), set()
     for seed in range(20):
-        zero_u = derived_rng(seed, "zero-roots").random(g.n)
-        sign0 = 1 if zero_u[0] < 0.5 else -1
-        signs0.add(sign0)
-        # a chunk draws exactly its tie and unobserved-sphere coins from the
-        # label stream, and centre 0's coin depends only on (seed, vertex)
-        for xi, centres, draws in ((side, [0, 5, 0, 5], 2), (side, [5, 0], 1),
-                                   (dark, [5, 0, 5], 2)):
-            rng = derived_rng(seed, "z")
-            got = _label_balls(bfs_balls(g, centres, 2), xi, 1, theta, None, 1e-12,
-                               rng, zero_u)
-            after = derived_rng(seed, "z")
-            after.random(draws)
-            assert rng.random() == after.random()
-            for i, v in enumerate(centres):
-                if v == 0:
-                    assert got.zero_root[i] and got.coin[i] and got.sign[i] == sign0
-        # the batch against the per-vertex oracle
-        centres = [0, 5, 0, 5]
-        got = _label_balls(bfs_balls(g, centres, 2), side, 1, theta, None, 1e-12,
-                           derived_rng(seed, "z"), zero_u)
-        rng = derived_rng(seed, "z")
-        visited = np.zeros(g.n, dtype=bool)
-        for i, v in enumerate(centres):
-            want = label_one(g.indptr, g.indices, v, 2, 1, theta, None, 1e-12, side,
-                             visited, rng, zero_u[v])
+        got = _label_all(g, side, 2, 1, theta, seed=seed)
+        root_u = derived_rng(seed, "zero-roots").random(g.n)
+        slot_u = derived_rng(seed, "labels").random(len(g.indices))
+        assert got.zero_root[0] and got.coin[0]
+        assert got.sign[0] == (1 if root_u[0] < 0.5 else -1)
+        signs0.add(int(got.sign[0]))
+        assert got.zero_root[5] == (slot_u[slot_57] >= 0.5)
+        zero5.add(bool(got.zero_root[5]))
+        # the per-vertex oracle reads the same keys
+        for v in range(g.n):
+            want = _oracle_one(g, v, side, 2, 1, theta, seed=seed)
             for name in ("sign", "magnetization", "coin", "zero_root"):
-                assert getattr(got, name)[i] == want[name], name
-        zero5.add(bool(got.zero_root[1]))
+                assert getattr(got, name)[v] == want[name], (v, name)
     assert signs0 == {1, -1} and zero5 == {True, False}
+
+
+# --- hard-vote ties ----------------------------------------------------------
+
+
+def _star(n_leaves, sides):
+    """Centre 0 with leaves 1..n_leaves and the given leaf sides."""
+    g = graph_from_edges(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)],
+                         [1] * (n_leaves + 1))
+    return g, np.array([1] + list(sides), dtype=np.int8)
+
+
+def test_tied_root_vote_is_a_coin():
+    # R = K: the vote is the root's own value, and a tie decides nothing.
+    # R = K = 1 on a star with two + and two - leaves; R = K = 2 on a root
+    # whose two children each see one + and one - leaf
+    g1, side1 = _star(4, [1, -1, 1, -1])
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+    g2 = graph_from_edges(7, edges, [1] * 7)
+    side2 = np.array([1, 1, -1, 1, -1, -1, 1], dtype=np.int8)
+    for g, side, r in ((g1, side1, 1), (g2, side2, 2)):
+        signs = set()
+        for seed in range(20):
+            out = _label_one(g, 0, side, r, r, 0.5, seed=seed)
+            assert out["coin"] and out["zero_root"] and not out["no_walk"]
+            assert out["magnetization"] == 0.0
+            root_u = derived_rng(seed, "zero-roots").random(g.n)
+            assert out["sign"] == (1 if root_u[0] < 0.5 else -1)
+            assert _oracle_one(g, 0, side, r, r, 0.5, seed=seed)["sign"] == out["sign"]
+            signs.add(out["sign"])
+        assert signs == {1, -1}
+    # counted in recover's coin_labels beside the hold-out coins
+    m = ModelParams(n=2000, a=12, b=3)
+    res = recover(sample_sbm(m, seed=61), AlgoConfig(R=1, R_mode="fixed", K=1), m,
+                  impl="oracle-noise", seed=9, delta0=0.25)
+    d = res.diagnostics
+    assert d.zero_roots > 0
+    assert d.coin_labels == math.isqrt(m.n) + d.zero_roots + d.empty_spheres
+    assert np.count_nonzero(res.magnetization == 0.0) == d.coin_labels
+
+
+def test_nine_against_nine_vote_is_a_tie():
+    # 18 observed children, 9 at +1 and 9 at -1 in the order below, whose
+    # current-weighted float sum (each current about 1/18) comes out
+    # -2.8e-17: the K = 1 vote sums the sides as integers, so it is a tie and
+    # draws a coin
+    order = [-1, 1, 1, -1, -1, 1, 1, 1, -1, 1, 1, -1, -1, -1, 1, -1, 1, -1]
+    theta = 0.5
+    levels = [None, np.zeros(18, dtype=np.int64)]
+    cur, anc = current_down(*conductance_up(np.full(18, np.inf), levels, [1, 18], theta),
+                            levels)
+    assert sum(order) == 0
+    assert np.bincount(anc, weights=cur * theta ** -1 * np.array(order))[0] != 0.0
+    # below the root (R = 2): vertex 1 votes towards the root 0 from the
+    # leaves 2..19, and the coin is that of slot (row 0, neighbour 1)
+    edges = [(0, 1)] + [(1, i) for i in range(2, 20)]
+    g = graph_from_edges(20, edges, [1] * 20)
+    side = np.array([1, 1] + order, dtype=np.int8)
+    signs = set()
+    for seed in range(20):
+        out = _label_one(g, 0, side, 2, 1, theta, seed=seed)
+        coin = 1 if derived_rng(seed, "labels").random(len(g.indices))[0] < 0.5 else -1
+        assert not out["coin"] and out["sign"] == coin
+        assert out["magnetization"] == pytest.approx(coin * theta, rel=1e-12)
+        signs.add(out["sign"])
+    assert signs == {1, -1}
+    # at the root (R = K = 1) the same tie is a root coin
+    g, side = _star(18, order)
+    out = _label_one(g, 0, side, 1, 1, theta)
+    assert out["coin"] and out["zero_root"]
+
+
+def test_relative_tie_test_catches_a_rounding_residue(monkeypatch):
+    # K = R = 2.  Root 0 (+) has children 1 and 2 with leaves 3, 4 (both +)
+    # and 5, 6 (both -): U is +1 and -1 on equal conductances, so the vote is
+    # exactly 0.  But 1's cavity sums fl(3c) - c over the leaf conductance c
+    # of its row (the root's term included) where 2's row cancels at once,
+    # so the float sum keeps a residue, and only the relative tie test makes
+    # the root a coin
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+    g = graph_from_edges(7, edges, [1] * 7)
+    side = np.array([1, 1, 1, 1, 1, -1, -1], dtype=np.int8)
+    out = _label_one(g, 0, side, 2, 2, 0.5)
+    assert out["coin"] and out["zero_root"] and out["magnetization"] == 0.0
+    assert _oracle_one(g, 0, side, 2, 2, 0.5)["zero_root"]
+    monkeypatch.setattr(pipeline, "_TIE_ULPS", 0)
+    out = _label_one(g, 0, side, 2, 2, 0.5)
+    assert not out["coin"] and abs(out["magnetization"]) == 1.0
 
 
 # --- terminal-resistor weights (weights_delta) -------------------------------
@@ -488,13 +585,8 @@ def test_weights_delta_hard_vote_star():
         out = _label_one(g, 0, side, 2, 2, theta, weights_delta=delta)
         assert out["magnetization"] == want and not out["coin"]
         signs[delta] = want
-        # the batched engine over a multi-centre batch and the per-vertex loop agree
-        balls = bfs_balls(g, [1, 0, 2], 2)
-        zero_u = derived_rng(0, "zero-roots").random(g.n)
-        got = _label_balls(balls, side, 2, theta, delta, 1e-12, derived_rng(0, "w"), zero_u)
-        loop = label_one(g.indptr, g.indices, 0, 2, 2, theta, delta, 1e-12, side,
-                         np.zeros(g.n, dtype=bool), derived_rng(0, "w"), zero_u[0])
-        assert got.magnetization[1] == loop["magnetization"] == want
+        # the per-vertex BFS oracle agrees
+        assert _oracle_one(g, 0, side, 2, 2, theta, weights_delta=delta)["magnetization"] == want
     assert signs[None] == 1.0 and signs[0.45] == -1.0
 
 

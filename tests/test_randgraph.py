@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from _oracles import bfs_levels
 from blockbp.params import ModelParams
 from blockbp.randgraph import (
-    _max_ball_centres,
-    bfs_balls,
     extract_neighborhood,
     graph_from_edges,
     load_edge_list,
@@ -88,9 +86,10 @@ def _levels(nb):
     return [lvl for lvl in nb.vertex if len(lvl)]
 
 
-def _extra_edges(g, nb):
-    """Induced edges of a one-centre ball outside its BFS tree."""
-    return int(nb.scan_extra[0] + nb.sphere_edges(g)[0])
+def _sphere_edges(g, nb):
+    """Edges with both ends on the sphere S(centre, radius)."""
+    sphere = set(nb.vertex[nb.radius].tolist())
+    return sum(int(u) in sphere for v in sphere for u in g.neighbors(v)) // 2
 
 
 def test_neighborhood_radius_zero():
@@ -98,7 +97,7 @@ def test_neighborhood_radius_zero():
     nb = extract_neighborhood(g, 7, 0)
     assert list(nb.ball) == [7]
     assert list(nb.vertex[0]) == [7]
-    assert not nb.nontree(g)[0]
+    assert nb.scan_extra == 0
     with pytest.raises(ValueError, match="out of range"):
         extract_neighborhood(g, 50, 1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -110,7 +109,7 @@ def test_neighborhood_path():
     nb = extract_neighborhood(g, 0, 2)
     assert [list(l) for l in _levels(nb)] == [[0], [1], [2]]
     assert list(nb.vertex[2]) == [2]
-    assert not nb.nontree(g)[0]
+    assert nb.scan_extra == 0
 
 
 def test_neighborhood_triangle():
@@ -118,8 +117,9 @@ def test_neighborhood_triangle():
     nb = extract_neighborhood(g, 0, 1)
     assert sorted(nb.ball) == [0, 1, 2]
     assert sorted(nb.vertex[1]) == [1, 2]
-    assert nb.nontree(g)[0]
-    assert _extra_edges(g, nb) == 1
+    # the extra edge 1-2 lies on the sphere: the scans do not see it
+    assert nb.scan_extra == 0 and _sphere_edges(g, nb) == 1
+    assert extract_neighborhood(g, 0, 2).scan_extra == 1
 
 
 def test_bfs_parent_is_smallest_id_discoverer():
@@ -163,7 +163,10 @@ def test_local_tree_likeness():
     r = int(math.log(m.n) / (4 * math.log((m.a + m.b) / 2 + 1)))
     rng = np.random.default_rng(6)
     centers = rng.choice(m.n, 400, replace=False)
-    non_tree = sum(extract_neighborhood(g, int(v), r).nontree(g)[0] for v in centers)
+    non_tree = 0
+    for v in centers:
+        nb = extract_neighborhood(g, int(v), r)
+        non_tree += nb.scan_extra + _sphere_edges(g, nb) > 0
     assert non_tree / len(centers) < 0.05
 
 
@@ -287,50 +290,25 @@ def test_load_edge_list_skips_blank_lines(tmp_path):
     assert g.neighbors(1).tolist() == [0, 2]
 
 
-# --- batched balls against the per-vertex BFS --------------------------------
+# --- the one-centre BFS against the per-vertex BFS ---------------------------
 
 
 def _assert_matches_bfs(g, nb, v, r, visited):
-    """A one-centre ball equals the per-vertex BFS: shells, parents, extra edges."""
+    """A ball equals the per-vertex BFS: shells, parents, extra edges."""
     levels, parent_pos, induced = bfs_levels(g.indptr, g.indices, v, r, visited)
     assert len(_levels(nb)) == len(levels)
+    assert nb.centre == v and nb.radius == r and len(nb.vertex) == r + 1
     for j, lvl in enumerate(levels):
         assert np.array_equal(nb.vertex[j], lvl)
         if j:
             assert np.array_equal(nb.parent_pos[j], parent_pos[j])
     extra = induced - (sum(len(l) for l in levels) - 1)
-    assert _extra_edges(g, nb) == extra
-    assert nb.nontree(g)[0] == (extra != 0)
-
-
-def _assert_batch_equals_single_centres(g, centres, r):
-    """One batch is the concatenation of its centres' one-centre balls, in
-    owner order, and each one-centre ball matches the per-vertex BFS."""
-    balls = bfs_balls(g, centres, r)
-    one = {v: extract_neighborhood(g, v, r) for v in set(centres.tolist())}
-    visited = np.zeros(g.n, dtype=bool)
-    for v, nb in one.items():
-        _assert_matches_bfs(g, nb, v, r, visited)
-    each = [one[v] for v in centres.tolist()]
-    for j in range(r + 1):
-        sizes = [len(nb.vertex[j]) for nb in each]
-        assert np.array_equal(balls.vertex[j], np.concatenate([nb.vertex[j] for nb in each]))
-        assert np.array_equal(balls.owner[j], np.repeat(np.arange(len(centres)), sizes))
-        if j:
-            base = np.cumsum([0] + [len(nb.vertex[j - 1]) for nb in each])
-            want = [b + nb.parent_pos[j] for b, nb in zip(base, each)]
-            assert np.array_equal(balls.parent_pos[j], np.concatenate(want))
-    assert np.array_equal(balls.scan_extra, [nb.scan_extra[0] for nb in each])
-    extra = {v: (_extra_edges(g, nb), nb.nontree(g)[0]) for v, nb in one.items()}
-    want = np.array([extra[v] for v in centres.tolist()]).reshape(-1, 2)
-    assert np.array_equal(balls.scan_extra + balls.sphere_edges(g), want[:, 0])
-    assert np.array_equal(balls.nontree(g), want[:, 1])
-    return balls
+    assert nb.scan_extra + _sphere_edges(g, nb) == extra
 
 
 def test_extract_neighborhood_matches_per_vertex_bfs():
-    # shells, parents and the exact extra-edge count of the one-centre engine
-    # call equal the per-vertex BFS with its second induced-edge scan
+    # shells, parents and the extra-edge count (scanned plus sphere-sphere)
+    # equal the per-vertex BFS with its second induced-edge scan
     for m, radii in ((ModelParams(n=300, a=6, b=2), (0, 1, 2, 3)),
                      (ModelParams(n=300, a=2, b=1), (1, 4)),
                      (ModelParams(n=120, a=30, b=4), (1, 2))):
@@ -341,51 +319,17 @@ def test_extract_neighborhood_matches_per_vertex_bfs():
                 _assert_matches_bfs(g, extract_neighborhood(g, v, r), v, r, visited)
 
 
-def test_bfs_balls_batch_equals_single_centres():
-    # one batch over repeated and isolated centres splits into the per-centre balls
-    g = sample_sbm(ModelParams(n=200, a=3, b=1), seed=12)
-    centres = np.array([5, 0, 5, 199, 17, 42, 0], dtype=np.int64)
-    balls = _assert_batch_equals_single_centres(g, centres, 3)
-    assert balls.parent_pos[0] is None
-    extra = balls.scan_extra + balls.sphere_edges(g)
-    assert np.array_equal(balls.nontree(g), extra > 0)
-    # a subset scan reads 0 outside the selection
-    select = np.zeros(len(centres), dtype=bool)
-    select[1] = True
-    assert not balls.sphere_edges(g, select)[~select].any()
-
-
-@pytest.mark.parametrize("n_centres", [2 ** 14, 2 ** 14 + 1])
-def test_bfs_balls_both_key_widths(n_centres):
-    # at n = 2^16 + 1 the level-0 scan key has 17 vertex bits and 1 tag bit,
-    # plus 14 owner bits for 2^14 centres (32 in all) or 15 for one centre
-    # more (33): either batch splits into its per-centre balls
-    g = sample_sbm(ModelParams(n=2 ** 16 + 1, a=3, b=1), seed=13)
-    rng = np.random.default_rng(14)
-    pool = np.concatenate(([0, g.n - 1], rng.choice(g.n, 100, replace=False)))
-    centres = pool[rng.integers(len(pool), size=n_centres)]
-    centres[-1] = g.n - 1  # the largest owner and vertex ids in one key
-    _assert_batch_equals_single_centres(g, centres, 1)
-
-
-def test_bfs_balls_centre_limit():
-    assert _max_ball_centres(2 ** 20) == 1 << 21
-    assert _max_ball_centres(2 ** 40) == 0
-    g = graph_from_edges(3, [(0, 1)], [1, 1, 1])
-    assert bfs_balls(g, [], 2).vertex[2].size == 0
-
-
-@pytest.mark.parametrize("centres, radius, match", [
-    ([5], 1, "centres hold a vertex id out of range"),
-    ([-1], 1, "centres hold a vertex id out of range"),
-    ([1.7], 1, "centres must be a 1-d array of integer"),
-    ([[0, 1]], 1, "centres must be a 1-d array of integer"),
-    ([0], -1, "radius must be nonnegative"),
-])
-def test_bfs_balls_rejects_bad_input(centres, radius, match):
+@pytest.mark.parametrize("centre, radius, match", [
+    (5, 1, "centre 5 is out of range"),
+    (-1, 1, "centre -1 is out of range"),
+    (1.7, 1, "centre must be an integer vertex id"),
+    ([0, 1], 1, "centre must be an integer vertex id"),
+    (0, -1, "radius must be nonnegative"),
+], ids=["id-too-large", "negative-id", "float-id", "list-id", "negative-radius"])
+def test_extract_neighborhood_rejects_bad_input(centre, radius, match):
     g = graph_from_edges(4, [(0, 1), (1, 2)], [1, 1, 1, 1])
     with pytest.raises(ValueError, match=match):
-        bfs_balls(g, centres, radius)
+        extract_neighborhood(g, centre, radius)
 
 
 # --- edge-list input ---------------------------------------------------------
@@ -398,6 +342,24 @@ def test_graph_from_edges_rejects_out_of_range_ids():
         graph_from_edges(3, [(0, 1), (2, 3)], [1, 1, 1])
     with pytest.raises(ValueError, match="pairs"):
         graph_from_edges(3, [(0, 1, 2)], [1, 1, 1])
+
+
+def test_graph_from_edges_csr_and_rejections():
+    # rows and sorted neighbour lists from one sort of the directed-edge keys
+    g = graph_from_edges(5, [(2, 0), (1, 3), (0, 1)], [1] * 5)
+    assert g.indptr.tolist() == [0, 2, 4, 5, 6, 6]
+    assert g.indices.tolist() == [1, 2, 0, 3, 0, 1]
+    with pytest.raises(ValueError, match="self-loops"):
+        graph_from_edges(3, [(1, 1)], [1] * 3)
+    for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
+        with pytest.raises(ValueError, match="duplicate"):
+            graph_from_edges(3, edges, [1] * 3)
+    # the keys x*n + y are int64, so n^2 must stay below 2^63; both
+    # constructors refuse before allocating anything of size n
+    with pytest.raises(ValueError, match=r"n\^2 < 2\^63"):
+        graph_from_edges(3_037_000_500, [], [])
+    with pytest.raises(ValueError, match=r"n\^2 < 2\^63"):
+        sample_sbm(ModelParams(n=2 ** 32, a=3, b=1))
 
 
 @st.composite
