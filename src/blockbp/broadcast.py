@@ -46,7 +46,6 @@ class BroadcastTree:
     sigma: list | None = None
     tau: np.ndarray | None = None
     tau_level: int | None = None
-    tau_delta: float | None = None
 
     @property
     def depth(self) -> int:
@@ -193,4 +192,4 @@ def add_leaf_noise(tree: BroadcastTree, delta: float, seed=0, level: int | None 
     k = tree.check_level(level)
     sig = tree.sigma[k]
     flips = as_generator(seed).random(len(sig)) < delta
-    return replace(tree, tau=np.where(flips, -sig, sig), tau_level=k, tau_delta=delta)
+    return replace(tree, tau=np.where(flips, -sig, sig), tau_level=k)

@@ -127,7 +127,8 @@ def effective_conductance(tree: BroadcastTree, theta: float,
     A child subtree of local conductance Z composes through its parent edge
     as theta^2 Z / ((1-theta^2) Z + 1); siblings add.  An extinct tree has
     ceff = 0; with delta None and k = 0 the root is itself a terminal and
-    ceff = inf.
+    ceff = inf.  ``ceff`` is the first root's; on a forest ``zs[0]`` holds
+    every root's conductance.
     """
     if not -1.0 < theta < 1.0 or theta == 0.0:
         raise ValueError("conductance needs 0 < |theta| < 1")

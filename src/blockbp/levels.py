@@ -3,11 +3,11 @@
 Every tree in the package is stored as the same level lists: level j holds
 ``sizes[j]`` nodes, and ``parent_pos[j]`` (j >= 1) gives, for each level-j
 node, the position of its parent within level j - 1 (entry 0 is ignored).
-``broadcast.BroadcastTree`` (one tree, or a forest of ``popdyn`` trials) and
-``randgraph.Ball`` store them, and the population chains build one level at
-a time.  A pass over a slice of the lists treats the slice's first level as
-its roots.  ``pipeline._label_edges`` runs the BP combine on directed edges
-instead, with ``_edge_llr``.
+``broadcast.BroadcastTree`` (one tree, or a forest of ``popdyn`` trials)
+stores them, and the population chains build one level at a time.  A pass
+over a slice of the lists treats the slice's first level as its roots.
+``pipeline._label_edges`` runs the BP combine on directed edges instead,
+with ``_edge_llr``.
 
 - ``bp_up``: the magnetization recursion, last level to level 0;
 - ``conductance_up``: the series-parallel reduction of the resistor network

@@ -175,6 +175,7 @@ class _Labels(NamedTuple):
     coin: np.ndarray
     zero_root: np.ndarray      # the coin decided because the root value is 0
     no_walk: np.ndarray        # no non-backtracking walk of length R
+    walks: np.ndarray          # nodes of the depth-R walk tree, exact while <= n
 
 
 def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
@@ -189,10 +190,13 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     holding neighbour y, and a round computes height j + 1 from height j for
     all slots at once: the row sum of y's incoming messages minus the one
     from x (the cavity step; the reverse slot holds it, found by one
-    ``searchsorted`` and stored as int32 while 2m < 2^31).  Height 0 is y's
-    own side, the same towards every neighbour, so heights up to 1 need no
-    reverse slots and they are built only at R >= 3.  The root is a plain
-    row sum.
+    ``searchsorted`` and stored as int32 while 2m < 2^31, and built at
+    R >= 2).  The root is a plain row sum.
+
+    The same rounds count the walk tree's nodes: ``walks`` is 1 plus the
+    number of non-backtracking walks of each length 1..R from v, and v has a
+    walk of length R (``no_walk`` is false) when the last of those counts is
+    positive.
 
     ``side`` is every vertex's +-1 side.  Heights up to K carry the vote:
     at K = 1 the vote is the sign of the integer sum of the children's sides,
@@ -219,7 +223,7 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     n, nbr = h.n, h.indices
     row = np.repeat(np.arange(n, dtype=np.int64), h.degrees)
     rev = None  # per slot (x, y), the slot (y, x): slots sort by the key x*n + y
-    if r >= 3:
+    if r >= 2:
         rev = np.searchsorted(row * n + nbr, nbr * n + row)
         rev = rev.astype(np.int32) if len(rev) < 2 ** 31 else rev
     xi = side.astype(np.float64)
@@ -234,29 +238,39 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
         s[np.abs(s) <= tol * scale] = 0.0
         return s
 
-    def cavity(w, w_side=None):
-        """Per slot (x, y): the sum of ``w`` over y's row less x's own term,
-        ``w[rev]`` or, at height 1, ``w_side[x]``; 0 within rounding."""
+    def cavity(w):
+        """Per slot (x, y): the sum of ``w`` over y's row less x's own term
+        ``w[rev]``; 0 within rounding."""
         buf = np.abs(w)
         scale = row_sums(buf)
         s = row_sums(w)[nbr]
-        if w_side is None:
-            np.take(w, rev, out=buf)
-        else:
-            np.take(w_side, row, out=buf)
+        np.take(w, rev, out=buf)
         s -= buf
         np.abs(s, out=buf)
         s[buf <= tol * scale[nbr]] = 0.0
         return s
 
-    # walks of the remaining length that leave y without stepping back to x
-    if r == 1:
-        reach = h.degrees > 0
-    else:
-        alive = h.degrees[nbr] > 1
-        for _ in range(r - 2):
-            alive = row_sums(alive)[nbr] > alive[rev]
-        reach = row_sums(alive) > 0
+    def walk_counts():
+        """Per vertex, the walk tree's nodes and whether a walk of length R exists.
+
+        Per slot (x, y) the count of walks of length j that start x -> y is
+        1 at j = 1, then the row sum of y's counts less the one back to x,
+        capped at n.  A count above n already makes walks > n >= |B(v, R)|
+        and the walk of length R certain, so the cap changes neither use.
+        Each count is an integer <= n, and a float64 sum of them is exact
+        while it stays below 2^53; past that it stays far above n.  The slot
+        counts are freed before the passes run.
+        """
+        walks, per_vertex = 1.0 + h.degrees, h.degrees
+        if r >= 2:
+            count = np.ones(len(nbr))
+        for _ in range(r - 1):
+            count = np.minimum(per_vertex[nbr] - count[rev], n, out=count)
+            per_vertex = row_sums(count)
+            walks += per_vertex
+        return walks, per_vertex > 0
+
+    walks, reach = walk_counts()
 
     def vote_sums():
         """The votes' sums: per slot below the root, per vertex at K = R."""
@@ -264,16 +278,14 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
             a = row_sums(xi[nbr])
             return a if big_k == r else a[nbr] - xi[row]
         leaf_c = _compose_through_edge(np.full(n, _terminal_conductance(weights_delta)), theta)
-        c_side, cu_side = leaf_c, leaf_c * xi
-        c, cu = c_side[nbr], cu_side[nbr]
+        c, cu = leaf_c[nbr], (leaf_c * xi)[nbr]
         for _ in range(1, big_k):
-            z, a = cavity(c, c_side), cavity(cu, cu_side)
+            z, a = cavity(c), cavity(cu)
             c = _compose_through_edge(z, theta)
             cu = c * np.divide(a, z, out=np.zeros_like(a), where=z > 0)
-            c_side = cu_side = None  # above height 1 the own terms come from rev
         if big_k == r:
             return zero_ties(row_sums(cu), row_sums(np.abs(cu)))
-        return cavity(cu, cu_side)
+        return cavity(cu)
 
     def decided(a):
         """Per-slot votes from their sums; a tie takes its slot's coin."""
@@ -286,12 +298,11 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
         val = np.sign(vote_sums())
     else:
         if big_k == 0:
-            t_side = _edge_llr(xi, theta, clamp)
-            t = t_side[nbr]
+            t = _edge_llr(xi, theta, clamp)[nbr]
         else:
             t = _edge_llr(decided(vote_sums()), theta, clamp)
-        for height in range(big_k + 1, r):
-            m = cavity(t, t_side if height == 1 else None)
+        for _ in range(big_k + 1, r):
+            m = cavity(t)
             t = _edge_llr(np.clip(np.tanh(m, out=m), -lim, lim, out=m), theta, clamp)
         val = np.clip(np.tanh(zero_ties(row_sums(t), row_sums(np.abs(t)))), -lim, lim)
 
@@ -300,13 +311,15 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     sign = np.where(val > 0, 1, -1).astype(np.int8)
     sign[coin] = np.where(root_u[coin] < 0.5, 1, -1)
     return _Labels(sign=sign, magnetization=np.where(coin, 0.0, val), coin=coin,
-                   zero_root=zero, no_walk=~reach)
+                   zero_root=zero, no_walk=~reach, walks=walks)
 
 
-def _nontree_estimate(h: LabelledGraph, r: int, rng) -> int:
+def _nontree_estimate(h: LabelledGraph, r: int, walks: np.ndarray, rng) -> int:
     """Vertices of H whose depth-r walk tree visits a vertex twice, from a sample.
 
-    That is the BFS ``scan_extra > 0`` of B(v, r), and it is where the walk
+    The vertex images of v's walk tree are exactly B(v, r), so the tree
+    visits a vertex twice iff it has more nodes, ``walks[v]`` (from
+    ``_label_edges``), than the ball has vertices; that is where the walk
     tree differs from the BFS tree of the ball.  The count is taken on
     min(H.n, ``_NONTREE_SAMPLE``) centres drawn from ``rng`` and scaled to
     H.n (rounded), so it is exact when H.n <= ``_NONTREE_SAMPLE``.  It is 0
@@ -316,7 +329,7 @@ def _nontree_estimate(h: LabelledGraph, r: int, rng) -> int:
     if r == 1 or size == 0:
         return 0
     centres = np.arange(h.n) if size == h.n else rng.choice(h.n, size, replace=False)
-    hits = sum(extract_neighborhood(h, int(v), r).scan_extra > 0 for v in centres)
+    hits = sum(walks[v] > len(extract_neighborhood(h, int(v), r).ball) for v in centres)
     return int(hits * h.n + size // 2) // size
 
 
@@ -330,9 +343,10 @@ class RecoveryDiagnostics:
     and ``empty_spheres`` the part with no non-backtracking walk of length R.
     ``nontree_neighborhoods`` estimates, from a sample of centres (see
     ``_nontree_estimate``), the vertices whose depth-R walk tree visits a
-    vertex twice.  ``u_star_ball_violations`` counts the vertices within
-    distance R - 1 of one of the anchor's neighbours in H, whose walk trees
-    see the anchor alignment from inside.  ``blackbox_informative`` is false
+    vertex twice: it has more nodes than B(v, R) has vertices.
+    ``u_star_ball_violations`` counts the vertices within distance R - 1 of
+    one of the anchor's neighbours in H, whose walk trees see the anchor
+    alignment from inside.  ``blackbox_informative`` is false
     if the black box found no community eigenvalue and returned a coin-flip
     split.
     """
@@ -351,11 +365,12 @@ class RecoveryDiagnostics:
     blackbox_informative: bool = True
 
 
-STAGES = ("holdout", "blackbox", "align", "balls", "roots", "coins")
-"""Stages of ``recover`` timed in ``RecoveryResult.stage_seconds``: the
-hold-out set, anchor and subgraph; the black-box run; anchor alignment; the
-BFS balls of the non-tree sample; the edge passes with their coins and the
-anchor-distance count; the hold-out coins and the overlap report."""
+STAGES = ("holdout", "blackbox", "align", "roots", "balls", "coins")
+"""Stages of ``recover`` timed in ``RecoveryResult.stage_seconds``, in run
+order: the hold-out set, anchor and subgraph; the black-box run; anchor
+alignment; the edge passes with their coins, walk counts and the
+anchor-distance count; the BFS ball sizes of the non-tree sample; the
+hold-out coins and the overlap report."""
 
 
 @dataclass(frozen=True)
@@ -444,9 +459,6 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     diag.align_swaps = int(info.swapped)
     lap("align")
 
-    diag.nontree_neighborhoods = _nontree_estimate(h, r, derived_rng(seed, "nontree-sample"))
-    lap("balls")
-
     out = _label_edges(h, aligned.side, r, cfg.K, tp.theta, cfg.weights_delta, _CLAMP,
                        derived_rng(seed, "labels"), root_u)
     side_out[sub.new_to_old] = out.sign
@@ -462,6 +474,10 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
         near[h.indices[np.repeat(near, h.degrees)]] = True
     diag.u_star_ball_violations = int(near.sum())
     lap("roots")
+
+    diag.nontree_neighborhoods = _nontree_estimate(h, r, out.walks,
+                                                   derived_rng(seed, "nontree-sample"))
+    lap("balls")
 
     coins = derived_rng(seed, "hold-out-coins").random(len(hold_out))
     side_out[hold_out] = np.where(coins < 0.5, 1, -1)

@@ -1,22 +1,24 @@
-"""Level-synchronous Monte Carlo engines for tree functionals.
+"""Monte Carlo engines for tree functionals: population chains and forests.
 
-Root quantities of broadcast trees (magnetizations, level sums, effective
-conductances) satisfy one-generation distributional recursions: the value at
-a node is a function of i.i.d. copies of the value at its children.  The
-*population chain* exploits that: keep a pool of ``trials`` independent
-samples of the level-k law conditioned on sigma = +, and produce the level
-k+1 pool by drawing, for each new sample, an offspring count, that many pool
-members, and the child-spin flips.  One level costs O(trials * mean
-offspring) regardless of tree size, which is what makes depth-12 experiments
-with 1e5 trials feasible (an explicit mean-17 tree of depth 8 has ~1e10
-nodes).
+Root magnetizations and effective conductances of broadcast trees satisfy
+one-generation distributional recursions: the value at a node is a function
+of i.i.d. copies of the value at its children.  The *population chain*
+exploits that: keep a pool of ``trials`` independent samples of the level-k
+law conditioned on sigma = +, and produce the level k+1 pool by drawing, for
+each new sample, an offspring count, that many pool members, and the
+child-spin flips.  One level costs O(trials * mean offspring) regardless of
+tree size, which is what makes depth-12 experiments with 1e5 trials feasible
+(an explicit mean-17 tree of depth 8 has ~1e10 nodes).
+
+Level sums on d-ary trees need no chain: ``dary_sum_trials`` draws them as
+binomial level counts over fully independent trials.
 
 A second engine ("forest") materializes many explicit trees at once, as one
 ``BroadcastTree`` with a root per trial; it is used where per-tree
 quantities are needed (current-weighted estimators, per-tree conductance)
 and as an independent cross-check of the population chain.
 
-All chains draw the tree structure and spins in a delta-independent pattern
+All engines draw the tree structure and spins in a delta-independent pattern
 (``dary_sum_trials`` draws its noise after every spin), so runs with the same
 seed and different noise levels share them (coupled comparisons), and a run
 with delta=0 reproduces the noiseless chain exactly.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .broadcast import BroadcastTree, _offspring
+from .estimators import effective_conductance
 from .levels import _edge_llr, _sum_llrs, _terminal_conductance, conductance_up, current_down
 from .seeding import as_generator
 
@@ -34,11 +37,9 @@ __all__ = [
     "Z99",
     "ci_half_width",
     "magnetization_chain",
-    "sum_chain",
     "dary_sum_trials",
     "conductance_chain",
     "sample_forest",
-    "forest_conductance",
     "forest_current_estimators",
 ]
 
@@ -132,48 +133,6 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     return rows, {"x": x, "y": y}
 
 
-def sum_chain(kind: str, d: float, theta: float, k: int, trials: int, rng, *,
-              delta: float = 0.0):
-    """Population chain for the level sums S (plain spins) and S~ (noisy spins).
-
-    Tracks, per level, the conditional-on-+ mean and variance of both sums and
-    the success rate of sign(S), sign(S~) (ties counted 1/2).  Returns
-    (rows, pools).
-
-    Pool members share ancestors through resampling, so when theta * d > 1
-    the reported CI of the *mean* sum understates the truth by an O(1)
-    factor; use ``dary_sum_trials`` (fully independent trials) for tight
-    moment checks, and this chain where trees are too big to materialize.
-    """
-    rng = as_generator(rng)
-    _check_chain_inputs(theta, k, trials, delta)
-    eta = 0.5 * (1.0 - theta)
-    tau = np.where(rng.random(trials) < delta, -1.0, 1.0)
-    s = np.ones(trials)
-    sn = tau.copy()
-
-    def row(level: int) -> dict:
-        out = {"level": level, "n": trials}
-        out.update(_stat("s", s, trials))
-        out.update(_stat("sn", sn, trials))
-        for name, v in (("s", s), ("sn", sn)):
-            succ = np.where(v > 0, 1.0, np.where(v < 0, 0.0, 0.5))
-            out.update(_stat(f"{name}_success", succ, trials))
-            sq = (v - v.mean()) ** 2
-            out[f"{name}_var"] = float(sq.mean())
-            out[f"{name}_var_ci"] = ci_half_width(float(sq.std()), trials)
-        return out
-
-    rows = [row(0)]
-    for level in range(1, k + 1):
-        idx, seg = _generation(kind, d, trials, rng)
-        sgn = np.where(rng.random(len(idx)) < eta, -1.0, 1.0)
-        s = np.bincount(seg, weights=sgn * s[idx], minlength=trials)
-        sn = np.bincount(seg, weights=sgn * sn[idx], minlength=trials)
-        rows.append(row(level))
-    return rows, {"s": s, "sn": sn}
-
-
 def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
                       rng, *, delta: float | None = None, keep_levels=None):
     """Population chain for the root effective conductance of depth-k trees.
@@ -211,8 +170,8 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
                     delta: float = 0.0):
     """Independent-trial level sums on the d-ary tree, all depths 0..k.
 
-    Records S_j and S~_j per trial for every level j; unlike ``sum_chain``
-    the trials are fully independent, so plain CIs are exact.  Only counts are
+    Records S_j and S~_j per trial for every level j; the trials are fully
+    independent, so plain CIs are exact.  Only counts are
     drawn: level j has N_j ~ Bin(d (d^{j-1} - N_{j-1}), eta) + Bin(d N_{j-1},
     1 - eta) minus spins, S_j = d^j - 2 N_j, and fresh per-level delta noise
     is two binomials likewise, drawn after all spins so that S does not
@@ -259,17 +218,6 @@ def sample_forest(kind: str, d: float, theta: float, depth: int, trials: int,
     return BroadcastTree(kind=kind, d=d, parent_pos=parent_pos, sigma=sigma)
 
 
-def forest_conductance(forest: BroadcastTree, theta: float, delta: float | None = None):
-    """``levels.conductance_up`` with terminals on the deepest level.
-
-    Returns its (z_levels, c_levels); z_levels[0] holds the per-trial root
-    effective conductances.
-    """
-    sizes = forest.sizes
-    return conductance_up(np.full(sizes[-1], _terminal_conductance(delta)),
-                          forest.parent_pos, sizes, theta)
-
-
 def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: float = 0.0):
     """Unit-current weighted estimators R (noiseless) and S (noisy) per trial.
 
@@ -285,12 +233,12 @@ def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: f
     tau = sig * np.where(rng.random(len(sig)) < delta, -1.0, 1.0)
 
     def estimator(net_delta, obs):
-        zs, cs = forest_conductance(forest, theta, delta=net_delta)
-        cur, root = current_down(zs, cs, forest.parent_pos)
+        net = effective_conductance(forest, theta, delta=net_delta)
+        cur, root = current_down(net.zs, net.cs, forest.parent_pos)
         w = cur * theta ** (-forest.depth)
         # an empty level would give bincount's integer zeros
         return np.bincount(root, weights=w * obs,
-                           minlength=len(zs[0])).astype(float, copy=False), zs[0]
+                           minlength=len(net.zs[0])).astype(float, copy=False), net.zs[0]
 
     r, ceff = estimator(None, sig)
     out = {"r": r, "ceff": ceff, "alive": ceff > 0, "s": r.copy(), "ceff_noisy": None}

@@ -7,9 +7,7 @@ graph costs O(edges) rather than O(n^2) Bernoulli trials; n up to 1e6 is fine
 on a desktop.  The CSR comes from one sort of the int64 keys x*n + y of both
 directions of every edge, so n must satisfy n^2 < 2^63.
 
-``extract_neighborhood`` is a one-centre BFS with a deterministic tie-break:
-neighbor lists are scanned in ascending id order and the BFS parent of a
-newly discovered vertex is its smallest-id neighbor in the previous shell.
+``extract_neighborhood`` is a one-centre BFS that returns the ball's levels.
 """
 
 from __future__ import annotations
@@ -196,35 +194,18 @@ def sample_sbm(m: ModelParams, mode: str = "uniform-random", seed=0,
     return _csr_from_edges(n, np.concatenate(us), np.concatenate(vs), lab)
 
 
-def _gather(indptr, indices, front):
-    """Neighbour slices of ``front`` in one flat array, and the front's degrees."""
-    degs = indptr[front + 1] - indptr[front]
-    flat = np.repeat(indptr[front] - (np.cumsum(degs) - degs), degs)
-    flat += np.arange(len(flat), dtype=np.int64)
-    return indices[flat], degs
-
-
 @dataclass(frozen=True)
 class Ball:
-    """BFS ball B(centre, radius) as the level lists of a one-root tree.
+    """BFS ball B(centre, radius) by levels.
 
     ``vertex[j]`` holds the vertices at distance j from the centre in
-    ascending id order, ``parent_pos[j]`` (j >= 1) the position of each one's
-    BFS parent, its smallest-id neighbour, within level j - 1.  A ball that
-    ends before the radius has empty deeper levels.
-
-    ``scan_extra`` counts the induced edges outside the BFS tree that the
-    scans of levels 0..radius-1 saw: repeated discoveries and edges inside a
-    scanned level.  Edges inside the sphere S(centre, radius) are not
-    counted, so ``scan_extra`` is 0 exactly when the depth-radius
-    non-backtracking walk tree from the centre visits no vertex twice.
+    ascending id order.  A ball that ends before the radius has empty deeper
+    levels.
     """
 
     centre: int
     radius: int
     vertex: list
-    parent_pos: list
-    scan_extra: int
 
     @property
     def ball(self) -> np.ndarray:
@@ -244,7 +225,8 @@ def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
 
 
 def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Ball:
-    """BFS ball B(v, radius), scanning neighbours in ascending id order.
+    """BFS ball B(v, radius): each level is the sorted, deduplicated set of
+    the previous level's neighbours not yet visited.
 
     ``v`` must be an integer vertex id in [0, n) and ``radius`` >= 0.
     """
@@ -254,22 +236,24 @@ def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Ball:
         raise ValueError(f"centre {v} is out of range [0, {g.n})")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
+    visited = np.zeros(g.n, dtype=bool)
+    visited[v] = True
     vertex = [np.array([v], dtype=np.int64)]
-    parent_pos: list = [None]
-    extra = 0
-    for j in range(radius):
-        front = vertex[j]
-        nbrs, degs = _gather(g.indptr, g.indices, front)
-        on_front = np.isin(nbrs, front)
-        fresh = ~(on_front | np.isin(nbrs, vertex[j - 1] if j else front[:0]))
-        # the front is sorted, so a vertex's first occurrence is its
-        # smallest-id discoverer; each later one is a repeated discovery
-        found, first = np.unique(nbrs[fresh], return_index=True)
-        extra += int(on_front.sum()) // 2 + int(fresh.sum()) - len(found)
+    for _ in range(radius):
+        front = vertex[-1]
+        degs = g.indptr[front + 1] - g.indptr[front]
+        slots = np.repeat(g.indptr[front] - (np.cumsum(degs) - degs), degs)
+        slots += np.arange(len(slots), dtype=np.int64)
+        nbrs = g.indices[slots]
+        nbrs = nbrs[~visited[nbrs]]
+        nbrs.sort()
+        first = np.empty(len(nbrs), dtype=bool)
+        first[:1] = True
+        np.not_equal(nbrs[1:], nbrs[:-1], out=first[1:])
+        found = nbrs[first]
+        visited[found] = True
         vertex.append(found)
-        parent_pos.append(np.repeat(np.arange(len(front)), degs)[fresh][first])
-    return Ball(centre=int(v), radius=radius, vertex=vertex, parent_pos=parent_pos,
-                scan_extra=extra)
+    return Ball(centre=int(v), radius=radius, vertex=vertex)
 
 
 @dataclass(frozen=True)

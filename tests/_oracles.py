@@ -342,6 +342,21 @@ def bfs_levels(indptr, indices, v, radius, visited):
     return levels, parent_pos, induced
 
 
+def bfs_extra_edges(indptr, indices, v, radius, visited):
+    """Induced edges of B(v, radius) that are neither BFS-tree edges nor on
+    the sphere: ``bfs_levels``' induced edges - (|B| - 1) - the edges with
+    both ends at distance ``radius``.  It is 0 exactly when v's
+    depth-``radius`` non-backtracking walk tree visits no vertex twice.
+    ``visited`` is clean scratch and is left clean.
+    """
+    levels, _, induced = bfs_levels(indptr, indices, v, radius, visited)
+    sphere = levels[radius] if len(levels) > radius else np.empty(0, dtype=np.int64)
+    visited[sphere] = True
+    on_sphere = sum(int(visited[indices[indptr[x]:indptr[x + 1]]].sum()) for x in sphere)
+    visited[sphere] = False
+    return induced - (sum(len(lvl) for lvl in levels) - 1) - on_sphere // 2
+
+
 def bfs_slots(indptr, indices, levels, parent_pos):
     """Per level, the CSR slot (row parent, neighbour node) each BFS node came through."""
     slots = [np.array([-1])]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    bfs_extra_edges,
     conductance_up,
     current_down,
     label_one,
@@ -200,9 +201,49 @@ def test_label_vertex_nontree_flag():
     # comes back to 1 and 2, the BFS sees the edge 1-2 inside a scanned
     # level; at depth 1 that edge lies on the sphere and counts for nothing
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], [1, 1, 1, 1])
+    visited = np.zeros(g.n, dtype=bool)
     for v, r, nontree in ((0, 2, True), (0, 1, False), (3, 2, False), (3, 3, True)):
-        assert (extract_neighborhood(g, v, r).scan_extra > 0) == nontree
+        assert (bfs_extra_edges(g.indptr, g.indices, v, r, visited) > 0) == nontree
         assert revisits(walk_tree(g.indptr, g.indices, v, r)[0]) == nontree
+        walks = _label_all(g, np.ones(g.n), r, 1, 0.5).walks[v]
+        assert (walks > len(extract_neighborhood(g, v, r).ball)) == nontree
+
+
+def _count_graphs():
+    """Small SBMs, K6 (walk counts pass n) and a triangle with a pendant (a
+    sphere-sphere edge at R = 1), each with an isolated vertex."""
+    def with_isolated(g):
+        src = np.repeat(np.arange(g.n), g.degrees)
+        edges = [(int(x), int(y)) for x, y in zip(src, g.indices) if x < y]
+        return graph_from_edges(g.n + 1, edges, np.ones(g.n + 1))
+
+    graphs = [sample_sbm(ModelParams(n=n, a=a, b=b), seed=seed)
+              for n, a, b, seed in ((12, 6, 2, 1), (60, 5, 1, 2), (200, 3, 1, 3))]
+    graphs.append(graph_from_edges(6, [(x, y) for x in range(6) for y in range(x + 1, 6)],
+                                   np.ones(6)))
+    graphs.append(graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], np.ones(4)))
+    return [with_isolated(g) for g in graphs]
+
+
+def test_walk_count_above_ball_size_iff_walk_tree_revisits():
+    # the walk tree of v has one node per non-backtracking walk of length
+    # <= R and its vertex images are B(v, R), so it revisits a vertex iff it
+    # has more nodes than the ball; capped at n, the count stays exact up to
+    # n + 1 and above that only its excess matters
+    capped = 0
+    for g in _count_graphs():
+        assert g.degree(g.n - 1) == 0
+        for r in range(1, 6):
+            out = _label_all(g, np.ones(g.n), r, 1, 0.5)
+            for v in range(g.n):
+                levels = walk_tree(g.indptr, g.indices, v, r)[0]
+                nodes = sum(len(lvl) for lvl in levels)
+                ball = len(extract_neighborhood(g, v, r).ball)
+                assert (out.walks[v] > ball) == revisits(levels), (g.n, v, r)
+                assert min(out.walks[v], g.n + 1) == min(nodes, g.n + 1), (g.n, v, r)
+                assert out.no_walk[v] == (len(levels[r]) == 0)
+                capped += nodes > g.n
+    assert capped > 0
 
 
 # --- full recovery -----------------------------------------------------------
@@ -405,15 +446,16 @@ def test_recover_matches_per_vertex_oracle(case, sample, monkeypatch):
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_walk_tree_oracle_equals_bfs_oracle_on_tree_balls(case):
-    # where the BFS of B(v, R) sees no extra edge the walk tree is the BFS
-    # tree: labels and magnetizations are equal bit for bit, and the walk
-    # tree revisits a vertex exactly where the BFS sees an extra edge
+    # where the BFS of B(v, R) sees no extra edge off the sphere the walk
+    # tree is the BFS tree: labels and magnetizations are equal bit for bit,
+    # and the walk tree revisits a vertex exactly where the BFS sees one
     for seed in range(2):
         g, res, (side, mag, _, revisit) = _run_both(case, seed)
         _, _, (side_bfs, mag_bfs, _, _) = _run_both(case, seed, tree="bfs")
         h_ids = np.flatnonzero(~held_out_mask(seed, g.n))
         h = remove_set(g, np.flatnonzero(held_out_mask(seed, g.n))).graph
-        extra = np.array([extract_neighborhood(h, v, case[3]).scan_extra
+        visited = np.zeros(h.n, dtype=bool)
+        extra = np.array([bfs_extra_edges(h.indptr, h.indices, v, case[3], visited)
                           for v in range(h.n)])
         assert np.array_equal(revisit[h_ids], extra > 0)
         tree = h_ids[extra == 0]

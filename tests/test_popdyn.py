@@ -46,22 +46,6 @@ def test_magnetization_chain_matches_explicit_trees():
     assert abs(row["absy_mean"] - ys.mean()) < 4 * se
 
 
-def test_sum_chain_matches_closed_forms():
-    from blockbp.estimators import majority_moments
-
-    d, theta, delta = 2, 0.5, 0.2
-    trials = 60_000
-    rows, _ = popdyn.sum_chain("dary", d, theta, 3, trials,
-                               np.random.default_rng(3), delta=delta)
-    for k in (1, 2, 3):
-        mom = majority_moments(d, theta, k, delta=delta)
-        r = rows[k]
-        assert abs(r["s_mean"] - mom.mean) < 4 * (r["s_std"] / np.sqrt(trials))
-        assert abs(r["sn_mean"] - mom.noisy_mean) < 4 * (r["sn_std"] / np.sqrt(trials))
-        assert abs(r["s_var"] - mom.var) < 4 * r["s_var_ci"] / 2.576
-        assert abs(r["sn_var"] - mom.noisy_var) < 4 * r["sn_var_ci"] / 2.576
-
-
 def test_conductance_chain_matches_forest():
     d, theta, k = 3.0, 0.6, 3
     trials = 50_000
@@ -69,8 +53,7 @@ def test_conductance_chain_matches_forest():
                                         np.random.default_rng(4))
     pool = pools[k]
     forest = popdyn.sample_forest("gw", d, theta, k, 20_000, np.random.default_rng(5))
-    z_levels, _ = popdyn.forest_conductance(forest, theta)
-    z0 = z_levels[0]
+    z0 = effective_conductance(forest, theta).zs[0]
     se = _joint_se(pool.std(), len(pool), z0.std(), len(z0))
     assert abs(pool.mean() - z0.mean()) < 4 * se
     se = _joint_se(np.std(pool > 0), len(pool), np.std(z0 > 0), len(z0))
@@ -102,7 +85,7 @@ def _forest_trial_tree(forest, i):
 def test_forest_matches_object_api_exactly():
     theta = 0.6
     forest = popdyn.sample_forest("gw", 2.0, theta, 3, 50, np.random.default_rng(6))
-    z_levels, _ = popdyn.forest_conductance(forest, theta, delta=0.2)
+    z_levels = effective_conductance(forest, theta, delta=0.2).zs
     for i in range(forest.sizes[0]):
         t, _ = _forest_trial_tree(forest, i)
         net = effective_conductance(t, theta, delta=0.2)
@@ -226,7 +209,7 @@ def _dying_forest():
 
 
 def test_forest_conductance_on_empty_level():
-    z_levels, _ = popdyn.forest_conductance(_dying_forest(), 0.6, delta=0.2)
+    z_levels = effective_conductance(_dying_forest(), 0.6, delta=0.2).zs
     assert z_levels[0].dtype == np.float64
     assert np.array_equal(z_levels[0], np.zeros(5))
 
@@ -283,7 +266,6 @@ def _chains(trials, delta):
     rng = np.random.default_rng(0)
     return [
         lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, 2, trials, rng, delta=delta),
-        lambda: popdyn.sum_chain("gw", 2.0, 0.5, 2, trials, rng, delta=delta),
         lambda: popdyn.conductance_chain("gw", 2.0, 0.5, 2, trials, rng, delta=delta),
         lambda: popdyn.dary_sum_trials(2, 0.5, 2, trials, rng, delta=delta),
     ]
@@ -322,7 +304,6 @@ def test_harness_rejects_delta_out_of_range():
 def test_chains_reject_theta_out_of_range(theta):
     rng = np.random.default_rng(0)
     for run in (lambda: popdyn.magnetization_chain("gw", 2.0, theta, 2, 100, rng),
-                lambda: popdyn.sum_chain("gw", 2.0, theta, 2, 100, rng),
                 lambda: popdyn.dary_sum_trials(2, theta, 2, 100, rng)):
         with pytest.raises(ValueError, match="theta"):
             run()
@@ -331,7 +312,6 @@ def test_chains_reject_theta_out_of_range(theta):
 def test_chains_reject_depth_out_of_range():
     rng = np.random.default_rng(0)
     for run in (lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, -2, 100, rng),
-                lambda: popdyn.sum_chain("gw", 2.0, 0.5, -1, 100, rng),
                 lambda: popdyn.dary_sum_trials(2, 0.5, -1, 100, rng),
                 lambda: popdyn.conductance_chain("gw", 2.0, 0.5, 0, 100, rng)):
         with pytest.raises(ValueError, match="k must be"):

@@ -86,18 +86,12 @@ def _levels(nb):
     return [lvl for lvl in nb.vertex if len(lvl)]
 
 
-def _sphere_edges(g, nb):
-    """Edges with both ends on the sphere S(centre, radius)."""
-    sphere = set(nb.vertex[nb.radius].tolist())
-    return sum(int(u) in sphere for v in sphere for u in g.neighbors(v)) // 2
-
-
 def test_neighborhood_radius_zero():
     g = sample_sbm(ModelParams(n=50, a=4, b=1), seed=2)
     nb = extract_neighborhood(g, 7, 0)
     assert list(nb.ball) == [7]
     assert list(nb.vertex[0]) == [7]
-    assert nb.scan_extra == 0
+    assert nb.centre == 7 and nb.radius == 0 and len(nb.vertex) == 1
     with pytest.raises(ValueError, match="out of range"):
         extract_neighborhood(g, 50, 1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -109,7 +103,8 @@ def test_neighborhood_path():
     nb = extract_neighborhood(g, 0, 2)
     assert [list(l) for l in _levels(nb)] == [[0], [1], [2]]
     assert list(nb.vertex[2]) == [2]
-    assert nb.scan_extra == 0
+    # a ball that ends before the radius keeps its empty deeper levels
+    assert [len(l) for l in extract_neighborhood(g, 0, 4).vertex] == [1, 1, 1, 0, 0]
 
 
 def test_neighborhood_triangle():
@@ -117,17 +112,7 @@ def test_neighborhood_triangle():
     nb = extract_neighborhood(g, 0, 1)
     assert sorted(nb.ball) == [0, 1, 2]
     assert sorted(nb.vertex[1]) == [1, 2]
-    # the extra edge 1-2 lies on the sphere: the scans do not see it
-    assert nb.scan_extra == 0 and _sphere_edges(g, nb) == 1
-    assert extract_neighborhood(g, 0, 2).scan_extra == 1
-
-
-def test_bfs_parent_is_smallest_id_discoverer():
-    #    0 - 1, 0 - 2, 1 - 3, 2 - 3: node 3 discovered from both 1 and 2
-    g = graph_from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [1, 1, 1, 1])
-    nb = extract_neighborhood(g, 0, 2)
-    assert list(nb.vertex[2]) == [3]
-    assert nb.vertex[1][nb.parent_pos[2]][0] == 1  # smaller-id discoverer wins
+    assert [list(l) for l in extract_neighborhood(g, 0, 2).vertex] == [[0], [1, 2], []]
 
 
 def test_ball_monotone_in_radius():
@@ -142,31 +127,19 @@ def test_ball_monotone_in_radius():
             prev = ball
 
 
-def test_bfs_tree_spans_ball():
-    g = sample_sbm(ModelParams(n=400, a=5, b=1), seed=4)
-    nb = extract_neighborhood(g, 3, 3)
-    levels = _levels(nb)
-    # every non-center ball vertex has exactly one parent, one level up
-    spanned = {int(levels[0][0])}
-    for j in range(1, len(levels)):
-        parents = levels[j - 1][nb.parent_pos[j]]
-        for u, p in zip(levels[j], parents):
-            assert int(p) in spanned or int(p) in set(levels[j - 1].tolist())
-            assert u in g.neighbors(int(p))
-        spanned.update(int(x) for x in levels[j])
-    assert spanned == set(nb.ball.tolist())
-
-
 def test_local_tree_likeness():
     m = ModelParams(n=10_000, a=5, b=1)  # a + b <= 10
     g = sample_sbm(m, seed=5)
     r = int(math.log(m.n) / (4 * math.log((m.a + m.b) / 2 + 1)))
     rng = np.random.default_rng(6)
     centers = rng.choice(m.n, 400, replace=False)
+    visited = np.zeros(g.n, dtype=bool)
     non_tree = 0
     for v in centers:
-        nb = extract_neighborhood(g, int(v), r)
-        non_tree += nb.scan_extra + _sphere_edges(g, nb) > 0
+        size = len(extract_neighborhood(g, int(v), r).ball)
+        levels, _, induced = bfs_levels(g.indptr, g.indices, int(v), r, visited)
+        assert size == sum(len(l) for l in levels)
+        non_tree += induced > size - 1  # an induced edge outside the BFS tree
     assert non_tree / len(centers) < 0.05
 
 
@@ -294,21 +267,16 @@ def test_load_edge_list_skips_blank_lines(tmp_path):
 
 
 def _assert_matches_bfs(g, nb, v, r, visited):
-    """A ball equals the per-vertex BFS: shells, parents, extra edges."""
-    levels, parent_pos, induced = bfs_levels(g.indptr, g.indices, v, r, visited)
+    """A ball's shells equal the per-vertex BFS's."""
+    levels, _, _ = bfs_levels(g.indptr, g.indices, v, r, visited)
     assert len(_levels(nb)) == len(levels)
     assert nb.centre == v and nb.radius == r and len(nb.vertex) == r + 1
     for j, lvl in enumerate(levels):
         assert np.array_equal(nb.vertex[j], lvl)
-        if j:
-            assert np.array_equal(nb.parent_pos[j], parent_pos[j])
-    extra = induced - (sum(len(l) for l in levels) - 1)
-    assert nb.scan_extra + _sphere_edges(g, nb) == extra
 
 
 def test_extract_neighborhood_matches_per_vertex_bfs():
-    # shells, parents and the extra-edge count (scanned plus sphere-sphere)
-    # equal the per-vertex BFS with its second induced-edge scan
+    # the shells equal the per-vertex BFS, empty past a dead end
     for m, radii in ((ModelParams(n=300, a=6, b=2), (0, 1, 2, 3)),
                      (ModelParams(n=300, a=2, b=1), (1, 4)),
                      (ModelParams(n=120, a=30, b=4), (1, 2))):
