@@ -4,10 +4,12 @@ Every tree in the package is stored as the same level lists: level j holds
 ``sizes[j]`` nodes, and ``parent_pos[j]`` (j >= 1) gives, for each level-j
 node, the position of its parent within level j - 1 (entry 0 is ignored).
 ``broadcast.BroadcastTree`` (one tree, or a forest of ``popdyn`` trials)
-stores them, and the population chains build one level at a time.  A pass
-over a slice of the lists treats the slice's first level as its roots.
-``pipeline._label_edges`` runs the BP combine on directed edges instead,
-with ``_edge_llr``.
+stores them.  A pass over a slice of the lists treats the slice's first
+level as its roots.  The edge transforms are shared with the passes that
+need no lists: ``pipeline._label_edges`` runs the BP combine on directed
+edges with ``_edge_llr``, and the ``popdyn`` population chains apply
+``_edge_llr`` or ``_compose_through_edge`` to their pool and sum each new
+member's children with one sparse product per generation.
 
 - ``bp_up``: the magnetization recursion, last level to level 0;
 - ``conductance_up``: the series-parallel reduction of the resistor network
@@ -29,16 +31,15 @@ def _edge_llr(msgs: np.ndarray, theta: float, clamp: float) -> np.ndarray:
     return np.arctanh(x, out=x)
 
 
-def _sum_llrs(llrs: np.ndarray, parent_pos: np.ndarray, n_parents: int, clamp: float):
-    """Parent magnetizations from child LLR terms; 0 for a parent without children."""
-    lim = 1.0 - clamp
-    return np.clip(np.tanh(np.bincount(parent_pos, weights=llrs, minlength=n_parents)), -lim, lim)
-
-
 def _combine_levels(msgs: np.ndarray, parent_pos: np.ndarray, n_parents: int,
                     theta: float, clamp: float) -> np.ndarray:
-    """One BP level: child magnetizations -> parents (parent_pos[i] is child i's)."""
-    return _sum_llrs(_edge_llr(msgs, theta, clamp), parent_pos, n_parents, clamp)
+    """One BP level: child magnetizations -> parents (parent_pos[i] is child i's).
+
+    A parent without children reads 0.
+    """
+    lim = 1.0 - clamp
+    sums = np.bincount(parent_pos, weights=_edge_llr(msgs, theta, clamp), minlength=n_parents)
+    return np.clip(np.tanh(sums), -lim, lim)
 
 
 def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:

@@ -6,9 +6,12 @@ of i.i.d. copies of the value at its children.  The *population chain*
 exploits that: keep a pool of ``trials`` independent samples of the level-k
 law conditioned on sigma = +, and produce the level k+1 pool by drawing, for
 each new sample, an offspring count, that many pool members, and the
-child-spin flips.  One level costs O(trials * mean offspring) regardless of
-tree size, which is what makes depth-12 experiments with 1e5 trials feasible
-(an explicit mean-17 tree of depth 8 has ~1e10 nodes).
+child-spin flips.  Such a generation is one sparse trials x trials operator
+(row i: new member i's children, valued by their flip signs), so a level is
+one sparse product on the pool's edge terms.  It costs O(trials * mean
+offspring) regardless of tree size, which is what makes depth-12 experiments
+with 1e5 trials feasible (an explicit mean-17 tree of depth 8 has ~1e10
+nodes).
 
 Level sums on d-ary trees need no chain: ``dary_sum_trials`` draws them as
 binomial level counts over fully independent trials.
@@ -27,10 +30,11 @@ with delta=0 reproduces the noiseless chain exactly.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .broadcast import BroadcastTree, _offspring
 from .estimators import effective_conductance
-from .levels import _edge_llr, _sum_llrs, _terminal_conductance, conductance_up, current_down
+from .levels import _compose_through_edge, _edge_llr, _terminal_conductance, current_down
 from .seeding import as_generator
 
 __all__ = [
@@ -53,11 +57,31 @@ def ci_half_width(std: float, n: int, z: float = Z99) -> float:
     return z * std / np.sqrt(n)
 
 
-def _generation(kind: str, d: float, trials: int, rng: np.random.Generator):
-    """One generation: children drawn from the pool (idx) and their new member (seg)."""
-    counts = _offspring(kind, d, trials, rng)
-    idx = rng.integers(0, trials, int(counts.sum()))
-    return idx, np.repeat(np.arange(trials), counts)
+def _generation_operator(kind: str, d: float, trials: int, rng: np.random.Generator,
+                         eta: float | None = None) -> sp.csr_array:
+    """One generation as a sparse trials x trials operator on the pool.
+
+    Row i holds the pool members drawn as new member i's children, in draw
+    order; each child's value is its flip sign, -1 where its uniform falls
+    below ``eta`` (1 for every child when ``eta`` is None, and no uniforms
+    are drawn).  ``op @ v`` sums each row's terms from 0 in slot order, as
+    ``np.bincount`` does, and a childless row reads 0.
+    """
+    indptr = np.zeros(trials + 1, dtype=np.int64)
+    np.cumsum(_offspring(kind, d, trials, rng), out=indptr[1:])
+    n_slots = int(indptr[-1])
+    idx = rng.integers(0, trials, n_slots)
+    if max(trials, n_slots) < 2 ** 31:
+        # the index dtype scipy would pick; cast before the uniforms are
+        # drawn, so the int64 draw is gone by then and scipy copies nothing
+        idx, indptr = idx.astype(np.int32), indptr.astype(np.int32)
+    if eta is None:
+        sign = np.ones(n_slots)
+    else:
+        sign = rng.random(n_slots)
+        sign -= eta  # u < eta exactly when u - eta < 0
+        np.copysign(1.0, sign, out=sign)
+    return sp.csr_array((sign, idx, indptr), shape=(trials, trials))
 
 
 def _check_chain_inputs(theta: float, k: int, trials: int, delta: float | None, k_min=0) -> None:
@@ -86,8 +110,10 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     the bare sign tau for y_init="signs".  Both then follow the same
     recursion through the same sampled offspring and flips, so (X - Y) is the
     effect of leaf initialization alone.  The edge transform arctanh(theta v)
-    is odd, so it runs once per pool member and each child slot multiplies
-    its gathered value by its flip sign: the bits of a per-slot transform.
+    is odd, so it runs once per pool member, and one product of the level's
+    generation operator (flip signs as values) with the (trials, 2) array of
+    X and Y terms sums every new member's children: the bits of a per-slot
+    transform summed with ``np.bincount``.
 
     Returns (rows, pools): one dict per level 0..k with mean/std/ci of X, |X|,
     Y, |Y|, (X-Y)^2 and sqrt|X-Y|, plus the final pools {"x": ..., "y": ...}.
@@ -123,12 +149,13 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
         out.update(_stat("sqrtdiff", np.sqrt(np.abs(x - y)), trials))
         return out
 
+    lim = 1.0 - clamp
     rows = [row(0)]
     for level in range(1, k + 1):
-        idx, seg = _generation(kind, d, trials, rng)
-        sgn = np.where(rng.random(len(idx)) < eta, -1.0, 1.0)
-        x = _sum_llrs(_edge_llr(x, theta, clamp).take(idx) * sgn, seg, trials, clamp)
-        y = _sum_llrs(_edge_llr(y, theta, clamp).take(idx) * sgn, seg, trials, clamp)
+        m = (_generation_operator(kind, d, trials, rng, eta)
+             @ _edge_llr(np.column_stack((x, y)), theta, clamp))
+        np.clip(np.tanh(m, out=m), -lim, lim, out=m)
+        x, y = m.T.copy()  # two contiguous pools, not views that stride by 2
         rows.append(row(level))
     return rows, {"x": x, "y": y}
 
@@ -139,8 +166,10 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
 
     Uses the series-parallel recursion: a child subtree of conductance Z seen
     through its edge contributes theta^2 Z / ((1-theta^2) Z + 1), and siblings
-    add.  Returns (rows, pools) where pools maps each level in ``keep_levels``
-    (plus the final level) to its conductance sample.
+    add.  Each pool member is composed through its edge once, and one product
+    of the level's generation operator (unit values) adds the children.
+    Returns (rows, pools) where pools maps each level in ``keep_levels`` (plus
+    the final level) to its conductance sample.
     """
     rng = as_generator(rng)
     if not -1.0 < theta < 1.0 or theta == 0.0:
@@ -153,8 +182,7 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
     rows = []
     pools: dict[int, np.ndarray] = {}
     for level in range(1, k + 1):
-        idx, seg = _generation(kind, d, trials, rng)
-        z = conductance_up(z[idx], [None, seg], [trials], theta)[0][0]
+        z = _generation_operator(kind, d, trials, rng) @ _compose_through_edge(z, theta)
         rows.append({
             "level": level,
             "n": trials,
@@ -162,7 +190,7 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
             **_stat("ceff", z, trials),
         })
         if level in keep or level == k:
-            pools[level] = z.copy()
+            pools[level] = z
     return rows, pools
 
 

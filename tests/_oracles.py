@@ -6,10 +6,16 @@ the law of the d-ary level sums are computed by exhaustive enumeration over
 edge flips and leaf noise, and rooted tree shapes are enumerated via level
 sequences.
 
-The per-slot magnetization chain runs every child slot, its flip sign times
-its pool member, through the BP level combine.  It shares the offspring draw, the level combine and
-the row statistics with the library, so bit-equality with
-``popdyn.magnetization_chain`` checks its pool-side edge transform.
+The per-slot population chains keep the form the library's chains had
+before a generation became one sparse operator: they gather the pool at
+every child slot, transform each slot (the magnetization chain its flip
+sign times its pool member through the BP level combine, the conductance
+chain its member composed through the edge) and add each new member's slots
+with ``np.bincount``.  They share the offspring draw, the row statistics and
+(magnetization) the level combine with the library, so bit-equality with
+``popdyn.magnetization_chain`` and ``popdyn.conductance_chain`` checks the
+generation operator: the pool-side edge transform, the flip signs and the
+sparse product's sums.
 
 The recovery oracle is a per-vertex loop over explicit trees: for every
 vertex it builds the depth-R non-backtracking walk tree node by node (or,
@@ -229,6 +235,27 @@ def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,
         y = _combine_levels(sgn * y[idx], seg, trials, theta, clamp)
         rows.append(row(level))
     return rows, {"x": x, "y": y}
+
+
+def conductance_chain_per_slot(kind: str, d: float, theta: float, k: int,
+                               trials: int, rng, *, delta=None, keep_levels=()):
+    """``popdyn.conductance_chain`` with every child slot composed through its edge.
+
+    Draws the same random numbers in the same order; returns (rows, pools).
+    """
+    z = np.full(trials, _terminal_conductance(delta))
+    rows, pools = [], {}
+    for level in range(1, k + 1):
+        counts = _offspring(kind, d, trials, rng)
+        idx = rng.integers(0, trials, int(counts.sum()))
+        seg = np.repeat(np.arange(trials), counts)
+        z = np.bincount(seg, weights=compose_through_edge(z[idx], theta),
+                        minlength=trials).astype(float)
+        rows.append({"level": level, "n": trials, "alive_frac": float((z > 0).mean()),
+                     **_stat("ceff", z, trials)})
+        if level in keep_levels or level == k:
+            pools[level] = z
+    return rows, pools
 
 
 def rooted_tree_parent_lists(max_nodes: int):

@@ -125,24 +125,78 @@ def test_forest_weights_match_object_api():
         assert out["r"][i] == pytest.approx(want, abs=1e-12)
 
 
+class _TiesAtEta(np.random.Generator):
+    """A generator whose every 4th uniform is exactly ``self.eta``."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size, dtype, out)
+        u[::4] = self.eta
+        return u
+
+
+def _ties_at_eta(seed, theta):
+    rng = _TiesAtEta(np.random.PCG64(seed))
+    rng.eta = 0.5 * (1.0 - theta)
+    return rng
+
+
+def _magnetization_chains_agree(kind, d, theta, k, trials, make_rng, **kw):
+    want_rows, want = _oracles.magnetization_chain_per_slot(kind, d, theta, k, trials,
+                                                            make_rng(), **kw)
+    rows, pools = popdyn.magnetization_chain(kind, d, theta, k, trials, make_rng(), **kw)
+    assert rows == want_rows
+    assert np.array_equal(pools["x"], want["x"])
+    assert np.array_equal(pools["y"], want["y"])
+    return pools
+
+
 @pytest.mark.parametrize("kind, d, theta, k, delta, y_init", [
     ("gw", 3.0, 0.5, 6, 0.0, "noisy"),
     ("gw", 64.0, 0.3, 3, 0.4, "noisy"),
     ("gw", 2.5, -0.6, 8, 0.2, "signs"),
     ("dary", 2, 0.75, 8, 0.0, "signs"),
     ("dary", 40, 0.9, 3, 0.4, "noisy"),
+    ("dary", 3, 0.5, 5, 0.2, "noisy"),
 ])
 def test_pool_side_edge_transform_is_exact(kind, d, theta, k, delta, y_init):
-    # transforming each pool member once and negating flipped slots gives
-    # the bits of transforming every slot (arctanh must be exactly odd)
-    args = (kind, d, theta, k, 20_000)
-    kw = {"delta": delta, "y_init": y_init}
-    want_rows, want = _oracles.magnetization_chain_per_slot(
-        *args, np.random.default_rng(13), **kw)
-    rows, pools = popdyn.magnetization_chain(*args, np.random.default_rng(13), **kw)
+    # transforming each pool member once, with the flipped children negated
+    # by the generation operator's signs, gives the bits of transforming and
+    # summing every slot (arctanh must be exactly odd).  Every 4th uniform
+    # equals eta, which is no flip: the operator's signs must agree with
+    # u < eta there too (at theta = 0.5, eta = 0.25 is a value the generator
+    # can draw).
+    _magnetization_chains_agree(kind, d, theta, k, 20_000, lambda: _ties_at_eta(13, theta),
+                                delta=delta, y_init=y_init)
+
+
+def test_magnetization_chain_on_a_childless_level():
+    # at d = 0.2 and 5 trials a whole generation can draw no child; the
+    # operator then has no entries and must give bincount's zeros
+    pools = _magnetization_chains_agree("gw", 0.2, 0.6, 6, 5,
+                                        lambda: np.random.default_rng(0), delta=0.2)
+    assert not pools["x"].any()  # the last level is childless
+
+
+@pytest.mark.parametrize("kind, d, theta, k, trials, delta", [
+    ("gw", 3.0, 0.6, 4, 20_000, None),
+    ("gw", 3.0, 0.6, 4, 20_000, 0.2),
+    ("dary", 3, -0.8, 4, 20_000, None),
+    ("dary", 3, -0.8, 4, 20_000, 0.2),
+    ("gw", 0.2, 0.6, 6, 5, None),  # every level childless: test_conductance_chain_on_empty_level
+    ("gw", 0.2, 0.6, 6, 5, 0.2),
+])
+def test_conductance_chain_matches_per_slot_chain(kind, d, theta, k, trials, delta):
+    # composing each pool member once and adding children with the generation
+    # operator gives the bits of composing and bincount-summing every slot
+    args = (kind, d, theta, k, trials)
+    want_rows, want = _oracles.conductance_chain_per_slot(
+        *args, np.random.default_rng(0), delta=delta, keep_levels={1, 2})
+    rows, pools = popdyn.conductance_chain(*args, np.random.default_rng(0), delta=delta,
+                                           keep_levels=[1, 2])
     assert rows == want_rows
-    assert np.array_equal(pools["x"], want["x"])
-    assert np.array_equal(pools["y"], want["y"])
+    assert sorted(pools) == sorted(want) == [1, 2, k]
+    assert all(pools[j].dtype == np.float64 and np.array_equal(pools[j], want[j])
+               for j in pools)
 
 
 def test_dary_sum_trials_law_matches_enumeration():
