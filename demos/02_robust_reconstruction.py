@@ -16,9 +16,11 @@ tp = derive_tree_params(ModelParams(n=10 ** 6, a=30, b=4))
 print(f"d = {tp.d:g}, theta = {tp.theta:.4f}, theta^2 d = {tp.signal:.2f} "
       "(strong signal)\n")
 
-for delta in (0.2, 0.4):
-    rows, _ = magnetization_chain("gw", tp.d, tp.theta, 8, 50_000,
-                                  np.random.default_rng(1), delta=delta)
+# one chain carries both noise levels through the same trees and spins
+deltas = (0.2, 0.4)
+chains = magnetization_chain("gw", tp.d, tp.theta, 8, 50_000,
+                             np.random.default_rng(1), delta=deltas)
+for delta, (rows, _) in zip(deltas, chains):
     print(f"leaf noise delta = {delta}:")
     print("  k   p_clean   p_noisy     gap       E(X-Y)^2")
     for k in (1, 2, 4, 8):

@@ -92,7 +92,7 @@ class BroadcastTree:
 def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Child counts of ``size`` nodes: d each ("dary") or i.i.d. Poisson(d) ("gw")."""
     if kind == "gw":
-        return rng.poisson(d, size).astype(np.int64)
+        return rng.poisson(d, size).astype(np.int64, copy=False)
     if kind == "dary":
         di = int(d)
         if di != d:

@@ -12,6 +12,13 @@ streams derived from the master seed by key, results are merged in a fixed
 order, and deterministic mode zeroes the wall-time column, so reruns are
 byte-identical.
 
+The noise levels of robust-accuracy (and of each moments-check config) come
+from one call that draws the trees and spins once and carries every level
+through them, so the levels share structure and spins, and delta = 0
+reproduces the noiseless rows exactly.  A row's ``seconds`` is the wall time
+of the call that made it; where one call serves several levels, each level's
+rows carry an equal share, so the shares still add up to the call's time.
+
 Config files are JSON objects with exactly the keys
 {"kind", "params", "grid", "trials", "seed"} (the last two optional);
 unknown keys anywhere are rejected.
@@ -167,17 +174,14 @@ def _accuracy_rows(spec: ExperimentSpec, deltas) -> list[ResultRow]:
     kind, d, theta = _tree_parameterization(spec)
     ks = sorted(int(k) for k in spec.grid["k"])
     clamp = float(spec.params.get("clamp", 1e-12))
+    t0 = time.perf_counter()
+    chains = popdyn.magnetization_chain(
+        kind, d, theta, max(ks), spec.trials, derived_rng(spec.seed, "chain"),
+        delta=[0.0 if delta is None else delta for delta in deltas], clamp=clamp,
+    )
+    dt = (time.perf_counter() - t0) / len(deltas)
     out = []
-    for delta in deltas:
-        t0 = time.perf_counter()
-        # the chain stream does not depend on delta, so different noise
-        # levels share tree structure and spins (and delta=0 reproduces the
-        # noiseless rows exactly)
-        rows, _ = popdyn.magnetization_chain(
-            kind, d, theta, max(ks), spec.trials, derived_rng(spec.seed, "chain"),
-            delta=0.0 if delta is None else delta, clamp=clamp,
-        )
-        dt = time.perf_counter() - t0
+    for delta, (rows, _) in zip(deltas, chains):
         for k in ks:
             r = rows[k]
             coords = {"tree_kind": kind, "d": d, "theta": theta, "k": k}
@@ -211,14 +215,14 @@ def run_moments_check(spec: ExperimentSpec) -> list[ResultRow]:
     configs += [tuple(c) for c in spec.params.get("extra_configs", [])]
     out = []
     for cfg_idx, (d, theta) in enumerate(configs):
-        for delta in deltas:
-            t0 = time.perf_counter()
-            # independent trials (not the population chain): exact CIs
-            s, sn = popdyn.dary_sum_trials(
-                int(d), theta, max(ks), spec.trials,
-                derived_rng(spec.seed, "sums", cfg_idx), delta=delta,
-            )
-            dt = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        # independent trials (not the population chain): exact CIs
+        sums = popdyn.dary_sum_trials(
+            int(d), theta, max(ks), spec.trials,
+            derived_rng(spec.seed, "sums", cfg_idx), delta=deltas,
+        )
+        dt = (time.perf_counter() - t0) / len(deltas)
+        for delta, (s, sn) in zip(deltas, sums):
             for k in ks:
                 mom = majority_moments(int(d), theta, k, delta=delta)
                 quads = []

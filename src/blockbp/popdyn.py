@@ -24,7 +24,12 @@ and as an independent cross-check of the population chain.
 All engines draw the tree structure and spins in a delta-independent pattern
 (``dary_sum_trials`` draws its noise after every spin), so runs with the same
 seed and different noise levels share them (coupled comparisons), and a run
-with delta=0 reproduces the noiseless chain exactly.
+with delta=0 reproduces the noiseless chain exactly.  ``magnetization_chain``
+and ``dary_sum_trials`` also take a sequence of noise levels and then draw
+the shared structure and spins once: the chain carries one Y pool per level
+beside X through each generation's single sparse product, and the level sums
+draw every level's noise from the state the spins left.  Each level's result
+is bit for bit that of its own call with the same seed.
 """
 
 from __future__ import annotations
@@ -70,11 +75,13 @@ def _generation_operator(kind: str, d: float, trials: int, rng: np.random.Genera
     indptr = np.zeros(trials + 1, dtype=np.int64)
     np.cumsum(_offspring(kind, d, trials, rng), out=indptr[1:])
     n_slots = int(indptr[-1])
-    idx = rng.integers(0, trials, n_slots)
     if max(trials, n_slots) < 2 ** 31:
-        # the index dtype scipy would pick; cast before the uniforms are
-        # drawn, so the int64 draw is gone by then and scipy copies nothing
-        idx, indptr = idx.astype(np.int32), indptr.astype(np.int32)
+        # scipy's own index dtype here, so it copies nothing; an int32 draw
+        # below 2**31 takes the int64 draw's values and leaves the same state
+        idx = rng.integers(0, trials, n_slots, dtype=np.int32)
+        indptr = indptr.astype(np.int32)
+    else:
+        idx = rng.integers(0, trials, n_slots)
     if eta is None:
         sign = np.ones(n_slots)
     else:
@@ -100,6 +107,14 @@ def _stat(name: str, values: np.ndarray, n: int) -> dict:
     return {f"{name}_mean": m, f"{name}_std": s, f"{name}_ci": ci_half_width(s, n)}
 
 
+def _levels(delta) -> list:
+    """The noise levels of a ``delta`` that is one level or a sequence of them."""
+    levels = [delta] if np.ndim(delta) == 0 else list(delta)
+    if not levels:
+        raise ValueError("delta needs at least one level")
+    return levels
+
+
 def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
                         rng, *, delta: float = 0.0, clamp: float = 1e-12,
                         y_init: str = "noisy"):
@@ -111,12 +126,19 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     recursion through the same sampled offspring and flips, so (X - Y) is the
     effect of leaf initialization alone.  The edge transform arctanh(theta v)
     is odd, so it runs once per pool member, and one product of the level's
-    generation operator (flip signs as values) with the (trials, 2) array of
-    X and Y terms sums every new member's children: the bits of a per-slot
-    transform summed with ``np.bincount``.
+    generation operator (flip signs as values) with the array of X and Y
+    terms sums every new member's children: the bits of a per-slot transform
+    summed with ``np.bincount``.
 
     Returns (rows, pools): one dict per level 0..k with mean/std/ci of X, |X|,
     Y, |Y|, (X-Y)^2 and sqrt|X-Y|, plus the final pools {"x": ..., "y": ...}.
+
+    ``delta`` may also be a sequence of noise levels.  The chain then draws
+    its leaf uniforms, offspring, children and flips once and carries one Y
+    pool per distinct level beside X (a zero level reads X, which its Y
+    equals bit for bit); it returns a list with one (rows, pools) per level,
+    in order, each equal to that of a call with the level alone and the same
+    generator.  Every level is checked before anything is drawn.
 
     Each ``*_ci`` is z * std / sqrt(trials) over the pool, as if its members
     were independent.  They share ancestors through resampling, so the CI
@@ -126,38 +148,54 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     Compare means from several seeds, or inflate the CI, before holding them
     to a tight tolerance.
     """
+    out = _magnetization_chains(kind, d, theta, k, trials, rng, _levels(delta), clamp, y_init)
+    return out[0] if np.ndim(delta) == 0 else out
+
+
+def _magnetization_chains(kind, d, theta, k, trials, rng, deltas, clamp, y_init):
     rng = as_generator(rng)
-    _check_chain_inputs(theta, k, trials, delta)
+    for delta in deltas:
+        _check_chain_inputs(theta, k, trials, delta)
+    if y_init not in ("noisy", "signs"):
+        raise ValueError("y_init must be 'noisy' or 'signs'")
     eta = 0.5 * (1.0 - theta)
 
-    tau = np.where(rng.random(trials) < delta, -1.0, 1.0)
-    x = np.ones(trials)
-    if y_init == "noisy":
-        y = (1.0 - 2.0 * delta) * tau
-    elif y_init == "signs":
-        y = tau.copy()
-    else:
-        raise ValueError("y_init must be 'noisy' or 'signs'")
+    # pool row 0 is X, and each distinct nonzero level has a Y row
+    deltas = [float(delta) for delta in deltas]
+    pool_row = {0.0: 0}
+    for delta in deltas:
+        pool_row.setdefault(delta, len(pool_row))
+    used = {pool_row[delta] for delta in deltas}
+    u = rng.random(trials)
+    pool = np.ones((len(pool_row), trials))
+    for delta, r in pool_row.items():
+        if r:
+            tau = np.where(u < delta, -1.0, 1.0)
+            pool[r] = (1.0 - 2.0 * delta) * tau if y_init == "noisy" else tau
 
-    def row(level: int) -> dict:
-        out = {"level": level, "n": trials}
-        out.update(_stat("x", x, trials))
-        out.update(_stat("absx", np.abs(x), trials))
-        out.update(_stat("y", y, trials))
-        out.update(_stat("absy", np.abs(y), trials))
-        out.update(_stat("diff2", (x - y) ** 2, trials))
-        out.update(_stat("sqrtdiff", np.sqrt(np.abs(x - y)), trials))
-        return out
+    def rows_at(level: int) -> list[dict]:
+        x = pool[0]
+        xstat = {"level": level, "n": trials,
+                 **_stat("x", x, trials), **_stat("absx", np.abs(x), trials)}
+        ystat = {}
+        for r in used:
+            y = pool[r]
+            ystat[r] = {**_stat("y", y, trials), **_stat("absy", np.abs(y), trials),
+                        **_stat("diff2", (x - y) ** 2, trials),
+                        **_stat("sqrtdiff", np.sqrt(np.abs(x - y)), trials)}
+        return [{**xstat, **ystat[pool_row[delta]]} for delta in deltas]
 
     lim = 1.0 - clamp
-    rows = [row(0)]
+    rows = [rows_at(0)]
     for level in range(1, k + 1):
         m = (_generation_operator(kind, d, trials, rng, eta)
-             @ _edge_llr(np.column_stack((x, y)), theta, clamp))
+             @ _edge_llr(np.column_stack(pool), theta, clamp))
         np.clip(np.tanh(m, out=m), -lim, lim, out=m)
-        x, y = m.T.copy()  # two contiguous pools, not views that stride by 2
-        rows.append(row(level))
-    return rows, {"x": x, "y": y}
+        pool = m.T.copy()  # contiguous pools, not views that stride by the row count
+        rows.append(rows_at(level))
+    return [([level_rows[i] for level_rows in rows],
+             {"x": pool[0].copy(), "y": pool[pool_row[delta]].copy()})
+            for i, delta in enumerate(deltas)]
 
 
 def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
@@ -203,10 +241,24 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
     drawn: level j has N_j ~ Bin(d (d^{j-1} - N_{j-1}), eta) + Bin(d N_{j-1},
     1 - eta) minus spins, S_j = d^j - 2 N_j, and fresh per-level delta noise
     is two binomials likewise, drawn after all spins so that S does not
-    depend on delta.  Returns (s, sn): arrays of shape (k+1, trials).
+    depend on delta; at delta = 0, S~ is S and no noise is drawn.  Returns
+    (s, sn): arrays of shape (k+1, trials).
+
+    ``delta`` may also be a sequence of noise levels.  The spins are then
+    drawn once, and each level's noise is drawn from the generator state
+    the spins left, so the call returns a list with one (s, sn) per level,
+    in order, each equal to that of a call with the level alone and the same
+    generator (the levels share one ``s`` array).  Every level is checked
+    before anything is drawn.
     """
+    out = _dary_sum_trials(d, theta, k, trials, rng, _levels(delta))
+    return out[0] if np.ndim(delta) == 0 else out
+
+
+def _dary_sum_trials(d, theta, k, trials, rng, deltas):
     rng = as_generator(rng)
-    _check_chain_inputs(theta, k, trials, delta)
+    for delta in deltas:
+        _check_chain_inputs(theta, k, trials, delta)
     di = int(d)
     if di != d:
         raise ValueError("d-ary trees need integer d")
@@ -218,8 +270,17 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
     for j in range(1, k + 1):
         minus[j] = (rng.binomial(di * (width[j - 1] - minus[j - 1]), eta)
                     + rng.binomial(di * minus[j - 1], 1.0 - eta))
-    seen = rng.binomial(width - minus, delta) + rng.binomial(minus, 1.0 - delta)
-    return (width - 2 * minus).astype(float), (width - 2 * seen).astype(float)
+    s = (width - 2 * minus).astype(float)
+    after_spins = rng.bit_generator.state
+    out = []
+    for delta in deltas:
+        if delta == 0.0:
+            out.append((s, s.copy()))
+            continue
+        rng.bit_generator.state = after_spins
+        seen = rng.binomial(width - minus, delta) + rng.binomial(minus, 1.0 - delta)
+        out.append((s, (width - 2 * seen).astype(float)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +122,24 @@ def test_robust_delta_zero_matches_tree_rows():
     for t, z in zip(tree, zero_rows):
         assert t.estimate == z.estimate
         assert t.ci == z.ci
+
+
+def test_shared_call_splits_its_seconds():
+    # one call serves every noise level, and each level's rows carry an
+    # equal share of its wall time, so the shares add up to the call's time
+    for kind in ("robust-accuracy", "moments-check"):
+        spec = tiny_spec(kind, trials=500)
+        t0 = time.perf_counter()
+        rows = run_experiment(spec)
+        total = time.perf_counter() - t0
+        levels = {}  # the rows that differ in delta alone
+        for r in rows:
+            rest = tuple(v for c, v in sorted(r.coords.items()) if c not in ("delta", "target"))
+            levels.setdefault(rest, []).append(r.seconds)
+        for shares in levels.values():
+            assert len(shares) == len(spec.grid["delta"])
+            assert len(set(shares)) == 1 and shares[0] > 0.0
+            assert sum(shares) <= total
 
 
 def test_moments_check_within_four_sigma():

@@ -177,6 +177,70 @@ def test_magnetization_chain_on_a_childless_level():
     assert not pools["x"].any()  # the last level is childless
 
 
+# --- several noise levels through one set of draws ---------------------------
+
+LEVELS = (0.2, 0.0, 0.4, 0.2)  # a zero level and a repeated one
+
+
+@pytest.mark.parametrize("kind, d, theta, k, trials, y_init", [
+    ("gw", 3.0, 0.5, 5, 20_000, "noisy"),
+    ("gw", 2.5, -0.6, 6, 20_000, "signs"),
+    ("dary", 3, 0.75, 5, 20_000, "noisy"),
+    ("dary", 2, 0.6, 6, 20_000, "signs"),
+    ("gw", 0.2, 0.6, 6, 5, "noisy"),  # childless: see the test above
+])
+def test_magnetization_chain_levels_match_one_level_calls(kind, d, theta, k, trials,
+                                                          y_init):
+    args = (kind, d, theta, k, trials)
+    got = popdyn.magnetization_chain(*args, np.random.default_rng(3), delta=LEVELS,
+                                     y_init=y_init)
+    assert isinstance(got, list) and len(got) == len(LEVELS)
+    for delta, (rows, pools) in zip(LEVELS, got):
+        want_rows, want = popdyn.magnetization_chain(*args, np.random.default_rng(3),
+                                                     delta=delta, y_init=y_init)
+        assert rows == want_rows
+        assert np.array_equal(pools["x"], want["x"])
+        assert np.array_equal(pools["y"], want["y"])
+        assert pools["x"] is not pools["y"]
+
+
+def test_dary_sum_trials_levels_match_one_level_calls():
+    got = popdyn.dary_sum_trials(3, 0.6, 4, 5_000, np.random.default_rng(16), delta=LEVELS)
+    assert isinstance(got, list) and len(got) == len(LEVELS)
+    for delta, (s, sn) in zip(LEVELS, got):
+        want_s, want_sn = popdyn.dary_sum_trials(3, 0.6, 4, 5_000, np.random.default_rng(16),
+                                                 delta=delta)
+        assert np.array_equal(s, want_s) and np.array_equal(sn, want_sn)
+        assert s.dtype == sn.dtype == np.float64
+        assert sn is not s
+    assert np.array_equal(got[1][1], got[1][0])  # delta = 0 observes the spins
+
+
+@pytest.mark.parametrize("levels", [(0.2, 0.7), (-0.1, 0.2), (0.0, 0.5), ()])
+def test_bad_level_is_rejected_before_any_draw(levels):
+    rng = np.random.default_rng(17)
+    before = rng.bit_generator.state
+    for run in (lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, 2, 100, rng,
+                                                   delta=levels),
+                lambda: popdyn.dary_sum_trials(2, 0.5, 2, 100, rng, delta=levels)):
+        with pytest.raises(ValueError, match="delta"):
+            run()
+        assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("high", [10 ** 5, 2 ** 31 - 1])
+def test_int32_draw_is_the_int64_stream(high):
+    # the generation operator draws its children as int32 below 2**31; that
+    # must give the int64 draw's values and leave the generator where it does
+    # (an odd count leaves half of a 64-bit output buffered)
+    a, b = np.random.default_rng(18), np.random.default_rng(18)
+    wide = a.integers(0, high, 1001)
+    narrow = b.integers(0, high, 1001, dtype=np.int32)
+    assert narrow.dtype == np.int32 and np.array_equal(wide, narrow)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert np.array_equal(a.integers(0, high, 7), b.integers(0, high, 7))
+
+
 @pytest.mark.parametrize("kind, d, theta, k, trials, delta", [
     ("gw", 3.0, 0.6, 4, 20_000, None),
     ("gw", 3.0, 0.6, 4, 20_000, 0.2),
