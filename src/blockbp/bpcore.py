@@ -35,31 +35,24 @@ __all__ = [
     "exact_posterior",
 ]
 
-_MODES = ("leaf-exact", "leaf-noisy")
-
-
 @dataclass(frozen=True)
 class BpConfig:
-    """Recursion settings: channel strength, leaf initialization, clamp.
+    """Recursion settings: channel strength, leaf noise, clamp.
 
-    Modes: "leaf-exact" starts leaves at the observed +-1 spins (or +-1
-    signs from an external estimator), "leaf-noisy" at +-(1 - 2*delta)
-    (posterior of a spin seen through a delta-flip channel).
+    Leaves start at the observed +-1 spins (or +-1 signs from an external
+    estimator); given ``delta``, at +-(1 - 2*delta), the posterior of a spin
+    seen through a delta-flip channel.
     """
 
     theta: float
-    mode: str = "leaf-exact"
     delta: float | None = None
     clamp: float = 1e-12
 
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if self.mode == "leaf-noisy":
-            if self.delta is None or not 0.0 <= self.delta < 0.5:
-                raise ValueError("leaf-noisy mode needs delta in [0, 1/2)")
+        if self.delta is not None and not 0.0 <= self.delta < 0.5:
+            raise ValueError("delta must lie in [0, 1/2)")
         if not 1e-12 <= self.clamp <= 1e-6:
             raise ValueError("clamp must lie in [1e-12, 1e-6]")
 
@@ -67,7 +60,7 @@ class BpConfig:
         obs = np.asarray(observed, dtype=np.float64)
         if obs.size and not np.all(np.abs(obs) == 1.0):
             raise ValueError("observations must be +-1 valued")
-        if self.mode == "leaf-noisy":
+        if self.delta is not None:
             return (1.0 - 2.0 * self.delta) * obs
         return obs.copy()
 

@@ -5,12 +5,11 @@ Usage:
     blockbp <kind> [--config cfg.json] [--seed S] [--trials T]
                    [--out results.csv] [--threads N] [--deterministic]
 
-where <kind> is one of tree-accuracy, robust-accuracy, moments-check,
-contraction-check, threshold-sweep, conductance-check, graph-recover.  Each
-subcommand has a built-in default spec; --config overrides it with a JSON
-object {"kind", "params", "grid", "trials", "seed"} (unknown keys are
-rejected), and --seed/--trials override either.  --deterministic forces one
-worker and zeroes the wall-time column so reruns are byte-identical.
+(``blockbp --help`` lists the kinds).  Each subcommand has a built-in
+default spec; --config overrides it with a JSON object {"kind", "params",
+"grid", "trials", "seed"} (unknown keys and malformed shapes are rejected),
+and --seed/--trials override either.  --deterministic forces one worker and
+has the writer zero the wall-time column, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import KINDS, ExperimentSpec, default_spec, run_experiment, write_results
@@ -47,6 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args) -> ExperimentSpec:
     if args.config is not None:
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         if "kind" in data and data["kind"] != args.kind:
             raise ValueError(
                 f"config kind {data['kind']!r} does not match subcommand {args.kind!r}"
@@ -55,14 +57,8 @@ def _spec_from_args(args) -> ExperimentSpec:
         spec = ExperimentSpec.from_dict(data)
     else:
         spec = default_spec(args.kind)
-    if args.seed is not None or args.trials is not None:
-        d = spec.to_dict()
-        if args.seed is not None:
-            d["seed"] = args.seed
-        if args.trials is not None:
-            d["trials"] = args.trials
-        spec = ExperimentSpec.from_dict(d)
-    return spec
+    overrides = {"seed": args.seed, "trials": args.trials}
+    return replace(spec, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -73,7 +69,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     threads = 1 if args.deterministic else args.threads
-    rows = run_experiment(spec, threads=threads, deterministic=args.deterministic)
+    rows = run_experiment(spec, threads=threads)
     out = args.out if args.out is not None else Path(f"{args.kind}.csv")
     write_results(rows, spec, out, deterministic=args.deterministic)
     for r in rows:

@@ -8,9 +8,12 @@ a fixed per-kind column layout:
 
 Confidence intervals are normal-approximation half-widths with z = 2.576
 (99%).  Every runner is a pure function of (spec, seed): independent jobs get
-streams derived from the master seed by key, results are merged in a fixed
-order, and deterministic mode zeroes the wall-time column, so reruns are
-byte-identical.
+streams derived from the master seed by key and results are merged in a fixed
+order.  ``write_results(..., deterministic=True)`` writes the wall-time column
+as 0.0, so reruns are byte-identical.
+
+Each kind is one ``_Kind`` record in ``_KINDS``: runner, accepted keys, CSV
+coordinate columns and default spec.
 
 The noise levels of robust-accuracy (and of each moments-check config) come
 from one call that draws the trees and spins once and carries every level
@@ -20,17 +23,20 @@ of the call that made it; where one call serves several levels, each level's
 rows carry an equal share, so the shares still add up to the call's time.
 
 Config files are JSON objects with exactly the keys
-{"kind", "params", "grid", "trials", "seed"} (the last two optional);
-unknown keys anywhere are rejected.
+{"kind", "params", "grid", "trials", "seed"} (the last two optional), where
+params is an object and grid an object of nonempty lists with exactly its
+kind's keys; unknown keys anywhere are rejected.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,41 +59,9 @@ __all__ = [
     "ci_half_width",
 ]
 
-KINDS = (
-    "tree-accuracy",
-    "robust-accuracy",
-    "moments-check",
-    "contraction-check",
-    "threshold-sweep",
-    "conductance-check",
-    "graph-recover",
-)
+DEFAULT_TRIALS = 20_000
 
 _TREE_PARAM_KEYS = {"a", "b", "d", "theta", "tree_kind", "clamp"}
-
-_ALLOWED = {
-    "tree-accuracy": (_TREE_PARAM_KEYS, {"k"}),
-    "robust-accuracy": (_TREE_PARAM_KEYS, {"k", "delta"}),
-    "moments-check": ({"extra_configs"}, {"d", "theta", "delta", "k"}),
-    "contraction-check": (set(), {"regimes"}),
-    "threshold-sweep": ({"base_d", "k"}, {"ksig"}),
-    "conductance-check": (_TREE_PARAM_KEYS | {"delta", "threshold"}, {"k"}),
-    "graph-recover": (
-        {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K",
-         "u_size", "weights_delta", "tree_k"},
-        {"rep"},
-    ),
-}
-
-COORD_COLUMNS = {
-    "tree-accuracy": ("tree_kind", "d", "theta", "k"),
-    "robust-accuracy": ("tree_kind", "d", "theta", "delta", "k"),
-    "moments-check": ("d", "theta", "delta", "k", "stat", "target"),
-    "contraction-check": ("tree_kind", "d", "theta", "delta", "level", "metric"),
-    "threshold-sweep": ("d", "theta", "ksig", "k"),
-    "conductance-check": ("tree_kind", "d", "theta", "delta", "k", "threshold", "metric"),
-    "graph-recover": ("n", "a", "b", "impl", "delta0", "R", "K", "rep", "metric"),
-}
 
 
 @dataclass(frozen=True)
@@ -97,48 +71,44 @@ class ExperimentSpec:
     kind: str
     params: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
-    trials: int = 20_000
+    trials: int = DEFAULT_TRIALS
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind in {KINDS}: {self.kind!r}")
+        kind = _kind(self.kind)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        allowed_params, allowed_grid = _ALLOWED[self.kind]
-        bad = set(self.params) - allowed_params
+        if not isinstance(self.params, dict):
+            raise ValueError("'params' must be an object")
+        if not isinstance(self.grid, dict):
+            raise ValueError("'grid' must be an object")
+        bad = set(self.params) - kind.params
         if bad:
             raise ValueError(f"unknown params keys for {self.kind}: {sorted(bad)}")
-        bad = set(self.grid) - allowed_grid
-        if bad:
-            raise ValueError(f"unknown grid keys for {self.kind}: {sorted(bad)}")
-        if not self.grid or any(len(v) == 0 for v in self.grid.values()):
-            raise ValueError("grid must be present and nonempty")
+        if set(self.grid) != set(kind.default_grid):
+            raise ValueError(f"grid keys for {self.kind} must be {sorted(kind.default_grid)}, "
+                             f"not {sorted(self.grid)}")
+        for key, values in self.grid.items():
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"grid key {key!r} must be a nonempty list")
+        # the spec owns its dicts: no caller's later edit reaches it
+        object.__setattr__(self, "params", copy.deepcopy(self.params))
+        object.__setattr__(self, "grid", copy.deepcopy(self.grid))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        allowed = {"kind", "params", "grid", "trials", "seed"}
-        bad = set(data) - allowed
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        bad = set(data) - {"kind", "params", "grid", "trials", "seed"}
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         if "kind" not in data:
             raise ValueError("config needs a 'kind'")
-        return cls(
-            kind=data["kind"],
-            params=dict(data.get("params", {})),
-            grid={k: list(v) for k, v in data.get("grid", {}).items()},
-            trials=int(data.get("trials", 20_000)),
-            seed=int(data.get("seed", 0)),
-        )
+        return cls(**{**data, "trials": int(data.get("trials", DEFAULT_TRIALS)),
+                      "seed": int(data.get("seed", 0))})
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "grid": self.grid,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return asdict(self)  # copies params and grid
 
 
 @dataclass(frozen=True)
@@ -170,7 +140,9 @@ def _tree_parameterization(spec: ExperimentSpec):
 # --- runners ---------------------------------------------------------------
 
 
-def _accuracy_rows(spec: ExperimentSpec, deltas) -> list[ResultRow]:
+def run_accuracy(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+    """tree-accuracy rows, or robust-accuracy rows at each grid delta."""
+    deltas = [float(x) for x in spec.grid["delta"]] if "delta" in spec.grid else [None]
     kind, d, theta = _tree_parameterization(spec)
     ks = sorted(int(k) for k in spec.grid["k"])
     clamp = float(spec.params.get("clamp", 1e-12))
@@ -195,16 +167,7 @@ def _accuracy_rows(spec: ExperimentSpec, deltas) -> list[ResultRow]:
     return out
 
 
-def run_tree_accuracy(spec: ExperimentSpec) -> list[ResultRow]:
-    return _accuracy_rows(spec, [None])
-
-
-def run_robust_accuracy(spec: ExperimentSpec) -> list[ResultRow]:
-    deltas = [float(x) for x in spec.grid["delta"]]
-    return _accuracy_rows(spec, deltas)
-
-
-def run_moments_check(spec: ExperimentSpec) -> list[ResultRow]:
+def run_moments_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     from .estimators import majority_moments
 
     ds = [int(x) for x in spec.grid["d"]]
@@ -257,11 +220,10 @@ def _ratio_and_ci(num_mean, num_ci, den_mean, den_ci):
     return r, r * rel
 
 
-def run_contraction_check(spec: ExperimentSpec) -> list[ResultRow]:
+def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     out = []
     for idx, regime in enumerate(spec.grid["regimes"]):
-        allowed = {"tree_kind", "d", "theta", "delta", "k"}
-        bad = set(regime) - allowed
+        bad = set(regime) - {"tree_kind", "d", "theta", "delta", "k"}
         if bad:
             raise ValueError(f"unknown regime keys: {sorted(bad)}")
         kind = regime.get("tree_kind", "gw")
@@ -294,7 +256,7 @@ def run_contraction_check(spec: ExperimentSpec) -> list[ResultRow]:
     return out
 
 
-def run_threshold_sweep(spec: ExperimentSpec) -> list[ResultRow]:
+def run_threshold_sweep(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     base_d = float(spec.params.get("base_d", 2.5))
     k = int(spec.params.get("k", 12))
     out = []
@@ -320,7 +282,7 @@ def run_threshold_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     return out
 
 
-def run_conductance_check(spec: ExperimentSpec) -> list[ResultRow]:
+def run_conductance_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     kind, d, theta = _tree_parameterization(spec)
     delta = spec.params.get("delta")
     delta = float(delta) if delta is not None else None
@@ -355,8 +317,7 @@ def run_conductance_check(spec: ExperimentSpec) -> list[ResultRow]:
     return out
 
 
-def _recover_rep(spec_dict: dict, rep: int) -> dict:
-    spec = ExperimentSpec.from_dict(spec_dict)
+def _recover_rep(spec: ExperimentSpec, rep: int) -> dict:
     p = spec.params
     params = ModelParams(n=int(p["n"]), a=float(p["a"]), b=float(p["b"]))
     cfg = AlgoConfig(
@@ -374,7 +335,6 @@ def _recover_rep(spec_dict: dict, rep: int) -> dict:
     return {
         "rep": rep,
         "accuracy": res.accuracy,
-        "delta_frac": res.report.delta_frac,
         "r_used": res.diagnostics.r_used,
         "coin_frac": res.diagnostics.coin_labels / g.n,
         "nontree_frac": res.diagnostics.nontree_neighborhoods / g.n,
@@ -384,9 +344,12 @@ def _recover_rep(spec_dict: dict, rep: int) -> dict:
 
 def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     p = spec.params
-    reps = [int(r) for r in spec.grid["rep"]]
-    jobs = [(spec.to_dict(), rep) for rep in reps]
-    results = _pmap(_recover_rep, jobs, threads)
+    jobs = [(spec, int(rep)) for rep in spec.grid["rep"]]
+    if threads == 1 or len(jobs) <= 1:
+        results = [_recover_rep(*job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=threads if threads > 0 else None) as pool:
+            results = list(pool.map(_recover_rep, *zip(*jobs)))
     r_used = results[0]["r_used"]
     base = {
         "n": int(p["n"]), "a": float(p["a"]), "b": float(p["b"]),
@@ -436,50 +399,87 @@ def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]
     return out
 
 
-def _pmap(fn, jobs, threads: int):
-    """Order-preserving map over (args...) tuples, optionally in processes."""
-    if threads == 1 or len(jobs) <= 1:
-        return [fn(*args) for args in jobs]
-    workers = threads if threads > 0 else None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call_star, [(fn, args) for args in jobs]))
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind.
+
+    ``run(spec, threads)`` makes the rows; ``threads`` worker processes run
+    graph-recover's repetitions, and the tree-side runners ignore it.
+    ``params`` holds the params keys a spec may give, ``columns`` the CSV
+    coordinate columns in order.  ``default_params`` and ``default_grid`` make
+    the spec ``default_spec`` builds; a spec's grid has ``default_grid``'s keys.
+    """
+
+    run: Callable[[ExperimentSpec, int], list[ResultRow]]
+    params: set
+    columns: tuple
+    default_params: dict
+    default_grid: dict
 
 
-def _call_star(packed):
-    fn, args = packed
-    return fn(*args)
-
-
-_RUNNERS = {
-    "tree-accuracy": run_tree_accuracy,
-    "robust-accuracy": run_robust_accuracy,
-    "moments-check": run_moments_check,
-    "contraction-check": run_contraction_check,
-    "threshold-sweep": run_threshold_sweep,
-    "conductance-check": run_conductance_check,
+_KINDS = {
+    "tree-accuracy": _Kind(
+        run_accuracy, _TREE_PARAM_KEYS, ("tree_kind", "d", "theta", "k"),
+        {"a": 5.0, "b": 1.0}, {"k": list(range(2, 11))},
+    ),
+    "robust-accuracy": _Kind(
+        run_accuracy, _TREE_PARAM_KEYS, ("tree_kind", "d", "theta", "delta", "k"),
+        {"a": 30.0, "b": 4.0}, {"k": [2, 4, 6, 8], "delta": [0.0, 0.2, 0.4]},
+    ),
+    "moments-check": _Kind(
+        run_moments_check, {"extra_configs"}, ("d", "theta", "delta", "k", "stat", "target"),
+        {"extra_configs": [[4, 0.5]]},
+        {"d": [2, 3], "theta": [0.5, 0.8], "delta": [0.0, 0.2], "k": [1, 2, 3, 4, 5]},
+    ),
+    "contraction-check": _Kind(
+        run_contraction_check, set(), ("tree_kind", "d", "theta", "delta", "level", "metric"),
+        {},
+        {"regimes": [
+            {"tree_kind": "gw", "d": 64.0, "theta": 0.3, "delta": 0.4, "k": 8},
+            {"tree_kind": "gw", "d": 40.0, "theta": 0.9, "delta": 0.4, "k": 8},
+            {"tree_kind": "dary", "d": 64, "theta": 0.3, "delta": 0.4, "k": 8},
+            {"tree_kind": "dary", "d": 40, "theta": 0.9, "delta": 0.4, "k": 8},
+        ]},
+    ),
+    "threshold-sweep": _Kind(
+        run_threshold_sweep, {"base_d", "k"}, ("d", "theta", "ksig", "k"),
+        {"base_d": 2.5, "k": 12}, {"ksig": [0.5, 0.8, 1.0, 1.25, 2.0]},
+    ),
+    "conductance-check": _Kind(
+        run_conductance_check, _TREE_PARAM_KEYS | {"delta", "threshold"},
+        ("tree_kind", "d", "theta", "delta", "k", "threshold", "metric"),
+        {"a": 30.0, "b": 4.0}, {"k": [2, 4, 6]},
+    ),
+    "graph-recover": _Kind(
+        run_graph_recover,
+        {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K", "u_size", "weights_delta",
+         "tree_k"},
+        ("n", "a", "b", "impl", "delta0", "R", "K", "rep", "metric"),
+        {"n": 2000, "a": 30.0, "b": 4.0, "impl": "oracle-noise",
+         "delta0": 0.25, "R": 2, "R_mode": "fixed", "K": 1},
+        {"rep": [0, 1, 2]},
+    ),
 }
 
+KINDS = tuple(_KINDS)
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1,
-                   deterministic: bool = False) -> list[ResultRow]:
-    """Dispatch a spec to its runner; deterministic mode zeroes wall times."""
-    if spec.kind == "graph-recover":
-        rows = run_graph_recover(spec, threads=threads)
-    else:
-        rows = _RUNNERS[spec.kind](spec)
-    if deterministic:
-        rows = [ResultRow(r.experiment, r.coords, r.estimate, r.ci, r.trials, 0.0)
-                for r in rows]
-    return rows
+
+def _kind(kind: str) -> _Kind:
+    if kind not in KINDS:
+        raise ValueError(f"unknown experiment kind in {KINDS}: {kind!r}")
+    return _KINDS[kind]
+
+
+def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+    """Run a spec; ``threads`` processes (0 = all cores) run graph-recover's reps."""
+    return _KINDS[spec.kind].run(spec, threads)
 
 
 # --- persistence -----------------------------------------------------------
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)):  # bool included
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))  # shortest exact round-trip
@@ -500,17 +500,19 @@ def write_results(rows: list[ResultRow], spec: ExperimentSpec, path,
 
     The JSON mirror embeds the full spec so a result file alone is enough to
     reproduce the run.  NaN estimates (degenerate ratio rows) appear as "nan"
-    in the CSV and null in the JSON.
+    in the CSV and null in the JSON.  Deterministic mode writes every
+    ``seconds`` as 0.0, the one place the harness zeroes wall times.
     """
     path = Path(path)
-    coord_cols = COORD_COLUMNS[spec.kind]
+    if deterministic:
+        rows = [replace(r, seconds=0.0) for r in rows]
+    coord_cols = _KINDS[spec.kind].columns
     header = ["experiment", *coord_cols, "estimate", "ci", "trials", "seconds"]
     lines = [",".join(header)]
     for r in rows:
         vals = [r.experiment]
         vals += [_fmt(r.coords.get(c, "")) for c in coord_cols]
-        vals += [_fmt(r.estimate), _fmt(r.ci), _fmt(r.trials),
-                 _fmt(0.0 if deterministic else r.seconds)]
+        vals += [_fmt(r.estimate), _fmt(r.ci), _fmt(r.trials), _fmt(r.seconds)]
         lines.append(",".join(vals))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -524,7 +526,7 @@ def write_results(rows: list[ResultRow], spec: ExperimentSpec, path,
                 "estimate": _jsonable(r.estimate),
                 "ci": _jsonable(r.ci),
                 "trials": r.trials,
-                "seconds": 0.0 if deterministic else r.seconds,
+                "seconds": r.seconds,
             }
             for r in rows
         ],
@@ -537,51 +539,8 @@ def write_results(rows: list[ResultRow], spec: ExperimentSpec, path,
 
 def default_spec(kind: str, trials: int | None = None, seed: int = 0) -> ExperimentSpec:
     """Ready-to-run spec per subcommand; the CLI's starting point."""
-    base = {
-        "tree-accuracy": dict(
-            params={"a": 5.0, "b": 1.0}, grid={"k": list(range(2, 11))},
-            trials=20_000,
-        ),
-        "robust-accuracy": dict(
-            params={"a": 30.0, "b": 4.0},
-            grid={"k": [2, 4, 6, 8], "delta": [0.0, 0.2, 0.4]},
-            trials=20_000,
-        ),
-        "moments-check": dict(
-            params={"extra_configs": [[4, 0.5]]},
-            grid={"d": [2, 3], "theta": [0.5, 0.8], "delta": [0.0, 0.2],
-                  "k": [1, 2, 3, 4, 5]},
-            trials=20_000,
-        ),
-        "contraction-check": dict(
-            params={},
-            grid={"regimes": [
-                {"tree_kind": "gw", "d": 64.0, "theta": 0.3, "delta": 0.4, "k": 8},
-                {"tree_kind": "gw", "d": 40.0, "theta": 0.9, "delta": 0.4, "k": 8},
-                {"tree_kind": "dary", "d": 64, "theta": 0.3, "delta": 0.4, "k": 8},
-                {"tree_kind": "dary", "d": 40, "theta": 0.9, "delta": 0.4, "k": 8},
-            ]},
-            trials=20_000,
-        ),
-        "threshold-sweep": dict(
-            params={"base_d": 2.5, "k": 12},
-            grid={"ksig": [0.5, 0.8, 1.0, 1.25, 2.0]},
-            trials=20_000,
-        ),
-        "conductance-check": dict(
-            params={"a": 30.0, "b": 4.0}, grid={"k": [2, 4, 6]}, trials=20_000,
-        ),
-        "graph-recover": dict(
-            params={"n": 2000, "a": 30.0, "b": 4.0, "impl": "oracle-noise",
-                    "delta0": 0.25, "R": 2, "R_mode": "fixed", "K": 1},
-            grid={"rep": [0, 1, 2]},
-            trials=20_000,
-        ),
-    }
-    if kind not in base:
-        raise ValueError(f"unknown experiment kind in {KINDS}: {kind!r}")
-    cfg = base[kind]
+    record = _kind(kind)
     return ExperimentSpec(
-        kind=kind, params=cfg["params"], grid=cfg["grid"],
-        trials=trials if trials is not None else cfg["trials"], seed=seed,
+        kind=kind, params=record.default_params, grid=record.default_grid,
+        trials=DEFAULT_TRIALS if trials is None else trials, seed=seed,
     )

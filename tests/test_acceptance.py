@@ -58,8 +58,7 @@ def test_c1_bp_exactness_oracle_equivalence():
         obs = np.where(rng.random(t.sizes[depth]) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
             for delta in (None, 0.3):
-                mode = "leaf-exact" if delta is None else "leaf-noisy"
-                got = bp_root(t, BpConfig(theta=theta, mode=mode, delta=delta), obs)
+                got = bp_root(t, BpConfig(theta=theta, delta=delta), obs)
                 want = exact_posterior(t, theta, obs, delta=delta)
                 worst = max(worst, abs(got - want))
     elapsed = time.time() - t0

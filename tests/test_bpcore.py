@@ -96,7 +96,7 @@ def test_single_edge_bayes_example():
 def test_single_edge_noisy_composition():
     t = tree_from_parents([-1, 0])
     theta, delta = 0.7, 0.2
-    cfg = BpConfig(theta=theta, mode="leaf-noisy", delta=delta)
+    cfg = BpConfig(theta=theta, delta=delta)
     want = theta * (1 - 2 * delta)
     assert bp_root(t, cfg, [1]) == pytest.approx(want, abs=1e-12)
     assert exact_posterior(t, theta, [1], delta=delta) == pytest.approx(want, abs=1e-12)
@@ -134,8 +134,7 @@ def test_oracle_equivalence_random_trees():
         obs = np.where(rng.random(n_leaves) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
             for delta in (None, 0.3):
-                mode = "leaf-exact" if delta is None else "leaf-noisy"
-                cfg = BpConfig(theta=theta, mode=mode, delta=delta)
+                cfg = BpConfig(theta=theta, delta=delta)
                 got = bp_root(t, cfg, obs)
                 want = exact_posterior(t, theta, obs, delta=delta)
                 assert got == pytest.approx(want, abs=1e-9)
@@ -163,13 +162,23 @@ def test_guard_and_length_errors():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BpConfig(theta=0.5, mode="leaf-noisy")  # missing delta
-    with pytest.raises(ValueError):
         BpConfig(theta=0.5, clamp=1e-3)
     with pytest.raises(ValueError):
         BpConfig(theta=2.0)
-    with pytest.raises(ValueError):
-        BpConfig(theta=0.5, mode="other")
+    for delta in (-0.1, 0.5, 0.7):
+        with pytest.raises(ValueError, match="delta"):
+            BpConfig(theta=0.5, delta=delta)
+
+
+def test_delta_scales_the_leaves():
+    # a given delta alone turns on the leaf noise: two +1 leaves under a
+    # star read as 1 - 2 delta each
+    t = tree_from_parents([-1, 0, 0])
+    theta, delta = 0.6, 0.3
+    got = bp_root(t, BpConfig(theta=theta, delta=delta), [1, 1])
+    assert got == pytest.approx(bp_combine([1 - 2 * delta] * 2, theta), abs=1e-12)
+    assert got == pytest.approx(exact_posterior(t, theta, [1, 1], delta=delta), abs=1e-12)
+    assert got < bp_root(t, BpConfig(theta=theta), [1, 1])
 
 
 # --- the Kesten-Stigum bound, exactly ---------------------------------------

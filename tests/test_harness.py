@@ -50,6 +50,25 @@ def test_grid_must_be_nonempty():
                        grid={"k": []})
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_spec_owns_its_dicts(kind):
+    spec = default_spec(kind)
+    want = json.dumps(spec.to_dict())
+    dumped = spec.to_dict()
+    dumped["params"]["zap"] = 1
+    for values in dumped["grid"].values():
+        values.append(values[0])
+    dumped["grid"]["extra"] = [1]
+    assert json.dumps(spec.to_dict()) == want
+    assert json.dumps(default_spec(kind).to_dict()) == want
+    # nor does an edit to the dicts a spec was built from
+    source = spec.to_dict()
+    built = ExperimentSpec(**source)
+    source["params"]["zap"] = 1
+    next(iter(source["grid"].values())).clear()
+    assert json.dumps(built.to_dict()) == want
+
+
 def test_parameterization_is_exclusive():
     spec = ExperimentSpec(kind="tree-accuracy", params={"a": 5, "b": 1, "d": 3},
                           grid={"k": [2]})
@@ -266,7 +285,7 @@ def test_rerun_byte_identical(tmp_path):
     paths = []
     for i in (1, 2):
         out = tmp_path / f"run{i}.csv"
-        rows = run_experiment(spec, deterministic=True)
+        rows = run_experiment(spec)
         write_results(rows, spec, out, deterministic=True)
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -309,6 +328,20 @@ def test_cli_rerun_byte_identical(tmp_path):
                          "--out", str(out), "--deterministic"]) == 0
         blobs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"grid": {"k": 3}}, "'k'"),
+    ({"grid": 5}, "'grid'"),
+    ({"params": [1]}, "'params'"),
+    ([1, 2], "object"),
+], ids=["scalar-grid-value", "grid-not-object", "params-not-object", "top-level-array"])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, config, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["tree-accuracy", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -37,7 +37,7 @@ def test_magnetization_chain_matches_explicit_trees():
         t = run_broadcast(t, eta, seed=int(rng.integers(2 ** 32)), root_sign=1)
         t = add_leaf_noise(t, delta, seed=int(rng.integers(2 ** 32)))
         xs.append(bp_root(t, BpConfig(theta=theta), t.sigma[k]))
-        ys.append(bp_root(t, BpConfig(theta=theta, mode="leaf-noisy", delta=delta),
+        ys.append(bp_root(t, BpConfig(theta=theta, delta=delta),
                           t.tau))
     xs, ys = np.abs(xs), np.abs(ys)
     se = _joint_se(row["absx_std"], trials, xs.std(), n_exp)

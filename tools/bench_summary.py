@@ -9,11 +9,13 @@ With no NAME=CHECKOUT the one side is ``change``, this repository.  For
 every side and workload the summary gives the run count, the seeds, whether
 every run passed its output checks, and per end-to-end metric the median,
 the quartiles and the values; each side also keeps the distinct environment
-blocks its runs recorded.  With two sides, the first is the base, and runs of
-one workload with the same seed on both sides are paired: per metric, the
-pairs the second side wins (by the direction BENCHMARK.json gives, ties
-counting for neither), the change of the median, and the base's quartile
-spread that a claimed gain must exceed.
+blocks its runs recorded.  With two sides, the first is the base, and each
+workload that both ran is summarised on each side over the seeds both sides
+ran, so a stale run that one side alone holds reaches no median; each side
+lists the seeds it left out.  Runs of one workload with the same seed on both
+sides are paired: per metric, the pairs the second side wins (by the
+direction BENCHMARK.json gives, ties counting for neither), the change of the
+median, and the base's quartile spread that a claimed gain must exceed.
 """
 
 import argparse
@@ -33,46 +35,67 @@ def quartiles(values):
     return q1, med, q3
 
 
-def read_side(checkout: Path, metrics) -> dict:
+def read_side(checkout: Path) -> dict:
+    """Every run of a checkout, by workload and in seed order."""
     paths = sorted((checkout / "benchmarks" / "out").glob("*-trace0.json"))
     if not paths:
         sys.exit(f"no *-trace0.json runs under {checkout / 'benchmarks' / 'out'}")
     runs: dict = {}
-    environments = []
     for path in paths:
         run = json.loads(path.read_text())
         runs.setdefault(run["workload"], []).append(run)
-        if run["environment"] not in environments:
-            environments.append(run["environment"])
+    for group in runs.values():
+        group.sort(key=lambda r: r["seed"])
+    return runs
+
+
+def summarise(runs: dict, metrics, seeds=None) -> dict:
+    """Summary of one side's runs; ``seeds`` maps a workload to the seeds to keep.
+
+    A workload that ``seeds`` names is summarised over those seeds alone, and
+    its other seeds are listed under ``left_out``.
+    """
+    environments = []
     workloads = {}
     for name, group in sorted(runs.items()):
-        group.sort(key=lambda r: r["seed"])
+        keep = (seeds or {}).get(name)
+        kept = [r for r in group if keep is None or r["seed"] in keep]
         summary = {}
         for metric in metrics:
-            values = [r["result"]["metrics"][metric]["value"] for r in group
+            values = [r["result"]["metrics"][metric]["value"] for r in kept
                       if metric in r["result"]["metrics"]]
             if not values:
                 continue
             q1, med, q3 = quartiles(values)
-            summary[metric] = {"unit": group[0]["result"]["metrics"][metric]["unit"],
+            summary[metric] = {"unit": kept[0]["result"]["metrics"][metric]["unit"],
                                "median": med, "q1": q1, "q3": q3, "values": values}
         workloads[name] = {
-            "runs": len(group),
-            "seeds": [r["seed"] for r in group],
-            "run_seconds": sorted({r["seconds"] for r in group}),
-            "all_correct": all(r["result"]["correct"] for r in group),
+            "runs": len(kept),
+            "seeds": [r["seed"] for r in kept],
+            "left_out": [r["seed"] for r in group if keep is not None and r["seed"] not in keep],
+            "run_seconds": sorted({r["seconds"] for r in kept}),
+            "all_correct": all(r["result"]["correct"] for r in kept),
             "metrics": summary,
         }
+        for r in kept:
+            if r["environment"] not in environments:
+                environments.append(r["environment"])
     return {"environments": environments, "workloads": workloads}
 
 
-def pair_sides(base: dict, change: dict, better: dict) -> dict:
-    out = {}
-    for name, b in base["workloads"].items():
-        c = change["workloads"].get(name)
-        if c is None:
-            continue
-        seeds = sorted(set(b["seeds"]) & set(c["seeds"]))
+def pair_sides(base: dict, change: dict, better: dict):
+    """(base summary, change summary, pairs) over the seeds both sides ran.
+
+    Each workload that both sides ran is summarised, on each side, over the
+    seeds common to both, so a run that one side alone holds (a stale run
+    left from earlier work, say) reaches no median and no pair.
+    """
+    common = {name: {r["seed"] for r in group} & {r["seed"] for r in change[name]}
+              for name, group in base.items() if name in change}
+    b_side, c_side = summarise(base, better, common), summarise(change, better, common)
+    pairs = {}
+    for name in sorted(common):
+        b, c = b_side["workloads"][name], c_side["workloads"][name]
         per_metric = {}
         for metric, direction in better.items():
             if metric not in b["metrics"] or metric not in c["metrics"]:
@@ -80,18 +103,18 @@ def pair_sides(base: dict, change: dict, better: dict) -> dict:
             bv = dict(zip(b["seeds"], b["metrics"][metric]["values"]))
             cv = dict(zip(c["seeds"], c["metrics"][metric]["values"]))
             sign = -1.0 if direction == "lower" else 1.0
-            wins = sum(sign * (cv[s] - bv[s]) > 0 for s in seeds)
-            losses = sum(sign * (cv[s] - bv[s]) < 0 for s in seeds)
+            wins = sum(sign * (cv[s] - bv[s]) > 0 for s in b["seeds"])
+            losses = sum(sign * (cv[s] - bv[s]) < 0 for s in b["seeds"])
             bm, cm = b["metrics"][metric], c["metrics"][metric]
             per_metric[metric] = {
-                "better": direction, "pairs": len(seeds), "wins": wins, "losses": losses,
+                "better": direction, "pairs": len(b["seeds"]), "wins": wins, "losses": losses,
                 "median_change": cm["median"] - bm["median"],
                 "median_change_frac": ((cm["median"] - bm["median"]) / bm["median"]
                                        if bm["median"] else None),
                 "base_quartile_spread": bm["q3"] - bm["q1"],
             }
-        out[name] = {"seeds": seeds, "metrics": per_metric}
-    return out
+        pairs[name] = {"seeds": b["seeds"], "metrics": per_metric}
+    return b_side, c_side, pairs
 
 
 def main(argv=None) -> int:
@@ -106,14 +129,15 @@ def main(argv=None) -> int:
         parser.error("side names must differ")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    summary = {"label": args.label, "command": bench["command"],
-               "sides": {name: read_side(Path(path).resolve(), better)
-                         for name, path in sides}}
+    runs = {name: read_side(Path(path).resolve()) for name, path in sides}
+    summary = {"label": args.label, "command": bench["command"]}
     if len(sides) == 2:
         (base, _), (change, _) = sides
         summary["base"], summary["change"] = base, change
-        summary["pairs"] = pair_sides(summary["sides"][base], summary["sides"][change],
-                                      better)
+        b, c, pairs = pair_sides(runs[base], runs[change], better)
+        summary["sides"], summary["pairs"] = {base: b, change: c}, pairs
+    else:
+        summary["sides"] = {name: summarise(r, better) for name, r in runs.items()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {path}")
