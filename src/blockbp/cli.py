@@ -8,8 +8,8 @@ Usage:
 (``blockbp --help`` lists the kinds).  Each subcommand has a built-in
 default spec; --config overrides it with a JSON object {"kind", "params",
 "grid", "trials", "seed"} (unknown keys and malformed shapes are rejected),
-and --seed/--trials override either.  --deterministic forces one worker and
-has the writer zero the wall-time column, so reruns are byte-identical.
+and --seed/--trials override either; a config the run would fail on exits 2.
+--deterministic zeroes the wall-time column: reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import KINDS, ExperimentSpec, default_spec, run_experiment, write_results
+from .harness import KINDS, ExperimentSpec, check_spec, default_spec, run_experiment, write_results
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes; 0 = all cores")
         p.add_argument("--deterministic", action="store_true",
-                       help="single worker, zeroed wall times: byte-identical reruns")
+                       help="zeroed wall times: byte-identical reruns")
     return parser
 
 
@@ -65,11 +65,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        check_spec(spec)
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    threads = 1 if args.deterministic else args.threads
-    rows = run_experiment(spec, threads=threads)
+    rows = run_experiment(spec, threads=args.threads)
     out = args.out if args.out is not None else Path(f"{args.kind}.csv")
     write_results(rows, spec, out, deterministic=args.deterministic)
     for r in rows:

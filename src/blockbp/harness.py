@@ -23,9 +23,10 @@ of the call that made it; where one call serves several levels, each level's
 rows carry an equal share, so the shares still add up to the call's time.
 
 Config files are JSON objects with exactly the keys
-{"kind", "params", "grid", "trials", "seed"} (the last two optional), where
-params is an object and grid an object of nonempty lists with exactly its
-kind's keys; unknown keys anywhere are rejected.
+{"kind", "params", "grid", "trials", "seed"} (the last two optional
+integers), where params is an object and grid an object of nonempty lists
+with exactly its kind's keys; unknown keys anywhere are rejected, and
+``check_spec`` rejects the values a run would fail on at its start.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ import numpy as np
 
 from . import popdyn
 from .params import ModelParams, derive_tree_params
-from .pipeline import AlgoConfig, recover
+from .levels import _terminal_conductance
+from .partition import _check_blackbox
+from .pipeline import AlgoConfig, recover, resolve_radius
 from .popdyn import Z99, ci_half_width
 from .randgraph import sample_sbm
 from .seeding import derived_rng
@@ -52,6 +55,7 @@ __all__ = [
     "KINDS",
     "ExperimentSpec",
     "ResultRow",
+    "check_spec",
     "run_experiment",
     "write_results",
     "default_spec",
@@ -61,7 +65,7 @@ __all__ = [
 
 DEFAULT_TRIALS = 20_000
 
-_TREE_PARAM_KEYS = {"a", "b", "d", "theta", "tree_kind", "clamp"}
+_TREE_PARAM_KEYS = {"a", "b", "d", "theta", "tree_kind"}
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         kind = _kind(self.kind)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key, low, value in (("trials", 1, self.trials), ("seed", 0, self.seed)):
+            if type(value) is not int or value < low:  # bool is not an integer here
+                raise ValueError(f"{key!r} must be an integer >= {low}, not {value!r}")
         if not isinstance(self.params, dict):
             raise ValueError("'params' must be an object")
         if not isinstance(self.grid, dict):
@@ -104,8 +109,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         if "kind" not in data:
             raise ValueError("config needs a 'kind'")
-        return cls(**{**data, "trials": int(data.get("trials", DEFAULT_TRIALS)),
-                      "seed": int(data.get("seed", 0))})
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return asdict(self)  # copies params and grid
@@ -129,8 +133,8 @@ def _tree_parameterization(spec: ExperimentSpec):
         raise ValueError("tree_kind must be 'gw' or 'dary'")
     has_ab = "a" in p or "b" in p
     has_dt = "d" in p or "theta" in p
-    if has_ab == has_dt:
-        raise ValueError("give exactly one of (a, b) or (d, theta)")
+    if has_ab == has_dt or not ({"a", "b"} <= p.keys() or {"d", "theta"} <= p.keys()):
+        raise ValueError("give exactly one of the pairs (a, b) or (d, theta)")
     if has_ab:
         tp = derive_tree_params(ModelParams(n=10 ** 9, a=p["a"], b=p["b"]))
         return kind, tp.d, tp.theta
@@ -145,11 +149,10 @@ def run_accuracy(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     deltas = [float(x) for x in spec.grid["delta"]] if "delta" in spec.grid else [None]
     kind, d, theta = _tree_parameterization(spec)
     ks = sorted(int(k) for k in spec.grid["k"])
-    clamp = float(spec.params.get("clamp", 1e-12))
     t0 = time.perf_counter()
     chains = popdyn.magnetization_chain(
         kind, d, theta, max(ks), spec.trials, derived_rng(spec.seed, "chain"),
-        delta=[0.0 if delta is None else delta for delta in deltas], clamp=clamp,
+        delta=[0.0 if delta is None else delta for delta in deltas],
     )
     dt = (time.perf_counter() - t0) / len(deltas)
     out = []
@@ -317,16 +320,21 @@ def run_conductance_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
     return out
 
 
+def _recover_setup(p: dict) -> tuple[ModelParams, AlgoConfig, int]:
+    """(model, algorithm, radius) from graph-recover's params n, a, b, impl,
+    delta0, R, R_mode and K, checked; the matched tree row runs at the radius."""
+    if {"n", "a", "b"} - p.keys():
+        raise ValueError(f"graph-recover needs params {sorted({'n', 'a', 'b'} - p.keys())}")
+    params = ModelParams(n=int(p["n"]), a=float(p["a"]), b=float(p["b"]))
+    cfg = AlgoConfig(R=p.get("R"), K=int(p.get("K", 1)),
+                     R_mode=p.get("R_mode", "fixed" if p.get("R") is not None else "auto"))
+    _check_blackbox(p.get("impl", "spectral"), p.get("delta0"))
+    return params, cfg, resolve_radius(cfg, params.n, params.a, params.b)
+
+
 def _recover_rep(spec: ExperimentSpec, rep: int) -> dict:
     p = spec.params
-    params = ModelParams(n=int(p["n"]), a=float(p["a"]), b=float(p["b"]))
-    cfg = AlgoConfig(
-        R=p.get("R"),
-        R_mode=p.get("R_mode", "fixed" if p.get("R") is not None else "auto"),
-        K=int(p.get("K", 1)),
-        u_size=p.get("u_size"),
-        weights_delta=p.get("weights_delta"),
-    )
+    params, cfg, _ = _recover_setup(p)
     g = sample_sbm(params, seed=derived_rng(spec.seed, "graph", rep))
     rep_seed = int(derived_rng(spec.seed, "recover", rep).integers(2 ** 62))
     t0 = time.perf_counter()
@@ -335,7 +343,6 @@ def _recover_rep(spec: ExperimentSpec, rep: int) -> dict:
     return {
         "rep": rep,
         "accuracy": res.accuracy,
-        "r_used": res.diagnostics.r_used,
         "coin_frac": res.diagnostics.coin_labels / g.n,
         "nontree_frac": res.diagnostics.nontree_neighborhoods / g.n,
         "seconds": time.perf_counter() - t0,
@@ -344,18 +351,18 @@ def _recover_rep(spec: ExperimentSpec, rep: int) -> dict:
 
 def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     p = spec.params
+    params, cfg, r_used = _recover_setup(p)
     jobs = [(spec, int(rep)) for rep in spec.grid["rep"]]
     if threads == 1 or len(jobs) <= 1:
         results = [_recover_rep(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=threads if threads > 0 else None) as pool:
             results = list(pool.map(_recover_rep, *zip(*jobs)))
-    r_used = results[0]["r_used"]
     base = {
-        "n": int(p["n"]), "a": float(p["a"]), "b": float(p["b"]),
+        "n": params.n, "a": params.a, "b": params.b,
         "impl": p.get("impl", "spectral"),
         "delta0": p.get("delta0") if p.get("delta0") is not None else -1.0,
-        "R": r_used, "K": int(p.get("K", 1)),
+        "R": r_used, "K": cfg.K,
     }
     out = []
     # per rep: accuracy, then the fractions of all n vertices that were
@@ -376,14 +383,13 @@ def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]
         trials=len(accs), seconds=float(sum(r["seconds"] for r in results)),
     ))
     # matched tree simulation at the same depth
-    tp = derive_tree_params(ModelParams(n=int(p["n"]), a=float(p["a"]), b=float(p["b"])))
-    tree_k = int(p.get("tree_k", r_used))
+    tp = derive_tree_params(params)
     t0 = time.perf_counter()
     rows, _ = popdyn.magnetization_chain(
-        "gw", tp.d, tp.theta, tree_k, spec.trials,
+        "gw", tp.d, tp.theta, r_used, spec.trials,
         derived_rng(spec.seed, "tree-sim"), delta=0.0,
     )
-    r = rows[tree_k]
+    r = rows[r_used]
     p_hat = 0.5 * (1.0 + r["absx_mean"])
     out.append(ResultRow(
         experiment=spec.kind, coords={**base, "rep": -1, "metric": "tree_p_hat"},
@@ -452,8 +458,7 @@ _KINDS = {
     ),
     "graph-recover": _Kind(
         run_graph_recover,
-        {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K", "u_size", "weights_delta",
-         "tree_k"},
+        {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K"},
         ("n", "a", "b", "impl", "delta0", "R", "K", "rep", "metric"),
         {"n": 2000, "a": 30.0, "b": 4.0, "impl": "oracle-noise",
          "delta0": 0.25, "R": 2, "R_mode": "fixed", "K": 1},
@@ -470,8 +475,19 @@ def _kind(kind: str) -> _Kind:
     return _KINDS[kind]
 
 
+def check_spec(spec: ExperimentSpec) -> None:
+    """Raise ValueError, naming the value, where the spec's run would fail at its start."""
+    if spec.kind == "graph-recover":
+        _recover_setup(spec.params)
+    elif _TREE_PARAM_KEYS <= _KINDS[spec.kind].params:
+        _tree_parameterization(spec)
+    for delta in (*spec.grid.get("delta", ()), spec.params.get("delta")):
+        _terminal_conductance(None if delta is None else float(delta))
+
+
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     """Run a spec; ``threads`` processes (0 = all cores) run graph-recover's reps."""
+    check_spec(spec)
     return _KINDS[spec.kind].run(spec, threads)
 
 

@@ -66,7 +66,7 @@ def _terminal_conductance(delta: float | None) -> float:
     if delta is None or delta == 0.0:
         return np.inf
     if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in [0, 1/2)")
+        raise ValueError(f"delta must lie in [0, 1/2), not {delta!r}")
     return (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
 
 

@@ -12,6 +12,7 @@ else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -88,14 +89,15 @@ def derive_tree_params(m: ModelParams, delta: float = 0.0) -> TreeParams:
     """Tree parameters of the local neighborhood limit of ``m``.
 
     d = (a+b)/2, eta = b/(a+b), theta = (a-b)/(a+b).  Rejects ``a == b``,
-    which has theta = 0 and carries no signal.
+    which has theta = 0 and carries no signal; where b/(a+b) rounds to 1/2
+    with a != b, eta is the next float off 1/2 on b's side.
     """
     if m.a == m.b:
         raise ValueError("degenerate signal: a == b gives theta = 0")
     s = m.a + m.b
     if s <= 0:
         raise ValueError("a + b must be positive")
-    eta = m.b / s
+    eta = m.b / s if m.b / s != 0.5 else math.nextafter(0.5, float(m.b > m.a))
     return TreeParams(d=s / 2.0, eta=eta, theta=1.0 - 2.0 * eta, delta=delta)
 
 

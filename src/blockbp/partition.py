@@ -122,15 +122,19 @@ def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
     """
     if g.n == 0:
         raise ValueError("cannot partition an empty graph")
+    _check_blackbox(impl, delta0)
     rng = as_generator(seed)
     if impl == "spectral":
         return _bethe_hessian_split(g, rng)
-    if impl == "oracle-noise":
-        if delta0 is None or not 0.0 <= delta0 < 0.5:
-            raise ValueError("oracle-noise needs delta0 in [0, 1/2)")
-        flips = rng.random(g.n) < delta0
-        return Partition(side=np.where(flips, -g.labels, g.labels).astype(np.int8))
-    raise ValueError(f"unknown partitioner {impl!r}")
+    flips = rng.random(g.n) < delta0
+    return Partition(side=np.where(flips, -g.labels, g.labels).astype(np.int8))
+
+
+def _check_blackbox(impl: str, delta0: float | None) -> None:
+    if impl not in ("spectral", "oracle-noise"):
+        raise ValueError(f"unknown partitioner {impl!r}")
+    if impl == "oracle-noise" and (delta0 is None or not 0.0 <= delta0 < 0.5):
+        raise ValueError(f"oracle-noise needs delta0 in [0, 1/2), not {delta0!r}")
 
 
 def overlap(p: Partition, truth) -> OverlapReport:

@@ -8,16 +8,16 @@ defined up to a global label flip, the run is aligned through one held-out
 high-degree anchor vertex u*: with a > b the anchor should see most of its
 neighbors on its own side (rule reversed when a < b).
 
-The black box runs once, on the graph H = G minus the hold-out set U, and
-every vertex of H is labelled from that one aligned partition.  Vertices in
-U get no inferred sides, take no part in the observations and are labelled
-by fair coins at the end.
+The black box runs once, on the graph H = G minus the hold-out set U of
+floor(sqrt(n)) uniform vertices, and every vertex of H is labelled from that
+one aligned partition.  Vertices in U get no inferred sides, take no part in
+the observations and are labelled by fair coins at the end.
 
 Label computation is two-stage, mirroring the fact that the boundary noise
 level is unknown: first, every node at depth R-K gets a hard +-1 vote, the
-sign of the conductance-weighted sum of the observations in its depth-K
-subtree; then exact BP runs on those signs from depth R-K up to v.  K = 0
-degenerates to BP straight on the observations.
+sign of the noiseless conductance-weighted sum of the observations in its
+depth-K subtree; then exact BP runs on those signs from depth R-K up to v.
+K = 0 degenerates to BP straight on the observations.
 
 The tree is v's depth-R non-backtracking walk tree, which is the BFS tree of
 B(v, R) whenever that ball is a tree, the regime of the theory (R of order
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .levels import _compose_through_edge, _edge_llr, _terminal_conductance
+from .levels import _compose_through_edge, _edge_llr
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
 from .randgraph import LabelledGraph, extract_neighborhood, remove_set
@@ -67,22 +67,18 @@ _NONTREE_SAMPLE = 500
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """Knobs of the recovery algorithm.
+    """Knobs of the recovery algorithm: the radius R and the vote depth K.
 
     R_mode "auto" picks the largest R in [1, 6] with (mean degree)^R at most
     n^(1/8), keeping balls small (the theory's floor(log n / (20(a+b))) is 0
     for every n below e^(20(a+b))) and takes no ``R``; "fixed" takes ``R`` as
-    given.  K is the
-    depth of the hard-vote stage, 0 <= K <= R.
-    ``weights_delta`` sets terminal resistors for the hard-vote weights; the
-    boundary noise level is normally unknown, so the default uses none.
+    given.  K is the depth of the hard-vote stage, 0 <= K <= R.  The hold-out
+    size, floor(sqrt(n)), and the noiseless vote weights are not knobs.
     """
 
     R: int | None = None
     R_mode: str = "auto"  # "auto" | "fixed"
     K: int = 1
-    u_size: int | None = None
-    weights_delta: float | None = None
 
     def __post_init__(self):
         if self.R_mode not in ("auto", "fixed"):
@@ -90,10 +86,9 @@ class AlgoConfig:
         if self.R_mode == "fixed" and (self.R is None or self.R < 1):
             raise ValueError("fixed R_mode needs R >= 1")
         if self.R_mode == "auto" and self.R is not None:
-            raise ValueError("R is ignored under R_mode auto; pass R_mode='fixed'")
+            raise ValueError(f"R={self.R} is ignored under R_mode auto; pass R_mode='fixed'")
         if self.K < 0:
-            raise ValueError("K must be nonnegative")
-        _terminal_conductance(self.weights_delta)  # rejects delta outside [0, 1/2)
+            raise ValueError(f"K must be nonnegative, not {self.K}")
 
 
 def resolve_radius(cfg: AlgoConfig, n: int, a: float, b: float) -> int:
@@ -179,7 +174,7 @@ class _Labels(NamedTuple):
 
 
 def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
-                 theta: float, weights_delta, clamp: float, rng,
+                 theta: float, clamp: float, rng,
                  root_u: np.ndarray) -> _Labels:
     """Two-stage root values of every vertex of H on its depth-R walk tree.
 
@@ -203,9 +198,10 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     a tie when that sum is 0.  At K >= 2 a message carries the branch
     conductance c and the current-weighted average U of the sides below
     (U = side at the leaves, U = sum c_i U_i / sum c_i over the children),
-    and sign(sum c_i U_i) is the conductance-weighted vote.  K = 0 passes
-    the sides as they are.  Then R - K - 1 rounds of the BP level combine
-    and one root sum.
+    and sign(sum c_i U_i) is the conductance-weighted vote; a noiseless leaf's
+    c is its edge's alone, theta^2 / (1 - theta^2).  K = 0 passes the sides
+    as they are.  Then R - K - 1 rounds of the BP level combine and one root
+    sum.
 
     An exact cancellation in floating point often leaves a residue whose
     sign would decide the label.  So every float sum here (the K >= 2 votes,
@@ -277,8 +273,8 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
         if big_k == 1:
             a = row_sums(xi[nbr])
             return a if big_k == r else a[nbr] - xi[row]
-        leaf_c = _compose_through_edge(np.full(n, _terminal_conductance(weights_delta)), theta)
-        c, cu = leaf_c[nbr], (leaf_c * xi)[nbr]
+        c = _compose_through_edge(np.full(len(nbr), np.inf), theta)
+        cu = c * xi[nbr]
         for _ in range(1, big_k):
             z, a = cavity(c), cavity(cu)
             c = _compose_through_edge(z, theta)
@@ -361,7 +357,6 @@ class RecoveryDiagnostics:
     empty_spheres: int = 0
     nontree_neighborhoods: int = 0
     u_star_ball_violations: int = 0
-    blackbox_runs: int = 0
     blackbox_informative: bool = True
 
 
@@ -431,11 +426,8 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     r = resolve_radius(cfg, g.n, params.a, params.b)
     diag = RecoveryDiagnostics(r_used=r)
 
-    u_size = cfg.u_size if cfg.u_size is not None else int(math.isqrt(g.n))
-    u_size = max(1, min(u_size, g.n - 1))
-    hold_out = np.sort(
-        derived_rng(seed, "hold-out").choice(g.n, size=u_size, replace=False)
-    ).astype(np.int64)
+    u_size = max(1, min(math.isqrt(g.n), g.n - 1))
+    hold_out = np.sort(derived_rng(seed, "hold-out").choice(g.n, u_size, replace=False))
 
     u_star, fallback = choose_anchor(g, hold_out, derived_rng(seed, "anchor"))
     diag.u_star = u_star
@@ -450,7 +442,6 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     lap("holdout")
 
     part = blackbox_partition(h, impl=impl, seed=derived_rng(seed, "bb", 0), delta0=delta0)
-    diag.blackbox_runs = 1
     diag.blackbox_informative = part.informative
     lap("blackbox")
     aligned, info = align_partition(part, g, u_star, params.a, params.b,
@@ -459,7 +450,7 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     diag.align_swaps = int(info.swapped)
     lap("align")
 
-    out = _label_edges(h, aligned.side, r, cfg.K, tp.theta, cfg.weights_delta, _CLAMP,
+    out = _label_edges(h, aligned.side, r, cfg.K, tp.theta, _CLAMP,
                        derived_rng(seed, "labels"), root_u)
     side_out[sub.new_to_old] = out.sign
     mag_out[sub.new_to_old] = out.magnetization

@@ -152,30 +152,14 @@ def _unrank_within(t: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ids[i], ids[j]
 
 
-def sample_sbm(m: ModelParams, mode: str = "uniform-random", seed=0,
-               labels=None) -> LabelledGraph:
-    """Sample a labelled graph: within-class pairs at a/n, between at b/n.
-
-    mode "uniform-random" draws i.i.d. uniform +-1 labels; mode "fixed-sets"
-    uses the supplied label vector (for fixed near-balanced classes).
-    Deterministic given the seed.
+def sample_sbm(m: ModelParams, seed=0) -> LabelledGraph:
+    """Sample a labelled graph: i.i.d. uniform +-1 labels, within-class pairs
+    at a/n, between at b/n.  Deterministic given the seed.
     """
     rng = as_generator(seed)
     n = m.n
     _check_key_room(n)
-    if mode == "uniform-random":
-        if labels is not None:
-            raise ValueError("labels are drawn internally in uniform-random mode")
-        lab = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-    elif mode == "fixed-sets":
-        if labels is None:
-            raise ValueError("fixed-sets mode needs a label vector")
-        lab = np.asarray(labels, dtype=np.int8)
-        if lab.shape != (n,) or not np.all(np.abs(lab) == 1):
-            raise ValueError("labels must be n values in {-1, +1}")
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}")
-
+    lab = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
     plus = np.flatnonzero(lab == 1).astype(np.int64)
     minus = np.flatnonzero(lab == -1).astype(np.int64)
     us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]

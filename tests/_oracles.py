@@ -436,16 +436,16 @@ def _zero_ties(sums, magnitudes):
     return sums
 
 
-def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, coins):
+def two_stage_root(levels, parent_pos, xi, theta, big_k, clamp, coins):
     """Hard votes at level R-K, then BP to the root; R = len(levels) - 1.
 
     At K = 1 the vote is the sign of the integer sum of the children's
     sides; at K >= 2 the sign of the current-split sum of the resistor
-    network.  Every float sum (those votes and each node's BP sum of child
-    LLRs) is 0 when it is within TIE_ULPS ulps of the sum of its terms'
-    magnitudes.  A vote tie below the root takes the node's entry of
-    ``coins`` (+-1 per level-(R-K) node); a tie at the root (K = R) leaves
-    the root 0.
+    network with noiseless terminals at the leaves.  Every float sum (those
+    votes and each node's BP sum of child LLRs) is 0 when it is within
+    TIE_ULPS ulps of the sum of its terms' magnitudes.  A vote tie below the
+    root takes the node's entry of ``coins`` (+-1 per level-(R-K) node); a
+    tie at the root (K = R) leaves the root 0.
     """
     r = len(levels) - 1
     if big_k > 0:
@@ -455,7 +455,7 @@ def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, c
             sums = np.zeros(n0, dtype=np.int64)
             np.add.at(sums, parent_pos[r], xi.astype(np.int64))
         else:
-            z = np.where(xi != 0.0, _terminal_conductance(weights_delta), 0.0)
+            z = np.full(len(xi), np.inf)
             zs, cs = conductance_up(z, parent_pos[j0:], [len(l) for l in levels[j0:]], theta)
             cur, anc = current_down(zs, cs, parent_pos[j0:])
             w = cur * theta ** (-big_k) * xi
@@ -478,8 +478,8 @@ def two_stage_root(levels, parent_pos, xi, theta, big_k, weights_delta, clamp, c
     return float(vals[0])
 
 
-def label_tree(levels, parent_pos, slots, radius, big_k, theta, weights_delta, clamp,
-               xi_side, slot_u, root_coin) -> dict:
+def label_tree(levels, parent_pos, slots, radius, big_k, theta, clamp, xi_side, slot_u,
+               root_coin) -> dict:
     """One vertex's label from its tree (per-level images, parents and slots).
 
     A vote tie below the root reads ``slot_u`` at the node's slot; a tree
@@ -494,7 +494,7 @@ def label_tree(levels, parent_pos, slots, radius, big_k, theta, weights_delta, c
                  if 0 < big_k < radius else None)
         value = two_stage_root(levels[: radius + 1], parent_pos[: radius + 1],
                                xi_side[levels[radius]].astype(np.float64), theta, big_k,
-                               weights_delta, clamp, coins)
+                               clamp, coins)
         if value != 0.0:
             out.update(sign=1 if value > 0 else -1, magnetization=value, coin=False)
             return out
@@ -503,13 +503,12 @@ def label_tree(levels, parent_pos, slots, radius, big_k, theta, weights_delta, c
     return out
 
 
-def label_one(indptr, indices, v, radius, big_k, theta, weights_delta, clamp,
-              xi_side, visited, slot_u, root_coin) -> dict:
+def label_one(indptr, indices, v, radius, big_k, theta, clamp, xi_side, visited, slot_u,
+              root_coin) -> dict:
     """One vertex's label on the BFS tree of its ball (``visited``: all-False work array)."""
     levels, parent_pos, _ = bfs_levels(indptr, indices, v, radius, visited)
     return label_tree(levels, parent_pos, bfs_slots(indptr, indices, levels, parent_pos),
-                      radius, big_k, theta, weights_delta, clamp, xi_side, slot_u,
-                      root_coin)
+                      radius, big_k, theta, clamp, xi_side, slot_u, root_coin)
 
 
 def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None, tree="walk",
@@ -520,14 +519,13 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None, tree="wal
     "bfs" on the BFS tree of its ball.  Returns (side, magnetization,
     counts, revisit): ``counts`` holds coin_labels, zero_roots,
     empty_spheres, nontree_neighborhoods (from walk trees on the pinned
-    sample of ``nontree_sample`` centres, scaled to H's size),
-    u_star_ball_violations and blackbox_runs; ``revisit`` flags, per vertex
+    sample of ``nontree_sample`` centres, scaled to H's size) and
+    u_star_ball_violations; ``revisit`` flags, per vertex
     of g, a walk tree that visits a vertex twice (False on the hold-out).
     """
     theta = derive_tree_params(params).theta
     r = resolve_radius(cfg, g.n, params.a, params.b)
-    u_size = cfg.u_size if cfg.u_size is not None else int(math.isqrt(g.n))
-    u_size = max(1, min(u_size, g.n - 1))
+    u_size = max(1, min(math.isqrt(g.n), g.n - 1))
     hold_out = np.sort(
         derived_rng(seed, "hold-out").choice(g.n, size=u_size, replace=False)
     ).astype(np.int64)
@@ -547,7 +545,6 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None, tree="wal
     visited = np.zeros(h.n, dtype=bool)
     counts = dict.fromkeys(("coin_labels", "zero_roots", "empty_spheres",
                             "nontree_neighborhoods", "u_star_ball_violations"), 0)
-    counts["blackbox_runs"] = 1
     part = blackbox_partition(h, impl=impl, seed=derived_rng(seed, "bb", 0), delta0=delta0)
     aligned, _ = align_partition(part, g, u_star, params.a, params.b,
                                  old_to_new=sub.old_to_new)
@@ -559,8 +556,8 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None, tree="wal
         if tree == "bfs":
             levels, parent_pos, _ = bfs_levels(h.indptr, h.indices, v, r, visited)
             slots = bfs_slots(h.indptr, h.indices, levels, parent_pos)
-        out = label_tree(levels, parent_pos, slots, r, cfg.K, theta, cfg.weights_delta,
-                         1e-12, aligned.side, slot_u, root_u[orig])
+        out = label_tree(levels, parent_pos, slots, r, cfg.K, theta, 1e-12, aligned.side,
+                         slot_u, root_u[orig])
         side_out[orig] = out["sign"]
         mag_out[orig] = out["magnetization"]
         counts["coin_labels"] += out["coin"]

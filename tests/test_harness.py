@@ -293,12 +293,18 @@ def test_rerun_byte_identical(tmp_path):
             == paths[1].with_suffix(".json").read_bytes())
 
 
-def test_threads_do_not_change_results():
+def test_threads_do_not_change_results(tmp_path):
     spec = tiny_spec("graph-recover", trials=2000, seed=13)
     rows1 = run_experiment(spec, threads=1)
     rows2 = run_experiment(spec, threads=2)
     assert [(r.coords["metric"], r.coords["rep"], r.estimate) for r in rows1] == \
            [(r.coords["metric"], r.coords["rep"], r.estimate) for r in rows2]
+    # so deterministic writes are byte-identical at any worker count
+    blobs = []
+    for threads, rows in ((1, rows1), (2, rows2)):
+        out = write_results(rows, spec, tmp_path / f"threads{threads}.csv", deterministic=True)
+        blobs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert blobs[0] == blobs[1]
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -335,13 +341,53 @@ def test_cli_rerun_byte_identical(tmp_path):
     ({"grid": 5}, "'grid'"),
     ({"params": [1]}, "'params'"),
     ([1, 2], "object"),
-], ids=["scalar-grid-value", "grid-not-object", "params-not-object", "top-level-array"])
+    ({"trials": [1]}, "'trials'"),
+    ({"seed": None}, "'seed'"),
+    ({"trials": True}, "'trials'"),
+], ids=["scalar-grid-value", "grid-not-object", "params-not-object", "top-level-array",
+        "trials-list", "seed-null", "trials-bool"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, config, named):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["tree-accuracy", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def _recover_config(**over):
+    """The default graph-recover config at n = 400, with ``over`` in its params
+    (a None value drops the key)."""
+    cfgd = default_spec("graph-recover", trials=300).to_dict()
+    params = {**cfgd["params"], "n": 400, **over}
+    cfgd["params"] = {k: v for k, v in params.items() if v is not None}
+    return cfgd
+
+
+@pytest.mark.parametrize("kind, config, named", [
+    # values the run would fail on at its start
+    ("graph-recover", _recover_config(K=3), "K=3"),
+    ("graph-recover", _recover_config(R_mode="auto"), "R=2"),
+    ("graph-recover", _recover_config(delta0=None), "delta0"),
+    ("graph-recover", _recover_config(n=None), "'n'"),
+    ("robust-accuracy", {"params": {"a": 30.0, "b": 4.0},
+                         "grid": {"k": [2], "delta": [0.7]}}, "0.7"),
+    # retired keys are unknown keys, not silently different runs
+    ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0, "clamp": 0.5}, "grid": {"k": [4]}},
+     "'clamp'"),
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "clamp": 0.5},
+                           "grid": {"k": [2]}}, "'clamp'"),
+    ("graph-recover", _recover_config(tree_k=0), "'tree_k'"),
+    ("graph-recover", _recover_config(u_size=5), "'u_size'"),
+    ("graph-recover", _recover_config(weights_delta=0.3), "'weights_delta'"),
+], ids=["K-above-R", "R-with-auto", "oracle-without-delta0", "no-n", "delta-0.7",
+        "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta"])
+def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
+    cfg, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -68,8 +68,6 @@ def test_config_validation():
         AlgoConfig(R=3)  # auto would ignore R and pick its own radius
     with pytest.raises(ValueError):
         AlgoConfig(K=-1)
-    with pytest.raises(ValueError, match="delta"):
-        AlgoConfig(weights_delta=0.7)
 
 
 # --- anchor choice -----------------------------------------------------------
@@ -139,24 +137,24 @@ def test_align_tie_flagged():
 # --- single-vertex labelling ------------------------------------------------
 
 
-def _label_all(g, side, radius, big_k, theta, seed=0, weights_delta=None):
+def _label_all(g, side, radius, big_k, theta, seed=0):
     """The edge engine on all of g, with the coin streams ``recover`` derives."""
     return _label_edges(g, np.asarray(side, dtype=np.int8), radius, big_k, theta,
-                        weights_delta, 1e-12, derived_rng(seed, "labels"),
+                        1e-12, derived_rng(seed, "labels"),
                         derived_rng(seed, "zero-roots").random(g.n))
 
 
-def _label_one(g, v, side, radius, big_k, theta, seed=0, weights_delta=None):
+def _label_one(g, v, side, radius, big_k, theta, seed=0):
     """Vertex v's outputs of the edge engine."""
-    out = _label_all(g, side, radius, big_k, theta, seed, weights_delta)
+    out = _label_all(g, side, radius, big_k, theta, seed)
     return {name: value[v] for name, value in out._asdict().items()}
 
 
-def _oracle_one(g, v, side, radius, big_k, theta, seed=0, weights_delta=None):
+def _oracle_one(g, v, side, radius, big_k, theta, seed=0):
     """Vertex v's label by the per-vertex BFS oracle, with the same coin keys."""
     slot_u = derived_rng(seed, "labels").random(len(g.indices))
     root_u = derived_rng(seed, "zero-roots").random(g.n)
-    return label_one(g.indptr, g.indices, v, radius, big_k, theta, weights_delta, 1e-12,
+    return label_one(g.indptr, g.indices, v, radius, big_k, theta, 1e-12,
                      np.asarray(side, dtype=np.int8), np.zeros(g.n, dtype=bool), slot_u,
                      root_u[v])
 
@@ -395,24 +393,24 @@ def test_recover_logs_anchor_ball_violations():
 
 
 ORACLE_CASES = [
-    # (n, a, b, R, K, impl, delta0, weights_delta)
-    (600, 8, 2, 2, 0, "oracle-noise", 0.2, None),     # K = 0
-    (600, 8, 2, 2, 1, "oracle-noise", 0.2, None),     # 0 < K < R
-    (600, 8, 2, 2, 2, "oracle-noise", 0.2, None),     # K = R
-    (600, 5, 1, 3, 1, "oracle-noise", 0.3, None),     # deeper, sparser balls
-    (600, 2, 8, 2, 1, "oracle-noise", 0.2, None),     # a < b
-    (400, 3, 1, 2, 1, "oracle-noise", 0.2, None),     # isolated centres
-    (600, 8, 2, 2, 1, "oracle-noise", 0.25, 0.3),     # terminal resistors
-    (600, 8, 2, 1, 1, "spectral", None, None),
-    (150, 8, 2, 3, 3, "oracle-noise", 0.2, 0.3),      # K = R = 3, resistors
-    (300, 8, 2, 3, 2, "oracle-noise", 0.2, None),     # K >= 2 votes below the root
+    # (n, a, b, R, K, impl, delta0)
+    (600, 8, 2, 2, 0, "oracle-noise", 0.2),     # K = 0
+    (600, 8, 2, 2, 1, "oracle-noise", 0.2),     # 0 < K < R
+    (600, 8, 2, 2, 2, "oracle-noise", 0.2),     # K = R
+    (600, 5, 1, 3, 1, "oracle-noise", 0.3),     # deeper, sparser balls
+    (600, 2, 8, 2, 1, "oracle-noise", 0.2),     # a < b
+    (400, 3, 1, 2, 1, "oracle-noise", 0.2),     # isolated centres
+    (600, 8, 2, 2, 1, "oracle-noise", 0.25),    # a noisier black box
+    (600, 8, 2, 1, 1, "spectral", None),
+    (150, 8, 2, 3, 3, "oracle-noise", 0.2),     # K = R = 3
+    (300, 8, 2, 3, 2, "oracle-noise", 0.2),     # K >= 2 votes below the root
 ]
 
 
 def _run_both(case, seed, **loop_kw):
-    n, a, b, r, k, impl, delta0, wd = case
+    n, a, b, r, k, impl, delta0 = case
     m = ModelParams(n=n, a=a, b=b)
-    cfg = AlgoConfig(R=r, R_mode="fixed", K=k, weights_delta=wd)
+    cfg = AlgoConfig(R=r, R_mode="fixed", K=k)
     g = sample_sbm(m, seed=90 + seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -582,24 +580,22 @@ def test_relative_tie_test_catches_a_rounding_residue(monkeypatch):
     assert not out["coin"] and abs(out["magnetization"]) == 1.0
 
 
-# --- terminal-resistor weights (weights_delta) -------------------------------
+# --- conductance-weighted votes ----------------------------------------------
 
 
-def _hand_vote(theta, delta, leaf_groups):
+def _hand_vote(theta, leaf_groups):
     """Conductance-weighted K = R = 2 vote at the root, by hand.
 
     ``leaf_groups`` lists, per root child, the +-1 observations of its
-    leaves.  Conductances are in level-local units: a terminal resistor of
-    conductance (1-2 delta)^2 / (4 delta (1-delta)) (infinite when delta is
-    None), each tree edge of resistance (1 - theta^2) / theta^2.
+    leaves.  Conductances are in level-local units: the leaves are noiseless
+    terminals and each tree edge has resistance (1 - theta^2) / theta^2.
     """
     t2 = theta * theta
-    g_term = math.inf if delta is None else (1 - 2 * delta) ** 2 / (4 * delta * (1 - delta))
 
     def series(z):  # subtree conductance z behind one more tree edge
-        return t2 / ((1 - t2) + (0.0 if z == math.inf else 1.0 / z))
+        return t2 / ((1 - t2) + 1.0 / z)
 
-    leaf_c = series(g_term)
+    leaf_c = t2 / (1 - t2)
     child_c = [series(leaf_c * len(obs)) for obs in leaf_groups]
     total = sum(child_c)
     vote = 0.0
@@ -609,11 +605,10 @@ def _hand_vote(theta, delta, leaf_groups):
     return vote
 
 
-def test_weights_delta_hard_vote_star():
+def test_conductance_vote_star():
     # root 0; child 1 with ten leaves (4 +, 6 -), child 2 with one + leaf.
-    # Without terminal resistors the big subtree's weight saturates and the
-    # lone + leaf wins; with heavy terminal noise each leaf counts about
-    # equally and the - majority wins.
+    # With noiseless leaves the big subtree's weight saturates and the lone
+    # + leaf outweighs the - majority.
     leaves_1 = list(range(3, 13))
     edges = [(0, 1), (0, 2), (2, 13)] + [(1, u) for u in leaves_1]
     g = graph_from_edges(14, edges, [1] * 14)
@@ -621,15 +616,12 @@ def test_weights_delta_hard_vote_star():
     side[leaves_1[4:]] = -1
     theta = 0.5  # a = 3, b = 1
     groups = [[int(side[u]) for u in leaves_1], [1]]
-    signs = {}
-    for delta in (None, 0.45):
-        want = math.copysign(1.0, _hand_vote(theta, delta, groups))
-        out = _label_one(g, 0, side, 2, 2, theta, weights_delta=delta)
-        assert out["magnetization"] == want and not out["coin"]
-        signs[delta] = want
-        # the per-vertex BFS oracle agrees
-        assert _oracle_one(g, 0, side, 2, 2, theta, weights_delta=delta)["magnetization"] == want
-    assert signs[None] == 1.0 and signs[0.45] == -1.0
+    want = math.copysign(1.0, _hand_vote(theta, groups))
+    assert want == 1.0
+    out = _label_one(g, 0, side, 2, 2, theta)
+    assert out["magnetization"] == want and not out["coin"]
+    # the per-vertex BFS oracle agrees
+    assert _oracle_one(g, 0, side, 2, 2, theta)["magnetization"] == want
 
 
 # --- per-stage seconds -------------------------------------------------------

@@ -63,22 +63,12 @@ def test_edge_count_concentration():
     assert abs(mean_deg - 3.0) < 5 * math.sqrt(3.0 / g.n)
 
 
-def test_reproducible_and_mode_fixed_sets():
+def test_reproducible():
     m = ModelParams(n=300, a=4, b=1)
     g1 = sample_sbm(m, seed=9)
     g2 = sample_sbm(m, seed=9)
     assert np.array_equal(g1.indices, g2.indices)
     assert np.array_equal(g1.labels, g2.labels)
-    lab = np.ones(300, dtype=np.int8)
-    lab[:150] = -1
-    g3 = sample_sbm(m, mode="fixed-sets", seed=9, labels=lab)
-    assert np.array_equal(g3.labels, lab)
-    with pytest.raises(ValueError):
-        sample_sbm(m, mode="fixed-sets", seed=9)
-    with pytest.raises(ValueError):
-        sample_sbm(m, mode="uniform-random", seed=9, labels=lab)
-    with pytest.raises(ValueError):
-        sample_sbm(m, mode="elsewise", seed=9)
 
 
 def _levels(nb):
