@@ -223,16 +223,21 @@ def _ratio_and_ci(num_mean, num_ci, den_mean, den_ci):
     return r, r * rel
 
 
+def _regime(regime: dict) -> tuple[str, float, float, float, int]:
+    """(tree kind, d, theta, delta, k) of one contraction-check regime."""
+    bad = set(regime) - {"tree_kind", "d", "theta", "delta", "k"}
+    if bad:
+        raise ValueError(f"unknown regime keys: {sorted(bad)}")
+    if not {"d", "theta"} <= regime.keys():
+        raise ValueError(f"a regime needs keys {sorted({'d', 'theta'} - regime.keys())}")
+    return (regime.get("tree_kind", "gw"), float(regime["d"]), float(regime["theta"]),
+            float(regime.get("delta", 0.4)), int(regime.get("k", 8)))
+
+
 def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     out = []
     for idx, regime in enumerate(spec.grid["regimes"]):
-        bad = set(regime) - {"tree_kind", "d", "theta", "delta", "k"}
-        if bad:
-            raise ValueError(f"unknown regime keys: {sorted(bad)}")
-        kind = regime.get("tree_kind", "gw")
-        d, theta = float(regime["d"]), float(regime["theta"])
-        delta = float(regime.get("delta", 0.4))
-        kmax = int(regime.get("k", 8))
+        kind, d, theta, delta, kmax = _regime(regime)
         t0 = time.perf_counter()
         rows, _ = popdyn.magnetization_chain(
             kind, d, theta, kmax, spec.trials,
@@ -259,16 +264,20 @@ def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
     return out
 
 
+def _sweep_theta(ksig: float, base_d: float) -> float:
+    """The theta with theta^2 * base_d = ksig; it must stay below 1."""
+    theta = math.sqrt(ksig / base_d)
+    if theta >= 1.0:
+        raise ValueError(f"theta^2 d = {ksig:g} is unreachable with base_d = {base_d:g}")
+    return theta
+
+
 def run_threshold_sweep(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     base_d = float(spec.params.get("base_d", 2.5))
     k = int(spec.params.get("k", 12))
     out = []
     for idx, ksig in enumerate(float(x) for x in spec.grid["ksig"]):
-        theta = math.sqrt(ksig / base_d)
-        if theta >= 1.0:
-            raise ValueError(
-                f"theta^2 d = {ksig:g} is unreachable with base_d = {base_d:g}"
-            )
+        theta = _sweep_theta(ksig, base_d)
         t0 = time.perf_counter()
         rows, _ = popdyn.magnetization_chain(
             "gw", base_d, theta, k, spec.trials,
@@ -481,6 +490,12 @@ def check_spec(spec: ExperimentSpec) -> None:
         _recover_setup(spec.params)
     elif _TREE_PARAM_KEYS <= _KINDS[spec.kind].params:
         _tree_parameterization(spec)
+    elif spec.kind == "threshold-sweep":
+        for ksig in spec.grid["ksig"]:
+            _sweep_theta(float(ksig), float(spec.params.get("base_d", 2.5)))
+    elif spec.kind == "contraction-check":
+        for regime in spec.grid["regimes"]:
+            _regime(regime)
     for delta in (*spec.grid.get("delta", ()), spec.params.get("delta")):
         _terminal_conductance(None if delta is None else float(delta))
 

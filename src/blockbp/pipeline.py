@@ -41,7 +41,7 @@ import numpy as np
 from .levels import _compose_through_edge, _edge_llr
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
-from .randgraph import LabelledGraph, extract_neighborhood, remove_set
+from .randgraph import LabelledGraph, _row_slots, remove_set
 from .seeding import derived_rng
 
 __all__ = [
@@ -63,6 +63,9 @@ _TIE_ULPS = 4096
 
 # Centres of the sample that ``nontree_neighborhoods`` is estimated from.
 _NONTREE_SAMPLE = 500
+
+# ``_reverse_slots`` stores int32 slot numbers below this many slots.
+_INT32_SLOTS = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,18 @@ class _Labels(NamedTuple):
     coin: np.ndarray
     zero_root: np.ndarray      # the coin decided because the root value is 0
     no_walk: np.ndarray        # no non-backtracking walk of length R
-    walks: np.ndarray          # nodes of the depth-R walk tree, exact while <= n
+
+
+def _reverse_slots(h: LabelledGraph) -> np.ndarray:
+    """Per CSR slot (x, y) of H, the slot (y, x); int32 below ``_INT32_SLOTS`` slots.
+
+    The slots sort by the unique keys x*n + y, so the slot of (y, x) is the
+    rank of the reversed key y*n + x.  That map is its own inverse, so it
+    equals the argsort of the reversed keys: one sort.
+    """
+    n, nbr = h.n, h.indices
+    order = np.argsort(nbr * n + np.repeat(np.arange(n, dtype=np.int64), h.degrees))
+    return order.astype(np.int32 if len(nbr) < _INT32_SLOTS else np.int64, copy=False)
 
 
 def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
@@ -184,14 +198,14 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     above the leaves is a message y -> x, carried by the CSR slot of row x
     holding neighbour y, and a round computes height j + 1 from height j for
     all slots at once: the row sum of y's incoming messages minus the one
-    from x (the cavity step; the reverse slot holds it, found by one
-    ``searchsorted`` and stored as int32 while 2m < 2^31, and built at
-    R >= 2).  The root is a plain row sum.
+    from x (the cavity step; the reverse slot holds it, from
+    ``_reverse_slots``, built at R >= 2).  The root is a plain row sum.
 
-    The same rounds count the walk tree's nodes: ``walks`` is 1 plus the
-    number of non-backtracking walks of each length 1..R from v, and v has a
-    walk of length R (``no_walk`` is false) when the last of those counts is
-    positive.
+    The same rounds find the walks: per slot (x, y), whether a
+    non-backtracking walk of length j starts x -> y, true at j = 1 and then
+    true where y's row holds a true slot other than the one back to x.  v
+    has a walk of length R (``no_walk`` is false) when its row holds a true
+    slot at j = R.
 
     ``side`` is every vertex's +-1 side.  Heights up to K carry the vote:
     at K = 1 the vote is the sign of the integer sum of the children's sides,
@@ -218,10 +232,7 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     """
     n, nbr = h.n, h.indices
     row = np.repeat(np.arange(n, dtype=np.int64), h.degrees)
-    rev = None  # per slot (x, y), the slot (y, x): slots sort by the key x*n + y
-    if r >= 2:
-        rev = np.searchsorted(row * n + nbr, nbr * n + row)
-        rev = rev.astype(np.int32) if len(rev) < 2 ** 31 else rev
+    rev = _reverse_slots(h) if r >= 2 else None
     xi = side.astype(np.float64)
     lim = 1.0 - clamp
     tol = _TIE_ULPS * np.finfo(np.float64).eps
@@ -246,27 +257,20 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
         s[buf <= tol * scale[nbr]] = 0.0
         return s
 
-    def walk_counts():
-        """Per vertex, the walk tree's nodes and whether a walk of length R exists.
-
-        Per slot (x, y) the count of walks of length j that start x -> y is
-        1 at j = 1, then the row sum of y's counts less the one back to x,
-        capped at n.  A count above n already makes walks > n >= |B(v, R)|
-        and the walk of length R certain, so the cap changes neither use.
-        Each count is an integer <= n, and a float64 sum of them is exact
-        while it stays below 2^53; past that it stays far above n.  The slot
-        counts are freed before the passes run.
-        """
-        walks, per_vertex = 1.0 + h.degrees, h.degrees
+    def has_walk():
+        """Per vertex, whether a non-backtracking walk of length R starts there."""
+        per_vertex = h.degrees
         if r >= 2:
-            count = np.ones(len(nbr))
+            walk = np.ones(len(nbr), dtype=bool)
+            total = np.zeros(len(nbr) + 1, dtype=np.int64)
         for _ in range(r - 1):
-            count = np.minimum(per_vertex[nbr] - count[rev], n, out=count)
-            per_vertex = row_sums(count)
-            walks += per_vertex
-        return walks, per_vertex > 0
+            # a true slot of y's row other than the one back to x
+            np.greater(per_vertex[nbr], walk[rev], out=walk)
+            np.cumsum(walk, out=total[1:])
+            per_vertex = total[h.indptr[1:]] - total[h.indptr[:-1]]
+        return per_vertex > 0
 
-    walks, reach = walk_counts()
+    reach = has_walk()
 
     def vote_sums():
         """The votes' sums: per slot below the root, per vertex at K = R."""
@@ -307,26 +311,60 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     sign = np.where(val > 0, 1, -1).astype(np.int8)
     sign[coin] = np.where(root_u[coin] < 0.5, 1, -1)
     return _Labels(sign=sign, magnetization=np.where(coin, 0.0, val), coin=coin,
-                   zero_root=zero, no_walk=~reach, walks=walks)
+                   zero_root=zero, no_walk=~reach)
 
 
-def _nontree_estimate(h: LabelledGraph, r: int, walks: np.ndarray, rng) -> int:
+def _revisiting(h: LabelledGraph, r: int, centres: np.ndarray) -> np.ndarray:
+    """Per centre v, whether v's depth-r walk tree visits a vertex twice.
+
+    While that tree has visited no vertex twice, it is the BFS tree of the
+    ball so far, and each of its nodes has one image.  It first visits a
+    vertex twice where a slot leaves a layer j < r for a vertex that is not
+    the node's parent and is already visited or reached twice in that step.
+    So all centres run one breadth-first search together, a layer at a
+    time, on the int64 keys c*n + y (c the centre's position in
+    ``centres``, y a vertex): one sort of the visited keys with the new
+    ones finds the repeated keys, and a centre with one is flagged and
+    retired.  Only a centre whose ball is still a tree goes on, and the
+    search stops once none is left.
+    """
+    n = h.n
+    flag = np.zeros(len(centres), dtype=bool)
+    owner = np.arange(len(centres), dtype=np.int64)
+    front = np.asarray(centres, dtype=np.int64)
+    parent = np.full(len(front), -1, dtype=np.int64)
+    seen = owner * n + front  # sorted: one key per centre, in centre order
+    for layer in range(r):
+        slot, deg = _row_slots(h, front)
+        nxt, own = h.indices[slot], np.repeat(owner, deg)
+        keep = nxt != np.repeat(parent, deg)
+        parent, nxt, own = np.repeat(front, deg)[keep], nxt[keep], own[keep]
+        seen = np.concatenate((seen, own * n + nxt))
+        seen.sort()
+        flag[seen[1:][seen[1:] == seen[:-1]] // n] = True
+        live = ~flag[own]
+        front, owner, parent = nxt[live], own[live], parent[live]
+        if len(front) == 0 or layer == r - 1:
+            break
+        seen = seen[~flag[seen // n]]
+    return flag
+
+
+def _nontree_estimate(h: LabelledGraph, r: int, rng) -> int:
     """Vertices of H whose depth-r walk tree visits a vertex twice, from a sample.
 
-    The vertex images of v's walk tree are exactly B(v, r), so the tree
-    visits a vertex twice iff it has more nodes, ``walks[v]`` (from
-    ``_label_edges``), than the ball has vertices; that is where the walk
-    tree differs from the BFS tree of the ball.  The count is taken on
-    min(H.n, ``_NONTREE_SAMPLE``) centres drawn from ``rng`` and scaled to
-    H.n (rounded), so it is exact when H.n <= ``_NONTREE_SAMPLE``.  It is 0
-    at r = 1, where no sample is drawn.
+    That is where the walk tree differs from the BFS tree of B(v, r).  The
+    count is taken by ``_revisiting`` on min(H.n, ``_NONTREE_SAMPLE``)
+    centres drawn from ``rng`` and scaled to H.n (rounded), so it is exact
+    when H.n <= ``_NONTREE_SAMPLE``.  It is 0 at r = 1, where no walk tree
+    revisits and no sample is drawn.
     """
     size = min(h.n, _NONTREE_SAMPLE)
     if r == 1 or size == 0:
         return 0
     centres = np.arange(h.n) if size == h.n else rng.choice(h.n, size, replace=False)
-    hits = sum(walks[v] > len(extract_neighborhood(h, int(v), r).ball) for v in centres)
-    return int(hits * h.n + size // 2) // size
+    hits = int(_revisiting(h, r, centres).sum())
+    return (hits * h.n + size // 2) // size
 
 
 @dataclass
@@ -339,7 +377,7 @@ class RecoveryDiagnostics:
     and ``empty_spheres`` the part with no non-backtracking walk of length R.
     ``nontree_neighborhoods`` estimates, from a sample of centres (see
     ``_nontree_estimate``), the vertices whose depth-R walk tree visits a
-    vertex twice: it has more nodes than B(v, R) has vertices.
+    vertex twice, where it differs from the BFS tree of B(v, R).
     ``u_star_ball_violations`` counts the vertices within distance R - 1 of
     one of the anchor's neighbours in H, whose walk trees see the anchor
     alignment from inside.  ``blackbox_informative`` is false
@@ -360,11 +398,11 @@ class RecoveryDiagnostics:
     blackbox_informative: bool = True
 
 
-STAGES = ("holdout", "blackbox", "align", "roots", "balls", "coins")
+STAGES = ("holdout", "blackbox", "align", "roots", "nontree", "coins")
 """Stages of ``recover`` timed in ``RecoveryResult.stage_seconds``, in run
 order: the hold-out set, anchor and subgraph; the black-box run; anchor
-alignment; the edge passes with their coins, walk counts and the
-anchor-distance count; the BFS ball sizes of the non-tree sample; the
+alignment; the edge passes with their coins, reach pass and the
+anchor-distance count; the batched search of the non-tree sample; the
 hold-out coins and the overlap report."""
 
 
@@ -466,9 +504,8 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     diag.u_star_ball_violations = int(near.sum())
     lap("roots")
 
-    diag.nontree_neighborhoods = _nontree_estimate(h, r, out.walks,
-                                                   derived_rng(seed, "nontree-sample"))
-    lap("balls")
+    diag.nontree_neighborhoods = _nontree_estimate(h, r, derived_rng(seed, "nontree-sample"))
+    lap("nontree")
 
     coins = derived_rng(seed, "hold-out-coins").random(len(hold_out))
     side_out[hold_out] = np.where(coins < 0.5, 1, -1)

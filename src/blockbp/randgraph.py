@@ -208,6 +208,14 @@ def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
     return ids
 
 
+def _row_slots(g: LabelledGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR slots of ``rows``, row after row, and each row's degree."""
+    degs = g.indptr[rows + 1] - g.indptr[rows]
+    slots = np.repeat(g.indptr[rows] - (np.cumsum(degs) - degs), degs)
+    slots += np.arange(len(slots), dtype=np.int64)
+    return slots, degs
+
+
 def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Ball:
     """BFS ball B(v, radius): each level is the sorted, deduplicated set of
     the previous level's neighbours not yet visited.
@@ -224,11 +232,7 @@ def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Ball:
     visited[v] = True
     vertex = [np.array([v], dtype=np.int64)]
     for _ in range(radius):
-        front = vertex[-1]
-        degs = g.indptr[front + 1] - g.indptr[front]
-        slots = np.repeat(g.indptr[front] - (np.cumsum(degs) - degs), degs)
-        slots += np.arange(len(slots), dtype=np.int64)
-        nbrs = g.indices[slots]
+        nbrs = g.indices[_row_slots(g, vertex[-1])[0]]
         nbrs = nbrs[~visited[nbrs]]
         nbrs.sort()
         first = np.empty(len(nbrs), dtype=bool)

@@ -379,8 +379,14 @@ def _recover_config(**over):
     ("graph-recover", _recover_config(tree_k=0), "'tree_k'"),
     ("graph-recover", _recover_config(u_size=5), "'u_size'"),
     ("graph-recover", _recover_config(weights_delta=0.3), "'weights_delta'"),
+    # tree-side grid values a runner would reject only once it started
+    ("threshold-sweep", {"params": {"base_d": 2.0}, "grid": {"ksig": [2.5]}}, "2.5"),
+    ("contraction-check", {"params": {}, "grid": {"regimes": [
+        {"d": 4.0, "theta": 0.5, "zz": 1}]}}, "'zz'"),
+    ("contraction-check", {"params": {}, "grid": {"regimes": [{"theta": 0.5}]}}, "'d'"),
 ], ids=["K-above-R", "R-with-auto", "oracle-without-delta0", "no-n", "delta-0.7",
-        "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta"])
+        "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta",
+        "ksig-unreachable", "regime-zz", "regime-no-d"])
 def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
     cfg, out = tmp_path / "c.json", tmp_path / "out.csv"
     cfg.write_text(json.dumps(config))

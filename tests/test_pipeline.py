@@ -21,6 +21,8 @@ from blockbp.pipeline import (
     STAGES,
     AlgoConfig,
     _label_edges,
+    _reverse_slots,
+    _revisiting,
     align_partition,
     choose_anchor,
     recover,
@@ -29,7 +31,6 @@ from blockbp.pipeline import (
 )
 from blockbp.randgraph import (
     LabelledGraph,
-    extract_neighborhood,
     graph_from_edges,
     remove_set,
     sample_sbm,
@@ -203,13 +204,13 @@ def test_label_vertex_nontree_flag():
     for v, r, nontree in ((0, 2, True), (0, 1, False), (3, 2, False), (3, 3, True)):
         assert (bfs_extra_edges(g.indptr, g.indices, v, r, visited) > 0) == nontree
         assert revisits(walk_tree(g.indptr, g.indices, v, r)[0]) == nontree
-        walks = _label_all(g, np.ones(g.n), r, 1, 0.5).walks[v]
-        assert (walks > len(extract_neighborhood(g, v, r).ball)) == nontree
+        assert _revisiting(g, r, np.array([v])).tolist() == [nontree]
 
 
 def _count_graphs():
-    """Small SBMs, K6 (walk counts pass n) and a triangle with a pendant (a
-    sphere-sphere edge at R = 1), each with an isolated vertex."""
+    """Small SBMs, K6 (every walk tree revisits from R = 2) and a triangle
+    with a pendant (a sphere-sphere edge at R = 1), each with an isolated
+    vertex."""
     def with_isolated(g):
         src = np.repeat(np.arange(g.n), g.degrees)
         edges = [(int(x), int(y)) for x, y in zip(src, g.indices) if x < y]
@@ -223,25 +224,51 @@ def _count_graphs():
     return [with_isolated(g) for g in graphs]
 
 
-def test_walk_count_above_ball_size_iff_walk_tree_revisits():
-    # the walk tree of v has one node per non-backtracking walk of length
-    # <= R and its vertex images are B(v, R), so it revisits a vertex iff it
-    # has more nodes than the ball; capped at n, the count stays exact up to
-    # n + 1 and above that only its excess matters
-    capped = 0
+def test_nontree_flag_iff_walk_tree_revisits():
+    # the batched search flags a centre exactly where its explicit walk tree
+    # visits a vertex twice, whatever the other centres of the batch and
+    # their order; the reach pass finds a walk of length R exactly where
+    # the walk tree has a node at depth R
+    flags, no_walks = set(), set()
     for g in _count_graphs():
         assert g.degree(g.n - 1) == 0
         for r in range(1, 6):
+            trees = [walk_tree(g.indptr, g.indices, v, r)[0] for v in range(g.n)]
+            want = np.array([revisits(levels) for levels in trees])
+            assert np.array_equal(_revisiting(g, r, np.arange(g.n)), want), (g.n, r)
+            order = np.random.default_rng(r).permutation(g.n)
+            assert np.array_equal(_revisiting(g, r, order), want[order]), (g.n, r)
             out = _label_all(g, np.ones(g.n), r, 1, 0.5)
-            for v in range(g.n):
-                levels = walk_tree(g.indptr, g.indices, v, r)[0]
-                nodes = sum(len(lvl) for lvl in levels)
-                ball = len(extract_neighborhood(g, v, r).ball)
-                assert (out.walks[v] > ball) == revisits(levels), (g.n, v, r)
-                assert min(out.walks[v], g.n + 1) == min(nodes, g.n + 1), (g.n, v, r)
-                assert out.no_walk[v] == (len(levels[r]) == 0)
-                capped += nodes > g.n
-    assert capped > 0
+            assert out.no_walk.tolist() == [len(levels[r]) == 0 for levels in trees], (g.n, r)
+            flags.update(want.tolist())
+            no_walks.update(out.no_walk.tolist())
+    assert flags == no_walks == {True, False}
+
+
+def _reverse_slot_graphs():
+    return [*_count_graphs(), sample_sbm(ModelParams(n=2000, a=30, b=4), seed=4),
+            graph_from_edges(5, [], np.ones(5))]
+
+
+def test_reverse_slots(monkeypatch):
+    # rev maps slot (x, y) to slot (y, x): an involution that lands in row y
+    # at neighbour x, equal to the binary search of the reversed keys; from
+    # _INT32_SLOTS slots on it is int64 with the same values
+    for g in _reverse_slot_graphs():
+        row = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+        rev = _reverse_slots(g)
+        assert rev.dtype == np.int32
+        assert np.array_equal(rev[rev], np.arange(len(g.indices)))
+        assert np.array_equal(g.indices[rev], row)
+        assert np.array_equal(row[rev], g.indices)
+        ref = np.searchsorted(row * g.n + g.indices, g.indices * g.n + row)
+        assert np.array_equal(rev, ref)
+        monkeypatch.setattr(pipeline, "_INT32_SLOTS", len(g.indices))
+        wide = _reverse_slots(g)
+        assert wide.dtype == np.int64 and np.array_equal(wide, ref)
+        monkeypatch.setattr(pipeline, "_INT32_SLOTS", len(g.indices) + 1)
+        assert _reverse_slots(g).dtype == np.int32
+        monkeypatch.undo()
 
 
 # --- full recovery -----------------------------------------------------------
