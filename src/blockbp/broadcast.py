@@ -89,29 +89,35 @@ class BroadcastTree:
         return int(np.searchsorted(self.level_start, u, side="right")) - 1
 
 
+def _check_offspring(kind: str, d: float) -> None:
+    """The one check of a tree kind and its offspring mean: kind "gw" or
+    "dary", d positive and finite, and an integer for "dary"."""
+    if kind not in ("gw", "dary"):
+        raise ValueError(f"unknown tree kind {kind!r}")
+    if not 0.0 < d < np.inf:
+        raise ValueError(f"offspring mean d must be positive and finite, not {d!r}")
+    if kind == "dary" and int(d) != d:
+        raise ValueError(f"d-ary trees need integer d, not {d!r}")
+
+
 def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Child counts of ``size`` nodes: d each ("dary") or i.i.d. Poisson(d) ("gw")."""
+    _check_offspring(kind, d)
     if kind == "gw":
         return rng.poisson(d, size).astype(np.int64, copy=False)
-    if kind == "dary":
-        di = int(d)
-        if di != d:
-            raise ValueError("d-ary trees need integer d")
-        return np.full(size, di, dtype=np.int64)
-    raise ValueError(f"unknown tree kind {kind!r}")
+    return np.full(size, int(d), dtype=np.int64)
 
 
 def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
     """Sample tree structure truncated at ``depth`` (no spins).
 
     kind "dary": every node above the last level has exactly d children
-    (d must be a nonnegative integer).  kind "gw": child counts are i.i.d.
+    (d must be a positive integer).  kind "gw": child counts are i.i.d.
     Poisson(d); the tree may die out before reaching ``depth``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if d <= 0:
-        raise ValueError("offspring mean d must be positive")
+    _check_offspring(kind, d)
     rng = as_generator(seed)
     parent_pos = [np.full(1, -1, dtype=np.int64)]
     for _ in range(depth):

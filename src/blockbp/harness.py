@@ -12,8 +12,9 @@ streams derived from the master seed by key and results are merged in a fixed
 order.  ``write_results(..., deterministic=True)`` writes the wall-time column
 as 0.0, so reruns are byte-identical.
 
-Each kind is one ``_Kind`` record in ``_KINDS``: runner, accepted keys, CSV
-coordinate columns and default spec.
+Each kind is one ``_Kind`` record in ``_KINDS``: runner, setup, accepted
+keys, CSV coordinate columns and default spec.  The setup reads the values
+the runner starts from and checks them with the tree engines' own checks.
 
 The noise levels of robust-accuracy (and of each moments-check config) come
 from one call that draws the trees and spins once and carries every level
@@ -26,7 +27,8 @@ Config files are JSON objects with exactly the keys
 {"kind", "params", "grid", "trials", "seed"} (the last two optional
 integers), where params is an object and grid an object of nonempty lists
 with exactly its kind's keys; unknown keys anywhere are rejected, and
-``check_spec`` rejects the values a run would fail on at its start.
+``check_spec`` runs the kind's setup, which rejects the values a run would
+fail on, and a d or k that is not an integer where the run needs one.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ from pathlib import Path
 import numpy as np
 
 from . import popdyn
+from .broadcast import _check_offspring
 from .params import ModelParams, derive_tree_params
-from .levels import _terminal_conductance
 from .partition import _check_blackbox
 from .pipeline import AlgoConfig, recover, resolve_radius
-from .popdyn import Z99, ci_half_width
+from .popdyn import (Z99, _check_chain_inputs, _check_conductance_inputs,
+                     _check_dary_sum_inputs, ci_half_width)
 from .randgraph import sample_sbm
 from .seeding import derived_rng
 
@@ -125,30 +128,55 @@ class ResultRow:
     seconds: float
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int: an integer, or an integral float such as JSON's 2.0."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key!r} must be an integer, not {value!r}")
+
+
 def _tree_parameterization(spec: ExperimentSpec):
     """(tree kind, d, theta) from either (a, b) or direct (d, theta) params."""
     p = spec.params
     kind = p.get("tree_kind", "gw")
-    if kind not in ("gw", "dary"):
-        raise ValueError("tree_kind must be 'gw' or 'dary'")
     has_ab = "a" in p or "b" in p
     has_dt = "d" in p or "theta" in p
     if has_ab == has_dt or not ({"a", "b"} <= p.keys() or {"d", "theta"} <= p.keys()):
         raise ValueError("give exactly one of the pairs (a, b) or (d, theta)")
     if has_ab:
         tp = derive_tree_params(ModelParams(n=10 ** 9, a=p["a"], b=p["b"]))
-        return kind, tp.d, tp.theta
-    return kind, float(p["d"]), float(p["theta"])
+        d, theta = tp.d, tp.theta
+    else:
+        d, theta = float(p["d"]), float(p["theta"])
+    _check_offspring(kind, d)
+    return kind, d, theta
+
+
+def _depths(spec: ExperimentSpec) -> list[int]:
+    """The grid's depths k, sorted."""
+    return sorted(_integer("k", k) for k in spec.grid["k"])
 
 
 # --- runners ---------------------------------------------------------------
 
 
+def _accuracy_setup(spec: ExperimentSpec):
+    """(tree kind, d, theta, depths, noise levels) of tree-accuracy or
+    robust-accuracy, checked; tree-accuracy's one noise level is None."""
+    kind, d, theta = _tree_parameterization(spec)
+    ks = _depths(spec)
+    deltas = [float(x) for x in spec.grid["delta"]] if "delta" in spec.grid else [None]
+    for k in ks:
+        for delta in deltas:
+            _check_chain_inputs(theta, k, spec.trials, delta)
+    return kind, d, theta, ks, deltas
+
+
 def run_accuracy(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     """tree-accuracy rows, or robust-accuracy rows at each grid delta."""
-    deltas = [float(x) for x in spec.grid["delta"]] if "delta" in spec.grid else [None]
-    kind, d, theta = _tree_parameterization(spec)
-    ks = sorted(int(k) for k in spec.grid["k"])
+    kind, d, theta, ks, deltas = _accuracy_setup(spec)
     t0 = time.perf_counter()
     chains = popdyn.magnetization_chain(
         kind, d, theta, max(ks), spec.trials, derived_rng(spec.seed, "chain"),
@@ -170,45 +198,67 @@ def run_accuracy(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     return out
 
 
-def run_moments_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
-    from .estimators import majority_moments
-
-    ds = [int(x) for x in spec.grid["d"]]
+def _moments_setup(spec: ExperimentSpec):
+    """(configs, noise levels, depths) of moments-check, checked; a config is
+    the (d, theta) of a d-ary tree."""
+    ds = [_integer("d", x) for x in spec.grid["d"]]
     thetas = [float(x) for x in spec.grid["theta"]]
     deltas = [float(x) for x in spec.grid["delta"]]
-    ks = sorted(int(x) for x in spec.grid["k"])
+    ks = _depths(spec)
     configs = [(d, th) for d in ds for th in thetas]
-    configs += [tuple(c) for c in spec.params.get("extra_configs", [])]
+    for c in spec.params.get("extra_configs", []):
+        if not isinstance(c, (list, tuple)) or len(c) != 2:
+            raise ValueError(f"an extra config must be a pair [d, theta], not {c!r}")
+        configs.append((_integer("d", c[0]), float(c[1])))
+    for d, theta in configs:
+        for k in ks:
+            _check_dary_sum_inputs(d, theta, k, spec.trials, deltas)
+    return configs, deltas, ks
+
+
+def run_moments_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+    configs, deltas, ks = _moments_setup(spec)
     out = []
     for cfg_idx, (d, theta) in enumerate(configs):
-        t0 = time.perf_counter()
-        # independent trials (not the population chain): exact CIs
-        sums = popdyn.dary_sum_trials(
-            int(d), theta, max(ks), spec.trials,
-            derived_rng(spec.seed, "sums", cfg_idx), delta=deltas,
-        )
-        dt = (time.perf_counter() - t0) / len(deltas)
-        for delta, (s, sn) in zip(deltas, sums):
-            for k in ks:
-                mom = majority_moments(int(d), theta, k, delta=delta)
-                quads = []
-                for stat, vals, target in (("s", s[k], (mom.mean, mom.var)),
-                                           ("sn", sn[k], (mom.noisy_mean, mom.noisy_var))):
-                    mean_tgt, var_tgt = target
-                    quads.append((f"{stat}_mean", float(vals.mean()),
-                                  ci_half_width(float(vals.std()), spec.trials),
-                                  mean_tgt))
-                    sq = (vals - vals.mean()) ** 2
-                    quads.append((f"{stat}_var", float(sq.mean()),
-                                  ci_half_width(float(sq.std()), spec.trials),
-                                  var_tgt))
-                for stat, est, half, target in quads:
-                    out.append(ResultRow(
-                        experiment=spec.kind,
-                        coords={"d": int(d), "theta": theta, "delta": delta,
-                                "k": k, "stat": stat, "target": target},
-                        estimate=est, ci=half, trials=spec.trials, seconds=dt,
-                    ))
+        out += _moment_rows(spec, cfg_idx, d, theta, deltas, ks)
+    return out
+
+
+def _moment_rows(spec: ExperimentSpec, cfg_idx: int, d: int, theta: float,
+                 deltas: list, ks: list) -> list[ResultRow]:
+    """One config's rows; its level sums are freed on return, before the next
+    config draws its own."""
+    from .estimators import majority_moments
+
+    t0 = time.perf_counter()
+    # independent trials (not the population chain): exact CIs
+    sums = popdyn.dary_sum_trials(
+        d, theta, max(ks), spec.trials,
+        derived_rng(spec.seed, "sums", cfg_idx), delta=deltas,
+    )
+    dt = (time.perf_counter() - t0) / len(deltas)
+    out = []
+    for delta, (s, sn) in zip(deltas, sums):
+        for k in ks:
+            mom = majority_moments(d, theta, k, delta=delta)
+            quads = []
+            for stat, vals, target in (("s", s[k], (mom.mean, mom.var)),
+                                       ("sn", sn[k], (mom.noisy_mean, mom.noisy_var))):
+                mean_tgt, var_tgt = target
+                quads.append((f"{stat}_mean", float(vals.mean()),
+                              ci_half_width(float(vals.std()), spec.trials),
+                              mean_tgt))
+                sq = (vals - vals.mean()) ** 2
+                quads.append((f"{stat}_var", float(sq.mean()),
+                              ci_half_width(float(sq.std()), spec.trials),
+                              var_tgt))
+            for stat, est, half, target in quads:
+                out.append(ResultRow(
+                    experiment=spec.kind,
+                    coords={"d": d, "theta": theta, "delta": delta,
+                            "k": k, "stat": stat, "target": target},
+                    estimate=est, ci=half, trials=spec.trials, seconds=dt,
+                ))
     return out
 
 
@@ -223,21 +273,26 @@ def _ratio_and_ci(num_mean, num_ci, den_mean, den_ci):
     return r, r * rel
 
 
-def _regime(regime: dict) -> tuple[str, float, float, float, int]:
-    """(tree kind, d, theta, delta, k) of one contraction-check regime."""
-    bad = set(regime) - {"tree_kind", "d", "theta", "delta", "k"}
-    if bad:
-        raise ValueError(f"unknown regime keys: {sorted(bad)}")
-    if not {"d", "theta"} <= regime.keys():
-        raise ValueError(f"a regime needs keys {sorted({'d', 'theta'} - regime.keys())}")
-    return (regime.get("tree_kind", "gw"), float(regime["d"]), float(regime["theta"]),
-            float(regime.get("delta", 0.4)), int(regime.get("k", 8)))
+def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]:
+    """(tree kind, d, theta, delta, k) of each contraction-check regime, checked."""
+    out = []
+    for regime in spec.grid["regimes"]:
+        bad = set(regime) - {"tree_kind", "d", "theta", "delta", "k"}
+        if bad:
+            raise ValueError(f"unknown regime keys: {sorted(bad)}")
+        if not {"d", "theta"} <= regime.keys():
+            raise ValueError(f"a regime needs keys {sorted({'d', 'theta'} - regime.keys())}")
+        kind, d, theta = regime.get("tree_kind", "gw"), float(regime["d"]), float(regime["theta"])
+        delta, k = float(regime.get("delta", 0.4)), _integer("k", regime.get("k", 8))
+        _check_offspring(kind, d)
+        _check_chain_inputs(theta, k, spec.trials, delta)
+        out.append((kind, d, theta, delta, k))
+    return out
 
 
 def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     out = []
-    for idx, regime in enumerate(spec.grid["regimes"]):
-        kind, d, theta, delta, kmax = _regime(regime)
+    for idx, (kind, d, theta, delta, kmax) in enumerate(_regimes(spec)):
         t0 = time.perf_counter()
         rows, _ = popdyn.magnetization_chain(
             kind, d, theta, kmax, spec.trials,
@@ -264,20 +319,28 @@ def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
     return out
 
 
-def _sweep_theta(ksig: float, base_d: float) -> float:
-    """The theta with theta^2 * base_d = ksig; it must stay below 1."""
-    theta = math.sqrt(ksig / base_d)
-    if theta >= 1.0:
-        raise ValueError(f"theta^2 d = {ksig:g} is unreachable with base_d = {base_d:g}")
-    return theta
+def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, float]]]:
+    """(base_d, k, [(ksig, theta)]) of threshold-sweep, checked: theta^2 base_d
+    = ksig, and theta must stay below 1."""
+    base_d = float(spec.params.get("base_d", 2.5))
+    k = _integer("k", spec.params.get("k", 12))
+    _check_offspring("gw", base_d)
+    points = []
+    for ksig in (float(x) for x in spec.grid["ksig"]):
+        if not ksig >= 0.0:
+            raise ValueError(f"ksig must be >= 0, not {ksig:g}")
+        theta = math.sqrt(ksig / base_d)
+        if theta >= 1.0:
+            raise ValueError(f"theta^2 d = {ksig:g} is unreachable with base_d = {base_d:g}")
+        _check_chain_inputs(theta, k, spec.trials, 0.0)
+        points.append((ksig, theta))
+    return base_d, k, points
 
 
 def run_threshold_sweep(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
-    base_d = float(spec.params.get("base_d", 2.5))
-    k = int(spec.params.get("k", 12))
+    base_d, k, points = _sweep_setup(spec)
     out = []
-    for idx, ksig in enumerate(float(x) for x in spec.grid["ksig"]):
-        theta = _sweep_theta(ksig, base_d)
+    for idx, (ksig, theta) in enumerate(points):
         t0 = time.perf_counter()
         rows, _ = popdyn.magnetization_chain(
             "gw", base_d, theta, k, spec.trials,
@@ -294,13 +357,20 @@ def run_threshold_sweep(spec: ExperimentSpec, threads: int = 1) -> list[ResultRo
     return out
 
 
-def run_conductance_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+def _conductance_setup(spec: ExperimentSpec):
+    """(tree kind, d, theta, delta, depths, threshold) of conductance-check, checked."""
     kind, d, theta = _tree_parameterization(spec)
     delta = spec.params.get("delta")
     delta = float(delta) if delta is not None else None
-    ks = sorted(int(x) for x in spec.grid["k"])
+    ks = _depths(spec)
+    _check_conductance_inputs(theta, max(ks), spec.trials, delta, set(ks))
     eta = 0.5 * (1.0 - theta)
     threshold = float(spec.params.get("threshold", theta * theta * d / (16.0 * eta)))
+    return kind, d, theta, delta, ks, threshold
+
+
+def run_conductance_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+    kind, d, theta, delta, ks, threshold = _conductance_setup(spec)
     t0 = time.perf_counter()
     _, pools = popdyn.conductance_chain(
         kind, d, theta, max(ks), spec.trials,
@@ -420,12 +490,15 @@ class _Kind:
 
     ``run(spec, threads)`` makes the rows; ``threads`` worker processes run
     graph-recover's repetitions, and the tree-side runners ignore it.
+    ``setup(spec)`` reads the values the runner starts from and raises
+    ValueError, naming the value, where the run would fail on one.
     ``params`` holds the params keys a spec may give, ``columns`` the CSV
     coordinate columns in order.  ``default_params`` and ``default_grid`` make
     the spec ``default_spec`` builds; a spec's grid has ``default_grid``'s keys.
     """
 
     run: Callable[[ExperimentSpec, int], list[ResultRow]]
+    setup: Callable[[ExperimentSpec], object]
     params: set
     columns: tuple
     default_params: dict
@@ -434,20 +507,23 @@ class _Kind:
 
 _KINDS = {
     "tree-accuracy": _Kind(
-        run_accuracy, _TREE_PARAM_KEYS, ("tree_kind", "d", "theta", "k"),
+        run_accuracy, _accuracy_setup, _TREE_PARAM_KEYS, ("tree_kind", "d", "theta", "k"),
         {"a": 5.0, "b": 1.0}, {"k": list(range(2, 11))},
     ),
     "robust-accuracy": _Kind(
-        run_accuracy, _TREE_PARAM_KEYS, ("tree_kind", "d", "theta", "delta", "k"),
+        run_accuracy, _accuracy_setup, _TREE_PARAM_KEYS,
+        ("tree_kind", "d", "theta", "delta", "k"),
         {"a": 30.0, "b": 4.0}, {"k": [2, 4, 6, 8], "delta": [0.0, 0.2, 0.4]},
     ),
     "moments-check": _Kind(
-        run_moments_check, {"extra_configs"}, ("d", "theta", "delta", "k", "stat", "target"),
+        run_moments_check, _moments_setup, {"extra_configs"},
+        ("d", "theta", "delta", "k", "stat", "target"),
         {"extra_configs": [[4, 0.5]]},
         {"d": [2, 3], "theta": [0.5, 0.8], "delta": [0.0, 0.2], "k": [1, 2, 3, 4, 5]},
     ),
     "contraction-check": _Kind(
-        run_contraction_check, set(), ("tree_kind", "d", "theta", "delta", "level", "metric"),
+        run_contraction_check, _regimes, set(),
+        ("tree_kind", "d", "theta", "delta", "level", "metric"),
         {},
         {"regimes": [
             {"tree_kind": "gw", "d": 64.0, "theta": 0.3, "delta": 0.4, "k": 8},
@@ -457,16 +533,16 @@ _KINDS = {
         ]},
     ),
     "threshold-sweep": _Kind(
-        run_threshold_sweep, {"base_d", "k"}, ("d", "theta", "ksig", "k"),
+        run_threshold_sweep, _sweep_setup, {"base_d", "k"}, ("d", "theta", "ksig", "k"),
         {"base_d": 2.5, "k": 12}, {"ksig": [0.5, 0.8, 1.0, 1.25, 2.0]},
     ),
     "conductance-check": _Kind(
-        run_conductance_check, _TREE_PARAM_KEYS | {"delta", "threshold"},
+        run_conductance_check, _conductance_setup, _TREE_PARAM_KEYS | {"delta", "threshold"},
         ("tree_kind", "d", "theta", "delta", "k", "threshold", "metric"),
         {"a": 30.0, "b": 4.0}, {"k": [2, 4, 6]},
     ),
     "graph-recover": _Kind(
-        run_graph_recover,
+        run_graph_recover, lambda spec: _recover_setup(spec.params),
         {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K"},
         ("n", "a", "b", "impl", "delta0", "R", "K", "rep", "metric"),
         {"n": 2000, "a": 30.0, "b": 4.0, "impl": "oracle-noise",
@@ -485,19 +561,8 @@ def _kind(kind: str) -> _Kind:
 
 
 def check_spec(spec: ExperimentSpec) -> None:
-    """Raise ValueError, naming the value, where the spec's run would fail at its start."""
-    if spec.kind == "graph-recover":
-        _recover_setup(spec.params)
-    elif _TREE_PARAM_KEYS <= _KINDS[spec.kind].params:
-        _tree_parameterization(spec)
-    elif spec.kind == "threshold-sweep":
-        for ksig in spec.grid["ksig"]:
-            _sweep_theta(float(ksig), float(spec.params.get("base_d", 2.5)))
-    elif spec.kind == "contraction-check":
-        for regime in spec.grid["regimes"]:
-            _regime(regime)
-    for delta in (*spec.grid.get("delta", ()), spec.params.get("delta")):
-        _terminal_conductance(None if delta is None else float(delta))
+    """Raise ValueError, naming the value, where the spec's run would fail on one."""
+    _KINDS[spec.kind].setup(spec)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:

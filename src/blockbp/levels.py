@@ -9,7 +9,8 @@ level as its roots.  The edge transforms are shared with the passes that
 need no lists: ``pipeline._label_edges`` runs the BP combine on directed
 edges with ``_edge_llr``, and the ``popdyn`` population chains apply
 ``_edge_llr`` or ``_compose_through_edge`` to their pool and sum each new
-member's children with one sparse product per generation.
+member's children with a generation's sparse operator, a row block at a
+time.
 
 - ``bp_up``: the magnetization recursion, last level to level 0;
 - ``conductance_up``: the series-parallel reduction of the resistor network

@@ -6,12 +6,13 @@ of i.i.d. copies of the value at its children.  The *population chain*
 exploits that: keep a pool of ``trials`` independent samples of the level-k
 law conditioned on sigma = +, and produce the level k+1 pool by drawing, for
 each new sample, an offspring count, that many pool members, and the
-child-spin flips.  Such a generation is one sparse trials x trials operator
-(row i: new member i's children, valued by their flip signs), so a level is
-one sparse product on the pool's edge terms.  It costs O(trials * mean
-offspring) regardless of tree size, which is what makes depth-12 experiments
-with 1e5 trials feasible (an explicit mean-17 tree of depth 8 has ~1e10
-nodes).
+child-spin flips.  Such a generation is a sparse trials x trials operator
+(row i: new member i's children, valued by their flip signs) on the pool's
+edge terms, applied a block of rows at a time, so that it holds only its
+drawn children whole and a block's flip signs at once.  It costs O(trials *
+mean offspring) time regardless of tree size, which is what makes depth-12
+experiments with 1e5 trials feasible (an explicit mean-17 tree of depth 8
+has ~1e10 nodes).
 
 Level sums on d-ary trees need no chain: ``dary_sum_trials`` draws them as
 binomial level counts over fully independent trials.
@@ -27,7 +28,7 @@ seed and different noise levels share them (coupled comparisons), and a run
 with delta=0 reproduces the noiseless chain exactly.  ``magnetization_chain``
 and ``dary_sum_trials`` also take a sequence of noise levels and then draw
 the shared structure and spins once: the chain carries one Y pool per level
-beside X through each generation's single sparse product, and the level sums
+beside X through each generation's one set of sums, and the level sums
 draw every level's noise from the state the spins left.  Each level's result
 is bit for bit that of its own call with the same seed.
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .broadcast import BroadcastTree, _offspring
+from .broadcast import BroadcastTree, _check_offspring, _offspring
 from .estimators import effective_conductance
 from .levels import _compose_through_edge, _edge_llr, _terminal_conductance, current_down
 from .seeding import as_generator
@@ -62,19 +63,36 @@ def ci_half_width(std: float, n: int, z: float = Z99) -> float:
     return z * std / np.sqrt(n)
 
 
-def _generation_operator(kind: str, d: float, trials: int, rng: np.random.Generator,
-                         eta: float | None = None) -> sp.csr_array:
-    """One generation as a sparse trials x trials operator on the pool.
+_BLOCK_SLOTS = 2 ** 16  # child slots whose flip signs are held at once
 
-    Row i holds the pool members drawn as new member i's children, in draw
-    order; each child's value is its flip sign, -1 where its uniform falls
+
+def _generation_sums(kind: str, d: float, trials: int, rng: np.random.Generator,
+                     terms: np.ndarray, eta: float | None = None) -> np.ndarray:
+    """One generation: every new pool member's sum of its children's terms.
+
+    Draws each new member's offspring count, then all of its children (pool
+    members, in draw order), then one uniform per child slot; a child adds
+    its row of ``terms`` times its flip sign, -1 where its uniform falls
     below ``eta`` (1 for every child when ``eta`` is None, and no uniforms
-    are drawn).  ``op @ v`` sums each row's terms from 0 in slot order, as
-    ``np.bincount`` does, and a childless row reads 0.
+    are drawn).  Each sum starts from 0 and adds its slots in order, as
+    ``np.bincount`` does, and a childless member reads 0.
+
+    The generation is a sparse trials x trials operator (row i: new member
+    i's children, valued by their signs), applied a block of rows at a time:
+    a block's uniforms go into one reused buffer of about ``_BLOCK_SLOTS``
+    slots, so the children are the one slot-length array.  ``Generator``
+    draws the same stream in consecutive calls as in one, so the draws and
+    the sums are bit for bit those of the whole operator.
     """
     indptr = np.zeros(trials + 1, dtype=np.int64)
     np.cumsum(_offspring(kind, d, trials, rng), out=indptr[1:])
     n_slots = int(indptr[-1])
+    # row blocks of at most _BLOCK_SLOTS slots; a wider row is a block alone
+    bounds = [0]
+    while bounds[-1] < trials:
+        r0 = bounds[-1]
+        r1 = int(np.searchsorted(indptr, indptr[r0] + _BLOCK_SLOTS, side="right")) - 1
+        bounds.append(max(r1, r0 + 1))
     if max(trials, n_slots) < 2 ** 31:
         # scipy's own index dtype here, so it copies nothing; an int32 draw
         # below 2**31 takes the int64 draw's values and leaves the same state
@@ -82,23 +100,50 @@ def _generation_operator(kind: str, d: float, trials: int, rng: np.random.Genera
         indptr = indptr.astype(np.int32)
     else:
         idx = rng.integers(0, trials, n_slots)
-    if eta is None:
-        sign = np.ones(n_slots)
-    else:
-        sign = rng.random(n_slots)
-        sign -= eta  # u < eta exactly when u - eta < 0
-        np.copysign(1.0, sign, out=sign)
-    return sp.csr_array((sign, idx, indptr), shape=(trials, trials))
+    width = int(np.diff(indptr[bounds]).max())
+    buf = np.ones(width) if eta is None else np.empty(width)
+    out = np.empty((trials, *terms.shape[1:]))
+    for r0, r1 in zip(bounds, bounds[1:]):
+        s0, s1 = indptr[r0], indptr[r1]
+        sign = buf[:s1 - s0]
+        if eta is not None:
+            rng.random(out=sign)
+            sign -= eta  # u < eta exactly when u - eta < 0
+            np.copysign(1.0, sign, out=sign)
+        block = sp.csr_array((sign, idx[s0:s1], indptr[r0:r1 + 1] - s0),
+                             shape=(r1 - r0, trials))
+        out[r0:r1] = block @ terms
+    return out
 
 
 def _check_chain_inputs(theta: float, k: int, trials: int, delta: float | None, k_min=0) -> None:
     if not -1.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [-1, 1]")
+        raise ValueError(f"theta must lie in [-1, 1], not {theta!r}")
     if k < k_min:
-        raise ValueError(f"k must be >= {k_min}")
+        raise ValueError(f"k must be >= {k_min}, not {k!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _terminal_conductance(delta)  # rejects delta outside [0, 1/2)
+
+
+def _check_conductance_inputs(theta: float, k: int, trials: int, delta: float | None,
+                              keep: set) -> None:
+    """The chain checks at k >= 1, with 0 < |theta| < 1 and ``keep`` in 1..k."""
+    if not -1.0 < theta < 1.0 or theta == 0.0:
+        raise ValueError(f"conductance needs 0 < |theta| < 1, not {theta!r}")
+    _check_chain_inputs(theta, k, trials, delta, k_min=1)
+    outside = keep - set(range(1, k + 1))
+    if outside:
+        raise ValueError(f"keep_levels must lie in 1..{k}, not {sorted(outside)}")
+
+
+def _check_dary_sum_inputs(d: int, theta: float, k: int, trials: int, deltas) -> None:
+    """The chain checks at every level, an integer d and d**k below 2**53."""
+    for delta in deltas:
+        _check_chain_inputs(theta, k, trials, delta)
+    _check_offspring("dary", d)
+    if int(d) ** k >= 2 ** 53:  # float64 level sums stop being exact
+        raise ValueError(f"d**k must stay below 2**53, not {int(d)}**{k}")
 
 
 def _stat(name: str, values: np.ndarray, n: int) -> dict:
@@ -125,10 +170,10 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     the bare sign tau for y_init="signs".  Both then follow the same
     recursion through the same sampled offspring and flips, so (X - Y) is the
     effect of leaf initialization alone.  The edge transform arctanh(theta v)
-    is odd, so it runs once per pool member, and one product of the level's
-    generation operator (flip signs as values) with the array of X and Y
-    terms sums every new member's children: the bits of a per-slot transform
-    summed with ``np.bincount``.
+    is odd, so it runs once per pool member, and the level's generation
+    (flip signs as values, applied a row block at a time) sums every new
+    member's children from the array of X and Y terms: the bits of a
+    per-slot transform summed with ``np.bincount``.
 
     Returns (rows, pools): one dict per level 0..k with mean/std/ci of X, |X|,
     Y, |Y|, (X-Y)^2 and sqrt|X-Y|, plus the final pools {"x": ..., "y": ...}.
@@ -188,8 +233,8 @@ def _magnetization_chains(kind, d, theta, k, trials, rng, deltas, clamp, y_init)
     lim = 1.0 - clamp
     rows = [rows_at(0)]
     for level in range(1, k + 1):
-        m = (_generation_operator(kind, d, trials, rng, eta)
-             @ _edge_llr(np.column_stack(pool), theta, clamp))
+        m = _generation_sums(kind, d, trials, rng,
+                             _edge_llr(np.column_stack(pool), theta, clamp), eta)
         np.clip(np.tanh(m, out=m), -lim, lim, out=m)
         pool = m.T.copy()  # contiguous pools, not views that stride by the row count
         rows.append(rows_at(level))
@@ -204,23 +249,20 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
 
     Uses the series-parallel recursion: a child subtree of conductance Z seen
     through its edge contributes theta^2 Z / ((1-theta^2) Z + 1), and siblings
-    add.  Each pool member is composed through its edge once, and one product
-    of the level's generation operator (unit values) adds the children.
+    add.  Each pool member is composed through its edge once, and the
+    level's generation (unit values, applied a row block at a time) adds the
+    children.
     Returns (rows, pools) where pools maps each level in ``keep_levels`` (plus
     the final level) to its conductance sample.
     """
     rng = as_generator(rng)
-    if not -1.0 < theta < 1.0 or theta == 0.0:
-        raise ValueError("conductance needs 0 < |theta| < 1")
-    _check_chain_inputs(theta, k, trials, delta, k_min=1)
     keep = set(keep_levels) if keep_levels is not None else set()
-    if not keep <= set(range(1, k + 1)):
-        raise ValueError("keep_levels must lie in 1..k")
+    _check_conductance_inputs(theta, k, trials, delta, keep)
     z = np.full(trials, _terminal_conductance(delta))
     rows = []
     pools: dict[int, np.ndarray] = {}
     for level in range(1, k + 1):
-        z = _generation_operator(kind, d, trials, rng) @ _compose_through_edge(z, theta)
+        z = _generation_sums(kind, d, trials, rng, _compose_through_edge(z, theta))
         rows.append({
             "level": level,
             "n": trials,
@@ -257,13 +299,8 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
 
 def _dary_sum_trials(d, theta, k, trials, rng, deltas):
     rng = as_generator(rng)
-    for delta in deltas:
-        _check_chain_inputs(theta, k, trials, delta)
+    _check_dary_sum_inputs(d, theta, k, trials, deltas)
     di = int(d)
-    if di != d:
-        raise ValueError("d-ary trees need integer d")
-    if di ** k >= 2 ** 53:  # float64 level sums stop being exact
-        raise ValueError("d**k must stay below 2**53")
     eta = 0.5 * (1.0 - theta)
     width = np.array([di ** j for j in range(k + 1)], dtype=np.int64)[:, None]
     minus = np.zeros((k + 1, trials), dtype=np.int64)

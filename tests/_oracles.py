@@ -13,9 +13,12 @@ sign times its pool member through the BP level combine, the conductance
 chain its member composed through the edge) and add each new member's slots
 with ``np.bincount``.  They share the offspring draw, the row statistics and
 (magnetization) the level combine with the library, so bit-equality with
-``popdyn.magnetization_chain`` and ``popdyn.conductance_chain`` checks the
-generation operator: the pool-side edge transform, the flip signs and the
-sparse product's sums.
+``popdyn.magnetization_chain`` and ``popdyn.conductance_chain`` checks a
+generation's sums: the pool-side edge transform, the flip signs and the
+sparse product's sums.  ``generation_operator`` is that generation as the
+one whole sparse operator the chains built before they applied it a row
+block at a time; ``popdyn._generation_sums`` must give its product bit for
+bit and leave the generator where it does.
 
 The recovery oracle is a per-vertex loop over explicit trees: for every
 vertex it builds the depth-R non-backtracking walk tree node by node (or,
@@ -41,6 +44,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from blockbp.broadcast import BroadcastTree, _offspring
 from blockbp.levels import _combine_levels, _terminal_conductance
@@ -235,6 +239,31 @@ def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,
         y = _combine_levels(sgn * y[idx], seg, trials, theta, clamp)
         rows.append(row(level))
     return rows, {"x": x, "y": y}
+
+
+def generation_operator(kind: str, d: float, trials: int, rng, eta=None) -> sp.csr_array:
+    """One generation as a whole sparse trials x trials operator on the pool.
+
+    Row i holds the pool members drawn as new member i's children, in draw
+    order, each valued by its flip sign: -1 where its uniform falls below
+    ``eta`` (1 for every child when ``eta`` is None, and no uniforms are
+    drawn).
+    """
+    indptr = np.zeros(trials + 1, dtype=np.int64)
+    np.cumsum(_offspring(kind, d, trials, rng), out=indptr[1:])
+    n_slots = int(indptr[-1])
+    if max(trials, n_slots) < 2 ** 31:
+        idx = rng.integers(0, trials, n_slots, dtype=np.int32)
+        indptr = indptr.astype(np.int32)
+    else:
+        idx = rng.integers(0, trials, n_slots)
+    if eta is None:
+        sign = np.ones(n_slots)
+    else:
+        sign = rng.random(n_slots)
+        sign -= eta  # u < eta exactly when u - eta < 0
+        np.copysign(1.0, sign, out=sign)
+    return sp.csr_array((sign, idx, indptr), shape=(trials, trials))
 
 
 def conductance_chain_per_slot(kind: str, d: float, theta: float, k: int,

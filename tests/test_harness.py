@@ -363,6 +363,20 @@ def _recover_config(**over):
     return cfgd
 
 
+def _moments_config(**over):
+    """The default moments-check config with ``over`` in its grid, or in
+    its params for ``extra_configs``."""
+    cfgd = default_spec("moments-check").to_dict()
+    for key, value in over.items():
+        cfgd["params" if key == "extra_configs" else "grid"][key] = value
+    return cfgd
+
+
+def _regime_config(**over):
+    """A contraction-check config of one gw regime with ``over`` in it."""
+    return {"params": {}, "grid": {"regimes": [{"d": 4.0, "theta": 0.5, **over}]}}
+
+
 @pytest.mark.parametrize("kind, config, named", [
     # values the run would fail on at its start
     ("graph-recover", _recover_config(K=3), "K=3"),
@@ -384,9 +398,28 @@ def _recover_config(**over):
     ("contraction-check", {"params": {}, "grid": {"regimes": [
         {"d": 4.0, "theta": 0.5, "zz": 1}]}}, "'zz'"),
     ("contraction-check", {"params": {}, "grid": {"regimes": [{"theta": 0.5}]}}, "'d'"),
+    # tree-side values the chains would reject, or a runner would read wrong
+    ("moments-check", _moments_config(d=[2.5]), "2.5"),
+    ("moments-check", _moments_config(d=[1000], k=[6]), "1000**6"),
+    ("moments-check", _moments_config(extra_configs=[[4]]), "[4]"),
+    ("contraction-check", _regime_config(delta=0.7), "0.7"),
+    ("contraction-check", _regime_config(tree_kind="zz"), "'zz'"),
+    ("contraction-check", _regime_config(tree_kind="dary", d=4.5), "4.5"),
+    ("contraction-check", _regime_config(d=-4), "-4"),
+    ("tree-accuracy", {"params": {"d": 3.0, "theta": 1.5}, "grid": {"k": [2]}}, "1.5"),
+    ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [-1, 2]}}, "-1"),
+    ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [2.5]}}, "2.5"),
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [0, 2]}}, "[0]"),
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "threshold": "x"},
+                           "grid": {"k": [2]}}, "'x'"),
+    ("threshold-sweep", {"params": {"base_d": 0}, "grid": {"ksig": [0.5]}}, "0"),
+    ("threshold-sweep", {"params": {"base_d": 2.5}, "grid": {"ksig": [-1]}}, "-1"),
 ], ids=["K-above-R", "R-with-auto", "oracle-without-delta0", "no-n", "delta-0.7",
         "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta",
-        "ksig-unreachable", "regime-zz", "regime-no-d"])
+        "ksig-unreachable", "regime-zz", "regime-no-d",
+        "moments-d-2.5", "moments-d-pow-k", "moments-extra-not-a-pair", "regime-delta-0.7",
+        "regime-kind-zz", "regime-dary-4.5", "regime-d-negative", "theta-1.5", "k-negative",
+        "k-2.5", "conductance-k-0", "threshold-x", "base_d-0", "ksig-negative"])
 def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
     cfg, out = tmp_path / "c.json", tmp_path / "out.csv"
     cfg.write_text(json.dumps(config))

@@ -5,6 +5,8 @@ different code paths; agreement within Monte Carlo error on small depths is
 what licenses using the chains at depths where explicit trees are impossible.
 """
 
+import tracemalloc
+
 import _oracles
 import numpy as np
 import pytest
@@ -126,17 +128,24 @@ def test_forest_weights_match_object_api():
 
 
 class _TiesAtEta(np.random.Generator):
-    """A generator whose every 4th uniform is exactly ``self.eta``."""
+    """A generator whose every 4th uniform of the stream is exactly ``self.eta``.
+
+    The ties are keyed on the running count of uniforms drawn, not on each
+    call, so a path that draws a stream in blocks sees the same uniforms as
+    one that draws it whole.
+    """
 
     def random(self, size=None, dtype=np.float64, out=None):
         u = super().random(size, dtype, out)
-        u[::4] = self.eta
+        u[-self.drawn % 4::4] = self.eta
+        self.drawn += u.size
         return u
 
 
 def _ties_at_eta(seed, theta):
     rng = _TiesAtEta(np.random.PCG64(seed))
     rng.eta = 0.5 * (1.0 - theta)
+    rng.drawn = 0
     return rng
 
 
@@ -160,9 +169,9 @@ def _magnetization_chains_agree(kind, d, theta, k, trials, make_rng, **kw):
 ])
 def test_pool_side_edge_transform_is_exact(kind, d, theta, k, delta, y_init):
     # transforming each pool member once, with the flipped children negated
-    # by the generation operator's signs, gives the bits of transforming and
-    # summing every slot (arctanh must be exactly odd).  Every 4th uniform
-    # equals eta, which is no flip: the operator's signs must agree with
+    # by the generation's signs, gives the bits of transforming and summing
+    # every slot (arctanh must be exactly odd).  Every 4th uniform of the
+    # stream equals eta, which is no flip: the block signs must agree with
     # u < eta there too (at theta = 0.5, eta = 0.25 is a value the generator
     # can draw).
     _magnetization_chains_agree(kind, d, theta, k, 20_000, lambda: _ties_at_eta(13, theta),
@@ -230,7 +239,7 @@ def test_bad_level_is_rejected_before_any_draw(levels):
 
 @pytest.mark.parametrize("high", [10 ** 5, 2 ** 31 - 1])
 def test_int32_draw_is_the_int64_stream(high):
-    # the generation operator draws its children as int32 below 2**31; that
+    # a generation draws its children as int32 below 2**31; that
     # must give the int64 draw's values and leave the generator where it does
     # (an odd count leaves half of a 64-bit output buffered)
     a, b = np.random.default_rng(18), np.random.default_rng(18)
@@ -239,6 +248,55 @@ def test_int32_draw_is_the_int64_stream(high):
     assert narrow.dtype == np.int32 and np.array_equal(wide, narrow)
     assert a.bit_generator.state == b.bit_generator.state
     assert np.array_equal(a.integers(0, high, 7), b.integers(0, high, 7))
+
+
+# --- a generation applied a row block at a time -------------------------------
+
+
+@pytest.mark.parametrize("kind, d, trials, eta, cols, block, holds", [
+    ("gw", 0.7, 300, 0.35, 3, 5, lambda w, b: (w == 0).any()),  # childless rows
+    ("gw", 1e-6, 50, 0.35, 2, 4, lambda w, b: not w.any()),  # a generation with no slot
+    ("gw", 20.0, 40, 0.2, 2, 8, lambda w, b: (w > b).any()),  # rows wider than a block
+    ("dary", 7, 60, 0.1, 1, 3, lambda w, b: (w > b).all()),
+    ("dary", 3, 101, 0.25, 2, 7, lambda w, b: True),  # blocks of two rows and a last one
+    ("gw", 3.0, 200, None, 0, 5, lambda w, b: True),  # unit signs: no uniforms drawn
+    ("dary", 3, 200, None, 0, 5, lambda w, b: True),
+], ids=["gw-childless", "gw-no-slots", "gw-wide-rows", "dary-wide-rows", "dary",
+        "gw-no-eta", "dary-no-eta"])
+def test_block_sums_match_the_whole_operator(monkeypatch, kind, d, trials, eta, cols,
+                                             block, holds):
+    # a few slots per block split every generation into many row blocks;
+    # the sums must be the whole operator's product bit for bit, and the
+    # generator must end where the whole draw leaves it
+    monkeypatch.setattr(popdyn, "_BLOCK_SLOTS", block)
+    terms = np.random.default_rng(20).normal(size=(trials, cols) if cols else trials)
+    a, b = np.random.default_rng(21), np.random.default_rng(21)
+    op = _oracles.generation_operator(kind, d, trials, a, eta)
+    assert holds(np.diff(op.indptr), block)
+    want = op @ terms
+    got = popdyn._generation_sums(kind, d, trials, b, terms, eta)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_magnetization_chain_holds_no_slot_length_floats():
+    # a generation holds its int32 children whole, but its flip signs only a
+    # block at a time: the traced peak stays below the children plus 16
+    # trial-length float arrays (pools, edge terms, sums, offsets, row
+    # statistics) and two block buffers.  The whole operator also held a
+    # float64 sign per slot, twice the children's bytes.
+    d, trials = 64.0, 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        popdyn.magnetization_chain("gw", d, 0.3, 2, trials, np.random.default_rng(19),
+                                   delta=0.4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    children = 4 * d * trials  # int32 children at the mean offspring count
+    assert peak < children + 8 * (16 * trials + 2 * popdyn._BLOCK_SLOTS)
 
 
 @pytest.mark.parametrize("kind, d, theta, k, trials, delta", [
