@@ -9,7 +9,6 @@ reconstruction threshold theta^2 d = 1 appear.
 import numpy as np
 
 from blockbp import (
-    BpConfig,
     ModelParams,
     bp_root,
     derive_tree_params,
@@ -31,7 +30,7 @@ print(f"graph intensities a={m.a:g}, b={m.b:g}  ->  tree params d={tp.d:g}, "
 tree = sample_tree("gw", tp.d, depth=4, seed=1)
 tree = run_broadcast(tree, tp.eta, seed=2)
 obs = tree.sigma[4]
-x = bp_root(tree, BpConfig(theta=tp.theta), obs)
+x = bp_root(tree, tp.theta, obs)
 x_exact = exact_posterior(tree, tp.theta, obs) if tree.n_nodes <= 18 else None
 print(f"\none tree with {tree.n_nodes} nodes, {len(obs)} observed leaves:")
 print(f"  true root spin {tree.sigma[0][0]:+d}, BP magnetization {x:+.4f}"

@@ -9,7 +9,7 @@ harness with a CLI.
 
 from .params import ModelParams, TreeParams, derive_tree_params, ks_signal, model_from_tree
 from .broadcast import BroadcastTree, sample_tree, run_broadcast, add_leaf_noise, tree_from_parents
-from .bpcore import BpConfig, bp_combine, bp_root, exact_posterior
+from .bpcore import bp_combine, bp_root, exact_posterior
 from .estimators import (
     MajorityMoments,
     ConductanceNetwork,

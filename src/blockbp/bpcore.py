@@ -8,9 +8,12 @@ strength theta, the child values x_1..x_m combine as
     / (prod(1 + theta x_i) + prod(1 - theta x_i)),
 
 which this module evaluates in the numerically stable log-ratio form
-tanh(sum_i atanh(theta x_i)), with values clamped to |x| <= 1 - clamp so the
-atanh never blows up.  Products of hundreds of factors would under/overflow;
-the tanh form never does, and the clamp models fixed-precision truncation.
+tanh(sum_i atanh(theta x_i)), with values clipped to |x| <= 1 - ``levels._CLAMP``
+so the atanh never blows up.  Products of hundreds of factors would
+under/overflow; the tanh form never does, and the clip models
+fixed-precision truncation.  Leaves start at the observed +-1 spins (or +-1
+signs from an external estimator); given ``delta``, at +-(1 - 2*delta), the
+posterior of a spin seen through a delta-flip channel.
 
 Two independent routes compute the same posterior: `bp_root` (the recursion)
 and `exact_posterior` (brute-force enumeration over all latent spin
@@ -20,52 +23,20 @@ against; it stays deliberately naive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .broadcast import BroadcastTree
-from .levels import _combine_levels, bp_up
+from .levels import _check_delta, _check_theta, _combine_levels, bp_up
 
 __all__ = [
-    "BpConfig",
     "bp_combine",
     "bp_levels",
     "bp_root",
     "exact_posterior",
 ]
 
-@dataclass(frozen=True)
-class BpConfig:
-    """Recursion settings: channel strength, leaf noise, clamp.
 
-    Leaves start at the observed +-1 spins (or +-1 signs from an external
-    estimator); given ``delta``, at +-(1 - 2*delta), the posterior of a spin
-    seen through a delta-flip channel.
-    """
-
-    theta: float
-    delta: float | None = None
-    clamp: float = 1e-12
-
-    def __post_init__(self):
-        if not -1.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [-1, 1]")
-        if self.delta is not None and not 0.0 <= self.delta < 0.5:
-            raise ValueError("delta must lie in [0, 1/2)")
-        if not 1e-12 <= self.clamp <= 1e-6:
-            raise ValueError("clamp must lie in [1e-12, 1e-6]")
-
-    def leaf_values(self, observed: np.ndarray) -> np.ndarray:
-        obs = np.asarray(observed, dtype=np.float64)
-        if obs.size and not np.all(np.abs(obs) == 1.0):
-            raise ValueError("observations must be +-1 valued")
-        if self.delta is not None:
-            return (1.0 - 2.0 * self.delta) * obs
-        return obs.copy()
-
-
-def bp_combine(children, theta: float, clamp: float = 1e-12):
+def bp_combine(children, theta: float):
     """Combine child magnetizations into the parent's.
 
     Accepts a sequence of values in [-1, 1]; an empty sequence yields 0.
@@ -74,16 +45,19 @@ def bp_combine(children, theta: float, clamp: float = 1e-12):
     if np.any(np.abs(vals) > 1.0):
         raise ValueError("child magnetizations must lie in [-1, 1]")
     one_parent = np.zeros(vals.size, dtype=np.int64)
-    return float(_combine_levels(vals, one_parent, 1, theta, clamp)[0])
+    return float(_combine_levels(vals, one_parent, 1, theta)[0])
 
 
-def bp_levels(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = None) -> np.ndarray:
+def bp_levels(tree: BroadcastTree, theta: float, observed, delta: float | None = None,
+              level: int | None = None) -> np.ndarray:
     """Run the recursion from ``level`` up to the root; returns root-level values.
 
-    ``observed`` holds one value per node of that level, in level order;
+    ``observed`` holds one +-1 value per node of that level, in level order;
     under Galton-Watson extinction interior nodes without children
     contribute magnetization 0.
     """
+    _check_theta(theta)
+    _check_delta(delta)
     k = tree.check_level(level)
     obs = np.asarray(observed, dtype=np.float64)
     if obs.shape != (tree.sizes[k],):
@@ -91,13 +65,16 @@ def bp_levels(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = 
             f"observation vector has length {obs.size}, level {k} has "
             f"{tree.sizes[k]} nodes"
         )
-    return bp_up(cfg.leaf_values(obs), tree.parent_pos[: k + 1],
-                 tree.sizes, cfg.theta, cfg.clamp)
+    if obs.size and not np.all(np.abs(obs) == 1.0):
+        raise ValueError("observations must be +-1 valued")
+    scale = 1.0 if delta is None else 1.0 - 2.0 * delta
+    return bp_up(scale * obs, tree.parent_pos[: k + 1], tree.sizes, theta)
 
 
-def bp_root(tree: BroadcastTree, cfg: BpConfig, observed, level: int | None = None) -> float:
+def bp_root(tree: BroadcastTree, theta: float, observed, delta: float | None = None,
+            level: int | None = None) -> float:
     """Root magnetization given +-1 observations on one descendant level."""
-    return float(bp_levels(tree, cfg, observed, level=level)[0])
+    return float(bp_levels(tree, theta, observed, delta=delta, level=level)[0])
 
 
 def exact_posterior(tree: BroadcastTree, theta: float, observed,

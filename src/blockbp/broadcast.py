@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .levels import _check_delta
 from .seeding import as_generator
 
 __all__ = [
@@ -191,8 +192,7 @@ def add_leaf_noise(tree: BroadcastTree, delta: float, seed=0, level: int | None 
     tau holds the observations of the chosen level only; an empty level
     (extinct tree) gives an empty tau.
     """
-    if not 0.0 <= delta < 0.5:
-        raise ValueError("delta must lie in [0, 1/2)")
+    _check_delta(delta)
     if tree.sigma is None:
         raise ValueError("run_broadcast before adding leaf noise")
     k = tree.check_level(level)

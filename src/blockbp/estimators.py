@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broadcast import BroadcastTree
-from .levels import _terminal_conductance, conductance_up, current_down
+from .levels import (_check_conductance_theta, _check_delta, _terminal_conductance,
+                     conductance_up, current_down)
 from .seeding import as_generator
 
 __all__ = [
@@ -58,8 +59,7 @@ class MajorityMoments:
 def majority_moments(d: int, theta: float, k: int, delta: float = 0.0) -> MajorityMoments:
     """Moment formulas above, with eta = (1 - theta) / 2."""
     eta = 0.5 * (1.0 - theta)
-    if not 0.0 <= delta < 0.5:
-        raise ValueError("delta must lie in [0, 1/2)")
+    _check_delta(delta)
     s = theta * theta * d
     if abs(s - 1.0) <= 1e-12:
         gsum = float(k)  # limit of ((s^k - 1)/(s - 1)) as s -> 1
@@ -99,24 +99,9 @@ class ConductanceNetwork:
     edge to the parent, in the parent's local units.
     """
 
-    theta: float
-    delta: float | None
-    k: int
     ceff: float
     zs: list
     cs: list
-
-    def edge_resistance(self, generation: int) -> float:
-        """Resistance of an edge whose child is at ``generation`` (root = 0)."""
-        t2 = self.theta * self.theta
-        return (1.0 - t2) * t2 ** (-generation)
-
-    @property
-    def terminal_resistance(self) -> float:
-        """Resistance of one noisy terminal resistor at level k (inf if delta=0)."""
-        c = _terminal_conductance(self.delta)
-        t2k = (self.theta * self.theta) ** (-self.k)
-        return (1.0 / c) * t2k if c > 0 else np.inf
 
 
 def effective_conductance(tree: BroadcastTree, theta: float,
@@ -130,13 +115,11 @@ def effective_conductance(tree: BroadcastTree, theta: float,
     ceff = inf.  ``ceff`` is the first root's; on a forest ``zs[0]`` holds
     every root's conductance.
     """
-    if not -1.0 < theta < 1.0 or theta == 0.0:
-        raise ValueError("conductance needs 0 < |theta| < 1")
+    _check_conductance_theta(theta)
     k = tree.check_level(k)
     zs, cs = conductance_up(np.full(tree.sizes[k], _terminal_conductance(delta)),
                             tree.parent_pos[: k + 1], tree.sizes, theta)
-    return ConductanceNetwork(theta=theta, delta=delta, k=k, ceff=float(zs[0][0]),
-                              zs=zs, cs=cs)
+    return ConductanceNetwork(ceff=float(zs[0][0]), zs=zs, cs=cs)
 
 
 @dataclass(frozen=True)

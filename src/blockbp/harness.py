@@ -137,6 +137,14 @@ def _integer(key: str, value) -> int:
     raise ValueError(f"{key!r} must be an integer, not {value!r}")
 
 
+def _number(key: str, value) -> float:
+    """``value`` as a float: a finite int or float, not a string or a bool."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value)):
+        return float(value)
+    raise ValueError(f"{key!r} must be a finite number, not {value!r}")
+
+
 def _tree_parameterization(spec: ExperimentSpec):
     """(tree kind, d, theta) from either (a, b) or direct (d, theta) params."""
     p = spec.params
@@ -146,10 +154,11 @@ def _tree_parameterization(spec: ExperimentSpec):
     if has_ab == has_dt or not ({"a", "b"} <= p.keys() or {"d", "theta"} <= p.keys()):
         raise ValueError("give exactly one of the pairs (a, b) or (d, theta)")
     if has_ab:
-        tp = derive_tree_params(ModelParams(n=10 ** 9, a=p["a"], b=p["b"]))
+        tp = derive_tree_params(ModelParams(n=10 ** 9, a=_number("a", p["a"]),
+                                            b=_number("b", p["b"])))
         d, theta = tp.d, tp.theta
     else:
-        d, theta = float(p["d"]), float(p["theta"])
+        d, theta = _number("d", p["d"]), _number("theta", p["theta"])
     _check_offspring(kind, d)
     return kind, d, theta
 
@@ -167,7 +176,7 @@ def _accuracy_setup(spec: ExperimentSpec):
     robust-accuracy, checked; tree-accuracy's one noise level is None."""
     kind, d, theta = _tree_parameterization(spec)
     ks = _depths(spec)
-    deltas = [float(x) for x in spec.grid["delta"]] if "delta" in spec.grid else [None]
+    deltas = [_number("delta", x) for x in spec.grid["delta"]] if "delta" in spec.grid else [None]
     for k in ks:
         for delta in deltas:
             _check_chain_inputs(theta, k, spec.trials, delta)
@@ -202,14 +211,14 @@ def _moments_setup(spec: ExperimentSpec):
     """(configs, noise levels, depths) of moments-check, checked; a config is
     the (d, theta) of a d-ary tree."""
     ds = [_integer("d", x) for x in spec.grid["d"]]
-    thetas = [float(x) for x in spec.grid["theta"]]
-    deltas = [float(x) for x in spec.grid["delta"]]
+    thetas = [_number("theta", x) for x in spec.grid["theta"]]
+    deltas = [_number("delta", x) for x in spec.grid["delta"]]
     ks = _depths(spec)
     configs = [(d, th) for d in ds for th in thetas]
     for c in spec.params.get("extra_configs", []):
         if not isinstance(c, (list, tuple)) or len(c) != 2:
             raise ValueError(f"an extra config must be a pair [d, theta], not {c!r}")
-        configs.append((_integer("d", c[0]), float(c[1])))
+        configs.append((_integer("d", c[0]), _number("theta", c[1])))
     for d, theta in configs:
         for k in ks:
             _check_dary_sum_inputs(d, theta, k, spec.trials, deltas)
@@ -282,8 +291,9 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
             raise ValueError(f"unknown regime keys: {sorted(bad)}")
         if not {"d", "theta"} <= regime.keys():
             raise ValueError(f"a regime needs keys {sorted({'d', 'theta'} - regime.keys())}")
-        kind, d, theta = regime.get("tree_kind", "gw"), float(regime["d"]), float(regime["theta"])
-        delta, k = float(regime.get("delta", 0.4)), _integer("k", regime.get("k", 8))
+        kind = regime.get("tree_kind", "gw")
+        d, theta = _number("d", regime["d"]), _number("theta", regime["theta"])
+        delta, k = _number("delta", regime.get("delta", 0.4)), _integer("k", regime.get("k", 8))
         _check_offspring(kind, d)
         _check_chain_inputs(theta, k, spec.trials, delta)
         out.append((kind, d, theta, delta, k))
@@ -322,11 +332,11 @@ def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
 def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, float]]]:
     """(base_d, k, [(ksig, theta)]) of threshold-sweep, checked: theta^2 base_d
     = ksig, and theta must stay below 1."""
-    base_d = float(spec.params.get("base_d", 2.5))
+    base_d = _number("base_d", spec.params.get("base_d", 2.5))
     k = _integer("k", spec.params.get("k", 12))
     _check_offspring("gw", base_d)
     points = []
-    for ksig in (float(x) for x in spec.grid["ksig"]):
+    for ksig in (_number("ksig", x) for x in spec.grid["ksig"]):
         if not ksig >= 0.0:
             raise ValueError(f"ksig must be >= 0, not {ksig:g}")
         theta = math.sqrt(ksig / base_d)
@@ -361,11 +371,14 @@ def _conductance_setup(spec: ExperimentSpec):
     """(tree kind, d, theta, delta, depths, threshold) of conductance-check, checked."""
     kind, d, theta = _tree_parameterization(spec)
     delta = spec.params.get("delta")
-    delta = float(delta) if delta is not None else None
+    delta = _number("delta", delta) if delta is not None else None
     ks = _depths(spec)
+    if ks[0] < 1:
+        raise ValueError(f"'k' must be >= 1, not {[k for k in ks if k < 1]}")
     _check_conductance_inputs(theta, max(ks), spec.trials, delta, set(ks))
     eta = 0.5 * (1.0 - theta)
-    threshold = float(spec.params.get("threshold", theta * theta * d / (16.0 * eta)))
+    threshold = _number("threshold",
+                        spec.params.get("threshold", theta * theta * d / (16.0 * eta)))
     return kind, d, theta, delta, ks, threshold
 
 
@@ -401,13 +414,18 @@ def run_conductance_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
 
 def _recover_setup(p: dict) -> tuple[ModelParams, AlgoConfig, int]:
     """(model, algorithm, radius) from graph-recover's params n, a, b, impl,
-    delta0, R, R_mode and K, checked; the matched tree row runs at the radius."""
+    delta0, R and K, checked; a given R is fixed, and without one the radius
+    rule picks it.  The matched tree row runs at the radius."""
     if {"n", "a", "b"} - p.keys():
         raise ValueError(f"graph-recover needs params {sorted({'n', 'a', 'b'} - p.keys())}")
-    params = ModelParams(n=int(p["n"]), a=float(p["a"]), b=float(p["b"]))
-    cfg = AlgoConfig(R=p.get("R"), K=int(p.get("K", 1)),
-                     R_mode=p.get("R_mode", "fixed" if p.get("R") is not None else "auto"))
-    _check_blackbox(p.get("impl", "spectral"), p.get("delta0"))
+    params = ModelParams(n=_integer("n", p["n"]), a=_number("a", p["a"]),
+                         b=_number("b", p["b"]))
+    r = None if p.get("R") is None else _integer("R", p["R"])
+    cfg = AlgoConfig(R=r, R_mode="auto" if r is None else "fixed",
+                     K=_integer("K", p.get("K", 1)))
+    delta0 = p.get("delta0")
+    _check_blackbox(p.get("impl", "spectral"),
+                    None if delta0 is None else _number("delta0", delta0))
     return params, cfg, resolve_radius(cfg, params.n, params.a, params.b)
 
 
@@ -543,10 +561,10 @@ _KINDS = {
     ),
     "graph-recover": _Kind(
         run_graph_recover, lambda spec: _recover_setup(spec.params),
-        {"n", "a", "b", "impl", "delta0", "R", "R_mode", "K"},
+        {"n", "a", "b", "impl", "delta0", "R", "K"},
         ("n", "a", "b", "impl", "delta0", "R", "K", "rep", "metric"),
         {"n": 2000, "a": 30.0, "b": 4.0, "impl": "oracle-noise",
-         "delta0": 0.25, "R": 2, "R_mode": "fixed", "K": 1},
+         "delta0": 0.25, "R": 2, "K": 1},
         {"rep": [0, 1, 2]},
     ),
 }

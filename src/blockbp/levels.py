@@ -7,10 +7,11 @@ node, the position of its parent within level j - 1 (entry 0 is ignored).
 stores them.  A pass over a slice of the lists treats the slice's first
 level as its roots.  The edge transforms are shared with the passes that
 need no lists: ``pipeline._label_edges`` runs the BP combine on directed
-edges with ``_edge_llr``, and the ``popdyn`` population chains apply
-``_edge_llr`` or ``_compose_through_edge`` to their pool and sum each new
-member's children with a generation's sparse operator, a row block at a
-time.
+edges with ``_edge_llr`` and ``_magnetize``, and the ``popdyn`` population
+chains apply ``_edge_llr`` or ``_compose_through_edge`` to their pool and
+sum each new member's children with a generation's sparse operator, a row
+block at a time.  Every BP value is clipped to |x| <= 1 - ``_CLAMP``, and
+the rules on theta and the leaf noise level are checked here too, once.
 
 - ``bp_up``: the magnetization recursion, last level to level 0;
 - ``conductance_up``: the series-parallel reduction of the resistor network
@@ -23,24 +24,49 @@ from __future__ import annotations
 
 import numpy as np
 
+_CLAMP = 1e-12  # every BP value is clipped to |x| <= 1 - _CLAMP, read at call time
 
-def _edge_llr(msgs: np.ndarray, theta: float, clamp: float) -> np.ndarray:
+
+def _check_theta(theta: float) -> None:
+    if not -1.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [-1, 1], not {theta!r}")
+
+
+def _check_conductance_theta(theta: float) -> None:
+    if not -1.0 < theta < 1.0 or theta == 0.0:
+        raise ValueError(f"conductance needs 0 < |theta| < 1, not {theta!r}")
+
+
+def _check_delta(delta: float | None) -> None:
+    """The one check of a leaf noise level: None (no noise) or in [0, 1/2)."""
+    if delta is not None and not 0.0 <= delta < 0.5:
+        raise ValueError(f"delta must lie in [0, 1/2), not {delta!r}")
+
+
+def _edge_llr(msgs: np.ndarray, theta: float) -> np.ndarray:
     """Child magnetizations as parent LLR terms; odd in msgs (symmetric clip)."""
-    lim = 1.0 - clamp
+    lim = 1.0 - _CLAMP
     x = theta * msgs
     np.clip(x, -lim, lim, out=x)
     return np.arctanh(x, out=x)
 
 
+def _magnetize(sums: np.ndarray) -> np.ndarray:
+    """tanh(sums) clipped to |x| <= 1 - _CLAMP, in place on a float64 array
+    (an integer one, such as an empty level's bincount, is copied)."""
+    lim = 1.0 - _CLAMP
+    m = np.asarray(sums, dtype=np.float64)
+    return np.clip(np.tanh(m, out=m), -lim, lim, out=m)
+
+
 def _combine_levels(msgs: np.ndarray, parent_pos: np.ndarray, n_parents: int,
-                    theta: float, clamp: float) -> np.ndarray:
+                    theta: float) -> np.ndarray:
     """One BP level: child magnetizations -> parents (parent_pos[i] is child i's).
 
     A parent without children reads 0.
     """
-    lim = 1.0 - clamp
-    sums = np.bincount(parent_pos, weights=_edge_llr(msgs, theta, clamp), minlength=n_parents)
-    return np.clip(np.tanh(sums), -lim, lim)
+    return _magnetize(np.bincount(parent_pos, weights=_edge_llr(msgs, theta),
+                                  minlength=n_parents))
 
 
 def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:
@@ -59,23 +85,17 @@ def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _terminal_conductance(delta: float | None) -> float:
-    """Level-local conductance of the noisy terminal resistor (inf if no noise).
-
-    The one check of the leaf noise level: delta must be None or lie in
-    [0, 1/2).
-    """
+    """Level-local conductance of the noisy terminal resistor (inf if no noise)."""
+    _check_delta(delta)
     if delta is None or delta == 0.0:
         return np.inf
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in [0, 1/2), not {delta!r}")
     return (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
 
 
-def bp_up(values: np.ndarray, parent_pos: list, sizes, theta: float,
-          clamp: float) -> np.ndarray:
+def bp_up(values: np.ndarray, parent_pos: list, sizes, theta: float) -> np.ndarray:
     """Magnetizations of level 0 from ``values`` on the last level."""
     for j in range(len(parent_pos) - 1, 0, -1):
-        values = _combine_levels(values, parent_pos[j], sizes[j - 1], theta, clamp)
+        values = _combine_levels(values, parent_pos[j], sizes[j - 1], theta)
     return values
 
 

@@ -13,7 +13,10 @@ else.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+from .levels import _check_delta
 
 __all__ = [
     "ModelParams",
@@ -33,8 +36,10 @@ class ModelParams:
     b: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, not {self.n!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"edge intensities must be finite, not a={self.a!r}, b={self.b!r}")
         if self.a < 0 or self.b < 0:
             raise ValueError("edge intensities must be nonnegative")
         if self.a > self.n or self.b > self.n:
@@ -76,8 +81,7 @@ class TreeParams:
             raise ValueError("eta must lie in [0, 1] with eta != 1/2")
         if self.theta != 1.0 - 2.0 * self.eta:
             raise ValueError("theta must equal 1 - 2*eta exactly")
-        if not 0.0 <= self.delta < 0.5:
-            raise ValueError("leaf noise delta must lie in [0, 1/2)")
+        _check_delta(self.delta)
 
     @property
     def signal(self) -> float:

@@ -31,6 +31,7 @@ coins keyed by directed edge and by vertex rather than drawn in order.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .levels import _compose_through_edge, _edge_llr
+from .levels import _compose_through_edge, _edge_llr, _magnetize
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
 from .randgraph import LabelledGraph, _row_slots, remove_set
@@ -54,9 +55,6 @@ __all__ = [
     "recover",
     "save_vertex_csv",
 ]
-
-# Clamp of the BP level combine in the root passes: |x| <= 1 - _CLAMP.
-_CLAMP = 1e-12
 
 # A sum of the edge passes is 0 when |sum| <= _TIE_ULPS * eps * (sum of |terms|).
 _TIE_ULPS = 4096
@@ -84,6 +82,9 @@ class AlgoConfig:
     K: int = 1
 
     def __post_init__(self):
+        for name, value in (("R", 1 if self.R is None else self.R), ("K", self.K)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.R_mode not in ("auto", "fixed"):
             raise ValueError("R_mode must be auto or fixed")
         if self.R_mode == "fixed" and (self.R is None or self.R < 1):
@@ -188,8 +189,7 @@ def _reverse_slots(h: LabelledGraph) -> np.ndarray:
 
 
 def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
-                 theta: float, clamp: float, rng,
-                 root_u: np.ndarray) -> _Labels:
+                 theta: float, rng, root_u: np.ndarray) -> _Labels:
     """Two-stage root values of every vertex of H on its depth-R walk tree.
 
     The walk tree of v hangs, below each child y reached from x, the subtree
@@ -234,7 +234,6 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     row = np.repeat(np.arange(n, dtype=np.int64), h.degrees)
     rev = _reverse_slots(h) if r >= 2 else None
     xi = side.astype(np.float64)
-    lim = 1.0 - clamp
     tol = _TIE_ULPS * np.finfo(np.float64).eps
 
     def row_sums(w):
@@ -298,13 +297,12 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
         val = np.sign(vote_sums())
     else:
         if big_k == 0:
-            t = _edge_llr(xi, theta, clamp)[nbr]
+            t = _edge_llr(xi, theta)[nbr]
         else:
-            t = _edge_llr(decided(vote_sums()), theta, clamp)
+            t = _edge_llr(decided(vote_sums()), theta)
         for _ in range(big_k + 1, r):
-            m = cavity(t)
-            t = _edge_llr(np.clip(np.tanh(m, out=m), -lim, lim, out=m), theta, clamp)
-        val = np.clip(np.tanh(zero_ties(row_sums(t), row_sums(np.abs(t)))), -lim, lim)
+            t = _edge_llr(_magnetize(cavity(t)), theta)
+        val = _magnetize(zero_ties(row_sums(t), row_sums(np.abs(t))))
 
     zero = reach & (val == 0.0)
     coin = ~reach | zero
@@ -488,7 +486,7 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     diag.align_swaps = int(info.swapped)
     lap("align")
 
-    out = _label_edges(h, aligned.side, r, cfg.K, tp.theta, _CLAMP,
+    out = _label_edges(h, aligned.side, r, cfg.K, tp.theta,
                        derived_rng(seed, "labels"), root_u)
     side_out[sub.new_to_old] = out.sign
     mag_out[sub.new_to_old] = out.magnetization

@@ -40,7 +40,9 @@ import scipy.sparse as sp
 
 from .broadcast import BroadcastTree, _check_offspring, _offspring
 from .estimators import effective_conductance
-from .levels import _compose_through_edge, _edge_llr, _terminal_conductance, current_down
+from .levels import (_check_conductance_theta, _check_delta, _check_theta,
+                     _compose_through_edge, _edge_llr, _magnetize, _terminal_conductance,
+                     current_down)
 from .seeding import as_generator
 
 __all__ = [
@@ -117,20 +119,18 @@ def _generation_sums(kind: str, d: float, trials: int, rng: np.random.Generator,
 
 
 def _check_chain_inputs(theta: float, k: int, trials: int, delta: float | None, k_min=0) -> None:
-    if not -1.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [-1, 1], not {theta!r}")
+    _check_theta(theta)
     if k < k_min:
         raise ValueError(f"k must be >= {k_min}, not {k!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _terminal_conductance(delta)  # rejects delta outside [0, 1/2)
+    _check_delta(delta)
 
 
 def _check_conductance_inputs(theta: float, k: int, trials: int, delta: float | None,
                               keep: set) -> None:
     """The chain checks at k >= 1, with 0 < |theta| < 1 and ``keep`` in 1..k."""
-    if not -1.0 < theta < 1.0 or theta == 0.0:
-        raise ValueError(f"conductance needs 0 < |theta| < 1, not {theta!r}")
+    _check_conductance_theta(theta)
     _check_chain_inputs(theta, k, trials, delta, k_min=1)
     outside = keep - set(range(1, k + 1))
     if outside:
@@ -161,8 +161,7 @@ def _levels(delta) -> list:
 
 
 def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
-                        rng, *, delta: float = 0.0, clamp: float = 1e-12,
-                        y_init: str = "noisy"):
+                        rng, *, delta: float = 0.0, y_init: str = "noisy"):
     """Coupled (X, Y) population chain conditioned on sigma = +.
 
     X starts from exact leaf spins (+1 under the conditioning); Y starts from
@@ -193,11 +192,11 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     Compare means from several seeds, or inflate the CI, before holding them
     to a tight tolerance.
     """
-    out = _magnetization_chains(kind, d, theta, k, trials, rng, _levels(delta), clamp, y_init)
+    out = _magnetization_chains(kind, d, theta, k, trials, rng, _levels(delta), y_init)
     return out[0] if np.ndim(delta) == 0 else out
 
 
-def _magnetization_chains(kind, d, theta, k, trials, rng, deltas, clamp, y_init):
+def _magnetization_chains(kind, d, theta, k, trials, rng, deltas, y_init):
     rng = as_generator(rng)
     for delta in deltas:
         _check_chain_inputs(theta, k, trials, delta)
@@ -230,12 +229,10 @@ def _magnetization_chains(kind, d, theta, k, trials, rng, deltas, clamp, y_init)
                         **_stat("sqrtdiff", np.sqrt(np.abs(x - y)), trials)}
         return [{**xstat, **ystat[pool_row[delta]]} for delta in deltas]
 
-    lim = 1.0 - clamp
     rows = [rows_at(0)]
     for level in range(1, k + 1):
-        m = _generation_sums(kind, d, trials, rng,
-                             _edge_llr(np.column_stack(pool), theta, clamp), eta)
-        np.clip(np.tanh(m, out=m), -lim, lim, out=m)
+        m = _magnetize(_generation_sums(kind, d, trials, rng,
+                                        _edge_llr(np.column_stack(pool), theta), eta))
         pool = m.T.copy()  # contiguous pools, not views that stride by the row count
         rows.append(rows_at(level))
     return [([level_rows[i] for level_rows in rows],
@@ -354,7 +351,7 @@ def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: f
     delta == 0), alive mask.
     """
     rng = as_generator(rng)
-    _terminal_conductance(delta)  # rejects delta outside [0, 1/2)
+    _check_delta(delta)
     sig = forest.sigma[-1]
     tau = sig * np.where(rng.random(len(sig)) < delta, -1.0, 1.0)
 

@@ -212,7 +212,7 @@ def dary_level_sum_pmf(d: int, k: int, theta: float, delta: float) -> dict:
 
 def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,
                                  trials: int, rng, *, delta: float = 0.0,
-                                 clamp: float = 1e-12, y_init: str = "noisy"):
+                                 y_init: str = "noisy"):
     """``popdyn.magnetization_chain`` with the edge transform on every child slot.
 
     Draws the same random numbers in the same order; returns (rows, pools).
@@ -235,8 +235,8 @@ def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,
         idx = rng.integers(0, trials, int(counts.sum()))
         sgn = np.where(rng.random(len(idx)) < eta, -1.0, 1.0)
         seg = np.repeat(np.arange(trials), counts)
-        x = _combine_levels(sgn * x[idx], seg, trials, theta, clamp)
-        y = _combine_levels(sgn * y[idx], seg, trials, theta, clamp)
+        x = _combine_levels(sgn * x[idx], seg, trials, theta)
+        y = _combine_levels(sgn * y[idx], seg, trials, theta)
         rows.append(row(level))
     return rows, {"x": x, "y": y}
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from blockbp import popdyn
-from blockbp.bpcore import BpConfig, bp_root, exact_posterior
+from blockbp.bpcore import bp_root, exact_posterior
 from blockbp.broadcast import sample_tree, tree_from_parents
 from blockbp.estimators import effective_conductance, majority_moments
 from blockbp.harness import ExperimentSpec, run_experiment, write_results
@@ -58,7 +58,7 @@ def test_c1_bp_exactness_oracle_equivalence():
         obs = np.where(rng.random(t.sizes[depth]) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
             for delta in (None, 0.3):
-                got = bp_root(t, BpConfig(theta=theta, delta=delta), obs)
+                got = bp_root(t, theta, obs, delta=delta)
                 want = exact_posterior(t, theta, obs, delta=delta)
                 worst = max(worst, abs(got - want))
     elapsed = time.time() - t0

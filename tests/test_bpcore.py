@@ -7,13 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockbp.bpcore import (
-    BpConfig,
     bp_combine,
     bp_root,
     exact_posterior,
 )
 from blockbp.broadcast import sample_tree, tree_from_parents
-from blockbp import popdyn
+from blockbp import levels, popdyn
+from blockbp.pipeline import _label_edges
+from blockbp.randgraph import graph_from_edges
 
 
 def random_small_tree(rng, max_nodes=15):
@@ -82,7 +83,7 @@ def test_combine_rejects_out_of_range():
 def test_single_edge_posterior():
     t = tree_from_parents([-1, 0])
     for theta in (0.9, 0.5, -0.6):
-        assert bp_root(t, BpConfig(theta=theta), [1]) == pytest.approx(theta, abs=1e-12)
+        assert bp_root(t, theta, [1]) == pytest.approx(theta, abs=1e-12)
         assert exact_posterior(t, theta, [1]) == pytest.approx(theta, abs=1e-12)
 
 
@@ -96,16 +97,15 @@ def test_single_edge_bayes_example():
 def test_single_edge_noisy_composition():
     t = tree_from_parents([-1, 0])
     theta, delta = 0.7, 0.2
-    cfg = BpConfig(theta=theta, delta=delta)
     want = theta * (1 - 2 * delta)
-    assert bp_root(t, cfg, [1]) == pytest.approx(want, abs=1e-12)
+    assert bp_root(t, theta, [1], delta=delta) == pytest.approx(want, abs=1e-12)
     assert exact_posterior(t, theta, [1], delta=delta) == pytest.approx(want, abs=1e-12)
 
 
 def test_binary_depth2_example():
     t = sample_tree("dary", 2, 2, seed=0)
     obs = [1, 1, 1, -1]
-    got = bp_root(t, BpConfig(theta=0.6), obs)
+    got = bp_root(t, 0.6, obs)
     want = exact_posterior(t, 0.6, obs)
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -123,7 +123,7 @@ def test_star_matches_combine():
 def test_no_observation_is_uniform():
     t = tree_from_parents([-1], depth=1)
     assert exact_posterior(t, 0.8, []) == 0.0
-    assert bp_root(t, BpConfig(theta=0.8), []) == 0.0
+    assert bp_root(t, 0.8, []) == 0.0
 
 
 def test_oracle_equivalence_random_trees():
@@ -134,8 +134,7 @@ def test_oracle_equivalence_random_trees():
         obs = np.where(rng.random(n_leaves) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
             for delta in (None, 0.3):
-                cfg = BpConfig(theta=theta, delta=delta)
-                got = bp_root(t, cfg, obs)
+                got = bp_root(t, theta, obs, delta=delta)
                 want = exact_posterior(t, theta, obs, delta=delta)
                 assert got == pytest.approx(want, abs=1e-9)
 
@@ -144,7 +143,7 @@ def test_extinct_interior_node_contributes_nothing():
     # node 2 is a dead end at depth 1; observations live at depth 2
     t = tree_from_parents([-1, 0, 0, 1, 1], depth=2)
     obs = [1, -1]
-    got = bp_root(t, BpConfig(theta=0.7), obs)
+    got = bp_root(t, 0.7, obs)
     want = exact_posterior(t, 0.7, obs)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -155,19 +154,20 @@ def test_guard_and_length_errors():
     with pytest.raises(ValueError, match="guard"):
         exact_posterior(t, 0.5, obs, delta=0.1, guard=2 ** 20)
     with pytest.raises(ValueError, match="length"):
-        bp_root(t, BpConfig(theta=0.5), obs[:5])
+        bp_root(t, 0.5, obs[:5])
     with pytest.raises(ValueError):
         exact_posterior(t, 0.5, obs[:5])
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BpConfig(theta=0.5, clamp=1e-3)
-    with pytest.raises(ValueError):
-        BpConfig(theta=2.0)
+    t = tree_from_parents([-1, 0])
+    with pytest.raises(ValueError, match="theta"):
+        bp_root(t, 2.0, [1])
     for delta in (-0.1, 0.5, 0.7):
         with pytest.raises(ValueError, match="delta"):
-            BpConfig(theta=0.5, delta=delta)
+            bp_root(t, 0.5, [1], delta=delta)
+    with pytest.raises(ValueError, match="observations"):
+        bp_root(t, 0.5, [0.5])
 
 
 def test_delta_scales_the_leaves():
@@ -175,10 +175,10 @@ def test_delta_scales_the_leaves():
     # star read as 1 - 2 delta each
     t = tree_from_parents([-1, 0, 0])
     theta, delta = 0.6, 0.3
-    got = bp_root(t, BpConfig(theta=theta, delta=delta), [1, 1])
+    got = bp_root(t, theta, [1, 1], delta=delta)
     assert got == pytest.approx(bp_combine([1 - 2 * delta] * 2, theta), abs=1e-12)
     assert got == pytest.approx(exact_posterior(t, theta, [1, 1], delta=delta), abs=1e-12)
-    assert got < bp_root(t, BpConfig(theta=theta), [1, 1])
+    assert got < bp_root(t, theta, [1, 1])
 
 
 # --- the Kesten-Stigum bound, exactly ---------------------------------------
@@ -206,12 +206,11 @@ def test_kesten_stigum_bound_exact_on_bp_root(d, k, signal):
     # E(X_k | +) summed over every leaf configuration: 0 < E <= (theta^2 d)^k
     theta = math.sqrt(signal / d)
     t = sample_tree("dary", d, k)
-    cfg = BpConfig(theta=theta)
     mass = ex = 0.0
     for leaves in itertools.product((1, -1), repeat=d ** k):
         p = _leaf_likelihood_plus(d, k, theta, leaves)
         mass += p
-        ex += p * bp_root(t, cfg, leaves)
+        ex += p * bp_root(t, theta, leaves)
     assert mass == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < ex <= signal ** k + 1e-12
 
@@ -250,16 +249,32 @@ def test_abs_magnetization_nonincreasing_in_depth():
         assert cur["absx_mean"] <= prev["absx_mean"] + prev["absx_ci"] + cur["absx_ci"]
 
 
-def test_clamp_truncation_contract():
-    # coarser clamp acts like a per-level rounding of size eps: the induced
-    # root error stays O(sqrt(eps))
-    a_rows, a_pool = popdyn.magnetization_chain(
-        "gw", 17.0, 13 / 17, 6, 20_000, np.random.default_rng(5), clamp=1e-12)
-    b_rows, b_pool = popdyn.magnetization_chain(
-        "gw", 17.0, 13 / 17, 6, 20_000, np.random.default_rng(5), clamp=1e-6)
+def test_clamp_truncation_contract(monkeypatch):
+    # a coarser clamp acts like a per-level rounding of size eps: the induced
+    # root error stays O(sqrt(eps)).  Every BP pass reads levels._CLAMP at
+    # call time, so the chain pool, a deep high-signal bp_root and the edge
+    # engine's root values all move under the patch; a module that kept its
+    # own clamp would not.
+    tree = sample_tree("dary", 3, 8)  # each node's children saturate tanh
+    clique = graph_from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)],
+                            [1] * 5)
+
+    def run():
+        rows, pool = popdyn.magnetization_chain(
+            "gw", 17.0, 13 / 17, 6, 20_000, np.random.default_rng(5))
+        root = bp_root(tree, 0.99, np.ones(3 ** 8))
+        labels = _label_edges(clique, np.ones(5, dtype=np.int8), 2, 0, 0.99,
+                              np.random.default_rng(0), np.zeros(5))
+        return rows, pool, root, labels.magnetization
+
+    a_rows, a_pool, a_root, a_mag = run()
+    monkeypatch.setattr(levels, "_CLAMP", 1e-6)
+    b_rows, b_pool, b_root, b_mag = run()
     diff2 = float(np.mean((a_pool["x"] - b_pool["x"]) ** 2))
-    assert diff2 <= 1e-4
+    assert 0.0 < diff2 <= 1e-4
     assert abs(a_rows[-1]["absx_mean"] - b_rows[-1]["absx_mean"]) <= 5e-3
+    assert 1.0 - 1e-6 < a_root < 1.0 and b_root == 1.0 - 1e-6
+    assert np.all(a_mag > 1.0 - 1e-6) and np.all(b_mag == 1.0 - 1e-6)
 
 
 def test_stats_mode_validation():

@@ -3,7 +3,7 @@ import pytest
 from test_popdyn import _dying_forest
 
 from blockbp import popdyn
-from blockbp.bpcore import BpConfig, bp_levels, bp_root, exact_posterior
+from blockbp.bpcore import bp_levels, bp_root, exact_posterior
 from blockbp.broadcast import (
     add_leaf_noise,
     run_broadcast,
@@ -181,8 +181,8 @@ def test_bad_inputs():
 
 # every function that takes a level of a tree rejects one outside [0, depth]
 _LEVEL_CALLS = {
-    "bp_levels": lambda t, k: bp_levels(t, BpConfig(theta=0.5), [1, -1], level=k),
-    "bp_root": lambda t, k: bp_root(t, BpConfig(theta=0.5), [1, -1], level=k),
+    "bp_levels": lambda t, k: bp_levels(t, 0.5, [1, -1], level=k),
+    "bp_root": lambda t, k: bp_root(t, 0.5, [1, -1], level=k),
     "exact_posterior": lambda t, k: exact_posterior(t, 0.5, [1, -1], level=k),
     "add_leaf_noise": lambda t, k: add_leaf_noise(t, 0.1, level=k),
     "majority_estimate": lambda t, k: majority_estimate(t, level=k),

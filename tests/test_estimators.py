@@ -84,13 +84,11 @@ def test_majority_estimate_noisy():
 def test_three_star_conductance():
     t = tree_from_parents([-1, 0, 0, 0])
     net = effective_conductance(t, 0.5)
-    assert net.edge_resistance(1) == pytest.approx(3.0)
     assert net.ceff == pytest.approx(1.0)
 
 
 def test_noisy_terminal_at_root():
     net = effective_conductance(tree_from_parents([-1]), 0.5, delta=0.1, k=0)
-    assert net.terminal_resistance == pytest.approx(0.5625)
     assert net.ceff == pytest.approx(1 / 0.5625)
 
 

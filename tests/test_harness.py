@@ -380,7 +380,6 @@ def _regime_config(**over):
 @pytest.mark.parametrize("kind, config, named", [
     # values the run would fail on at its start
     ("graph-recover", _recover_config(K=3), "K=3"),
-    ("graph-recover", _recover_config(R_mode="auto"), "R=2"),
     ("graph-recover", _recover_config(delta0=None), "delta0"),
     ("graph-recover", _recover_config(n=None), "'n'"),
     ("robust-accuracy", {"params": {"a": 30.0, "b": 4.0},
@@ -393,6 +392,7 @@ def _regime_config(**over):
     ("graph-recover", _recover_config(tree_k=0), "'tree_k'"),
     ("graph-recover", _recover_config(u_size=5), "'u_size'"),
     ("graph-recover", _recover_config(weights_delta=0.3), "'weights_delta'"),
+    ("graph-recover", _recover_config(R_mode="auto"), "'R_mode'"),
     # tree-side grid values a runner would reject only once it started
     ("threshold-sweep", {"params": {"base_d": 2.0}, "grid": {"ksig": [2.5]}}, "2.5"),
     ("contraction-check", {"params": {}, "grid": {"regimes": [
@@ -409,17 +409,40 @@ def _regime_config(**over):
     ("tree-accuracy", {"params": {"d": 3.0, "theta": 1.5}, "grid": {"k": [2]}}, "1.5"),
     ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [-1, 2]}}, "-1"),
     ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [2.5]}}, "2.5"),
-    ("conductance-check", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [0, 2]}}, "[0]"),
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [0, 2]}},
+     "'k' must be >= 1, not [0]"),
     ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "threshold": "x"},
-                           "grid": {"k": [2]}}, "'x'"),
+                           "grid": {"k": [2]}}, "'threshold' must be a finite number, not 'x'"),
     ("threshold-sweep", {"params": {"base_d": 0}, "grid": {"ksig": [0.5]}}, "0"),
     ("threshold-sweep", {"params": {"base_d": 2.5}, "grid": {"ksig": [-1]}}, "-1"),
-], ids=["K-above-R", "R-with-auto", "oracle-without-delta0", "no-n", "delta-0.7",
-        "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta",
+    # graph-recover numbers: no truncation to an integer, no NaN
+    ("graph-recover", _recover_config(n=400.5), "'n' must be an integer, not 400.5"),
+    ("graph-recover", _recover_config(K=1.5), "'K' must be an integer, not 1.5"),
+    ("graph-recover", _recover_config(R=2.5), "'R' must be an integer, not 2.5"),
+    ("graph-recover", _recover_config(R="2"), "'R' must be an integer, not '2'"),
+    ("graph-recover", _recover_config(a=math.nan), "'a' must be a finite number, not nan"),
+    ("graph-recover", _recover_config(delta0="x"), "'delta0' must be a finite number, not 'x'"),
+    # a number error names its key
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "threshold": math.nan},
+                           "grid": {"k": [2]}}, "'threshold' must be a finite number"),
+    ("tree-accuracy", {"params": {"d": "x", "theta": 0.5}, "grid": {"k": [2]}},
+     "'d' must be a finite number, not 'x'"),
+    ("threshold-sweep", {"params": {"base_d": "x"}, "grid": {"ksig": [0.5]}},
+     "'base_d' must be a finite number, not 'x'"),
+    ("tree-accuracy", {"params": {"a": "x", "b": 1.0}, "grid": {"k": [2]}},
+     "'a' must be a finite number, not 'x'"),
+    ("contraction-check", _regime_config(theta="x"), "'theta' must be a finite number, not 'x'"),
+    ("robust-accuracy", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [2], "delta": ["x"]}},
+     "'delta' must be a finite number, not 'x'"),
+], ids=["K-above-R", "oracle-without-delta0", "no-n", "delta-0.7",
+        "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta", "R-with-auto",
         "ksig-unreachable", "regime-zz", "regime-no-d",
         "moments-d-2.5", "moments-d-pow-k", "moments-extra-not-a-pair", "regime-delta-0.7",
         "regime-kind-zz", "regime-dary-4.5", "regime-d-negative", "theta-1.5", "k-negative",
-        "k-2.5", "conductance-k-0", "threshold-x", "base_d-0", "ksig-negative"])
+        "k-2.5", "conductance-k-0", "threshold-x", "base_d-0", "ksig-negative",
+        "n-400.5", "K-1.5", "R-2.5", "R-string", "a-nan", "delta0-string",
+        "threshold-nan", "d-string",
+        "base_d-string", "a-string", "regime-theta-string", "delta-string"])
 def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
     cfg, out = tmp_path / "c.json", tmp_path / "out.csv"
     cfg.write_text(json.dumps(config))

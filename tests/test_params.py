@@ -46,6 +46,12 @@ def test_invalid_probabilities_rejected():
         ModelParams(n=0, a=1, b=1)
     with pytest.raises(ValueError):
         ModelParams(n=10, a=-1, b=1)
+    for n in (400.5, 400.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            ModelParams(n=n, a=1, b=1)
+    for a, b in ((math.nan, 1), (1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(n=10, a=a, b=b)
 
 
 def test_tree_params_invariants():

@@ -69,6 +69,10 @@ def test_config_validation():
         AlgoConfig(R=3)  # auto would ignore R and pick its own radius
     with pytest.raises(ValueError):
         AlgoConfig(K=-1)
+    for cfg in ({"R": 2.5, "R_mode": "fixed"}, {"R": 2.0, "R_mode": "fixed"},
+                {"K": 1.5}, {"K": True}, {"K": None}):
+        with pytest.raises(ValueError, match="integer"):
+            AlgoConfig(**cfg)
 
 
 # --- anchor choice -----------------------------------------------------------
@@ -141,7 +145,7 @@ def test_align_tie_flagged():
 def _label_all(g, side, radius, big_k, theta, seed=0):
     """The edge engine on all of g, with the coin streams ``recover`` derives."""
     return _label_edges(g, np.asarray(side, dtype=np.int8), radius, big_k, theta,
-                        1e-12, derived_rng(seed, "labels"),
+                        derived_rng(seed, "labels"),
                         derived_rng(seed, "zero-roots").random(g.n))
 
 

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import chi2
 
 from blockbp import levels, popdyn
-from blockbp.bpcore import BpConfig, bp_root
+from blockbp.bpcore import bp_root
 from blockbp.broadcast import add_leaf_noise, run_broadcast, sample_tree, tree_from_parents
 from blockbp.estimators import current_weights, effective_conductance
 from blockbp.levels import _terminal_conductance
@@ -38,9 +38,8 @@ def test_magnetization_chain_matches_explicit_trees():
         t = sample_tree(kind, d, k, seed=int(rng.integers(2 ** 32)))
         t = run_broadcast(t, eta, seed=int(rng.integers(2 ** 32)), root_sign=1)
         t = add_leaf_noise(t, delta, seed=int(rng.integers(2 ** 32)))
-        xs.append(bp_root(t, BpConfig(theta=theta), t.sigma[k]))
-        ys.append(bp_root(t, BpConfig(theta=theta, delta=delta),
-                          t.tau))
+        xs.append(bp_root(t, theta, t.sigma[k]))
+        ys.append(bp_root(t, theta, t.tau, delta=delta))
     xs, ys = np.abs(xs), np.abs(ys)
     se = _joint_se(row["absx_std"], trials, xs.std(), n_exp)
     assert abs(row["absx_mean"] - xs.mean()) < 4 * se
@@ -502,5 +501,5 @@ def test_harness_rejects_conductance_depth_zero():
 
     spec = ExperimentSpec(kind="conductance-check", params={"a": 30.0, "b": 4.0},
                           grid={"k": [0, 2]}, trials=2_000, seed=1)
-    with pytest.raises(ValueError, match="keep_levels"):
+    with pytest.raises(ValueError, match=r"'k' must be >= 1, not \[0\]"):
         run_experiment(spec)
