@@ -39,8 +39,10 @@ __all__ = [
 def bp_combine(children, theta: float):
     """Combine child magnetizations into the parent's.
 
-    Accepts a sequence of values in [-1, 1]; an empty sequence yields 0.
+    Accepts a sequence of values in [-1, 1] and theta in [-1, 1]; an empty
+    sequence yields 0.
     """
+    _check_theta(theta)
     vals = np.asarray(children, dtype=np.float64).ravel()
     if np.any(np.abs(vals) > 1.0):
         raise ValueError("child magnetizations must lie in [-1, 1]")

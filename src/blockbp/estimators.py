@@ -131,9 +131,6 @@ class CurrentWeights:
     (= 1/(1-2 delta)).  Weights sum to theta^(-k).
     """
 
-    theta: float
-    delta: float | None
-    k: int
     leaf_ids: np.ndarray
     weights: np.ndarray
     prefactor: float
@@ -163,10 +160,8 @@ def current_weights(tree: BroadcastTree, theta: float,
     leaf_ids = tree.level(k)
     weights = cur * theta ** (-k)
     prefactor = 1.0 if not delta else 1.0 / (1.0 - 2.0 * delta)
-    return CurrentWeights(
-        theta=theta, delta=delta, k=k, leaf_ids=leaf_ids,
-        weights=weights, prefactor=prefactor, network=net,
-    )
+    return CurrentWeights(leaf_ids=leaf_ids, weights=weights, prefactor=prefactor,
+                          network=net)
 
 
 def weighted_majority_sign(tree: BroadcastTree, observations, theta: float,

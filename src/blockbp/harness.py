@@ -9,8 +9,10 @@ a fixed per-kind column layout:
 Confidence intervals are normal-approximation half-widths with z = 2.576
 (99%).  Every runner is a pure function of (spec, seed): independent jobs get
 streams derived from the master seed by key and results are merged in a fixed
-order.  ``write_results(..., deterministic=True)`` writes the wall-time column
-as 0.0, so reruns are byte-identical.
+order.  contraction-check's regimes and threshold-sweep's points are such
+jobs, and they run on one thread per job up to the usable cores; the rows
+are the same at any thread count.  ``write_results(..., deterministic=True)``
+writes the wall-time column as 0.0, so reruns are byte-identical.
 
 Each kind is one ``_Kind`` record in ``_KINDS``: runner, setup, accepted
 keys, CSV coordinate columns and default spec.  The setup reads the values
@@ -36,9 +38,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -300,9 +303,30 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
     return out
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chains(run: Callable, units: list) -> list:
+    """``[run(i, unit) for i, unit in enumerate(units)]`` on one thread per
+    unit, up to the usable cores.
+
+    Each unit is an independent chain on its own derived stream, so the
+    results do not depend on the thread count.  numpy's generators release
+    the interpreter lock while they fill an array, so one chain's draws run
+    beside another chain's sparse products.
+    """
+    with ThreadPoolExecutor(max_workers=min(len(units), _usable_cores())) as pool:
+        return list(pool.map(run, range(len(units)), units))
+
+
 def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
-    out = []
-    for idx, (kind, d, theta, delta, kmax) in enumerate(_regimes(spec)):
+    def regime_rows(idx: int, regime) -> list[ResultRow]:
+        kind, d, theta, delta, kmax = regime
         t0 = time.perf_counter()
         rows, _ = popdyn.magnetization_chain(
             kind, d, theta, kmax, spec.trials,
@@ -310,6 +334,7 @@ def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
         )
         dt = time.perf_counter() - t0
         base = {"tree_kind": kind, "d": d, "theta": theta, "delta": delta}
+        out = []
         for lev in range(1, kmax + 1):
             cur, prev = rows[lev], rows[lev - 1]
             metrics = [
@@ -326,7 +351,9 @@ def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
                     coords={**base, "level": lev, "metric": metric},
                     estimate=est, ci=half, trials=spec.trials, seconds=dt,
                 ))
-    return out
+        return out
+
+    return [row for rows in _map_chains(regime_rows, _regimes(spec)) for row in rows]
 
 
 def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, float]]]:
@@ -349,8 +376,9 @@ def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, fl
 
 def run_threshold_sweep(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
     base_d, k, points = _sweep_setup(spec)
-    out = []
-    for idx, (ksig, theta) in enumerate(points):
+
+    def point_row(idx: int, point) -> ResultRow:
+        ksig, theta = point
         t0 = time.perf_counter()
         rows, _ = popdyn.magnetization_chain(
             "gw", base_d, theta, k, spec.trials,
@@ -358,13 +386,14 @@ def run_threshold_sweep(spec: ExperimentSpec, threads: int = 1) -> list[ResultRo
         )
         dt = time.perf_counter() - t0
         r = rows[k]
-        out.append(ResultRow(
+        return ResultRow(
             experiment=spec.kind,
             coords={"d": base_d, "theta": theta, "ksig": ksig, "k": k},
             estimate=0.5 * r["absx_mean"], ci=0.5 * r["absx_ci"],
             trials=spec.trials, seconds=dt,
-        ))
-    return out
+        )
+
+    return _map_chains(point_row, points)
 
 
 def _conductance_setup(spec: ExperimentSpec):
@@ -507,7 +536,9 @@ class _Kind:
     """One experiment kind.
 
     ``run(spec, threads)`` makes the rows; ``threads`` worker processes run
-    graph-recover's repetitions, and the tree-side runners ignore it.
+    graph-recover's repetitions, and the tree-side runners ignore it
+    (contraction-check and threshold-sweep run their independent chains on
+    threads of their own, one per usable core).
     ``setup(spec)`` reads the values the runner starts from and raises
     ValueError, naming the value, where the run would fail on one.
     ``params`` holds the params keys a spec may give, ``columns`` the CSV

@@ -37,10 +37,11 @@ def _check_conductance_theta(theta: float) -> None:
         raise ValueError(f"conductance needs 0 < |theta| < 1, not {theta!r}")
 
 
-def _check_delta(delta: float | None) -> None:
-    """The one check of a leaf noise level: None (no noise) or in [0, 1/2)."""
+def _check_delta(delta: float | None, name: str = "delta") -> None:
+    """The one check of a noise level: None (no noise) or in [0, 1/2); an
+    error names the value ``name``."""
     if delta is not None and not 0.0 <= delta < 0.5:
-        raise ValueError(f"delta must lie in [0, 1/2), not {delta!r}")
+        raise ValueError(f"{name} must lie in [0, 1/2), not {delta!r}")
 
 
 def _edge_llr(msgs: np.ndarray, theta: float) -> np.ndarray:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
+from .levels import _check_delta
 from .randgraph import LabelledGraph
 from .seeding import as_generator
 
@@ -133,8 +134,10 @@ def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
 def _check_blackbox(impl: str, delta0: float | None) -> None:
     if impl not in ("spectral", "oracle-noise"):
         raise ValueError(f"unknown partitioner {impl!r}")
-    if impl == "oracle-noise" and (delta0 is None or not 0.0 <= delta0 < 0.5):
-        raise ValueError(f"oracle-noise needs delta0 in [0, 1/2), not {delta0!r}")
+    if impl == "oracle-noise":
+        if delta0 is None:
+            raise ValueError("oracle-noise needs a delta0")
+        _check_delta(delta0, "delta0")
 
 
 def overlap(p: Partition, truth) -> OverlapReport:

@@ -8,8 +8,9 @@ law conditioned on sigma = +, and produce the level k+1 pool by drawing, for
 each new sample, an offspring count, that many pool members, and the
 child-spin flips.  Such a generation is a sparse trials x trials operator
 (row i: new member i's children, valued by their flip signs) on the pool's
-edge terms, applied a block of rows at a time, so that it holds only its
-drawn children whole and a block's flip signs at once.  It costs O(trials *
+edge terms.  It is drawn and applied a block of rows at a time (the
+offspring counts first, then each block's children and flips), so that it
+holds one block's children and flip signs at once.  It costs O(trials *
 mean offspring) time regardless of tree size, which is what makes depth-12
 experiments with 1e5 trials feasible (an explicit mean-17 tree of depth 8
 has ~1e10 nodes).
@@ -65,55 +66,54 @@ def ci_half_width(std: float, n: int, z: float = Z99) -> float:
     return z * std / np.sqrt(n)
 
 
-_BLOCK_SLOTS = 2 ** 16  # child slots whose flip signs are held at once
+_BLOCK_SLOTS = 2 ** 16  # child slots per row block, a part of the chains' stream
 
 
 def _generation_sums(kind: str, d: float, trials: int, rng: np.random.Generator,
                      terms: np.ndarray, eta: float | None = None) -> np.ndarray:
     """One generation: every new pool member's sum of its children's terms.
 
-    Draws each new member's offspring count, then all of its children (pool
-    members, in draw order), then one uniform per child slot; a child adds
-    its row of ``terms`` times its flip sign, -1 where its uniform falls
-    below ``eta`` (1 for every child when ``eta`` is None, and no uniforms
-    are drawn).  Each sum starts from 0 and adds its slots in order, as
-    ``np.bincount`` does, and a childless member reads 0.
+    Draws each new member's offspring count, then cuts the new members into
+    row blocks of consecutive rows with at most ``_BLOCK_SLOTS`` child slots
+    (a wider row is a block alone) and, block by block, draws the block's
+    children (pool members, in draw order) and then one uniform per child
+    slot of the block.  A child adds its row of ``terms`` times its flip
+    sign, -1 where its uniform falls below ``eta`` (1 for every child when
+    ``eta`` is None, and no uniforms are drawn).  Each sum starts from 0 and
+    adds its slots in order, as ``np.bincount`` does, and a childless member
+    reads 0.
 
     The generation is a sparse trials x trials operator (row i: new member
-    i's children, valued by their signs), applied a block of rows at a time:
-    a block's uniforms go into one reused buffer of about ``_BLOCK_SLOTS``
-    slots, so the children are the one slot-length array.  ``Generator``
-    draws the same stream in consecutive calls as in one, so the draws and
-    the sums are bit for bit those of the whole operator.
+    i's children, valued by their signs), applied a block of rows at a time,
+    so that a generation holds a block's children and flip signs and no
+    array as long as its slot count.  The children and uniforms interleave
+    by block, so with ``eta`` given ``_BLOCK_SLOTS`` is part of the stream:
+    another block size draws other children from the same seed.  Without
+    uniforms the blocks' children are one stream at any block size.
     """
     indptr = np.zeros(trials + 1, dtype=np.int64)
     np.cumsum(_offspring(kind, d, trials, rng), out=indptr[1:])
-    n_slots = int(indptr[-1])
-    # row blocks of at most _BLOCK_SLOTS slots; a wider row is a block alone
     bounds = [0]
     while bounds[-1] < trials:
         r0 = bounds[-1]
         r1 = int(np.searchsorted(indptr, indptr[r0] + _BLOCK_SLOTS, side="right")) - 1
         bounds.append(max(r1, r0 + 1))
-    if max(trials, n_slots) < 2 ** 31:
+    if max(trials, int(indptr[-1])) < 2 ** 31:
         # scipy's own index dtype here, so it copies nothing; an int32 draw
         # below 2**31 takes the int64 draw's values and leaves the same state
-        idx = rng.integers(0, trials, n_slots, dtype=np.int32)
         indptr = indptr.astype(np.int32)
-    else:
-        idx = rng.integers(0, trials, n_slots)
     width = int(np.diff(indptr[bounds]).max())
     buf = np.ones(width) if eta is None else np.empty(width)
     out = np.empty((trials, *terms.shape[1:]))
     for r0, r1 in zip(bounds, bounds[1:]):
-        s0, s1 = indptr[r0], indptr[r1]
-        sign = buf[:s1 - s0]
+        ptr = indptr[r0:r1 + 1] - indptr[r0]
+        idx = rng.integers(0, trials, int(ptr[-1]), dtype=indptr.dtype)
+        sign = buf[:len(idx)]
         if eta is not None:
             rng.random(out=sign)
             sign -= eta  # u < eta exactly when u - eta < 0
             np.copysign(1.0, sign, out=sign)
-        block = sp.csr_array((sign, idx[s0:s1], indptr[r0:r1 + 1] - s0),
-                             shape=(r1 - r0, trials))
+        block = sp.csr_array((sign, idx, ptr), shape=(r1 - r0, trials))
         out[r0:r1] = block @ terms
     return out
 

@@ -11,14 +11,17 @@ before a generation became one sparse operator: they gather the pool at
 every child slot, transform each slot (the magnetization chain its flip
 sign times its pool member through the BP level combine, the conductance
 chain its member composed through the edge) and add each new member's slots
-with ``np.bincount``.  They share the offspring draw, the row statistics and
-(magnetization) the level combine with the library, so bit-equality with
+with ``np.bincount``.  They share the offspring draw, the row statistics,
+the block size ``popdyn._BLOCK_SLOTS`` and (magnetization) the level
+combine with the library, so bit-equality with
 ``popdyn.magnetization_chain`` and ``popdyn.conductance_chain`` checks a
-generation's sums: the pool-side edge transform, the flip signs and the
-sparse product's sums.  ``generation_operator`` is that generation as the
-one whole sparse operator the chains built before they applied it a row
-block at a time; ``popdyn._generation_sums`` must give its product bit for
-bit and leave the generator where it does.
+generation's stream and sums: the row blocks, the pool-side edge transform,
+the flip signs and the sparse product's sums.  ``generation_draws`` draws a
+generation in the library's stream order (the offspring counts, then each
+row block's children and flips), with its own rule for cutting the blocks,
+and ``generation_operator`` is that generation as one whole sparse
+operator; ``popdyn._generation_sums`` must give its product bit for bit
+and leave the generator where it does.
 
 The recovery oracle is a per-vertex loop over explicit trees: for every
 vertex it builds the depth-R non-backtracking walk tree node by node (or,
@@ -46,6 +49,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from blockbp import popdyn
 from blockbp.broadcast import BroadcastTree, _offspring
 from blockbp.levels import _combine_levels, _terminal_conductance
 from blockbp.params import derive_tree_params
@@ -231,9 +235,7 @@ def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,
 
     rows = [row(0)]
     for level in range(1, k + 1):
-        counts = _offspring(kind, d, trials, rng)
-        idx = rng.integers(0, trials, int(counts.sum()))
-        sgn = np.where(rng.random(len(idx)) < eta, -1.0, 1.0)
+        counts, idx, sgn = generation_draws(kind, d, trials, rng, eta)
         seg = np.repeat(np.arange(trials), counts)
         x = _combine_levels(sgn * x[idx], seg, trials, theta)
         y = _combine_levels(sgn * y[idx], seg, trials, theta)
@@ -241,28 +243,45 @@ def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,
     return rows, {"x": x, "y": y}
 
 
+def _block_bounds(counts, block: int) -> list:
+    """Row blocks cut greedily: a row joins the open block while the block
+    stays within ``block`` slots, and a wider row is a block alone."""
+    bounds, total = [0], 0
+    for i, c in enumerate(counts.tolist()):
+        if total + c > block and i > bounds[-1]:
+            bounds.append(i)
+            total = 0
+        total += c
+    bounds.append(len(counts))
+    return bounds
+
+
+def generation_draws(kind: str, d: float, trials: int, rng, eta=None):
+    """One generation's draws in stream order: (counts, children, signs).
+
+    Draws the offspring counts, then, one row block of at most
+    ``popdyn._BLOCK_SLOTS`` slots after another, the block's children and
+    then its flip signs: -1 where a uniform falls below ``eta`` (1 for every
+    child when ``eta`` is None, and no uniforms are drawn).
+    """
+    counts = _offspring(kind, d, trials, rng)
+    bounds = _block_bounds(counts, popdyn._BLOCK_SLOTS)
+    idx, sign = [], []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        n = int(counts[r0:r1].sum())
+        idx.append(rng.integers(0, trials, n))
+        sign.append(np.ones(n) if eta is None else np.where(rng.random(n) < eta, -1.0, 1.0))
+    return counts, np.concatenate(idx), np.concatenate(sign)
+
+
 def generation_operator(kind: str, d: float, trials: int, rng, eta=None) -> sp.csr_array:
     """One generation as a whole sparse trials x trials operator on the pool.
 
     Row i holds the pool members drawn as new member i's children, in draw
-    order, each valued by its flip sign: -1 where its uniform falls below
-    ``eta`` (1 for every child when ``eta`` is None, and no uniforms are
-    drawn).
+    order, each valued by its flip sign (``generation_draws``).
     """
-    indptr = np.zeros(trials + 1, dtype=np.int64)
-    np.cumsum(_offspring(kind, d, trials, rng), out=indptr[1:])
-    n_slots = int(indptr[-1])
-    if max(trials, n_slots) < 2 ** 31:
-        idx = rng.integers(0, trials, n_slots, dtype=np.int32)
-        indptr = indptr.astype(np.int32)
-    else:
-        idx = rng.integers(0, trials, n_slots)
-    if eta is None:
-        sign = np.ones(n_slots)
-    else:
-        sign = rng.random(n_slots)
-        sign -= eta  # u < eta exactly when u - eta < 0
-        np.copysign(1.0, sign, out=sign)
+    counts, idx, sign = generation_draws(kind, d, trials, rng, eta)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     return sp.csr_array((sign, idx, indptr), shape=(trials, trials))
 
 
@@ -275,8 +294,7 @@ def conductance_chain_per_slot(kind: str, d: float, theta: float, k: int,
     z = np.full(trials, _terminal_conductance(delta))
     rows, pools = [], {}
     for level in range(1, k + 1):
-        counts = _offspring(kind, d, trials, rng)
-        idx = rng.integers(0, trials, int(counts.sum()))
+        counts, idx, _ = generation_draws(kind, d, trials, rng)
         seg = np.repeat(np.arange(trials), counts)
         z = np.bincount(seg, weights=compose_through_edge(z[idx], theta),
                         minlength=trials).astype(float)

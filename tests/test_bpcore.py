@@ -75,6 +75,10 @@ def test_combine_monotone_for_positive_theta(xs, theta, i):
 def test_combine_rejects_out_of_range():
     with pytest.raises(ValueError):
         bp_combine([1.5], 0.5)
+    # theta outside [-1, 1] is no channel (2.0 used to give 0.999999999999)
+    for theta in (2.0, -1.5, float("nan")):
+        with pytest.raises(ValueError, match="theta"):
+            bp_combine([0.9], theta)
 
 
 # --- bp_root vs the enumeration oracle --------------------------------------

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from blockbp import cli
+from blockbp import cli, harness
 from blockbp.harness import (
     KINDS,
     ExperimentSpec,
@@ -304,6 +304,32 @@ def test_threads_do_not_change_results(tmp_path):
     for threads, rows in ((1, rows1), (2, rows2)):
         out = write_results(rows, spec, tmp_path / f"threads{threads}.csv", deterministic=True)
         blobs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("kind", ["contraction-check", "threshold-sweep"])
+def test_chain_threads_do_not_change_results(tmp_path, monkeypatch, kind):
+    # the kind's independent chains run on one thread per usable core; each
+    # draws from its own derived stream, so one core and two give the same
+    # rows, and deterministic writes are byte-identical
+    pools = []
+
+    class Pool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+    spec = tiny_spec(kind, seed=21)
+    blobs, rows = [], []
+    for cores in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        rows.append([(r.coords, r.estimate, r.ci, r.trials) for r in run_experiment(spec)])
+        out = write_results(run_experiment(spec), spec, tmp_path / f"cores{cores}.csv",
+                            deterministic=True)
+        blobs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert pools == [1, 1, 2, 2]
+    assert repr(rows[0]) == repr(rows[1])  # repr: a nan ratio equals itself
     assert blobs[0] == blobs[1]
 
 
