@@ -3,13 +3,16 @@
 Usage:
 
     blockbp <kind> [--config cfg.json] [--seed S] [--trials T]
-                   [--out results.csv] [--threads N] [--deterministic]
+                   [--out results.csv] [--deterministic]
 
 (``blockbp --help`` lists the kinds).  Each subcommand has a built-in
 default spec; --config overrides it with a JSON object {"kind", "params",
 "grid", "trials", "seed"} (unknown keys and malformed shapes are rejected),
 and --seed/--trials override either; a config the run would fail on exits 2.
 --deterministic zeroes the wall-time column: reruns are byte-identical.
+A run's independent units (regimes, sweep points, graph repetitions) run on
+one thread each, up to the cores the process may use; the rows do not
+depend on the core count.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
         p.add_argument("--out", type=Path, default=None,
                        help="CSV output path (default <kind>.csv; JSON mirror alongside)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes; 0 = all cores")
         p.add_argument("--deterministic", action="store_true",
                        help="zeroed wall times: byte-identical reruns")
     return parser
@@ -69,7 +70,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = run_experiment(spec, threads=args.threads)
+    rows = run_experiment(spec)
     out = args.out if args.out is not None else Path(f"{args.kind}.csv")
     write_results(rows, spec, out, deterministic=args.deterministic)
     for r in rows:

@@ -7,16 +7,18 @@ a fixed per-kind column layout:
     experiment,<kind-specific coordinates>,estimate,ci,trials,seconds
 
 Confidence intervals are normal-approximation half-widths with z = 2.576
-(99%).  Every runner is a pure function of (spec, seed): independent jobs get
-streams derived from the master seed by key and results are merged in a fixed
-order.  contraction-check's regimes and threshold-sweep's points are such
-jobs, and they run on one thread per job up to the usable cores; the rows
-are the same at any thread count.  ``write_results(..., deterministic=True)``
-writes the wall-time column as 0.0, so reruns are byte-identical.
+(99%).  Every runner is a pure function of (spec, seed): independent units
+get streams derived from the master seed by key and results are merged in a
+fixed order.  contraction-check's regimes, threshold-sweep's points and
+graph-recover's repetitions are such units, and they run on one thread per
+unit up to the usable cores; the rows are the same at any core count.
+``write_results(..., deterministic=True)`` writes the wall-time column as
+0.0, so reruns are byte-identical.
 
 Each kind is one ``_Kind`` record in ``_KINDS``: runner, setup, accepted
 keys, CSV coordinate columns and default spec.  The setup reads the values
-the runner starts from and checks them with the tree engines' own checks.
+the runner starts from and checks them with the tree engines' own checks;
+``run_experiment`` calls it once and hands what it returns to the runner.
 
 The noise levels of robust-accuracy (and of each moments-check config) come
 from one call that draws the trees and spins once and carries every level
@@ -41,7 +43,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -186,9 +188,9 @@ def _accuracy_setup(spec: ExperimentSpec):
     return kind, d, theta, ks, deltas
 
 
-def run_accuracy(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+def run_accuracy(spec: ExperimentSpec, plan) -> list[ResultRow]:
     """tree-accuracy rows, or robust-accuracy rows at each grid delta."""
-    kind, d, theta, ks, deltas = _accuracy_setup(spec)
+    kind, d, theta, ks, deltas = plan
     t0 = time.perf_counter()
     chains = popdyn.magnetization_chain(
         kind, d, theta, max(ks), spec.trials, derived_rng(spec.seed, "chain"),
@@ -228,8 +230,8 @@ def _moments_setup(spec: ExperimentSpec):
     return configs, deltas, ks
 
 
-def run_moments_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
-    configs, deltas, ks = _moments_setup(spec)
+def run_moments_check(spec: ExperimentSpec, plan) -> list[ResultRow]:
+    configs, deltas, ks = plan
     out = []
     for cfg_idx, (d, theta) in enumerate(configs):
         out += _moment_rows(spec, cfg_idx, d, theta, deltas, ks)
@@ -315,16 +317,18 @@ def _map_chains(run: Callable, units: list) -> list:
     """``[run(i, unit) for i, unit in enumerate(units)]`` on one thread per
     unit, up to the usable cores.
 
-    Each unit is an independent chain on its own derived stream, so the
-    results do not depend on the thread count.  numpy's generators release
-    the interpreter lock while they fill an array, so one chain's draws run
-    beside another chain's sparse products.
+    Each unit is independent and draws from its own derived stream, so the
+    results do not depend on the thread count.  numpy releases the
+    interpreter lock in most of its array work (a generator filling an
+    array, a sort, a sparse product), so the units' work overlaps.  Every
+    running unit holds its own arrays, so peak memory grows with the number
+    of units running at once.
     """
     with ThreadPoolExecutor(max_workers=min(len(units), _usable_cores())) as pool:
         return list(pool.map(run, range(len(units)), units))
 
 
-def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+def run_contraction_check(spec: ExperimentSpec, regimes) -> list[ResultRow]:
     def regime_rows(idx: int, regime) -> list[ResultRow]:
         kind, d, theta, delta, kmax = regime
         t0 = time.perf_counter()
@@ -353,7 +357,7 @@ def run_contraction_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
                 ))
         return out
 
-    return [row for rows in _map_chains(regime_rows, _regimes(spec)) for row in rows]
+    return [row for rows in _map_chains(regime_rows, regimes) for row in rows]
 
 
 def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, float]]]:
@@ -374,8 +378,8 @@ def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, fl
     return base_d, k, points
 
 
-def run_threshold_sweep(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
-    base_d, k, points = _sweep_setup(spec)
+def run_threshold_sweep(spec: ExperimentSpec, plan) -> list[ResultRow]:
+    base_d, k, points = plan
 
     def point_row(idx: int, point) -> ResultRow:
         ksig, theta = point
@@ -411,8 +415,8 @@ def _conductance_setup(spec: ExperimentSpec):
     return kind, d, theta, delta, ks, threshold
 
 
-def run_conductance_check(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
-    kind, d, theta, delta, ks, threshold = _conductance_setup(spec)
+def run_conductance_check(spec: ExperimentSpec, plan) -> list[ResultRow]:
+    kind, d, theta, delta, ks, threshold = plan
     t0 = time.perf_counter()
     _, pools = popdyn.conductance_chain(
         kind, d, theta, max(ks), spec.trials,
@@ -441,10 +445,11 @@ def run_conductance_check(spec: ExperimentSpec, threads: int = 1) -> list[Result
     return out
 
 
-def _recover_setup(p: dict) -> tuple[ModelParams, AlgoConfig, int]:
+def _recover_setup(spec: ExperimentSpec) -> tuple[ModelParams, AlgoConfig, int]:
     """(model, algorithm, radius) from graph-recover's params n, a, b, impl,
     delta0, R and K, checked; a given R is fixed, and without one the radius
     rule picks it.  The matched tree row runs at the radius."""
+    p = spec.params
     if {"n", "a", "b"} - p.keys():
         raise ValueError(f"graph-recover needs params {sorted({'n', 'a', 'b'} - p.keys())}")
     params = ModelParams(n=_integer("n", p["n"]), a=_number("a", p["a"]),
@@ -458,9 +463,10 @@ def _recover_setup(p: dict) -> tuple[ModelParams, AlgoConfig, int]:
     return params, cfg, resolve_radius(cfg, params.n, params.a, params.b)
 
 
-def _recover_rep(spec: ExperimentSpec, rep: int) -> dict:
+def _recover_rep(spec: ExperimentSpec, params: ModelParams, cfg: AlgoConfig,
+                 rep: int) -> dict:
+    """One repetition: a graph and a recovery on streams derived from ``rep``."""
     p = spec.params
-    params, cfg, _ = _recover_setup(p)
     g = sample_sbm(params, seed=derived_rng(spec.seed, "graph", rep))
     rep_seed = int(derived_rng(spec.seed, "recover", rep).integers(2 ** 62))
     t0 = time.perf_counter()
@@ -475,15 +481,11 @@ def _recover_rep(spec: ExperimentSpec, rep: int) -> dict:
     }
 
 
-def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
+def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
     p = spec.params
-    params, cfg, r_used = _recover_setup(p)
-    jobs = [(spec, int(rep)) for rep in spec.grid["rep"]]
-    if threads == 1 or len(jobs) <= 1:
-        results = [_recover_rep(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads if threads > 0 else None) as pool:
-            results = list(pool.map(_recover_rep, *zip(*jobs)))
+    params, cfg, r_used = plan
+    results = _map_chains(lambda _, rep: _recover_rep(spec, params, cfg, rep),
+                          [int(rep) for rep in spec.grid["rep"]])
     base = {
         "n": params.n, "a": params.a, "b": params.b,
         "impl": p.get("impl", "spectral"),
@@ -535,18 +537,16 @@ def run_graph_recover(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]
 class _Kind:
     """One experiment kind.
 
-    ``run(spec, threads)`` makes the rows; ``threads`` worker processes run
-    graph-recover's repetitions, and the tree-side runners ignore it
-    (contraction-check and threshold-sweep run their independent chains on
-    threads of their own, one per usable core).
     ``setup(spec)`` reads the values the runner starts from and raises
-    ValueError, naming the value, where the run would fail on one.
+    ValueError, naming the value, where the run would fail on one;
+    ``run(spec, plan)`` makes the rows from what the setup returned, with
+    any independent units on ``_map_chains``'s usable-core threads.
     ``params`` holds the params keys a spec may give, ``columns`` the CSV
     coordinate columns in order.  ``default_params`` and ``default_grid`` make
     the spec ``default_spec`` builds; a spec's grid has ``default_grid``'s keys.
     """
 
-    run: Callable[[ExperimentSpec, int], list[ResultRow]]
+    run: Callable[[ExperimentSpec, object], list[ResultRow]]
     setup: Callable[[ExperimentSpec], object]
     params: set
     columns: tuple
@@ -591,7 +591,7 @@ _KINDS = {
         {"a": 30.0, "b": 4.0}, {"k": [2, 4, 6]},
     ),
     "graph-recover": _Kind(
-        run_graph_recover, lambda spec: _recover_setup(spec.params),
+        run_graph_recover, _recover_setup,
         {"n", "a", "b", "impl", "delta0", "R", "K"},
         ("n", "a", "b", "impl", "delta0", "R", "K", "rep", "metric"),
         {"n": 2000, "a": 30.0, "b": 4.0, "impl": "oracle-noise",
@@ -614,10 +614,10 @@ def check_spec(spec: ExperimentSpec) -> None:
     _KINDS[spec.kind].setup(spec)
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRow]:
-    """Run a spec; ``threads`` processes (0 = all cores) run graph-recover's reps."""
-    check_spec(spec)
-    return _KINDS[spec.kind].run(spec, threads)
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
+    """Run a spec: its kind's setup once, then its runner on what that returned."""
+    record = _KINDS[spec.kind]
+    return record.run(spec, record.setup(spec))
 
 
 # --- persistence -----------------------------------------------------------

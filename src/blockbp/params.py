@@ -56,10 +56,6 @@ class ModelParams:
     def p_between(self) -> float:
         return self.b / self.n
 
-    @property
-    def mean_degree(self) -> float:
-        return (self.a + self.b) / 2.0
-
 
 @dataclass(frozen=True)
 class TreeParams:

@@ -37,7 +37,6 @@ __all__ = [
     "OverlapReport",
     "blackbox_partition",
     "overlap",
-    "save_partition",
 ]
 
 
@@ -115,8 +114,9 @@ def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
                        delta0: float | None = None) -> Partition:
     """Produce a rough two-way split of g's vertices.
 
-    "spectral" reads only the graph structure; "oracle-noise" reads the
-    hidden labels and flips each with probability delta0 (harness use only).
+    "spectral" reads only the graph structure and takes no delta0;
+    "oracle-noise" reads the hidden labels and flips each with probability
+    delta0 (harness use only).
     Deterministic given the seed.  A spectral run that finds no informative
     eigenvalue warns (RuntimeWarning) and returns a coin-flip split with
     ``informative`` false.
@@ -134,6 +134,8 @@ def blackbox_partition(g: LabelledGraph, impl: str = "spectral", seed=0,
 def _check_blackbox(impl: str, delta0: float | None) -> None:
     if impl not in ("spectral", "oracle-noise"):
         raise ValueError(f"unknown partitioner {impl!r}")
+    if impl == "spectral" and delta0 is not None:
+        raise ValueError(f"spectral takes no delta0, not {delta0!r}")
     if impl == "oracle-noise":
         if delta0 is None:
             raise ValueError("oracle-noise needs a delta0")
@@ -157,10 +159,3 @@ def overlap(p: Partition, truth) -> OverlapReport:
         n=n,
     )
 
-
-def save_partition(p: Partition, path, vertex_ids=None) -> None:
-    """Text dump: one "v +1" / "v -1" line per vertex."""
-    ids = np.arange(p.n) if vertex_ids is None else np.asarray(vertex_ids)
-    with open(path, "w") as fh:
-        for v, s in zip(ids, p.side):
-            fh.write(f"{v} {'+1' if s > 0 else '-1'}\n")

@@ -161,18 +161,17 @@ def _levels(delta) -> list:
 
 
 def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
-                        rng, *, delta: float = 0.0, y_init: str = "noisy"):
+                        rng, *, delta: float = 0.0):
     """Coupled (X, Y) population chain conditioned on sigma = +.
 
     X starts from exact leaf spins (+1 under the conditioning); Y starts from
-    the noisy observation: tau scaled by (1 - 2*delta) for y_init="noisy", or
-    the bare sign tau for y_init="signs".  Both then follow the same
-    recursion through the same sampled offspring and flips, so (X - Y) is the
-    effect of leaf initialization alone.  The edge transform arctanh(theta v)
-    is odd, so it runs once per pool member, and the level's generation
-    (flip signs as values, applied a row block at a time) sums every new
-    member's children from the array of X and Y terms: the bits of a
-    per-slot transform summed with ``np.bincount``.
+    the noisy observation tau scaled by (1 - 2*delta).  Both then follow the
+    same recursion through the same sampled offspring and flips, so (X - Y)
+    is the effect of leaf initialization alone.  The edge transform
+    arctanh(theta v) is odd, so it runs once per pool member, and the
+    level's generation (flip signs as values, applied a row block at a time)
+    sums every new member's children from the array of X and Y terms: the
+    bits of a per-slot transform summed with ``np.bincount``.
 
     Returns (rows, pools): one dict per level 0..k with mean/std/ci of X, |X|,
     Y, |Y|, (X-Y)^2 and sqrt|X-Y|, plus the final pools {"x": ..., "y": ...}.
@@ -192,16 +191,14 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     Compare means from several seeds, or inflate the CI, before holding them
     to a tight tolerance.
     """
-    out = _magnetization_chains(kind, d, theta, k, trials, rng, _levels(delta), y_init)
+    out = _magnetization_chains(kind, d, theta, k, trials, rng, _levels(delta))
     return out[0] if np.ndim(delta) == 0 else out
 
 
-def _magnetization_chains(kind, d, theta, k, trials, rng, deltas, y_init):
+def _magnetization_chains(kind, d, theta, k, trials, rng, deltas):
     rng = as_generator(rng)
     for delta in deltas:
         _check_chain_inputs(theta, k, trials, delta)
-    if y_init not in ("noisy", "signs"):
-        raise ValueError("y_init must be 'noisy' or 'signs'")
     eta = 0.5 * (1.0 - theta)
 
     # pool row 0 is X, and each distinct nonzero level has a Y row
@@ -214,8 +211,7 @@ def _magnetization_chains(kind, d, theta, k, trials, rng, deltas, y_init):
     pool = np.ones((len(pool_row), trials))
     for delta, r in pool_row.items():
         if r:
-            tau = np.where(u < delta, -1.0, 1.0)
-            pool[r] = (1.0 - 2.0 * delta) * tau if y_init == "noisy" else tau
+            pool[r] = (1.0 - 2.0 * delta) * np.where(u < delta, -1.0, 1.0)
 
     def rows_at(level: int) -> list[dict]:
         x = pool[0]

@@ -1,6 +1,10 @@
+import argparse
+import dataclasses
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,25 +297,12 @@ def test_rerun_byte_identical(tmp_path):
             == paths[1].with_suffix(".json").read_bytes())
 
 
-def test_threads_do_not_change_results(tmp_path):
-    spec = tiny_spec("graph-recover", trials=2000, seed=13)
-    rows1 = run_experiment(spec, threads=1)
-    rows2 = run_experiment(spec, threads=2)
-    assert [(r.coords["metric"], r.coords["rep"], r.estimate) for r in rows1] == \
-           [(r.coords["metric"], r.coords["rep"], r.estimate) for r in rows2]
-    # so deterministic writes are byte-identical at any worker count
-    blobs = []
-    for threads, rows in ((1, rows1), (2, rows2)):
-        out = write_results(rows, spec, tmp_path / f"threads{threads}.csv", deterministic=True)
-        blobs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
-    assert blobs[0] == blobs[1]
-
-
-@pytest.mark.parametrize("kind", ["contraction-check", "threshold-sweep"])
+@pytest.mark.parametrize("kind", ["contraction-check", "threshold-sweep", "graph-recover"])
 def test_chain_threads_do_not_change_results(tmp_path, monkeypatch, kind):
-    # the kind's independent chains run on one thread per usable core; each
-    # draws from its own derived stream, so one core and two give the same
-    # rows, and deterministic writes are byte-identical
+    # the kind's independent units (chains, or graph repetitions) run on one
+    # thread per usable core; each draws from its own derived stream, so one
+    # core and two give the same rows, and deterministic writes are
+    # byte-identical
     pools = []
 
     class Pool(harness.ThreadPoolExecutor):
@@ -333,6 +324,23 @@ def test_chain_threads_do_not_change_results(tmp_path, monkeypatch, kind):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_experiment_sets_up_once(monkeypatch, kind):
+    # the runner starts from what the setup returned and does not read the
+    # spec's values again
+    record = harness._KINDS[kind]
+    specs = []
+
+    def setup(spec):
+        specs.append(spec)
+        return record.setup(spec)
+
+    monkeypatch.setitem(harness._KINDS, kind, dataclasses.replace(record, setup=setup))
+    spec = tiny_spec(kind, trials=300)
+    assert run_experiment(spec)
+    assert specs == [spec]
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -350,6 +358,27 @@ def test_cli_every_subcommand_smoke(tmp_path):
             argv += ["--config", str(cfg_path)]
         assert cli.main(argv) == 0
         assert out.exists() and out.with_suffix(".json").exists()
+
+
+def test_cli_threads_flag_is_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["graph-recover", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_readme_cli_block_names_the_parser_flags():
+    # the usage block under "## CLI" names each subcommand and exactly the
+    # flags the parser gives one, so a retired flag cannot stay in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```\n(.*?)^```", readme, re.M | re.S).group(1)
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert re.findall(r"^blockbp (\S+)", block, re.M) == list(KINDS)
+    for kind in KINDS:
+        flags = {opt for action in subparsers.choices[kind]._actions
+                 for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        assert set(re.findall(r"--[a-z-]+", block)) == flags, kind
 
 
 def test_cli_rerun_byte_identical(tmp_path):
@@ -408,6 +437,7 @@ def _regime_config(**over):
     ("graph-recover", _recover_config(K=3), "K=3"),
     ("graph-recover", _recover_config(delta0=None), "delta0"),
     ("graph-recover", _recover_config(n=None), "'n'"),
+    ("graph-recover", _recover_config(impl="spectral"), "spectral takes no delta0, not 0.25"),
     ("robust-accuracy", {"params": {"a": 30.0, "b": 4.0},
                          "grid": {"k": [2], "delta": [0.7]}}, "0.7"),
     # retired keys are unknown keys, not silently different runs
@@ -460,7 +490,7 @@ def _regime_config(**over):
     ("contraction-check", _regime_config(theta="x"), "'theta' must be a finite number, not 'x'"),
     ("robust-accuracy", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [2], "delta": ["x"]}},
      "'delta' must be a finite number, not 'x'"),
-], ids=["K-above-R", "oracle-without-delta0", "no-n", "delta-0.7",
+], ids=["K-above-R", "oracle-without-delta0", "no-n", "spectral-with-delta0", "delta-0.7",
         "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta", "R-with-auto",
         "ksig-unreachable", "regime-zz", "regime-no-d",
         "moments-d-2.5", "moments-d-pow-k", "moments-extra-not-a-pair", "regime-delta-0.7",

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockbp.params import ModelParams
-from blockbp.partition import Partition, blackbox_partition, overlap, save_partition
+from blockbp.partition import Partition, _check_blackbox, blackbox_partition, overlap
 from blockbp.randgraph import graph_from_edges, sample_sbm
 
 
@@ -79,6 +79,18 @@ def test_oracle_noise_needs_delta0():
         blackbox_partition(g, impl="unknown")
 
 
+def test_spectral_takes_no_delta0():
+    # a spectral run applies no noise, so a given delta0 would be recorded
+    # beside rows it never touched
+    for delta0 in (0.9, 0.25, 0.0):
+        with pytest.raises(ValueError, match="spectral takes no delta0"):
+            _check_blackbox("spectral", delta0)
+    _check_blackbox("spectral", None)
+    g = sample_sbm(ModelParams(n=50, a=5, b=1), seed=6)
+    with pytest.raises(ValueError, match="delta0"):
+        blackbox_partition(g, impl="spectral", delta0=0.25)
+
+
 def test_spectral_deterministic():
     g = sample_sbm(ModelParams(n=2_000, a=20, b=4), seed=7)
     p1 = blackbox_partition(g, impl="spectral", seed=8)
@@ -94,13 +106,6 @@ def test_spectral_regression_high_snr():
         p = blackbox_partition(g, impl="spectral", seed=s)
         misses += overlap(p, g.labels).delta_frac > 0.3
     assert misses <= 1
-
-
-def test_save_partition(tmp_path):
-    p = Partition(side=np.array([1, -1, 1], dtype=np.int8))
-    path = tmp_path / "part.txt"
-    save_partition(p, path)
-    assert path.read_text().splitlines() == ["0 +1", "1 -1", "2 +1"]
 
 
 @pytest.mark.parametrize("a, b", [(8, 2), (2, 8)])

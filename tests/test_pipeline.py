@@ -9,11 +9,12 @@ from _oracles import (
     conductance_up,
     current_down,
     label_one,
+    magnetization_chain_per_slot,
     recover_loop,
     revisits,
     walk_tree,
 )
-from blockbp import pipeline, popdyn
+from blockbp import pipeline
 from blockbp.bpcore import bp_combine
 from blockbp.params import ModelParams
 from blockbp.partition import Partition
@@ -363,7 +364,8 @@ def test_recover_coupling_with_tree_process():
     pipe = np.asarray(pipe)
     n_eff = 4 * (m.n - int(math.isqrt(m.n)))
 
-    _, pools = popdyn.magnetization_chain(
+    # Y starts from the bare noisy signs: the K = 0 estimator's leaves
+    _, pools = magnetization_chain_per_slot(
         "gw", 17.0, 13 / 17, 2, 100_000, np.random.default_rng(1),
         delta=0.2, y_init="signs",
     )

@@ -158,15 +158,15 @@ def _magnetization_chains_agree(kind, d, theta, k, trials, make_rng, **kw):
     return pools
 
 
-@pytest.mark.parametrize("kind, d, theta, k, delta, y_init", [
-    ("gw", 3.0, 0.5, 6, 0.0, "noisy"),
-    ("gw", 64.0, 0.3, 3, 0.4, "noisy"),
-    ("gw", 2.5, -0.6, 8, 0.2, "signs"),
-    ("dary", 2, 0.75, 8, 0.0, "signs"),
-    ("dary", 40, 0.9, 3, 0.4, "noisy"),
-    ("dary", 3, 0.5, 5, 0.2, "noisy"),
-])
-def test_pool_side_edge_transform_is_exact(kind, d, theta, k, delta, y_init):
+# each id's last field names the Y pool's start: the noisy observation
+@pytest.mark.parametrize("kind, d, theta, k, delta", [
+    ("gw", 3.0, 0.5, 6, 0.0),
+    ("gw", 64.0, 0.3, 3, 0.4),
+    ("dary", 40, 0.9, 3, 0.4),
+    ("dary", 3, 0.5, 5, 0.2),
+], ids=["gw-3.0-0.5-6-0.0-noisy", "gw-64.0-0.3-3-0.4-noisy", "dary-40-0.9-3-0.4-noisy",
+        "dary-3-0.5-5-0.2-noisy"])
+def test_pool_side_edge_transform_is_exact(kind, d, theta, k, delta):
     # transforming each pool member once, with the flipped children negated
     # by the generation's signs, gives the bits of transforming and summing
     # every slot (arctanh must be exactly odd).  Every 4th uniform of the
@@ -174,7 +174,7 @@ def test_pool_side_edge_transform_is_exact(kind, d, theta, k, delta, y_init):
     # u < eta there too (at theta = 0.5, eta = 0.25 is a value the generator
     # can draw).
     _magnetization_chains_agree(kind, d, theta, k, 20_000, lambda: _ties_at_eta(13, theta),
-                                delta=delta, y_init=y_init)
+                                delta=delta)
 
 
 def test_magnetization_chain_on_a_childless_level():
@@ -190,22 +190,19 @@ def test_magnetization_chain_on_a_childless_level():
 LEVELS = (0.2, 0.0, 0.4, 0.2)  # a zero level and a repeated one
 
 
-@pytest.mark.parametrize("kind, d, theta, k, trials, y_init", [
-    ("gw", 3.0, 0.5, 5, 20_000, "noisy"),
-    ("gw", 2.5, -0.6, 6, 20_000, "signs"),
-    ("dary", 3, 0.75, 5, 20_000, "noisy"),
-    ("dary", 2, 0.6, 6, 20_000, "signs"),
-    ("gw", 0.2, 0.6, 6, 5, "noisy"),  # childless: see the test above
-])
-def test_magnetization_chain_levels_match_one_level_calls(kind, d, theta, k, trials,
-                                                          y_init):
+# each id's last field names the Y pool's start: the noisy observation
+@pytest.mark.parametrize("kind, d, theta, k, trials", [
+    ("gw", 3.0, 0.5, 5, 20_000),
+    ("dary", 3, 0.75, 5, 20_000),
+    ("gw", 0.2, 0.6, 6, 5),  # childless: see the test above
+], ids=["gw-3.0-0.5-5-20000-noisy", "dary-3-0.75-5-20000-noisy", "gw-0.2-0.6-6-5-noisy"])
+def test_magnetization_chain_levels_match_one_level_calls(kind, d, theta, k, trials):
     args = (kind, d, theta, k, trials)
-    got = popdyn.magnetization_chain(*args, np.random.default_rng(3), delta=LEVELS,
-                                     y_init=y_init)
+    got = popdyn.magnetization_chain(*args, np.random.default_rng(3), delta=LEVELS)
     assert isinstance(got, list) and len(got) == len(LEVELS)
     for delta, (rows, pools) in zip(LEVELS, got):
         want_rows, want = popdyn.magnetization_chain(*args, np.random.default_rng(3),
-                                                     delta=delta, y_init=y_init)
+                                                     delta=delta)
         assert rows == want_rows
         assert np.array_equal(pools["x"], want["x"])
         assert np.array_equal(pools["y"], want["y"])
