@@ -11,9 +11,10 @@ which this module evaluates in the numerically stable log-ratio form
 tanh(sum_i atanh(theta x_i)), with values clipped to |x| <= 1 - ``levels._CLAMP``
 so the atanh never blows up.  Products of hundreds of factors would
 under/overflow; the tanh form never does, and the clip models
-fixed-precision truncation.  Leaves start at the observed +-1 spins (or +-1
-signs from an external estimator); given ``delta``, at +-(1 - 2*delta), the
-posterior of a spin seen through a delta-flip channel.
+fixed-precision truncation.  Leaves start at +-(1 - 2*delta), the posterior
+of an observed +-1 spin (or +-1 sign from an external estimator) seen
+through a delta-flip channel; at the default delta = 0 that is the
+observation itself.
 
 Two independent routes compute the same posterior: `bp_root` (the recursion)
 and `exact_posterior` (brute-force enumeration over all latent spin
@@ -50,7 +51,7 @@ def bp_combine(children, theta: float):
     return float(_combine_levels(vals, one_parent, 1, theta)[0])
 
 
-def bp_levels(tree: BroadcastTree, theta: float, observed, delta: float | None = None,
+def bp_levels(tree: BroadcastTree, theta: float, observed, delta: float = 0.0,
               level: int | None = None) -> np.ndarray:
     """Run the recursion from ``level`` up to the root; returns root-level values.
 
@@ -69,27 +70,27 @@ def bp_levels(tree: BroadcastTree, theta: float, observed, delta: float | None =
         )
     if obs.size and not np.all(np.abs(obs) == 1.0):
         raise ValueError("observations must be +-1 valued")
-    scale = 1.0 if delta is None else 1.0 - 2.0 * delta
-    return bp_up(scale * obs, tree.parent_pos[: k + 1], tree.sizes, theta)
+    return bp_up((1.0 - 2.0 * delta) * obs, tree.parent_pos[: k + 1], tree.sizes, theta)
 
 
-def bp_root(tree: BroadcastTree, theta: float, observed, delta: float | None = None,
+def bp_root(tree: BroadcastTree, theta: float, observed, delta: float = 0.0,
             level: int | None = None) -> float:
     """Root magnetization given +-1 observations on one descendant level."""
     return float(bp_levels(tree, theta, observed, delta=delta, level=level)[0])
 
 
 def exact_posterior(tree: BroadcastTree, theta: float, observed,
-                    delta: float | None = None, level: int | None = None,
+                    delta: float = 0.0, level: int | None = None,
                     guard: int = 2 ** 22) -> float:
     """Brute-force root magnetization: sum over every latent spin assignment.
 
     Each tree edge contributes a factor (1 + theta * s_u * s_v) / 2 and, when
-    ``delta`` is given, each observed leaf contributes
+    ``delta`` > 0, each observed leaf contributes
     (1 + (1 - 2*delta) * s_leaf * obs) / 2 with the leaf spin itself latent.
-    With ``delta`` None the leaf spins are pinned to the observations.
+    At delta = 0 the leaf spins are pinned to the observations.
     Refuses trees whose latent configuration count exceeds ``guard``.
     """
+    _check_delta(delta)
     k = tree.check_level(level)
     leaf_lo, leaf_hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
     obs = np.asarray(observed, dtype=np.float64)
@@ -99,7 +100,7 @@ def exact_posterior(tree: BroadcastTree, theta: float, observed,
         raise ValueError("observations must be +-1 valued")
 
     latent = list(range(leaf_lo))
-    if delta is not None:
+    if delta:
         latent.extend(range(leaf_lo, leaf_hi))
     L = len(latent)
     if 1 << L > guard:
@@ -120,7 +121,7 @@ def exact_posterior(tree: BroadcastTree, theta: float, observed,
     parent = tree.parent
     for v in range(1, leaf_hi):
         w *= 0.5 * (1.0 + theta * spin(v) * spin(parent[v]))
-    if delta is not None:
+    if delta:
         for v in range(leaf_lo, leaf_hi):
             w *= 0.5 * (1.0 + (1.0 - 2.0 * delta) * spin(v) * obs[v - leaf_lo])
 

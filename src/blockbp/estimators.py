@@ -104,14 +104,13 @@ class ConductanceNetwork:
     cs: list
 
 
-def effective_conductance(tree: BroadcastTree, theta: float,
-                          delta: float | None = None,
+def effective_conductance(tree: BroadcastTree, theta: float, delta: float = 0.0,
                           k: int | None = None) -> ConductanceNetwork:
     """Series-parallel reduction, leaves to root, in one post-order sweep.
 
     A child subtree of local conductance Z composes through its parent edge
     as theta^2 Z / ((1-theta^2) Z + 1); siblings add.  An extinct tree has
-    ceff = 0; with delta None and k = 0 the root is itself a terminal and
+    ceff = 0; at delta = 0 and k = 0 the root is itself a terminal and
     ceff = inf.  ``ceff`` is the first root's; on a forest ``zs[0]`` holds
     every root's conductance.
     """
@@ -143,8 +142,7 @@ class CurrentWeights:
         return self.prefactor * float(np.dot(self.weights, obs))
 
 
-def current_weights(tree: BroadcastTree, theta: float,
-                    delta: float | None = None,
+def current_weights(tree: BroadcastTree, theta: float, delta: float = 0.0,
                     k: int | None = None) -> CurrentWeights:
     """Weights proportional to the unit current flow from the root to each leaf.
 
@@ -159,22 +157,23 @@ def current_weights(tree: BroadcastTree, theta: float,
     cur, _ = current_down(net.zs, net.cs, tree.parent_pos[: k + 1])
     leaf_ids = tree.level(k)
     weights = cur * theta ** (-k)
-    prefactor = 1.0 if not delta else 1.0 / (1.0 - 2.0 * delta)
-    return CurrentWeights(leaf_ids=leaf_ids, weights=weights, prefactor=prefactor,
-                          network=net)
+    return CurrentWeights(leaf_ids=leaf_ids, weights=weights,
+                          prefactor=1.0 / (1.0 - 2.0 * delta), network=net)
 
 
 def weighted_majority_sign(tree: BroadcastTree, observations, theta: float,
-                           rng, delta: float | None = None,
-                           k: int | None = None) -> int:
+                           rng, delta: float = 0.0, k: int | None = None) -> int:
     """Sign of the current-weighted observation sum; ties resolved by fair coin.
 
     An extinct tree (no observed level) also falls back to the coin: by the
     +- symmetry of the model a silent default to +1 would bias everything
-    downstream.
+    downstream.  Bad theta or delta raise: only the extinct tree's error
+    becomes a coin.
     """
     rng = as_generator(rng)
     k = tree.check_level(k)
+    _check_conductance_theta(theta)
+    _check_delta(delta)
     try:
         cw = current_weights(tree, theta, delta=delta, k=k)
     except ValueError:

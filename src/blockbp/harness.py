@@ -17,8 +17,9 @@ unit up to the usable cores; the rows are the same at any core count.
 
 Each kind is one ``_Kind`` record in ``_KINDS``: runner, setup, accepted
 keys, CSV coordinate columns and default spec.  The setup reads the values
-the runner starts from and checks them with the tree engines' own checks;
-``run_experiment`` calls it once and hands what it returns to the runner.
+the runner starts from and checks each engine call the runner will make,
+once, with the tree engines' own checks; ``run_experiment`` calls it once
+and hands what it returns to the runner.
 
 The noise levels of robust-accuracy (and of each moments-check config) come
 from one call that draws the trees and spins once and carries every level
@@ -88,9 +89,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         kind = _kind(self.kind)
-        for key, low, value in (("trials", 1, self.trials), ("seed", 0, self.seed)):
-            if type(value) is not int or value < low:  # bool is not an integer here
+        for key, low in (("trials", 1), ("seed", 0)):
+            value = _integer(key, getattr(self, key))
+            if value < low:
                 raise ValueError(f"{key!r} must be an integer >= {low}, not {value!r}")
+            object.__setattr__(self, key, value)
         if not isinstance(self.params, dict):
             raise ValueError("'params' must be an object")
         if not isinstance(self.grid, dict):
@@ -168,9 +171,12 @@ def _tree_parameterization(spec: ExperimentSpec):
     return kind, d, theta
 
 
-def _depths(spec: ExperimentSpec) -> list[int]:
-    """The grid's depths k, sorted."""
-    return sorted(_integer("k", k) for k in spec.grid["k"])
+def _depths(spec: ExperimentSpec, low: int = 0) -> list[int]:
+    """The grid's depths k, sorted, each at least ``low``."""
+    ks = sorted(_integer("k", k) for k in spec.grid["k"])
+    if ks[0] < low:
+        raise ValueError(f"'k' must be >= {low}, not {[k for k in ks if k < low]}")
+    return ks
 
 
 # --- runners ---------------------------------------------------------------
@@ -178,13 +184,11 @@ def _depths(spec: ExperimentSpec) -> list[int]:
 
 def _accuracy_setup(spec: ExperimentSpec):
     """(tree kind, d, theta, depths, noise levels) of tree-accuracy or
-    robust-accuracy, checked; tree-accuracy's one noise level is None."""
+    robust-accuracy, checked; tree-accuracy's one noise level is 0."""
     kind, d, theta = _tree_parameterization(spec)
     ks = _depths(spec)
-    deltas = [_number("delta", x) for x in spec.grid["delta"]] if "delta" in spec.grid else [None]
-    for k in ks:
-        for delta in deltas:
-            _check_chain_inputs(theta, k, spec.trials, delta)
+    deltas = [_number("delta", x) for x in spec.grid.get("delta", [0.0])]
+    _check_chain_inputs(theta, max(ks), spec.trials, deltas)
     return kind, d, theta, ks, deltas
 
 
@@ -193,19 +197,16 @@ def run_accuracy(spec: ExperimentSpec, plan) -> list[ResultRow]:
     kind, d, theta, ks, deltas = plan
     t0 = time.perf_counter()
     chains = popdyn.magnetization_chain(
-        kind, d, theta, max(ks), spec.trials, derived_rng(spec.seed, "chain"),
-        delta=[0.0 if delta is None else delta for delta in deltas],
+        kind, d, theta, max(ks), spec.trials, derived_rng(spec.seed, "chain"), delta=deltas,
     )
     dt = (time.perf_counter() - t0) / len(deltas)
     out = []
     for delta, (rows, _) in zip(deltas, chains):
         for k in ks:
             r = rows[k]
-            coords = {"tree_kind": kind, "d": d, "theta": theta, "k": k}
-            if delta is not None:
-                coords["delta"] = delta
             out.append(ResultRow(
-                experiment=spec.kind, coords=coords,
+                experiment=spec.kind,
+                coords={"tree_kind": kind, "d": d, "theta": theta, "delta": delta, "k": k},
                 estimate=0.5 * (1.0 + r["absy_mean"]), ci=0.5 * r["absy_ci"],
                 trials=spec.trials, seconds=dt,
             ))
@@ -225,8 +226,7 @@ def _moments_setup(spec: ExperimentSpec):
             raise ValueError(f"an extra config must be a pair [d, theta], not {c!r}")
         configs.append((_integer("d", c[0]), _number("theta", c[1])))
     for d, theta in configs:
-        for k in ks:
-            _check_dary_sum_inputs(d, theta, k, spec.trials, deltas)
+        _check_dary_sum_inputs(d, theta, max(ks), spec.trials, deltas)
     return configs, deltas, ks
 
 
@@ -300,7 +300,7 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
         d, theta = _number("d", regime["d"]), _number("theta", regime["theta"])
         delta, k = _number("delta", regime.get("delta", 0.4)), _integer("k", regime.get("k", 8))
         _check_offspring(kind, d)
-        _check_chain_inputs(theta, k, spec.trials, delta)
+        _check_chain_inputs(theta, k, spec.trials, [delta])
         out.append((kind, d, theta, delta, k))
     return out
 
@@ -373,7 +373,7 @@ def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, fl
         theta = math.sqrt(ksig / base_d)
         if theta >= 1.0:
             raise ValueError(f"theta^2 d = {ksig:g} is unreachable with base_d = {base_d:g}")
-        _check_chain_inputs(theta, k, spec.trials, 0.0)
+        _check_chain_inputs(theta, k, spec.trials, [0.0])
         points.append((ksig, theta))
     return base_d, k, points
 
@@ -403,11 +403,8 @@ def run_threshold_sweep(spec: ExperimentSpec, plan) -> list[ResultRow]:
 def _conductance_setup(spec: ExperimentSpec):
     """(tree kind, d, theta, delta, depths, threshold) of conductance-check, checked."""
     kind, d, theta = _tree_parameterization(spec)
-    delta = spec.params.get("delta")
-    delta = _number("delta", delta) if delta is not None else None
-    ks = _depths(spec)
-    if ks[0] < 1:
-        raise ValueError(f"'k' must be >= 1, not {[k for k in ks if k < 1]}")
+    delta = _number("delta", spec.params.get("delta", 0.0))
+    ks = _depths(spec, low=1)
     _check_conductance_inputs(theta, max(ks), spec.trials, delta, set(ks))
     eta = 0.5 * (1.0 - theta)
     threshold = _number("threshold",
@@ -426,8 +423,7 @@ def run_conductance_check(spec: ExperimentSpec, plan) -> list[ResultRow]:
     out = []
     for k in ks:
         pool = pools[k]
-        base = {"tree_kind": kind, "d": d, "theta": theta,
-                "delta": delta if delta is not None else 0.0, "k": k,
+        base = {"tree_kind": kind, "d": d, "theta": theta, "delta": delta, "k": k,
                 "threshold": threshold}
         frac = float((pool >= threshold).mean())
         out.append(ResultRow(
@@ -445,10 +441,10 @@ def run_conductance_check(spec: ExperimentSpec, plan) -> list[ResultRow]:
     return out
 
 
-def _recover_setup(spec: ExperimentSpec) -> tuple[ModelParams, AlgoConfig, int]:
-    """(model, algorithm, radius) from graph-recover's params n, a, b, impl,
-    delta0, R and K, checked; a given R is fixed, and without one the radius
-    rule picks it.  The matched tree row runs at the radius."""
+def _recover_setup(spec: ExperimentSpec):
+    """(model, algorithm, radius, impl, delta0) from graph-recover's params n,
+    a, b, impl, delta0, R and K, checked; a given R is fixed, and without one
+    the radius rule picks it.  The matched tree row runs at the radius."""
     p = spec.params
     if {"n", "a", "b"} - p.keys():
         raise ValueError(f"graph-recover needs params {sorted({'n', 'a', 'b'} - p.keys())}")
@@ -457,21 +453,19 @@ def _recover_setup(spec: ExperimentSpec) -> tuple[ModelParams, AlgoConfig, int]:
     r = None if p.get("R") is None else _integer("R", p["R"])
     cfg = AlgoConfig(R=r, R_mode="auto" if r is None else "fixed",
                      K=_integer("K", p.get("K", 1)))
-    delta0 = p.get("delta0")
-    _check_blackbox(p.get("impl", "spectral"),
-                    None if delta0 is None else _number("delta0", delta0))
-    return params, cfg, resolve_radius(cfg, params.n, params.a, params.b)
+    impl = p.get("impl", "spectral")
+    delta0 = None if p.get("delta0") is None else _number("delta0", p["delta0"])
+    _check_blackbox(impl, delta0)
+    return params, cfg, resolve_radius(cfg, params.n, params.a, params.b), impl, delta0
 
 
-def _recover_rep(spec: ExperimentSpec, params: ModelParams, cfg: AlgoConfig,
-                 rep: int) -> dict:
+def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
     """One repetition: a graph and a recovery on streams derived from ``rep``."""
-    p = spec.params
+    params, cfg, _, impl, delta0 = plan
     g = sample_sbm(params, seed=derived_rng(spec.seed, "graph", rep))
     rep_seed = int(derived_rng(spec.seed, "recover", rep).integers(2 ** 62))
     t0 = time.perf_counter()
-    res = recover(g, cfg, params, impl=p.get("impl", "spectral"),
-                  seed=rep_seed, delta0=p.get("delta0"))
+    res = recover(g, cfg, params, impl=impl, seed=rep_seed, delta0=delta0)
     return {
         "rep": rep,
         "accuracy": res.accuracy,
@@ -482,15 +476,12 @@ def _recover_rep(spec: ExperimentSpec, params: ModelParams, cfg: AlgoConfig,
 
 
 def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
-    p = spec.params
-    params, cfg, r_used = plan
-    results = _map_chains(lambda _, rep: _recover_rep(spec, params, cfg, rep),
+    params, cfg, r_used, impl, delta0 = plan
+    results = _map_chains(lambda _, rep: _recover_rep(spec, plan, rep),
                           [int(rep) for rep in spec.grid["rep"]])
     base = {
-        "n": params.n, "a": params.a, "b": params.b,
-        "impl": p.get("impl", "spectral"),
-        "delta0": p.get("delta0") if p.get("delta0") is not None else -1.0,
-        "R": r_used, "K": cfg.K,
+        "n": params.n, "a": params.a, "b": params.b, "impl": impl,
+        "delta0": -1.0 if delta0 is None else delta0, "R": r_used, "K": cfg.K,
     }
     out = []
     # per rep: accuracy, then the fractions of all n vertices that were

@@ -22,6 +22,8 @@ the rules on theta and the leaf noise level are checked here too, once.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _CLAMP = 1e-12  # every BP value is clipped to |x| <= 1 - _CLAMP, read at call time
@@ -37,10 +39,11 @@ def _check_conductance_theta(theta: float) -> None:
         raise ValueError(f"conductance needs 0 < |theta| < 1, not {theta!r}")
 
 
-def _check_delta(delta: float | None, name: str = "delta") -> None:
-    """The one check of a noise level: None (no noise) or in [0, 1/2); an
-    error names the value ``name``."""
-    if delta is not None and not 0.0 <= delta < 0.5:
+def _check_delta(delta: float, name: str = "delta") -> None:
+    """The one check of a noise level: a real number in [0, 1/2), 0 meaning no
+    noise (None and bools are refused); an error names the value ``name``."""
+    if (isinstance(delta, bool) or not isinstance(delta, numbers.Real)
+            or not 0.0 <= delta < 0.5):
         raise ValueError(f"{name} must lie in [0, 1/2), not {delta!r}")
 
 
@@ -85,10 +88,10 @@ def _compose_through_edge(z: np.ndarray, theta: float) -> np.ndarray:
     return np.divide(t2, inv, out=inv)
 
 
-def _terminal_conductance(delta: float | None) -> float:
-    """Level-local conductance of the noisy terminal resistor (inf if no noise)."""
+def _terminal_conductance(delta: float = 0.0) -> float:
+    """Level-local conductance of the noisy terminal resistor (inf at delta 0)."""
     _check_delta(delta)
-    if delta is None or delta == 0.0:
+    if delta == 0.0:
         return np.inf
     return (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
 

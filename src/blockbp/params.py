@@ -16,8 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .levels import _check_delta
-
 __all__ = [
     "ModelParams",
     "TreeParams",
@@ -59,25 +57,21 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Tree-side parameters: mean offspring, flip probability, leaf noise.
-
-    ``theta`` is stored redundantly with ``eta`` and is required to equal
-    ``1 - 2*eta`` exactly; the constructor enforces this.
-    """
+    """Tree-side parameters: mean offspring and flip probability."""
 
     d: float
     eta: float
-    theta: float
-    delta: float = 0.0
 
     def __post_init__(self):
         if self.d <= 0:
             raise ValueError("mean offspring d must be positive")
         if not 0.0 <= self.eta <= 1.0 or self.eta == 0.5:
             raise ValueError("eta must lie in [0, 1] with eta != 1/2")
-        if self.theta != 1.0 - 2.0 * self.eta:
-            raise ValueError("theta must equal 1 - 2*eta exactly")
-        _check_delta(self.delta)
+
+    @property
+    def theta(self) -> float:
+        """The channel strength 1 - 2*eta."""
+        return 1.0 - 2.0 * self.eta
 
     @property
     def signal(self) -> float:
@@ -85,7 +79,7 @@ class TreeParams:
         return self.theta * self.theta * self.d
 
 
-def derive_tree_params(m: ModelParams, delta: float = 0.0) -> TreeParams:
+def derive_tree_params(m: ModelParams) -> TreeParams:
     """Tree parameters of the local neighborhood limit of ``m``.
 
     d = (a+b)/2, eta = b/(a+b), theta = (a-b)/(a+b).  Rejects ``a == b``,
@@ -98,7 +92,7 @@ def derive_tree_params(m: ModelParams, delta: float = 0.0) -> TreeParams:
     if s <= 0:
         raise ValueError("a + b must be positive")
     eta = m.b / s if m.b / s != 0.5 else math.nextafter(0.5, float(m.b > m.a))
-    return TreeParams(d=s / 2.0, eta=eta, theta=1.0 - 2.0 * eta, delta=delta)
+    return TreeParams(d=s / 2.0, eta=eta)
 
 
 def ks_signal(m: ModelParams) -> float:

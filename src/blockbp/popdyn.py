@@ -59,11 +59,11 @@ __all__ = [
 Z99 = 2.576  # 99% two-sided normal quantile used for every CI in the package
 
 
-def ci_half_width(std: float, n: int, z: float = Z99) -> float:
-    """Normal-approximation half-width z * s / sqrt(n)."""
+def ci_half_width(std: float, n: int) -> float:
+    """Normal-approximation half-width Z99 * s / sqrt(n)."""
     if n <= 0:
         return float("inf")
-    return z * std / np.sqrt(n)
+    return Z99 * std / np.sqrt(n)
 
 
 _BLOCK_SLOTS = 2 ** 16  # child slots per row block, a part of the chains' stream
@@ -118,29 +118,31 @@ def _generation_sums(kind: str, d: float, trials: int, rng: np.random.Generator,
     return out
 
 
-def _check_chain_inputs(theta: float, k: int, trials: int, delta: float | None, k_min=0) -> None:
+def _check_chain_inputs(theta: float, k: int, trials: int, deltas: list, k_min=0) -> None:
+    """The checks of one chain call: theta, its depth, its trials and every
+    one of its noise levels ``deltas``."""
     _check_theta(theta)
     if k < k_min:
         raise ValueError(f"k must be >= {k_min}, not {k!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_delta(delta)
+    for delta in deltas:
+        _check_delta(delta)
 
 
-def _check_conductance_inputs(theta: float, k: int, trials: int, delta: float | None,
+def _check_conductance_inputs(theta: float, k: int, trials: int, delta: float,
                               keep: set) -> None:
     """The chain checks at k >= 1, with 0 < |theta| < 1 and ``keep`` in 1..k."""
     _check_conductance_theta(theta)
-    _check_chain_inputs(theta, k, trials, delta, k_min=1)
+    _check_chain_inputs(theta, k, trials, [delta], k_min=1)
     outside = keep - set(range(1, k + 1))
     if outside:
         raise ValueError(f"keep_levels must lie in 1..{k}, not {sorted(outside)}")
 
 
 def _check_dary_sum_inputs(d: int, theta: float, k: int, trials: int, deltas) -> None:
-    """The chain checks at every level, an integer d and d**k below 2**53."""
-    for delta in deltas:
-        _check_chain_inputs(theta, k, trials, delta)
+    """The chain checks, an integer d and d**k below 2**53."""
+    _check_chain_inputs(theta, k, trials, deltas)
     _check_offspring("dary", d)
     if int(d) ** k >= 2 ** 53:  # float64 level sums stop being exact
         raise ValueError(f"d**k must stay below 2**53, not {int(d)}**{k}")
@@ -197,8 +199,7 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
 
 def _magnetization_chains(kind, d, theta, k, trials, rng, deltas):
     rng = as_generator(rng)
-    for delta in deltas:
-        _check_chain_inputs(theta, k, trials, delta)
+    _check_chain_inputs(theta, k, trials, deltas)
     eta = 0.5 * (1.0 - theta)
 
     # pool row 0 is X, and each distinct nonzero level has a Y row
@@ -237,14 +238,16 @@ def _magnetization_chains(kind, d, theta, k, trials, rng, deltas):
 
 
 def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
-                      rng, *, delta: float | None = None, keep_levels=None):
+                      rng, *, delta: float = 0.0, keep_levels=None):
     """Population chain for the root effective conductance of depth-k trees.
 
     Uses the series-parallel recursion: a child subtree of conductance Z seen
     through its edge contributes theta^2 Z / ((1-theta^2) Z + 1), and siblings
     add.  Each pool member is composed through its edge once, and the
     level's generation (unit values, applied a row block at a time) adds the
-    children.
+    children.  The chain starts from the leaves' terminal conductance at
+    noise level ``delta``: infinite at the default delta = 0, where each leaf
+    is itself a terminal.
     Returns (rows, pools) where pools maps each level in ``keep_levels`` (plus
     the final level) to its conductance sample.
     """
@@ -359,7 +362,7 @@ def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: f
         return np.bincount(root, weights=w * obs,
                            minlength=len(net.zs[0])).astype(float, copy=False), net.zs[0]
 
-    r, ceff = estimator(None, sig)
+    r, ceff = estimator(0.0, sig)
     out = {"r": r, "ceff": ceff, "alive": ceff > 0, "s": r.copy(), "ceff_noisy": None}
     if delta > 0:
         s, out["ceff_noisy"] = estimator(delta, tau)

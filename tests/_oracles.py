@@ -60,12 +60,12 @@ from blockbp.randgraph import remove_set
 from blockbp.seeding import derived_rng
 
 
-def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
+def laplacian_network(tree: BroadcastTree, theta: float, delta=0.0, k=None):
     """Solve the resistor network with a dense Laplacian; unit current at root.
 
     Returns (ceff, leaf_currents) where leaf_currents[v] is the current into
     the terminal through level-k node v.  Requires a non-extinct tree with
-    k >= 1 (the k = 0, delta = None case is a short circuit).
+    k >= 1 (the k = 0, delta = 0 case is a short circuit).
     """
     k = tree.depth if k is None else k
     leaves = list(range(int(tree.level_start[k]), int(tree.level_start[k + 1])))
@@ -74,7 +74,7 @@ def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
     t2 = theta * theta
     nodes = list(range(int(tree.level_start[k + 1])))  # depth <= k
 
-    if delta is None:
+    if not delta:
         if k == 0:
             return float("inf"), {}
         # contract the level-k nodes into the terminal
@@ -111,7 +111,7 @@ def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
         j_gen = tree.depth_of(u)
         g = t2 ** j_gen / (1.0 - t2)
         add_conductance(node_index(u), node_index(int(parent[u])), g)
-    if delta is not None:
+    if delta:
         g_term = t2 ** k * (1.0 - 2.0 * delta) ** 2 / (4.0 * delta * (1.0 - delta))
         for v in leaves:
             add_conductance(node_index(v), term, g_term)
@@ -129,7 +129,7 @@ def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
     reff = x[root]
     currents = {}
     for v in leaves:
-        if delta is None:
+        if not delta:
             j_gen = tree.depth_of(v)
             g = t2 ** j_gen / (1.0 - t2)
             currents[v] = g * x[node_index(int(parent[v]))]
@@ -140,11 +140,11 @@ def laplacian_network(tree: BroadcastTree, theta: float, delta=None, k=None):
 
 
 def enumerate_estimator_moments(tree: BroadcastTree, theta: float, weights,
-                                delta: float | None = None, k=None):
+                                delta: float = 0.0, k=None):
     """Exact E(R | sigma_root = +) and Var(R | sigma_root = +) by enumeration.
 
     R = sum_v w(v) * obs_v over the level-k nodes, where obs is the spin
-    itself (delta None) or the spin flipped with probability delta and the
+    itself (delta 0) or the spin flipped with probability delta and the
     sum rescaled by 1/(1-2 delta).
     """
     k = tree.depth if k is None else k
@@ -286,7 +286,7 @@ def generation_operator(kind: str, d: float, trials: int, rng, eta=None) -> sp.c
 
 
 def conductance_chain_per_slot(kind: str, d: float, theta: float, k: int,
-                               trials: int, rng, *, delta=None, keep_levels=()):
+                               trials: int, rng, *, delta=0.0, keep_levels=()):
     """``popdyn.conductance_chain`` with every child slot composed through its edge.
 
     Draws the same random numbers in the same order; returns (rows, pools).

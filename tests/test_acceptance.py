@@ -57,7 +57,7 @@ def test_c1_bp_exactness_oracle_equivalence():
         n_trees += 1
         obs = np.where(rng.random(t.sizes[depth]) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
-            for delta in (None, 0.3):
+            for delta in (0.0, 0.3):
                 got = bp_root(t, theta, obs, delta=delta)
                 want = exact_posterior(t, theta, obs, delta=delta)
                 worst = max(worst, abs(got - want))
@@ -225,7 +225,7 @@ def test_c5_weighted_majority_identities():
         if t.depth == 0:
             continue
         n_shapes += 1
-        for delta in (None, 0.2):
+        for delta in (0.0, 0.2):
             net = effective_conductance(t, 0.6, delta=delta)
             want, _ = laplacian_network(t, 0.6, delta=delta)
             denom = max(1.0, abs(want))

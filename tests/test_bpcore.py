@@ -137,7 +137,7 @@ def test_oracle_equivalence_random_trees():
         n_leaves = t.sizes[t.depth]
         obs = np.where(rng.random(n_leaves) < 0.5, 1, -1)
         for theta in (0.9, -0.9, 0.5, -0.5, 0.1):
-            for delta in (None, 0.3):
+            for delta in (0.0, 0.3):
                 got = bp_root(t, theta, obs, delta=delta)
                 want = exact_posterior(t, theta, obs, delta=delta)
                 assert got == pytest.approx(want, abs=1e-9)

@@ -1,7 +1,12 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from test_popdyn import _dying_forest
 
+import blockbp
 from blockbp import popdyn
 from blockbp.bpcore import bp_levels, bp_root, exact_posterior
 from blockbp.broadcast import (
@@ -14,6 +19,7 @@ from blockbp.estimators import (
     current_weights,
     effective_conductance,
     majority_estimate,
+    majority_moments,
     weighted_majority_sign,
 )
 
@@ -201,3 +207,50 @@ def test_level_out_of_range_is_rejected(call, offset):
     k = -1 if offset < 0 else t.depth + 1
     with pytest.raises(ValueError, match=rf"level {k} is out of range for a tree of depth 1"):
         _LEVEL_CALLS[call](t, k)
+
+
+# --- the one spelling of "no leaf noise" -------------------------------------
+
+_OBS = [1, -1, 1, 1]  # the four leaves of the binary depth-2 tree below
+
+_DELTA_CALLS = {
+    "bp_levels": lambda t, delta: bp_levels(t, 0.6, _OBS, delta=delta),
+    "bp_root": lambda t, delta: bp_root(t, 0.6, _OBS, delta=delta),
+    "exact_posterior": lambda t, delta: exact_posterior(t, 0.6, _OBS, delta=delta),
+    "majority_moments": lambda t, delta: majority_moments(2, 0.6, 2, delta=delta),
+    "effective_conductance": lambda t, delta: effective_conductance(t, 0.6, delta=delta),
+    "current_weights": lambda t, delta: current_weights(t, 0.6, delta=delta),
+    "weighted_majority_sign": lambda t, delta: weighted_majority_sign(t, _OBS, 0.6, rng=0,
+                                                                      delta=delta),
+    "add_leaf_noise": lambda t, delta: add_leaf_noise(t, delta, seed=0),
+    "magnetization_chain": lambda t, delta: popdyn.magnetization_chain(
+        "gw", 2.0, 0.6, 2, 100, np.random.default_rng(0), delta=delta),
+    "conductance_chain": lambda t, delta: popdyn.conductance_chain(
+        "gw", 2.0, 0.6, 2, 100, np.random.default_rng(0), delta=delta),
+    "dary_sum_trials": lambda t, delta: popdyn.dary_sum_trials(
+        2, 0.6, 2, 100, np.random.default_rng(0), delta=delta),
+    "forest_current_estimators": lambda t, delta: popdyn.forest_current_estimators(
+        popdyn.sample_forest("gw", 2.0, 0.6, 2, 10, np.random.default_rng(0)), 0.6,
+        np.random.default_rng(1), delta=delta),
+}
+
+
+def test_every_public_delta_function_is_covered():
+    public = {}
+    for m in pkgutil.iter_modules(blockbp.__path__):
+        if m.name != "__main__":
+            mod = importlib.import_module(f"blockbp.{m.name}")
+            public.update((name, getattr(mod, name)) for name in getattr(mod, "__all__", ()))
+    takes_delta = {name for name, obj in public.items()
+                   if inspect.isfunction(obj) and "delta" in inspect.signature(obj).parameters}
+    assert takes_delta == set(_DELTA_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(_DELTA_CALLS))
+def test_tree_engines_reject_delta_none(name):
+    # delta = 0 is the only spelling of "no leaf noise": None is refused
+    # with an error that names delta, not read as 0 or failed on later
+    tree = run_broadcast(sample_tree("dary", 2, 2, seed=0), 0.2, seed=1, root_sign=1)
+    _DELTA_CALLS[name](tree, 0.0)
+    with pytest.raises(ValueError, match="delta"):
+        _DELTA_CALLS[name](tree, None)

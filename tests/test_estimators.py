@@ -108,7 +108,7 @@ def test_conductance_vs_laplacian_random_trees():
         t = gw_tree(1.8, int(rng.integers(1, 4)), int(rng.integers(2 ** 31)),
                     max_nodes=12)
         for theta in (0.6, -0.6, 0.3):
-            for delta in (None, 0.1):
+            for delta in (0.0, 0.1):
                 net = effective_conductance(t, theta, delta=delta)
                 want, _ = laplacian_network(t, theta, delta=delta)
                 assert net.ceff == pytest.approx(want, abs=1e-9, rel=1e-9)
@@ -118,7 +118,7 @@ def test_conductance_monotone_in_subtrees():
     # grafting an extra child subtree never decreases the root conductance
     base = tree_from_parents([-1, 0, 1, 1], depth=2)
     bigger = tree_from_parents([-1, 0, 0, 1, 1, 2], depth=2)
-    for delta in (None, 0.2):
+    for delta in (0.0, 0.2):
         c0 = effective_conductance(base, 0.6, delta=delta).ceff
         c1 = effective_conductance(bigger, 0.6, delta=delta).ceff
         assert c1 >= c0 - 1e-12
@@ -144,7 +144,7 @@ def test_weights_sum_to_theta_minus_k():
     rng = np.random.default_rng(3)
     for _ in range(20):
         t = gw_tree(2.0, 3, int(rng.integers(2 ** 31)), max_nodes=40)
-        for delta in (None, 0.25):
+        for delta in (0.0, 0.25):
             cw = current_weights(t, 0.6, delta=delta)
             assert cw.weights.sum() == pytest.approx(0.6 ** -3, rel=1e-9)
 
@@ -154,7 +154,7 @@ def test_weights_vs_laplacian_currents():
     for _ in range(25):
         t = gw_tree(1.8, int(rng.integers(1, 4)), int(rng.integers(2 ** 31)),
                     max_nodes=12)
-        for delta in (None, 0.1):
+        for delta in (0.0, 0.1):
             cw = current_weights(t, 0.6, delta=delta)
             _, currents = laplacian_network(t, 0.6, delta=delta)
             k = t.depth
@@ -168,14 +168,14 @@ def test_estimator_exact_moments_by_enumeration():
     # negative theta (between-class heavier) flips the weight signs and must
     # leave both identities intact
     configs = [
-        (tree_from_parents([-1, 0]), 0.7, None),
-        (tree_from_parents([-1, 0, 0, 1]), 0.6, None),
-        (tree_from_parents([-1, 0, 0, 1, 1, 2]), 0.5, None),
+        (tree_from_parents([-1, 0]), 0.7, 0.0),
+        (tree_from_parents([-1, 0, 0, 1]), 0.6, 0.0),
+        (tree_from_parents([-1, 0, 0, 1, 1, 2]), 0.5, 0.0),
         (tree_from_parents([-1, 0]), 0.7, 0.2),
         (tree_from_parents([-1, 0, 0, 1]), 0.6, 0.25),
-        (tree_from_parents([-1, 0]), -0.7, None),
+        (tree_from_parents([-1, 0]), -0.7, 0.0),
         (tree_from_parents([-1, 0, 0, 1]), -0.6, 0.2),
-        (tree_from_parents([-1, 0, 1]), -0.5, None),
+        (tree_from_parents([-1, 0, 1]), -0.5, 0.0),
     ]
     for t, theta, delta in configs:
         cw = current_weights(t, theta, delta=delta)
@@ -203,6 +203,15 @@ def test_weighted_sign_extinct_is_coin():
     t = tree_from_parents([-1, 0], depth=3)
     vals = {weighted_majority_sign(t, [], 0.6, rng=s) for s in range(30)}
     assert vals == {1, -1}
+
+
+@pytest.mark.parametrize("theta, delta, named", [(2.0, 0.0, "theta"), (0.6, 0.7, "delta")])
+def test_weighted_sign_rejects_bad_inputs(theta, delta, named):
+    # only the extinct tree's error becomes a coin, on a live or an extinct tree
+    for t in (tree_from_parents([-1, 0]), tree_from_parents([-1, 0], depth=3)):
+        obs = [1] * t.sizes[t.depth]
+        with pytest.raises(ValueError, match=named):
+            weighted_majority_sign(t, obs, theta, rng=0, delta=delta)
 
 
 def test_weighted_sign_matches_majority_on_dary():

@@ -409,6 +409,28 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, config, named):
     assert err.startswith("error:") and named in err
 
 
+def test_integral_float_trials_reads_as_the_integer(tmp_path):
+    # trials and seed follow the one integer rule of every integer key: JSON's
+    # 3000.0 is the integer 3000, and gives the same rows and files
+    cfgd = default_spec("tree-accuracy").to_dict()
+    cfgd["grid"] = {"k": [2, 4]}
+    blobs = []
+    for trials, seed in ((3000, 2), (3000.0, 2.0), (np.int64(3000), np.int64(2))):
+        spec = ExperimentSpec.from_dict({**cfgd, "trials": trials, "seed": seed})
+        assert type(spec.trials) is int and spec.trials == 3000
+        assert type(spec.seed) is int and spec.seed == 2
+        if isinstance(trials, np.integer):
+            continue  # JSON has no numpy integers
+        cfg, out = tmp_path / "c.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({**cfgd, "trials": trials, "seed": seed}))
+        assert cli.main(["tree-accuracy", "--config", str(cfg), "--out", str(out),
+                         "--deterministic"]) == 0
+        blobs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert blobs[0] == blobs[1]
+    stored = json.loads(blobs[1][1])["spec"]["trials"]
+    assert type(stored) is int and stored == 3000
+
+
 def _recover_config(**over):
     """The default graph-recover config at n = 400, with ``over`` in its params
     (a None value drops the key)."""
@@ -469,6 +491,8 @@ def _regime_config(**over):
      "'k' must be >= 1, not [0]"),
     ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "threshold": "x"},
                            "grid": {"k": [2]}}, "'threshold' must be a finite number, not 'x'"),
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "delta": None},
+                           "grid": {"k": [2]}}, "'delta' must be a finite number, not None"),
     ("threshold-sweep", {"params": {"base_d": 0}, "grid": {"ksig": [0.5]}}, "0"),
     ("threshold-sweep", {"params": {"base_d": 2.5}, "grid": {"ksig": [-1]}}, "-1"),
     # graph-recover numbers: no truncation to an integer, no NaN
@@ -495,7 +519,7 @@ def _regime_config(**over):
         "ksig-unreachable", "regime-zz", "regime-no-d",
         "moments-d-2.5", "moments-d-pow-k", "moments-extra-not-a-pair", "regime-delta-0.7",
         "regime-kind-zz", "regime-dary-4.5", "regime-d-negative", "theta-1.5", "k-negative",
-        "k-2.5", "conductance-k-0", "threshold-x", "base_d-0", "ksig-negative",
+        "k-2.5", "conductance-k-0", "threshold-x", "conductance-delta-null", "base_d-0", "ksig-negative",
         "n-400.5", "K-1.5", "R-2.5", "R-string", "a-nan", "delta0-string",
         "threshold-nan", "d-string",
         "base_d-string", "a-string", "regime-theta-string", "delta-string"])

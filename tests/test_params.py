@@ -18,15 +18,15 @@ def test_derive_basic_example():
     assert tp.d == 3.0
     assert tp.eta == pytest.approx(1 / 6, abs=0)
     assert tp.theta == pytest.approx(2 / 3, rel=1e-15)
-    assert tp.delta == 0.0
 
 
 def test_derive_with_noise():
-    tp = derive_tree_params(ModelParams(n=100, a=30, b=4), delta=0.1)
+    # the robust-reconstruction point; the leaf noise is the engines' own
+    # argument, not a tree parameter
+    tp = derive_tree_params(ModelParams(n=100, a=30, b=4))
     assert tp.d == 17.0
     assert tp.eta == pytest.approx(2 / 17, rel=1e-15)
     assert tp.theta == pytest.approx(13 / 17, rel=1e-15)
-    assert tp.delta == 0.1
 
 
 def test_equal_intensities_rejected():
@@ -56,13 +56,12 @@ def test_invalid_probabilities_rejected():
 
 def test_tree_params_invariants():
     with pytest.raises(ValueError):
-        TreeParams(d=2, eta=0.5, theta=0.0)
+        TreeParams(d=2, eta=0.5)
     with pytest.raises(ValueError):
-        TreeParams(d=2, eta=0.25, theta=0.4)  # theta != 1 - 2 eta
+        TreeParams(d=2, eta=1.25)
     with pytest.raises(ValueError):
-        TreeParams(d=2, eta=0.25, theta=0.5, delta=0.5)
-    with pytest.raises(ValueError):
-        TreeParams(d=0, eta=0.25, theta=0.5)
+        TreeParams(d=0, eta=0.25)
+    assert TreeParams(d=2, eta=0.25).theta == 0.5
 
 
 @given(
@@ -74,6 +73,7 @@ def test_roundtrip_and_signal_identity(a, b):
         return
     m = ModelParams(n=1000, a=a, b=b)
     tp = derive_tree_params(m)
+    assert tp.theta == 1.0 - 2.0 * tp.eta
     back = model_from_tree(tp, n=1000)
     assert back.a == pytest.approx(a, rel=1e-12)
     assert back.b == pytest.approx(b, rel=1e-12)

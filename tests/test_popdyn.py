@@ -295,12 +295,16 @@ def test_magnetization_chain_holds_no_slot_length_floats():
 
 
 @pytest.mark.parametrize("kind, d, theta, k, trials, delta", [
-    ("gw", 3.0, 0.6, 4, 20_000, None),
+    ("gw", 3.0, 0.6, 4, 20_000, 0.0),
     ("gw", 3.0, 0.6, 4, 20_000, 0.2),
-    ("dary", 3, -0.8, 4, 20_000, None),
+    ("dary", 3, -0.8, 4, 20_000, 0.0),
     ("dary", 3, -0.8, 4, 20_000, 0.2),
-    ("gw", 0.2, 0.6, 6, 5, None),  # every level childless: test_conductance_chain_on_empty_level
+    ("gw", 0.2, 0.6, 6, 5, 0.0),  # every level childless: test_conductance_chain_on_empty_level
     ("gw", 0.2, 0.6, 6, 5, 0.2),
+], ids=[  # the noiseless cases keep their ids from when delta 0 was spelled None
+    "gw-3.0-0.6-4-20000-None", "gw-3.0-0.6-4-20000-0.2",
+    "dary-3--0.8-4-20000-None", "dary-3--0.8-4-20000-0.2",
+    "gw-0.2-0.6-6-5-None", "gw-0.2-0.6-6-5-0.2",
 ])
 def test_conductance_chain_matches_per_slot_chain(kind, d, theta, k, trials, delta):
     # composing each pool member once and adding children with the generation
