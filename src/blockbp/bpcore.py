@@ -90,6 +90,7 @@ def exact_posterior(tree: BroadcastTree, theta: float, observed,
     At delta = 0 the leaf spins are pinned to the observations.
     Refuses trees whose latent configuration count exceeds ``guard``.
     """
+    _check_theta(theta)
     _check_delta(delta)
     k = tree.check_level(level)
     leaf_lo, leaf_hi = int(tree.level_start[k]), int(tree.level_start[k + 1])

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broadcast import BroadcastTree
-from .levels import (_check_conductance_theta, _check_delta, _terminal_conductance,
-                     conductance_up, current_down)
+from .levels import (_check_conductance_theta, _check_delta, _check_theta,
+                     _terminal_conductance, conductance_up, current_down)
 from .seeding import as_generator
 
 __all__ = [
@@ -58,6 +58,7 @@ class MajorityMoments:
 
 def majority_moments(d: int, theta: float, k: int, delta: float = 0.0) -> MajorityMoments:
     """Moment formulas above, with eta = (1 - theta) / 2."""
+    _check_theta(theta)
     eta = 0.5 * (1.0 - theta)
     _check_delta(delta)
     s = theta * theta * d

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .levels import _check_delta
 from .randgraph import LabelledGraph
@@ -83,7 +82,9 @@ _EIG_MAXITER = 10
 def _bethe_hessian_split(g: LabelledGraph, rng: np.random.Generator) -> Partition:
     """Signs of the eigenvector of H(+r)'s second or else H(-r)'s smallest
     eigenvalue, whichever is negative first; the start vector's if neither is."""
-    # imported here: scipy.sparse.linalg adds about 0.1 s to `import blockbp`
+    # imported here, not at the top: scipy.sparse would add about 0.2 s and
+    # 20 MiB to `import blockbp`, and scipy.sparse.linalg about 0.05 s more
+    import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     v0 = rng.standard_normal(g.n)

@@ -13,7 +13,9 @@ offspring counts first, then each block's children and flips), so that it
 holds one block's children and flip signs at once.  It costs O(trials *
 mean offspring) time regardless of tree size, which is what makes depth-12
 experiments with 1e5 trials feasible (an explicit mean-17 tree of depth 8
-has ~1e10 nodes).
+has ~1e10 nodes).  scipy.sparse, which applies the blocks, is imported by the
+first generation, not by ``import blockbp``: the forest engine and the level
+sums never need it.
 
 Level sums on d-ary trees need no chain: ``dary_sum_trials`` draws them as
 binomial level counts over fully independent trials.
@@ -37,7 +39,6 @@ is bit for bit that of its own call with the same seed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .broadcast import BroadcastTree, _check_offspring, _offspring
 from .estimators import effective_conductance
@@ -91,6 +92,8 @@ def _generation_sums(kind: str, d: float, trials: int, rng: np.random.Generator,
     another block size draws other children from the same seed.  Without
     uniforms the blocks' children are one stream at any block size.
     """
+    import scipy.sparse as sp  # see the module docstring
+
     indptr = np.zeros(trials + 1, dtype=np.int64)
     np.cumsum(_offspring(kind, d, trials, rng), out=indptr[1:])
     bounds = [0]
@@ -327,6 +330,7 @@ def sample_forest(kind: str, d: float, theta: float, depth: int, trials: int,
     Draws each level's child counts, then its flips, level by level; the
     spins are float +-1.
     """
+    _check_theta(theta)
     rng = as_generator(rng)
     eta = 0.5 * (1.0 - theta)
     parent_pos = [np.full(trials, -1, dtype=np.int64)]

@@ -8,7 +8,7 @@ from test_popdyn import _dying_forest
 
 import blockbp
 from blockbp import popdyn
-from blockbp.bpcore import bp_levels, bp_root, exact_posterior
+from blockbp.bpcore import bp_combine, bp_levels, bp_root, exact_posterior
 from blockbp.broadcast import (
     add_leaf_noise,
     run_broadcast,
@@ -235,15 +235,19 @@ _DELTA_CALLS = {
 }
 
 
-def test_every_public_delta_function_is_covered():
+def _public_functions_taking(param: str) -> set:
+    """The names of every public blockbp function with a parameter ``param``."""
     public = {}
     for m in pkgutil.iter_modules(blockbp.__path__):
         if m.name != "__main__":
             mod = importlib.import_module(f"blockbp.{m.name}")
             public.update((name, getattr(mod, name)) for name in getattr(mod, "__all__", ()))
-    takes_delta = {name for name, obj in public.items()
-                   if inspect.isfunction(obj) and "delta" in inspect.signature(obj).parameters}
-    assert takes_delta == set(_DELTA_CALLS)
+    return {name for name, obj in public.items()
+            if inspect.isfunction(obj) and param in inspect.signature(obj).parameters}
+
+
+def test_every_public_delta_function_is_covered():
+    assert _public_functions_taking("delta") == set(_DELTA_CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(_DELTA_CALLS))
@@ -254,3 +258,43 @@ def test_tree_engines_reject_delta_none(name):
     _DELTA_CALLS[name](tree, 0.0)
     with pytest.raises(ValueError, match="delta"):
         _DELTA_CALLS[name](tree, None)
+
+
+# --- one theta check for every engine ----------------------------------------
+
+_THETA_CALLS = {
+    "bp_combine": lambda t, theta: bp_combine([0.5, -0.2], theta),
+    "bp_levels": lambda t, theta: bp_levels(t, theta, _OBS),
+    "bp_root": lambda t, theta: bp_root(t, theta, _OBS),
+    "exact_posterior": lambda t, theta: exact_posterior(t, theta, _OBS),
+    "majority_moments": lambda t, theta: majority_moments(2, theta, 2),
+    "effective_conductance": lambda t, theta: effective_conductance(t, theta),
+    "current_weights": lambda t, theta: current_weights(t, theta),
+    "weighted_majority_sign": lambda t, theta: weighted_majority_sign(t, _OBS, theta, rng=0),
+    "magnetization_chain": lambda t, theta: popdyn.magnetization_chain(
+        "gw", 2.0, theta, 2, 100, np.random.default_rng(0)),
+    "conductance_chain": lambda t, theta: popdyn.conductance_chain(
+        "gw", 2.0, theta, 2, 100, np.random.default_rng(0)),
+    "dary_sum_trials": lambda t, theta: popdyn.dary_sum_trials(
+        2, theta, 2, 100, np.random.default_rng(0)),
+    "sample_forest": lambda t, theta: popdyn.sample_forest(
+        "gw", 2.0, theta, 2, 10, np.random.default_rng(0)),
+    "forest_current_estimators": lambda t, theta: popdyn.forest_current_estimators(
+        popdyn.sample_forest("gw", 2.0, 0.6, 2, 10, np.random.default_rng(0)), theta,
+        np.random.default_rng(1)),
+}
+
+
+def test_every_public_theta_function_is_covered():
+    assert _public_functions_taking("theta") == set(_THETA_CALLS)
+
+
+@pytest.mark.parametrize("theta", [3.0, float("nan")], ids=["three", "nan"])
+@pytest.mark.parametrize("name", sorted(_THETA_CALLS))
+def test_tree_engines_reject_bad_theta(name, theta):
+    # a theta outside [-1, 1], or nan, is refused with an error that names
+    # theta, not turned into a flip probability outside [0, 1]
+    tree = run_broadcast(sample_tree("dary", 2, 2, seed=0), 0.2, seed=1, root_sign=1)
+    _THETA_CALLS[name](tree, 0.6)
+    with pytest.raises(ValueError, match="theta"):
+        _THETA_CALLS[name](tree, theta)
