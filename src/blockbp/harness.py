@@ -11,7 +11,11 @@ Confidence intervals are normal-approximation half-widths with z = 2.576
 get streams derived from the master seed by key and results are merged in a
 fixed order.  contraction-check's regimes, threshold-sweep's points and
 graph-recover's repetitions are such units, and they run on one thread per
-unit up to the usable cores; the rows are the same at any core count.
+unit up to the usable cores (``popdyn._map_chains``); so do the trial
+blocks of each moments-check config's level sums, of ``popdyn._TRIAL_BLOCK``
+trials each, a size that is part of their stream.  A config holds its level
+sums plus one block's counts per running thread.  The rows are the same at
+any core count.
 ``write_results(..., deterministic=True)`` writes the wall-time column as
 0.0, so reruns are byte-identical.
 
@@ -41,10 +45,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -56,7 +58,7 @@ from .params import ModelParams, derive_tree_params
 from .partition import _check_blackbox
 from .pipeline import AlgoConfig, recover, resolve_radius
 from .popdyn import (Z99, _check_chain_inputs, _check_conductance_inputs,
-                     _check_dary_sum_inputs, ci_half_width)
+                     _check_dary_sum_inputs, _map_chains, ci_half_width)
 from .randgraph import sample_sbm
 from .seeding import derived_rng
 
@@ -303,29 +305,6 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
         _check_chain_inputs(theta, k, spec.trials, [delta])
         out.append((kind, d, theta, delta, k))
     return out
-
-
-def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_chains(run: Callable, units: list) -> list:
-    """``[run(i, unit) for i, unit in enumerate(units)]`` on one thread per
-    unit, up to the usable cores.
-
-    Each unit is independent and draws from its own derived stream, so the
-    results do not depend on the thread count.  numpy releases the
-    interpreter lock in most of its array work (a generator filling an
-    array, a sort, a sparse product), so the units' work overlaps.  Every
-    running unit holds its own arrays, so peak memory grows with the number
-    of units running at once.
-    """
-    with ThreadPoolExecutor(max_workers=min(len(units), _usable_cores())) as pool:
-        return list(pool.map(run, range(len(units)), units))
 
 
 def run_contraction_check(spec: ExperimentSpec, regimes) -> list[ResultRow]:

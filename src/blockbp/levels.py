@@ -47,10 +47,11 @@ def _check_delta(delta: float, name: str = "delta") -> None:
         raise ValueError(f"{name} must lie in [0, 1/2), not {delta!r}")
 
 
-def _edge_llr(msgs: np.ndarray, theta: float) -> np.ndarray:
-    """Child magnetizations as parent LLR terms; odd in msgs (symmetric clip)."""
+def _edge_llr(msgs: np.ndarray, theta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Child magnetizations as parent LLR terms; odd in msgs (symmetric clip).
+    With ``out`` (which may be ``msgs`` itself) the terms are written there."""
     lim = 1.0 - _CLAMP
-    x = theta * msgs
+    x = np.multiply(theta, msgs, out=out)
     np.clip(x, -lim, lim, out=x)
     return np.arctanh(x, out=x)
 

@@ -18,7 +18,12 @@ first generation, not by ``import blockbp``: the forest engine and the level
 sums never need it.
 
 Level sums on d-ary trees need no chain: ``dary_sum_trials`` draws them as
-binomial level counts over fully independent trials.
+binomial level counts over fully independent trials, in blocks of
+``_TRIAL_BLOCK`` trials.  Block b draws from a stream derived from one word
+of the call's generator and b, so the block size is part of the stream and
+the core count is not.  The blocks run on ``_map_chains``, the thread
+helper the harness also runs its independent chains on: one thread per
+usable core, each holding one block's counts, beside the call's outputs.
 
 A second engine ("forest") materializes many explicit trees at once, as one
 ``BroadcastTree`` with a root per trial; it is used where per-tree
@@ -31,12 +36,17 @@ seed and different noise levels share them (coupled comparisons), and a run
 with delta=0 reproduces the noiseless chain exactly.  ``magnetization_chain``
 and ``dary_sum_trials`` also take a sequence of noise levels and then draw
 the shared structure and spins once: the chain carries one Y pool per level
-beside X through each generation's one set of sums, and the level sums
-draw every level's noise from the state the spins left.  Each level's result
+beside X, as the columns of one array, through each generation's one set
+of sums, and each block of level sums draws every level's noise from the
+state its spins left.  Each level's result
 is bit for bit that of its own call with the same seed.
 """
 
 from __future__ import annotations
+
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,7 +55,7 @@ from .estimators import effective_conductance
 from .levels import (_check_conductance_theta, _check_delta, _check_theta,
                      _compose_through_edge, _edge_llr, _magnetize, _terminal_conductance,
                      current_down)
-from .seeding import as_generator
+from .seeding import as_generator, derived_rng
 
 __all__ = [
     "Z99",
@@ -68,6 +78,7 @@ def ci_half_width(std: float, n: int) -> float:
 
 
 _BLOCK_SLOTS = 2 ** 16  # child slots per row block, a part of the chains' stream
+_TRIAL_BLOCK = 2 ** 13  # trials per block of the level sums, a part of their stream
 
 
 def _generation_sums(kind: str, d: float, trials: int, rng: np.random.Generator,
@@ -205,38 +216,48 @@ def _magnetization_chains(kind, d, theta, k, trials, rng, deltas):
     _check_chain_inputs(theta, k, trials, deltas)
     eta = 0.5 * (1.0 - theta)
 
-    # pool row 0 is X, and each distinct nonzero level has a Y row
+    # pool column 0 is X, and each distinct nonzero level has a Y column
     deltas = [float(delta) for delta in deltas]
-    pool_row = {0.0: 0}
+    pool_col = {0.0: 0}
     for delta in deltas:
-        pool_row.setdefault(delta, len(pool_row))
-    used = {pool_row[delta] for delta in deltas}
+        pool_col.setdefault(delta, len(pool_col))
+    used = {pool_col[delta] for delta in deltas}
     u = rng.random(trials)
-    pool = np.ones((len(pool_row), trials))
-    for delta, r in pool_row.items():
-        if r:
-            pool[r] = (1.0 - 2.0 * delta) * np.where(u < delta, -1.0, 1.0)
+    pool = np.ones((trials, len(pool_col)))
+    for delta, c in pool_col.items():
+        if c:
+            pool[:, c] = (1.0 - 2.0 * delta) * np.where(u < delta, -1.0, 1.0)
+    del u
+    # a zero level's Y is X bit for bit: its rows reuse X's statistics, and
+    # X - Y is 0
+    zero = np.zeros(1)
+    zero_diff = {**_stat("diff2", zero, trials), **_stat("sqrtdiff", zero, trials)}
 
     def rows_at(level: int) -> list[dict]:
-        x = pool[0]
-        xstat = {"level": level, "n": trials,
-                 **_stat("x", x, trials), **_stat("absx", np.abs(x), trials)}
+        x = pool[:, 0]
+        xstat = {**_stat("x", x, trials), **_stat("absx", np.abs(x), trials)}
         ystat = {}
-        for r in used:
-            y = pool[r]
-            ystat[r] = {**_stat("y", y, trials), **_stat("absy", np.abs(y), trials),
-                        **_stat("diff2", (x - y) ** 2, trials),
-                        **_stat("sqrtdiff", np.sqrt(np.abs(x - y)), trials)}
-        return [{**xstat, **ystat[pool_row[delta]]} for delta in deltas]
+        for c in used:
+            if c == 0:
+                ystat[c] = {**{key.replace("x", "y"): v for key, v in xstat.items()}, **zero_diff}
+                continue
+            y = pool[:, c]
+            diff = np.abs(x - y)
+            ystat[c] = {**_stat("y", y, trials), **_stat("absy", np.abs(y), trials),
+                        **_stat("diff2", diff ** 2, trials),
+                        **_stat("sqrtdiff", np.sqrt(diff, out=diff), trials)}
+        return [{"level": level, "n": trials, **xstat, **ystat[pool_col[delta]]}
+                for delta in deltas]
 
     rows = [rows_at(0)]
     for level in range(1, k + 1):
-        m = _magnetize(_generation_sums(kind, d, trials, rng,
-                                        _edge_llr(np.column_stack(pool), theta), eta))
-        pool = m.T.copy()  # contiguous pools, not views that stride by the row count
+        # the edge terms overwrite the pool they consume, and the new
+        # members' magnetizations are the next pool
+        pool = _magnetize(_generation_sums(kind, d, trials, rng,
+                                           _edge_llr(pool, theta, out=pool), eta))
         rows.append(rows_at(level))
     return [([level_rows[i] for level_rows in rows],
-             {"x": pool[0].copy(), "y": pool[pool_row[delta]].copy()})
+             {"x": pool[:, 0].copy(), "y": pool[:, pool_col[delta]].copy()})
             for i, delta in enumerate(deltas)]
 
 
@@ -285,12 +306,20 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
     depend on delta; at delta = 0, S~ is S and no noise is drawn.  Returns
     (s, sn): arrays of shape (k+1, trials).
 
+    The trials are drawn in blocks of ``_TRIAL_BLOCK`` consecutive columns
+    (the last one may be short), each as whole (k+1) x block count arrays
+    from its own generator, derived from one word the call draws from
+    ``rng`` and the block's index.  The blocks run on one thread per usable
+    core and write their columns into the outputs, so a call holds the
+    outputs and one block's counts per running thread.  The block size is
+    part of the stream; the core count is not.
+
     ``delta`` may also be a sequence of noise levels.  The spins are then
-    drawn once, and each level's noise is drawn from the generator state
-    the spins left, so the call returns a list with one (s, sn) per level,
+    drawn once, and each block draws each level's noise from the state its
+    spins left, so the call returns a list with one (s, sn) per level,
     in order, each equal to that of a call with the level alone and the same
     generator (the levels share one ``s`` array).  Every level is checked
-    before anything is drawn.
+    before anything is drawn from ``rng``.
     """
     out = _dary_sum_trials(d, theta, k, trials, rng, _levels(delta))
     return out[0] if np.ndim(delta) == 0 else out
@@ -302,21 +331,60 @@ def _dary_sum_trials(d, theta, k, trials, rng, deltas):
     di = int(d)
     eta = 0.5 * (1.0 - theta)
     width = np.array([di ** j for j in range(k + 1)], dtype=np.int64)[:, None]
-    minus = np.zeros((k + 1, trials), dtype=np.int64)
-    for j in range(1, k + 1):
-        minus[j] = (rng.binomial(di * (width[j - 1] - minus[j - 1]), eta)
-                    + rng.binomial(di * minus[j - 1], 1.0 - eta))
-    s = (width - 2 * minus).astype(float)
-    after_spins = rng.bit_generator.state
-    out = []
-    for delta in deltas:
-        if delta == 0.0:
-            out.append((s, s.copy()))
-            continue
-        rng.bit_generator.state = after_spins
-        seen = rng.binomial(width - minus, delta) + rng.binomial(minus, 1.0 - delta)
-        out.append((s, (width - 2 * seen).astype(float)))
-    return out
+    word = int(rng.integers(2 ** 63))
+    s = np.empty((k + 1, trials))
+    sns = [np.empty((k + 1, trials)) for _ in deltas]
+
+    def write_sums(minus: np.ndarray, out: np.ndarray) -> None:
+        # out = width - 2 * minus, exact in float64 below 2**53, with no temporary
+        np.multiply(minus, -2.0, out=out)
+        out += width
+
+    def block(b: int, cols: slice) -> None:
+        brng = derived_rng(word, b)
+        minus = np.zeros((k + 1, cols.stop - cols.start), dtype=np.int64)
+        for j in range(1, k + 1):
+            minus[j] = brng.binomial(di * (width[j - 1] - minus[j - 1]), eta)
+            minus[j] += brng.binomial(di * minus[j - 1], 1.0 - eta)
+        write_sums(minus, s[:, cols])
+        after_spins = brng.bit_generator.state
+        for delta, sn in zip(deltas, sns):
+            if delta == 0.0:
+                sn[:, cols] = s[:, cols]
+                continue
+            brng.bit_generator.state = after_spins
+            seen = brng.binomial(width - minus, delta)
+            seen += brng.binomial(minus, 1.0 - delta)
+            write_sums(seen, sn[:, cols])
+
+    _map_chains(block, [slice(lo, min(lo + _TRIAL_BLOCK, trials))
+                        for lo in range(0, trials, _TRIAL_BLOCK)])
+    return [(s, sn) for sn in sns]
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chains(run: Callable, units: list) -> list:
+    """``[run(i, unit) for i, unit in enumerate(units)]`` on one thread per
+    unit, up to the usable cores.
+
+    A unit is one of a harness run's independent chains or graph
+    repetitions, or one trial block of ``dary_sum_trials``.  Each unit is
+    independent and draws from its own derived stream, so the results do
+    not depend on the thread count.  numpy releases the interpreter lock in
+    most of its array work (a generator filling an array, a sort, a sparse
+    product), so the units' work overlaps.  Every running unit holds its own
+    arrays, so peak memory grows with the number of units running at once:
+    for the level sums, one block's counts per thread beside the outputs.
+    """
+    with ThreadPoolExecutor(max_workers=min(len(units), _usable_cores())) as pool:
+        return list(pool.map(run, range(len(units)), units))
 
 
 # ---------------------------------------------------------------------------

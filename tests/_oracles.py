@@ -21,7 +21,9 @@ generation in the library's stream order (the offspring counts, then each
 row block's children and flips), with its own rule for cutting the blocks,
 and ``generation_operator`` is that generation as one whole sparse
 operator; ``popdyn._generation_sums`` must give its product bit for bit
-and leave the generator where it does.
+and leave the generator where it does.  ``dary_sums_whole`` is the level
+sums' draw over whole arrays, from one generator: each trial block of
+``popdyn.dary_sum_trials``, drawn from its derived stream, must be it.
 
 The recovery oracle is a per-vertex loop over explicit trees: for every
 vertex it builds the depth-R non-backtracking walk tree node by node (or,
@@ -212,6 +214,33 @@ def dary_level_sum_pmf(d: int, k: int, theta: float, delta: float) -> dict:
                        minlength=side * side)
     return {(2 * (c // side) - n_leaves, 2 * (c % side) - n_leaves): float(mass[c])
             for c in np.flatnonzero(mass)}
+
+
+def dary_sums_whole(d: int, theta: float, k: int, trials: int, rng, deltas) -> list:
+    """The level sums of ``trials`` d-ary trials drawn as whole arrays.
+
+    Draws every level's minus-spin counts as one (k + 1) x trials binomial
+    pair after another, then, for each nonzero noise level, resets the
+    generator to the state the spins left and draws that level's observed
+    minus counts likewise.  Returns one (s, sn) per level of ``deltas``.
+    """
+    eta = 0.5 * (1.0 - theta)
+    width = np.array([d ** j for j in range(k + 1)], dtype=np.int64)[:, None]
+    minus = np.zeros((k + 1, trials), dtype=np.int64)
+    for j in range(1, k + 1):
+        minus[j] = (rng.binomial(d * (width[j - 1] - minus[j - 1]), eta)
+                    + rng.binomial(d * minus[j - 1], 1.0 - eta))
+    s = (width - 2 * minus).astype(float)
+    after_spins = rng.bit_generator.state
+    out = []
+    for delta in deltas:
+        if delta == 0.0:
+            out.append((s, s.copy()))
+            continue
+        rng.bit_generator.state = after_spins
+        seen = rng.binomial(width - minus, delta) + rng.binomial(minus, 1.0 - delta)
+        out.append((s, (width - 2 * seen).astype(float)))
+    return out
 
 
 def magnetization_chain_per_slot(kind: str, d: float, theta: float, k: int,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockbp import cli, harness
+from blockbp import cli, harness, popdyn
 from blockbp.harness import (
     KINDS,
     ExperimentSpec,
@@ -297,29 +297,33 @@ def test_rerun_byte_identical(tmp_path):
             == paths[1].with_suffix(".json").read_bytes())
 
 
-@pytest.mark.parametrize("kind", ["contraction-check", "threshold-sweep", "graph-recover"])
+@pytest.mark.parametrize("kind", ["contraction-check", "threshold-sweep", "graph-recover",
+                                  "moments-check"])
 def test_chain_threads_do_not_change_results(tmp_path, monkeypatch, kind):
-    # the kind's independent units (chains, or graph repetitions) run on one
-    # thread per usable core; each draws from its own derived stream, so one
-    # core and two give the same rows, and deterministic writes are
-    # byte-identical
+    # the kind's independent units (chains, graph repetitions, or the trial
+    # blocks of each moments-check config's level sums) run on one thread
+    # per usable core; each draws from its own derived stream, so one core
+    # and two give the same rows, and deterministic writes are byte-identical
     pools = []
 
-    class Pool(harness.ThreadPoolExecutor):
+    class Pool(popdyn.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
-    spec = tiny_spec(kind, seed=21)
+    monkeypatch.setattr(popdyn, "ThreadPoolExecutor", Pool)
+    # three blocks per level-sum call, the last one short
+    trials = 2 * popdyn._TRIAL_BLOCK + 100 if kind == "moments-check" else 2000
+    spec = tiny_spec(kind, seed=21, trials=trials)
     blobs, rows = [], []
     for cores in (1, 2):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(popdyn, "_usable_cores", lambda: cores)
         rows.append([(r.coords, r.estimate, r.ci, r.trials) for r in run_experiment(spec)])
         out = write_results(run_experiment(spec), spec, tmp_path / f"cores{cores}.csv",
                             deterministic=True)
         blobs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
-    assert pools == [1, 1, 2, 2]
+    calls = 2 * (len(harness._moments_setup(spec)[0]) if kind == "moments-check" else 1)
+    assert pools == [1] * calls + [2] * calls
     assert repr(rows[0]) == repr(rows[1])  # repr: a nan ratio equals itself
     assert blobs[0] == blobs[1]
 

@@ -17,6 +17,7 @@ from blockbp.bpcore import bp_root
 from blockbp.broadcast import add_leaf_noise, run_broadcast, sample_tree, tree_from_parents
 from blockbp.estimators import current_weights, effective_conductance
 from blockbp.levels import _terminal_conductance
+from blockbp.seeding import derived_rng
 
 
 def _joint_se(a_std, a_n, b_std, b_n):
@@ -294,6 +295,36 @@ def test_magnetization_chain_holds_no_slot_length_floats():
     assert peak < 8 * (16 * trials + 2 * popdyn._BLOCK_SLOTS)
 
 
+def _traced_peak(run) -> int:
+    """Bytes ``run()`` held at its traced peak, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_level_sums_and_chain_hold_a_block_beyond_their_outputs(monkeypatch):
+    # on one core the level sums hold their output arrays and one trial
+    # block's counts; a chain holds its pools, the generation's sums and
+    # one row block.  The whole-array draws of these calls held 27.5 and
+    # 8.3 MiB.  scipy.sparse is loaded by this file's imports, so no trace
+    # holds it.
+    monkeypatch.setattr(popdyn, "_usable_cores", lambda: 1)
+    mib = 2 ** 20
+    d, k, trials = 4, 5, 100_000
+    outputs = 3 * (k + 1) * trials * 8  # s and two sn arrays
+    peak = _traced_peak(lambda: popdyn.dary_sum_trials(d, 0.5, k, trials,
+                                                       np.random.default_rng(24),
+                                                       delta=[0.0, 0.2]))
+    assert peak < outputs + 2 * mib
+    peak = _traced_peak(lambda: popdyn.magnetization_chain(
+        "gw", 64.0, 0.3, 8, trials, np.random.default_rng(25), delta=0.4))
+    assert peak < 7 * mib
+
+
 @pytest.mark.parametrize("kind, d, theta, k, trials, delta", [
     ("gw", 3.0, 0.6, 4, 20_000, 0.0),
     ("gw", 3.0, 0.6, 4, 20_000, 0.2),
@@ -338,6 +369,39 @@ def test_dary_sum_trials_law_matches_enumeration():
     count = np.append(count[~small], count[small].sum())
     stat = float(((count - expect) ** 2 / expect).sum())
     assert chi2.sf(stat, len(expect) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("trials", [2 * popdyn._TRIAL_BLOCK + 123, 100],
+                         ids=["short-last-block", "one-short-block"])
+def test_dary_sum_blocks_match_the_whole_draw(trials):
+    # block b is the whole-array draw from the stream derived from one word
+    # of the call's generator and b
+    d, theta, k = 3, 0.6, 4
+    got = popdyn.dary_sum_trials(d, theta, k, trials, np.random.default_rng(22),
+                                 delta=LEVELS)
+    word = int(np.random.default_rng(22).integers(2 ** 63))
+    for b, lo in enumerate(range(0, trials, popdyn._TRIAL_BLOCK)):
+        hi = min(lo + popdyn._TRIAL_BLOCK, trials)
+        want = _oracles.dary_sums_whole(d, theta, k, hi - lo, derived_rng(word, b), LEVELS)
+        for (s, sn), (want_s, want_sn) in zip(got, want):
+            assert np.array_equal(s[:, lo:hi], want_s)
+            assert np.array_equal(sn[:, lo:hi], want_sn)
+    assert hi == trials and hi - lo < popdyn._TRIAL_BLOCK
+
+
+@pytest.mark.parametrize("delta", [0.2, LEVELS], ids=["one-level", "levels"])
+def test_dary_sum_trials_do_not_depend_on_the_core_count(monkeypatch, delta):
+    # three blocks on one, two and three threads: the blocks write disjoint
+    # columns of the shared outputs
+    outs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(popdyn, "_usable_cores", lambda: cores)
+        out = popdyn.dary_sum_trials(3, 0.6, 4, 3 * popdyn._TRIAL_BLOCK,
+                                     np.random.default_rng(23), delta=delta)
+        outs.append([out] if np.ndim(delta) == 0 else out)
+    for one, *more in zip(*outs):
+        for s, sn in more:
+            assert np.array_equal(s, one[0]) and np.array_equal(sn, one[1])
 
 
 def test_dary_sum_trials_spins_do_not_depend_on_delta():
