@@ -24,8 +24,11 @@ B(v, R) whenever that ball is a tree, the regime of the theory (R of order
 log n).  On a ball with cycles the walk tree also reads sides inside
 B(v, R - 1) that a cycle leads back to, where BP on the BFS tree would read
 the sphere only.  Walk trees share their subtrees, so ``_label_edges``
-labels every vertex at once by messages on the directed edges of H, with
-coins keyed by directed edge and by vertex rather than drawn in order.
+labels every vertex at once by messages on the directed edges of H.  At
+R >= 2 those edges are held in pair order (``_edge_pairs``), where the
+reverse of slot 2e is slot 2e + 1.  Coins are keyed rather than drawn in
+order: a tie below the root by its directed edge's CSR slot, a root coin
+by vertex.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ _TIE_ULPS = 4096
 
 # Centres of the sample that ``nontree_neighborhoods`` is estimated from.
 _NONTREE_SAMPLE = 500
-
-# ``_reverse_slots`` stores int32 slot numbers below this many slots.
-_INT32_SLOTS = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -167,25 +167,45 @@ def align_partition(p: Partition, g: LabelledGraph, u_star: int, a: float,
 
 
 class _Labels(NamedTuple):
-    """Per-vertex outputs of ``_label_edges``, indexed by H's vertex ids."""
+    """Per-vertex outputs of ``_label_edges``, indexed by H's vertex ids,
+    and one count."""
 
     sign: np.ndarray           # int8 +-1
     magnetization: np.ndarray  # float64, 0 where a coin decided
     coin: np.ndarray
     zero_root: np.ndarray      # the coin decided because the root value is 0
     no_walk: np.ndarray        # no non-backtracking walk of length R
+    rounding_zeros: int        # a count: float sums the relative test set to 0
 
 
-def _reverse_slots(h: LabelledGraph) -> np.ndarray:
-    """Per CSR slot (x, y) of H, the slot (y, x); int32 below ``_INT32_SLOTS`` slots.
+def _edge_pairs(h: LabelledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Row x and neighbour y of every directed edge (x, y) of H, in pair order.
 
-    The slots sort by the unique keys x*n + y, so the slot of (y, x) is the
-    rank of the reversed key y*n + x.  That map is its own inverse, so it
-    equals the argsort of the reversed keys: one sort.
+    Edge e = (u, v), u < v, is the e-th CSR slot whose row is below its
+    neighbour, so the edges come in (u, v) order with no sort.  Slot 2e is
+    (u, v) and slot 2e + 1 is (v, u): the reverse of a slot is its partner
+    in the (m, 2) view.  A vertex x still meets its neighbours in ascending
+    order, as in its CSR row: first the edges (y, x) with y < x, then the
+    edges (x, z).  Raises ValueError when the CSR slots do not pair up: a
+    self-loop or an edge held in one direction only leaves the slots with
+    row < neighbour other than half of all.  The check counts slots; it
+    does not match each edge with its partner.
     """
-    n, nbr = h.n, h.indices
-    order = np.argsort(nbr * n + np.repeat(np.arange(n, dtype=np.int64), h.degrees))
-    return order.astype(np.int32 if len(nbr) < _INT32_SLOTS else np.int64, copy=False)
+    row = np.repeat(np.arange(h.n, dtype=np.int64), h.degrees)
+    lo = row < h.indices
+    m = int(np.count_nonzero(lo))
+    if 2 * m != len(h.indices):
+        raise ValueError(
+            f"the CSR slots do not pair up: {m} of {len(h.indices)} have row < "
+            "neighbour, not half (a self-loop or an edge held in one direction only)")
+    row_of, nbr = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
+    np.compress(lo, row, out=row_of[0::2])
+    del row
+    np.compress(lo, h.indices, out=nbr[0::2])
+    del lo
+    row_of[1::2] = nbr[0::2]
+    nbr[1::2] = row_of[0::2]
+    return row_of, nbr
 
 
 def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
@@ -195,11 +215,14 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     The walk tree of v hangs, below each child y reached from x, the subtree
     of y's walks that do not step straight back to x, and the same subtree
     hangs below every node that enters y from x.  So a value at height j
-    above the leaves is a message y -> x, carried by the CSR slot of row x
-    holding neighbour y, and a round computes height j + 1 from height j for
+    above the leaves is a message y -> x, carried by the slot (x, y) of a
+    directed edge of H, and a round computes height j + 1 from height j for
     all slots at once: the row sum of y's incoming messages minus the one
-    from x (the cavity step; the reverse slot holds it, from
-    ``_reverse_slots``, built at R >= 2).  The root is a plain row sum.
+    from x (the cavity step; the reverse slot (y, x) holds it).  The root is
+    a plain row sum.  At R >= 2 the slots are in pair order
+    (``_edge_pairs``), so the reverse slot is the pair partner; at R = 1 no
+    message needs its reverse and the CSR slots serve as they are.  Either
+    way a row's terms are added in ascending neighbour order.
 
     The same rounds find the walks: per slot (x, y), whether a
     non-backtracking walk of length j starts x -> y, true at j = 1 and then
@@ -224,49 +247,53 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     machine epsilon and S the sum of the magnitudes of the terms of the whole
     row; for a cavity sum that includes the parent's own term, which bounds
     the rounding of the subtraction.  A vote of sum 0 is a tie, and a BP sum
-    of 0 gives the message 0.
+    of 0 gives the message 0.  ``rounding_zeros`` counts the sums this test
+    sets to 0 that were not exactly 0.
 
-    A vote tie below the root (R > K >= 1) takes the coin of its slot from
-    one uniform per slot drawn from ``rng``; a root-level coin takes the
-    vertex's entry of ``root_u``.
+    A vote tie below the root (R > K >= 1) takes a coin from one uniform per
+    CSR slot drawn from ``rng``, read at the CSR slot of the tied edge (a
+    binary search of its key x*n + y among the CSR's sorted keys); a
+    root-level coin takes the vertex's entry of ``root_u``.
     """
-    n, nbr = h.n, h.indices
-    row = np.repeat(np.arange(n, dtype=np.int64), h.degrees)
-    rev = _reverse_slots(h) if r >= 2 else None
+    n = h.n
+    if r >= 2:
+        row, nbr = _edge_pairs(h)
+    else:
+        row, nbr = np.repeat(np.arange(n, dtype=np.int64), h.degrees), h.indices
     xi = side.astype(np.float64)
     tol = _TIE_ULPS * np.finfo(np.float64).eps
+    rounded = 0
 
     def row_sums(w):
         return np.bincount(row, weights=w, minlength=n)
 
-    def zero_ties(s, scale):
-        """``s`` with the sums within rounding of 0 set to 0."""
-        s[np.abs(s) <= tol * scale] = 0.0
+    def zero_ties(s, limit):
+        """``s`` with the sums of magnitude at most ``limit`` set to 0."""
+        nonlocal rounded
+        hit = np.flatnonzero(np.abs(s) <= limit)
+        rounded += int(np.count_nonzero(s[hit]))
+        s[hit] = 0.0
         return s
 
     def cavity(w):
-        """Per slot (x, y): the sum of ``w`` over y's row less x's own term
-        ``w[rev]``; 0 within rounding."""
-        buf = np.abs(w)
-        scale = row_sums(buf)
+        """Per slot (x, y): the sum of ``w`` over y's row less x's own term,
+        held by the reverse slot; 0 within rounding."""
+        limit = tol * row_sums(np.abs(w))
         s = row_sums(w)[nbr]
-        np.take(w, rev, out=buf)
-        s -= buf
-        np.abs(s, out=buf)
-        s[buf <= tol * scale[nbr]] = 0.0
-        return s
+        s[0::2] -= w[1::2]
+        s[1::2] -= w[0::2]
+        return zero_ties(s, limit[nbr])
 
     def has_walk():
         """Per vertex, whether a non-backtracking walk of length R starts there."""
         per_vertex = h.degrees
         if r >= 2:
             walk = np.ones(len(nbr), dtype=bool)
-            total = np.zeros(len(nbr) + 1, dtype=np.int64)
         for _ in range(r - 1):
-            # a true slot of y's row other than the one back to x
-            np.greater(per_vertex[nbr], walk[rev], out=walk)
-            np.cumsum(walk, out=total[1:])
-            per_vertex = total[h.indptr[1:]] - total[h.indptr[:-1]]
+            # a true slot of y's row other than the one back to x; read as
+            # uint16, a byte-swapped pair of bools holds each slot's reverse
+            walk = per_vertex[nbr] > walk.view(np.uint16).byteswap().view(bool)
+            per_vertex = np.bincount(row, weights=walk, minlength=n)
         return per_vertex > 0
 
     reach = has_walk()
@@ -283,14 +310,22 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
             c = _compose_through_edge(z, theta)
             cu = c * np.divide(a, z, out=np.zeros_like(a), where=z > 0)
         if big_k == r:
-            return zero_ties(row_sums(cu), row_sums(np.abs(cu)))
+            return zero_ties(row_sums(cu), tol * row_sums(np.abs(cu)))
         return cavity(cu)
 
     def decided(a):
-        """Per-slot votes from their sums; a tie takes its slot's coin."""
-        tie = a == 0.0
+        """Per-slot votes from their sums; a tie takes its CSR slot's coin."""
+        coin_u = rng.random(len(nbr))
+        tie = np.flatnonzero(a == 0.0)
         np.sign(a, out=a)
-        a[tie] = np.where(rng.random(len(nbr))[tie] < 0.5, 1.0, -1.0)
+        if len(tie):
+            keys = np.repeat(np.arange(n, dtype=np.int64), h.degrees)
+            keys *= n
+            keys += h.indices
+            tie_keys = row[tie] * n + nbr[tie]
+            order = np.argsort(tie_keys)  # a search in key order reads memory in order
+            slot = np.searchsorted(keys, tie_keys[order])
+            a[tie[order]] = np.where(coin_u[slot] < 0.5, 1.0, -1.0)
         return a
 
     if big_k == r:
@@ -299,17 +334,19 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
         if big_k == 0:
             t = _edge_llr(xi, theta)[nbr]
         else:
-            t = _edge_llr(decided(vote_sums()), theta)
+            t = decided(vote_sums())
+            _edge_llr(t, theta, out=t)
         for _ in range(big_k + 1, r):
-            t = _edge_llr(_magnetize(cavity(t)), theta)
-        val = _magnetize(zero_ties(row_sums(t), row_sums(np.abs(t))))
+            t = _magnetize(cavity(t))
+            _edge_llr(t, theta, out=t)
+        val = _magnetize(zero_ties(row_sums(t), tol * row_sums(np.abs(t))))
 
     zero = reach & (val == 0.0)
     coin = ~reach | zero
     sign = np.where(val > 0, 1, -1).astype(np.int8)
     sign[coin] = np.where(root_u[coin] < 0.5, 1, -1)
     return _Labels(sign=sign, magnetization=np.where(coin, 0.0, val), coin=coin,
-                   zero_root=zero, no_walk=~reach)
+                   zero_root=zero, no_walk=~reach, rounding_zeros=rounded)
 
 
 def _revisiting(h: LabelledGraph, r: int, centres: np.ndarray) -> np.ndarray:
@@ -373,6 +410,11 @@ class RecoveryDiagnostics:
     included; ``zero_roots`` is the part of it decided because the root
     value is 0 (a root BP value of exactly 0, or a tied root vote at K = R),
     and ``empty_spheres`` the part with no non-backtracking walk of length R.
+    ``rounding_zeros`` counts the float sums of the edge passes (K >= 2
+    votes, BP cavity sums, root sums; per slot or per vertex) that the
+    relative zero test, |sum| <= 4096 * eps * (sum of the row's
+    magnitudes), set to 0 when they were not exactly 0: the exact
+    cancellations that floating point left a residue on.
     ``nontree_neighborhoods`` estimates, from a sample of centres (see
     ``_nontree_estimate``), the vertices whose depth-R walk tree visits a
     vertex twice, where it differs from the BFS tree of B(v, R).
@@ -391,6 +433,7 @@ class RecoveryDiagnostics:
     coin_labels: int = 0
     zero_roots: int = 0
     empty_spheres: int = 0
+    rounding_zeros: int = 0
     nontree_neighborhoods: int = 0
     u_star_ball_violations: int = 0
     blackbox_informative: bool = True
@@ -493,6 +536,7 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     diag.coin_labels = int(out.coin.sum())
     diag.zero_roots = int(out.zero_root.sum())
     diag.empty_spheres = int(out.no_walk.sum())
+    diag.rounding_zeros = out.rounding_zeros
     # vertices within distance R - 1 of the anchor's neighbours in h
     near = np.zeros(h.n, dtype=bool)
     mapped = sub.old_to_new[g.neighbors(u_star)]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -21,8 +22,8 @@ from blockbp.partition import Partition
 from blockbp.pipeline import (
     STAGES,
     AlgoConfig,
+    _edge_pairs,
     _label_edges,
-    _reverse_slots,
     _revisiting,
     align_partition,
     choose_anchor,
@@ -153,7 +154,8 @@ def _label_all(g, side, radius, big_k, theta, seed=0):
 def _label_one(g, v, side, radius, big_k, theta, seed=0):
     """Vertex v's outputs of the edge engine."""
     out = _label_all(g, side, radius, big_k, theta, seed)
-    return {name: value[v] for name, value in out._asdict().items()}
+    return {name: value[v] for name, value in out._asdict().items()
+            if name != "rounding_zeros"}
 
 
 def _oracle_one(g, v, side, radius, big_k, theta, seed=0):
@@ -250,30 +252,43 @@ def test_nontree_flag_iff_walk_tree_revisits():
     assert flags == no_walks == {True, False}
 
 
-def _reverse_slot_graphs():
+def _pair_graphs():
     return [*_count_graphs(), sample_sbm(ModelParams(n=2000, a=30, b=4), seed=4),
             graph_from_edges(5, [], np.ones(5))]
 
 
-def test_reverse_slots(monkeypatch):
-    # rev maps slot (x, y) to slot (y, x): an involution that lands in row y
-    # at neighbour x, equal to the binary search of the reversed keys; from
-    # _INT32_SLOTS slots on it is int64 with the same values
-    for g in _reverse_slot_graphs():
-        row = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-        rev = _reverse_slots(g)
-        assert rev.dtype == np.int32
-        assert np.array_equal(rev[rev], np.arange(len(g.indices)))
-        assert np.array_equal(g.indices[rev], row)
-        assert np.array_equal(row[rev], g.indices)
-        ref = np.searchsorted(row * g.n + g.indices, g.indices * g.n + row)
-        assert np.array_equal(rev, ref)
-        monkeypatch.setattr(pipeline, "_INT32_SLOTS", len(g.indices))
-        wide = _reverse_slots(g)
-        assert wide.dtype == np.int64 and np.array_equal(wide, ref)
-        monkeypatch.setattr(pipeline, "_INT32_SLOTS", len(g.indices) + 1)
-        assert _reverse_slots(g).dtype == np.int32
-        monkeypatch.undo()
+def test_edge_pairs():
+    # slot 2e + 1 is the reverse of slot 2e; each vertex's slots hold its
+    # CSR row's neighbours in the same ascending order, so the row counts
+    # are the degrees and an isolated vertex has no slot
+    for g in _pair_graphs():
+        row, nbr = _edge_pairs(g)
+        assert len(row) == len(nbr) == len(g.indices)
+        assert np.array_equal(row[1::2], nbr[::2]) and np.array_equal(nbr[1::2], row[::2])
+        assert np.all(row[::2] < nbr[::2])
+        by_row = np.argsort(row, kind="stable")
+        assert np.array_equal(nbr[by_row], g.indices)
+        assert np.array_equal(np.bincount(row, minlength=g.n), g.degrees)
+        assert not np.isin(np.flatnonzero(g.degrees == 0), row).any()
+
+
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 1, 1], [1]),              # the edge 0 - 1 held in row 0 only
+    ([0, 0, 1], [0]),              # ... in row 1 only
+    ([0, 1, 1], [0]),              # a self-loop
+    ([0, 2, 3, 5], [1, 2, 0, 0, 2]),  # two edges both ways, and a self-loop
+])
+def test_edge_pairs_refuse_unpaired_slots(indptr, indices):
+    # a CSR whose slots do not pair up is refused, by _edge_pairs and by
+    # the edge passes at R >= 2, rather than labelled from a wrong layout
+    n = len(indptr) - 1
+    g = LabelledGraph(n=n, indptr=np.array(indptr, dtype=np.int64),
+                      indices=np.array(indices, dtype=np.int64),
+                      labels=np.ones(n, dtype=np.int8))
+    with pytest.raises(ValueError, match="do not pair up"):
+        _edge_pairs(g)
+    with pytest.raises(ValueError, match="do not pair up"):
+        _label_all(g, np.ones(n), 2, 1, 0.5)
 
 
 # --- full recovery -----------------------------------------------------------
@@ -613,6 +628,31 @@ def test_relative_tie_test_catches_a_rounding_residue(monkeypatch):
     assert not out["coin"] and abs(out["magnetization"]) == 1.0
 
 
+def test_rounding_zeros_counts_the_residues_set_to_zero(monkeypatch):
+    # K5 with sides (+, +, +, -, -) at R = 2, K = 0.  A + root hears -L from
+    # each + neighbour and +L from each - one, which cancel exactly; the
+    # float root sum keeps a residue (-2.2e-16 after tanh) that the relative
+    # test sets to 0, so the three + roots are coins and the count is 3.
+    # With the test off nothing is set to 0 and nothing is counted
+    clique = graph_from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)],
+                              [1] * 5)
+    side = np.array([1, 1, 1, -1, -1], dtype=np.int8)
+    out = _label_all(clique, side, 2, 0, 0.5)
+    assert out.rounding_zeros == 3
+    assert out.zero_root.tolist() == [True, True, True, False, False]
+    m = ModelParams(n=600, a=20, b=4)
+    g = sample_sbm(m, seed=56)
+    cfg = AlgoConfig(R=3, R_mode="fixed", K=1)
+    res = recover(g, cfg, m, impl="oracle-noise", seed=5, delta0=0.2)
+    assert res.diagnostics.rounding_zeros > 0
+    monkeypatch.setattr(pipeline, "_TIE_ULPS", 0)
+    out = _label_all(clique, side, 2, 0, 0.5)
+    assert out.rounding_zeros == 0 and not out.coin.any()
+    assert 0.0 < abs(out.magnetization[0]) < 1e-15
+    res = recover(g, cfg, m, impl="oracle-noise", seed=5, delta0=0.2)
+    assert res.diagnostics.rounding_zeros == 0
+
+
 # --- conductance-weighted votes ----------------------------------------------
 
 
@@ -691,3 +731,56 @@ def test_wide_benchmark_point_black_box_is_silent(bench_seed):
         res = recover(g, AlgoConfig(R=1, R_mode="fixed", K=1), m, seed=seed)
     assert res.diagnostics.blackbox_informative
     assert res.accuracy > 0.85
+
+
+# --- pinned outputs ------------------------------------------------------------
+
+
+PINNED = [
+    # (a, b, R, K, impl, delta0, digest of side and magnetization,
+    #  (coin_labels, zero_roots, empty_spheres, nontree_neighborhoods,
+    #   u_star_ball_violations))
+    (12, 3, 2, 0, "oracle-noise", 0.25, "41aaf397bfadd554", (81, 25, 2, 1202, 43)),
+    (12, 3, 2, 1, "oracle-noise", 0.0, "863d42b9d0c86566", (232, 176, 2, 1202, 43)),
+    (12, 3, 2, 2, "oracle-noise", 0.25, "a9b14bda9d21f716", (62, 6, 2, 1202, 43)),
+    (12, 3, 3, 0, "oracle-noise", 0.0, "daae9b23733e3bb3", (56, 0, 2, 2934, 318)),
+    (12, 3, 3, 1, "oracle-noise", 0.25, "8323be19ac46932c", (63, 7, 2, 2934, 318)),
+    (12, 3, 3, 2, "oracle-noise", 0.25, "aed8d20e8a16cef3", (296, 240, 2, 2934, 318)),
+    (12, 3, 3, 3, "oracle-noise", 0.0, "8c599c6abcd7da2d", (56, 0, 2, 2934, 318)),
+    (12, 3, 6, 0, "oracle-noise", 0.25, "fc38a82f0831af2c", (56, 0, 2, 2946, 2944)),
+    (12, 3, 6, 1, "oracle-noise", 0.25, "c601db1acb899c6d", (56, 0, 2, 2946, 2944)),
+    (12, 3, 6, 2, "oracle-noise", 0.0, "e82251bcbfb5b364", (56, 0, 2, 2946, 2944)),
+    (12, 3, 6, 6, "oracle-noise", 0.25, "e03b3a352e0fb776", (56, 0, 2, 2946, 2944)),
+    (12, 3, 3, 1, "spectral", None, "59f625c15a1a4139", (64, 8, 2, 2934, 318)),
+    (12, 3, 6, 2, "spectral", None, "d5ce1aa596999bb7", (56, 0, 2, 2946, 2944)),
+    (30, 4, 3, 1, "oracle-noise", 0.25, "fdfeff74a5aa7b39", (54, 0, 0, 2946, 2131)),
+]
+
+
+def _pinned_run(a, b, r, k, impl, delta0):
+    """recover() on one n = 3000 graph: the digest of its outputs and its counts."""
+    m = ModelParams(n=3000, a=a, b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = recover(sample_sbm(m, seed=7), AlgoConfig(R=r, R_mode="fixed", K=k), m,
+                      impl=impl, seed=3, delta0=delta0)
+    d = res.diagnostics
+    digest = hashlib.sha256(res.side.tobytes() + res.magnetization.tobytes()).hexdigest()
+    return digest[:16], (d.coin_labels, d.zero_roots, d.empty_spheres,
+                         d.nontree_neighborhoods, d.u_star_ball_violations)
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: "-".join(map(str, c[:6])))
+def test_recover_outputs_are_pinned(case, monkeypatch):
+    # every sign, magnetization bit and count is the one recorded; the
+    # digests hold float64 bits, so another libm may need them recorded
+    # anew.  Below the root (0 < K < R) vote ties occur and their coins
+    # decide labels: with the tie-coin stream shifted the digest moves
+    *config, digest, counts = case
+    assert _pinned_run(*config) == (digest, counts)
+    r, k = config[2], config[3]
+    if 0 < k < r:
+        keyed = pipeline.derived_rng
+        monkeypatch.setattr(pipeline, "derived_rng", lambda seed, *key: keyed(
+            seed + 1 if key == ("labels",) else seed, *key))
+        assert _pinned_run(*config)[0] != digest
