@@ -37,7 +37,7 @@ Config files are JSON objects with exactly the keys
 integers), where params is an object and grid an object of nonempty lists
 with exactly its kind's keys; unknown keys anywhere are rejected, and
 ``check_spec`` runs the kind's setup, which rejects the values a run would
-fail on, and a d or k that is not an integer where the run needs one.
+fail on, and a d, k or rep that is not an integer where the run needs one.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .broadcast import _check_offspring
 from .params import ModelParams, derive_tree_params
 from .partition import _check_blackbox
 from .pipeline import AlgoConfig, recover, resolve_radius
-from .popdyn import (Z99, _check_chain_inputs, _check_conductance_inputs,
+from .popdyn import (_check_chain_inputs, _check_conductance_inputs,
                      _check_dary_sum_inputs, _map_chains, ci_half_width)
 from .randgraph import sample_sbm
 from .seeding import derived_rng
@@ -70,8 +70,6 @@ __all__ = [
     "run_experiment",
     "write_results",
     "default_spec",
-    "Z99",
-    "ci_half_width",
 ]
 
 DEFAULT_TRIALS = 20_000
@@ -173,12 +171,12 @@ def _tree_parameterization(spec: ExperimentSpec):
     return kind, d, theta
 
 
-def _depths(spec: ExperimentSpec, low: int = 0) -> list[int]:
-    """The grid's depths k, sorted, each at least ``low``."""
-    ks = sorted(_integer("k", k) for k in spec.grid["k"])
-    if ks[0] < low:
-        raise ValueError(f"'k' must be >= {low}, not {[k for k in ks if k < low]}")
-    return ks
+def _grid_integers(spec: ExperimentSpec, key: str, low: int = 0) -> list[int]:
+    """The grid's ``key`` values as integers, in grid order, each at least ``low``."""
+    values = [_integer(key, x) for x in spec.grid[key]]
+    if min(values) < low:
+        raise ValueError(f"{key!r} must be >= {low}, not {[x for x in values if x < low]}")
+    return values
 
 
 # --- runners ---------------------------------------------------------------
@@ -188,7 +186,7 @@ def _accuracy_setup(spec: ExperimentSpec):
     """(tree kind, d, theta, depths, noise levels) of tree-accuracy or
     robust-accuracy, checked; tree-accuracy's one noise level is 0."""
     kind, d, theta = _tree_parameterization(spec)
-    ks = _depths(spec)
+    ks = sorted(_grid_integers(spec, "k"))
     deltas = [_number("delta", x) for x in spec.grid.get("delta", [0.0])]
     _check_chain_inputs(theta, max(ks), spec.trials, deltas)
     return kind, d, theta, ks, deltas
@@ -221,11 +219,12 @@ def _moments_setup(spec: ExperimentSpec):
     ds = [_integer("d", x) for x in spec.grid["d"]]
     thetas = [_number("theta", x) for x in spec.grid["theta"]]
     deltas = [_number("delta", x) for x in spec.grid["delta"]]
-    ks = _depths(spec)
+    ks = sorted(_grid_integers(spec, "k"))
     configs = [(d, th) for d in ds for th in thetas]
-    for c in spec.params.get("extra_configs", []):
+    extras = spec.params.get("extra_configs", [])
+    for c in extras if isinstance(extras, (list, tuple)) else [extras]:
         if not isinstance(c, (list, tuple)) or len(c) != 2:
-            raise ValueError(f"an extra config must be a pair [d, theta], not {c!r}")
+            raise ValueError(f"'extra_configs' must hold pairs [d, theta], not {c!r}")
         configs.append((_integer("d", c[0]), _number("theta", c[1])))
     for d, theta in configs:
         _check_dary_sum_inputs(d, theta, max(ks), spec.trials, deltas)
@@ -293,6 +292,8 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
     """(tree kind, d, theta, delta, k) of each contraction-check regime, checked."""
     out = []
     for regime in spec.grid["regimes"]:
+        if not isinstance(regime, dict):
+            raise ValueError(f"'regimes' must hold objects, not {regime!r}")
         bad = set(regime) - {"tree_kind", "d", "theta", "delta", "k"}
         if bad:
             raise ValueError(f"unknown regime keys: {sorted(bad)}")
@@ -383,7 +384,7 @@ def _conductance_setup(spec: ExperimentSpec):
     """(tree kind, d, theta, delta, depths, threshold) of conductance-check, checked."""
     kind, d, theta = _tree_parameterization(spec)
     delta = _number("delta", spec.params.get("delta", 0.0))
-    ks = _depths(spec, low=1)
+    ks = sorted(_grid_integers(spec, "k", low=1))
     _check_conductance_inputs(theta, max(ks), spec.trials, delta, set(ks))
     eta = 0.5 * (1.0 - theta)
     threshold = _number("threshold",
@@ -421,9 +422,10 @@ def run_conductance_check(spec: ExperimentSpec, plan) -> list[ResultRow]:
 
 
 def _recover_setup(spec: ExperimentSpec):
-    """(model, algorithm, radius, impl, delta0) from graph-recover's params n,
-    a, b, impl, delta0, R and K, checked; a given R is fixed, and without one
-    the radius rule picks it.  The matched tree row runs at the radius."""
+    """(model, algorithm, radius, impl, delta0, reps) from graph-recover's
+    params n, a, b, impl, delta0, R and K and grid reps (>= 0; the summary
+    rows take -1), checked; a given R is fixed, and without one the radius
+    rule picks it.  The matched tree row runs at the radius."""
     p = spec.params
     if {"n", "a", "b"} - p.keys():
         raise ValueError(f"graph-recover needs params {sorted({'n', 'a', 'b'} - p.keys())}")
@@ -435,12 +437,13 @@ def _recover_setup(spec: ExperimentSpec):
     impl = p.get("impl", "spectral")
     delta0 = None if p.get("delta0") is None else _number("delta0", p["delta0"])
     _check_blackbox(impl, delta0)
-    return params, cfg, resolve_radius(cfg, params.n, params.a, params.b), impl, delta0
+    return (params, cfg, resolve_radius(cfg, params.n, params.a, params.b), impl, delta0,
+            _grid_integers(spec, "rep"))
 
 
 def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
     """One repetition: a graph and a recovery on streams derived from ``rep``."""
-    params, cfg, _, impl, delta0 = plan
+    params, cfg, _, impl, delta0, _ = plan
     g = sample_sbm(params, seed=derived_rng(spec.seed, "graph", rep))
     rep_seed = int(derived_rng(spec.seed, "recover", rep).integers(2 ** 62))
     t0 = time.perf_counter()
@@ -455,9 +458,8 @@ def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
 
 
 def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
-    params, cfg, r_used, impl, delta0 = plan
-    results = _map_chains(lambda _, rep: _recover_rep(spec, plan, rep),
-                          [int(rep) for rep in spec.grid["rep"]])
+    params, cfg, r_used, impl, delta0, reps = plan
+    results = _map_chains(lambda _, rep: _recover_rep(spec, plan, rep), reps)
     base = {
         "n": params.n, "a": params.a, "b": params.b, "impl": impl,
         "delta0": -1.0 if delta0 is None else delta0, "R": r_used, "K": cfg.K,

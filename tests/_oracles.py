@@ -31,11 +31,13 @@ as a reference, the BFS tree of the ball), with each node's vertex image and
 the directed CSR slot it came through, and runs one two-stage root
 computation on it: an exact integer vote at K = 1, the current-split vote of
 the resistor network with a relative tie test at K >= 2.  Vote ties below
-the root read their slot's coin and root-level coins the vertex's uniform,
-as the library keys them.  It shares only the terminal conductance and the
-stages around labelling with the library, so agreement with
-``pipeline.recover`` checks the message passing on directed edges, the
-reverse slots, the walk-length and anchor-distance rounds and the coin keys.
+the root read their edge's coin and root-level coins the vertex's uniform,
+as the library keys them: ``pair_slots`` finds each CSR slot's place in the
+edge-pair order from a sorted edge list of its own.  It shares only the
+terminal conductance and the stages around labelling with the library, so
+agreement with ``pipeline.recover`` checks the message passing on directed
+edges, the reverse slots, the walk-length and anchor-distance rounds and the
+coin keys.
 
 The conductance and current passes are kept here as frozen references
 (``compose_through_edge``, ``conductance_up``, ``current_down``), written
@@ -471,6 +473,16 @@ def bfs_slots(indptr, indices, levels, parent_pos):
     return slots
 
 
+def pair_slots(indptr, indices):
+    """Per CSR slot (x, y), its slot in the edge-pair order: 2 * rank + (x > y),
+    with rank the place of the edge (min, max) in the sorted list of edges."""
+    n = len(indptr) - 1
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    lo, hi = np.minimum(row, indices), np.maximum(row, indices)
+    edges = np.unique(lo * n + hi)
+    return 2 * np.searchsorted(edges, lo * n + hi) + (row > indices)
+
+
 def walk_tree(indptr, indices, v, radius):
     """The depth-``radius`` non-backtracking walk tree from v, node by node.
 
@@ -610,8 +622,10 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None, tree="wal
     sub = remove_set(g, hold_out)
     h = sub.graph
     root_u = derived_rng(seed, "zero-roots").random(g.n)  # indexed by g's ids
-    slot_u = (derived_rng(seed, "labels").random(len(h.indices))
-              if 0 < cfg.K < r else None)
+    slot_u = None  # per CSR slot, its edge's tie coin
+    if 0 < cfg.K < r:
+        slot_u = derived_rng(seed, "labels").random(len(h.indices))
+        slot_u = slot_u[pair_slots(h.indptr, h.indices)]
     watch = np.zeros(h.n, dtype=bool)
     mapped = sub.old_to_new[g.neighbors(u_star)]
     watch[mapped[mapped >= 0]] = True

@@ -13,11 +13,11 @@ from blockbp import cli, harness, popdyn
 from blockbp.harness import (
     KINDS,
     ExperimentSpec,
-    ci_half_width,
     default_spec,
     run_experiment,
     write_results,
 )
+from blockbp.popdyn import ci_half_width
 
 
 def tiny_spec(kind, **over):
@@ -483,7 +483,8 @@ def _regime_config(**over):
     # tree-side values the chains would reject, or a runner would read wrong
     ("moments-check", _moments_config(d=[2.5]), "2.5"),
     ("moments-check", _moments_config(d=[1000], k=[6]), "1000**6"),
-    ("moments-check", _moments_config(extra_configs=[[4]]), "[4]"),
+    ("moments-check", _moments_config(extra_configs=[[4]]),
+     "'extra_configs' must hold pairs [d, theta], not [4]"),
     ("contraction-check", _regime_config(delta=0.7), "0.7"),
     ("contraction-check", _regime_config(tree_kind="zz"), "'zz'"),
     ("contraction-check", _regime_config(tree_kind="dary", d=4.5), "4.5"),
@@ -518,6 +519,22 @@ def _regime_config(**over):
     ("contraction-check", _regime_config(theta="x"), "'theta' must be a finite number, not 'x'"),
     ("robust-accuracy", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [2], "delta": ["x"]}},
      "'delta' must be a finite number, not 'x'"),
+    # graph-recover repetitions: integers >= 0, apart from the summary rows' -1
+    ("graph-recover", {**_recover_config(), "grid": {"rep": ["x"]}},
+     "'rep' must be an integer, not 'x'"),
+    ("graph-recover", {**_recover_config(), "grid": {"rep": [0, 1.5]}},
+     "'rep' must be an integer, not 1.5"),
+    ("graph-recover", {**_recover_config(), "grid": {"rep": [True]}},
+     "'rep' must be an integer, not True"),
+    ("graph-recover", {**_recover_config(), "grid": {"rep": [0, -1]}},
+     "'rep' must be >= 0, not [-1]"),
+    # values of the wrong shape: a ValueError that names the key
+    ("contraction-check", {"params": {}, "grid": {"regimes": [["d", "theta"]]}},
+     "'regimes' must hold objects, not ['d', 'theta']"),
+    ("contraction-check", {"params": {}, "grid": {"regimes": [5]}},
+     "'regimes' must hold objects, not 5"),
+    ("moments-check", _moments_config(extra_configs=5),
+     "'extra_configs' must hold pairs [d, theta], not 5"),
 ], ids=["K-above-R", "oracle-without-delta0", "no-n", "spectral-with-delta0", "delta-0.7",
         "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta", "R-with-auto",
         "ksig-unreachable", "regime-zz", "regime-no-d",
@@ -526,7 +543,9 @@ def _regime_config(**over):
         "k-2.5", "conductance-k-0", "threshold-x", "conductance-delta-null", "base_d-0", "ksig-negative",
         "n-400.5", "K-1.5", "R-2.5", "R-string", "a-nan", "delta0-string",
         "threshold-nan", "d-string",
-        "base_d-string", "a-string", "regime-theta-string", "delta-string"])
+        "base_d-string", "a-string", "regime-theta-string", "delta-string",
+        "rep-string", "rep-1.5", "rep-true", "rep-negative",
+        "regime-list", "regime-int", "moments-extra-not-a-list"])
 def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
     cfg, out = tmp_path / "c.json", tmp_path / "out.csv"
     cfg.write_text(json.dumps(config))

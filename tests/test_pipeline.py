@@ -11,6 +11,7 @@ from _oracles import (
     current_down,
     label_one,
     magnetization_chain_per_slot,
+    pair_slots,
     recover_loop,
     revisits,
     walk_tree,
@@ -161,6 +162,7 @@ def _label_one(g, v, side, radius, big_k, theta, seed=0):
 def _oracle_one(g, v, side, radius, big_k, theta, seed=0):
     """Vertex v's label by the per-vertex BFS oracle, with the same coin keys."""
     slot_u = derived_rng(seed, "labels").random(len(g.indices))
+    slot_u = slot_u[pair_slots(g.indptr, g.indices)]
     root_u = derived_rng(seed, "zero-roots").random(g.n)
     return label_one(g.indptr, g.indices, v, radius, big_k, theta, 1e-12,
                      np.asarray(side, dtype=np.int8), np.zeros(g.n, dtype=bool), slot_u,
@@ -520,8 +522,8 @@ def test_zero_root_coin_is_keyed_by_vertex():
     g = graph_from_edges(11, edges, [1] * 11)
     side = np.array([1, 1, 1, 1, -1, 1, 1, 1, 1, 1, -1], dtype=np.int8)
     theta = 0.6
-    slot_57 = int(g.indptr[5]) + 1
-    assert g.indices[slot_57] == 7
+    slot_57 = 2 * 5  # pair slot 2e of edge e = 5, (5, 7), in sorted order
+    assert [int(x[slot_57]) for x in _edge_pairs(g)] == [5, 7]
     signs0, zero5 = set(), set()
     for seed in range(20):
         got = _label_all(g, side, 2, 1, theta, seed=seed)
@@ -741,19 +743,19 @@ PINNED = [
     #  (coin_labels, zero_roots, empty_spheres, nontree_neighborhoods,
     #   u_star_ball_violations))
     (12, 3, 2, 0, "oracle-noise", 0.25, "41aaf397bfadd554", (81, 25, 2, 1202, 43)),
-    (12, 3, 2, 1, "oracle-noise", 0.0, "863d42b9d0c86566", (232, 176, 2, 1202, 43)),
+    (12, 3, 2, 1, "oracle-noise", 0.0, "62b2bcce45ff4765", (234, 178, 2, 1202, 43)),
     (12, 3, 2, 2, "oracle-noise", 0.25, "a9b14bda9d21f716", (62, 6, 2, 1202, 43)),
     (12, 3, 3, 0, "oracle-noise", 0.0, "daae9b23733e3bb3", (56, 0, 2, 2934, 318)),
-    (12, 3, 3, 1, "oracle-noise", 0.25, "8323be19ac46932c", (63, 7, 2, 2934, 318)),
-    (12, 3, 3, 2, "oracle-noise", 0.25, "aed8d20e8a16cef3", (296, 240, 2, 2934, 318)),
+    (12, 3, 3, 1, "oracle-noise", 0.25, "ae7940a33d3add37", (66, 10, 2, 2934, 318)),
+    (12, 3, 3, 2, "oracle-noise", 0.25, "c6abcc75046b2f6f", (297, 241, 2, 2934, 318)),
     (12, 3, 3, 3, "oracle-noise", 0.0, "8c599c6abcd7da2d", (56, 0, 2, 2934, 318)),
     (12, 3, 6, 0, "oracle-noise", 0.25, "fc38a82f0831af2c", (56, 0, 2, 2946, 2944)),
-    (12, 3, 6, 1, "oracle-noise", 0.25, "c601db1acb899c6d", (56, 0, 2, 2946, 2944)),
-    (12, 3, 6, 2, "oracle-noise", 0.0, "e82251bcbfb5b364", (56, 0, 2, 2946, 2944)),
+    (12, 3, 6, 1, "oracle-noise", 0.25, "4c9b089c07e16936", (56, 0, 2, 2946, 2944)),
+    (12, 3, 6, 2, "oracle-noise", 0.0, "afbde0ceb6c50bd2", (56, 0, 2, 2946, 2944)),
     (12, 3, 6, 6, "oracle-noise", 0.25, "e03b3a352e0fb776", (56, 0, 2, 2946, 2944)),
-    (12, 3, 3, 1, "spectral", None, "59f625c15a1a4139", (64, 8, 2, 2934, 318)),
-    (12, 3, 6, 2, "spectral", None, "d5ce1aa596999bb7", (56, 0, 2, 2946, 2944)),
-    (30, 4, 3, 1, "oracle-noise", 0.25, "fdfeff74a5aa7b39", (54, 0, 0, 2946, 2131)),
+    (12, 3, 3, 1, "spectral", None, "e95c89f12b74644b", (62, 6, 2, 2934, 318)),
+    (12, 3, 6, 2, "spectral", None, "deac29e4ad7dd2d7", (56, 0, 2, 2946, 2944)),
+    (30, 4, 3, 1, "oracle-noise", 0.25, "55bd335c94bbaf94", (54, 0, 0, 2946, 2131)),
 ]
 
 
