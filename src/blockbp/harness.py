@@ -14,8 +14,8 @@ graph-recover's repetitions are such units, and they run on one thread per
 unit up to the usable cores (``popdyn._map_chains``); so do the trial
 blocks of each moments-check config's level sums, of ``popdyn._TRIAL_BLOCK``
 trials each, a size that is part of their stream.  A config holds its level
-sums plus one block's counts per running thread.  The rows are the same at
-any core count.
+sums as small exact integers, one block's counts per running thread and one
+level's float64 row at a time.  The rows are the same at any core count.
 ``write_results(..., deterministic=True)`` writes the wall-time column as
 0.0, so reruns are byte-identical.
 
@@ -241,8 +241,8 @@ def run_moments_check(spec: ExperimentSpec, plan) -> list[ResultRow]:
 
 def _moment_rows(spec: ExperimentSpec, cfg_idx: int, d: int, theta: float,
                  deltas: list, ks: list) -> list[ResultRow]:
-    """One config's rows; its level sums are freed on return, before the next
-    config draws its own."""
+    """One config's rows.  Its integer level sums are freed on return, before
+    the next config draws its own; a level's row is float64 only for its own."""
     from .estimators import majority_moments
 
     t0 = time.perf_counter()
@@ -256,24 +256,18 @@ def _moment_rows(spec: ExperimentSpec, cfg_idx: int, d: int, theta: float,
     for delta, (s, sn) in zip(deltas, sums):
         for k in ks:
             mom = majority_moments(d, theta, k, delta=delta)
-            quads = []
-            for stat, vals, target in (("s", s[k], (mom.mean, mom.var)),
+            for stat, row, targets in (("s", s[k], (mom.mean, mom.var)),
                                        ("sn", sn[k], (mom.noisy_mean, mom.noisy_var))):
-                mean_tgt, var_tgt = target
-                quads.append((f"{stat}_mean", float(vals.mean()),
-                              ci_half_width(float(vals.std()), spec.trials),
-                              mean_tgt))
+                vals = row.astype(np.float64)
                 sq = (vals - vals.mean()) ** 2
-                quads.append((f"{stat}_var", float(sq.mean()),
-                              ci_half_width(float(sq.std()), spec.trials),
-                              var_tgt))
-            for stat, est, half, target in quads:
-                out.append(ResultRow(
-                    experiment=spec.kind,
-                    coords={"d": d, "theta": theta, "delta": delta,
-                            "k": k, "stat": stat, "target": target},
-                    estimate=est, ci=half, trials=spec.trials, seconds=dt,
-                ))
+                for moment, x, target in (("mean", vals, targets[0]), ("var", sq, targets[1])):
+                    out.append(ResultRow(
+                        experiment=spec.kind,
+                        coords={"d": d, "theta": theta, "delta": delta,
+                                "k": k, "stat": f"{stat}_{moment}", "target": target},
+                        estimate=float(x.mean()), ci=ci_half_width(float(x.std()), spec.trials),
+                        trials=spec.trials, seconds=dt,
+                    ))
     return out
 
 
@@ -453,6 +447,7 @@ def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
         "accuracy": res.accuracy,
         "coin_frac": res.diagnostics.coin_labels / g.n,
         "nontree_frac": res.diagnostics.nontree_neighborhoods / g.n,
+        "rounding_zeros": float(res.diagnostics.rounding_zeros),
         "seconds": time.perf_counter() - t0,
     }
 
@@ -467,9 +462,10 @@ def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
     out = []
     # per rep: accuracy, then the fractions of all n vertices that were
     # labelled by a coin (hold-out included) and whose walk tree revisits a
-    # vertex (a sample estimate)
+    # vertex (a sample estimate), and the count of float sums the relative
+    # zero test set to 0
     for res in results:
-        for metric in ("accuracy", "coin_frac", "nontree_frac"):
+        for metric in ("accuracy", "coin_frac", "nontree_frac", "rounding_zeros"):
             out.append(ResultRow(
                 experiment=spec.kind, coords={**base, "rep": res["rep"], "metric": metric},
                 estimate=res[metric], ci=0.0, trials=1,

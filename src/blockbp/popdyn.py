@@ -23,7 +23,8 @@ binomial level counts over fully independent trials, in blocks of
 of the call's generator and b, so the block size is part of the stream and
 the core count is not.  The blocks run on ``_map_chains``, the thread
 helper the harness also runs its independent chains on: one thread per
-usable core, each holding one block's counts, beside the call's outputs.
+usable core, each holding one block's int64 counts beside the call's
+outputs: the sums as exact integers of the smallest type that holds them.
 
 A second engine ("forest") materializes many explicit trees at once, as one
 ``BroadcastTree`` with a root per trial; it is used where per-tree
@@ -158,7 +159,7 @@ def _check_dary_sum_inputs(d: int, theta: float, k: int, trials: int, deltas) ->
     """The chain checks, an integer d and d**k below 2**53."""
     _check_chain_inputs(theta, k, trials, deltas)
     _check_offspring("dary", d)
-    if int(d) ** k >= 2 ** 53:  # float64 level sums stop being exact
+    if int(d) ** k >= 2 ** 53:  # a level's sums stop being exact as float64
         raise ValueError(f"d**k must stay below 2**53, not {int(d)}**{k}")
 
 
@@ -304,22 +305,26 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
     1 - eta) minus spins, S_j = d^j - 2 N_j, and fresh per-level delta noise
     is two binomials likewise, drawn after all spins so that S does not
     depend on delta; at delta = 0, S~ is S and no noise is drawn.  Returns
-    (s, sn): arrays of shape (k+1, trials).
+    (s, sn): exact integer arrays of shape (k+1, trials), in the smallest
+    signed type that holds both d^k and -d^k (int8 up to d^k = 127, int16 at
+    128); at delta = 0, ``sn`` is ``s`` itself.  Products of int8 or int16
+    values wrap, so take a level's row as float64 before arithmetic on it.
 
     The trials are drawn in blocks of ``_TRIAL_BLOCK`` consecutive columns
     (the last one may be short), each as whole (k+1) x block count arrays
     from its own generator, derived from one word the call draws from
     ``rng`` and the block's index.  The blocks run on one thread per usable
-    core and write their columns into the outputs, so a call holds the
-    outputs and one block's counts per running thread.  The block size is
-    part of the stream; the core count is not.
+    core and write their columns into the outputs, straight from their
+    int64 counts, so a call holds the compact outputs and one block's counts
+    per running thread.  The block size is part of the stream; the core
+    count is not.
 
     ``delta`` may also be a sequence of noise levels.  The spins are then
     drawn once, and each block draws each level's noise from the state its
     spins left, so the call returns a list with one (s, sn) per level,
     in order, each equal to that of a call with the level alone and the same
-    generator (the levels share one ``s`` array).  Every level is checked
-    before anything is drawn from ``rng``.
+    generator (the levels share one ``s`` array, which a zero level's ``sn``
+    also is).  Every level is checked before anything is drawn from ``rng``.
     """
     out = _dary_sum_trials(d, theta, k, trials, rng, _levels(delta))
     return out[0] if np.ndim(delta) == 0 else out
@@ -332,13 +337,10 @@ def _dary_sum_trials(d, theta, k, trials, rng, deltas):
     eta = 0.5 * (1.0 - theta)
     width = np.array([di ** j for j in range(k + 1)], dtype=np.int64)[:, None]
     word = int(rng.integers(2 ** 63))
-    s = np.empty((k + 1, trials))
-    sns = [np.empty((k + 1, trials)) for _ in deltas]
-
-    def write_sums(minus: np.ndarray, out: np.ndarray) -> None:
-        # out = width - 2 * minus, exact in float64 below 2**53, with no temporary
-        np.multiply(minus, -2.0, out=out)
-        out += width
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= di ** k)
+    s = np.empty((k + 1, trials), dtype=dtype)
+    sns = [s if delta == 0.0 else np.empty_like(s) for delta in deltas]
 
     def block(b: int, cols: slice) -> None:
         brng = derived_rng(word, b)
@@ -346,16 +348,15 @@ def _dary_sum_trials(d, theta, k, trials, rng, deltas):
         for j in range(1, k + 1):
             minus[j] = brng.binomial(di * (width[j - 1] - minus[j - 1]), eta)
             minus[j] += brng.binomial(di * minus[j - 1], 1.0 - eta)
-        write_sums(minus, s[:, cols])
+        s[:, cols] = width - 2 * minus
         after_spins = brng.bit_generator.state
         for delta, sn in zip(deltas, sns):
             if delta == 0.0:
-                sn[:, cols] = s[:, cols]
                 continue
             brng.bit_generator.state = after_spins
             seen = brng.binomial(width - minus, delta)
             seen += brng.binomial(minus, 1.0 - delta)
-            write_sums(seen, sn[:, cols])
+            sn[:, cols] = width - 2 * seen
 
     _map_chains(block, [slice(lo, min(lo + _TRIAL_BLOCK, trials))
                         for lo in range(0, trials, _TRIAL_BLOCK)])
@@ -381,7 +382,8 @@ def _map_chains(run: Callable, units: list) -> list:
     most of its array work (a generator filling an array, a sort, a sparse
     product), so the units' work overlaps.  Every running unit holds its own
     arrays, so peak memory grows with the number of units running at once:
-    for the level sums, one block's counts per thread beside the outputs.
+    for the level sums, one block's int64 counts per thread beside the
+    compact integer outputs.
     """
     with ThreadPoolExecutor(max_workers=min(len(units), _usable_cores())) as pool:
         return list(pool.map(run, range(len(units)), units))

@@ -1,5 +1,6 @@
 """tools/bench_summary.py pairs two checkouts over the seeds both ran."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -46,3 +47,37 @@ def test_stale_seeds_reach_no_median(tmp_path):
     # a one-side summary still keeps every run
     alone = bench_summary.summarise(change, BETTER)["workloads"]["w"]
     assert alone["seeds"] == [1, 2, 3, 11, 12, 13] and alone["left_out"] == []
+
+
+def _write_source(checkout: Path, files: dict) -> None:
+    src = checkout / "src" / "blockbp"
+    src.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (src / name).write_text(text)
+
+
+def test_each_side_records_its_source_hash(tmp_path, monkeypatch):
+    # the hash covers src/blockbp/*.py in sorted name order, whatever order
+    # the files were written in, and nothing else in the checkout
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "benchmarks/run.py"],
+        "end_to_end": [{"name": m, "better": b} for m, b in BETTER.items()]}))
+    monkeypatch.setattr(bench_summary, "ROOT", root)
+    for side, body in (("base", "x = 1\n"), ("change", "x = 2\n")):
+        _write_runs(tmp_path / side, "w", {1: 1.0, 2: 1.1})
+        _write_source(tmp_path / side, {"b.py": body, "a.py": "import b\n"})
+        (tmp_path / side / "src" / "blockbp" / "notes.txt").write_text(side)
+
+    assert bench_summary.main(["t", f"base={tmp_path / 'base'}",
+                               f"change={tmp_path / 'change'}"]) == 0
+    sides = json.loads((root / "BENCH_t.json").read_text())["sides"]
+    for side, body in (("base", b"x = 1\n"), ("change", b"x = 2\n")):
+        want = hashlib.sha256(b"import b\n" + body).hexdigest()
+        assert sides[side]["source_sha256"] == want
+    assert sides["base"]["source_sha256"] != sides["change"]["source_sha256"]
+    # one side alone records its hash as well
+    assert bench_summary.main(["one", f"change={tmp_path / 'change'}"]) == 0
+    one = json.loads((root / "BENCH_one.json").read_text())["sides"]["change"]
+    assert one["source_sha256"] == sides["change"]["source_sha256"]

@@ -242,8 +242,9 @@ def test_graph_recover_rows():
     spec = tiny_spec("graph-recover", trials=5000, seed=11)
     rows = run_experiment(spec)
     metrics = [r.coords["metric"] for r in rows]
-    assert metrics.count("accuracy") == 2
-    assert "mean_accuracy" in metrics and "tree_p_hat" in metrics and "gap" in metrics
+    # four rows per rep, then three summary rows
+    assert metrics == 2 * ["accuracy", "coin_frac", "nontree_frac", "rounding_zeros"] + [
+        "mean_accuracy", "tree_p_hat", "gap"]
     mean_row = next(r for r in rows if r.coords["metric"] == "mean_accuracy")
     assert mean_row.estimate > 0.8
     # per rep, as fractions of n: the coin labels include the sqrt(n) hold-out
@@ -257,6 +258,11 @@ def test_graph_recover_rows():
         for r in got:
             assert lo <= r.estimate <= hi
             assert (r.estimate * n).is_integer()
+    # a count of the float sums the relative zero test set to 0
+    zeros = [r for r in rows if r.coords["metric"] == "rounding_zeros"]
+    assert [r.coords["rep"] for r in zeros] == [0, 1]
+    assert all(r.estimate >= 0 and r.estimate.is_integer() and r.seconds == 0.0
+               for r in zeros)
 
 
 # --- persistence and determinism ----------------------------------------------

@@ -755,6 +755,9 @@ PINNED = [
     (12, 3, 6, 6, "oracle-noise", 0.25, "e03b3a352e0fb776", (56, 0, 2, 2946, 2944)),
     (12, 3, 3, 1, "spectral", None, "e95c89f12b74644b", (62, 6, 2, 2934, 318)),
     (12, 3, 6, 2, "spectral", None, "deac29e4ad7dd2d7", (56, 0, 2, 2946, 2944)),
+    # a = 5, b = 1: a sparser graph, where the spectral split is rougher
+    (5, 1, 3, 1, "spectral", None, "bc997aca1ca05c3d", (420, 168, 198, 501, 37)),
+    (5, 1, 6, 2, "spectral", None, "ac5cddfb7d872854", (263, 11, 198, 2704, 795)),
     (30, 4, 3, 1, "oracle-noise", 0.25, "55bd335c94bbaf94", (54, 0, 0, 2946, 2131)),
 ]
 

@@ -217,9 +217,37 @@ def test_dary_sum_trials_levels_match_one_level_calls():
         want_s, want_sn = popdyn.dary_sum_trials(3, 0.6, 4, 5_000, np.random.default_rng(16),
                                                  delta=delta)
         assert np.array_equal(s, want_s) and np.array_equal(sn, want_sn)
-        assert s.dtype == sn.dtype == np.float64
-        assert sn is not s
-    assert np.array_equal(got[1][1], got[1][0])  # delta = 0 observes the spins
+        assert s.dtype == sn.dtype == want_sn.dtype == np.int8  # 3**4 = 81
+        assert (sn is s) == (delta == 0.0) and (want_sn is want_s) == (delta == 0.0)
+    assert got[1][1] is got[1][0]  # delta = 0 observes the spins
+
+
+@pytest.mark.parametrize("d, k, dtype", [
+    (2, 6, np.int8),  # d**k = 64
+    (127, 1, np.int8),  # int8's largest value
+    (2, 7, np.int16),  # 128: int8 would wrap it to -128
+    (4, 5, np.int16),
+    (2, 15, np.int32),  # 32768: int16 would wrap it
+    (2, 31, np.int64),  # 2**31: int32 would wrap it
+    (3, 33, np.int64),  # the largest power of 3 below 2**53
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_level_sums_take_the_smallest_signed_type_that_holds_them(d, k, dtype):
+    # theta = -1 flips every edge, so level j reads (-d)**j in every trial:
+    # the extremes the type must hold exactly; a delta = 0 level observes
+    # the spin sums' own array, and at theta = 0.6 every block is the
+    # whole-array draw
+    trials = 300
+    levels = [0.0, 0.2]
+    for (s, sn), delta in zip(popdyn.dary_sum_trials(d, -1.0, k, trials,
+                                                     np.random.default_rng(26),
+                                                     delta=levels), levels):
+        assert s.dtype == sn.dtype == dtype and (sn is s) == (delta == 0.0)
+        assert np.array_equal(s, [[(-d) ** j] * trials for j in range(k + 1)])
+    got = popdyn.dary_sum_trials(d, 0.6, k, trials, np.random.default_rng(27), delta=levels)
+    word = int(np.random.default_rng(27).integers(2 ** 63))
+    want = _oracles.dary_sums_whole(d, 0.6, k, trials, derived_rng(word, 0), levels)
+    for (s, sn), (want_s, want_sn) in zip(got, want):
+        assert np.array_equal(s, want_s) and np.array_equal(sn, want_sn)
 
 
 @pytest.mark.parametrize("levels", [(0.2, 0.7), (-0.1, 0.2), (0.0, 0.5), ()])
@@ -310,12 +338,12 @@ def test_level_sums_and_chain_hold_a_block_beyond_their_outputs(monkeypatch):
     # on one core the level sums hold their output arrays and one trial
     # block's counts; a chain holds its pools, the generation's sums and
     # one row block.  The whole-array draws of these calls held 27.5 and
-    # 8.3 MiB.  scipy.sparse is loaded by this file's imports, so no trace
-    # holds it.
+    # 8.3 MiB, and float64 outputs (s and two sn) 13.7 MiB of the first.
+    # scipy.sparse is loaded by this file's imports, so no trace holds it.
     monkeypatch.setattr(popdyn, "_usable_cores", lambda: 1)
     mib = 2 ** 20
     d, k, trials = 4, 5, 100_000
-    outputs = 3 * (k + 1) * trials * 8  # s and two sn arrays
+    outputs = 2 * (k + 1) * trials * 2  # int16 s, also the delta = 0 sn, and one sn
     peak = _traced_peak(lambda: popdyn.dary_sum_trials(d, 0.5, k, trials,
                                                        np.random.default_rng(24),
                                                        delta=[0.0, 0.2]))
@@ -323,6 +351,22 @@ def test_level_sums_and_chain_hold_a_block_beyond_their_outputs(monkeypatch):
     peak = _traced_peak(lambda: popdyn.magnetization_chain(
         "gw", 64.0, 0.3, 8, trials, np.random.default_rng(25), delta=0.4))
     assert peak < 7 * mib
+
+
+def test_moments_check_holds_integer_sums_and_a_float_row(monkeypatch):
+    # a moments-check config holds its integer level sums (int16 at d = 3
+    # and 4, k = 5), one block's counts and a few float64 rows of one
+    # level; float64 level sums would hold 13.7 MiB for the largest config
+    # alone
+    monkeypatch.setattr(popdyn, "_usable_cores", lambda: 1)
+    from blockbp.harness import default_spec, run_experiment
+
+    spec = default_spec("moments-check", trials=100_000, seed=5)
+    k, trials = max(spec.grid["k"]), spec.trials
+    rows = []
+    peak = _traced_peak(lambda: rows.extend(run_experiment(spec)))
+    assert len(rows) == 200
+    assert peak < 2 * (k + 1) * trials * 2 + 4 * trials * 8 + 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("kind, d, theta, k, trials, delta", [

@@ -9,16 +9,20 @@ With no NAME=CHECKOUT the one side is ``change``, this repository.  For
 every side and workload the summary gives the run count, the seeds, whether
 every run passed its output checks, and per end-to-end metric the median,
 the quartiles and the values; each side also keeps the distinct environment
-blocks its runs recorded.  With two sides, the first is the base, and each
-workload that both ran is summarised on each side over the seeds both sides
-ran, so a stale run that one side alone holds reaches no median; each side
-lists the seeds it left out.  Runs of one workload with the same seed on both
+blocks its runs recorded and ``source_sha256``, the SHA-256 of its
+checkout's ``src/blockbp/*.py`` bytes taken in sorted name order, which
+names the code behind a side even when it ran from a ``git archive`` copy.
+With two sides, the first is the base, and each workload that both ran is
+summarised on each side over the seeds both sides ran, so a stale run that
+one side alone holds reaches no median; each side lists the seeds it left
+out.  Runs of one workload with the same seed on both
 sides are paired: per metric, the pairs the second side wins (by the
 direction BENCHMARK.json gives, ties counting for neither), the change of the
 median, and the base's quartile spread that a claimed gain must exceed.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -33,6 +37,17 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def source_hash(checkout: Path) -> str:
+    """SHA-256 of the checkout's ``src/blockbp/*.py`` bytes, in sorted name order."""
+    paths = sorted((checkout / "src" / "blockbp").glob("*.py"))
+    if not paths:
+        sys.exit(f"no src/blockbp/*.py under {checkout}")
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def read_side(checkout: Path) -> dict:
@@ -129,7 +144,8 @@ def main(argv=None) -> int:
         parser.error("side names must differ")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    runs = {name: read_side(Path(path).resolve()) for name, path in sides}
+    checkouts = {name: Path(path).resolve() for name, path in sides}
+    runs = {name: read_side(checkout) for name, checkout in checkouts.items()}
     summary = {"label": args.label, "command": bench["command"]}
     if len(sides) == 2:
         (base, _), (change, _) = sides
@@ -138,6 +154,8 @@ def main(argv=None) -> int:
         summary["sides"], summary["pairs"] = {base: b, change: c}, pairs
     else:
         summary["sides"] = {name: summarise(r, better) for name, r in runs.items()}
+    for name, checkout in checkouts.items():
+        summary["sides"][name]["source_sha256"] = source_hash(checkout)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {path}")
