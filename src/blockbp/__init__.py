@@ -7,7 +7,7 @@ engines), glued together by a shared parameterization and an experiment
 harness with a CLI.
 """
 
-from .params import ModelParams, TreeParams, derive_tree_params, ks_signal, model_from_tree
+from .params import ModelParams, TreeParams, derive_tree_params, ks_signal
 from .broadcast import BroadcastTree, sample_tree, run_broadcast, add_leaf_noise, tree_from_parents
 from .bpcore import bp_combine, bp_root, exact_posterior
 from .estimators import (

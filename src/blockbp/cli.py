@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     write_results(rows, spec, out, deterministic=args.deterministic)
     for r in rows:
         coords = " ".join(f"{k}={v}" for k, v in r.coords.items())
-        print(f"{r.experiment} {coords} estimate={r.estimate:.6g} ci={r.ci:.3g}")
+        print(f"{spec.kind} {coords} estimate={r.estimate:.6g} ci={r.ci:.3g}")
     print(f"wrote {out} and {out.with_suffix('.json')}")
     return 0
 

@@ -1,8 +1,8 @@
 """Experiment driver: specs, Monte Carlo runners, and CSV/JSON persistence.
 
 An experiment is described by an ``ExperimentSpec`` (kind, parameterization,
-swept grid, trial count, master seed) and produces ``ResultRow`` records with
-a fixed per-kind column layout:
+swept grid, trial count, master seed) and produces ``ResultRow`` records,
+written in a fixed per-kind column layout whose ``experiment`` is the kind:
 
     experiment,<kind-specific coordinates>,estimate,ci,trials,seconds
 
@@ -37,7 +37,8 @@ Config files are JSON objects with exactly the keys
 integers), where params is an object and grid an object of nonempty lists
 with exactly its kind's keys; unknown keys anywhere are rejected, and
 ``check_spec`` runs the kind's setup, which rejects the values a run would
-fail on, and a d, k or rep that is not an integer where the run needs one.
+fail on, a d, k or rep that is not an integer where the run needs one, and
+a repeated rep.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    experiment: str
     coords: dict
     estimate: float
     ci: float
@@ -205,7 +205,6 @@ def run_accuracy(spec: ExperimentSpec, plan) -> list[ResultRow]:
         for k in ks:
             r = rows[k]
             out.append(ResultRow(
-                experiment=spec.kind,
                 coords={"tree_kind": kind, "d": d, "theta": theta, "delta": delta, "k": k},
                 estimate=0.5 * (1.0 + r["absy_mean"]), ci=0.5 * r["absy_ci"],
                 trials=spec.trials, seconds=dt,
@@ -262,7 +261,6 @@ def _moment_rows(spec: ExperimentSpec, cfg_idx: int, d: int, theta: float,
                 sq = (vals - vals.mean()) ** 2
                 for moment, x, target in (("mean", vals, targets[0]), ("var", sq, targets[1])):
                     out.append(ResultRow(
-                        experiment=spec.kind,
                         coords={"d": d, "theta": theta, "delta": delta,
                                 "k": k, "stat": f"{stat}_{moment}", "target": target},
                         estimate=float(x.mean()), ci=ci_half_width(float(x.std()), spec.trials),
@@ -296,6 +294,8 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
         kind = regime.get("tree_kind", "gw")
         d, theta = _number("d", regime["d"]), _number("theta", regime["theta"])
         delta, k = _number("delta", regime.get("delta", 0.4)), _integer("k", regime.get("k", 8))
+        if k < 1:
+            raise ValueError(f"'k' must be >= 1, not {k}")
         _check_offspring(kind, d)
         _check_chain_inputs(theta, k, spec.trials, [delta])
         out.append((kind, d, theta, delta, k))
@@ -325,7 +325,6 @@ def run_contraction_check(spec: ExperimentSpec, regimes) -> list[ResultRow]:
             ]
             for metric, est, half in metrics:
                 out.append(ResultRow(
-                    experiment=spec.kind,
                     coords={**base, "level": lev, "metric": metric},
                     estimate=est, ci=half, trials=spec.trials, seconds=dt,
                 ))
@@ -365,7 +364,6 @@ def run_threshold_sweep(spec: ExperimentSpec, plan) -> list[ResultRow]:
         dt = time.perf_counter() - t0
         r = rows[k]
         return ResultRow(
-            experiment=spec.kind,
             coords={"d": base_d, "theta": theta, "ksig": ksig, "k": k},
             estimate=0.5 * r["absx_mean"], ci=0.5 * r["absx_ci"],
             trials=spec.trials, seconds=dt,
@@ -375,69 +373,71 @@ def run_threshold_sweep(spec: ExperimentSpec, plan) -> list[ResultRow]:
 
 
 def _conductance_setup(spec: ExperimentSpec):
-    """(tree kind, d, theta, delta, depths, threshold) of conductance-check, checked."""
+    """(tree kind, d, theta, delta, depths, threshold) of conductance-check,
+    checked; the threshold is theta^2 d / (16 eta)."""
     kind, d, theta = _tree_parameterization(spec)
     delta = _number("delta", spec.params.get("delta", 0.0))
     ks = sorted(_grid_integers(spec, "k", low=1))
     _check_conductance_inputs(theta, max(ks), spec.trials, delta, set(ks))
     eta = 0.5 * (1.0 - theta)
-    threshold = _number("threshold",
-                        spec.params.get("threshold", theta * theta * d / (16.0 * eta)))
-    return kind, d, theta, delta, ks, threshold
+    return kind, d, theta, delta, ks, theta * theta * d / (16.0 * eta)
 
 
 def run_conductance_check(spec: ExperimentSpec, plan) -> list[ResultRow]:
+    """Per depth k: the fraction of the level-k pool at or above the
+    threshold, and the chain's own mean conductance row for level k."""
     kind, d, theta, delta, ks, threshold = plan
     t0 = time.perf_counter()
-    _, pools = popdyn.conductance_chain(
+    rows, pools = popdyn.conductance_chain(
         kind, d, theta, max(ks), spec.trials,
         derived_rng(spec.seed, "conductance"), delta=delta, keep_levels=set(ks),
     )
     dt = time.perf_counter() - t0
     out = []
     for k in ks:
-        pool = pools[k]
         base = {"tree_kind": kind, "d": d, "theta": theta, "delta": delta, "k": k,
                 "threshold": threshold}
-        frac = float((pool >= threshold).mean())
+        frac = float((pools[k] >= threshold).mean())
         out.append(ResultRow(
-            experiment=spec.kind, coords={**base, "metric": "frac_above"},
-            estimate=frac,
+            coords={**base, "metric": "frac_above"}, estimate=frac,
             ci=ci_half_width(math.sqrt(frac * (1.0 - frac)), spec.trials),
             trials=spec.trials, seconds=dt,
         ))
         out.append(ResultRow(
-            experiment=spec.kind, coords={**base, "metric": "ceff_mean"},
-            estimate=float(pool.mean()),
-            ci=ci_half_width(float(pool.std()), spec.trials),
-            trials=spec.trials, seconds=dt,
+            coords={**base, "metric": "ceff_mean"}, estimate=rows[k - 1]["ceff_mean"],
+            ci=rows[k - 1]["ceff_ci"], trials=spec.trials, seconds=dt,
         ))
     return out
 
 
 def _recover_setup(spec: ExperimentSpec):
-    """(model, algorithm, radius, impl, delta0, reps) from graph-recover's
-    params n, a, b, impl, delta0, R and K and grid reps (>= 0; the summary
-    rows take -1), checked; a given R is fixed, and without one the radius
-    rule picks it.  The matched tree row runs at the radius."""
+    """(model, tree params, algorithm, radius, impl, delta0, reps) from
+    graph-recover's params n, a, b, impl, delta0, R and K and grid reps
+    (distinct, >= 0; the summary rows take -1), checked; a given R is fixed,
+    and without one the radius rule picks it.  The matched tree row runs on
+    the tree params at the radius."""
     p = spec.params
     if {"n", "a", "b"} - p.keys():
         raise ValueError(f"graph-recover needs params {sorted({'n', 'a', 'b'} - p.keys())}")
     params = ModelParams(n=_integer("n", p["n"]), a=_number("a", p["a"]),
                          b=_number("b", p["b"]))
+    tp = derive_tree_params(params)
     r = None if p.get("R") is None else _integer("R", p["R"])
     cfg = AlgoConfig(R=r, R_mode="auto" if r is None else "fixed",
                      K=_integer("K", p.get("K", 1)))
     impl = p.get("impl", "spectral")
     delta0 = None if p.get("delta0") is None else _number("delta0", p["delta0"])
     _check_blackbox(impl, delta0)
-    return (params, cfg, resolve_radius(cfg, params.n, params.a, params.b), impl, delta0,
-            _grid_integers(spec, "rep"))
+    reps = _grid_integers(spec, "rep")
+    if len(set(reps)) < len(reps):
+        raise ValueError(f"'rep' values must be distinct, not {reps}")
+    return (params, tp, cfg, resolve_radius(cfg, params.n, params.a, params.b), impl, delta0,
+            reps)
 
 
 def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
     """One repetition: a graph and a recovery on streams derived from ``rep``."""
-    params, cfg, _, impl, delta0, _ = plan
+    params, _, cfg, _, impl, delta0, _ = plan
     g = sample_sbm(params, seed=derived_rng(spec.seed, "graph", rep))
     rep_seed = int(derived_rng(spec.seed, "recover", rep).integers(2 ** 62))
     t0 = time.perf_counter()
@@ -453,7 +453,7 @@ def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
 
 
 def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
-    params, cfg, r_used, impl, delta0, reps = plan
+    params, tp, cfg, r_used, impl, delta0, reps = plan
     results = _map_chains(lambda _, rep: _recover_rep(spec, plan, rep), reps)
     base = {
         "n": params.n, "a": params.a, "b": params.b, "impl": impl,
@@ -467,19 +467,18 @@ def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
     for res in results:
         for metric in ("accuracy", "coin_frac", "nontree_frac", "rounding_zeros"):
             out.append(ResultRow(
-                experiment=spec.kind, coords={**base, "rep": res["rep"], "metric": metric},
+                coords={**base, "rep": res["rep"], "metric": metric},
                 estimate=res[metric], ci=0.0, trials=1,
                 seconds=res["seconds"] if metric == "accuracy" else 0.0,
             ))
     accs = np.array([res["accuracy"] for res in results])
     out.append(ResultRow(
-        experiment=spec.kind, coords={**base, "rep": -1, "metric": "mean_accuracy"},
+        coords={**base, "rep": -1, "metric": "mean_accuracy"},
         estimate=float(accs.mean()),
         ci=ci_half_width(float(accs.std()), len(accs)),
         trials=len(accs), seconds=float(sum(r["seconds"] for r in results)),
     ))
     # matched tree simulation at the same depth
-    tp = derive_tree_params(params)
     t0 = time.perf_counter()
     rows, _ = popdyn.magnetization_chain(
         "gw", tp.d, tp.theta, r_used, spec.trials,
@@ -488,12 +487,12 @@ def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
     r = rows[r_used]
     p_hat = 0.5 * (1.0 + r["absx_mean"])
     out.append(ResultRow(
-        experiment=spec.kind, coords={**base, "rep": -1, "metric": "tree_p_hat"},
+        coords={**base, "rep": -1, "metric": "tree_p_hat"},
         estimate=p_hat, ci=0.5 * r["absx_ci"], trials=spec.trials,
         seconds=time.perf_counter() - t0,
     ))
     out.append(ResultRow(
-        experiment=spec.kind, coords={**base, "rep": -1, "metric": "gap"},
+        coords={**base, "rep": -1, "metric": "gap"},
         estimate=float(accs.mean()) - p_hat,
         ci=ci_half_width(float(accs.std()), len(accs)) + 0.5 * r["absx_ci"],
         trials=len(accs), seconds=0.0,
@@ -554,7 +553,7 @@ _KINDS = {
         {"base_d": 2.5, "k": 12}, {"ksig": [0.5, 0.8, 1.0, 1.25, 2.0]},
     ),
     "conductance-check": _Kind(
-        run_conductance_check, _conductance_setup, _TREE_PARAM_KEYS | {"delta", "threshold"},
+        run_conductance_check, _conductance_setup, _TREE_PARAM_KEYS | {"delta"},
         ("tree_kind", "d", "theta", "delta", "k", "threshold", "metric"),
         {"a": 30.0, "b": 4.0}, {"k": [2, 4, 6]},
     ),
@@ -623,7 +622,7 @@ def write_results(rows: list[ResultRow], spec: ExperimentSpec, path,
     header = ["experiment", *coord_cols, "estimate", "ci", "trials", "seconds"]
     lines = [",".join(header)]
     for r in rows:
-        vals = [r.experiment]
+        vals = [spec.kind]
         vals += [_fmt(r.coords.get(c, "")) for c in coord_cols]
         vals += [_fmt(r.estimate), _fmt(r.ci), _fmt(r.trials), _fmt(r.seconds)]
         lines.append(",".join(vals))
@@ -634,7 +633,7 @@ def write_results(rows: list[ResultRow], spec: ExperimentSpec, path,
         "deterministic": deterministic,
         "rows": [
             {
-                "experiment": r.experiment,
+                "experiment": spec.kind,
                 **{c: _jsonable(r.coords.get(c)) for c in coord_cols},
                 "estimate": _jsonable(r.estimate),
                 "ci": _jsonable(r.ci),

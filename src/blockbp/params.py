@@ -21,7 +21,6 @@ __all__ = [
     "TreeParams",
     "derive_tree_params",
     "ks_signal",
-    "model_from_tree",
 ]
 
 
@@ -101,8 +100,3 @@ def ks_signal(m: ModelParams) -> float:
     if s <= 0:
         raise ValueError("a + b must be positive")
     return (m.a - m.b) ** 2 / (2.0 * s)
-
-
-def model_from_tree(t: TreeParams, n: int) -> ModelParams:
-    """Inverse map: a = d(1+theta), b = d(1-theta)."""
-    return ModelParams(n=n, a=t.d * (1.0 + t.theta), b=t.d * (1.0 - t.theta))

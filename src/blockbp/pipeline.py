@@ -37,7 +37,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -109,18 +109,18 @@ def resolve_radius(cfg: AlgoConfig, n: int, a: float, b: float) -> int:
     return r
 
 
-def choose_anchor(g: LabelledGraph, hold_out, rng, min_degree: int | None = None):
+def choose_anchor(g: LabelledGraph, hold_out, rng):
     """Uniformly random hold-out vertex with enough neighbors outside the hold-out.
 
-    Falls back to the maximum out-degree hold-out vertex (smallest id on
-    ties) when none qualifies; the fallback is reported so runs can be
-    audited.  Returns (u_star, fallback_used).
+    Enough is at least ceil(sqrt(ln n)) (1 at n = 1).  Falls back to the
+    maximum out-degree hold-out vertex (smallest id on ties) when none
+    qualifies; the fallback is reported so runs can be audited.  Returns
+    (u_star, fallback_used).
     """
     hold_out = np.asarray(hold_out, dtype=np.int64)
     if hold_out.size == 0:
         raise ValueError("hold-out set is empty")
-    if min_degree is None:
-        min_degree = math.ceil(math.sqrt(math.log(g.n))) if g.n > 1 else 1
+    min_degree = math.ceil(math.sqrt(math.log(g.n))) if g.n > 1 else 1
     in_u = np.zeros(g.n, dtype=bool)
     in_u[hold_out] = True
     out_deg = np.array(
@@ -136,34 +136,25 @@ def choose_anchor(g: LabelledGraph, hold_out, rng, min_degree: int | None = None
 class AlignInfo:
     swapped: bool
     tie: bool
-    n_plus: int
-    n_minus: int
 
 
 def align_partition(p: Partition, g: LabelledGraph, u_star: int, a: float,
-                    b: float, old_to_new=None) -> tuple[Partition, AlignInfo]:
+                    b: float, old_to_new) -> tuple[Partition, AlignInfo]:
     """Relabel the partition so the anchor's neighbor count points the right way.
 
     With a > b the anchor should have more neighbors on the + side; with
     a < b the rule reverses.  A tie leaves the partition unchanged and is
-    flagged.  ``old_to_new`` maps g's vertex ids into p's domain (identity
-    when None; -1 marks vertices absent from the domain).
+    flagged.  ``old_to_new`` maps g's vertex ids into p's domain (-1 marks
+    vertices absent from the domain).
     """
-    nbrs = g.neighbors(u_star)
-    if old_to_new is not None:
-        mapped = old_to_new[nbrs]
-        mapped = mapped[mapped >= 0]
-    else:
-        mapped = nbrs
-    sides = p.side[mapped]
+    mapped = old_to_new[g.neighbors(u_star)]
+    sides = p.side[mapped[mapped >= 0]]
     n_plus = int((sides == 1).sum())
     n_minus = int((sides == -1).sum())
     if n_plus == n_minus:
-        return p, AlignInfo(swapped=False, tie=True, n_plus=n_plus, n_minus=n_minus)
+        return p, AlignInfo(swapped=False, tie=True)
     swapped = (n_plus > n_minus) != (a > b)
-    return (p.flipped() if swapped else p), AlignInfo(
-        swapped=swapped, tie=False, n_plus=n_plus, n_minus=n_minus
-    )
+    return (p.flipped() if swapped else p), AlignInfo(swapped=swapped, tie=False)
 
 
 class _Labels(NamedTuple):
@@ -450,17 +441,6 @@ class RecoveryResult:
     @property
     def accuracy(self) -> float:
         return self.report.accuracy
-
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.report.accuracy,
-            "delta_frac": self.report.delta_frac,
-            "aligned_sign": self.report.aligned_sign,
-            "n": self.report.n,
-            "seconds": self.seconds,
-            "stage_seconds": dict(self.stage_seconds),
-            "diagnostics": asdict(self.diagnostics),
-        }
 
 
 def save_vertex_csv(result: RecoveryResult, path) -> None:

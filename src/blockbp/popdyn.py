@@ -36,10 +36,10 @@ All engines draw the tree structure and spins in a delta-independent pattern
 seed and different noise levels share them (coupled comparisons), and a run
 with delta=0 reproduces the noiseless chain exactly.  ``magnetization_chain``
 and ``dary_sum_trials`` also take a sequence of noise levels and then draw
-the shared structure and spins once: the chain carries one Y pool per level
-beside X, as the columns of one array, through each generation's one set
-of sums, and each block of level sums draws every level's noise from the
-state its spins left.  Each level's result
+the shared structure and spins once: the chain carries one Y pool per
+distinct level beside X, as the columns of one array, through each
+generation's one set of sums, and each block of level sums draws every
+distinct level's noise from the state its spins left.  Each level's result
 is bit for bit that of its own call with the same seed.
 """
 
@@ -51,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .broadcast import BroadcastTree, _check_offspring, _offspring
+from .broadcast import BroadcastTree, _check_offspring, _offspring, add_leaf_noise
 from .estimators import effective_conductance
 from .levels import (_check_conductance_theta, _check_delta, _check_theta,
                      _compose_through_edge, _edge_llr, _magnetize, _terminal_conductance,
@@ -320,11 +320,12 @@ def dary_sum_trials(d: int, theta: float, k: int, trials: int, rng, *,
     count is not.
 
     ``delta`` may also be a sequence of noise levels.  The spins are then
-    drawn once, and each block draws each level's noise from the state its
-    spins left, so the call returns a list with one (s, sn) per level,
-    in order, each equal to that of a call with the level alone and the same
-    generator (the levels share one ``s`` array, which a zero level's ``sn``
-    also is).  Every level is checked before anything is drawn from ``rng``.
+    drawn once, and each block draws each distinct level's noise from the
+    state its spins left, so the call returns a list with one (s, sn) per
+    level, in order, each equal to that of a call with the level alone and
+    the same generator (the levels share one ``s`` array, which a zero
+    level's ``sn`` also is, and a repeated level shares one ``sn`` array).
+    Every level is checked before anything is drawn from ``rng``.
     """
     out = _dary_sum_trials(d, theta, k, trials, rng, _levels(delta))
     return out[0] if np.ndim(delta) == 0 else out
@@ -340,7 +341,11 @@ def _dary_sum_trials(d, theta, k, trials, rng, deltas):
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).max >= di ** k)
     s = np.empty((k + 1, trials), dtype=dtype)
-    sns = [s if delta == 0.0 else np.empty_like(s) for delta in deltas]
+    # one S~ per distinct level; a zero level's is S
+    sns = {0.0: s}
+    for delta in map(float, deltas):
+        if delta not in sns:
+            sns[delta] = np.empty_like(s)
 
     def block(b: int, cols: slice) -> None:
         brng = derived_rng(word, b)
@@ -350,8 +355,8 @@ def _dary_sum_trials(d, theta, k, trials, rng, deltas):
             minus[j] += brng.binomial(di * minus[j - 1], 1.0 - eta)
         s[:, cols] = width - 2 * minus
         after_spins = brng.bit_generator.state
-        for delta, sn in zip(deltas, sns):
-            if delta == 0.0:
+        for delta, sn in sns.items():
+            if sn is s:
                 continue
             brng.bit_generator.state = after_spins
             seen = brng.binomial(width - minus, delta)
@@ -360,7 +365,7 @@ def _dary_sum_trials(d, theta, k, trials, rng, deltas):
 
     _map_chains(block, [slice(lo, min(lo + _TRIAL_BLOCK, trials))
                         for lo in range(0, trials, _TRIAL_BLOCK)])
-    return [(s, sn) for sn in sns]
+    return [(s, sns[float(delta)]) for delta in deltas]
 
 
 def _usable_cores() -> int:
@@ -419,14 +424,13 @@ def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: f
 
     Weights are theta^-k times the unit current flow into each leaf; for the
     noisy estimator the currents are computed in the network with terminal
-    resistors and the sum is rescaled by 1/(1-2*delta).  Returns a dict with
-    per-trial arrays: r, s, ceff (noiseless network), ceff_noisy (None when
-    delta == 0), alive mask.
+    resistors and the sum is rescaled by 1/(1-2*delta); its observations are
+    ``add_leaf_noise``'s at the last level, drawn from ``rng``.  Returns a
+    dict with per-trial arrays: r, s, ceff (noiseless network), ceff_noisy
+    (None when delta == 0), alive mask.
     """
-    rng = as_generator(rng)
-    _check_delta(delta)
     sig = forest.sigma[-1]
-    tau = sig * np.where(rng.random(len(sig)) < delta, -1.0, 1.0)
+    tau = add_leaf_noise(forest, delta, rng).tau
 
     def estimator(net_delta, obs):
         net = effective_conductance(forest, theta, delta=net_delta)

@@ -617,8 +617,7 @@ def recover_loop(g, cfg, params, impl="spectral", seed=0, delta0=None, tree="wal
     hold_out = np.sort(
         derived_rng(seed, "hold-out").choice(g.n, size=u_size, replace=False)
     ).astype(np.int64)
-    u_star, _ = choose_anchor(g, hold_out, derived_rng(seed, "anchor"),
-                              min_degree=math.ceil(math.sqrt(math.log(g.n))))
+    u_star, _ = choose_anchor(g, hold_out, derived_rng(seed, "anchor"))
     sub = remove_set(g, hold_out)
     h = sub.graph
     root_u = derived_rng(seed, "zero-roots").random(g.n)  # indexed by g's ids

@@ -58,7 +58,8 @@ def _write_source(checkout: Path, files: dict) -> None:
 
 def test_each_side_records_its_source_hash(tmp_path, monkeypatch):
     # the hash covers src/blockbp/*.py in sorted name order, whatever order
-    # the files were written in, and nothing else in the checkout
+    # the files were written in, and nothing else in the checkout; the line
+    # count covers the same files
     root = tmp_path / "root"
     root.mkdir()
     (root / "BENCHMARK.json").write_text(json.dumps({
@@ -76,8 +77,10 @@ def test_each_side_records_its_source_hash(tmp_path, monkeypatch):
     for side, body in (("base", b"x = 1\n"), ("change", b"x = 2\n")):
         want = hashlib.sha256(b"import b\n" + body).hexdigest()
         assert sides[side]["source_sha256"] == want
+        assert sides[side]["source_lines"] == 2
     assert sides["base"]["source_sha256"] != sides["change"]["source_sha256"]
     # one side alone records its hash as well
     assert bench_summary.main(["one", f"change={tmp_path / 'change'}"]) == 0
     one = json.loads((root / "BENCH_one.json").read_text())["sides"]["change"]
     assert one["source_sha256"] == sides["change"]["source_sha256"]
+    assert one["source_lines"] == 2

@@ -477,6 +477,9 @@ def _regime_config(**over):
      "'clamp'"),
     ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "clamp": 0.5},
                            "grid": {"k": [2]}}, "'clamp'"),
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "threshold": "x"},
+                           "grid": {"k": [2]}},
+     "unknown params keys for conductance-check: ['threshold']"),
     ("graph-recover", _recover_config(tree_k=0), "'tree_k'"),
     ("graph-recover", _recover_config(u_size=5), "'u_size'"),
     ("graph-recover", _recover_config(weights_delta=0.3), "'weights_delta'"),
@@ -500,8 +503,6 @@ def _regime_config(**over):
     ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [2.5]}}, "2.5"),
     ("conductance-check", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [0, 2]}},
      "'k' must be >= 1, not [0]"),
-    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "threshold": "x"},
-                           "grid": {"k": [2]}}, "'threshold' must be a finite number, not 'x'"),
     ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "delta": None},
                            "grid": {"k": [2]}}, "'delta' must be a finite number, not None"),
     ("threshold-sweep", {"params": {"base_d": 0}, "grid": {"ksig": [0.5]}}, "0"),
@@ -514,8 +515,6 @@ def _regime_config(**over):
     ("graph-recover", _recover_config(a=math.nan), "'a' must be a finite number, not nan"),
     ("graph-recover", _recover_config(delta0="x"), "'delta0' must be a finite number, not 'x'"),
     # a number error names its key
-    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "threshold": math.nan},
-                           "grid": {"k": [2]}}, "'threshold' must be a finite number"),
     ("tree-accuracy", {"params": {"d": "x", "theta": 0.5}, "grid": {"k": [2]}},
      "'d' must be a finite number, not 'x'"),
     ("threshold-sweep", {"params": {"base_d": "x"}, "grid": {"ksig": [0.5]}},
@@ -534,6 +533,12 @@ def _regime_config(**over):
      "'rep' must be an integer, not True"),
     ("graph-recover", {**_recover_config(), "grid": {"rep": [0, -1]}},
      "'rep' must be >= 0, not [-1]"),
+    ("graph-recover", {**_recover_config(), "grid": {"rep": [0, 0, 0]}},
+     "'rep' values must be distinct, not [0, 0, 0]"),
+    # values a run would fail on after it started, or run to an empty table
+    ("graph-recover", _recover_config(a=5.0, b=5.0), "a == b"),
+    ("graph-recover", _recover_config(a=0.0, b=0.0), "a == b"),
+    ("contraction-check", _regime_config(k=0), "'k' must be >= 1, not 0"),
     # values of the wrong shape: a ValueError that names the key
     ("contraction-check", {"params": {}, "grid": {"regimes": [["d", "theta"]]}},
      "'regimes' must hold objects, not ['d', 'theta']"),
@@ -542,15 +547,17 @@ def _regime_config(**over):
     ("moments-check", _moments_config(extra_configs=5),
      "'extra_configs' must hold pairs [d, theta], not 5"),
 ], ids=["K-above-R", "oracle-without-delta0", "no-n", "spectral-with-delta0", "delta-0.7",
-        "tree-clamp", "conductance-clamp", "tree_k", "u_size", "weights_delta", "R-with-auto",
+        "tree-clamp", "conductance-clamp", "threshold-x", "tree_k", "u_size", "weights_delta",
+        "R-with-auto",
         "ksig-unreachable", "regime-zz", "regime-no-d",
         "moments-d-2.5", "moments-d-pow-k", "moments-extra-not-a-pair", "regime-delta-0.7",
         "regime-kind-zz", "regime-dary-4.5", "regime-d-negative", "theta-1.5", "k-negative",
-        "k-2.5", "conductance-k-0", "threshold-x", "conductance-delta-null", "base_d-0", "ksig-negative",
+        "k-2.5", "conductance-k-0", "conductance-delta-null", "base_d-0", "ksig-negative",
         "n-400.5", "K-1.5", "R-2.5", "R-string", "a-nan", "delta0-string",
-        "threshold-nan", "d-string",
+        "d-string",
         "base_d-string", "a-string", "regime-theta-string", "delta-string",
-        "rep-string", "rep-1.5", "rep-true", "rep-negative",
+        "rep-string", "rep-1.5", "rep-true", "rep-negative", "rep-repeated",
+        "a-equals-b", "a-b-zero", "regime-k-0",
         "regime-list", "regime-int", "moments-extra-not-a-list"])
 def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
     cfg, out = tmp_path / "c.json", tmp_path / "out.csv"

@@ -81,22 +81,25 @@ def test_config_validation():
 # --- anchor choice -----------------------------------------------------------
 
 
+# the degree floor is ceil(sqrt(ln n)): 2 at n = 5 and n = 6
+
+
 def test_anchor_single_candidate():
     g = graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4)], [1] * 6)
-    u, fallback = choose_anchor(g, [0], derived_rng(0, "t"), min_degree=3)
+    u, fallback = choose_anchor(g, [0], derived_rng(0, "t"))
     assert u == 0 and not fallback
 
 
 def test_anchor_fallback_max_degree():
-    g = graph_from_edges(6, [(0, 1), (0, 2), (3, 4)], [1] * 6)
-    u, fallback = choose_anchor(g, [0, 3, 5], derived_rng(0, "t"), min_degree=10)
-    assert u == 0 and fallback  # highest out-degree wins, flagged
+    g = graph_from_edges(6, [(0, 1), (3, 4)], [1] * 6)
+    u, fallback = choose_anchor(g, [0, 3, 5], derived_rng(0, "t"))
+    assert u == 0 and fallback  # highest out-degree wins, smallest id on ties, flagged
 
 
 def test_anchor_counts_only_outside_neighbors():
     g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3)], [1] * 5)
     # 1 and 2 are in the hold-out, so 0 has out-degree 1
-    u, fallback = choose_anchor(g, [0, 1, 2], derived_rng(0, "t"), min_degree=2)
+    u, fallback = choose_anchor(g, [0, 1, 2], derived_rng(0, "t"))
     assert fallback
     with pytest.raises(ValueError):
         choose_anchor(g, [], derived_rng(0, "t"))
@@ -126,18 +129,19 @@ def _star_with_sides(sides):
 
 def test_align_examples():
     g, p = _star_with_sides([1] * 5 + [-1] * 2)
-    out, info = align_partition(p, g, 0, a=3, b=1)
+    ids = np.arange(g.n)
+    out, info = align_partition(p, g, 0, a=3, b=1, old_to_new=ids)
     assert not info.swapped and np.array_equal(out.side, p.side)
-    out, info = align_partition(p.flipped(), g, 0, a=3, b=1)
+    out, info = align_partition(p.flipped(), g, 0, a=3, b=1, old_to_new=ids)
     assert info.swapped and np.array_equal(out.side, p.side)
     # a < b reverses the rule
-    out, info = align_partition(p, g, 0, a=1, b=3)
+    out, info = align_partition(p, g, 0, a=1, b=3, old_to_new=ids)
     assert info.swapped and np.array_equal(out.side, p.flipped().side)
 
 
 def test_align_tie_flagged():
     g, p = _star_with_sides([1, 1, -1, -1])
-    out, info = align_partition(p, g, 0, a=3, b=1)
+    out, info = align_partition(p, g, 0, a=3, b=1, old_to_new=np.arange(g.n))
     assert info.tie and not info.swapped
     assert np.array_equal(out.side, p.side)
 
@@ -398,9 +402,8 @@ def test_recover_json_and_csv_outputs(tmp_path):
     g = sample_sbm(m, seed=56)
     cfg = AlgoConfig(R=1, R_mode="fixed", K=1)
     res = recover(g, cfg, m, impl="oracle-noise", seed=5, delta0=0.2)
-    d = res.to_json_dict()
-    assert set(d) >= {"accuracy", "delta_frac", "diagnostics"}
-    assert d["diagnostics"]["r_used"] == 1
+    assert res.accuracy == res.report.accuracy and 0.0 <= res.report.delta_frac <= 1.0
+    assert res.diagnostics.r_used == 1
     path = tmp_path / "vertices.csv"
     save_vertex_csv(res, path)
     lines = path.read_text().splitlines()
@@ -710,9 +713,7 @@ def test_recover_stage_seconds():
     assert tuple(res.stage_seconds) == STAGES
     assert all(v >= 0.0 for v in res.stage_seconds.values())
     assert sum(res.stage_seconds.values()) <= res.seconds
-    d = res.to_json_dict()
-    assert d["stage_seconds"] == res.stage_seconds
-    assert d["diagnostics"]["blackbox_informative"] is True
+    assert res.diagnostics.blackbox_informative is True
 
 
 # --- the spectral black box at the wide benchmark point ----------------------

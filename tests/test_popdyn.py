@@ -220,6 +220,7 @@ def test_dary_sum_trials_levels_match_one_level_calls():
         assert s.dtype == sn.dtype == want_sn.dtype == np.int8  # 3**4 = 81
         assert (sn is s) == (delta == 0.0) and (want_sn is want_s) == (delta == 0.0)
     assert got[1][1] is got[1][0]  # delta = 0 observes the spins
+    assert got[0][1] is got[3][1]  # a repeated level's noise is drawn once
 
 
 @pytest.mark.parametrize("d, k, dtype", [

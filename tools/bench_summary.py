@@ -9,9 +9,10 @@ With no NAME=CHECKOUT the one side is ``change``, this repository.  For
 every side and workload the summary gives the run count, the seeds, whether
 every run passed its output checks, and per end-to-end metric the median,
 the quartiles and the values; each side also keeps the distinct environment
-blocks its runs recorded and ``source_sha256``, the SHA-256 of its
+blocks its runs recorded, ``source_sha256``, the SHA-256 of its
 checkout's ``src/blockbp/*.py`` bytes taken in sorted name order, which
-names the code behind a side even when it ran from a ``git archive`` copy.
+names the code behind a side even when it ran from a ``git archive`` copy,
+and ``source_lines``, the total line count of those files.
 With two sides, the first is the base, and each workload that both ran is
 summarised on each side over the seeds both sides ran, so a stale run that
 one side alone holds reaches no median; each side lists the seeds it left
@@ -39,15 +40,18 @@ def quartiles(values):
     return q1, med, q3
 
 
-def source_hash(checkout: Path) -> str:
-    """SHA-256 of the checkout's ``src/blockbp/*.py`` bytes, in sorted name order."""
+def source_record(checkout: Path) -> dict:
+    """SHA-256 of the checkout's ``src/blockbp/*.py`` bytes, in sorted name
+    order, and the files' total line count."""
     paths = sorted((checkout / "src" / "blockbp").glob("*.py"))
     if not paths:
         sys.exit(f"no src/blockbp/*.py under {checkout}")
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), 0
     for path in paths:
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+        data = path.read_bytes()
+        digest.update(data)
+        lines += data.count(b"\n")
+    return {"source_sha256": digest.hexdigest(), "source_lines": lines}
 
 
 def read_side(checkout: Path) -> dict:
@@ -155,7 +159,7 @@ def main(argv=None) -> int:
     else:
         summary["sides"] = {name: summarise(r, better) for name, r in runs.items()}
     for name, checkout in checkouts.items():
-        summary["sides"][name]["source_sha256"] = source_hash(checkout)
+        summary["sides"][name].update(source_record(checkout))
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {path}")
