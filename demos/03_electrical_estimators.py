@@ -18,7 +18,7 @@ from blockbp import (
     sample_tree,
     tree_from_parents,
 )
-from blockbp.popdyn import forest_current_estimators, sample_forest
+from blockbp.popdyn import forest_current_estimators
 
 # closed-form majority moments vs a quick simulation
 d, theta, k = 3, 0.6, 3
@@ -36,7 +36,11 @@ print(f"  leaf weights: {np.round(cw.weights, 4)} (sum = theta^-2 = {theta ** -2
 print("  the busier branch carries more current, so its leaves weigh more per vote")
 
 # the defining identities, Monte Carlo over random trees
-forest = sample_forest("gw", 3.0, theta, 4, 50_000, np.random.default_rng(0))
+# a forest is a tree with many roots: 50k trees from one generator, each
+# root's spin forced to +
+rng = np.random.default_rng(0)
+forest = run_broadcast(sample_tree("gw", 3.0, 4, rng, roots=50_000), (1 - theta) / 2, rng,
+                       root_sign=1)
 out = forest_current_estimators(forest, theta, np.random.default_rng(1), delta=0.2)
 alive = out["alive"]
 r, s = out["r"][alive], out["s"][alive]

@@ -3,12 +3,12 @@
 A tree is stored by levels, the layout the tree passes in ``levels`` run on:
 ``parent_pos[j]`` (j >= 1) gives, for each level-j node, the position of its
 parent within level j - 1, and ``parent_pos[0]`` holds one -1 per root, so
-several roots make a forest.  Children of consecutive nodes are consecutive,
-so every ``parent_pos[j]`` is nondecreasing.  Numbering the levels one after
-another gives the breadth-first ids of the derived ``parent`` and
-``level_start`` views.
+several roots make a forest: ``sample_tree(..., roots=n)`` draws n trees.
+Children of consecutive nodes are consecutive, so every ``parent_pos[j]`` is
+nondecreasing.  Numbering the levels one after another gives the
+breadth-first ids of the derived ``parent`` and ``level_start`` views.
 
-The broadcast process assigns the root a uniform +-1 spin and copies each
+The broadcast process assigns each root a uniform +-1 spin and copies each
 parent spin to each child independently, flipping with probability ``eta``.
 Leaf noise re-flips the spins observed at one chosen level with probability
 ``delta``; the noise does not propagate.
@@ -16,6 +16,7 @@ Leaf noise re-flips the spins observed at one chosen level with probability
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,18 +110,22 @@ def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.n
     return np.full(size, int(d), dtype=np.int64)
 
 
-def sample_tree(kind: str, d: float, depth: int, seed=0) -> BroadcastTree:
-    """Sample tree structure truncated at ``depth`` (no spins).
+def sample_tree(kind: str, d: float, depth: int, seed=0, roots: int = 1) -> BroadcastTree:
+    """Sample tree structure truncated at ``depth`` (no spins): a forest of
+    ``roots`` independent trees, one tree by default.
 
     kind "dary": every node above the last level has exactly d children
     (d must be a positive integer).  kind "gw": child counts are i.i.d.
-    Poisson(d); the tree may die out before reaching ``depth``.
+    Poisson(d); a tree may die out before reaching ``depth``.  Each level's
+    child counts are one draw over the whole level.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if isinstance(roots, bool) or not isinstance(roots, numbers.Integral) or roots < 1:
+        raise ValueError(f"roots must be an integer >= 1, not {roots!r}")
     _check_offspring(kind, d)
     rng = as_generator(seed)
-    parent_pos = [np.full(1, -1, dtype=np.int64)]
+    parent_pos = [np.full(int(roots), -1, dtype=np.int64)]
     for _ in range(depth):
         counts = _offspring(kind, d, len(parent_pos[-1]), rng)
         parent_pos.append(np.repeat(np.arange(len(counts), dtype=np.int64), counts))

@@ -91,17 +91,12 @@ class ExperimentSpec:
     def __post_init__(self):
         kind = _kind(self.kind)
         for key, low in (("trials", 1), ("seed", 0)):
-            value = _integer(key, getattr(self, key))
-            if value < low:
-                raise ValueError(f"{key!r} must be an integer >= {low}, not {value!r}")
-            object.__setattr__(self, key, value)
+            object.__setattr__(self, key, _integer(key, getattr(self, key), low=low))
         if not isinstance(self.params, dict):
             raise ValueError("'params' must be an object")
         if not isinstance(self.grid, dict):
             raise ValueError("'grid' must be an object")
-        bad = set(self.params) - kind.params
-        if bad:
-            raise ValueError(f"unknown params keys for {self.kind}: {sorted(bad)}")
+        _keys(f"params keys for {self.kind}", self.params, kind.params)
         if set(self.grid) != set(kind.default_grid):
             raise ValueError(f"grid keys for {self.kind} must be {sorted(kind.default_grid)}, "
                              f"not {sorted(self.grid)}")
@@ -116,11 +111,7 @@ class ExperimentSpec:
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        bad = set(data) - {"kind", "params", "grid", "trials", "seed"}
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
-        if "kind" not in data:
-            raise ValueError("config needs a 'kind'")
+        _keys("config keys", data, {"kind", "params", "grid", "trials", "seed"}, {"kind"})
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -136,13 +127,25 @@ class ResultRow:
     seconds: float
 
 
-def _integer(key: str, value) -> int:
-    """``value`` as an int: an integer, or an integral float such as JSON's 2.0."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key!r} must be an integer, not {value!r}")
+def _keys(what: str, given: dict, known: set, required: set = frozenset()) -> None:
+    """Raise ValueError, naming the keys, unless ``given``'s keys are among
+    ``known`` and include ``required``."""
+    bad, missing = given.keys() - known, required - given.keys()
+    if bad:
+        raise ValueError(f"unknown {what}: {sorted(bad)}")
+    if missing:
+        raise ValueError(f"{what} must include {sorted(missing)}")
+
+
+def _integer(key: str, value, low: int | None = None) -> int:
+    """``value`` as an int, at least ``low`` when one is given: an integer, or
+    an integral float such as JSON's 2.0."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{key!r} must be >= {low}, not {int(value)}")
+    return int(value)
 
 
 def _number(key: str, value) -> float:
@@ -157,11 +160,9 @@ def _tree_parameterization(spec: ExperimentSpec):
     """(tree kind, d, theta) from either (a, b) or direct (d, theta) params."""
     p = spec.params
     kind = p.get("tree_kind", "gw")
-    has_ab = "a" in p or "b" in p
-    has_dt = "d" in p or "theta" in p
-    if has_ab == has_dt or not ({"a", "b"} <= p.keys() or {"d", "theta"} <= p.keys()):
+    if p.keys() & {"a", "b", "d", "theta"} not in ({"a", "b"}, {"d", "theta"}):
         raise ValueError("give exactly one of the pairs (a, b) or (d, theta)")
-    if has_ab:
+    if "a" in p:
         tp = derive_tree_params(ModelParams(n=10 ** 9, a=_number("a", p["a"]),
                                             b=_number("b", p["b"])))
         d, theta = tp.d, tp.theta
@@ -286,16 +287,11 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
     for regime in spec.grid["regimes"]:
         if not isinstance(regime, dict):
             raise ValueError(f"'regimes' must hold objects, not {regime!r}")
-        bad = set(regime) - {"tree_kind", "d", "theta", "delta", "k"}
-        if bad:
-            raise ValueError(f"unknown regime keys: {sorted(bad)}")
-        if not {"d", "theta"} <= regime.keys():
-            raise ValueError(f"a regime needs keys {sorted({'d', 'theta'} - regime.keys())}")
+        _keys("regime keys", regime, {"tree_kind", "d", "theta", "delta", "k"}, {"d", "theta"})
         kind = regime.get("tree_kind", "gw")
         d, theta = _number("d", regime["d"]), _number("theta", regime["theta"])
-        delta, k = _number("delta", regime.get("delta", 0.4)), _integer("k", regime.get("k", 8))
-        if k < 1:
-            raise ValueError(f"'k' must be >= 1, not {k}")
+        delta = _number("delta", regime.get("delta", 0.4))
+        k = _integer("k", regime.get("k", 8), low=1)
         _check_offspring(kind, d)
         _check_chain_inputs(theta, k, spec.trials, [delta])
         out.append((kind, d, theta, delta, k))
@@ -417,12 +413,12 @@ def _recover_setup(spec: ExperimentSpec):
     and without one the radius rule picks it.  The matched tree row runs on
     the tree params at the radius."""
     p = spec.params
-    if {"n", "a", "b"} - p.keys():
-        raise ValueError(f"graph-recover needs params {sorted({'n', 'a', 'b'} - p.keys())}")
-    params = ModelParams(n=_integer("n", p["n"]), a=_number("a", p["a"]),
+    _keys("params keys for graph-recover", p, _KINDS["graph-recover"].params, {"n", "a", "b"})
+    # the floor(sqrt(n)) hold-out would take a lone vertex's whole graph
+    params = ModelParams(n=_integer("n", p["n"], low=2), a=_number("a", p["a"]),
                          b=_number("b", p["b"]))
     tp = derive_tree_params(params)
-    r = None if p.get("R") is None else _integer("R", p["R"])
+    r = None if p.get("R") is None else _integer("R", p["R"], low=1)
     cfg = AlgoConfig(R=r, R_mode="auto" if r is None else "fixed",
                      K=_integer("K", p.get("K", 1)))
     impl = p.get("impl", "spectral")

@@ -3,7 +3,7 @@
 Every tree in the package is stored as the same level lists: level j holds
 ``sizes[j]`` nodes, and ``parent_pos[j]`` (j >= 1) gives, for each level-j
 node, the position of its parent within level j - 1 (entry 0 is ignored).
-``broadcast.BroadcastTree`` (one tree, or a forest of ``popdyn`` trials)
+``broadcast.BroadcastTree`` (one tree, or a forest of one tree per root)
 stores them.  A pass over a slice of the lists treats the slice's first
 level as its roots.  The edge transforms are shared with the passes that
 need no lists: ``pipeline._label_edges`` runs the BP combine on directed

@@ -14,8 +14,8 @@ holds one block's children and flip signs at once.  It costs O(trials *
 mean offspring) time regardless of tree size, which is what makes depth-12
 experiments with 1e5 trials feasible (an explicit mean-17 tree of depth 8
 has ~1e10 nodes).  scipy.sparse, which applies the blocks, is imported by the
-first generation, not by ``import blockbp``: the forest engine and the level
-sums never need it.
+first generation, not by ``import blockbp``: the forest estimators and the
+level sums never need it.
 
 Level sums on d-ary trees need no chain: ``dary_sum_trials`` draws them as
 binomial level counts over fully independent trials, in blocks of
@@ -26,10 +26,11 @@ helper the harness also runs its independent chains on: one thread per
 usable core, each holding one block's int64 counts beside the call's
 outputs: the sums as exact integers of the smallest type that holds them.
 
-A second engine ("forest") materializes many explicit trees at once, as one
-``BroadcastTree`` with a root per trial; it is used where per-tree
-quantities are needed (current-weighted estimators, per-tree conductance)
-and as an independent cross-check of the population chain.
+Where per-tree quantities are needed (current-weighted estimators, per-tree
+conductance, or a cross-check of the population chain), the trials are
+explicit trees, drawn in ``broadcast`` as one forest with a root per trial:
+``run_broadcast(sample_tree(kind, d, k, rng, roots=trials), (1 - theta) / 2,
+rng, root_sign=1)``.  ``forest_current_estimators`` reads such a forest.
 
 All engines draw the tree structure and spins in a delta-independent pattern
 (``dary_sum_trials`` draws its noise after every spin), so runs with the same
@@ -64,7 +65,6 @@ __all__ = [
     "magnetization_chain",
     "dary_sum_trials",
     "conductance_chain",
-    "sample_forest",
     "forest_current_estimators",
 ]
 
@@ -395,28 +395,7 @@ def _map_chains(run: Callable, units: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Explicit forests: many trees at once, one root per trial.
-
-
-def sample_forest(kind: str, d: float, theta: float, depth: int, trials: int,
-                  rng) -> BroadcastTree:
-    """Sample ``trials`` trees with spins, conditioned on sigma_root = +.
-
-    Draws each level's child counts, then its flips, level by level; the
-    spins are float +-1.
-    """
-    _check_theta(theta)
-    rng = as_generator(rng)
-    eta = 0.5 * (1.0 - theta)
-    parent_pos = [np.full(trials, -1, dtype=np.int64)]
-    sigma = [np.ones(trials)]
-    for _ in range(depth):
-        counts = _offspring(kind, d, len(sigma[-1]), rng)
-        pp = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        flips = np.where(rng.random(len(pp)) < eta, -1.0, 1.0)
-        parent_pos.append(pp)
-        sigma.append(sigma[-1][pp] * flips)
-    return BroadcastTree(kind=kind, d=d, parent_pos=parent_pos, sigma=sigma)
+# Explicit forests: one multi-root tree from ``broadcast``, a root per trial.
 
 
 def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: float = 0.0):

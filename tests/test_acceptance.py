@@ -24,7 +24,7 @@ import numpy as np
 
 from blockbp import popdyn
 from blockbp.bpcore import bp_root, exact_posterior
-from blockbp.broadcast import sample_tree, tree_from_parents
+from blockbp.broadcast import run_broadcast, sample_tree, tree_from_parents
 from blockbp.estimators import effective_conductance, majority_moments
 from blockbp.harness import ExperimentSpec, run_experiment, write_results
 from blockbp.params import ModelParams, derive_tree_params
@@ -199,8 +199,9 @@ def test_c5_weighted_majority_identities():
     msgs = []
     ok = True
     for delta in (0.0, 0.2):
-        forest = popdyn.sample_forest("gw", d, theta, k, 100_000,
-                                      derived_rng(505, "c5", int(delta * 10)))
+        rng = derived_rng(505, "c5", int(delta * 10))
+        forest = run_broadcast(sample_tree("gw", d, k, rng, roots=100_000), (1 - theta) / 2,
+                               rng, root_sign=1)
         out = popdyn.forest_current_estimators(
             forest, theta, derived_rng(505, "c5-noise", int(delta * 10)), delta=delta)
         alive = out["alive"]

@@ -4,7 +4,7 @@ import pkgutil
 
 import numpy as np
 import pytest
-from test_popdyn import _dying_forest
+from test_popdyn import _dying_forest, _forest
 
 import blockbp
 from blockbp import popdyn
@@ -36,7 +36,7 @@ def test_children_contiguous_and_parents_consistent():
         sample_tree("dary", 3, 3, seed=0),
         sample_tree("gw", 0.4, 8, seed=3),  # extinct before depth 8
         tree_from_parents([-1, 0, 0, 1, 1, 2, 4, 4, 5], depth=5),
-        popdyn.sample_forest("gw", 3.0, 0.6, 4, 6, np.random.default_rng(4)),
+        _forest("gw", 3.0, 0.6, 4, 6, 4),
         _dying_forest(),
     ]
     assert trees[2].sizes[-1] == 0
@@ -162,6 +162,47 @@ def test_determinism():
     assert np.array_equal(np.concatenate(ba.sigma), np.concatenate(bb.sigma))
 
 
+def _one_root_reference(kind, d, depth, seed):
+    """The parent positions of a one-root tree, drawn as sample_tree drew
+    them before it took ``roots``: a level's child counts in one draw."""
+    rng = np.random.default_rng(seed)
+    pp = [np.full(1, -1, dtype=np.int64)]
+    for _ in range(depth):
+        size = len(pp[-1])
+        counts = rng.poisson(d, size) if kind == "gw" else np.full(size, d)
+        pp.append(np.repeat(np.arange(size, dtype=np.int64), counts))
+    return pp
+
+
+@pytest.mark.parametrize("kind, d", [("gw", 2.5), ("gw", 0.8), ("dary", 3)])
+def test_one_root_trees_unchanged(kind, d):
+    # roots=1, given or not, draws the trees every single-tree caller saw
+    for seed in (0, 1, 7, 42, 2024):
+        want = _one_root_reference(kind, d, 6, seed)
+        for tree in (sample_tree(kind, d, 6, seed=seed),
+                     sample_tree(kind, d, 6, seed=seed, roots=1)):
+            assert len(tree.parent_pos) == len(want)
+            assert all(got.dtype == np.int64 and np.array_equal(got, w)
+                       for got, w in zip(tree.parent_pos, want))
+
+
+@pytest.mark.parametrize("kind, d", [("gw", 2.0), ("dary", 2)])
+def test_forest_has_roots_on_level_zero(kind, d):
+    rng = np.random.default_rng(3)
+    forest = run_broadcast(sample_tree(kind, d, 3, rng, roots=7), 0.2, rng, root_sign=1)
+    assert forest.sizes[0] == 7 and np.array_equal(forest.parent_pos[0], np.full(7, -1))
+    assert forest.sigma[0].dtype == np.int8 and np.all(forest.sigma[0] == 1)
+    if kind == "dary":
+        assert forest.sizes == [7, 14, 28, 56]
+    assert sample_tree(kind, d, 0, seed=0, roots=np.int64(4)).sizes == [4]
+
+
+@pytest.mark.parametrize("roots", [0, -1, 2.5, True])
+def test_sample_tree_rejects_bad_roots(roots):
+    with pytest.raises(ValueError, match="roots"):
+        sample_tree("gw", 2.0, 3, seed=0, roots=roots)
+
+
 def test_tree_from_parents_roundtrip():
     t = tree_from_parents([-1, 0, 0, 1, 1, 2])
     assert t.n_nodes == 6
@@ -230,7 +271,7 @@ _DELTA_CALLS = {
     "dary_sum_trials": lambda t, delta: popdyn.dary_sum_trials(
         2, 0.6, 2, 100, np.random.default_rng(0), delta=delta),
     "forest_current_estimators": lambda t, delta: popdyn.forest_current_estimators(
-        popdyn.sample_forest("gw", 2.0, 0.6, 2, 10, np.random.default_rng(0)), 0.6,
+        _forest("gw", 2.0, 0.6, 2, 10, 0), 0.6,
         np.random.default_rng(1), delta=delta),
 }
 
@@ -277,10 +318,8 @@ _THETA_CALLS = {
         "gw", 2.0, theta, 2, 100, np.random.default_rng(0)),
     "dary_sum_trials": lambda t, theta: popdyn.dary_sum_trials(
         2, theta, 2, 100, np.random.default_rng(0)),
-    "sample_forest": lambda t, theta: popdyn.sample_forest(
-        "gw", 2.0, theta, 2, 10, np.random.default_rng(0)),
     "forest_current_estimators": lambda t, theta: popdyn.forest_current_estimators(
-        popdyn.sample_forest("gw", 2.0, 0.6, 2, 10, np.random.default_rng(0)), theta,
+        _forest("gw", 2.0, 0.6, 2, 10, 0), theta,
         np.random.default_rng(1)),
 }
 

@@ -539,6 +539,8 @@ def _regime_config(**over):
     ("graph-recover", _recover_config(a=5.0, b=5.0), "a == b"),
     ("graph-recover", _recover_config(a=0.0, b=0.0), "a == b"),
     ("contraction-check", _regime_config(k=0), "'k' must be >= 1, not 0"),
+    ("graph-recover", _recover_config(n=1), "'n' must be >= 2, not 1"),
+    ("graph-recover", _recover_config(R=0), "'R' must be >= 1, not 0"),
     # values of the wrong shape: a ValueError that names the key
     ("contraction-check", {"params": {}, "grid": {"regimes": [["d", "theta"]]}},
      "'regimes' must hold objects, not ['d', 'theta']"),
@@ -557,7 +559,7 @@ def _regime_config(**over):
         "d-string",
         "base_d-string", "a-string", "regime-theta-string", "delta-string",
         "rep-string", "rep-1.5", "rep-true", "rep-negative", "rep-repeated",
-        "a-equals-b", "a-b-zero", "regime-k-0",
+        "a-equals-b", "a-b-zero", "regime-k-0", "n-1", "R-0",
         "regime-list", "regime-int", "moments-extra-not-a-list"])
 def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
     cfg, out = tmp_path / "c.json", tmp_path / "out.csv"

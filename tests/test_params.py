@@ -67,7 +67,7 @@ def test_tree_params_invariants():
     a=st.floats(min_value=0.01, max_value=50),
     b=st.floats(min_value=0.01, max_value=50),
 )
-def test_roundtrip_and_signal_identity(a, b):
+def test_theta_and_signal_identities(a, b):
     if a == b:
         return
     m = ModelParams(n=1000, a=a, b=b)

@@ -20,6 +20,14 @@ from blockbp.levels import _terminal_conductance
 from blockbp.seeding import derived_rng
 
 
+def _forest(kind, d, theta, k, trials, seed):
+    """A forest of ``trials`` trees of depth k, every root's spin +: structure
+    and then spins, both drawn from one generator."""
+    rng = np.random.default_rng(seed)
+    return run_broadcast(sample_tree(kind, d, k, rng, roots=trials), (1 - theta) / 2, rng,
+                         root_sign=1)
+
+
 def _joint_se(a_std, a_n, b_std, b_n):
     return np.sqrt(a_std ** 2 / a_n + b_std ** 2 / b_n)
 
@@ -54,7 +62,7 @@ def test_conductance_chain_matches_forest():
     _, pools = popdyn.conductance_chain("gw", d, theta, k, trials,
                                         np.random.default_rng(4))
     pool = pools[k]
-    forest = popdyn.sample_forest("gw", d, theta, k, 20_000, np.random.default_rng(5))
+    forest = _forest("gw", d, theta, k, 20_000, 5)
     z0 = effective_conductance(forest, theta).zs[0]
     se = _joint_se(pool.std(), len(pool), z0.std(), len(z0))
     assert abs(pool.mean() - z0.mean()) < 4 * se
@@ -86,7 +94,7 @@ def _forest_trial_tree(forest, i):
 
 def test_forest_matches_object_api_exactly():
     theta = 0.6
-    forest = popdyn.sample_forest("gw", 2.0, theta, 3, 50, np.random.default_rng(6))
+    forest = _forest("gw", 2.0, theta, 3, 50, 6)
     z_levels = effective_conductance(forest, theta, delta=0.2).zs
     for i in range(forest.sizes[0]):
         t, _ = _forest_trial_tree(forest, i)
@@ -97,7 +105,7 @@ def test_forest_matches_object_api_exactly():
 def test_forest_estimators_identities():
     # E(R | sigma_root = +) = 1; Var(R) = E[1/Ceff] over surviving trees
     d, theta, k = 3.0, 0.6, 3
-    forest = popdyn.sample_forest("gw", d, theta, k, 60_000, np.random.default_rng(7))
+    forest = _forest("gw", d, theta, k, 60_000, 7)
     out = popdyn.forest_current_estimators(forest, theta, np.random.default_rng(8), delta=0.2)
     alive = out["alive"]
     r = out["r"][alive]
@@ -115,7 +123,7 @@ def test_forest_estimators_identities():
 
 def test_forest_weights_match_object_api():
     theta = 0.7
-    forest = popdyn.sample_forest("gw", 2.0, theta, 2, 40, np.random.default_rng(9))
+    forest = _forest("gw", 2.0, theta, 2, 40, 9)
     out = popdyn.forest_current_estimators(forest, theta, np.random.default_rng(10), delta=0.0)
     for i in range(forest.sizes[0]):
         t, sigma = _forest_trial_tree(forest, i)
@@ -487,7 +495,7 @@ def test_offspring_validation():
 
 
 def _dying_forest():
-    forest = popdyn.sample_forest("gw", 0.2, 0.6, 6, 5, np.random.default_rng(0))
+    forest = _forest("gw", 0.2, 0.6, 6, 5, 0)
     assert forest.sizes == [5, 0, 0, 0, 0, 0, 0]
     return forest
 
@@ -519,8 +527,8 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize("forest", [
-    popdyn.sample_forest("gw", 3.0, 0.6, 4, 6, np.random.default_rng(4)),
-    popdyn.sample_forest("dary", 3, 0.6, 4, 2, np.random.default_rng(5)),
+    _forest("gw", 3.0, 0.6, 4, 6, 4),
+    _forest("dary", 3, 0.6, 4, 2, 5),
     _dying_forest(),
 ], ids=["gw", "dary", "empty-level"])
 def test_tree_passes_match_frozen_references(forest):
@@ -560,7 +568,7 @@ def test_chains_reject_delta_out_of_range(delta):
     for run in _chains(100, delta):
         with pytest.raises(ValueError, match="delta"):
             run()
-    forest = popdyn.sample_forest("gw", 2.0, 0.5, 2, 100, np.random.default_rng(0))
+    forest = _forest("gw", 2.0, 0.5, 2, 100, 0)
     with pytest.raises(ValueError, match="delta"):
         popdyn.forest_current_estimators(forest, 0.5, np.random.default_rng(1), delta=delta)
 
