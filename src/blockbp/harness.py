@@ -174,10 +174,7 @@ def _tree_parameterization(spec: ExperimentSpec):
 
 def _grid_integers(spec: ExperimentSpec, key: str, low: int = 0) -> list[int]:
     """The grid's ``key`` values as integers, in grid order, each at least ``low``."""
-    values = [_integer(key, x) for x in spec.grid[key]]
-    if min(values) < low:
-        raise ValueError(f"{key!r} must be >= {low}, not {[x for x in values if x < low]}")
-    return values
+    return [_integer(key, x, low) for x in spec.grid[key]]
 
 
 # --- runners ---------------------------------------------------------------

@@ -28,7 +28,9 @@ labels every vertex at once by messages on the directed edges of H.  At
 R >= 2 those edges are held in pair order (``_edge_pairs``), where the
 reverse of slot 2e is slot 2e + 1.  Coins are keyed rather than drawn in
 order: a tie below the root by its directed edge's pair slot, a root coin
-by vertex.
+by vertex.  What reads H alone, the exact check that H's slots pair up and
+the non-tree sample, runs beside the edge passes on a worker thread when
+two cores are usable (``_beside``).
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ import math
 import numbers
 import time
 import warnings
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import popdyn
 from .levels import _compose_through_edge, _edge_llr, _magnetize
 from .params import ModelParams, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
@@ -64,6 +69,9 @@ _TIE_ULPS = 4096
 
 # Centres of the sample that ``nontree_neighborhoods`` is estimated from.
 _NONTREE_SAMPLE = 500
+
+# Centres that ``_revisiting`` searches at once; its keys are one chunk's.
+_NONTREE_CHUNK = 50
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,8 @@ def _edge_pairs(h: LabelledGraph) -> tuple[np.ndarray, np.ndarray]:
     order, as in its CSR row: first the edges (y, x) with y < x, then the
     edges (x, z).  Raises ValueError when the slots with row < neighbour
     are not half of all, as a self-loop or a one-way edge may leave them; it
-    does not match each edge with its partner (see ``LabelledGraph``).
+    does not match each edge with its partner, which ``_check_pairs`` does
+    off the critical path (see ``LabelledGraph``).
     """
     row = np.repeat(np.arange(h.n, dtype=np.int64), h.degrees)
     lo = row < h.indices
@@ -331,6 +340,31 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
                    zero_root=zero, no_walk=~reach, rounding_zeros=rounded)
 
 
+def _key_type(bound: int) -> type:
+    """The integer type of keys in [0, ``bound``): int32 when they fit."""
+    return np.int32 if bound < 2 ** 31 else np.int64
+
+
+def _check_pairs(h: LabelledGraph) -> None:
+    """Raises ValueError unless every CSR slot (x, y) of H has its reverse (y, x).
+
+    The exact form of ``_edge_pairs``' count: the keys y*n + x of the slots
+    (x, y) with x < y, reversed and sorted, must be the keys x*n + y of the
+    slots with x > y, which the sorted CSR rows hold in order.
+    """
+    key = _key_type(h.n * h.n)
+    row = np.repeat(np.arange(h.n, dtype=key), h.degrees)
+    nbr = h.indices.astype(key, copy=False)
+    lo = row < nbr
+    back = nbr[lo] * h.n + row[lo]
+    back.sort()
+    lo = ~lo
+    if not np.array_equal(back, row[lo] * h.n + nbr[lo]):
+        raise ValueError(
+            "the CSR slots do not pair up: a slot (x, y) has no reverse (y, x) "
+            "(a self-loop or an edge held in one direction only)")
+
+
 def _revisiting(h: LabelledGraph, r: int, centres: np.ndarray) -> np.ndarray:
     """Per centre v, whether v's depth-r walk tree visits a vertex twice.
 
@@ -338,32 +372,41 @@ def _revisiting(h: LabelledGraph, r: int, centres: np.ndarray) -> np.ndarray:
     ball so far, and each of its nodes has one image.  It first visits a
     vertex twice where a slot leaves a layer j < r for a vertex that is not
     the node's parent and is already visited or reached twice in that step.
-    So all centres run one breadth-first search together, a layer at a
-    time, on the int64 keys c*n + y (c the centre's position in
-    ``centres``, y a vertex): one sort of the visited keys with the new
-    ones finds the repeated keys, and a centre with one is flagged and
-    retired.  Only a centre whose ball is still a tree goes on, and the
-    search stops once none is left.
+    So the centres run, ``_NONTREE_CHUNK`` at a time, one breadth-first
+    search per chunk, a layer at a time, on the keys c*n + y (c the centre's
+    position in its chunk, y a vertex), int32 when they fit: one sort of
+    the visited keys with the new ones finds the repeated keys, and a
+    centre with one is flagged and retired.  Only a centre whose ball is
+    still a tree goes on, and a chunk's search stops once none is left.
+    The last layer keeps only its keys.
     """
     n = h.n
     flag = np.zeros(len(centres), dtype=bool)
-    owner = np.arange(len(centres), dtype=np.int64)
-    front = np.asarray(centres, dtype=np.int64)
-    parent = np.full(len(front), -1, dtype=np.int64)
-    seen = owner * n + front  # sorted: one key per centre, in centre order
-    for layer in range(r):
-        slot, deg = _row_slots(h, front)
-        nxt, own = h.indices[slot], np.repeat(owner, deg)
-        keep = nxt != np.repeat(parent, deg)
-        parent, nxt, own = np.repeat(front, deg)[keep], nxt[keep], own[keep]
-        seen = np.concatenate((seen, own * n + nxt))
-        seen.sort()
-        flag[seen[1:][seen[1:] == seen[:-1]] // n] = True
-        live = ~flag[own]
-        front, owner, parent = nxt[live], own[live], parent[live]
-        if len(front) == 0 or layer == r - 1:
-            break
-        seen = seen[~flag[seen // n]]
+    for lo in range(0, len(centres), _NONTREE_CHUNK):
+        front = np.asarray(centres[lo:lo + _NONTREE_CHUNK], dtype=np.int64)
+        hit = flag[lo:lo + len(front)]
+        key = _key_type(len(front) * n)
+        owner = np.arange(len(front), dtype=key)
+        parent = np.full(len(front), -1, dtype=np.int64)
+        seen = owner * n + front.astype(key)  # sorted: one key per centre
+        for layer in range(r):
+            slot, deg = _row_slots(h, front)
+            nxt = h.indices[slot]
+            keep = nxt != np.repeat(parent, deg)
+            nxt, own = nxt[keep], np.repeat(owner, deg)[keep]
+            new = own * n
+            new += nxt
+            seen = np.concatenate((seen, new))
+            seen.sort()
+            hit[seen[1:][seen[1:] == seen[:-1]] // n] = True
+            if layer == r - 1:
+                break
+            live = ~hit[own]
+            parent = np.repeat(front, deg)[keep][live]
+            front, owner = nxt[live], own[live]
+            if len(front) == 0:
+                break
+            seen = seen[~hit[seen // n]]
     return flag
 
 
@@ -425,8 +468,12 @@ STAGES = ("holdout", "blackbox", "align", "roots", "nontree", "coins")
 """Stages of ``recover`` timed in ``RecoveryResult.stage_seconds``, in run
 order: the hold-out set, anchor and subgraph; the black-box run; anchor
 alignment; the edge passes with their coins, reach pass and the
-anchor-distance count; the batched search of the non-tree sample; the
-hold-out coins and the overlap report."""
+anchor-distance count; the wait, after them, for the exact pairing check
+and the chunked search of the non-tree sample; the hold-out coins and the
+overlap report.  At R >= 2 the check and the sample run on a worker thread
+while the edge passes run, so ``roots`` overlaps them and ``nontree`` is
+what is left of them; with one usable core they run after the edge passes
+and ``nontree`` is all of them.  At R = 1 neither runs."""
 
 
 @dataclass(frozen=True)
@@ -449,6 +496,23 @@ def save_vertex_csv(result: RecoveryResult, path) -> None:
         fh.write("v,assigned_sign,magnetization\n")
         for v, (s, m) in enumerate(zip(result.side, result.magnetization)):
             fh.write(f"{v},{int(s)},{m:.10g}\n")
+
+
+def _beside(main: Callable, side: Callable) -> tuple:
+    """``(main(), side())``, with ``side`` on one worker thread while ``main``
+    runs on the calling thread, or after it when one core is usable (see
+    ``popdyn._map_chains``).  Either way both have finished when this
+    returns, and an error of ``side`` is raised here, before one of
+    ``main``."""
+    if popdyn._usable_cores() < 2:
+        return main(), side()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        later = pool.submit(side)
+        try:
+            first = main()
+        finally:
+            second = later.result()
+    return first, second
 
 
 def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
@@ -500,24 +564,33 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     diag.align_swaps = int(info.swapped)
     lap("align")
 
-    out = _label_edges(h, aligned.side, r, cfg.K, tp.theta,
-                       derived_rng(seed, "labels"), root_u)
-    side_out[sub.new_to_old] = out.sign
-    mag_out[sub.new_to_old] = out.magnetization
-    diag.coin_labels = int(out.coin.sum())
-    diag.zero_roots = int(out.zero_root.sum())
-    diag.empty_spheres = int(out.no_walk.sum())
-    diag.rounding_zeros = out.rounding_zeros
-    # vertices within distance R - 1 of the anchor's neighbours in h
-    near = np.zeros(h.n, dtype=bool)
-    mapped = sub.old_to_new[g.neighbors(u_star)]
-    near[mapped[mapped >= 0]] = True
-    for _ in range(r - 1):
-        near[h.indices[np.repeat(near, h.degrees)]] = True
-    diag.u_star_ball_violations = int(near.sum())
-    lap("roots")
+    def edge_passes() -> None:
+        out = _label_edges(h, aligned.side, r, cfg.K, tp.theta,
+                           derived_rng(seed, "labels"), root_u)
+        side_out[sub.new_to_old] = out.sign
+        mag_out[sub.new_to_old] = out.magnetization
+        diag.coin_labels = int(out.coin.sum())
+        diag.zero_roots = int(out.zero_root.sum())
+        diag.empty_spheres = int(out.no_walk.sum())
+        diag.rounding_zeros = out.rounding_zeros
+        # vertices within distance R - 1 of the anchor's neighbours in h
+        near = np.zeros(h.n, dtype=bool)
+        mapped = sub.old_to_new[g.neighbors(u_star)]
+        near[mapped[mapped >= 0]] = True
+        for _ in range(r - 1):
+            near[h.indices[np.repeat(near, h.degrees)]] = True
+        diag.u_star_ball_violations = int(near.sum())
+        lap("roots")
 
-    diag.nontree_neighborhoods = _nontree_estimate(h, r, derived_rng(seed, "nontree-sample"))
+    def read_h() -> int:
+        """What reads H alone: the exact pairing check and the non-tree sample."""
+        _check_pairs(h)
+        return _nontree_estimate(h, r, derived_rng(seed, "nontree-sample"))
+
+    if r == 1:  # no pair layout to check and no walk tree revisits
+        edge_passes()
+    else:
+        diag.nontree_neighborhoods = _beside(edge_passes, read_h)[1]
     lap("nontree")
 
     coins = derived_rng(seed, "hold-out-coins").random(len(hold_out))

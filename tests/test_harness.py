@@ -502,7 +502,7 @@ def _regime_config(**over):
     ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [-1, 2]}}, "-1"),
     ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [2.5]}}, "2.5"),
     ("conductance-check", {"params": {"a": 30.0, "b": 4.0}, "grid": {"k": [0, 2]}},
-     "'k' must be >= 1, not [0]"),
+     "'k' must be >= 1, not 0"),
     ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "delta": None},
                            "grid": {"k": [2]}}, "'delta' must be a finite number, not None"),
     ("threshold-sweep", {"params": {"base_d": 0}, "grid": {"ksig": [0.5]}}, "0"),
@@ -532,7 +532,7 @@ def _regime_config(**over):
     ("graph-recover", {**_recover_config(), "grid": {"rep": [True]}},
      "'rep' must be an integer, not True"),
     ("graph-recover", {**_recover_config(), "grid": {"rep": [0, -1]}},
-     "'rep' must be >= 0, not [-1]"),
+     "'rep' must be >= 0, not -1"),
     ("graph-recover", {**_recover_config(), "grid": {"rep": [0, 0, 0]}},
      "'rep' values must be distinct, not [0, 0, 0]"),
     # values a run would fail on after it started, or run to an empty table

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,8 +25,10 @@ from blockbp.partition import Partition
 from blockbp.pipeline import (
     STAGES,
     AlgoConfig,
+    _check_pairs,
     _edge_pairs,
     _label_edges,
+    _nontree_estimate,
     _revisiting,
     align_partition,
     choose_anchor,
@@ -295,6 +299,67 @@ def test_edge_pairs_refuse_unpaired_slots(indptr, indices):
         _edge_pairs(g)
     with pytest.raises(ValueError, match="do not pair up"):
         _label_all(g, np.ones(n), 2, 1, 0.5)
+
+
+def test_wide_keys_give_the_same_results(monkeypatch):
+    # the searches and the pairing check take int32 keys when they fit;
+    # int64 keys, which a large enough graph would need, give the same flags
+    graphs = _pair_graphs()
+    want = [_revisiting(g, 3, np.arange(g.n)) for g in graphs]
+    monkeypatch.setattr(pipeline, "_key_type", lambda bound: np.int64)
+    for g, flags in zip(graphs, want):
+        assert np.array_equal(_revisiting(g, 3, np.arange(g.n)), flags)
+        _check_pairs(g)
+
+
+def test_nontree_sample_holds_one_chunk_of_keys():
+    # at the recover-deep point (n = 2e4, a = 30, b = 4, R = 3) the sample's
+    # traced peak stays below one chunk's keys counted at 8 bytes each, for
+    # balls the size of a depth-3 tree of mean degree 17: the centres run
+    # _NONTREE_CHUNK at a time, where all 500 at once held about 11 MiB
+    m = ModelParams(n=20_000, a=30, b=4)
+    h = sample_sbm(m, seed=61)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = _nontree_estimate(h, 3, np.random.default_rng(62))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert count > 0
+    assert peak < 8 * pipeline._NONTREE_CHUNK * sum(17 ** j for j in range(4))
+
+
+def _one_way_graph(seed: int) -> LabelledGraph:
+    """An SBM graph with a one-way 4-cycle added on four vertices outside
+    ``recover``'s hold-out set: slots (a, c), (b, d), (c, b), (d, a) with
+    a < b < c < d, two of them with row < neighbour, so the slot count
+    still balances."""
+    g = sample_sbm(ModelParams(n=400, a=12, b=3), seed=9)
+    a, b, c, d = np.flatnonzero(~held_out_mask(seed, g.n))[[0, 1, 2, 3]]
+    row = np.repeat(np.arange(g.n), g.degrees)
+    assert not (np.isin(row, [a, b, c, d]) & np.isin(g.indices, [a, b, c, d])).any()
+    row = np.concatenate((row, [a, b, c, d]))
+    nbr = np.concatenate((g.indices, [c, d, b, a]))
+    order = np.lexsort((nbr, row))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=g.n))))
+    return LabelledGraph(n=g.n, indptr=indptr, indices=nbr[order], labels=g.labels)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_recover_refuses_one_way_edges(cores, monkeypatch):
+    # a one-way 4-cycle passes _edge_pairs' slot count, and the edge passes
+    # would label from a layout that is not H; the exact pairing check,
+    # beside the edge passes or after them, makes recover raise instead
+    monkeypatch.setattr(pipeline.popdyn, "_usable_cores", lambda: cores)
+    g = _one_way_graph(seed=3)
+    _edge_pairs(g)
+    with pytest.raises(ValueError, match="do not pair up"):
+        _check_pairs(g)
+    m = ModelParams(n=g.n, a=12, b=3)
+    with pytest.raises(ValueError, match="do not pair up"):
+        recover(g, AlgoConfig(R=2, R_mode="fixed", K=1), m, impl="oracle-noise",
+                seed=3, delta0=0.25)
 
 
 # --- full recovery -----------------------------------------------------------
@@ -714,6 +779,36 @@ def test_recover_stage_seconds():
     assert all(v >= 0.0 for v in res.stage_seconds.values())
     assert sum(res.stage_seconds.values()) <= res.seconds
     assert res.diagnostics.blackbox_informative is True
+
+
+@pytest.mark.parametrize("r, k, impl, delta0", [(1, 1, "spectral", None),
+                                                 (2, 1, "oracle-noise", 0.25),
+                                                 (3, 2, "spectral", None)])
+def test_recover_results_do_not_depend_on_cores(r, k, impl, delta0, monkeypatch):
+    # at R >= 2 the pairing check and the non-tree sample run on one worker
+    # thread beside the edge passes when two cores are usable, and after
+    # them on one; at R = 1 no thread starts.  Every output is the same
+    pools = []
+
+    class Pool(pipeline.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    m = ModelParams(n=3000, a=12, b=3)
+    g = sample_sbm(m, seed=7)
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(pipeline.popdyn, "_usable_cores", lambda: cores)
+        runs.append(recover(g, AlgoConfig(R=r, R_mode="fixed", K=k), m, impl=impl,
+                            seed=3, delta0=delta0))
+    assert pools == ([] if r == 1 else [1])
+    one, two = runs
+    assert np.array_equal(one.side, two.side)
+    assert one.magnetization.tobytes() == two.magnetization.tobytes()
+    assert dataclasses.asdict(one.diagnostics) == dataclasses.asdict(two.diagnostics)
+    assert one.report == two.report
 
 
 # --- the spectral black box at the wide benchmark point ----------------------

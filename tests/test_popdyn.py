@@ -618,5 +618,5 @@ def test_harness_rejects_conductance_depth_zero():
 
     spec = ExperimentSpec(kind="conductance-check", params={"a": 30.0, "b": 4.0},
                           grid={"k": [0, 2]}, trials=2_000, seed=1)
-    with pytest.raises(ValueError, match=r"'k' must be >= 1, not \[0\]"):
+    with pytest.raises(ValueError, match=r"'k' must be >= 1, not 0"):
         run_experiment(spec)
