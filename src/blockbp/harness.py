@@ -11,9 +11,11 @@ Confidence intervals are normal-approximation half-widths with z = 2.576
 get streams derived from the master seed by key and results are merged in a
 fixed order.  contraction-check's regimes, threshold-sweep's points and
 graph-recover's repetitions are such units, and they run on one thread per
-unit up to the usable cores (``popdyn._map_chains``); so do the trial
-blocks of each moments-check config's level sums, of ``popdyn._TRIAL_BLOCK``
-trials each, a size that is part of their stream.  A config holds its level
+unit up to the usable cores (``popdyn._map_chains``), where a repetition
+runs ``recover``'s side work after its edge passes unless its thread has
+two cores to itself; so do the trial blocks of each moments-check config's
+level sums, of ``popdyn._TRIAL_BLOCK`` trials each, a size that is part of
+their stream.  A config holds its level
 sums as small exact integers, one block's counts per running thread and one
 level's float64 row at a time.  The rows are the same at any core count.
 ``write_results(..., deterministic=True)`` writes the wall-time column as

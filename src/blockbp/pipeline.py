@@ -30,7 +30,7 @@ reverse of slot 2e is slot 2e + 1.  Coins are keyed rather than drawn in
 order: a tie below the root by its directed edge's pair slot, a root coin
 by vertex.  What reads H alone, the exact check that H's slots pair up and
 the non-tree sample, runs beside the edge passes on a worker thread when
-two cores are usable (``_beside``).
+the calling thread has two usable cores to itself (``_beside``).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import time
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,6 +73,9 @@ _NONTREE_SAMPLE = 500
 
 # Centres that ``_revisiting`` searches at once; its keys are one chunk's.
 _NONTREE_CHUNK = 50
+
+# CSR rows that ``_check_pairs`` reads at once, beside H's m reversed keys.
+_PAIR_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -350,16 +354,50 @@ def _check_pairs(h: LabelledGraph) -> None:
 
     The exact form of ``_edge_pairs``' count: the keys y*n + x of the slots
     (x, y) with x < y, reversed and sorted, must be the keys x*n + y of the
-    slots with x > y, which the sorted CSR rows hold in order.
+    slots with x > y, which the sorted CSR rows hold in order.  The rows are
+    read ``_PAIR_ROWS`` at a time, twice: once to gather the reversed keys,
+    once to compare the others with them, so beside those keys the check
+    holds one block's arrays.
     """
-    key = _key_type(h.n * h.n)
-    row = np.repeat(np.arange(h.n, dtype=key), h.degrees)
-    nbr = h.indices.astype(key, copy=False)
-    lo = row < nbr
-    back = nbr[lo] * h.n + row[lo]
-    back.sort()
-    lo = ~lo
-    if not np.array_equal(back, row[lo] * h.n + nbr[lo]):
+    n = h.n
+    key = _key_type(n * n)
+    blocks = range(0, n, _PAIR_ROWS)
+    back = np.empty(len(h.indices) // 2, dtype=key)
+
+    def keys(a: int, reverse: bool) -> np.ndarray:
+        """The keys of rows a to a + ``_PAIR_ROWS`` - 1: of their slots with
+        x < y reversed, or of those with x > y."""
+        b = min(a + _PAIR_ROWS, n)
+        x = np.repeat(np.arange(a, b, dtype=key), np.diff(h.indptr[a:b + 1]))
+        y = h.indices[h.indptr[a]:h.indptr[b]].astype(key)
+        if reverse:
+            x, y = y, x
+        big = x > y
+        out = x[big]
+        out *= n
+        out += y[big]
+        return out
+
+    def paired() -> bool:
+        at = 0
+        for a in blocks:
+            block = keys(a, True)
+            if at + len(block) > len(back):
+                return False
+            back[at:at + len(block)] = block
+            at += len(block)
+        if 2 * at != len(h.indices):
+            return False
+        back.sort()
+        at = 0
+        for a in blocks:
+            block = keys(a, False)
+            if not np.array_equal(back[at:at + len(block)], block):
+                return False
+            at += len(block)
+        return at == len(back)
+
+    if not paired():
         raise ValueError(
             "the CSR slots do not pair up: a slot (x, y) has no reverse (y, x) "
             "(a self-loop or an edge held in one direction only)")
@@ -472,8 +510,9 @@ anchor-distance count; the wait, after them, for the exact pairing check
 and the chunked search of the non-tree sample; the hold-out coins and the
 overlap report.  At R >= 2 the check and the sample run on a worker thread
 while the edge passes run, so ``roots`` overlaps them and ``nontree`` is
-what is left of them; with one usable core they run after the edge passes
-and ``nontree`` is all of them.  At R = 1 neither runs."""
+what is left of them; with no core to spare (one usable core, or a
+``popdyn._map_chains`` thread) they run after the edge passes and
+``nontree`` is all of them.  At R = 1 neither runs."""
 
 
 @dataclass(frozen=True)
@@ -500,18 +539,18 @@ def save_vertex_csv(result: RecoveryResult, path) -> None:
 
 def _beside(main: Callable, side: Callable) -> tuple:
     """``(main(), side())``, with ``side`` on one worker thread while ``main``
-    runs on the calling thread, or after it when one core is usable (see
-    ``popdyn._map_chains``).  Either way both have finished when this
-    returns, and an error of ``side`` is raised here, before one of
-    ``main``."""
-    if popdyn._usable_cores() < 2:
-        return main(), side()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        later = pool.submit(side)
+    runs on the calling thread when this thread has a core to spare
+    (``popdyn._cores_per_thread``), or after ``main`` when it has not, as on
+    one core or on a ``popdyn._map_chains`` thread that shares the cores.
+    Either way both have run when this returns, and an error of ``side`` is
+    raised here before one of ``main``."""
+    spare = popdyn._cores_per_thread() >= 2
+    with ThreadPoolExecutor(max_workers=1) if spare else nullcontext() as pool:
+        wait = pool.submit(side).result if spare else side
         try:
             first = main()
         finally:
-            second = later.result()
+            second = wait()
     return first, second
 
 

@@ -299,6 +299,8 @@ def test_edge_pairs_refuse_unpaired_slots(indptr, indices):
         _edge_pairs(g)
     with pytest.raises(ValueError, match="do not pair up"):
         _label_all(g, np.ones(n), 2, 1, 0.5)
+    with pytest.raises(ValueError, match="do not pair up"):
+        _check_pairs(g)
 
 
 def test_wide_keys_give_the_same_results(monkeypatch):
@@ -360,6 +362,65 @@ def test_recover_refuses_one_way_edges(cores, monkeypatch):
     with pytest.raises(ValueError, match="do not pair up"):
         recover(g, AlgoConfig(R=2, R_mode="fixed", K=1), m, impl="oracle-noise",
                 seed=3, delta0=0.25)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024])
+def test_pairing_check_reads_rows_in_blocks(rows, monkeypatch):
+    # the check reads _PAIR_ROWS rows at a time; any block size passes a
+    # paired graph and refuses the one-way 4-cycle, and a one-way edge
+    # beside a self-loop, whose slot counts balance
+    monkeypatch.setattr(pipeline, "_PAIR_ROWS", rows)
+    for g in _pair_graphs():
+        _check_pairs(g)
+    loop = LabelledGraph(n=3, indptr=np.array([0, 1, 1, 2]), indices=np.array([1, 2]),
+                         labels=np.ones(3, dtype=np.int8))
+    _edge_pairs(loop)
+    for g in (_one_way_graph(seed=3), loop):
+        with pytest.raises(ValueError, match="do not pair up"):
+            _check_pairs(g)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_side_error_is_raised_over_main_error(cores, monkeypatch):
+    # both units run whether the side unit runs beside the main one or
+    # after it, and the side unit's error (the pairing check's) is raised
+    monkeypatch.setattr(pipeline.popdyn, "_usable_cores", lambda: cores)
+    ran = []
+
+    def main():
+        ran.append("main")
+        raise KeyError("main")
+
+    def side():
+        ran.append("side")
+        raise ValueError("side")
+
+    with pytest.raises(ValueError, match="side"):
+        pipeline._beside(main, side)
+    assert sorted(ran) == ["main", "side"]
+
+
+@pytest.mark.parametrize("cores, units, workers", [(2, 1, [1]), (2, 2, []), (2, 3, []),
+                                                   (4, 2, [1, 1]), (4, 3, [])])
+def test_chain_threads_start_a_side_worker_only_with_cores_to_spare(
+        cores, units, workers, monkeypatch):
+    # graph-recover runs its repetitions on _map_chains threads; a unit
+    # there starts its side worker only when its share of the usable cores
+    # is two or more, and runs the side after the main unit otherwise
+    pools = []
+
+    class Pool(pipeline.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(pipeline.popdyn, "_usable_cores", lambda: cores)
+    out = pipeline.popdyn._map_chains(
+        lambda i, unit: pipeline._beside(lambda: i, lambda: -unit), list(range(units)))
+    assert out == [(i, -i) for i in range(units)]
+    assert pools == workers
+    assert pipeline.popdyn._cores_per_thread() == cores
 
 
 # --- full recovery -----------------------------------------------------------
