@@ -5,12 +5,14 @@ On irregular (Galton-Watson) trees the right generalization weights each leaf
 by the unit current flowing to it in a resistor network whose edge to a
 generation-j child has resistance (1-theta^2) theta^(-2j): the weighted sum
 is conditionally unbiased for the root spin and its conditional variance is
-exactly the network's effective resistance.
+exactly the network's effective resistance.  The same weights on a forest
+give one estimate per root.
 """
 
 import numpy as np
 
 from blockbp import (
+    add_leaf_noise,
     current_weights,
     effective_conductance,
     majority_moments,
@@ -18,7 +20,6 @@ from blockbp import (
     sample_tree,
     tree_from_parents,
 )
-from blockbp.popdyn import forest_current_estimators
 
 # closed-form majority moments vs a quick simulation
 d, theta, k = 3, 0.6, 3
@@ -37,15 +38,17 @@ print("  the busier branch carries more current, so its leaves weigh more per vo
 
 # the defining identities, Monte Carlo over random trees
 # a forest is a tree with many roots: 50k trees from one generator, each
-# root's spin forced to +
+# root's spin forced to +; current_weights gives one estimate per root, and
+# a root whose tree died out has conductance 0
 rng = np.random.default_rng(0)
 forest = run_broadcast(sample_tree("gw", 3.0, 4, rng, roots=50_000), (1 - theta) / 2, rng,
                        root_sign=1)
-out = forest_current_estimators(forest, theta, np.random.default_rng(1), delta=0.2)
-alive = out["alive"]
-r, s = out["r"][alive], out["s"][alive]
-reff = 1.0 / out["ceff"][alive]
-reffn = 1.0 / out["ceff_noisy"][alive]
+tau = add_leaf_noise(forest, 0.2, np.random.default_rng(1)).tau
+clean, noisy = current_weights(forest, theta), current_weights(forest, theta, delta=0.2)
+alive = clean.network.zs[0] > 0
+r, s = clean.estimate(forest.sigma[4])[alive], noisy.estimate(tau)[alive]
+reff = 1.0 / clean.network.zs[0][alive]
+reffn = 1.0 / noisy.network.zs[0][alive]
 print(f"\nGalton-Watson d=3, k=4, 50k trees (conditioned on sigma_root = +):")
 print(f"  E[R] = {r.mean():+.4f}   (identity: +1)")
 print(f"  Var[R] = {r.var():.3f}  vs  E[R_eff] = {reff.mean():.3f}")

@@ -82,11 +82,6 @@ class BroadcastTree:
         return np.concatenate([self.parent_pos[0]] + [
             pp + ls[j] for j, pp in enumerate(self.parent_pos[1:])])
 
-    def level(self, j: int) -> np.ndarray:
-        """Node ids at depth j."""
-        ls = self.level_start
-        return np.arange(ls[j], ls[j + 1], dtype=np.int64)
-
     def depth_of(self, u: int) -> int:
         return int(np.searchsorted(self.level_start, u, side="right")) - 1
 
@@ -119,8 +114,8 @@ def sample_tree(kind: str, d: float, depth: int, seed=0, roots: int = 1) -> Broa
     Poisson(d); a tree may die out before reaching ``depth``.  Each level's
     child counts are one draw over the whole level.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 0:
+        raise ValueError(f"depth must be an integer >= 0, not {depth!r}")
     if isinstance(roots, bool) or not isinstance(roots, numbers.Integral) or roots < 1:
         raise ValueError(f"roots must be an integer >= 1, not {roots!r}")
     _check_offspring(kind, d)

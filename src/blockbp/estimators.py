@@ -18,18 +18,22 @@ observed leaf may carry an extra terminal resistor 4 delta (1-delta)
 series-parallel, so effective conductance and the unit current flow come from
 one post-order sweep; weighting leaf observations by theta^(-k) times the
 current into the leaf gives an estimator with conditional mean sigma_root and
-conditional variance equal to the network's effective resistance.  A dense
+conditional variance equal to the network's effective resistance.  On a
+forest (``sample_tree(..., roots=n)``) the sweeps run once over every root,
+and the estimator gives one value per root; a root whose tree dies out
+before the observed level has conductance 0 and estimates 0.  A dense
 Laplacian solve of the same network exists in the test suite as an
 independent oracle; it is deliberately not used here.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .broadcast import BroadcastTree
+from .broadcast import BroadcastTree, _check_offspring
 from .levels import (_check_conductance_theta, _check_delta, _check_theta,
                      _terminal_conductance, conductance_up, current_down)
 from .seeding import as_generator
@@ -57,7 +61,11 @@ class MajorityMoments:
 
 
 def majority_moments(d: int, theta: float, k: int, delta: float = 0.0) -> MajorityMoments:
-    """Moment formulas above, with eta = (1 - theta) / 2."""
+    """Moment formulas above, with eta = (1 - theta) / 2, for an integer d >= 1
+    and an integer k >= 0."""
+    _check_offspring("dary", d)
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, not {k!r}")
     _check_theta(theta)
     eta = 0.5 * (1.0 - theta)
     _check_delta(delta)
@@ -124,62 +132,56 @@ def effective_conductance(tree: BroadcastTree, theta: float, delta: float = 0.0,
 
 @dataclass(frozen=True)
 class CurrentWeights:
-    """Unit-current leaf weights for the linear root estimator.
+    """Unit-current leaf weights for the linear root estimator, per root.
 
-    The estimator sum(w * obs) has conditional mean sigma_root when obs are
-    the exact level-k spins; for noisy observations multiply by ``prefactor``
-    (= 1/(1-2 delta)).  Weights sum to theta^(-k).
+    ``weights[i]`` and ``root[i]`` are the weight of level-k node i and the
+    position of its root.  Each root's weights sum to theta^(-k), or are
+    absent when its tree is extinct before level k.
     """
 
-    leaf_ids: np.ndarray
     weights: np.ndarray
-    prefactor: float
+    root: np.ndarray
+    delta: float
     network: ConductanceNetwork
 
-    def estimate(self, observations) -> float:
+    def estimate(self, observations) -> np.ndarray:
+        """Each root's sum(w * obs) / (1 - 2 delta): conditional mean
+        sigma_root for observations at noise level ``delta``, and 0 for an
+        extinct root."""
         obs = np.asarray(observations, dtype=np.float64)
         if obs.shape != self.weights.shape:
             raise ValueError("observation vector does not match the leaf level")
-        return self.prefactor * float(np.dot(self.weights, obs))
+        # an empty level would give bincount's integer zeros
+        sums = np.bincount(self.root, weights=self.weights * obs,
+                           minlength=len(self.network.zs[0])).astype(float, copy=False)
+        return sums / (1.0 - 2.0 * self.delta)
 
 
 def current_weights(tree: BroadcastTree, theta: float, delta: float = 0.0,
                     k: int | None = None) -> CurrentWeights:
-    """Weights proportional to the unit current flow from the root to each leaf.
+    """Weights proportional to the unit current flow from each root to its leaves.
 
     Splits the unit current at every node proportionally to the composed
     branch conductances from ``effective_conductance``; leaf v gets weight
-    theta^(-k) * current(v).  Raises on an extinct tree (no estimator).
+    theta^(-k) * current(v).  A root whose tree is extinct before level k
+    has conductance 0, no leaves and an estimate of 0.
     """
     k = tree.check_level(k)
     net = effective_conductance(tree, theta, delta=delta, k=k)
-    if net.ceff == 0.0:
-        raise ValueError("no estimator: tree is extinct before the observed level")
-    cur, _ = current_down(net.zs, net.cs, tree.parent_pos[: k + 1])
-    leaf_ids = tree.level(k)
-    weights = cur * theta ** (-k)
-    return CurrentWeights(leaf_ids=leaf_ids, weights=weights,
-                          prefactor=1.0 / (1.0 - 2.0 * delta), network=net)
+    cur, root = current_down(net.zs, net.cs, tree.parent_pos[: k + 1])
+    return CurrentWeights(weights=cur * theta ** (-k), root=root, delta=delta, network=net)
 
 
 def weighted_majority_sign(tree: BroadcastTree, observations, theta: float,
                            rng, delta: float = 0.0, k: int | None = None) -> int:
-    """Sign of the current-weighted observation sum; ties resolved by fair coin.
+    """Sign of the first root's current-weighted estimate; 0 goes to a fair coin.
 
-    An extinct tree (no observed level) also falls back to the coin: by the
-    +- symmetry of the model a silent default to +1 would bias everything
-    downstream.  Bad theta or delta raise: only the extinct tree's error
-    becomes a coin.
+    An extinct tree (no observed level) estimates 0 and so also falls back
+    to the coin: by the +- symmetry of the model a silent default to +1
+    would bias everything downstream.
     """
     rng = as_generator(rng)
-    k = tree.check_level(k)
-    _check_conductance_theta(theta)
-    _check_delta(delta)
-    try:
-        cw = current_weights(tree, theta, delta=delta, k=k)
-    except ValueError:
-        return 1 if rng.random() < 0.5 else -1
-    val = cw.estimate(observations)
+    val = current_weights(tree, theta, delta=delta, k=k).estimate(observations)[0]
     if val == 0.0:
         return 1 if rng.random() < 0.5 else -1
     return 1 if val > 0 else -1

@@ -62,8 +62,8 @@ class TreeParams:
     eta: float
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("mean offspring d must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError(f"mean offspring d must be positive and finite, not {self.d!r}")
         if not 0.0 <= self.eta <= 1.0 or self.eta == 0.5:
             raise ValueError("eta must lie in [0, 1] with eta != 1/2")
 

@@ -1,4 +1,4 @@
-"""Monte Carlo engines for tree functionals: population chains and forests.
+"""Monte Carlo engines for tree functionals: population chains and level sums.
 
 Root magnetizations and effective conductances of broadcast trees satisfy
 one-generation distributional recursions: the value at a node is a function
@@ -14,8 +14,7 @@ holds one block's children and flip signs at once.  It costs O(trials *
 mean offspring) time regardless of tree size, which is what makes depth-12
 experiments with 1e5 trials feasible (an explicit mean-17 tree of depth 8
 has ~1e10 nodes).  scipy.sparse, which applies the blocks, is imported by the
-first generation, not by ``import blockbp``: the forest estimators and the
-level sums never need it.
+first generation, not by ``import blockbp``: the level sums never need it.
 
 At large mean offspring the draws take about half of a generation: a gw
 chain at d = 64, 1e5 trials and depth 8 took 0.64-0.66 s on a 2-core x86
@@ -37,9 +36,10 @@ outputs: the sums as exact integers of the smallest type that holds them.
 
 Where per-tree quantities are needed (current-weighted estimators, per-tree
 conductance, or a cross-check of the population chain), the trials are
-explicit trees, drawn in ``broadcast`` as one forest with a root per trial:
+explicit trees, drawn in ``broadcast`` as one forest with a root per trial,
 ``run_broadcast(sample_tree(kind, d, k, rng, roots=trials), (1 - theta) / 2,
-rng, root_sign=1)``.  ``forest_current_estimators`` reads such a forest.
+rng, root_sign=1)``, and read by ``estimators``, whose passes give one value
+per root.
 
 All engines draw the tree structure and spins in a delta-independent pattern
 (``dary_sum_trials`` draws its noise after every spin), so runs with the same
@@ -62,11 +62,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .broadcast import BroadcastTree, _check_offspring, _offspring, add_leaf_noise
-from .estimators import effective_conductance
+from .broadcast import _check_offspring, _offspring
 from .levels import (_check_conductance_theta, _check_delta, _check_theta,
-                     _compose_through_edge, _edge_llr, _magnetize, _terminal_conductance,
-                     current_down)
+                     _compose_through_edge, _edge_llr, _magnetize, _terminal_conductance)
 from .seeding import as_generator, derived_rng
 
 __all__ = [
@@ -75,7 +73,6 @@ __all__ = [
     "magnetization_chain",
     "dary_sum_trials",
     "conductance_chain",
-    "forest_current_estimators",
 ]
 
 Z99 = 2.576  # 99% two-sided normal quantile used for every CI in the package
@@ -422,36 +419,3 @@ def _map_chains(run: Callable, units: list) -> list:
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(unit, range(len(units)), units))
-
-
-# ---------------------------------------------------------------------------
-# Explicit forests: one multi-root tree from ``broadcast``, a root per trial.
-
-
-def forest_current_estimators(forest: BroadcastTree, theta: float, rng, delta: float = 0.0):
-    """Unit-current weighted estimators R (noiseless) and S (noisy) per trial.
-
-    Weights are theta^-k times the unit current flow into each leaf; for the
-    noisy estimator the currents are computed in the network with terminal
-    resistors and the sum is rescaled by 1/(1-2*delta); its observations are
-    ``add_leaf_noise``'s at the last level, drawn from ``rng``.  Returns a
-    dict with per-trial arrays: r, s, ceff (noiseless network), ceff_noisy
-    (None when delta == 0), alive mask.
-    """
-    sig = forest.sigma[-1]
-    tau = add_leaf_noise(forest, delta, rng).tau
-
-    def estimator(net_delta, obs):
-        net = effective_conductance(forest, theta, delta=net_delta)
-        cur, root = current_down(net.zs, net.cs, forest.parent_pos)
-        w = cur * theta ** (-forest.depth)
-        # an empty level would give bincount's integer zeros
-        return np.bincount(root, weights=w * obs,
-                           minlength=len(net.zs[0])).astype(float, copy=False), net.zs[0]
-
-    r, ceff = estimator(0.0, sig)
-    out = {"r": r, "ceff": ceff, "alive": ceff > 0, "s": r.copy(), "ceff_noisy": None}
-    if delta > 0:
-        s, out["ceff_noisy"] = estimator(delta, tau)
-        out["s"] = s / (1.0 - 2.0 * delta)
-    return out

@@ -88,25 +88,34 @@ def _csr_from_edges(n: int, u: np.ndarray, v: np.ndarray, labels: np.ndarray) ->
 
 
 def graph_from_edges(n: int, edges, labels) -> LabelledGraph:
-    """Small-graph constructor from an iterable of (u, v) pairs."""
+    """Small-graph constructor from an iterable or an (m, 2) array of (u, v)
+    pairs of integer vertex ids, and n labels, each -1 or +1."""
     _check_key_room(n)
-    labels = np.asarray(labels, dtype=np.int8)
-    if labels.shape != (n,) or not np.all(np.abs(labels) == 1):
+    lab = np.asarray(labels)
+    if lab.shape != (n,):
         raise ValueError("labels must be n values in {-1, +1}")
-    u = v = np.empty(0, dtype=np.int64)
-    if edges:
-        e = np.asarray(list(edges), dtype=np.int64)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError("edges must be (u, v) pairs")
-        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(f"edge {i} ({e[i, 0]}, {e[i, 1]}) has a vertex id "
-                             f"outside [0, {n})")
-        u, v = e[:, 0], e[:, 1]
-        if np.any(u == v):
-            raise ValueError("self-loops are not allowed")
-    return _csr_from_edges(n, u, v, labels)
+    for i, x in enumerate(lab.tolist()):
+        if isinstance(x, bool) or x not in (-1, 1):
+            raise ValueError(f"label {i} is {x!r}, not -1 or +1")
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    e = np.asarray(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    if e.dtype.kind not in "iu":  # name the first pair that is not two integers
+        rows = e.tolist() if isinstance(pairs, np.ndarray) else pairs
+        for i, (x, y) in enumerate(rows):
+            if not all(isinstance(z, (int, np.integer)) and not isinstance(z, bool)
+                       for z in (x, y)):
+                raise ValueError(f"edge {i} ({x!r}, {y!r}) has a non-integer vertex id")
+    bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"edge {i} ({e[i, 0]}, {e[i, 1]}) has a vertex id "
+                         f"outside [0, {n})")
+    u, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    if np.any(u == v):
+        raise ValueError("self-loops are not allowed")
+    return _csr_from_edges(n, u, v, lab)
 
 
 def _bernoulli_positions(rng: np.random.Generator, n_pairs: int, p: float) -> np.ndarray:

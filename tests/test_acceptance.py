@@ -24,8 +24,8 @@ import numpy as np
 
 from blockbp import popdyn
 from blockbp.bpcore import bp_root, exact_posterior
-from blockbp.broadcast import run_broadcast, sample_tree, tree_from_parents
-from blockbp.estimators import effective_conductance, majority_moments
+from blockbp.broadcast import add_leaf_noise, run_broadcast, sample_tree, tree_from_parents
+from blockbp.estimators import current_weights, effective_conductance, majority_moments
 from blockbp.harness import ExperimentSpec, run_experiment, write_results
 from blockbp.params import ModelParams, derive_tree_params
 from blockbp.pipeline import AlgoConfig, recover
@@ -202,13 +202,12 @@ def test_c5_weighted_majority_identities():
         rng = derived_rng(505, "c5", int(delta * 10))
         forest = run_broadcast(sample_tree("gw", d, k, rng, roots=100_000), (1 - theta) / 2,
                                rng, root_sign=1)
-        out = popdyn.forest_current_estimators(
-            forest, theta, derived_rng(505, "c5-noise", int(delta * 10)), delta=delta)
-        alive = out["alive"]
+        tau = add_leaf_noise(forest, delta, derived_rng(505, "c5-noise", int(delta * 10))).tau
+        clean, noisy = current_weights(forest, theta), current_weights(forest, theta, delta=delta)
+        alive = clean.network.zs[0] > 0
         n = int(alive.sum())
-        for name, vals, ceff in (("R", out["r"][alive], out["ceff"][alive]),
-                                 ("S", out["s"][alive],
-                                  out["ceff_noisy"][alive] if delta > 0 else out["ceff"][alive])):
+        for name, cw, obs in (("R", clean, forest.sigma[k]), ("S", noisy, tau)):
+            vals, ceff = cw.estimate(obs)[alive], cw.network.zs[0][alive]
             se_mean = vals.std() / math.sqrt(n)
             mean_ok = abs(vals.mean() - 1.0) < 3 * se_mean
             reff = 1.0 / ceff

@@ -53,7 +53,6 @@ def test_children_contiguous_and_parents_consistent():
         assert np.array_equal(ls, np.concatenate(([0], np.cumsum(sizes))))
         assert t.n_nodes == len(parent) == ls[-1]
         for j in range(t.depth + 1):
-            assert np.array_equal(t.level(j), np.arange(ls[j], ls[j + 1]))
             want = pp[0] if j == 0 else pp[j] + ls[j - 1]
             assert np.array_equal(parent[ls[j] : ls[j + 1]], want)
         # parents never decrease
@@ -203,6 +202,14 @@ def test_sample_tree_rejects_bad_roots(roots):
         sample_tree("gw", 2.0, 3, seed=0, roots=roots)
 
 
+@pytest.mark.parametrize("depth", [-1, 2.5, True, "3"])
+def test_sample_tree_rejects_bad_depth(depth):
+    # checked as roots is: True is not read as 1, nor 2.5 left to range()
+    with pytest.raises(ValueError, match=r"depth must be an integer >= 0"):
+        sample_tree("gw", 2.0, depth, seed=0)
+    assert sample_tree("dary", 2, np.int64(2), seed=0).sizes == [1, 2, 4]
+
+
 def test_tree_from_parents_roundtrip():
     t = tree_from_parents([-1, 0, 0, 1, 1, 2])
     assert t.n_nodes == 6
@@ -235,7 +242,6 @@ _LEVEL_CALLS = {
     "majority_estimate": lambda t, k: majority_estimate(t, level=k),
     "effective_conductance": lambda t, k: effective_conductance(t, 0.5, k=k),
     "current_weights": lambda t, k: current_weights(t, 0.5, k=k),
-    # checked before the coin fallback for a tree without an estimator
     "weighted_majority_sign": lambda t, k: weighted_majority_sign(t, [1, -1], 0.5,
                                                                   rng=0, k=k),
 }
@@ -270,9 +276,6 @@ _DELTA_CALLS = {
         "gw", 2.0, 0.6, 2, 100, np.random.default_rng(0), delta=delta),
     "dary_sum_trials": lambda t, delta: popdyn.dary_sum_trials(
         2, 0.6, 2, 100, np.random.default_rng(0), delta=delta),
-    "forest_current_estimators": lambda t, delta: popdyn.forest_current_estimators(
-        _forest("gw", 2.0, 0.6, 2, 10, 0), 0.6,
-        np.random.default_rng(1), delta=delta),
 }
 
 
@@ -318,9 +321,6 @@ _THETA_CALLS = {
         "gw", 2.0, theta, 2, 100, np.random.default_rng(0)),
     "dary_sum_trials": lambda t, theta: popdyn.dary_sum_trials(
         2, theta, 2, 100, np.random.default_rng(0)),
-    "forest_current_estimators": lambda t, theta: popdyn.forest_current_estimators(
-        _forest("gw", 2.0, 0.6, 2, 10, 0), theta,
-        np.random.default_rng(1)),
 }
 
 

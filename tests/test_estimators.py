@@ -47,6 +47,17 @@ def test_noisy_moments():
     assert m.noisy_var == pytest.approx(4 * 8 * 0.2 * 0.8 + 0.36 * m.var)
 
 
+@pytest.mark.parametrize("d, k, named", [
+    (2.5, 2, "integer d"), (0, 2, "positive"), (float("nan"), 2, "positive"),
+    (2, -1, "k must be"), (2, 1.5, "k must be"), (2, True, "k must be"),
+])
+def test_moments_reject_bad_d_and_k(d, k, named):
+    # the moments of a d-ary tree that cannot exist are refused, not returned
+    with pytest.raises(ValueError, match=named):
+        majority_moments(d, 0.5, k)
+    assert majority_moments(np.int64(2), 0.5, np.int64(2)).var == pytest.approx(4.5)
+
+
 # --- sign of the level sum ---------------------------------------------------
 
 
@@ -158,7 +169,7 @@ def test_weights_vs_laplacian_currents():
             cw = current_weights(t, 0.6, delta=delta)
             _, currents = laplacian_network(t, 0.6, delta=delta)
             k = t.depth
-            for leaf, w in zip(cw.leaf_ids, cw.weights):
+            for leaf, w in zip(range(t.level_start[k], t.level_start[k + 1]), cw.weights):
                 assert w == pytest.approx(0.6 ** -k * currents[int(leaf)],
                                           abs=1e-9, rel=1e-9)
 
@@ -185,9 +196,14 @@ def test_estimator_exact_moments_by_enumeration():
 
 
 def test_extinct_tree_has_no_estimator():
+    # no leaves to weigh: no weights, an estimate of 0 and conductance 0
     t = tree_from_parents([-1, 0], depth=3)
-    with pytest.raises(ValueError, match="no estimator"):
-        current_weights(t, 0.6)
+    for delta in (0.0, 0.2):
+        cw = current_weights(t, 0.6, delta=delta)
+        assert cw.weights.shape == cw.root.shape == (0,)
+        assert np.array_equal(cw.estimate([]), [0.0])
+        assert cw.estimate([]).dtype == np.float64
+        assert np.array_equal(cw.network.zs[0], [0.0])
 
 
 # --- weighted majority sign --------------------------------------------------
@@ -207,7 +223,8 @@ def test_weighted_sign_extinct_is_coin():
 
 @pytest.mark.parametrize("theta, delta, named", [(2.0, 0.0, "theta"), (0.6, 0.7, "delta")])
 def test_weighted_sign_rejects_bad_inputs(theta, delta, named):
-    # only the extinct tree's error becomes a coin, on a live or an extinct tree
+    # bad inputs raise on a live or an extinct tree: only an estimate of 0
+    # becomes a coin
     for t in (tree_from_parents([-1, 0]), tree_from_parents([-1, 0], depth=3)):
         obs = [1] * t.sizes[t.depth]
         with pytest.raises(ValueError, match=named):

@@ -60,6 +60,9 @@ def test_tree_params_invariants():
         TreeParams(d=2, eta=1.25)
     with pytest.raises(ValueError):
         TreeParams(d=0, eta=0.25)
+    for d in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="mean offspring d must be positive and finite"):
+            TreeParams(d=d, eta=0.25)
     assert TreeParams(d=2, eta=0.25).theta == 0.5
 
 

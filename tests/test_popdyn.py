@@ -106,33 +106,37 @@ def test_forest_estimators_identities():
     # E(R | sigma_root = +) = 1; Var(R) = E[1/Ceff] over surviving trees
     d, theta, k = 3.0, 0.6, 3
     forest = _forest("gw", d, theta, k, 60_000, 7)
-    out = popdyn.forest_current_estimators(forest, theta, np.random.default_rng(8), delta=0.2)
-    alive = out["alive"]
-    r = out["r"][alive]
-    s = out["s"][alive]
+    tau = add_leaf_noise(forest, 0.2, np.random.default_rng(8)).tau
+    cw, cwn = current_weights(forest, theta), current_weights(forest, theta, delta=0.2)
+    alive = cw.network.zs[0] > 0
+    r = cw.estimate(forest.sigma[k])[alive]
+    s = cwn.estimate(tau)[alive]
     n = alive.sum()
     assert abs(r.mean() - 1.0) < 4 * r.std() / np.sqrt(n)
     assert abs(s.mean() - 1.0) < 4 * s.std() / np.sqrt(n)
-    reff = 1.0 / out["ceff"][alive]
+    reff = 1.0 / cw.network.zs[0][alive]
     dev = (r - r.mean()) ** 2 - reff
     assert abs(r.var() - reff.mean()) < 4 * dev.std() / np.sqrt(n)
-    reffn = 1.0 / out["ceff_noisy"][alive]
+    reffn = 1.0 / cwn.network.zs[0][alive]
     devn = (s - s.mean()) ** 2 - reffn
     assert abs(s.var() - reffn.mean()) < 4 * devn.std() / np.sqrt(n)
 
 
 def test_forest_weights_match_object_api():
-    theta = 0.7
-    forest = _forest("gw", 2.0, theta, 2, 40, 9)
-    out = popdyn.forest_current_estimators(forest, theta, np.random.default_rng(10), delta=0.0)
-    for i in range(forest.sizes[0]):
-        t, sigma = _forest_trial_tree(forest, i)
-        if t.sizes[t.depth] == 0:
-            continue
-        cw = current_weights(t, theta)
-        lvl = t.level(t.depth)
-        want = float(np.dot(cw.weights, sigma[lvl]))
-        assert out["r"][i] == pytest.approx(want, abs=1e-12)
+    # each root's estimate and conductance on the forest are those of its
+    # tree alone, noiseless and noisy, extinct roots (0 and 0) included
+    theta, k = 0.7, 2
+    forest = add_leaf_noise(_forest("gw", 2.0, theta, k, 40, 9), 0.2,
+                            np.random.default_rng(10))
+    for delta, obs in ((0.0, forest.sigma[k]), (0.2, forest.tau)):
+        cw = current_weights(forest, theta, delta=delta)
+        est = cw.estimate(obs)
+        for i in range(forest.sizes[0]):
+            t, _ = _forest_trial_tree(forest, i)
+            one = current_weights(t, theta, delta=delta)
+            want = one.estimate(obs[cw.root == i])
+            assert est[i] == pytest.approx(float(want[0]), abs=1e-12)
+            assert cw.network.zs[0][i] == pytest.approx(one.network.ceff, abs=1e-12, rel=1e-12)
 
 
 class _TiesAtEta(np.random.Generator):
@@ -507,13 +511,13 @@ def test_forest_conductance_on_empty_level():
 
 
 def test_forest_current_estimators_on_empty_level():
+    forest = _dying_forest()
     for delta in (0.0, 0.2):
-        out = popdyn.forest_current_estimators(_dying_forest(), 0.6, np.random.default_rng(1),
-                                               delta=delta)
-        assert np.array_equal(out["ceff"], np.zeros(5))
-        assert not out["alive"].any()
-        assert np.array_equal(out["r"], np.zeros(5))
-        assert out["r"].dtype == out["s"].dtype == np.float64
+        cw = current_weights(forest, 0.6, delta=delta)
+        assert np.array_equal(cw.network.zs[0], np.zeros(5))
+        est = cw.estimate(add_leaf_noise(forest, delta, np.random.default_rng(1)).tau)
+        assert np.array_equal(est, np.zeros(5))
+        assert est.dtype == np.float64
 
 
 def test_conductance_chain_on_empty_level():
@@ -570,7 +574,7 @@ def test_chains_reject_delta_out_of_range(delta):
             run()
     forest = _forest("gw", 2.0, 0.5, 2, 100, 0)
     with pytest.raises(ValueError, match="delta"):
-        popdyn.forest_current_estimators(forest, 0.5, np.random.default_rng(1), delta=delta)
+        current_weights(forest, 0.5, delta=delta)
 
 
 def test_chains_reject_no_trials():

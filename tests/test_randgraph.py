@@ -302,6 +302,41 @@ def test_graph_from_edges_rejects_out_of_range_ids():
         graph_from_edges(3, [(0, 1, 2)], [1, 1, 1])
 
 
+@pytest.mark.parametrize("edges, match", [
+    ([(0, 1.9)], r"edge 0 \(0, 1.9\) has a non-integer vertex id"),
+    ([(0, 1), (1, 2.0)], r"edge 1 \(1, 2.0\) has a non-integer vertex id"),
+    ([(0, "1")], r"edge 0 \(0, '1'\) has a non-integer vertex id"),
+    (np.array([[0.0, 1.5]]), r"edge 0 \(0.0, 1.5\) has a non-integer vertex id"),
+], ids=["float", "integral-float", "string", "float-array"])
+def test_graph_from_edges_rejects_non_integer_ids(edges, match):
+    # a non-integer id is refused, not truncated or parsed into one
+    with pytest.raises(ValueError, match=match):
+        graph_from_edges(3, edges, [1, 1, 1])
+
+
+@pytest.mark.parametrize("labels, match", [
+    ([1.7, -1.2], r"label 0 is 1.7"),
+    ([1, float("nan")], r"label 1 is nan"),
+    (["1", "1"], r"label 0 is '1'"),
+    ([1, None], r"label 1 is None"),
+    ([True, True], r"label 0 is True"),
+], ids=["float", "nan", "string", "none", "bool"])
+def test_graph_from_edges_rejects_bad_labels(labels, match):
+    # a label is refused, not truncated to +-1
+    with pytest.raises(ValueError, match=match + r", not -1 or \+1"):
+        graph_from_edges(2, [(0, 1)], labels)
+
+
+def test_graph_from_edges_takes_an_edge_array():
+    want = graph_from_edges(4, [(2, 0), (1, 3)], [1, -1, 1, -1])
+    for edges in (np.array([[2, 0], [1, 3]]), np.array([[2, 0], [1, 3]], dtype=np.uint8)):
+        g = graph_from_edges(4, edges, np.array([1.0, -1.0, 1.0, -1.0]))
+        assert np.array_equal(g.indptr, want.indptr)
+        assert np.array_equal(g.indices, want.indices)
+        assert np.array_equal(g.labels, want.labels) and g.labels.dtype == np.int8
+    assert graph_from_edges(4, np.empty((0, 2), dtype=np.int64), [1] * 4).indices.size == 0
+
+
 def test_graph_from_edges_csr_and_rejections():
     # rows and sorted neighbour lists from one sort of the directed-edge keys
     g = graph_from_edges(5, [(2, 0), (1, 3), (0, 1)], [1] * 5)
