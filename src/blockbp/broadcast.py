@@ -16,12 +16,12 @@ Leaf noise re-flips the spins observed at one chosen level with probability
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .levels import _check_delta
+from .params import _integer, _real
 from .seeding import as_generator
 
 __all__ = [
@@ -42,8 +42,6 @@ class BroadcastTree:
     empty.
     """
 
-    kind: str  # "dary" | "gw" | "custom"
-    d: float
     parent_pos: list
     sigma: list | None = None
     tau: np.ndarray | None = None
@@ -60,7 +58,7 @@ class BroadcastTree:
     def check_level(self, level: int | None) -> int:
         """``level`` (the depth for None), which must lie in [0, depth]."""
         k = self.depth if level is None else level
-        if not 0 <= k <= self.depth:
+        if not 0 <= _integer("level", k) <= self.depth:
             raise ValueError(f"level {k} is out of range for a tree of depth {self.depth}")
         return k
 
@@ -91,7 +89,7 @@ def _check_offspring(kind: str, d: float) -> None:
     "dary", d positive and finite, and an integer for "dary"."""
     if kind not in ("gw", "dary"):
         raise ValueError(f"unknown tree kind {kind!r}")
-    if not 0.0 < d < np.inf:
+    if not 0.0 < _real("d", d):
         raise ValueError(f"offspring mean d must be positive and finite, not {d!r}")
     if kind == "dary" and int(d) != d:
         raise ValueError(f"d-ary trees need integer d, not {d!r}")
@@ -114,17 +112,15 @@ def sample_tree(kind: str, d: float, depth: int, seed=0, roots: int = 1) -> Broa
     Poisson(d); a tree may die out before reaching ``depth``.  Each level's
     child counts are one draw over the whole level.
     """
-    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 0:
-        raise ValueError(f"depth must be an integer >= 0, not {depth!r}")
-    if isinstance(roots, bool) or not isinstance(roots, numbers.Integral) or roots < 1:
-        raise ValueError(f"roots must be an integer >= 1, not {roots!r}")
+    _integer("depth", depth, low=0)
+    _integer("roots", roots, low=1)
     _check_offspring(kind, d)
     rng = as_generator(seed)
     parent_pos = [np.full(int(roots), -1, dtype=np.int64)]
     for _ in range(depth):
         counts = _offspring(kind, d, len(parent_pos[-1]), rng)
         parent_pos.append(np.repeat(np.arange(len(counts), dtype=np.int64), counts))
-    return BroadcastTree(kind=kind, d=float(d), parent_pos=parent_pos)
+    return BroadcastTree(parent_pos=parent_pos)
 
 
 def tree_from_parents(parents, depth: int | None = None) -> BroadcastTree:
@@ -159,7 +155,7 @@ def tree_from_parents(parents, depth: int | None = None) -> BroadcastTree:
     if target < len(parent_pos) - 1:
         raise ValueError("declared depth smaller than the deepest node")
     parent_pos += [np.empty(0, dtype=np.int64)] * (target + 1 - len(parent_pos))
-    return BroadcastTree(kind="custom", d=float("nan"), parent_pos=parent_pos)
+    return BroadcastTree(parent_pos=parent_pos)
 
 
 def run_broadcast(tree: BroadcastTree, eta: float, seed=0, root_sign: int | None = None) -> BroadcastTree:

@@ -28,7 +28,6 @@ independent oracle; it is deliberately not used here.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ import numpy as np
 from .broadcast import BroadcastTree, _check_offspring
 from .levels import (_check_conductance_theta, _check_delta, _check_theta,
                      _terminal_conductance, conductance_up, current_down)
+from .params import _integer
 from .seeding import as_generator
 
 __all__ = [
@@ -64,8 +64,7 @@ def majority_moments(d: int, theta: float, k: int, delta: float = 0.0) -> Majori
     """Moment formulas above, with eta = (1 - theta) / 2, for an integer d >= 1
     and an integer k >= 0."""
     _check_offspring("dary", d)
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, not {k!r}")
+    _integer("k", k, low=0)
     _check_theta(theta)
     eta = 0.5 * (1.0 - theta)
     _check_delta(delta)

@@ -40,7 +40,9 @@ integers), where params is an object and grid an object of nonempty lists
 with exactly its kind's keys; unknown keys anywhere are rejected, and
 ``check_spec`` runs the kind's setup, which rejects the values a run would
 fail on, a d, k or rep that is not an integer where the run needs one, and
-a repeated rep.
+a repeated rep.  Integers and numbers are read by the package's rule
+(``params._integer``, ``params._real``), where an integral float such as
+JSON's 2.0 is also an integer.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import popdyn
 from .broadcast import _check_offspring
-from .params import ModelParams, derive_tree_params
+from .params import ModelParams, _integer, _real, derive_tree_params
 from .partition import _check_blackbox
 from .pipeline import AlgoConfig, recover, resolve_radius
 from .popdyn import (_check_chain_inputs, _check_conductance_inputs,
@@ -93,7 +95,7 @@ class ExperimentSpec:
     def __post_init__(self):
         kind = _kind(self.kind)
         for key, low in (("trials", 1), ("seed", 0)):
-            object.__setattr__(self, key, _integer(key, getattr(self, key), low=low))
+            object.__setattr__(self, key, _json_integer(key, getattr(self, key), low=low))
         if not isinstance(self.params, dict):
             raise ValueError("'params' must be an object")
         if not isinstance(self.grid, dict):
@@ -139,23 +141,11 @@ def _keys(what: str, given: dict, known: set, required: set = frozenset()) -> No
         raise ValueError(f"{what} must include {sorted(missing)}")
 
 
-def _integer(key: str, value, low: int | None = None) -> int:
-    """``value`` as an int, at least ``low`` when one is given: an integer, or
-    an integral float such as JSON's 2.0."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{key!r} must be an integer, not {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{key!r} must be >= {low}, not {int(value)}")
-    return int(value)
-
-
-def _number(key: str, value) -> float:
-    """``value`` as a float: a finite int or float, not a string or a bool."""
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value)):
-        return float(value)
-    raise ValueError(f"{key!r} must be a finite number, not {value!r}")
+def _json_integer(key: str, value, low: int | None = None) -> int:
+    """``params._integer``, which also takes an integral float such as JSON's 2.0."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _integer(key, value, low)
 
 
 def _tree_parameterization(spec: ExperimentSpec):
@@ -165,18 +155,18 @@ def _tree_parameterization(spec: ExperimentSpec):
     if p.keys() & {"a", "b", "d", "theta"} not in ({"a", "b"}, {"d", "theta"}):
         raise ValueError("give exactly one of the pairs (a, b) or (d, theta)")
     if "a" in p:
-        tp = derive_tree_params(ModelParams(n=10 ** 9, a=_number("a", p["a"]),
-                                            b=_number("b", p["b"])))
+        tp = derive_tree_params(ModelParams(n=10 ** 9, a=_real("a", p["a"]),
+                                            b=_real("b", p["b"])))
         d, theta = tp.d, tp.theta
     else:
-        d, theta = _number("d", p["d"]), _number("theta", p["theta"])
+        d, theta = _real("d", p["d"]), _real("theta", p["theta"])
     _check_offspring(kind, d)
     return kind, d, theta
 
 
 def _grid_integers(spec: ExperimentSpec, key: str, low: int = 0) -> list[int]:
     """The grid's ``key`` values as integers, in grid order, each at least ``low``."""
-    return [_integer(key, x, low) for x in spec.grid[key]]
+    return [_json_integer(key, x, low) for x in spec.grid[key]]
 
 
 # --- runners ---------------------------------------------------------------
@@ -187,7 +177,7 @@ def _accuracy_setup(spec: ExperimentSpec):
     robust-accuracy, checked; tree-accuracy's one noise level is 0."""
     kind, d, theta = _tree_parameterization(spec)
     ks = sorted(_grid_integers(spec, "k"))
-    deltas = [_number("delta", x) for x in spec.grid.get("delta", [0.0])]
+    deltas = [_real("delta", x) for x in spec.grid.get("delta", [0.0])]
     _check_chain_inputs(theta, max(ks), spec.trials, deltas)
     return kind, d, theta, ks, deltas
 
@@ -215,16 +205,16 @@ def run_accuracy(spec: ExperimentSpec, plan) -> list[ResultRow]:
 def _moments_setup(spec: ExperimentSpec):
     """(configs, noise levels, depths) of moments-check, checked; a config is
     the (d, theta) of a d-ary tree."""
-    ds = [_integer("d", x) for x in spec.grid["d"]]
-    thetas = [_number("theta", x) for x in spec.grid["theta"]]
-    deltas = [_number("delta", x) for x in spec.grid["delta"]]
+    ds = [_json_integer("d", x) for x in spec.grid["d"]]
+    thetas = [_real("theta", x) for x in spec.grid["theta"]]
+    deltas = [_real("delta", x) for x in spec.grid["delta"]]
     ks = sorted(_grid_integers(spec, "k"))
     configs = [(d, th) for d in ds for th in thetas]
     extras = spec.params.get("extra_configs", [])
     for c in extras if isinstance(extras, (list, tuple)) else [extras]:
         if not isinstance(c, (list, tuple)) or len(c) != 2:
             raise ValueError(f"'extra_configs' must hold pairs [d, theta], not {c!r}")
-        configs.append((_integer("d", c[0]), _number("theta", c[1])))
+        configs.append((_json_integer("d", c[0]), _real("theta", c[1])))
     for d, theta in configs:
         _check_dary_sum_inputs(d, theta, max(ks), spec.trials, deltas)
     return configs, deltas, ks
@@ -288,9 +278,9 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
             raise ValueError(f"'regimes' must hold objects, not {regime!r}")
         _keys("regime keys", regime, {"tree_kind", "d", "theta", "delta", "k"}, {"d", "theta"})
         kind = regime.get("tree_kind", "gw")
-        d, theta = _number("d", regime["d"]), _number("theta", regime["theta"])
-        delta = _number("delta", regime.get("delta", 0.4))
-        k = _integer("k", regime.get("k", 8), low=1)
+        d, theta = _real("d", regime["d"]), _real("theta", regime["theta"])
+        delta = _real("delta", regime.get("delta", 0.4))
+        k = _json_integer("k", regime.get("k", 8), low=1)
         _check_offspring(kind, d)
         _check_chain_inputs(theta, k, spec.trials, [delta])
         out.append((kind, d, theta, delta, k))
@@ -331,11 +321,11 @@ def run_contraction_check(spec: ExperimentSpec, regimes) -> list[ResultRow]:
 def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, float]]]:
     """(base_d, k, [(ksig, theta)]) of threshold-sweep, checked: theta^2 base_d
     = ksig, and theta must stay below 1."""
-    base_d = _number("base_d", spec.params.get("base_d", 2.5))
-    k = _integer("k", spec.params.get("k", 12))
+    base_d = _real("base_d", spec.params.get("base_d", 2.5))
+    k = _json_integer("k", spec.params.get("k", 12))
     _check_offspring("gw", base_d)
     points = []
-    for ksig in (_number("ksig", x) for x in spec.grid["ksig"]):
+    for ksig in (_real("ksig", x) for x in spec.grid["ksig"]):
         if not ksig >= 0.0:
             raise ValueError(f"ksig must be >= 0, not {ksig:g}")
         theta = math.sqrt(ksig / base_d)
@@ -371,7 +361,7 @@ def _conductance_setup(spec: ExperimentSpec):
     """(tree kind, d, theta, delta, depths, threshold) of conductance-check,
     checked; the threshold is theta^2 d / (16 eta)."""
     kind, d, theta = _tree_parameterization(spec)
-    delta = _number("delta", spec.params.get("delta", 0.0))
+    delta = _real("delta", spec.params.get("delta", 0.0))
     ks = sorted(_grid_integers(spec, "k", low=1))
     _check_conductance_inputs(theta, max(ks), spec.trials, delta, set(ks))
     eta = 0.5 * (1.0 - theta)
@@ -414,14 +404,14 @@ def _recover_setup(spec: ExperimentSpec):
     p = spec.params
     _keys("params keys for graph-recover", p, _KINDS["graph-recover"].params, {"n", "a", "b"})
     # the floor(sqrt(n)) hold-out would take a lone vertex's whole graph
-    params = ModelParams(n=_integer("n", p["n"], low=2), a=_number("a", p["a"]),
-                         b=_number("b", p["b"]))
+    params = ModelParams(n=_json_integer("n", p["n"], low=2), a=_real("a", p["a"]),
+                         b=_real("b", p["b"]))
     tp = derive_tree_params(params)
-    r = None if p.get("R") is None else _integer("R", p["R"], low=1)
+    r = None if p.get("R") is None else _json_integer("R", p["R"], low=1)
     cfg = AlgoConfig(R=r, R_mode="auto" if r is None else "fixed",
-                     K=_integer("K", p.get("K", 1)))
+                     K=_json_integer("K", p.get("K", 1)))
     impl = p.get("impl", "spectral")
-    delta0 = None if p.get("delta0") is None else _number("delta0", p["delta0"])
+    delta0 = None if p.get("delta0") is None else _real("delta0", p["delta0"])
     _check_blackbox(impl, delta0)
     reps = _grid_integers(spec, "rep")
     if len(set(reps)) < len(reps):

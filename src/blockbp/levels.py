@@ -11,7 +11,8 @@ edges with ``_edge_llr`` and ``_magnetize``, and the ``popdyn`` population
 chains apply ``_edge_llr`` or ``_compose_through_edge`` to their pool and
 sum each new member's children with a generation's sparse operator, a row
 block at a time.  Every BP value is clipped to |x| <= 1 - ``_CLAMP``, and
-the rules on theta and the leaf noise level are checked here too, once.
+the ranges of theta and of the leaf noise level are checked here too, once,
+after ``params._real`` has checked that each is a finite number.
 
 - ``bp_up``: the magnetization recursion, last level to level 0;
 - ``conductance_up``: the series-parallel reduction of the resistor network
@@ -22,28 +23,27 @@ the rules on theta and the leaf noise level are checked here too, once.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .params import _real
 
 _CLAMP = 1e-12  # every BP value is clipped to |x| <= 1 - _CLAMP, read at call time
 
 
 def _check_theta(theta: float) -> None:
-    if not -1.0 <= theta <= 1.0:
+    if not -1.0 <= _real("theta", theta) <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], not {theta!r}")
 
 
 def _check_conductance_theta(theta: float) -> None:
-    if not -1.0 < theta < 1.0 or theta == 0.0:
+    if not -1.0 < _real("theta", theta) < 1.0 or theta == 0.0:
         raise ValueError(f"conductance needs 0 < |theta| < 1, not {theta!r}")
 
 
 def _check_delta(delta: float, name: str = "delta") -> None:
     """The one check of a noise level: a real number in [0, 1/2), 0 meaning no
     noise (None and bools are refused); an error names the value ``name``."""
-    if (isinstance(delta, bool) or not isinstance(delta, numbers.Real)
-            or not 0.0 <= delta < 0.5):
+    if not 0.0 <= _real(name, delta) < 0.5:
         raise ValueError(f"{name} must lie in [0, 1/2), not {delta!r}")
 
 

@@ -7,7 +7,9 @@ such a graph look like Poisson branching trees with mean offspring
 ``eta = b/(a+b)``; the channel strength is ``theta = 1 - 2*eta``.  Everything
 downstream speaks in terms of these derived tree parameters, so the
 conversions (and the signal statistic ``theta^2 * d``) live here and nowhere
-else.
+else.  So does the package's one rule for an integer or a number argument:
+``_integer`` takes an int or a numpy integer and ``_real`` a finite real,
+neither takes a bool, and each error names the argument.
 """
 
 from __future__ import annotations
@@ -24,6 +26,23 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int, at least ``low`` when one is given: an int or a
+    numpy integer, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name!r} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name!r} must be >= {low}, not {int(value)}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float: a finite real number, not a bool, a string or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name!r} must be a finite number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Graph-side parameters: vertex count and the two edge intensities."""
@@ -33,11 +52,8 @@ class ModelParams:
     b: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, not {self.n!r}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"edge intensities must be finite, not a={self.a!r}, b={self.b!r}")
-        if self.a < 0 or self.b < 0:
+        _integer("n", self.n, low=1)
+        if min(_real("a", self.a), _real("b", self.b)) < 0:
             raise ValueError("edge intensities must be nonnegative")
         if self.a > self.n or self.b > self.n:
             raise ValueError(
@@ -62,7 +78,7 @@ class TreeParams:
     eta: float
 
     def __post_init__(self):
-        if not 0 < self.d < math.inf:
+        if not 0 < _real("d", self.d):
             raise ValueError(f"mean offspring d must be positive and finite, not {self.d!r}")
         if not 0.0 <= self.eta <= 1.0 or self.eta == 0.5:
             raise ValueError("eta must lie in [0, 1] with eta != 1/2")

@@ -69,7 +69,6 @@ class OverlapReport:
     delta_frac: float    # min over relabelling of the mismatch fraction
     aligned_sign: int    # +1 if the partition as given achieves it, else -1
     accuracy: float      # 1/2 + |correct_frac - 1/2|
-    n: int
 
 
 # ARPACK stopping rule for the Bethe-Hessian solves: an informative eigenvalue
@@ -157,6 +156,5 @@ def overlap(p: Partition, truth) -> OverlapReport:
         delta_frac=min(mis, n - mis) / n,
         aligned_sign=1 if mis <= n - mis else -1,
         accuracy=0.5 + abs(2 * mis - n) / (2 * n),
-        n=n,
     )
 

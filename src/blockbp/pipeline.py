@@ -36,7 +36,6 @@ the calling thread has two usable cores to itself (``_beside``).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from collections.abc import Callable
@@ -49,7 +48,7 @@ import numpy as np
 
 from . import popdyn
 from .levels import _compose_through_edge, _edge_llr, _magnetize
-from .params import ModelParams, derive_tree_params, ks_signal
+from .params import ModelParams, _integer, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
 from .randgraph import LabelledGraph, _row_slots, remove_set
 from .seeding import derived_rng
@@ -94,17 +93,14 @@ class AlgoConfig:
     K: int = 1
 
     def __post_init__(self):
-        for name, value in (("R", 1 if self.R is None else self.R), ("K", self.K)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        _integer("R", 1 if self.R is None else self.R)
+        _integer("K", self.K, low=0)
         if self.R_mode not in ("auto", "fixed"):
             raise ValueError("R_mode must be auto or fixed")
         if self.R_mode == "fixed" and (self.R is None or self.R < 1):
             raise ValueError("fixed R_mode needs R >= 1")
         if self.R_mode == "auto" and self.R is not None:
             raise ValueError(f"R={self.R} is ignored under R_mode auto; pass R_mode='fixed'")
-        if self.K < 0:
-            raise ValueError(f"K must be nonnegative, not {self.K}")
 
 
 def resolve_radius(cfg: AlgoConfig, n: int, a: float, b: float) -> int:

@@ -65,6 +65,7 @@ import numpy as np
 from .broadcast import _check_offspring, _offspring
 from .levels import (_check_conductance_theta, _check_delta, _check_theta,
                      _compose_through_edge, _edge_llr, _magnetize, _terminal_conductance)
+from .params import _integer
 from .seeding import as_generator, derived_rng
 
 __all__ = [
@@ -144,10 +145,8 @@ def _check_chain_inputs(theta: float, k: int, trials: int, deltas: list, k_min=0
     """The checks of one chain call: theta, its depth, its trials and every
     one of its noise levels ``deltas``."""
     _check_theta(theta)
-    if k < k_min:
-        raise ValueError(f"k must be >= {k_min}, not {k!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _integer("k", k, low=k_min)
+    _integer("trials", trials, low=1)
     for delta in deltas:
         _check_delta(delta)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, _integer
 from .seeding import as_generator
 
 __all__ = [
@@ -101,7 +101,8 @@ def graph_from_edges(n: int, edges, labels) -> LabelledGraph:
     e = np.asarray(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)
     if e.ndim != 2 or e.shape[1] != 2:
         raise ValueError("edges must be (u, v) pairs")
-    if e.dtype.kind not in "iu":  # name the first pair that is not two integers
+    # name the first pair that is not two integers (numpy reads True beside ints as 1)
+    if not isinstance(pairs, np.ndarray) or e.dtype.kind not in "iu":
         rows = e.tolist() if isinstance(pairs, np.ndarray) else pairs
         for i, (x, y) in enumerate(rows):
             if not all(isinstance(z, (int, np.integer)) and not isinstance(z, bool)
@@ -236,12 +237,9 @@ def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Ball:
 
     ``v`` must be an integer vertex id in [0, n) and ``radius`` >= 0.
     """
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"centre must be an integer vertex id, got {v!r}")
-    if not 0 <= v < g.n:
+    if not 0 <= _integer("centre", v) < g.n:
         raise ValueError(f"centre {v} is out of range [0, {g.n})")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    _integer("radius", radius, low=0)
     visited = np.zeros(g.n, dtype=bool)
     visited[v] = True
     vertex = [np.array([v], dtype=np.int64)]

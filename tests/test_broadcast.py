@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -205,7 +206,8 @@ def test_sample_tree_rejects_bad_roots(roots):
 @pytest.mark.parametrize("depth", [-1, 2.5, True, "3"])
 def test_sample_tree_rejects_bad_depth(depth):
     # checked as roots is: True is not read as 1, nor 2.5 left to range()
-    with pytest.raises(ValueError, match=r"depth must be an integer >= 0"):
+    rule = ">= 0" if depth == -1 else "an integer"
+    with pytest.raises(ValueError, match=rf"'depth' must be {rule}, not {re.escape(repr(depth))}$"):
         sample_tree("gw", 2.0, depth, seed=0)
     assert sample_tree("dary", 2, np.int64(2), seed=0).sizes == [1, 2, 4]
 
@@ -256,6 +258,15 @@ def test_level_out_of_range_is_rejected(call, offset):
         _LEVEL_CALLS[call](t, k)
 
 
+@pytest.mark.parametrize("call", sorted(_LEVEL_CALLS))
+@pytest.mark.parametrize("level", [True, 1.5], ids=["bool", "float"])
+def test_level_must_be_an_integer(call, level):
+    # True is not read as level 1, nor 1.5 used as an index
+    t = run_broadcast(tree_from_parents([-1, 0, 0]), 0.2, seed=0)
+    with pytest.raises(ValueError, match=rf"'level' must be an integer, not {level}$"):
+        _LEVEL_CALLS[call](t, level)
+
+
 # --- the one spelling of "no leaf noise" -------------------------------------
 
 _OBS = [1, -1, 1, 1]  # the four leaves of the binary depth-2 tree below
@@ -297,11 +308,13 @@ def test_every_public_delta_function_is_covered():
 @pytest.mark.parametrize("name", sorted(_DELTA_CALLS))
 def test_tree_engines_reject_delta_none(name):
     # delta = 0 is the only spelling of "no leaf noise": None is refused
-    # with an error that names delta, not read as 0 or failed on later
+    # with an error that names delta, not read as 0 or failed on later, and
+    # so are True (not read as 1) and "0.5" (not compared as a string)
     tree = run_broadcast(sample_tree("dary", 2, 2, seed=0), 0.2, seed=1, root_sign=1)
     _DELTA_CALLS[name](tree, 0.0)
-    with pytest.raises(ValueError, match="delta"):
-        _DELTA_CALLS[name](tree, None)
+    for delta in (None, True, "0.5"):
+        with pytest.raises(ValueError, match=rf"'delta' must be a finite number, not {delta!r}$"):
+            _DELTA_CALLS[name](tree, delta)
 
 
 # --- one theta check for every engine ----------------------------------------
@@ -328,11 +341,12 @@ def test_every_public_theta_function_is_covered():
     assert _public_functions_taking("theta") == set(_THETA_CALLS)
 
 
-@pytest.mark.parametrize("theta", [3.0, float("nan")], ids=["three", "nan"])
+@pytest.mark.parametrize("theta", [3.0, float("nan"), True, "0.5"],
+                         ids=["three", "nan", "bool", "string"])
 @pytest.mark.parametrize("name", sorted(_THETA_CALLS))
 def test_tree_engines_reject_bad_theta(name, theta):
-    # a theta outside [-1, 1], or nan, is refused with an error that names
-    # theta, not turned into a flip probability outside [0, 1]
+    # a theta outside [-1, 1], nan, a bool or a string is refused with an
+    # error that names theta, not turned into a flip probability outside [0, 1]
     tree = run_broadcast(sample_tree("dary", 2, 2, seed=0), 0.2, seed=1, root_sign=1)
     _THETA_CALLS[name](tree, 0.6)
     with pytest.raises(ValueError, match="theta"):

@@ -48,8 +48,11 @@ def test_noisy_moments():
 
 
 @pytest.mark.parametrize("d, k, named", [
-    (2.5, 2, "integer d"), (0, 2, "positive"), (float("nan"), 2, "positive"),
-    (2, -1, "k must be"), (2, 1.5, "k must be"), (2, True, "k must be"),
+    (2.5, 2, "integer d"), (0, 2, "positive"),
+    (float("nan"), 2, "'d' must be a finite number, not nan"),
+    (True, 2, "'d' must be a finite number, not True"),
+    (2, -1, "'k' must be >= 0, not -1"), (2, 1.5, "'k' must be an integer, not 1.5"),
+    (2, True, "'k' must be an integer, not True"),
 ])
 def test_moments_reject_bad_d_and_k(d, k, named):
     # the moments of a d-ary tree that cannot exist are refused, not returned

@@ -107,6 +107,19 @@ def test_no_module_imports_scipy_at_the_top():
     assert not offenders, f"module-level scipy imports: {offenders}"
 
 
+def test_only_params_imports_numbers():
+    # what an integer or a number argument is, is decided once, by
+    # params._integer and params._real: no other module tests numbers.*
+    offenders = []
+    for path in sorted(Path(blockbp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "numbers" and path.name != "params.py"]
+    assert not offenders, f"modules other than params.py import numbers: {offenders}"
+
+
 def _public_names() -> dict:
     """Every name in a blockbp module's ``__all__``, with its object."""
     out = {}

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from blockbp.params import (
     ModelParams,
     TreeParams,
+    _integer,
+    _real,
     derive_tree_params,
     ks_signal,
 )
@@ -60,8 +63,11 @@ def test_tree_params_invariants():
         TreeParams(d=2, eta=1.25)
     with pytest.raises(ValueError):
         TreeParams(d=0, eta=0.25)
-    for d in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ValueError, match="mean offspring d must be positive and finite"):
+    for d, message in ((float("nan"), "'d' must be a finite number, not nan"),
+                       (float("inf"), "'d' must be a finite number, not inf"),
+                       (True, "'d' must be a finite number, not True"),
+                       (-1.0, r"mean offspring d must be positive and finite, not -1\.0")):
+        with pytest.raises(ValueError, match=message):
             TreeParams(d=d, eta=0.25)
     assert TreeParams(d=2, eta=0.25).theta == 0.5
 
@@ -90,3 +96,46 @@ def test_signal_is_theta_squared_d():
         m = ModelParams(n=1000, a=a, b=b)
         tp = derive_tree_params(m)
         assert math.isclose(ks_signal(m), tp.theta ** 2 * tp.d, rel_tol=1e-12)
+
+
+# --- the one rule for integer and number arguments --------------------------
+
+_INTEGERS = st.integers(-2 ** 62, 2 ** 62)
+
+
+@given(x=_INTEGERS, numpy=st.booleans())
+def test_an_integer_comes_back_as_itself(x, numpy):
+    value = np.int64(x) if numpy else x
+    got = _integer("k", value)
+    assert got == x and type(got) is int
+    got = _real("a", value)
+    assert got == float(x) and type(got) is float
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False), numpy=st.booleans())
+def test_a_finite_float_is_a_number(x, numpy):
+    got = _real("a", np.float64(x) if numpy else x)
+    assert got == x and type(got) is float
+
+
+@given(bad=st.one_of(st.booleans(), st.floats(), st.text(), st.none()))
+def test_integer_refuses_and_names_the_key(bad):
+    # a bool is not read as 0 or 1, nor a float (even 2.0) as an integer
+    with pytest.raises(ValueError, match=r"^'k' must be an integer, not "):
+        _integer("k", bad)
+
+
+@given(bad=st.one_of(st.booleans(), st.text(), st.none(),
+                     st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.inf)])))
+def test_real_refuses_and_names_the_key(bad):
+    with pytest.raises(ValueError, match=r"^'a' must be a finite number, not "):
+        _real("a", bad)
+
+
+@given(x=_INTEGERS, low=_INTEGERS)
+def test_integer_holds_its_floor(x, low):
+    if x >= low:
+        assert _integer("k", x, low=low) == x
+    else:
+        with pytest.raises(ValueError, match=rf"^'k' must be >= {low}, not {x}$"):
+            _integer("k", np.int64(x), low=low)

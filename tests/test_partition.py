@@ -72,8 +72,11 @@ def test_oracle_noise_needs_delta0():
     g = sample_sbm(ModelParams(n=50, a=5, b=1), seed=6)
     with pytest.raises(ValueError, match="delta0"):
         blackbox_partition(g, impl="oracle-noise")
-    for delta0 in (0.5, -0.1, float("nan")):
+    for delta0 in (0.5, -0.1):
         with pytest.raises(ValueError, match=r"delta0 must lie in \[0, 1/2\)"):
+            blackbox_partition(g, impl="oracle-noise", delta0=delta0)
+    for delta0 in (float("nan"), True):
+        with pytest.raises(ValueError, match=rf"'delta0' must be a finite number, not {delta0}"):
             blackbox_partition(g, impl="oracle-noise", delta0=delta0)
     with pytest.raises(ValueError):
         blackbox_partition(g, impl="unknown")

@@ -77,7 +77,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AlgoConfig(K=-1)
     for cfg in ({"R": 2.5, "R_mode": "fixed"}, {"R": 2.0, "R_mode": "fixed"},
-                {"K": 1.5}, {"K": True}, {"K": None}):
+                {"R": True, "R_mode": "fixed"}, {"K": 1.5}, {"K": True}, {"K": None}):
         with pytest.raises(ValueError, match="integer"):
             AlgoConfig(**cfg)
 

@@ -578,9 +578,12 @@ def test_chains_reject_delta_out_of_range(delta):
 
 
 def test_chains_reject_no_trials():
-    for run in _chains(0, 0.2):
-        with pytest.raises(ValueError, match="trials"):
-            run()
+    # nor True read as one trial, nor 2.5 truncated
+    for trials, rule in ((0, ">= 1, not 0"), (True, "an integer, not True"),
+                         (2.5, "an integer, not 2.5")):
+        for run in _chains(trials, 0.2):
+            with pytest.raises(ValueError, match=f"'trials' must be {rule}$"):
+                run()
 
 
 def test_harness_rejects_delta_out_of_range():
@@ -607,11 +610,18 @@ def test_chains_reject_theta_out_of_range(theta):
 
 def test_chains_reject_depth_out_of_range():
     rng = np.random.default_rng(0)
-    for run in (lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, -2, 100, rng),
-                lambda: popdyn.dary_sum_trials(2, 0.5, -1, 100, rng),
-                lambda: popdyn.conductance_chain("gw", 2.0, 0.5, 0, 100, rng)):
-        with pytest.raises(ValueError, match="k must be"):
+    for run, message in (
+            (lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, -2, 100, rng), ">= 0, not -2"),
+            (lambda: popdyn.dary_sum_trials(2, 0.5, -1, 100, rng), ">= 0, not -1"),
+            (lambda: popdyn.conductance_chain("gw", 2.0, 0.5, 0, 100, rng), ">= 1, not 0")):
+        with pytest.raises(ValueError, match=f"'k' must be {message}$"):
             run()
+    for k in (True, 2.5):  # True is not a depth-1 chain, nor 2.5 truncated
+        for run in (lambda: popdyn.magnetization_chain("gw", 2.0, 0.5, k, 100, rng),
+                    lambda: popdyn.dary_sum_trials(2, 0.5, k, 100, rng),
+                    lambda: popdyn.conductance_chain("gw", 2.0, 0.5, k, 100, rng)):
+            with pytest.raises(ValueError, match=f"'k' must be an integer, not {k}$"):
+                run()
     # float64 level sums are exact only below 2^53
     with pytest.raises(ValueError, match=r"d\*\*k"):
         popdyn.dary_sum_trials(2, 0.5, 53, 1, rng)

@@ -84,7 +84,7 @@ def test_neighborhood_radius_zero():
     assert nb.centre == 7 and nb.radius == 0 and len(nb.vertex) == 1
     with pytest.raises(ValueError, match="out of range"):
         extract_neighborhood(g, 50, 1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="'radius' must be >= 0, not -1"):
         extract_neighborhood(g, 7, -1)
 
 
@@ -280,10 +280,11 @@ def test_extract_neighborhood_matches_per_vertex_bfs():
 @pytest.mark.parametrize("centre, radius, match", [
     (5, 1, "centre 5 is out of range"),
     (-1, 1, "centre -1 is out of range"),
-    (1.7, 1, "centre must be an integer vertex id"),
-    ([0, 1], 1, "centre must be an integer vertex id"),
-    (0, -1, "radius must be nonnegative"),
-], ids=["id-too-large", "negative-id", "float-id", "list-id", "negative-radius"])
+    (1.7, 1, r"'centre' must be an integer, not 1\.7"),
+    ([0, 1], 1, r"'centre' must be an integer, not \[0, 1\]"),
+    (0, -1, "'radius' must be >= 0, not -1"),
+    (0, True, "'radius' must be an integer, not True"),
+], ids=["id-too-large", "negative-id", "float-id", "list-id", "negative-radius", "bool-radius"])
 def test_extract_neighborhood_rejects_bad_input(centre, radius, match):
     g = graph_from_edges(4, [(0, 1), (1, 2)], [1, 1, 1, 1])
     with pytest.raises(ValueError, match=match):
@@ -307,7 +308,8 @@ def test_graph_from_edges_rejects_out_of_range_ids():
     ([(0, 1), (1, 2.0)], r"edge 1 \(1, 2.0\) has a non-integer vertex id"),
     ([(0, "1")], r"edge 0 \(0, '1'\) has a non-integer vertex id"),
     (np.array([[0.0, 1.5]]), r"edge 0 \(0.0, 1.5\) has a non-integer vertex id"),
-], ids=["float", "integral-float", "string", "float-array"])
+    ([(0, 1), (0, True)], r"edge 1 \(0, True\) has a non-integer vertex id"),
+], ids=["float", "integral-float", "string", "float-array", "bool"])
 def test_graph_from_edges_rejects_non_integer_ids(edges, match):
     # a non-integer id is refused, not truncated or parsed into one
     with pytest.raises(ValueError, match=match):
