@@ -96,8 +96,8 @@ def _check_offspring(kind: str, d: float) -> None:
 
 
 def _offspring(kind: str, d: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Child counts of ``size`` nodes: d each ("dary") or i.i.d. Poisson(d) ("gw")."""
-    _check_offspring(kind, d)
+    """Child counts of ``size`` nodes: d each ("dary") or i.i.d. Poisson(d)
+    ("gw").  The caller has checked kind and d with ``_check_offspring``."""
     if kind == "gw":
         return rng.poisson(d, size).astype(np.int64, copy=False)
     return np.full(size, int(d), dtype=np.int64)
@@ -165,7 +165,7 @@ def run_broadcast(tree: BroadcastTree, eta: float, seed=0, root_sign: int | None
     conditional Monte Carlo (statistics given sigma_root = +); by the +-
     symmetry of the process this is equivalent to conditioning.
     """
-    if not 0.0 <= eta <= 1.0:
+    if not 0.0 <= _real("eta", eta) <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     rng = as_generator(seed)
     roots = tree.sizes[0]

@@ -24,8 +24,9 @@ level's float64 row at a time.  The rows are the same at any core count.
 Each kind is one ``_Kind`` record in ``_KINDS``: runner, setup, accepted
 keys, CSV coordinate columns and default spec.  The setup reads the values
 the runner starts from and checks each engine call the runner will make,
-once, with the tree engines' own checks; ``run_experiment`` calls it once
-and hands what it returns to the runner.
+once, with the tree engines' own checks (a chain's covers its tree kind
+and d); ``run_experiment`` calls it once and hands what it returns to the
+runner.
 
 The noise levels of robust-accuracy (and of each moments-check config) come
 from one call that draws the trees and spins once and carries every level
@@ -178,7 +179,7 @@ def _accuracy_setup(spec: ExperimentSpec):
     kind, d, theta = _tree_parameterization(spec)
     ks = sorted(_grid_integers(spec, "k"))
     deltas = [_real("delta", x) for x in spec.grid.get("delta", [0.0])]
-    _check_chain_inputs(theta, max(ks), spec.trials, deltas)
+    _check_chain_inputs(kind, d, theta, max(ks), spec.trials, deltas)
     return kind, d, theta, ks, deltas
 
 
@@ -281,8 +282,7 @@ def _regimes(spec: ExperimentSpec) -> list[tuple[str, float, float, float, int]]
         d, theta = _real("d", regime["d"]), _real("theta", regime["theta"])
         delta = _real("delta", regime.get("delta", 0.4))
         k = _json_integer("k", regime.get("k", 8), low=1)
-        _check_offspring(kind, d)
-        _check_chain_inputs(theta, k, spec.trials, [delta])
+        _check_chain_inputs(kind, d, theta, k, spec.trials, [delta])
         out.append((kind, d, theta, delta, k))
     return out
 
@@ -331,7 +331,7 @@ def _sweep_setup(spec: ExperimentSpec) -> tuple[float, int, list[tuple[float, fl
         theta = math.sqrt(ksig / base_d)
         if theta >= 1.0:
             raise ValueError(f"theta^2 d = {ksig:g} is unreachable with base_d = {base_d:g}")
-        _check_chain_inputs(theta, k, spec.trials, [0.0])
+        _check_chain_inputs("gw", base_d, theta, k, spec.trials, [0.0])
         points.append((ksig, theta))
     return base_d, k, points
 
@@ -363,7 +363,7 @@ def _conductance_setup(spec: ExperimentSpec):
     kind, d, theta = _tree_parameterization(spec)
     delta = _real("delta", spec.params.get("delta", 0.0))
     ks = sorted(_grid_integers(spec, "k", low=1))
-    _check_conductance_inputs(theta, max(ks), spec.trials, delta, set(ks))
+    _check_conductance_inputs(kind, d, theta, max(ks), spec.trials, delta, set(ks))
     eta = 0.5 * (1.0 - theta)
     return kind, d, theta, delta, ks, theta * theta * d / (16.0 * eta)
 

@@ -80,7 +80,7 @@ class TreeParams:
     def __post_init__(self):
         if not 0 < _real("d", self.d):
             raise ValueError(f"mean offspring d must be positive and finite, not {self.d!r}")
-        if not 0.0 <= self.eta <= 1.0 or self.eta == 0.5:
+        if not 0.0 <= _real("eta", self.eta) <= 1.0 or self.eta == 0.5:
             raise ValueError("eta must lie in [0, 1] with eta != 1/2")
 
     @property

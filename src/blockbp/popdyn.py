@@ -141,9 +141,12 @@ def _generation_sums(kind: str, d: float, trials: int, rng: np.random.Generator,
     return out
 
 
-def _check_chain_inputs(theta: float, k: int, trials: int, deltas: list, k_min=0) -> None:
-    """The checks of one chain call: theta, its depth, its trials and every
-    one of its noise levels ``deltas``."""
+def _check_chain_inputs(kind: str, d: float, theta: float, k: int, trials: int,
+                        deltas: list, k_min=0) -> None:
+    """The checks of one chain call, before it draws anything: the tree kind
+    and d, theta, its depth, its trials and every one of its noise levels
+    ``deltas``.  The generations then draw offspring unchecked."""
+    _check_offspring(kind, d)
     _check_theta(theta)
     _integer("k", k, low=k_min)
     _integer("trials", trials, low=1)
@@ -151,20 +154,19 @@ def _check_chain_inputs(theta: float, k: int, trials: int, deltas: list, k_min=0
         _check_delta(delta)
 
 
-def _check_conductance_inputs(theta: float, k: int, trials: int, delta: float,
-                              keep: set) -> None:
+def _check_conductance_inputs(kind: str, d: float, theta: float, k: int, trials: int,
+                              delta: float, keep: set) -> None:
     """The chain checks at k >= 1, with 0 < |theta| < 1 and ``keep`` in 1..k."""
     _check_conductance_theta(theta)
-    _check_chain_inputs(theta, k, trials, [delta], k_min=1)
+    _check_chain_inputs(kind, d, theta, k, trials, [delta], k_min=1)
     outside = keep - set(range(1, k + 1))
     if outside:
         raise ValueError(f"keep_levels must lie in 1..{k}, not {sorted(outside)}")
 
 
 def _check_dary_sum_inputs(d: int, theta: float, k: int, trials: int, deltas) -> None:
-    """The chain checks, an integer d and d**k below 2**53."""
-    _check_chain_inputs(theta, k, trials, deltas)
-    _check_offspring("dary", d)
+    """The chain checks of a d-ary tree, so an integer d, and d**k below 2**53."""
+    _check_chain_inputs("dary", d, theta, k, trials, deltas)
     if int(d) ** k >= 2 ** 53:  # a level's sums stop being exact as float64
         raise ValueError(f"d**k must stay below 2**53, not {int(d)}**{k}")
 
@@ -204,7 +206,8 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
     pool per distinct level beside X (a zero level reads X, which its Y
     equals bit for bit); it returns a list with one (rows, pools) per level,
     in order, each equal to that of a call with the level alone and the same
-    generator.  Every level is checked before anything is drawn.
+    generator.  The tree kind, d and every level are checked before
+    anything is drawn.
 
     Each ``*_ci`` is z * std / sqrt(trials) over the pool, as if its members
     were independent.  They share ancestors through resampling, so the CI
@@ -220,7 +223,7 @@ def magnetization_chain(kind: str, d: float, theta: float, k: int, trials: int,
 
 def _magnetization_chains(kind, d, theta, k, trials, rng, deltas):
     rng = as_generator(rng)
-    _check_chain_inputs(theta, k, trials, deltas)
+    _check_chain_inputs(kind, d, theta, k, trials, deltas)
     eta = 0.5 * (1.0 - theta)
 
     # pool column 0 is X, and each distinct nonzero level has a Y column
@@ -284,7 +287,7 @@ def conductance_chain(kind: str, d: float, theta: float, k: int, trials: int,
     """
     rng = as_generator(rng)
     keep = set(keep_levels) if keep_levels is not None else set()
-    _check_conductance_inputs(theta, k, trials, delta, keep)
+    _check_conductance_inputs(kind, d, theta, k, trials, delta, keep)
     z = np.full(trials, _terminal_conductance(delta))
     rows = []
     pools: dict[int, np.ndarray] = {}

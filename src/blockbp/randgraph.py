@@ -27,10 +27,6 @@ __all__ = [
     "graph_from_edges",
     "extract_neighborhood",
     "remove_set",
-    "save_edge_list",
-    "load_edge_list",
-    "save_labels",
-    "load_labels",
 ]
 
 
@@ -55,9 +51,6 @@ class LabelledGraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -283,68 +276,3 @@ def remove_set(g: LabelledGraph, victims) -> SubgraphMap:
                         indices=old_to_new[g.indices[slot]],
                         labels=g.labels[new_to_old])
     return SubgraphMap(graph=sub, new_to_old=new_to_old, old_to_new=old_to_new)
-
-
-def save_edge_list(g: LabelledGraph, path) -> None:
-    """Text dump: header "n m", then one "u v" line per undirected edge."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    mask = src < g.indices
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in zip(src[mask], g.indices[mask]):
-            fh.write(f"{u} {v}\n")
-
-
-def load_edge_list(path, labels=None) -> LabelledGraph:
-    """Inverse of save_edge_list; labels default to all +1 if no file given.
-
-    The header "n m" (two nonnegative counts) and every non-blank line after
-    it must be two integers; any other line raises a ValueError that names
-    the file, line and text.
-    """
-
-    def pair(i: int, line: str) -> tuple[int, int]:
-        try:
-            x, y = map(int, line.split())
-        except ValueError:
-            raise ValueError(f"{path}: line {i} {line.strip()!r} is not two "
-                             "integers") from None
-        return x, y
-
-    with open(path) as fh:
-        n, m = pair(1, fh.readline())
-        if n < 0 or m < 0:
-            raise ValueError(f"{path}: line 1 header 'n m' is {n} {m}; counts "
-                             "must be nonnegative")
-        edges = [pair(i, line) for i, line in enumerate(fh, 2) if line.strip()]
-    if len(edges) != m:
-        raise ValueError(f"{path}: header claims {m} edges, found {len(edges)}")
-    lab = labels if labels is not None else np.ones(n, dtype=np.int8)
-    return graph_from_edges(n, edges, lab)
-
-
-def save_labels(g: LabelledGraph, path) -> None:
-    """Text dump: one "v +1" / "v -1" line per vertex."""
-    with open(path, "w") as fh:
-        for v in range(g.n):
-            fh.write(f"{v} {'+1' if g.labels[v] > 0 else '-1'}\n")
-
-
-def load_labels(path, n: int) -> np.ndarray:
-    """Inverse of save_labels: exactly one "v +-1" line per vertex id in [0, n)."""
-    out = np.zeros(n, dtype=np.int8)
-    with open(path) as fh:
-        for i, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                v, s = map(int, line.split())
-                if not (0 <= v < n and s in (1, -1) and out[v] == 0):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{path}: line {i} {line.strip()!r} is not a new vertex "
-                                 f"id in [0, {n}) and a label +1 or -1") from None
-            out[v] = s
-    if not out.all():
-        raise ValueError(f"{path}: labels missing for some vertices")
-    return out

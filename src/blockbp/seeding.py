@@ -15,6 +15,8 @@ import zlib
 
 import numpy as np
 
+from .params import _integer
+
 __all__ = ["as_generator", "derived_rng"]
 
 _U64 = (1 << 64) - 1
@@ -35,10 +37,9 @@ def _key_words(parts) -> list[int]:
 
 
 def derived_rng(master_seed: int, *key) -> np.random.Generator:
-    """Generator for the work unit identified by ``key`` under ``master_seed``."""
-    if master_seed < 0:
-        raise ValueError("master seed must be nonnegative")
-    entropy = [int(master_seed) & _U64] + _key_words(key)
+    """Generator for the work unit identified by ``key`` under ``master_seed``,
+    a nonnegative integer."""
+    entropy = [_integer("master_seed", master_seed, low=0) & _U64] + _key_words(key)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

@@ -228,8 +228,10 @@ def test_bad_inputs():
         sample_tree("dary", 2.5, 3)
     with pytest.raises(ValueError):
         sample_tree("weird", 2, 3)
-    with pytest.raises(ValueError):
-        run_broadcast(sample_tree("dary", 2, 1), 1.5)
+    for eta, message in ((1.5, r"eta must lie in \[0, 1\]"),
+                         (True, "'eta' must be a finite number, not True")):
+        with pytest.raises(ValueError, match=message):
+            run_broadcast(sample_tree("dary", 2, 1), eta)
     t = sample_tree("dary", 2, 1)
     with pytest.raises(ValueError):
         add_leaf_noise(t, 0.1)  # no spins yet

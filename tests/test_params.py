@@ -13,6 +13,7 @@ from blockbp.params import (
     derive_tree_params,
     ks_signal,
 )
+from blockbp.seeding import derived_rng
 
 
 def test_derive_basic_example():
@@ -57,10 +58,11 @@ def test_invalid_probabilities_rejected():
 
 
 def test_tree_params_invariants():
-    with pytest.raises(ValueError):
-        TreeParams(d=2, eta=0.5)
-    with pytest.raises(ValueError):
-        TreeParams(d=2, eta=1.25)
+    for eta, message in ((0.5, r"eta must lie in \[0, 1\] with eta != 1/2"),
+                         (1.25, r"eta must lie in \[0, 1\] with eta != 1/2"),
+                         (True, "'eta' must be a finite number, not True")):
+        with pytest.raises(ValueError, match=message):
+            TreeParams(d=2, eta=eta)
     with pytest.raises(ValueError):
         TreeParams(d=0, eta=0.25)
     for d, message in ((float("nan"), "'d' must be a finite number, not nan"),
@@ -130,6 +132,17 @@ def test_integer_refuses_and_names_the_key(bad):
 def test_real_refuses_and_names_the_key(bad):
     with pytest.raises(ValueError, match=r"^'a' must be a finite number, not "):
         _real("a", bad)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "'master_seed' must be an integer, not 2.5"),
+    (True, "'master_seed' must be an integer, not True"),
+    (-1, "'master_seed' must be >= 0, not -1"),
+], ids=["float", "bool", "negative"])
+def test_master_seed_follows_the_rule(seed, message):
+    # 2.5 is not read as 2, nor True as 1
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        derived_rng(seed, "chain")
 
 
 @given(x=_INTEGERS, low=_INTEGERS)

@@ -248,7 +248,7 @@ def test_nontree_flag_iff_walk_tree_revisits():
     # the walk tree has a node at depth R
     flags, no_walks = set(), set()
     for g in _count_graphs():
-        assert g.degree(g.n - 1) == 0
+        assert g.degrees[g.n - 1] == 0
         for r in range(1, 6):
             trees = [walk_tree(g.indptr, g.indices, v, r)[0] for v in range(g.n)]
             want = np.array([revisits(levels) for levels in trees])

@@ -495,6 +495,22 @@ def test_offspring_validation():
         popdyn.conductance_chain("gw", 2.0, 0.0, 2, 100, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("kind, d, match", [("gw", -5.0, "offspring mean d must be positive"),
+                                            ("weird", 2.0, "unknown tree kind")],
+                         ids=["negative-d", "unknown-kind"])
+def test_bad_tree_is_rejected_before_any_draw(kind, d, match, k):
+    # a chain checks its tree kind and d up front: at k = 0, where no
+    # generation draws offspring, and at k >= 1 before its leaf uniforms
+    rng = np.random.default_rng(19)
+    before = rng.bit_generator.state
+    for run in (lambda: popdyn.magnetization_chain(kind, d, 0.5, k, 100, rng, delta=0.2),
+                lambda: popdyn.conductance_chain(kind, d, 0.5, k + 1, 100, rng, delta=0.2)):
+        with pytest.raises(ValueError, match=match):
+            run()
+        assert rng.bit_generator.state == before
+
+
 # --- an empty level: the tree dies out after the roots ------------------------
 
 
