@@ -12,12 +12,11 @@ get streams derived from the master seed by key and results are merged in a
 fixed order.  contraction-check's regimes, threshold-sweep's points and
 graph-recover's repetitions are such units, and they run on one thread per
 unit up to the usable cores (``popdyn._map_chains``), where a repetition
-runs ``recover``'s side work after its edge passes unless its thread has
-two cores to itself; so do the trial blocks of each moments-check config's
-level sums, of ``popdyn._TRIAL_BLOCK`` trials each, a size that is part of
-their stream.  A config holds its level
-sums as small exact integers, one block's counts per running thread and one
-level's float64 row at a time.  The rows are the same at any core count.
+runs ``recover``'s side work after its edge passes, off the main thread;
+so do the trial blocks of each moments-check config's level sums, of
+``popdyn._TRIAL_BLOCK`` trials each, a size that is part of their stream.
+A config holds its level sums as small exact integers, one block's counts
+per running thread and one level's float64 row at a time.  The rows are the same at any core count.
 ``write_results(..., deterministic=True)`` writes the wall-time column as
 0.0, so reruns are byte-identical.
 
@@ -40,10 +39,10 @@ Config files are JSON objects with exactly the keys
 integers), where params is an object and grid an object of nonempty lists
 with exactly its kind's keys; unknown keys anywhere are rejected, and
 ``check_spec`` runs the kind's setup, which rejects the values a run would
-fail on, a d, k or rep that is not an integer where the run needs one, and
-a repeated rep.  Integers and numbers are read by the package's rule
-(``params._integer``, ``params._real``), where an integral float such as
-JSON's 2.0 is also an integer.
+fail on, a d, k or rep that is not an integer where the run needs one, a
+seed or rep outside [0, 2**64), and a repeated rep.  Integers and numbers
+are read by the package's rule (``params._integer``, ``params._real``),
+where an integral float such as JSON's 2.0 is also an integer.
 """
 
 from __future__ import annotations
@@ -60,13 +59,14 @@ import numpy as np
 
 from . import popdyn
 from .broadcast import _check_offspring
+from .estimators import majority_moments
 from .params import ModelParams, _integer, _real, derive_tree_params
 from .partition import _check_blackbox
 from .pipeline import AlgoConfig, recover, resolve_radius
 from .popdyn import (_check_chain_inputs, _check_conductance_inputs,
                      _check_dary_sum_inputs, _map_chains, ci_half_width)
 from .randgraph import sample_sbm
-from .seeding import derived_rng
+from .seeding import _SEEDS, derived_rng
 
 __all__ = [
     "KINDS",
@@ -95,8 +95,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         kind = _kind(self.kind)
-        for key, low in (("trials", 1), ("seed", 0)):
-            object.__setattr__(self, key, _json_integer(key, getattr(self, key), low=low))
+        for key, low, below in (("trials", 1, None), ("seed", 0, _SEEDS)):
+            object.__setattr__(self, key, _json_integer(key, getattr(self, key), low, below))
         if not isinstance(self.params, dict):
             raise ValueError("'params' must be an object")
         if not isinstance(self.grid, dict):
@@ -142,15 +142,16 @@ def _keys(what: str, given: dict, known: set, required: set = frozenset()) -> No
         raise ValueError(f"{what} must include {sorted(missing)}")
 
 
-def _json_integer(key: str, value, low: int | None = None) -> int:
+def _json_integer(key: str, value, low: int | None = None, below: int | None = None) -> int:
     """``params._integer``, which also takes an integral float such as JSON's 2.0."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    return _integer(key, value, low)
+    return _integer(key, value, low, below)
 
 
 def _tree_parameterization(spec: ExperimentSpec):
-    """(tree kind, d, theta) from either (a, b) or direct (d, theta) params."""
+    """(tree kind, d, theta) from either (a, b) or direct (d, theta) params;
+    the setup's chain check covers the kind and d."""
     p = spec.params
     kind = p.get("tree_kind", "gw")
     if p.keys() & {"a", "b", "d", "theta"} not in ({"a", "b"}, {"d", "theta"}):
@@ -161,13 +162,14 @@ def _tree_parameterization(spec: ExperimentSpec):
         d, theta = tp.d, tp.theta
     else:
         d, theta = _real("d", p["d"]), _real("theta", p["theta"])
-    _check_offspring(kind, d)
     return kind, d, theta
 
 
-def _grid_integers(spec: ExperimentSpec, key: str, low: int = 0) -> list[int]:
-    """The grid's ``key`` values as integers, in grid order, each at least ``low``."""
-    return [_json_integer(key, x, low) for x in spec.grid[key]]
+def _grid_integers(spec: ExperimentSpec, key: str, low: int = 0,
+                   below: int | None = None) -> list[int]:
+    """The grid's ``key`` values as integers, in grid order, each at least
+    ``low`` and less than ``below`` when it is given."""
+    return [_json_integer(key, x, low, below) for x in spec.grid[key]]
 
 
 # --- runners ---------------------------------------------------------------
@@ -233,8 +235,6 @@ def _moment_rows(spec: ExperimentSpec, cfg_idx: int, d: int, theta: float,
                  deltas: list, ks: list) -> list[ResultRow]:
     """One config's rows.  Its integer level sums are freed on return, before
     the next config draws its own; a level's row is float64 only for its own."""
-    from .estimators import majority_moments
-
     t0 = time.perf_counter()
     # independent trials (not the population chain): exact CIs
     sums = popdyn.dary_sum_trials(
@@ -413,7 +413,7 @@ def _recover_setup(spec: ExperimentSpec):
     impl = p.get("impl", "spectral")
     delta0 = None if p.get("delta0") is None else _real("delta0", p["delta0"])
     _check_blackbox(impl, delta0)
-    reps = _grid_integers(spec, "rep")
+    reps = _grid_integers(spec, "rep", below=_SEEDS)
     if len(set(reps)) < len(reps):
         raise ValueError(f"'rep' values must be distinct, not {reps}")
     return (params, tp, cfg, resolve_radius(cfg, params.n, params.a, params.b), impl, delta0,
@@ -425,7 +425,6 @@ def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
     params, _, cfg, _, impl, delta0, _ = plan
     g = sample_sbm(params, seed=derived_rng(spec.seed, "graph", rep))
     rep_seed = int(derived_rng(spec.seed, "recover", rep).integers(2 ** 62))
-    t0 = time.perf_counter()
     res = recover(g, cfg, params, impl=impl, seed=rep_seed, delta0=delta0)
     return {
         "rep": rep,
@@ -433,7 +432,7 @@ def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
         "coin_frac": res.diagnostics.coin_labels / g.n,
         "nontree_frac": res.diagnostics.nontree_neighborhoods / g.n,
         "rounding_zeros": float(res.diagnostics.rounding_zeros),
-        "seconds": time.perf_counter() - t0,
+        "seconds": res.seconds,
     }
 
 

@@ -26,13 +26,15 @@ __all__ = [
 ]
 
 
-def _integer(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int, at least ``low`` when one is given: an int or a
-    numpy integer, not a bool or a float."""
+def _integer(name: str, value, low: int | None = None, below: int | None = None) -> int:
+    """``value`` as an int, at least ``low`` and less than ``below`` when they
+    are given: an int or a numpy integer, not a bool or a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name!r} must be an integer, not {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name!r} must be >= {low}, not {int(value)}")
+    if below is not None and value >= below:
+        raise ValueError(f"{name!r} must be < {below}, not {int(value)}")
     return int(value)
 
 

@@ -30,12 +30,14 @@ reverse of slot 2e is slot 2e + 1.  Coins are keyed rather than drawn in
 order: a tie below the root by its directed edge's pair slot, a root coin
 by vertex.  What reads H alone, the exact check that H's slots pair up and
 the non-tree sample, runs beside the edge passes on a worker thread when
-the calling thread has two usable cores to itself (``_beside``).
+``recover`` is called from the main thread with two usable cores
+(``_beside``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 import warnings
 from collections.abc import Callable
@@ -506,8 +508,8 @@ anchor-distance count; the wait, after them, for the exact pairing check
 and the chunked search of the non-tree sample; the hold-out coins and the
 overlap report.  At R >= 2 the check and the sample run on a worker thread
 while the edge passes run, so ``roots`` overlaps them and ``nontree`` is
-what is left of them; with no core to spare (one usable core, or a
-``popdyn._map_chains`` thread) they run after the edge passes and
+what is left of them; on one usable core, or when ``recover`` is called
+from any thread but the main one, they run after the edge passes and
 ``nontree`` is all of them.  At R = 1 neither runs."""
 
 
@@ -535,12 +537,13 @@ def save_vertex_csv(result: RecoveryResult, path) -> None:
 
 def _beside(main: Callable, side: Callable) -> tuple:
     """``(main(), side())``, with ``side`` on one worker thread while ``main``
-    runs on the calling thread when this thread has a core to spare
-    (``popdyn._cores_per_thread``), or after ``main`` when it has not, as on
-    one core or on a ``popdyn._map_chains`` thread that shares the cores.
-    Either way both have run when this returns, and an error of ``side`` is
-    raised here before one of ``main``."""
-    spare = popdyn._cores_per_thread() >= 2
+    runs when the caller is the main thread and has two usable cores
+    (``popdyn._usable_cores``), or after ``main`` otherwise: on one core, or
+    on any other thread, whose pool may already fill the cores.  Either way
+    both have run when this returns, and an error of ``side`` is raised
+    here before one of ``main``."""
+    spare = (threading.current_thread() is threading.main_thread()
+             and popdyn._usable_cores() >= 2)
     with ThreadPoolExecutor(max_workers=1) if spare else nullcontext() as pool:
         wait = pool.submit(side).result if spare else side
         try:

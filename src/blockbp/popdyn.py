@@ -56,7 +56,6 @@ is bit for bit that of its own call with the same seed.
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
@@ -385,17 +384,6 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# On a ``_map_chains`` thread, ``threads`` is the number of threads that map
-# runs at once; other threads hold no ``threads``.
-_mapped = threading.local()
-
-
-def _cores_per_thread() -> int:
-    """The usable cores, or on a ``_map_chains`` thread that map's share per
-    thread of them (rounded down)."""
-    return _usable_cores() // getattr(_mapped, "threads", 1)
-
-
 def _map_chains(run: Callable, units: list) -> list:
     """``[run(i, unit) for i, unit in enumerate(units)]`` on one thread per
     unit, up to the usable cores.
@@ -408,16 +396,8 @@ def _map_chains(run: Callable, units: list) -> list:
     product), so the units' work overlaps.  Every running unit holds its own
     arrays, so peak memory grows with the number of units running at once:
     for the level sums, one block's int64 counts per thread beside the
-    compact integer outputs.  Each unit's thread records how many threads
-    the map runs, so a unit that would start a thread of its own
-    (``recover`` at R >= 2) sees through ``_cores_per_thread`` that the
-    cores are taken.
+    compact integer outputs.  A unit runs off the main thread, so a unit
+    that calls ``recover`` starts no side worker of its own.
     """
-    threads = min(len(units), _usable_cores())
-
-    def unit(i: int, u):
-        _mapped.threads = threads
-        return run(i, u)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(unit, range(len(units)), units))
+    with ThreadPoolExecutor(max_workers=min(len(units), _usable_cores())) as pool:
+        return list(pool.map(run, range(len(units)), units))

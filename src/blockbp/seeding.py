@@ -6,7 +6,9 @@ row, per graph seed, per trial batch) derive child streams with
 ``derived_rng(master, *key)``, where the key is a fixed tuple of small ints
 and tag strings.  The derivation is a pure function of ``(master, key)``, so
 trial batch ``i`` sees the same stream no matter how many workers are used or
-in which order batches run.
+in which order batches run.  The master seed and every integer key part is
+one 64-bit word, in [0, 2**64): a value outside is refused, not wrapped onto
+another value's stream.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .params import _integer
 
 __all__ = ["as_generator", "derived_rng"]
 
-_U64 = (1 << 64) - 1
+_SEEDS = 1 << 64  # master seeds and integer key parts lie in [0, _SEEDS)
 
 
 def _key_words(parts) -> list[int]:
@@ -28,7 +30,7 @@ def _key_words(parts) -> list[int]:
         if isinstance(part, str):
             words.append(zlib.crc32(part.encode("utf-8")))
         elif isinstance(part, (int, np.integer)):
-            v = int(part) & _U64
+            v = _integer("seed key part", part, low=0, below=_SEEDS)
             words.append(v & 0xFFFFFFFF)
             words.append(v >> 32)
         else:
@@ -38,8 +40,8 @@ def _key_words(parts) -> list[int]:
 
 def derived_rng(master_seed: int, *key) -> np.random.Generator:
     """Generator for the work unit identified by ``key`` under ``master_seed``,
-    a nonnegative integer."""
-    entropy = [_integer("master_seed", master_seed, low=0) & _U64] + _key_words(key)
+    an integer in [0, 2**64)."""
+    entropy = [_integer("master_seed", master_seed, low=0, below=_SEEDS)] + _key_words(key)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

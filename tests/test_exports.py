@@ -107,17 +107,37 @@ def test_no_module_imports_scipy_at_the_top():
     assert not offenders, f"module-level scipy imports: {offenders}"
 
 
+def _importers(module: str) -> set[str]:
+    """The blockbp files that import ``module`` or one of its submodules."""
+    found = set()
+    for path in sorted(Path(blockbp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # not a blockbp module
+                names = [node.module]
+            else:
+                continue
+            if any(name == module or name.startswith(f"{module}.") for name in names):
+                found.add(path.name)
+    return found
+
+
 def test_only_params_imports_numbers():
     # what an integer or a number argument is, is decided once, by
     # params._integer and params._real: no other module tests numbers.*
-    offenders = []
-    for path in sorted(Path(blockbp.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            offenders += [f"{path.name}:{node.lineno}" for name in names
-                          if name.split(".")[0] == "numbers" and path.name != "params.py"]
-    assert not offenders, f"modules other than params.py import numbers: {offenders}"
+    assert _importers("numbers") <= {"params.py"}
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("threading", {"pipeline.py"}),
+    ("concurrent.futures", {"popdyn.py", "pipeline.py"}),
+], ids=["threading", "concurrent.futures"])
+def test_threads_start_in_two_modules(module, allowed):
+    # popdyn._map_chains maps independent units on a pool, and
+    # pipeline._beside decides alone, from the calling thread, whether
+    # recover's side work gets a worker; no other module starts threads
+    assert _importers(module) <= allowed
 
 
 def _public_names() -> dict:

@@ -498,6 +498,10 @@ def _regime_config(**over):
     ("contraction-check", _regime_config(tree_kind="zz"), "'zz'"),
     ("contraction-check", _regime_config(tree_kind="dary", d=4.5), "4.5"),
     ("contraction-check", _regime_config(d=-4), "-4"),
+    ("robust-accuracy", {"params": {"a": 30.0, "b": 4.0, "tree_kind": "zz"},
+                         "grid": {"k": [2], "delta": [0.1]}}, "unknown tree kind 'zz'"),
+    ("conductance-check", {"params": {"a": 30.0, "b": 4.0, "tree_kind": "zz"},
+                           "grid": {"k": [2]}}, "unknown tree kind 'zz'"),
     ("tree-accuracy", {"params": {"d": 3.0, "theta": 1.5}, "grid": {"k": [2]}}, "1.5"),
     ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [-1, 2]}}, "-1"),
     ("tree-accuracy", {"params": {"a": 5.0, "b": 1.0}, "grid": {"k": [2.5]}}, "2.5"),
@@ -535,6 +539,11 @@ def _regime_config(**over):
      "'rep' must be >= 0, not -1"),
     ("graph-recover", {**_recover_config(), "grid": {"rep": [0, 0, 0]}},
      "'rep' values must be distinct, not [0, 0, 0]"),
+    # a seed or rep is one 64-bit word: 2**64 + 1 is not read as 1
+    ("graph-recover", {**_recover_config(), "grid": {"rep": [1, 2 ** 64 + 1]}},
+     f"'rep' must be < {2 ** 64}, not {2 ** 64 + 1}"),
+    ("tree-accuracy", {"params": {"d": 3.0, "theta": 0.5}, "grid": {"k": [2]},
+                       "seed": 2 ** 64 + 5}, f"'seed' must be < {2 ** 64}, not {2 ** 64 + 5}"),
     # values a run would fail on after it started, or run to an empty table
     ("graph-recover", _recover_config(a=5.0, b=5.0), "a == b"),
     ("graph-recover", _recover_config(a=0.0, b=0.0), "a == b"),
@@ -553,12 +562,14 @@ def _regime_config(**over):
         "R-with-auto",
         "ksig-unreachable", "regime-zz", "regime-no-d",
         "moments-d-2.5", "moments-d-pow-k", "moments-extra-not-a-pair", "regime-delta-0.7",
-        "regime-kind-zz", "regime-dary-4.5", "regime-d-negative", "theta-1.5", "k-negative",
+        "regime-kind-zz", "regime-dary-4.5", "regime-d-negative", "robust-kind-zz",
+        "conductance-kind-zz", "theta-1.5", "k-negative",
         "k-2.5", "conductance-k-0", "conductance-delta-null", "base_d-0", "ksig-negative",
         "n-400.5", "K-1.5", "R-2.5", "R-string", "a-nan", "delta0-string",
         "d-string",
         "base_d-string", "a-string", "regime-theta-string", "delta-string",
         "rep-string", "rep-1.5", "rep-true", "rep-negative", "rep-repeated",
+        "rep-2**64+1", "seed-2**64+5",
         "a-equals-b", "a-b-zero", "regime-k-0", "n-1", "R-0",
         "regime-list", "regime-int", "moments-extra-not-a-list"])
 def test_cli_rejects_before_running(tmp_path, capsys, kind, config, named):
@@ -577,3 +588,4 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg2 = tmp_path / "mismatch.json"
     cfg2.write_text(json.dumps({"kind": "robust-accuracy"}))
     assert cli.main(["tree-accuracy", "--config", str(cfg2)]) == 2
+    assert cli.main(["tree-accuracy", "--seed", str(2 ** 64 + 5)]) == 2

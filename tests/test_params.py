@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -138,11 +139,32 @@ def test_real_refuses_and_names_the_key(bad):
     (2.5, "'master_seed' must be an integer, not 2.5"),
     (True, "'master_seed' must be an integer, not True"),
     (-1, "'master_seed' must be >= 0, not -1"),
-], ids=["float", "bool", "negative"])
+    (2 ** 64 + 5, f"'master_seed' must be < {2 ** 64}, not {2 ** 64 + 5}"),
+], ids=["float", "bool", "negative", "2**64+5"])
 def test_master_seed_follows_the_rule(seed, message):
-    # 2.5 is not read as 2, nor True as 1
+    # 2.5 is not read as 2, nor True as 1, nor 2**64 + 5 as 5
     with pytest.raises(ValueError, match=rf"^{message}$"):
         derived_rng(seed, "chain")
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1), part=st.integers(0, 2 ** 64 - 1))
+def test_a_64_bit_seed_and_key_part_keep_their_stream(seed, part):
+    # the entropy words of a seed and a key part below 2**64: the seed, the
+    # tag's crc32, then the part's low and high 32 bits
+    words = [seed, zlib.crc32(b"graph"), part & 0xFFFFFFFF, part >> 32]
+    want = np.random.default_rng(np.random.SeedSequence(words)).integers(2 ** 62, size=4)
+    assert np.array_equal(derived_rng(seed, "graph", part).integers(2 ** 62, size=4), want)
+
+
+@pytest.mark.parametrize("part, message", [
+    (-1, "'seed key part' must be >= 0, not -1"),
+    (2 ** 64 + 1, f"'seed key part' must be < {2 ** 64}, not {2 ** 64 + 1}"),
+    (np.int64(-3), "'seed key part' must be >= 0, not -3"),
+], ids=["negative", "2**64+1", "numpy-negative"])
+def test_key_part_outside_64_bits_is_refused(part, message):
+    # a part is not wrapped onto another part's stream (2**64 + 1 onto 1)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        derived_rng(0, "graph", part)
 
 
 @given(x=_INTEGERS, low=_INTEGERS)

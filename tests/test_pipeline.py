@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -400,13 +401,8 @@ def test_side_error_is_raised_over_main_error(cores, monkeypatch):
     assert sorted(ran) == ["main", "side"]
 
 
-@pytest.mark.parametrize("cores, units, workers", [(2, 1, [1]), (2, 2, []), (2, 3, []),
-                                                   (4, 2, [1, 1]), (4, 3, [])])
-def test_chain_threads_start_a_side_worker_only_with_cores_to_spare(
-        cores, units, workers, monkeypatch):
-    # graph-recover runs its repetitions on _map_chains threads; a unit
-    # there starts its side worker only when its share of the usable cores
-    # is two or more, and runs the side after the main unit otherwise
+def _count_pools(monkeypatch) -> list:
+    """Record the worker count of every pool that ``pipeline`` starts."""
     pools = []
 
     class Pool(pipeline.ThreadPoolExecutor):
@@ -415,12 +411,60 @@ def test_chain_threads_start_a_side_worker_only_with_cores_to_spare(
             super().__init__(max_workers)
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    return pools
+
+
+def _own_pool(run, units):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(run, range(len(units)), units))
+
+
+_CALLERS = {
+    "main": lambda run, units: [run(i, unit) for i, unit in enumerate(units)],
+    "map_chains": pipeline.popdyn._map_chains,
+    "own_pool": _own_pool,
+}
+
+
+@pytest.mark.parametrize("caller, cores, units, workers", [
+    pytest.param(caller, cores, units, workers, id=f"{caller}-{cores}cores-{units}units")
+    for caller, cores, units, workers in [
+        ("main", 1, 1, []), ("main", 2, 1, [1]),
+        *[("map_chains", cores, units, []) for cores in (2, 4) for units in (1, 2, 3)],
+        ("own_pool", 2, 2, []),
+    ]])
+def test_side_worker_starts_only_on_the_main_thread(caller, cores, units, workers,
+                                                     monkeypatch):
+    # _beside starts its worker only on the main thread with two usable
+    # cores; on one core, on graph-recover's _map_chains threads or on a
+    # caller's own pool it runs the side unit after the main one
+    pools = _count_pools(monkeypatch)
     monkeypatch.setattr(pipeline.popdyn, "_usable_cores", lambda: cores)
-    out = pipeline.popdyn._map_chains(
-        lambda i, unit: pipeline._beside(lambda: i, lambda: -unit), list(range(units)))
+    out = _CALLERS[caller](lambda i, unit: pipeline._beside(lambda: i, lambda: -unit),
+                           list(range(units)))
     assert out == [(i, -i) for i in range(units)]
     assert pools == workers
-    assert pipeline.popdyn._cores_per_thread() == cores
+
+
+def test_recover_starts_one_side_worker_on_the_main_thread_only(monkeypatch):
+    # recover at R = 2 with two usable cores starts exactly one worker from
+    # the main thread and none from a _map_chains thread, with equal outputs
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(pipeline.popdyn, "_usable_cores", lambda: 2)
+    m = ModelParams(n=600, a=20, b=4)
+    g = sample_sbm(m, seed=56)
+    cfg = AlgoConfig(R=2, R_mode="fixed", K=1)
+
+    def run(i, unit):
+        return recover(g, cfg, m, impl="oracle-noise", seed=5, delta0=0.2)
+
+    main = run(0, None)
+    assert pools == [1]
+    [mapped] = pipeline.popdyn._map_chains(run, [None])
+    assert pools == [1]
+    assert main.side.tobytes() == mapped.side.tobytes()
+    assert main.magnetization.tobytes() == mapped.magnetization.tobytes()
+    assert dataclasses.asdict(main.diagnostics) == dataclasses.asdict(mapped.diagnostics)
 
 
 # --- full recovery -----------------------------------------------------------
@@ -849,14 +893,7 @@ def test_recover_results_do_not_depend_on_cores(r, k, impl, delta0, monkeypatch)
     # at R >= 2 the pairing check and the non-tree sample run on one worker
     # thread beside the edge passes when two cores are usable, and after
     # them on one; at R = 1 no thread starts.  Every output is the same
-    pools = []
-
-    class Pool(pipeline.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    pools = _count_pools(monkeypatch)
     m = ModelParams(n=3000, a=12, b=3)
     g = sample_sbm(m, seed=7)
     runs = []
