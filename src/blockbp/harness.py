@@ -432,6 +432,9 @@ def _recover_rep(spec: ExperimentSpec, plan, rep: int) -> dict:
         "coin_frac": res.diagnostics.coin_labels / g.n,
         "nontree_frac": res.diagnostics.nontree_neighborhoods / g.n,
         "rounding_zeros": float(res.diagnostics.rounding_zeros),
+        "plus_frac": res.diagnostics.plus_frac,
+        "plus_block_accuracy": res.diagnostics.plus_block_accuracy,
+        "minus_block_accuracy": res.diagnostics.minus_block_accuracy,
         "seconds": res.seconds,
     }
 
@@ -446,10 +449,12 @@ def run_graph_recover(spec: ExperimentSpec, plan) -> list[ResultRow]:
     out = []
     # per rep: accuracy, then the fractions of all n vertices that were
     # labelled by a coin (hold-out included) and whose walk tree revisits a
-    # vertex (a sample estimate), and the count of float sums the relative
-    # zero test set to 0
+    # vertex (a sample estimate), the count of float sums the relative zero
+    # test set to 0, the share of + labels and the accuracy on each hidden
+    # block
     for res in results:
-        for metric in ("accuracy", "coin_frac", "nontree_frac", "rounding_zeros"):
+        for metric in ("accuracy", "coin_frac", "nontree_frac", "rounding_zeros",
+                       "plus_frac", "plus_block_accuracy", "minus_block_accuracy"):
             out.append(ResultRow(
                 coords={**base, "rep": res["rep"], "metric": metric},
                 estimate=res[metric], ci=0.0, trials=1,

@@ -90,7 +90,8 @@ def _bethe_hessian_split(g: LabelledGraph, rng: np.random.Generator) -> Partitio
     deg = g.degrees
     r2 = float(deg @ deg / deg.sum()) - 1.0 if g.m else 0.0
     # single precision is ample for tol = 1e-3; in double, ARPACK's two n x 20
-    # work arrays (64 MB at n = 2e5) would be recover's largest live allocation
+    # work arrays (64 MB at n = 2e5) would be recover's largest live allocation.
+    # scipy takes int32 indices as they are, where int64 ones it copies down
     a = sp.csr_matrix((np.ones(len(g.indices), np.float32), g.indices, g.indptr),
                       shape=(g.n, g.n))
     diag = (deg + (r2 - 1.0)).astype(np.float32)

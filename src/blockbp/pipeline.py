@@ -52,7 +52,7 @@ from . import popdyn
 from .levels import _compose_through_edge, _edge_llr, _magnetize
 from .params import ModelParams, _integer, derive_tree_params, ks_signal
 from .partition import Partition, OverlapReport, blackbox_partition, overlap
-from .randgraph import LabelledGraph, _row_slots, remove_set
+from .randgraph import LabelledGraph, _index_type, _row_slots, remove_set
 from .seeding import derived_rng
 
 __all__ = [
@@ -133,9 +133,9 @@ def choose_anchor(g: LabelledGraph, hold_out, rng):
     min_degree = math.ceil(math.sqrt(math.log(g.n))) if g.n > 1 else 1
     in_u = np.zeros(g.n, dtype=bool)
     in_u[hold_out] = True
-    out_deg = np.array(
-        [int((~in_u[g.neighbors(u)]).sum()) for u in hold_out], dtype=np.int64
-    )
+    slots, degs = _row_slots(g, hold_out)
+    out_deg = np.bincount(np.repeat(np.arange(len(hold_out)), degs)[~in_u[g.indices[slots]]],
+                          minlength=len(hold_out))
     qualifying = hold_out[out_deg >= min_degree]
     if len(qualifying):
         return int(qualifying[rng.integers(len(qualifying))]), False
@@ -182,7 +182,9 @@ class _Labels(NamedTuple):
 def _edge_pairs(h: LabelledGraph) -> tuple[np.ndarray, np.ndarray]:
     """Row x and neighbour y of every directed edge (x, y) of H, in pair order.
 
-    Edge e = (u, v), u < v, is the e-th CSR slot whose row is below its
+    The neighbours take H's index type; the rows are intp, because
+    ``np.bincount``, which the edge passes run on them up to seven times,
+    copies any other index type to intp at each call.  Edge e = (u, v), u < v, is the e-th CSR slot whose row is below its
     neighbour, so the edges come in (u, v) order with no sort.  Slot 2e is
     (u, v) and slot 2e + 1 is (v, u): the reverse of a slot is its partner
     in the (m, 2) view.  A vertex x still meets its neighbours in ascending
@@ -192,14 +194,14 @@ def _edge_pairs(h: LabelledGraph) -> tuple[np.ndarray, np.ndarray]:
     does not match each edge with its partner, which ``_check_pairs`` does
     off the critical path (see ``LabelledGraph``).
     """
-    row = np.repeat(np.arange(h.n, dtype=np.int64), h.degrees)
+    row = np.repeat(np.arange(h.n), h.degrees)
     lo = row < h.indices
     m = int(np.count_nonzero(lo))
     if 2 * m != len(h.indices):
         raise ValueError(
             f"the CSR slots do not pair up: {m} of {len(h.indices)} have row < "
             "neighbour, not half (a self-loop or an edge held in one direction only)")
-    row_of, nbr = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
+    row_of, nbr = np.empty(2 * m, dtype=np.intp), np.empty(2 * m, dtype=h.indices.dtype)
     np.compress(lo, row, out=row_of[0::2])
     del row
     np.compress(lo, h.indices, out=nbr[0::2])
@@ -225,7 +227,11 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     message needs its reverse and the CSR slots serve as they are; at
     n = 2e5 the pair arrays raised a run's peak memory by about 8 % and
     doubled the time of the edge passes.
-    Either way a row's terms are added in ascending neighbour order.
+    Either way a row's terms are added in ascending neighbour order.  A
+    round overwrites its input array, so at n = 2e4, a = 30, b = 4, R = 3
+    the passes' traced peak is about 32 bytes per directed slot of H (the
+    intp rows, the neighbours, one float per slot and a round's
+    temporaries).
 
     The same rounds find the walks: per slot (x, y), whether a
     non-backtracking walk of length j starts x -> y, true at j = 1 and then
@@ -264,7 +270,7 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     if r >= 2:
         row, nbr = _edge_pairs(h)
     else:
-        row, nbr = np.repeat(np.arange(n, dtype=np.int64), h.degrees), h.indices
+        row, nbr = np.repeat(np.arange(n), h.degrees), h.indices
     xi = side.astype(np.float64)
     tol = _TIE_ULPS * np.finfo(np.float64).eps
     rounded = 0
@@ -272,22 +278,27 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
     def row_sums(w):
         return np.bincount(row, weights=w, minlength=n)
 
-    def zero_ties(s, limit):
-        """``s`` with the sums of magnitude at most ``limit`` set to 0."""
+    def zero_ties(s, lim):
+        """``s`` with the sums in [-lim, lim] set to 0; ``lim`` is negated in place."""
         nonlocal rounded
-        hit = np.flatnonzero(np.abs(s) <= limit)
+        hit = s <= lim
+        hit &= s >= np.negative(lim, out=lim)
+        hit = np.flatnonzero(hit)
         rounded += int(np.count_nonzero(s[hit]))
         s[hit] = 0.0
         return s
 
     def cavity(w):
-        """Per slot (x, y): the sum of ``w`` over y's row less x's own term,
-        held by the reverse slot; 0 within rounding."""
+        """``w`` overwritten per slot (x, y) by the sum of ``w`` over y's row
+        less x's own term, held by the reverse slot; 0 within rounding."""
         limit = tol * row_sums(np.abs(w))
-        s = row_sums(w)[nbr]
-        s[0::2] -= w[1::2]
-        s[1::2] -= w[0::2]
-        return zero_ties(s, limit[nbr])
+        sums, pair = row_sums(w), w.reshape(-1, 2)
+        odd = sums[nbr[1::2]]
+        odd -= pair[:, 0]
+        np.subtract(sums[nbr[0::2]], pair[:, 1], out=pair[:, 0])
+        pair[:, 1] = odd
+        del odd
+        return zero_ties(w, limit[nbr])
 
     def has_walk():
         """Per vertex, whether a non-backtracking walk of length R starts there."""
@@ -298,7 +309,7 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
             # a true slot of y's row other than the one back to x; read as
             # uint16, a byte-swapped pair of bools holds each slot's reverse
             walk = per_vertex[nbr] > walk.view(np.uint16).byteswap().view(bool)
-            per_vertex = np.bincount(row, weights=walk, minlength=n)
+            per_vertex = np.bincount(row[walk], minlength=n)
         return per_vertex > 0
 
     reach = has_walk()
@@ -307,7 +318,11 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
         """The votes' sums: per slot below the root, per vertex at K = R."""
         if big_k == 1:
             a = row_sums(xi[nbr])
-            return a if big_k == r else a[nbr] - xi[row]
+            if big_k == r:
+                return a
+            a = a[nbr]
+            a -= xi[row]
+            return a
         c = _compose_through_edge(np.full(len(nbr), np.inf), theta)
         cu = c * xi[nbr]
         for _ in range(1, big_k):
@@ -342,11 +357,6 @@ def _label_edges(h: LabelledGraph, side: np.ndarray, r: int, big_k: int,
                    zero_root=zero, no_walk=~reach, rounding_zeros=rounded)
 
 
-def _key_type(bound: int) -> type:
-    """The integer type of keys in [0, ``bound``): int32 when they fit."""
-    return np.int32 if bound < 2 ** 31 else np.int64
-
-
 def _check_pairs(h: LabelledGraph) -> None:
     """Raises ValueError unless every CSR slot (x, y) of H has its reverse (y, x).
 
@@ -358,7 +368,7 @@ def _check_pairs(h: LabelledGraph) -> None:
     holds one block's arrays.
     """
     n = h.n
-    key = _key_type(n * n)
+    key = _index_type(n * n)
     blocks = range(0, n, _PAIR_ROWS)
     back = np.empty(len(h.indices) // 2, dtype=key)
 
@@ -421,7 +431,7 @@ def _revisiting(h: LabelledGraph, r: int, centres: np.ndarray) -> np.ndarray:
     for lo in range(0, len(centres), _NONTREE_CHUNK):
         front = np.asarray(centres[lo:lo + _NONTREE_CHUNK], dtype=np.int64)
         hit = flag[lo:lo + len(front)]
-        key = _key_type(len(front) * n)
+        key = _index_type(len(front) * n)
         owner = np.arange(len(front), dtype=key)
         parent = np.full(len(front), -1, dtype=np.int64)
         seen = owner * n + front.astype(key)  # sorted: one key per centre
@@ -483,7 +493,12 @@ class RecoveryDiagnostics:
     one of the anchor's neighbours in H, whose walk trees see the anchor
     alignment from inside.  ``blackbox_informative`` is false
     if the black box found no community eigenvalue and returned a coin-flip
-    split.
+    split.  ``plus_frac`` is the share of + labels in the output, and
+    ``plus_block_accuracy`` and ``minus_block_accuracy`` are the accuracies
+    on the vertices whose hidden label is + and - under the global flip that
+    ``overlap`` picks (NaN for a block with no vertex); a run that drifts to
+    one label shows as a ``plus_frac`` away from 1/2 and two block
+    accuracies far apart.
     """
 
     r_used: int = 0
@@ -498,6 +513,9 @@ class RecoveryDiagnostics:
     nontree_neighborhoods: int = 0
     u_star_ball_violations: int = 0
     blackbox_informative: bool = True
+    plus_frac: float = 0.0
+    plus_block_accuracy: float = 0.0
+    minus_block_accuracy: float = 0.0
 
 
 STAGES = ("holdout", "blackbox", "align", "roots", "nontree", "coins")
@@ -636,6 +654,11 @@ def recover(g: LabelledGraph, cfg: AlgoConfig, params: ModelParams,
     diag.coin_labels += len(hold_out)
 
     report = overlap(Partition(side=side_out), g.labels)
+    diag.plus_frac = float(np.mean(side_out == 1))
+    right = side_out * report.aligned_sign == g.labels
+    for block, name in ((1, "plus_block_accuracy"), (-1, "minus_block_accuracy")):
+        mine = g.labels == block
+        setattr(diag, name, float(right[mine].mean()) if mine.any() else math.nan)
     lap("coins")
     return RecoveryResult(
         side=side_out,

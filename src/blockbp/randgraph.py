@@ -1,7 +1,9 @@
 """Labelled sparse two-class random graphs and BFS neighborhoods.
 
 Graphs live in CSR-style arrays (indptr/indices) with sorted, deduplicated
-neighbor lists and an int8 +-1 label per vertex.  Edge sampling walks the
+neighbor lists and an int8 +-1 label per vertex.  The neighbour ids are int32
+when n < 2^31 and int64 otherwise (``_index_type``, which also sizes the
+pipeline's keys); the row bounds are int64.  Edge sampling walks the
 lexicographic stream of candidate pairs with geometric jumps, so generating a
 graph costs O(edges) rather than O(n^2) Bernoulli trials; n up to 1e6 is fine
 on a desktop.  The CSR comes from one sort of the int64 keys x*n + y of both
@@ -30,6 +32,11 @@ __all__ = [
 ]
 
 
+def _index_type(bound: int) -> type:
+    """The integer type of indices or keys in [0, ``bound``): int32 when they fit."""
+    return np.int32 if bound < 2 ** 31 else np.int64
+
+
 @dataclass(frozen=True)
 class LabelledGraph:
     """Undirected graph in CSR form plus hidden +-1 labels.
@@ -37,12 +44,18 @@ class LabelledGraph:
     Each edge {x, y} is held in both rows, x's and y's; each row is sorted
     with no repeat, and no vertex is its own neighbour.  The graphs built
     here keep this; ``pipeline._edge_pairs`` needs it and checks it by count.
+    ``indices`` may come in any integer type and is held as
+    ``_index_type(n)``, so every graph, a hand-built one too, has one width.
     """
 
     n: int
     indptr: np.ndarray   # int64, length n+1
-    indices: np.ndarray  # int64, sorted within each row
+    indices: np.ndarray  # _index_type(n): int32 below n = 2^31; sorted within each row
     labels: np.ndarray   # int8, +-1
+
+    def __post_init__(self):
+        object.__setattr__(self, "indices", self.indices.astype(
+            _index_type(self.n), casting="same_kind", copy=False))
 
     @property
     def m(self) -> int:
@@ -63,20 +76,28 @@ def _check_key_room(n: int) -> None:
         raise ValueError(f"n = {n} is too large: edge keys need n^2 < 2^63")
 
 
-def _csr_from_edges(n: int, u: np.ndarray, v: np.ndarray, labels: np.ndarray) -> LabelledGraph:
-    """Build CSR from one copy of each undirected edge (arrays u, v).
+def _csr_from_edges(n: int, us: list, vs: list, labels: np.ndarray) -> LabelledGraph:
+    """Build CSR from one copy of each undirected edge, the pairs of the
+    chunks ``us[i]``, ``vs[i]`` (int64 arrays).
 
     One sort of the int64 keys x*n + y of both directions (x, y) of every
-    edge gives the rows (key // n) and the sorted neighbours (key % n); a
-    repeated key is a duplicate edge.
+    edge, written straight from the chunks, gives the rows, whose bounds are
+    where the keys x*n fall, and the sorted neighbours (key % n); a repeated
+    key is a duplicate edge.
     """
-    key = np.concatenate((u * n + v, v * n + u))
+    key = np.empty(2 * sum(map(len, us)), dtype=np.int64)
+    at = 0
+    for x, y in (*zip(us, vs), *zip(vs, us)):
+        out = key[at:at + len(x)]
+        np.multiply(x, n, out=out)
+        out += y
+        at += len(x)
     key.sort()
     if np.any(key[1:] == key[:-1]):
         raise ValueError("duplicate edges")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-    return LabelledGraph(n=n, indptr=indptr, indices=key % n,
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(key, n, out=key)
+    return LabelledGraph(n=n, indptr=indptr, indices=key.astype(_index_type(n)),
                          labels=labels.astype(np.int8))
 
 
@@ -109,7 +130,7 @@ def graph_from_edges(n: int, edges, labels) -> LabelledGraph:
     u, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
     if np.any(u == v):
         raise ValueError("self-loops are not allowed")
-    return _csr_from_edges(n, u, v, lab)
+    return _csr_from_edges(n, [u], [v], lab)
 
 
 def _bernoulli_positions(rng: np.random.Generator, n_pairs: int, p: float) -> np.ndarray:
@@ -183,7 +204,7 @@ def sample_sbm(m: ModelParams, seed=0) -> LabelledGraph:
     if len(t) and len(minus):
         us.append(plus[t // len(minus)])
         vs.append(minus[t % len(minus)])
-    return _csr_from_edges(n, np.concatenate(us), np.concatenate(vs), lab)
+    return _csr_from_edges(n, us, vs, lab)
 
 
 @dataclass(frozen=True)
@@ -235,7 +256,7 @@ def extract_neighborhood(g: LabelledGraph, v: int, radius: int) -> Ball:
     _integer("radius", radius, low=0)
     visited = np.zeros(g.n, dtype=bool)
     visited[v] = True
-    vertex = [np.array([v], dtype=np.int64)]
+    vertex = [np.array([v], dtype=g.indices.dtype)]
     for _ in range(radius):
         nbrs = g.indices[_row_slots(g, vertex[-1])[0]]
         nbrs = nbrs[~visited[nbrs]]
@@ -255,7 +276,7 @@ class SubgraphMap:
 
     graph: LabelledGraph
     new_to_old: np.ndarray
-    old_to_new: np.ndarray  # -1 for removed vertices
+    old_to_new: np.ndarray  # the graph's index type; -1 for removed vertices
 
 
 def remove_set(g: LabelledGraph, victims) -> SubgraphMap:
@@ -263,16 +284,20 @@ def remove_set(g: LabelledGraph, victims) -> SubgraphMap:
 
     Filters the CSR rather than rebuilding it: the kept slots of kept rows
     stay sorted, and a prefix count of kept slots gives the new row bounds.
+    The id map and the prefix count take ``_index_type`` of their ranges.
     """
     keep = np.ones(g.n, dtype=bool)
     keep[_vertex_ids(victims, g.n, "victims")] = False
     new_to_old = np.flatnonzero(keep)
-    old_to_new = np.full(g.n, -1, dtype=np.int64)
+    old_to_new = np.full(g.n, -1, dtype=g.indices.dtype)
     old_to_new[new_to_old] = np.arange(len(new_to_old))
-    slot = keep[g.indices] & np.repeat(keep, g.degrees)
-    kept_before = np.concatenate(([0], np.cumsum(slot)))
-    sub = LabelledGraph(n=len(new_to_old),
-                        indptr=kept_before[g.indptr[np.append(new_to_old, g.n)]],
+    slot = keep[g.indices]
+    slot &= np.repeat(keep, g.degrees)
+    kept_before = np.zeros(len(slot) + 1, dtype=_index_type(len(slot) + 1))
+    np.cumsum(slot, out=kept_before[1:])
+    indptr = kept_before[g.indptr[np.append(new_to_old, g.n)]].astype(np.int64)
+    del kept_before
+    sub = LabelledGraph(n=len(new_to_old), indptr=indptr,
                         indices=old_to_new[g.indices[slot]],
                         labels=g.labels[new_to_old])
     return SubgraphMap(graph=sub, new_to_old=new_to_old, old_to_new=old_to_new)

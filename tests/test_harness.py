@@ -17,7 +17,10 @@ from blockbp.harness import (
     run_experiment,
     write_results,
 )
+from blockbp.params import ModelParams
 from blockbp.popdyn import ci_half_width
+from blockbp.randgraph import sample_sbm
+from blockbp.seeding import derived_rng
 
 
 def tiny_spec(kind, **over):
@@ -242,8 +245,9 @@ def test_graph_recover_rows():
     spec = tiny_spec("graph-recover", trials=5000, seed=11)
     rows = run_experiment(spec)
     metrics = [r.coords["metric"] for r in rows]
-    # four rows per rep, then three summary rows
-    assert metrics == 2 * ["accuracy", "coin_frac", "nontree_frac", "rounding_zeros"] + [
+    # seven rows per rep, then three summary rows
+    assert metrics == 2 * ["accuracy", "coin_frac", "nontree_frac", "rounding_zeros",
+                           "plus_frac", "plus_block_accuracy", "minus_block_accuracy"] + [
         "mean_accuracy", "tree_p_hat", "gap"]
     mean_row = next(r for r in rows if r.coords["metric"] == "mean_accuracy")
     assert mean_row.estimate > 0.8
@@ -263,6 +267,23 @@ def test_graph_recover_rows():
     assert [r.coords["rep"] for r in zeros] == [0, 1]
     assert all(r.estimate >= 0 and r.estimate.is_integer() and r.seconds == 0.0
                for r in zeros)
+    # the label balance and the per-block accuracies, whose mean weighted by
+    # the block sizes is the rep's accuracy; no seconds, as for every row
+    # but the accuracy
+    by = {(r.coords["rep"], r.coords["metric"]): r for r in rows}
+    g = sample_sbm(ModelParams(n=n, a=spec.params["a"], b=spec.params["b"]),
+                   seed=derived_rng(spec.seed, "graph", 0))
+    plus = float(np.mean(g.labels == 1))
+    assert by[0, "accuracy"].estimate == pytest.approx(
+        plus * by[0, "plus_block_accuracy"].estimate
+        + (1 - plus) * by[0, "minus_block_accuracy"].estimate)
+    for rep in (0, 1):
+        assert abs(by[rep, "plus_frac"].estimate - 0.5) < 0.1
+        assert (by[rep, "plus_frac"].estimate * n).is_integer()
+        for metric in ("plus_block_accuracy", "minus_block_accuracy"):
+            assert 0.8 < by[rep, metric].estimate <= 1.0
+        for metric in ("plus_frac", "plus_block_accuracy", "minus_block_accuracy"):
+            assert by[rep, metric].seconds == 0.0 and by[rep, metric].ci == 0.0
 
 
 # --- persistence and determinism ----------------------------------------------

@@ -19,9 +19,9 @@ from _oracles import (
     revisits,
     walk_tree,
 )
-from blockbp import pipeline
+from blockbp import pipeline, randgraph
 from blockbp.bpcore import bp_combine
-from blockbp.params import ModelParams
+from blockbp.params import ModelParams, derive_tree_params
 from blockbp.partition import Partition
 from blockbp.pipeline import (
     STAGES,
@@ -108,6 +108,41 @@ def test_anchor_counts_only_outside_neighbors():
     assert fallback
     with pytest.raises(ValueError):
         choose_anchor(g, [], derived_rng(0, "t"))
+
+
+def _anchor_loop(g, hold_out, rng):
+    """choose_anchor with one Python count per hold-out vertex."""
+    hold_out = np.asarray(hold_out, dtype=np.int64)
+    min_degree = math.ceil(math.sqrt(math.log(g.n))) if g.n > 1 else 1
+    in_u = np.zeros(g.n, dtype=bool)
+    in_u[hold_out] = True
+    out_deg = np.array([int((~in_u[g.neighbors(u)]).sum()) for u in hold_out])
+    qualifying = hold_out[out_deg >= min_degree]
+    if len(qualifying):
+        return int(qualifying[rng.integers(len(qualifying))]), False
+    return int(hold_out[int(np.argmax(out_deg))]), True
+
+
+def test_anchor_counts_match_the_loop():
+    # the out-degrees come from one pass over the hold-out rows' slots: the
+    # same anchor, the same fallback and the same single draw as a loop that
+    # counts each hold-out vertex's neighbours outside U on its own
+    rng = np.random.default_rng(5)
+    cases = [(graph_from_edges(6, [(0, 1), (3, 4)], [1] * 6), [5, 3, 0])]  # fallback
+    for n, a, b, seed in ((2000, 30, 4, 1), (300, 4, 1, 2), (400, 2, 1, 3)):
+        g = sample_sbm(ModelParams(n=n, a=a, b=b), seed=seed)
+        size = math.isqrt(n)
+        cases += [(g, np.sort(rng.choice(n, size, replace=False))),
+                  (g, rng.choice(n, 3 * size, replace=False)),  # a large, unsorted U
+                  (g, rng.integers(0, n, size))]  # repeats
+    fallbacks = 0
+    for i, (g, hold) in enumerate(cases):
+        want_rng, got_rng = derived_rng(i, "anchor"), derived_rng(i, "anchor")
+        want = _anchor_loop(g, hold, want_rng)
+        assert choose_anchor(g, hold, got_rng) == want
+        assert got_rng.random() == want_rng.random()
+        fallbacks += want[1]
+    assert 0 < fallbacks < len(cases)
 
 
 def test_anchor_regression_high_snr():
@@ -309,10 +344,21 @@ def test_wide_keys_give_the_same_results(monkeypatch):
     # int64 keys, which a large enough graph would need, give the same flags
     graphs = _pair_graphs()
     want = [_revisiting(g, 3, np.arange(g.n)) for g in graphs]
-    monkeypatch.setattr(pipeline, "_key_type", lambda bound: np.int64)
+    monkeypatch.setattr(pipeline, "_index_type", lambda bound: np.int64)
     for g, flags in zip(graphs, want):
         assert np.array_equal(_revisiting(g, 3, np.arange(g.n)), flags)
         _check_pairs(g)
+
+
+def _traced_peak(run):
+    """``run()`` and its traced peak in bytes above what was allocated at its start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def test_nontree_sample_holds_one_chunk_of_keys():
@@ -322,15 +368,29 @@ def test_nontree_sample_holds_one_chunk_of_keys():
     # _NONTREE_CHUNK at a time, where all 500 at once held about 11 MiB
     m = ModelParams(n=20_000, a=30, b=4)
     h = sample_sbm(m, seed=61)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        count = _nontree_estimate(h, 3, np.random.default_rng(62))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    count, peak = _traced_peak(lambda: _nontree_estimate(h, 3, np.random.default_rng(62)))
     assert count > 0
     assert peak < 8 * pipeline._NONTREE_CHUNK * sum(17 ** j for j in range(4))
+
+
+def test_edge_passes_and_remove_set_hold_few_bytes_per_slot():
+    # at the recover-deep point (n = 2e4, a = 30, b = 4, R = 3, K = 1) the
+    # edge passes hold int32 neighbours, one float per slot overwritten by
+    # each cavity round and no |sum| array: their traced peak is about 32
+    # bytes per directed slot of H (50 with int64 pair arrays and a fresh
+    # array per round).  remove_set holds int32 maps and an int32 prefix
+    # count: about 10 bytes per slot of G (26 with int64 ones)
+    m = ModelParams(n=20_000, a=30, b=4)
+    g = sample_sbm(m, seed=61)
+    hold = np.sort(derived_rng(3, "hold-out").choice(g.n, math.isqrt(g.n), replace=False))
+    sub, peak = _traced_peak(lambda: remove_set(g, hold))
+    assert peak < 14 * len(g.indices)
+    h = sub.graph
+    side = np.where(derived_rng(4, "side").random(h.n) < 0.8, h.labels, -h.labels)
+    _, peak = _traced_peak(lambda: _label_edges(
+        h, side.astype(np.int8), 3, 1, derive_tree_params(m).theta,
+        derived_rng(3, "labels"), derived_rng(3, "zero-roots").random(h.n)))
+    assert peak < 36 * len(h.indices)
 
 
 def _one_way_graph(seed: int) -> LabelledGraph:
@@ -579,6 +639,64 @@ def test_recover_json_and_csv_outputs(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "v,assigned_sign,magnetization"
     assert len(lines) == g.n + 1
+
+
+def _wide_twin(g: LabelledGraph, monkeypatch) -> LabelledGraph:
+    """g held as a graph with n >= 2^31 would be: int64 neighbour ids, with
+    ``_index_type`` answering int64 for every bound until the test ends."""
+    for module in (randgraph, pipeline):
+        monkeypatch.setattr(module, "_index_type", lambda bound: np.int64)
+    wide = LabelledGraph(n=g.n, indptr=g.indptr, indices=g.indices, labels=g.labels)
+    assert wide.indices.dtype == np.int64
+    return wide
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_int64_index_layout_gives_the_same_results(r, monkeypatch):
+    # the layout a graph with n >= 2^31 takes, int64 ids, maps and keys,
+    # gives every pair, check and output of the int32 one
+    m = ModelParams(n=600, a=12, b=3)
+    g = sample_sbm(m, seed=8)
+    cfg = AlgoConfig(R=r, R_mode="fixed", K=1)
+    want = recover(g, cfg, m, impl="oracle-noise", seed=4, delta0=0.25)
+    pairs = _edge_pairs(g)
+    # a hand-built graph given int64 ids is held in the index type, int32
+    hand = LabelledGraph(n=g.n, indptr=g.indptr, indices=g.indices.astype(np.int64),
+                         labels=g.labels)
+    assert hand.indices.dtype == np.int32
+    assert np.array_equal(recover(hand, cfg, m, impl="oracle-noise", seed=4,
+                                  delta0=0.25).side, want.side)
+    wide = _wide_twin(g, monkeypatch)
+    got = recover(wide, cfg, m, impl="oracle-noise", seed=4, delta0=0.25)
+    assert all(np.array_equal(a, b) for a, b in zip(_edge_pairs(wide), pairs))
+    assert _edge_pairs(wide)[1].dtype == np.int64
+    _check_pairs(wide)
+    assert remove_set(wide, [0, 5]).graph.indices.dtype == np.int64
+    assert np.array_equal(got.side, want.side)
+    assert np.array_equal(got.magnetization, want.magnetization)
+    assert got.diagnostics == want.diagnostics
+
+
+def test_recover_reports_balance_and_block_accuracies():
+    # plus_frac is the share of + labels; a block's accuracy is read under
+    # overlap's global flip, so the blocks' accuracies weighted by their
+    # sizes give the accuracy; a block with no vertex reads NaN
+    m = ModelParams(n=800, a=20, b=4)
+    g = sample_sbm(m, seed=57)
+    cfg = AlgoConfig(R=2, R_mode="fixed", K=1)
+    res = recover(g, cfg, m, impl="oracle-noise", seed=6, delta0=0.2)
+    d = res.diagnostics
+    assert d.plus_frac == np.mean(res.side == 1)
+    sign = res.report.aligned_sign
+    for block, acc in ((1, d.plus_block_accuracy), (-1, d.minus_block_accuracy)):
+        assert acc == np.mean(sign * res.side[g.labels == block] == block)
+    plus = np.mean(g.labels == 1)
+    assert plus * d.plus_block_accuracy + (1 - plus) * d.minus_block_accuracy == \
+        pytest.approx(res.accuracy)
+    one_block = LabelledGraph(n=g.n, indptr=g.indptr, indices=g.indices,
+                              labels=np.ones(g.n, dtype=np.int8))
+    d1 = recover(one_block, cfg, m, impl="oracle-noise", seed=6, delta0=0.2).diagnostics
+    assert math.isnan(d1.minus_block_accuracy) and not math.isnan(d1.plus_block_accuracy)
 
 
 def test_recover_deterministic():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from _oracles import bfs_levels
 from blockbp.params import ModelParams
 from blockbp.randgraph import (
+    LabelledGraph,
+    _index_type,
     extract_neighborhood,
     graph_from_edges,
     remove_set,
@@ -286,6 +288,38 @@ def test_graph_from_edges_csr_and_rejections():
         graph_from_edges(3_037_000_500, [], [])
     with pytest.raises(ValueError, match=r"n\^2 < 2\^63"):
         sample_sbm(ModelParams(n=2 ** 32, a=3, b=1))
+
+
+def test_index_type_boundary():
+    # ids and keys in [0, bound) are int32 while they fit, int64 from 2^31
+    assert _index_type(0) is _index_type(2 ** 31 - 1) is np.int32
+    assert _index_type(2 ** 31) is _index_type(2 ** 62) is np.int64
+
+
+def test_builders_give_the_index_type():
+    # every builder's graph holds int32 neighbour ids below n = 2^31 and
+    # int64 row bounds; remove_set's id map takes its input's id type
+    g = sample_sbm(ModelParams(n=400, a=8, b=2), seed=3)
+    small = graph_from_edges(4, np.array([[2, 0], [1, 3]], dtype=np.int64), [1, -1, 1, -1])
+    sub = remove_set(g, [0, 7, 7])
+    for graph in (g, small, sub.graph, graph_from_edges(3, [], [1] * 3)):
+        assert graph.indices.dtype == _index_type(graph.n) == np.int32
+        assert graph.indptr.dtype == np.int64
+    assert sub.old_to_new.dtype == np.int32
+
+
+def test_hand_built_graphs_take_the_index_type():
+    # a LabelledGraph holds its neighbour ids as _index_type(n) whatever
+    # integer type they come in, and refuses float ids
+    g = sample_sbm(ModelParams(n=300, a=12, b=3), seed=1)
+    for dtype in (np.int64, np.uint16, np.int32):
+        built = LabelledGraph(n=g.n, indptr=g.indptr, indices=g.indices.astype(dtype),
+                              labels=g.labels)
+        assert built.indices.dtype == np.int32
+        assert np.array_equal(built.indices, g.indices)
+    with pytest.raises(TypeError):
+        LabelledGraph(n=g.n, indptr=g.indptr, indices=g.indices.astype(float),
+                      labels=g.labels)
 
 
 @st.composite
